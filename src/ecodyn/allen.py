@@ -348,6 +348,10 @@ def scale_invariance_check(
     """Run ``model`` under the scales t0_a and t0_b on one physical grid
     and report the sup deviation relative to the sup of the first run.
 
+    ``params`` holds the model's parameters by name ("mu", "nu", ...)
+    plus the optional initial data "Y0" (default 1) and, for phillips,
+    "Ydot0" (default 0), and the scale "t_star" (default 1).
+
     A deviation above 1e-6 is structural scale dependence (noise in the
     models at hand sits many orders below, structural deviations above
     1e-2).  Models with no t0 parameter are trivially scale invariant and

@@ -589,10 +589,10 @@ def _cmd_scale_check(ns) -> Output:
                 f"model {ns.model!r} requires --{key.replace('_', '-')}", key=key.replace("_", "-")
             )
         params[key] = value
-    for extra in ("y0", "ydot0", "t_star"):
-        value = getattr(ns, extra, None)
+    for flag, key in (("y0", "Y0"), ("ydot0", "Ydot0"), ("t_star", "t_star")):
+        value = getattr(ns, flag, None)
         if value is not None:
-            params[extra if extra != "t_star" else "t_star"] = value
+            params[key] = value
     grid = _grid(ns)
     report = allen.scale_invariance_check(model_key, params, ns.t0_a, ns.t0_b, grid)
     data = _sanitize(

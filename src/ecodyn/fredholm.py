@@ -6,6 +6,25 @@ resolvent, characteristic numbers with eigenfunctions, singularity sweeps
 for kernels k0 + mu*k1, and the classic reduction of a constant-
 coefficient ODE to a Volterra (initial data) or Fredholm (two-point data)
 equation.
+
+Array evaluators.  A ``KernelSpec`` may carry, besides its scalar
+``evaluator`` k(t, eta), an ``array`` form k(T, E) that takes float
+arrays broadcasting against each other and returns a new float array of
+their broadcast shape holding k at every pair.  It is checked against the
+scalar evaluator on a 5 x 5 lattice to 1e-12 and then used for every
+kernel sample: matrix assembly (nodes x nodes) and off-node evaluation
+(points x nodes) are one call each.  A kernel without it is sampled one
+scalar call per entry.  The catalogue kernels and the ODE-reduced kernels
+carry one.
+
+Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
+``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
+mu gives (I/lambda - KW) v = (1/lambda - mu) v for its eigenvector, so
+sigma_min(I/lambda - KW) <= dist(1/lambda, spec KW).  The guard first
+computes sigma_min with a values-only SVD and accepts when it clears
+twice the tolerance plus the SVD's rounding allowance n*eps*sigma_max;
+only otherwise does it compute the eigenvalues, which decide, and name
+the nearest characteristic number in the rejection.
 """
 
 from __future__ import annotations
@@ -27,6 +46,8 @@ from .odelin import OdeSpec, TimeGrid, Trajectory
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
 SINGULARITY_FLAG_REL = 1e-6
+# the sigma_min screen skips eigvals only above this multiple of the tolerance
+GUARD_SCREEN_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -36,18 +57,29 @@ class KernelSpec:
     ``params`` records named constants baked into the evaluator (lambda
     is reserved for the equation multiplier, mu for an embedded kernel
     parameter).  When a separable form sum_i g_i(t) h_i(eta) is supplied
-    it is verified against the evaluator on a sample lattice to 1e-12.
+    it is verified against the evaluator on a sample lattice to 1e-12, and
+    so is the broadcasting ``array`` form k(T, E) (see the module
+    docstring).
     """
 
     evaluator: Callable[[float, float], float]
     params: tuple[tuple[str, float], ...] = ()
     separable: tuple[tuple[Callable[[float], float], Callable[[float], float]], ...] | None = None
     name: str = "kernel"
+    array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         probe = np.linspace(0.0, 1.0, 5)
-        for t in probe:
-            for e in probe:
+        lattice = None
+        if self.array is not None:
+            lattice = np.asarray(self.array(probe[:, None], probe[None, :]))
+            if lattice.shape != (5, 5):
+                raise ValidationError(
+                    f"array form of {self.name!r} returned shape {lattice.shape} "
+                    "on a 5 x 5 lattice"
+                )
+        for i, t in enumerate(probe):
+            for j, e in enumerate(probe):
                 v = self.evaluator(float(t), float(e))
                 if not math.isfinite(v):
                     raise ValidationError(
@@ -60,9 +92,39 @@ class KernelSpec:
                             f"separable form of {self.name!r} deviates from the "
                             f"evaluator at ({t}, {e}): {s!r} vs {v!r}"
                         )
+                if lattice is not None:
+                    a = float(lattice[i, j])
+                    if not abs(a - v) <= 1e-12 * max(1.0, abs(v)):
+                        raise ValidationError(
+                            f"array form of {self.name!r} deviates from the "
+                            f"evaluator at ({t}, {e}): {a!r} vs {v!r}"
+                        )
 
     def __call__(self, t: float, eta: float) -> float:
         return self.evaluator(t, eta)
+
+    def matrix(self, t: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """Samples k(t_i, eta_j) for 1-D ``t`` and ``eta`` as a
+        len(t) x len(eta) array."""
+        if self.array is not None:
+            return self.array(t[:, None], eta[None, :])
+        out = np.empty((len(t), len(eta)))
+        for i, ti in enumerate(t):
+            for j, ej in enumerate(eta):
+                out[i, j] = self.evaluator(float(ti), float(ej))
+        return out
+
+
+def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """A scalar profile applied to every element of an array.  Kernels built
+    from profiles sample them on the (n, 1) and (1, n) node axes only, so
+    this costs O(n) Python calls for an n x n matrix."""
+    return np.vectorize(f, otypes=[float])
+
+
+def _exp_diff(T: np.ndarray, E: np.ndarray) -> np.ndarray:
+    out = np.subtract(T, E)
+    return np.exp(out, out=out)
 
 
 def kernel_t_plus_eta() -> KernelSpec:
@@ -70,6 +132,7 @@ def kernel_t_plus_eta() -> KernelSpec:
         evaluator=lambda t, e: t + e,
         separable=((lambda t: t, lambda e: 1.0), (lambda t: 1.0, lambda e: e)),
         name="t-plus-eta",
+        array=np.add,
     )
 
 
@@ -78,11 +141,16 @@ def kernel_exp_diff() -> KernelSpec:
         evaluator=lambda t, e: math.exp(t - e),
         separable=((math.exp, lambda e: math.exp(-e)),),
         name="exp-diff",
+        array=_exp_diff,
     )
 
 
 def kernel_zero() -> KernelSpec:
-    return KernelSpec(evaluator=lambda t, e: 0.0, name="zero")
+    return KernelSpec(
+        evaluator=lambda t, e: 0.0,
+        name="zero",
+        array=lambda T, E: np.zeros(np.broadcast_shapes(np.shape(T), np.shape(E))),
+    )
 
 
 def canonical_rho(t: float) -> float:
@@ -98,10 +166,12 @@ def canonical_sigma(t: float) -> float:
 def kernel_rho_rho(
     rho: Callable[[float], float] = canonical_rho,
 ) -> KernelSpec:
+    rho_a = _elementwise(rho)
     return KernelSpec(
         evaluator=lambda t, e: rho(t) * rho(e),
         separable=((rho, rho),),
         name="rho-rho",
+        array=lambda T, E: rho_a(T) * rho_a(E),
     )
 
 
@@ -109,10 +179,12 @@ def kernel_sigma_rho(
     sigma: Callable[[float], float] = canonical_sigma,
     rho: Callable[[float], float] = canonical_rho,
 ) -> KernelSpec:
+    sigma_a, rho_a = _elementwise(sigma), _elementwise(rho)
     return KernelSpec(
         evaluator=lambda t, e: sigma(t) * rho(e),
         separable=((sigma, rho),),
         name="sigma-rho",
+        array=lambda T, E: sigma_a(T) * rho_a(E),
     )
 
 
@@ -124,11 +196,13 @@ def kernel_degenerate(
     """rho(t)rho(eta) + mu*sigma(t)rho(eta): carries rho + mu*sigma as a
     homogeneous solution for every mu once rho is unit-normalized and
     orthogonal to sigma."""
+    rho_a, sigma_a = _elementwise(rho), _elementwise(sigma)
     return KernelSpec(
         evaluator=lambda t, e: (rho(t) + mu * sigma(t)) * rho(e),
         params=(("mu", mu),),
         separable=((rho, rho), (lambda t: mu * sigma(t), rho)),
         name="degenerate",
+        array=lambda T, E: (rho_a(T) + mu * sigma_a(T)) * rho_a(E),
     )
 
 
@@ -190,10 +264,7 @@ class NystromDiscretization:
     _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        t = self.rule.nodes
-        self.K = np.array(
-            [[self.kernel(float(ti), float(ej)) for ej in t] for ti in t]
-        )
+        self.K = self.kernel.matrix(self.rule.nodes, self.rule.nodes)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -219,6 +290,14 @@ class NystromDiscretization:
 def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
     if lam == 0.0:
         return
+    shifted = disc.weighted()
+    np.negative(shifted, out=shifted)
+    shifted[np.diag_indices_from(shifted)] += 1.0 / lam
+    svals = np.linalg.svd(shifted, compute_uv=False)
+    del shifted
+    rounding = disc.rule.n * np.finfo(float).eps * svals[0]
+    if svals[-1] >= GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + rounding:
+        return  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
     eigs = disc.weighted_eigs()
     dist = np.abs(1.0 / lam - eigs)
     j = int(np.argmin(dist))
@@ -239,14 +318,20 @@ class NystromSolution:
     q: Callable[[float], float]
     phi: np.ndarray
 
-    def __call__(self, t: float) -> float:
-        """Off-node value by the natural interpolation
-        phi(t) = q(t) + lambda * sum_j w_j k(t, eta_j) phi_j."""
+    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Off-node values by the natural interpolation
+        phi(t) = q(t) + lambda * sum_j w_j k(t, eta_j) phi_j.
+
+        ``t`` is one point (returns a float) or an array of points
+        (returns an array of its shape), evaluated as one matrix product.
+        """
         disc = self.disc
-        acc = 0.0
-        for wj, ej, pj in zip(disc.weights, disc.nodes, self.phi):
-            acc += wj * disc.kernel(float(t), float(ej)) * pj
-        return self.q(t) + self.lam * acc
+        ts = np.asarray(t, dtype=float).ravel()
+        qv = np.array([self.q(float(x)) for x in ts])
+        vals = qv + self.lam * (disc.kernel.matrix(ts, disc.nodes) @ (disc.weights * self.phi))
+        if np.ndim(t) == 0:
+            return float(vals[0])
+        return vals.reshape(np.shape(t))
 
 
 def nystrom_solve(
@@ -439,28 +524,58 @@ class OdeReductionSolution:
 
 
 def _volterra_kernel(a: tuple[float, ...], n: int) -> Callable[[float, float], float]:
-    def kappa(t: float, eta: float) -> float:
+    """kappa(t, eta) = -sum_k a_k (t - eta)^(n-1-k)/(n-1-k)!, for floats or
+    broadcasting arrays."""
+    def kappa(t, eta):
         d = t - eta
         acc = 0.0
         for k, ak in enumerate(a):
             m = n - 1 - k
-            acc -= ak * d**m / math.factorial(m)
+            acc = acc - ak * d**m / math.factorial(m)
         return acc
 
     return kappa
 
 
-def _poly_part(a: tuple[float, ...], c: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
-    """sum_k a_k P_k(t) with P_k(t) = sum_{i>=k} c_i t^(i-k)/(i-k)!."""
-    total = np.zeros_like(t, dtype=float)
+def _poly_part(a: tuple[float, ...], c, n: int, t: np.ndarray) -> np.ndarray:
+    """sum_k a_k P_k(t) with P_k(t) = sum_{i>=k} c_i t^(i-k)/(i-k)!.
+
+    The c_i may be arrays broadcasting against ``t``."""
+    shape = np.broadcast_shapes(np.shape(t), *(np.shape(c[i]) for i in range(n)))
+    total = np.zeros(shape)
     for k, ak in enumerate(a):
         if ak == 0.0:
             continue
-        pk = np.zeros_like(t, dtype=float)
+        pk = np.zeros(shape)
         for i in range(k, n):
             pk += c[i] * t ** (i - k) / math.factorial(i - k)
         total += ak * pk
     return total
+
+
+def _free_term_values(
+    forcing: Callable[[float], float] | None,
+    a: tuple[float, ...],
+    c: np.ndarray,
+    n: int,
+    t: np.ndarray,
+) -> np.ndarray:
+    """q(t) = f(t) - sum_k a_k P_k(t) at every point of the array ``t``."""
+    f = np.array([forcing(float(x)) for x in t]) if forcing is not None else 0.0
+    return f - _poly_part(a, c, n, t)
+
+
+def _reconstruct(t: np.ndarray, h: float, phi: np.ndarray, c: np.ndarray, n: int,
+                 refine: int) -> np.ndarray:
+    """z = J_n[phi] + sum_i c_i t^i/i! at every ``refine``-th node of the
+    uniform grid ``t`` (t[0] = 0, spacing h), where
+    J_n[phi](t) = int_0^t (t - s)^(n-1)/(n-1)! phi(s) ds by the trapezoidal
+    rule on that grid."""
+    g = t ** (n - 1) / math.factorial(n - 1)  # the integrand's kernel at lag t_K - t_j = t_(K-j)
+    conv = np.convolve(phi, g)[: len(t)]  # sum_{j<=K} g_(K-j) phi_j
+    integral = h * (conv - 0.5 * (g * phi[0] + g[0] * phi))
+    tk = t[::refine]
+    return integral[::refine] + sum(c[i] * tk**i / math.factorial(i) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -482,10 +597,10 @@ class VolterraReduction:
         return _volterra_kernel(self.a, self.order)(t, eta)
 
     def free_term(self, t: float) -> float:
-        f = self.forcing(t) if self.forcing is not None else 0.0
-        return f - float(
-            _poly_part(self.a, np.asarray(self.init), self.order, np.array([t]))[0]
-        )
+        return float(self._free_terms(np.array([t]))[0])
+
+    def _free_terms(self, t: np.ndarray) -> np.ndarray:
+        return _free_term_values(self.forcing, self.a, np.asarray(self.init), self.order, t)
 
     def solve(self, steps: int = 200, t_end: float = 1.0, refine: int = 4) -> OdeReductionSolution:
         """March phi with trapezoidal quadrature on an internally refined
@@ -499,38 +614,25 @@ class VolterraReduction:
         N = steps * refine
         t = np.linspace(0.0, t_end, N + 1)
         h = t_end / N
-        q = np.array([self.free_term(float(x)) for x in t])
+        q = self._free_terms(t)
         # kernel at the moving node: kappa(t, t) = -a_{n-1}
         diag_gain = 1.0 + (h / 2.0) * a[n - 1]
         if abs(diag_gain) < 1e-12:
             raise ResolutionError("marching step resonates with the kernel; refine")
         phi = np.empty(N + 1)
         phi[0] = q[0]
+        w_phi = np.empty(N + 1)  # trapezoidal weight times phi over the history
+        w_phi[0] = (h / 2.0) * phi[0]
         kappa = _volterra_kernel(a, n)
         for k in range(1, N + 1):
-            row = np.array([kappa(float(t[k]), float(tj)) for tj in t[:k]])
-            weights = np.full(k, h)
-            weights[0] = h / 2.0
-            phi[k] = (q[k] + float(row @ (weights * phi[:k]))) / diag_gain
-        # reconstruct z at the coarse output nodes
-        out_idx = np.arange(0, N + 1, refine)
-        z = np.empty(steps + 1)
-        fact = math.factorial(n - 1)
-        for m, K in enumerate(out_idx):
-            if K == 0:
-                integral = 0.0
-            else:
-                kern = (t[K] - t[: K + 1]) ** (n - 1) / fact
-                w = np.full(K + 1, h)
-                w[0] = w[-1] = h / 2.0
-                integral = float(np.sum(w * kern * phi[: K + 1]))
-            z[m] = integral + float(
-                sum(c[i] * t[K] ** i / math.factorial(i) for i in range(n))
-            )
+            row = kappa(t[k], t[:k])
+            phi[k] = (q[k] + float(row @ w_phi[:k])) / diag_gain
+            w_phi[k] = h * phi[k]
+        z = _reconstruct(t, h, phi, c, n, refine)
         grid = TimeGrid(0.0, t_end, steps)
         return OdeReductionSolution(
             trajectory=Trajectory(grid, z, ("z",)),
-            phi=phi[out_idx],
+            phi=phi[::refine],
             constants=tuple(float(x) for x in c),
         )
 
@@ -568,9 +670,12 @@ class FredholmReduction:
         object.__setattr__(self, "_Minv", Minv)
         object.__setattr__(self, "_c0", Minv @ v)
 
-    def _beta(self, eta: float) -> np.ndarray:
+    def _beta(self, eta):
+        """beta_j(eta) = (1 - eta)^m/m!, m = n-1-d_j, for a condition on
+        z^(d_j) at t = 1 and 0 otherwise, stacked on a leading axis of
+        length n in front of the shape of ``eta``."""
         n = self.order
-        out = np.zeros(n)
+        out = np.zeros((n, *np.shape(eta)))
         for j, (d, loc, _) in enumerate(self.conditions):
             if loc == 1.0:
                 m = n - 1 - d
@@ -584,12 +689,26 @@ class FredholmReduction:
         add = float(_poly_part(self.a, coeff, n, np.array([t]))[0])
         return base + add
 
+    def kernel_array(self, T: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """``kernel`` on broadcasting arrays: the Volterra polynomial in
+        t - eta masked to eta <= t, plus the rank-n term P(t).Minv beta(eta)."""
+        n = self.order
+        out = np.where(E <= T, _volterra_kernel(self.a, n)(T, E), 0.0)
+        coeff = np.tensordot(self._Minv, self._beta(E), axes=1)
+        out += _poly_part(self.a, coeff, n, T)
+        return out
+
     def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(evaluator=self.kernel, params=(("lambda", 1.0),), name="ode-reduced")
+        return KernelSpec(
+            evaluator=self.kernel,
+            params=(("lambda", 1.0),),
+            name="ode-reduced",
+            array=self.kernel_array,
+        )
 
     def free_term(self, t: float) -> float:
-        f = self.forcing(t) if self.forcing is not None else 0.0
-        return f - float(_poly_part(self.a, self._c0, self.order, np.array([t]))[0])
+        q = _free_term_values(self.forcing, self.a, self._c0, self.order, np.array([t]))
+        return float(q[0])
 
     def solve(self, n_nodes: int = 201, steps: int = 200) -> OdeReductionSolution:
         """Nystrom-solve the Fredholm form at lambda = 1 and reconstruct z
@@ -598,35 +717,17 @@ class FredholmReduction:
         disc = NystromDiscretization(self.kernel_spec(), rule)
         sol = nystrom_solve(disc, 1.0, self.free_term)
         # constants implied by the computed phi
-        w_phi = np.zeros(self.order)
-        for j in range(self.order):
-            beta_j = np.array([self._beta(float(e))[j] for e in rule.nodes])
-            w_phi[j] = float(np.sum(rule.weights * beta_j * sol.phi))
+        w_phi = np.sum(rule.weights * self._beta(rule.nodes) * sol.phi, axis=1)
         c = self._c0 - self._Minv @ w_phi
         # reconstruct z from phi on a fine uniform grid
-        n = self.order
         fine = 4 * steps
         tf = np.linspace(0.0, 1.0, fine + 1)
-        hf = 1.0 / fine
-        phi_f = np.array([sol(float(x)) for x in tf])
-        out_idx = np.arange(0, fine + 1, 4)
-        z = np.empty(steps + 1)
-        fact = math.factorial(n - 1)
-        for m, K in enumerate(out_idx):
-            if K == 0:
-                integral = 0.0
-            else:
-                kern = (tf[K] - tf[: K + 1]) ** (n - 1) / fact
-                w = np.full(K + 1, hf)
-                w[0] = w[-1] = hf / 2.0
-                integral = float(np.sum(w * kern * phi_f[: K + 1]))
-            z[m] = integral + float(
-                sum(c[i] * tf[K] ** i / math.factorial(i) for i in range(n))
-            )
+        phi_f = sol(tf)
+        z = _reconstruct(tf, 1.0 / fine, phi_f, c, self.order, 4)
         grid = TimeGrid(0.0, 1.0, steps)
         return OdeReductionSolution(
             trajectory=Trajectory(grid, z, ("z",)),
-            phi=phi_f[out_idx],
+            phi=phi_f[::4],
             constants=tuple(float(x) for x in c),
         )
 

@@ -22,7 +22,12 @@ from .errors import (
     ValidationError,
 )
 
-ROOT_CLUSTER_RTOL = 1e-8
+# Two computed roots closer than this, relative to their modulus, are one
+# repeated root.  The companion eigenvalues of an exact double root split by
+# about sqrt(eps) ~ 1.5e-8 relative, up to 6.5e-8 seen (critical damping
+# p^2 + a p + a^2/4 for a in [0.1, 20], and (p + 1)^2 (p + s) up to s = 1e5),
+# whatever the scale of the root, so the bound is relative with a 15x margin.
+ROOT_CLUSTER_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -111,16 +116,18 @@ class OdeSpec:
 def char_roots(spec: OdeSpec) -> list[tuple[complex, int]]:
     """Roots of sum c_k p^k = 0 with multiplicities.
 
-    Computed as companion-matrix eigenvalues; near-coincident roots are
-    clustered with relative tolerance 1e-8.  Returned sorted by
-    (real part, imaginary part).
+    Computed as companion-matrix eigenvalues; a root joins a cluster when
+    its distance to the cluster's center is at most ``ROOT_CLUSTER_RTOL``
+    times the larger of the two moduli, so the test does not depend on
+    the scale of the roots.
+    Returned sorted by (real part, imaginary part).
     """
     raw = np.roots(spec.coeffs).astype(complex)
     clusters: list[list[complex]] = []
     for r in sorted(raw, key=lambda z: (z.real, z.imag)):
         for members in clusters:
             center = sum(members) / len(members)
-            if abs(r - center) <= ROOT_CLUSTER_RTOL * max(1.0, abs(center)):
+            if abs(r - center) <= ROOT_CLUSTER_RTOL * max(abs(r), abs(center)):
                 members.append(r)
                 break
         else:

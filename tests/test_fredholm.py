@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecodyn.errors import SpectrumProximityError, ValidationError
 from ecodyn.fredholm import (
+    SPECTRUM_PROXIMITY_TOL,
     FredholmReduction,
     KernelSpec,
     NystromDiscretization,
@@ -324,3 +327,172 @@ class TestOdeReduction:
         sol = red.solve(steps=200)
         t = sol.trajectory.times
         assert np.max(np.abs(sol.trajectory.column("z") - 2 * (1 - np.exp(-t)))) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Array evaluators, batched off-node evaluation and the screened guard
+# ---------------------------------------------------------------------------
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+points = st.lists(st.tuples(unit, unit), min_size=1, max_size=20)
+coeff = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+def assert_array_matches_scalar(spec, ts, es):
+    T, E = np.array(ts, dtype=float), np.array(es, dtype=float)
+    got = spec.array(T, E)
+    assert got.shape == T.shape
+    for t, e, a in zip(ts, es, got):
+        v = spec.evaluator(float(t), float(e))
+        assert abs(a - v) <= 1e-12 * max(1.0, abs(v)), (t, e, a, v)
+
+
+CATALOGUE = {
+    "t-plus-eta": kernel_t_plus_eta,
+    "exp-diff": kernel_exp_diff,
+    "zero": kernel_zero,
+    "rho-rho": kernel_rho_rho,
+    "sigma-rho": kernel_sigma_rho,
+    "degenerate": lambda: kernel_degenerate(2.5),
+}
+
+
+class TestArrayEvaluators:
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    @given(pts=points)
+    def test_catalogue_matches_scalar(self, name, pts):
+        spec = CATALOGUE[name]()
+        assert_array_matches_scalar(spec, [p[0] for p in pts], [p[1] for p in pts])
+
+    @given(pts=points, mu=coeff)
+    def test_profile_kernels_with_math_profiles(self, pts, mu):
+        spec = kernel_degenerate(mu, rho=math.cos, sigma=math.sin)
+        assert_array_matches_scalar(spec, [p[0] for p in pts], [p[1] for p in pts])
+
+    @given(pts=points, a0=coeff, a1=coeff, a2=coeff, layout=st.sampled_from([
+        ((0, 0.0, 1.0), (0, 1.0, 0.5)),
+        ((1, 0.0, -0.5), (0, 1.0, 2.0)),
+        ((0, 0.0, 1.0), (1, 1.0, 0.3)),
+        ((0, 0.0, 1.0), (1, 0.0, 0.0), (0, 1.0, 0.7)),
+    ]))
+    def test_ode_reduced_matches_scalar_on_and_off_diagonal(self, pts, a0, a1, a2, layout):
+        n = len(layout)
+        coeffs = (1.0, *(a2, a1, a0)[-n:])
+        red = ode_to_integral(OdeSpec(coeffs), list(layout))
+        assert isinstance(red, FredholmReduction)
+        ts, es = [], []
+        for t, e in pts:
+            # the kernel jumps on eta = t: probe it and one ulp either side
+            ts += [t, t, t, t]
+            es += [e, t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        assert_array_matches_scalar(red.kernel_spec(), ts, es)
+
+    def test_array_form_checked_at_construction(self):
+        with pytest.raises(ValidationError, match="array form"):
+            KernelSpec(evaluator=lambda t, e: t + e, array=lambda T, E: T - E)
+        with pytest.raises(ValidationError, match="shape"):
+            KernelSpec(evaluator=lambda t, e: 1.0, array=lambda T, E: np.ones(5))
+
+    def test_scalar_only_kernel_still_assembles(self, rule):
+        spec = KernelSpec(evaluator=lambda t, e: math.exp(t - e))
+        disc = NystromDiscretization(spec, rule)
+        T, E = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+        assert np.max(np.abs(disc.K - np.exp(T - E))) < 1e-15
+
+
+class TestBatchedOffNode:
+    @pytest.mark.parametrize("spec", [kernel_t_plus_eta(), kernel_exp_diff(),
+                                      KernelSpec(evaluator=lambda t, e: t * e)])
+    def test_array_equals_pointwise(self, spec, rng):
+        disc = NystromDiscretization(spec, simpson_rule(101))
+        sol = nystrom_solve(disc, 0.3, lambda t: math.cos(3.0 * t))
+        ts = np.concatenate([rng.uniform(0.0, 1.0, 40), disc.nodes[::10]])
+        batched = sol(ts)
+        assert batched.shape == ts.shape
+        pointwise = np.array([sol(float(t)) for t in ts])
+        assert np.max(np.abs(batched - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
+        assert isinstance(sol(0.25), float)
+
+    def test_at_nodes_reproduces_the_solve(self, disc_sum):
+        sol = nystrom_solve(disc_sum, 0.5, lambda t: 1.0)
+        assert np.max(np.abs(sol(disc_sum.nodes) - sol.phi)) < 1e-12
+
+
+def plain_eigvals_guard(disc, lam):
+    """The unscreened guard: eigvals on every call."""
+    eigs = np.linalg.eigvals(disc.weighted())
+    dist = np.abs(1.0 / lam - eigs)
+    j = int(np.argmin(dist))
+    if dist[j] < SPECTRUM_PROXIMITY_TOL:
+        mu = eigs[j]
+        nearest = 1.0 / mu if mu != 0 else math.inf
+        return (
+            f"lambda = {lam!r} sits within {SPECTRUM_PROXIMITY_TOL} of the "
+            f"characteristic number {nearest!r}"
+        )
+    return None
+
+
+class TestScreenedGuard:
+    DISTANCES = (1e-10, 5e-9, 0.999e-8, 1.001e-8, 2e-8, 1e-6)
+
+    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
+    def test_decision_table_matches_plain_eigvals(self, make, rule):
+        disc = NystromDiscretization(make(), rule)
+        eigs = np.linalg.eigvals(disc.weighted())
+        mus = [mu.real for mu in eigs if abs(mu) > 1e-3]
+        assert mus
+        for mu in mus:
+            for d in self.DISTANCES:
+                for lam in (1.0 / (mu + d), 1.0 / (mu - d)):
+                    expected = plain_eigvals_guard(disc, lam)
+                    try:
+                        nystrom_solve(disc, lam, lambda t: 1.0)
+                        got = None
+                    except SpectrumProximityError as exc:
+                        got = str(exc)
+                    assert got == expected, (mu, d, lam)
+                    assert (got is not None) == (d < SPECTRUM_PROXIMITY_TOL)
+
+    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
+    def test_far_from_spectrum_skips_eigvals(self, make, rule, monkeypatch):
+        disc = NystromDiscretization(make(), rule)
+
+        def forbidden():
+            raise AssertionError("eigvals computed although sigma_min cleared the tolerance")
+
+        monkeypatch.setattr(disc, "weighted_eigs", forbidden)
+        nystrom_solve(disc, 0.5, lambda t: 1.0)
+        resolvent(disc, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# Convergence orders: both reductions are second order against cos t
+# ---------------------------------------------------------------------------
+
+def observed_orders(errors):
+    return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+
+
+class TestConvergenceOrder:
+    def test_two_point_solve_is_second_order(self):
+        red = ode_to_integral(
+            OdeSpec((1.0, 0.0, 1.0)), [(0, 0.0, 1.0), (0, 1.0, math.cos(1.0))]
+        )
+        errors = []
+        for n_nodes in (51, 101, 201):
+            sol = red.solve(n_nodes=n_nodes)
+            t = sol.trajectory.times
+            errors.append(float(np.max(np.abs(sol.trajectory.column("z") - np.cos(t)))))
+        for order in observed_orders(errors):
+            assert 1.8 <= order <= 2.2, errors
+
+    def test_volterra_march_is_second_order(self):
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0])
+        errors = []
+        for steps in (50, 100, 200):
+            sol = red.solve(steps=steps)
+            t = sol.trajectory.times
+            errors.append(float(np.max(np.abs(sol.trajectory.column("z") - np.cos(t)))))
+        for order in observed_orders(errors):
+            assert 1.8 <= order <= 2.2, errors

@@ -132,6 +132,16 @@ class TestAnalyticSolution:
         with pytest.raises(UnsupportedError):
             analytic_solution(OdeSpec((1.0, 2.0, 1.0)), [1.0, 0.0], TimeGrid(0.0, 1.0, 4))
 
+    def test_critical_damping_sweep_fails_one_way(self):
+        # z'' + a z' + (a^2/4) z has the double root -a/2 for every a; the
+        # computed roots split by up to ~4e-8 relative, whatever a is
+        grid = TimeGrid(0.0, 1.0, 10)
+        for a in np.linspace(0.1, 20.0, 400):
+            spec = OdeSpec((1.0, float(a), float(a) ** 2 / 4.0))
+            with pytest.raises(UnsupportedError):
+                analytic_solution(spec, [1.0, 0.0], grid)
+            assert [m for _, m in char_roots(spec)] == [2]
+
     def test_forced_spec_rejected(self):
         spec = OdeSpec((1.0, 1.0), forcing=lambda t: 1.0)
         with pytest.raises(UnsupportedError):
