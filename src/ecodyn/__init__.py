@@ -40,6 +40,7 @@ from .odelin import (
     analytic_solution,
     char_roots,
     rk4_integrate,
+    rk4_linear,
 )
 from .harrod import (
     AdequacyResidual,
@@ -119,7 +120,7 @@ __all__ = [
     "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
     # odelin
     "OdeSpec", "TimeGrid", "Trajectory",
-    "char_roots", "analytic_solution", "rk4_integrate",
+    "char_roots", "analytic_solution", "rk4_integrate", "rk4_linear",
     # harrod
     "HarrodParams", "FlowDecomposition", "DiscretePath", "AdequacyResidual",
     "CorrectedHarrodResult", "classical_trajectory", "corrected_trajectory",

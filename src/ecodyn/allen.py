@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
+from .harrod import _exponential_cross_check
 from .odelin import (
     OdeSpec,
     TimeGrid,
     Trajectory,
     analytic_solution,
     char_roots,
-    rk4_integrate,
     sup_rel_diff,
 )
 
@@ -110,19 +110,10 @@ def harrod_domar_trajectory(
         raise ValidationError("mu must lie in (0, 1)", key="mu")
     if nu <= 0.0:
         raise ValidationError("nu must be positive", key="nu")
-    t = grid.nodes
     rate = mu / (nu * scaling.t0)
-    Y = scaling.Y0 * np.exp(rate * t)
+    Y = scaling.Y0 * np.exp(rate * grid.nodes)
     if cross_check:
-        numeric = rk4_integrate(
-            lambda _, x: rate * x,
-            [scaling.Y0 * math.exp(rate * t[0])],
-            grid,
-            substeps=max(1, min(64, math.ceil(rate * grid.h / 0.02))),
-        )
-        dev = sup_rel_diff(Y, numeric.values[:, 0])
-        if dev > 1e-8:
-            raise CrossCheckError(f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-8")
+        _exponential_cross_check(Y, rate, grid)
     C = (1.0 - mu) * Y / scaling.k1
     I = mu * Y / scaling.k2
     return Trajectory(grid, np.column_stack([Y, C, I]), ("Y", "C", "I"))

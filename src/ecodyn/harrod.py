@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, PoleError, ValidationError
-from .odelin import TimeGrid, Trajectory, rk4_integrate, sup_rel_diff
+from .odelin import TimeGrid, Trajectory, rk4_linear, sup_rel_diff
 
 POLE_GUARD_REL = 1e-6
 
@@ -93,21 +93,10 @@ def classical_trajectory(
     """
     if nu <= 0.0:
         raise ValidationError("nu must be positive", key="nu")
-    t = grid.nodes
     rate = params.mu / nu
-    Y = params.Y0 * np.exp(rate * t)
+    Y = params.Y0 * np.exp(rate * grid.nodes)
     if cross_check:
-        numeric = rk4_integrate(
-            lambda _, x: rate * x,
-            [params.Y0 * math.exp(rate * t[0])],
-            grid,
-            substeps=_substeps_for(abs(rate), grid.h),
-        )
-        dev = sup_rel_diff(Y, numeric.values[:, 0])
-        if dev > 1e-8:
-            raise CrossCheckError(
-                f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-8"
-            )
+        _exponential_cross_check(Y, rate, grid)
     flows = _flows(params.mu, Y)
     values = np.column_stack([flows.Y, flows.C, flows.S, flows.I])
     return Trajectory(grid, values, ("Y", "C", "S", "I"))
@@ -149,8 +138,8 @@ def corrected_trajectory(
     Y = params.Y0 / (1.0 - sigma * t) ** 2
     if cross_check and sigma > 0.0:
         rate_max = 2.0 * sigma / (1.0 - sigma * grid.t_end)
-        numeric = rk4_integrate(
-            lambda s, x: (2.0 * sigma / (1.0 - sigma * s)) * x,
+        numeric = rk4_linear(
+            lambda s: 2.0 * sigma / (1.0 - sigma * s),
             [params.Y0 / (1.0 - sigma * t[0]) ** 2],
             grid,
             substeps=_substeps_for(rate_max, grid.h),
@@ -162,6 +151,15 @@ def corrected_trajectory(
             )
     traj = Trajectory(grid, Y, ("Y",))
     return CorrectedHarrodResult(traj, blowup_time=blowup, forecast_horizon=horizon)
+
+
+def _exponential_cross_check(Y: np.ndarray, rate: float, grid: TimeGrid) -> None:
+    """Validate the closed form Y on ``grid`` against RK4 of Ydot = rate*Y,
+    started from Y[0], to 1e-8 relative (CrossCheckError otherwise)."""
+    numeric = rk4_linear(rate, [Y[0]], grid, substeps=_substeps_for(abs(rate), grid.h))
+    dev = sup_rel_diff(Y, numeric.values[:, 0])
+    if dev > 1e-8:
+        raise CrossCheckError(f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-8")
 
 
 def _substeps_for(rate: float, h: float, target: float = 0.02, cap: int = 64) -> int:

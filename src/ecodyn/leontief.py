@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .odelin import TimeGrid, Trajectory, rk4_integrate
+from .odelin import TimeGrid, Trajectory, rk4_linear
 
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
 
@@ -217,33 +217,38 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     """Integrate the truncated balance on t_bar in [0, 1] with RK4.
 
     Order 1: Xd = C - B X.  Order 2: the first-order system in (X, Xd)
-    with Xdd = 2 (C - Xd - B X).  Higher orders are not accepted.
+    with Xdd = 2 (C - Xd - B X), i.e. the block matrix [[0, I], [-2B, -2I]]
+    with forcing [0, 2C].  Higher orders are not accepted.  A constant
+    demand is checked once; a demand sampler is called once per distinct
+    RK4 stage time, each sample checked by ``LeontiefModel.demand_at``.
     """
     if model.order not in (1, 2):
         raise ValidationError("dynamic_solve supports truncation orders 1 and 2", key="order")
+    if model.order == 2 and model.Xdot0 is None:
+        raise ValidationError("order 2 needs Xdot0", key="xdot0")
     grid = TimeGrid(0.0, 1.0, steps)
-    B = model.B
     n = model.n
     labels = tuple(f"x{i + 1}" for i in range(n))
+    if callable(model.demand):
+        def demand(ts: np.ndarray) -> np.ndarray:
+            return np.array([model.demand_at(float(t)) for t in ts])
+    else:
+        demand = model.demand_at(0.0)
     if model.order == 1:
-        traj = rk4_integrate(
-            lambda t, x: model.demand_at(t) - B @ x,
-            model.X0,
-            grid,
-            labels=labels,
-        )
-        return traj
-    if model.Xdot0 is None:
-        raise ValidationError("order 2 needs Xdot0", key="xdot0")
+        return rk4_linear(-model.B, model.X0, grid, forcing=demand, labels=labels)
 
-    def rhs(t: float, state: np.ndarray) -> np.ndarray:
-        x, v = state[:n], state[n:]
-        return np.concatenate([v, 2.0 * (model.demand_at(t) - v - B @ x)])
-
-    full = rk4_integrate(
-        rhs,
+    eye = np.eye(n)
+    M = np.block([[np.zeros((n, n)), eye], [-2.0 * model.B, -2.0 * eye]])
+    if callable(demand):
+        def forcing(ts: np.ndarray) -> np.ndarray:
+            return np.hstack([np.zeros((len(ts), n)), 2.0 * demand(ts)])
+    else:
+        forcing = np.concatenate([np.zeros(n), 2.0 * demand])
+    full = rk4_linear(
+        M,
         np.concatenate([model.X0, model.Xdot0]),
         grid,
+        forcing=forcing,
         labels=labels + tuple(f"v{i + 1}" for i in range(n)),
     )
     return Trajectory(grid, full.values[:, :n], labels)
@@ -345,8 +350,7 @@ def demand_scale(
     X_star = np.asarray(X_star, dtype=float)
     if X_star.shape != (model.n,):
         raise ValidationError(f"X_star must have {model.n} components", key="x-star")
-    solver = dynamic_solve if model.order in (1, 2) else None
-    if solver is None:
+    if model.order not in (1, 2):
         raise ValidationError("demand_scale supports truncation orders 1 and 2", key="order")
 
     def scaled_model(alpha: float) -> LeontiefModel:
@@ -360,8 +364,8 @@ def demand_scale(
             order=model.order,
         )
 
-    base = _component_integrals(solver(scaled_model(0.0), steps=steps))
-    full = _component_integrals(solver(scaled_model(1.0), steps=steps))
+    base = _component_integrals(dynamic_solve(scaled_model(0.0), steps=steps))
+    full = _component_integrals(dynamic_solve(scaled_model(1.0), steps=steps))
     response = full - base
     target = float(np.sum(X_star))
     agg_base = float(np.sum(base))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .odelin import TimeGrid, Trajectory, rk4_integrate
+from .odelin import TimeGrid, Trajectory, rk4_linear
 
 REGIME_REAL_TOL = 1e-10
 
@@ -86,8 +86,7 @@ def lw_simulate(
     grid: TimeGrid,
 ) -> Trajectory:
     """Integrate the (x, y) system with RK4 and emit z = x - y alongside."""
-    M = lw_matrix(params)
-    traj = rk4_integrate(lambda _, v: M @ v, [x0, y0], grid, labels=("x", "y"))
+    traj = rk4_linear(lw_matrix(params), [x0, y0], grid, labels=("x", "y"))
     x = traj.values[:, 0]
     y = traj.values[:, 1]
     values = np.column_stack([x, y, x - y])

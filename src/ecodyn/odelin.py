@@ -1,14 +1,19 @@
 """Shared linear-ODE core.
 
 Characteristic roots of constant-coefficient equations (via companion
-matrix eigenvalues), analytic solutions built from simple roots, and a
-fixed-step classical Runge-Kutta integrator for first-order vector
-systems.  Everything downstream (growth models, business-cycle systems,
-the input-output dynamics) runs on these three primitives.
+matrix eigenvalues), analytic solutions built from simple roots, and two
+fixed-step classical Runge-Kutta integrators: ``rk4_integrate`` for any
+first-order system given as a Python right-hand side, and ``rk4_linear``
+for linear systems x' = M x + c(t), where each step folds into the affine
+map x -> P x + q with P the RK4 stability polynomial of hM.  Every model
+downstream (growth models, business-cycle systems, the input-output
+dynamics) is linear and integrates through ``rk4_linear``;
+``rk4_integrate`` is the general integrator and the tests' reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -22,11 +27,13 @@ from .errors import (
     ValidationError,
 )
 
-# Two computed roots closer than this, relative to their modulus, are one
-# repeated root.  The companion eigenvalues of an exact double root split by
-# about sqrt(eps) ~ 1.5e-8 relative, up to 6.5e-8 seen (critical damping
-# p^2 + a p + a^2/4 for a in [0.1, 20], and (p + 1)^2 (p + s) up to s = 1e5),
-# whatever the scale of the root, so the bound is relative with a 15x margin.
+# Two computed roots within this distance of their center, relative to their
+# modulus, are one double root.  The companion eigenvalues of an exact double
+# root split by about sqrt(eps) ~ 1.5e-8 relative, up to 6.5e-8 seen (critical
+# damping p^2 + a p + a^2/4 for a in [0.1, 20], and (p + 1)^2 (p + s) up to
+# s = 1e5), whatever the scale of the root, so the bound is relative with a
+# 15x margin.  An m-fold root splits by about eps^(1/m), so m roots form one
+# cluster within ROOT_CLUSTER_RTOL^(2/m) (see ``_cluster_rtol``).
 ROOT_CLUSTER_RTOL = 1e-6
 
 
@@ -116,24 +123,53 @@ class OdeSpec:
 def char_roots(spec: OdeSpec) -> list[tuple[complex, int]]:
     """Roots of sum c_k p^k = 0 with multiplicities.
 
-    Computed as companion-matrix eigenvalues; a root joins a cluster when
-    its distance to the cluster's center is at most ``ROOT_CLUSTER_RTOL``
-    times the larger of the two moduli, so the test does not depend on
-    the scale of the roots.
+    Computed as companion-matrix eigenvalues, then grouped by
+    ``_clusters``: m computed roots count as one m-fold root when they all
+    lie within ``_cluster_rtol(m)`` of their center, relative to their
+    largest modulus, so the test depends neither on the scale of the roots
+    nor, beyond the eps^(1/m) splitting, on the multiplicity.
     Returned sorted by (real part, imaginary part).
     """
-    raw = np.roots(spec.coeffs).astype(complex)
-    clusters: list[list[complex]] = []
-    for r in sorted(raw, key=lambda z: (z.real, z.imag)):
-        for members in clusters:
-            center = sum(members) / len(members)
-            if abs(r - center) <= ROOT_CLUSTER_RTOL * max(abs(r), abs(center)):
-                members.append(r)
-                break
-        else:
-            clusters.append([r])
-    out = [(sum(m) / len(m), len(m)) for m in clusters]
+    raw = sorted(np.roots(spec.coeffs).astype(complex), key=lambda z: (z.real, z.imag))
+    out = [(sum(m) / len(m), len(m)) for m in _clusters(raw, max(1, len(raw)))]
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out
+
+
+def _cluster_rtol(m: int) -> float:
+    """Relative spread allowed for m computed copies of one root.
+
+    An m-fold root splits by about eps^(1/m): 1.5e-8, 6.1e-6 and 1.2e-4
+    for m = 2, 3, 4, and up to 1.9e-8, 1.2e-5 and 2.5e-4 were seen for
+    (p + a)^m over a in [0.1, 20], against bounds of 1e-6, 1e-4 and 1e-3.
+    """
+    return ROOT_CLUSTER_RTOL ** (2.0 / m)
+
+
+def _clusters(roots: list[complex], m_max: int) -> list[list[complex]]:
+    """Group roots that are copies of one repeated root.
+
+    Roots link when they are within twice the bound for ``m_max`` members
+    of each other; a linked group wider than the bound for its own size
+    is split again with ``m_max`` one below its size.
+    """
+    link = 2.0 * _cluster_rtol(m_max)
+    groups: list[list[complex]] = []
+    for r in roots:
+        near = [g for g in groups if any(abs(r - s) <= link * max(abs(r), abs(s)) for s in g)]
+        merged = [r]
+        for g in near:
+            groups.remove(g)
+            merged += g
+        groups.append(merged)
+    out: list[list[complex]] = []
+    for g in groups:
+        center = sum(g) / len(g)
+        scale = max(abs(r) for r in g)
+        if len(g) == 1 or max(abs(r - center) for r in g) <= _cluster_rtol(len(g)) * scale:
+            out.append(g)
+        else:
+            out.extend(_clusters(g, len(g) - 1))
     return out
 
 
@@ -225,6 +261,186 @@ def rk4_integrate(
     if labels is None:
         labels = [f"x{i}" for i in range(d)] if d > 1 else ["x"]
     return Trajectory(grid, values, tuple(labels))
+
+
+Coefficient = float | np.ndarray | Callable[[np.ndarray], np.ndarray]
+Forcing = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray]
+
+
+def rk4_linear(
+    coeff: Coefficient,
+    x0: Sequence[float],
+    grid: TimeGrid,
+    forcing: Forcing | None = None,
+    labels: Sequence[str] | None = None,
+    substeps: int = 1,
+) -> Trajectory:
+    """Classical RK4 for the linear system x' = M x + c(t), without
+    right-hand-side callbacks.
+
+    For a linear system one RK4 step of size h is the affine map
+    x -> P x + q, with P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 (the
+    RK4 stability polynomial) and q the step applied to the zero state, so
+    the result is ``rk4_integrate`` of the same system up to rounding.
+    Steps are applied as x + ((P - I) x + q), which rounds like the
+    stage sums of ``rk4_integrate`` instead of repeating the rounding of P.
+
+    ``coeff`` is a constant (d, d) matrix, a constant scalar rate, or a
+    time-varying scalar rate a(t) that maps an array of times to an array
+    of rates; the time-varying rate takes no ``forcing``.  ``forcing`` is
+    a constant (d,) vector or a callable mapping an array of m increasing
+    times to an (m, d) array; it is sampled once at each distinct stage
+    time (every substep node and midpoint).  ``substeps`` and BlowUpError
+    behave as in ``rk4_integrate``.
+    """
+    if substeps < 1:
+        raise ValidationError("substeps must be >= 1", key="substeps")
+    x = np.asarray(x0, dtype=float)
+    if x.ndim == 0:
+        x = x[None]
+    d = x.shape[0]
+    nodes = grid.nodes
+    h = grid.h / substeps
+    values = np.empty((grid.steps + 1, d))
+    values[0] = x
+    if callable(coeff):
+        if d != 1 or forcing is not None:
+            raise ValidationError("a time-varying rate needs one component and no forcing")
+        values[1:, 0] = 1.0 + _scalar_increments(coeff, nodes[:-1], h, substeps)
+        _cumprod(values)
+    else:
+        M = np.atleast_2d(np.asarray(coeff, dtype=float))
+        if M.shape != (d, d):
+            raise ValidationError(f"coefficient matrix must be {d}x{d} for {d} components")
+        E = _stability_increment(h * M)
+        E_step = E
+        for _ in range(substeps - 1):
+            E_step = E_step + (E + E @ E_step)
+        if forcing is None and d == 1:
+            values[1:, 0] = 1.0 + E_step[0, 0]
+            _cumprod(values)
+        elif forcing is None:
+            _march(values, E_step, None)
+        elif callable(forcing):
+            _march(values, E_step, _forcing_terms(M, E, forcing, nodes, h, substeps))
+        else:
+            c = np.asarray(forcing, dtype=float)
+            if c.shape != (d,):
+                raise ValidationError(f"constant forcing must have {d} components")
+            _march(values, E_step, _fold_substeps(E, [_stage_terms(M, h, c, c, c)] * substeps))
+    _raise_on_blow_up(values, nodes)
+    if labels is None:
+        labels = [f"x{i}" for i in range(d)] if d > 1 else ["x"]
+    return Trajectory(grid, values, tuple(labels))
+
+
+def _stability_increment(hM: np.ndarray) -> np.ndarray:
+    """P - I = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, by Horner."""
+    eye = np.eye(hM.shape[0])
+    E = hM / 4.0
+    for j in (3.0, 2.0, 1.0):
+        E = (hM / j) @ (eye + E)
+    return E
+
+
+def _stage_terms(M, h, c0, cm, c1):
+    """One RK4 step of x' = M x + c from the zero state.
+
+    c0, cm and c1 are the forcing at the step's start, midpoint and end;
+    rows of a 2-D argument are independent steps.
+    """
+    k1 = c0
+    k2 = (0.5 * h) * (k1 @ M.T) + cm
+    k3 = (0.5 * h) * (k2 @ M.T) + cm
+    k4 = h * (k3 @ M.T) + c1
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _forcing_terms(M, E, forcing, nodes, h, substeps) -> np.ndarray:
+    """Per-grid-step forcing terms q_k of the folded substeps.
+
+    The forcing is sampled once, in increasing time, at every substep node
+    and midpoint: (steps * substeps + 1) + steps * substeps times.
+    """
+    steps, d = nodes.shape[0] - 1, M.shape[0]
+    sub = (nodes[:-1, None] + h * np.arange(substeps)).ravel()
+    times = np.empty(2 * sub.shape[0] + 1)
+    times[0:-1:2] = sub
+    times[1::2] = sub + 0.5 * h
+    times[-1] = nodes[-1]
+    c = np.asarray(forcing(times), dtype=float)
+    if c.shape != (times.shape[0], d):
+        raise ValidationError(f"forcing must return {d} components per time")
+    ends = c[0::2]
+    q = _stage_terms(M, h, ends[:-1], c[1::2], ends[1:]).reshape(steps, substeps, d)
+    return _fold_substeps(E, [q[:, s] for s in range(substeps)])
+
+
+def _fold_substeps(E: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
+    """Forcing term of consecutive substeps, sum_s P^(S-1-s) terms[s] with
+    P = I + E; each term is one vector or one row per grid step."""
+    q = terms[0]
+    for term in terms[1:]:
+        q = q + (q @ E.T + term)
+    return q
+
+
+def _scalar_increments(rate, starts, h, substeps) -> np.ndarray:
+    """Per-grid-step RK4 gain minus one of x' = a(t) x, substeps folded in.
+
+    The rate is evaluated at each substep's start, midpoint and end.
+    """
+    total = np.zeros(starts.shape[0])
+    for s in range(substeps):
+        ts = starts + s * h
+        a0 = rate(ts)
+        am = rate(ts + 0.5 * h)
+        a1 = rate(ts + h)
+        r2 = am * (1.0 + (0.5 * h) * a0)
+        r3 = am * (1.0 + (0.5 * h) * r2)
+        r4 = a1 * (1.0 + h * r3)
+        e = (h / 6.0) * (a0 + 2.0 * r2 + 2.0 * r3 + r4)
+        total += e + total * e
+    return total
+
+
+def _cumprod(values: np.ndarray) -> None:
+    """Turn [x0, g_1, g_2, ...] into the states x0, g_1 x0, g_2 g_1 x0, ... in place."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(values[:, 0], out=values[:, 0])
+
+
+def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
+    """Fill values[k + 1] = values[k] + (E @ values[k] + q[k]) in place; q is
+    None, one vector for every step, or one row per step."""
+    inc = np.empty(values.shape[1])
+    prev = values[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if q is None:
+            for row in values[1:]:
+                np.dot(E, prev, out=inc)
+                np.add(prev, inc, out=row)
+                prev = row
+        else:
+            for row, qk in zip(values[1:], itertools.repeat(q) if q.ndim == 1 else q):
+                np.dot(E, prev, out=inc)
+                inc += qk
+                np.add(prev, inc, out=row)
+                prev = row
+
+
+def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray) -> None:
+    """BlowUpError at the first non-finite node, carrying the node before it."""
+    finite = np.isfinite(values).all(axis=1)
+    if finite.all():
+        return
+    k = max(int(np.argmin(finite)) - 1, 0)
+    raise BlowUpError(
+        f"integration blew up between t={nodes[k]!r} and t={nodes[k + 1]!r}",
+        t_last=float(nodes[k]),
+        index_last=k,
+        x_last=values[k].copy(),
+    )
 
 
 def sup_rel_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -70,6 +70,51 @@ class TestGolden:
         assert out == expected
 
 
+LEONTIEF_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
+                 "--order", "2", "--x0", "1,1,1", "--xdot0", "0,0.1,0", "--steps", "40"]
+# CSV written by the stage-by-stage RK4 integrator: the closed-form Harrod
+# paths must match byte for byte, the integrated paths to 1e-12 of each
+# column's sup norm
+TRAJECTORY_GOLDEN = {
+    "harrod": ["harrod", "--mu", "0.3", "--nu", "2.5", "--y0", "1.5", "--t-end", "20",
+               "--steps", "40"],
+    "harrod_corrected": ["harrod-corrected", "--mu", "0.3", "--nu-star", "2.5",
+                         "--t-end", "7", "--steps", "40"],
+    "harrod_domar": ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "2",
+                     "--t-end", "20", "--steps", "40"],
+    "longwave": ["longwave", "--p", "0.11", "--r", "0.11", "--t-end", "120",
+                 "--steps", "240"],
+    "leontief_dynamic_o2": LEONTIEF_ARGS + ["--demand", "0.5,0.3,0.2"],
+    "leontief_dynamic_o2_file": LEONTIEF_ARGS + [
+        "--demand-file", str(GOLDEN / "leontief_demand.csv")],
+}
+
+
+def read_csv(text: str) -> tuple[str, np.ndarray]:
+    header, _, body = text.partition("\n")
+    return header, np.array([[float(v) for v in ln.split(",")] for ln in body.splitlines()])
+
+
+class TestTrajectoryGolden:
+    @pytest.mark.parametrize("name", ["harrod", "harrod_corrected", "harrod_domar"])
+    def test_closed_form_bytes(self, capsys, name):
+        rc, out, _ = run(capsys, TRAJECTORY_GOLDEN[name])
+        assert rc == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", ["longwave", "leontief_dynamic_o2",
+                                      "leontief_dynamic_o2_file"])
+    def test_integrated_columns(self, capsys, name):
+        rc, out, _ = run(capsys, TRAJECTORY_GOLDEN[name])
+        assert rc == 0
+        header, got = read_csv(out)
+        expected_header, expected = read_csv((GOLDEN / f"{name}.csv").read_text(encoding="utf-8"))
+        assert header == expected_header
+        assert got.shape == expected.shape
+        scale = np.max(np.abs(expected), axis=0)
+        assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-12 * scale)
+
+
 class TestScaleCheckInitialData:
     PARAMS = {"kappa": 1.3, "nu": 0.8, "mu": 0.4, "lam": 1.1}
 

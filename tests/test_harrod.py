@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ecodyn.errors import PoleError, ValidationError
+from ecodyn import harrod
+from ecodyn.allen import AllenScaling, harrod_domar_trajectory
+from ecodyn.errors import CrossCheckError, PoleError, ValidationError
 from ecodyn.harrod import (
     HarrodParams,
     adequacy_residual,
@@ -90,6 +92,36 @@ class TestCorrected:
         assert all(b < a for a, b in zip(deviations, deviations[1:]))
         sigma = 0.5 / 20.0
         assert deviations[0] <= 2 * sigma * t_end * 1.0 * 1.5
+
+
+TRAJECTORIES = {
+    "classical": lambda: classical_trajectory(
+        HarrodParams(mu=0.5, nu_star=10.0), 10.0, TimeGrid(0.0, 10.0, 1000)),
+    "corrected": lambda: corrected_trajectory(
+        HarrodParams(mu=0.5, nu_star=10.0), TimeGrid(0.0, 15.0, 1000)),
+    "harrod-domar": lambda: harrod_domar_trajectory(
+        AllenScaling(t0=2.0), 0.5, 3.0, TimeGrid(0.0, 10.0, 1000)),
+}
+
+
+class TestCrossCheck:
+    # the RK4 reference perturbed by `rel`: 1e-6 is 100x the 1e-8 bound of
+    # the exponential checks; the corrected check's bound is 1e-6 itself,
+    # so it gets twice that
+    @pytest.mark.parametrize("name, rel", [
+        ("classical", 1e-6), ("corrected", 2e-6), ("harrod-domar", 1e-6)])
+    def test_perturbed_reference_raises(self, monkeypatch, name, rel):
+        original = harrod.rk4_linear
+
+        def perturbed(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            traj.values *= 1.0 + rel
+            return traj
+
+        TRAJECTORIES[name]()  # passes unperturbed
+        monkeypatch.setattr(harrod, "rk4_linear", perturbed)
+        with pytest.raises(CrossCheckError, match="closed form vs RK4 deviation"):
+            TRAJECTORIES[name]()
 
 
 class TestDiscrete:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_metzler
+from ecodyn.odelin import TimeGrid, rk4_integrate, sup_rel_diff
 from ecodyn.errors import (
     DegenerateDataError,
     NonConvergenceError,
@@ -191,6 +192,53 @@ class TestDynamic:
         combined = solve_with(c1 + c2)
         summed = solve_with(c1) + solve_with(c2)
         assert np.max(np.abs(combined - summed)) < 1e-9
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_matches_rk4_integrate_of_the_balance(self, rng, order, constant):
+        # reference: the stage-by-stage RK4 of Xd = C - B X, or of
+        # (X, Xd)' = (Xd, 2 (C - Xd - B X)) for order 2
+        n = 3
+        A = random_metzler(rng, n)
+        B = np.eye(n) - A
+        c = rng.uniform(0.5, 2.0, n)
+        demand = c if constant else (lambda t: c * (1.0 + 0.4 * np.sin(2 * np.pi * t)))
+        model = LeontiefModel(A=A, demand=demand, X0=rng.uniform(0.0, 1.0, n),
+                              Xdot0=rng.uniform(-0.5, 0.5, n), order=order)
+        grid = TimeGrid(0.0, 1.0, 300)
+        if order == 1:
+            ref = rk4_integrate(lambda t, x: model.demand_at(t) - B @ x, model.X0, grid)
+        else:
+            ref = rk4_integrate(
+                lambda t, s: np.concatenate(
+                    [s[n:], 2.0 * (model.demand_at(t) - s[n:] - B @ s[:n])]),
+                np.concatenate([model.X0, model.Xdot0]),
+                grid,
+            )
+        got = dynamic_solve(model, steps=300)
+        assert sup_rel_diff(ref.values[:, :n], got.values) <= 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_demand_sampled_once_per_stage_time(self, order):
+        # steps + 1 nodes and steps midpoints, in increasing time
+        times = []
+
+        def demand(t):
+            times.append(t)
+            return np.array([1.0 + t, 2.0])
+
+        model = LeontiefModel(A=A22, demand=demand, X0=[0.0, 0.0], Xdot0=[0.0, 0.0],
+                              order=order)
+        dynamic_solve(model, steps=10)
+        assert len(times) == 21
+        assert times == sorted(times)
+        assert times[0::2] == pytest.approx(list(np.linspace(0.0, 1.0, 11)), abs=1e-15)
+
+    def test_every_demand_sample_is_checked(self):
+        model = LeontiefModel(A=A22, demand=lambda t: np.array([1.0, 0.5 - t]),
+                              X0=[0.0, 0.0], order=1)
+        with pytest.raises(ValidationError, match="negative component at t_bar = 0.55"):
+            dynamic_solve(model, steps=10)
 
     def test_order_three_rejected(self):
         model = LeontiefModel(A=A22, demand=[1.0, 1.0], X0=[0.0, 0.0], order=3)

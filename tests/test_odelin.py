@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecodyn.errors import BlowUpError, UnsupportedError, ValidationError
 from ecodyn.odelin import (
@@ -12,6 +14,7 @@ from ecodyn.odelin import (
     analytic_solution,
     char_roots,
     rk4_integrate,
+    rk4_linear,
     sup_rel_diff,
 )
 
@@ -142,6 +145,17 @@ class TestAnalyticSolution:
                 analytic_solution(spec, [1.0, 0.0], grid)
             assert [m for _, m in char_roots(spec)] == [2]
 
+    def test_triple_root_sweep_fails_one_way(self):
+        # (p + a)^3 has the triple root -a; the computed roots split by up to
+        # ~1.2e-5 relative (about eps^(1/3)), whatever a is
+        grid = TimeGrid(0.0, 1.0, 10)
+        for a in np.linspace(0.1, 20.0, 100):
+            a = float(a)
+            spec = OdeSpec((1.0, 3.0 * a, 3.0 * a**2, a**3))
+            with pytest.raises(UnsupportedError):
+                analytic_solution(spec, [1.0, 0.0, 0.0], grid)
+            assert [m for _, m in char_roots(spec)] == [3]
+
     def test_forced_spec_rejected(self):
         spec = OdeSpec((1.0, 1.0), forcing=lambda t: 1.0)
         with pytest.raises(UnsupportedError):
@@ -219,3 +233,111 @@ class TestRk4:
         )
         assert traj.values[-1, 0] == pytest.approx(1.0, abs=1e-9)
         assert traj.values[-1, 1] == pytest.approx(0.0, abs=1e-9)
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def constant_systems(draw):
+    """x' = M x + a + b t with |M_ij| <= 1, d <= 4, and h*|M| <= 0.4."""
+    d = draw(st.integers(1, 4))
+    entries = st.floats(-1.0, 1.0, **FINITE)
+    M = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    x0 = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    affine = draw(st.booleans())
+    a = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    b = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    t_end = draw(st.floats(0.1, 2.0, **FINITE))
+    steps = draw(st.integers(20, 2000))
+    return M, x0, (a, b) if affine else None, TimeGrid(0.0, t_end, steps)
+
+
+class TestRk4Linear:
+    @settings(max_examples=25, deadline=None)
+    @given(system=constant_systems(), substeps=st.integers(1, 4))
+    def test_constant_matrix_matches_rk4_integrate(self, system, substeps):
+        M, x0, affine, grid = system
+        if affine is None:
+            ref = rk4_integrate(lambda t, x: M @ x, x0, grid, substeps=substeps)
+            got = rk4_linear(M, x0, grid, substeps=substeps)
+        else:
+            a, b = affine
+            ref = rk4_integrate(lambda t, x: M @ x + a + b * t, x0, grid, substeps=substeps)
+            got = rk4_linear(M, x0, grid, forcing=lambda ts: a + np.outer(ts, b),
+                             substeps=substeps)
+        assert got.labels == ref.labels
+        assert sup_rel_diff(ref.values, got.values) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(-2.0, 2.0, **FINITE),
+        beta=st.floats(-1.0, 1.0, **FINITE),
+        omega=st.floats(0.0, 5.0, **FINITE),
+        x0=st.floats(0.1, 2.0, **FINITE),
+        t_end=st.floats(0.1, 3.0, **FINITE),
+        steps=st.integers(20, 2000),
+        substeps=st.integers(1, 4),
+    )
+    def test_time_varying_rate_matches_rk4_integrate(
+        self, alpha, beta, omega, x0, t_end, steps, substeps
+    ):
+        grid = TimeGrid(0.0, t_end, steps)
+        ref = rk4_integrate(
+            lambda t, x: (alpha + beta * math.sin(omega * t)) * x, [x0], grid, substeps=substeps
+        )
+        got = rk4_linear(lambda t: alpha + beta * np.sin(omega * t), [x0], grid,
+                         substeps=substeps)
+        assert sup_rel_diff(ref.values, got.values) <= 1e-12
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_constant_forcing_matches_rk4_integrate(self, substeps):
+        M = np.array([[-1.0, 0.5], [0.2, -0.3]])
+        c = np.array([1.0, -2.0])
+        grid = TimeGrid(0.0, 2.0, 300)
+        ref = rk4_integrate(lambda t, x: M @ x + c, [1.0, 0.5], grid, substeps=substeps)
+        got = rk4_linear(M, [1.0, 0.5], grid, forcing=c, substeps=substeps)
+        assert sup_rel_diff(ref.values, got.values) <= 1e-12
+
+    def test_constant_scalar_rate(self):
+        traj = rk4_linear(1.0, [1.0], TimeGrid(0.0, 1.0, 1000))
+        assert traj.labels == ("x",)
+        assert abs(traj.values[-1, 0] - math.e) < 1e-10
+
+    @pytest.mark.parametrize("case", ["scalar", "rate", "matrix", "forced"])
+    def test_blow_up_matches_rk4_integrate(self, case):
+        # x' = 100 x (or its 2x2 analogue) at h = 0.1 overflows in step 110
+        grid = TimeGrid(0.0, 20.0, 200)
+        M = np.array([[0.0, 100.0], [100.0, 0.0]])
+        c = np.array([1.0, 2.0])
+        coeff, rhs, x0, forcing = {
+            "scalar": (100.0, lambda t, x: 100.0 * x, [1.0], None),
+            "rate": (lambda t: 100.0 + 0.0 * t, lambda t, x: 100.0 * x, [1.0], None),
+            "matrix": (M, lambda t, x: M @ x, [1.0, 0.5], None),
+            "forced": (M, lambda t, x: M @ x + c * t, [1.0, 0.5],
+                       lambda ts: np.outer(ts, c)),
+        }[case]
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: rk4_integrate(rhs, x0, grid),
+                        lambda: rk4_linear(coeff, x0, grid, forcing=forcing)):
+                with pytest.raises(BlowUpError) as exc_info:
+                    run()
+                errors.append(exc_info.value)
+        ref, got = errors
+        assert got.index_last == ref.index_last == 109
+        assert got.t_last == ref.t_last
+        assert sup_rel_diff(ref.x_last, got.x_last) <= 1e-12
+
+    def test_rejects_bad_arguments(self):
+        grid = TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(ValidationError):
+            rk4_linear(1.0, [1.0], grid, substeps=0)
+        with pytest.raises(ValidationError):
+            rk4_linear(np.eye(2), [1.0, 0.0, 0.0], grid)
+        with pytest.raises(ValidationError):
+            rk4_linear(lambda t: t, [1.0, 0.0], grid)
+        with pytest.raises(ValidationError):
+            rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=[1.0])
+        with pytest.raises(ValidationError):
+            rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: np.ones((len(ts), 3)))
