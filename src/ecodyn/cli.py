@@ -11,6 +11,7 @@ partial file behind.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -63,9 +64,9 @@ class Command:
 class Output:
     command: str
     params: dict
-    headers: list[str] | None = None  # CSV table; None => csv unsupported
-    rows: list[list] | None = None
-    data: dict | None = None  # JSON "data" payload
+    # CSV table as named 1-D columns, float or int; None => csv unsupported
+    columns: dict[str, np.ndarray] | None = None
+    data: dict | None = None  # JSON "data" payload; may share the column arrays
 
 
 def _default_steps(value, fallback: int = DEFAULT_STEPS_FALLBACK) -> int:
@@ -100,36 +101,13 @@ def _vector(text: str, key: str) -> np.ndarray:
 
 
 def _trajectory_output(command: str, params: dict, traj: Trajectory, report: dict | None = None) -> Output:
-    headers = ["t", *traj.labels]
-    t = traj.times
-    rows = [[float(t[k]), *(float(v) for v in traj.values[k])] for k in range(len(t))]
-    data: dict = {"columns": {"t": [float(x) for x in t]}}
+    columns = {"t": traj.times}
     for j, label in enumerate(traj.labels):
-        data["columns"][label] = [float(v) for v in traj.values[:, j]]
+        columns[label] = traj.values[:, j]
+    data: dict = {"columns": columns}
     if report is not None:
         data["report"] = report
-    return Output(command=command, params=params, headers=headers, rows=rows, data=data)
-
-
-def _sanitize(obj):
-    """Make reports JSON-ready and deterministic: numpy scalars to python,
-    complex to {re, im}, non-finite floats to None."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": _sanitize(float(obj.real)), "im": _sanitize(float(obj.imag))}
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
-    return obj
+    return Output(command, params, columns, data)
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +127,28 @@ def _cmd_harrod_corrected(ns) -> Output:
         "blowup_time": result.blowup_time,
         "forecast_horizon": result.forecast_horizon,
     }
-    return _trajectory_output("harrod-corrected", _ns_params(ns), result.trajectory, _sanitize(report))
+    return _trajectory_output("harrod-corrected", _ns_params(ns), result.trajectory, report)
 
 
 def _cmd_harrod_discrete(ns) -> Output:
     params = harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, K0=ns.k0)
     path = harrod.discrete_path(params, ns.nu, ns.years)
-    impulse = {year: w for year, w in path.impulses}
-    headers = ["year", "K", "Y_tilde", "I_tilde", "impulse"]
-    rows = [
-        [int(y), float(path.K[i]), float(path.Y_tilde[i]), float(path.I_tilde[i]),
-         float(impulse.get(int(y), 0.0))]
-        for i, y in enumerate(path.years)
-    ]
-    data = {
-        "years": [int(y) for y in path.years],
-        "K": [float(v) for v in path.K],
-        "Y_tilde": [float(v) for v in path.Y_tilde],
-        "I_tilde": [float(v) for v in path.I_tilde],
-        "impulses": [[int(y), float(w)] for y, w in path.impulses],
+    impulse = dict(path.impulses)
+    columns = {
+        "year": path.years,
+        "K": path.K,
+        "Y_tilde": path.Y_tilde,
+        "I_tilde": path.I_tilde,
+        "impulse": np.array([impulse.get(y, 0.0) for y in path.years.tolist()]),
     }
-    return Output("harrod-discrete", _ns_params(ns), headers, rows, data)
+    data = {
+        "years": path.years,
+        "K": path.K,
+        "Y_tilde": path.Y_tilde,
+        "I_tilde": path.I_tilde,
+        "impulses": path.impulses,
+    }
+    return Output("harrod-discrete", _ns_params(ns), columns, data)
 
 
 def _cmd_harrod_domar(ns) -> Output:
@@ -182,16 +161,14 @@ def _cmd_phillips(ns) -> Output:
     params = allen.PhillipsParams(kappa=ns.kappa, nu=ns.nu, mu=ns.mu, lam=ns.lam)
     scaling = allen.AllenScaling(t0=ns.t0, t_star=ns.t_star)
     sol = allen.phillips_solve(params, scaling, (ns.y0, ns.ydot0), _grid(ns))
-    report = _sanitize(
-        {
-            "roots": list(sol.roots),
-            "period_t_hat": sol.period_t_hat,
-            "a": sol.a,
-            "b": sol.b,
-            "a1": params.a1,
-            "b1": params.b1,
-        }
-    )
+    report = {
+        "roots": sol.roots,
+        "period_t_hat": sol.period_t_hat,
+        "a": sol.a,
+        "b": sol.b,
+        "a1": params.a1,
+        "b1": params.b1,
+    }
     return _trajectory_output("phillips", _ns_params(ns), sol.trajectory, report)
 
 
@@ -199,14 +176,12 @@ def _cmd_bergstrom(ns) -> Output:
     result = allen.bergstrom_capital_solve(
         ns.mu, ns.nu, ns.gamma, ns.lam, (ns.k0, ns.kdot0), _grid(ns)
     )
-    report = _sanitize(
-        {
-            "roots": list(result.roots),
-            "damping": result.damping,
-            "stiffness": result.stiffness,
-            "kappa_equivalent": result.kappa_equivalent,
-        }
-    )
+    report = {
+        "roots": result.roots,
+        "damping": result.damping,
+        "stiffness": result.stiffness,
+        "kappa_equivalent": result.kappa_equivalent,
+    }
     return _trajectory_output("bergstrom", _ns_params(ns), result.trajectory, report)
 
 
@@ -219,13 +194,11 @@ def _cmd_longwave(ns) -> Output:
     params = longwave.LongWaveParams(p=ns.p, r=ns.r, q=ns.q, s=ns.s)
     cycle = longwave.lw_classify(params)
     traj = longwave.lw_simulate(params, ns.x0, ns.y0, _grid(ns))
-    report = _sanitize(
-        {
-            "regime": cycle.regime,
-            "period_years": cycle.period_years,
-            "eigenvalues": list(cycle.eigenvalues),
-        }
-    )
+    report = {
+        "regime": cycle.regime,
+        "period_years": cycle.period_years,
+        "eigenvalues": cycle.eigenvalues,
+    }
     return _trajectory_output("longwave", _ns_params(ns), traj, report)
 
 
@@ -277,10 +250,39 @@ def _demand_from_flags(ns, n: int, steps: int):
             f"(grid-aligned), got shape {table.shape}",
             key="demand-file",
         )
-    t_nodes = np.linspace(0.0, 1.0, steps + 1)
+    return _row_sampler(np.linspace(0.0, 1.0, steps + 1), table)
 
-    def sampler(t: float, _t=t_nodes, _v=table) -> np.ndarray:
-        return np.array([np.interp(t, _t, _v[:, j]) for j in range(_v.shape[1])])
+
+def _row_sampler(t_nodes: np.ndarray, table: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Piecewise-linear sampler of the rows of ``table`` at ``t_nodes``
+    (strictly increasing), equal to ``np.interp`` on every column: one
+    bracket search, then np.interp's own formula across the row."""
+    nodes = t_nodes.tolist()
+    with np.errstate(all="ignore"):
+        slopes = np.diff(table, axis=0) / np.diff(t_nodes)[:, None]
+    # with finite slopes no interpolated value is NaN: np.interp's retry never applies
+    finite = bool(np.isfinite(slopes).all())
+
+    def sampler(t: float) -> np.ndarray:
+        if t <= nodes[0]:
+            return table[0].copy()
+        if t >= nodes[-1]:
+            return table[-1].copy()
+        j = bisect.bisect_right(nodes, t) - 1
+        if nodes[j] == t:
+            return table[j].copy()
+        if finite:
+            return slopes[j] * (t - nodes[j]) + table[j]
+        lo, hi = table[j], table[j + 1]
+        with np.errstate(all="ignore"):
+            row = slopes[j] * (t - nodes[j]) + lo
+            # like np.interp: retry a NaN from the other end of the bracket,
+            # then fall back to the common value of an infinite flat segment
+            bad = np.isnan(row)
+            row[bad] = (slopes[j] * (t - nodes[j + 1]) + hi)[bad]
+        flat = np.isnan(row) & (lo == hi)
+        row[flat] = lo[flat]
+        return row
 
     return sampler
 
@@ -289,16 +291,15 @@ def _cmd_leontief_static(ns) -> Output:
     A = _read_matrix(ns.matrix)
     c = _vector(ns.demand, "demand")
     X, log = leontief.static_solve(A, c, method=ns.method, tol=ns.tol, max_iter=ns.max_iter)
-    headers = ["component", "x"]
-    rows = [[i + 1, float(x)] for i, x in enumerate(X)]
+    columns = {"component": np.arange(1, len(X) + 1), "x": X}
     data = {
-        "X": [float(x) for x in X],
+        "X": X,
         "method": ns.method,
         "iterations": log.iterates if log else None,
-        "residual_history": [float(r) for r in log.residual_history] if log else None,
-        "metzler": _sanitize(vars(leontief.metzler_check(A)) | {}),
+        "residual_history": log.residual_history if log else None,
+        "metzler": vars(leontief.metzler_check(A)),
     }
-    return Output("leontief-static", _ns_params(ns), headers, rows, data)
+    return Output("leontief-static", _ns_params(ns), columns, data)
 
 
 def _leontief_model(ns, order: int) -> tuple[leontief.LeontiefModel, int]:
@@ -373,31 +374,22 @@ def _cmd_fredholm_solve(ns) -> Output:
         raise ValidationError(f"unknown free term {ns.q!r}", key="q")
     disc = fredholm.NystromDiscretization(kernel, fredholm.simpson_rule(ns.nodes))
     sol = fredholm.nystrom_solve(disc, ns.lam, _Q_CATALOGUE[ns.q])
-    headers = ["t", "phi"]
-    rows = [[float(t), float(p)] for t, p in zip(disc.nodes, sol.phi)]
-    data = {
-        "columns": {
-            "t": [float(t) for t in disc.nodes],
-            "phi": [float(p) for p in sol.phi],
-        }
-    }
-    return Output("fredholm-solve", _ns_params(ns), headers, rows, data)
+    columns = {"t": disc.nodes, "phi": sol.phi}
+    return Output("fredholm-solve", _ns_params(ns), columns, {"columns": columns})
 
 
 def _cmd_fredholm_spectrum(ns) -> Output:
     kernel = _kernel_by_name(ns.kernel, ns.mu)
     disc = fredholm.NystromDiscretization(kernel, fredholm.simpson_rule(ns.nodes))
     report = fredholm.char_numbers(disc, discard_threshold=ns.discard_threshold)
-    data = _sanitize(
-        {
-            "kernel": ns.kernel,
-            "characteristic_numbers": list(report.characteristic_numbers),
-            "eigenfunctions": report.eigenfunctions,
-            "nodes": report.nodes,
-            "discard_threshold": report.discard_threshold,
-        }
-    )
-    return Output("fredholm-spectrum", _ns_params(ns), None, None, data)
+    data = {
+        "kernel": ns.kernel,
+        "characteristic_numbers": report.characteristic_numbers,
+        "eigenfunctions": report.eigenfunctions,
+        "nodes": report.nodes,
+        "discard_threshold": report.discard_threshold,
+    }
+    return Output("fredholm-spectrum", _ns_params(ns), None, data)
 
 
 def _cmd_fredholm_sweep(ns) -> Output:
@@ -409,23 +401,19 @@ def _cmd_fredholm_sweep(ns) -> Output:
     report = fredholm.param_singularity_sweep(
         k0, k1, mu_grid, fredholm.simpson_rule(ns.nodes)
     )
-    headers = ["mu", "smallest_singular_value", "flagged"]
-    rows = [
-        [float(m), float(s), int(f)]
-        for m, s, f in zip(
-            report.mu_values, report.smallest_singular_values, report.flagged
-        )
-    ]
-    data = _sanitize(
-        {
-            "mu_values": list(report.mu_values),
-            "smallest_singular_values": list(report.smallest_singular_values),
-            "flagged": list(report.flagged),
-            "flagged_mus": list(report.flagged_mus),
-            "classification": report.classification,
-        }
-    )
-    return Output("fredholm-sweep", _ns_params(ns), headers, rows, data)
+    columns = {
+        "mu": np.array(report.mu_values, dtype=float),
+        "smallest_singular_value": np.array(report.smallest_singular_values, dtype=float),
+        "flagged": np.array(report.flagged, dtype=int),
+    }
+    data = {
+        "mu_values": columns["mu"],
+        "smallest_singular_values": columns["smallest_singular_value"],
+        "flagged": report.flagged,
+        "flagged_mus": report.flagged_mus,
+        "classification": report.classification,
+    }
+    return Output("fredholm-sweep", _ns_params(ns), columns, data)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +556,7 @@ def _cmd_dim_check(ns) -> Output:
         "first_violation": str(report.first_violation) if report.first_violation else None,
         "verdict": "consistent" if report.consistent else "inconsistent",
     }
-    return Output("dim-check", _ns_params(ns), None, None, data)
+    return Output("dim-check", _ns_params(ns), None, data)
 
 
 _SCALE_MODELS = {
@@ -595,17 +583,15 @@ def _cmd_scale_check(ns) -> Output:
             params[key] = value
     grid = _grid(ns)
     report = allen.scale_invariance_check(model_key, params, ns.t0_a, ns.t0_b, grid)
-    data = _sanitize(
-        {
-            "model": ns.model,
-            "t0_a": report.t0_a,
-            "t0_b": report.t0_b,
-            "max_rel_deviation": report.max_rel_deviation,
-            "verdict": report.verdict,
-            "trivially_invariant": report.trivially_invariant,
-        }
-    )
-    return Output("scale-check", _ns_params(ns), None, None, data)
+    data = {
+        "model": ns.model,
+        "t0_a": report.t0_a,
+        "t0_b": report.t0_b,
+        "max_rel_deviation": report.max_rel_deviation,
+        "verdict": report.verdict,
+        "trivially_invariant": report.trivially_invariant,
+    }
+    return Output("scale-check", _ns_params(ns), None, data)
 
 
 # ---------------------------------------------------------------------------
@@ -837,34 +823,89 @@ def load_scenario(path: str) -> list[str]:
     return [command, *argv]
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
-
-
 def render_csv(output: Output) -> str:
-    if output.headers is None or output.rows is None:
+    """Header line, then one line per row. A cell is the ``repr`` of its
+    Python value: the shortest round-trip float, or a plain int."""
+    if output.columns is None:
         raise ValidationError(
             f"command {output.command!r} has no CSV rendering; use --format json",
             key="format",
         )
-    lines = [",".join(output.headers)]
-    for row in output.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    cells = [map(repr, col.tolist()) for col in output.columns.values()]
+    return "\n".join([",".join(output.columns), *map(",".join, zip(*cells)), ""])
 
 
 def render_json(output: Output) -> str:
     payload = {
         "meta": {
             "command": output.command,
-            "params": _sanitize(output.params),
+            "params": output.params,
             "version": __version__,
         },
-        "data": _sanitize(output.data if output.data is not None else {}),
+        "data": output.data if output.data is not None else {},
     }
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    chunks: list[str] = []
+    _write_json(payload, "", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+# the string encoder json.dumps uses with ensure_ascii=False
+_json_str = json.encoder.encode_basestring
+
+
+def _write_json(obj, pad: str, out: list[str]) -> None:
+    """Append to ``out`` the text ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False)`` gives for ``obj`` starting on a line indented by
+    ``pad``, after mapping numpy scalars to Python, complex numbers to
+    {re, im} and non-finite floats to null."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
+        # the whole array at once: one finiteness check and one join
+        cells = list(map(repr, obj.tolist()))
+        for i in np.flatnonzero(~np.isfinite(obj)).tolist():
+            cells[i] = "null"
+        body = (",\n" + inner).join(cells)
+        out.append("[\n" + inner + body + "\n" + pad + "]" if cells else "[]")
+    elif isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        if not items:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key in sorted(items):
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(items[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        # the rows of a float array stay arrays and take the branch above
+        if isinstance(obj, np.ndarray) and obj.dtype != np.float64:
+            obj = obj.tolist()
+        if len(obj) == 0:
+            out.append("[]")
+            return
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        out.append(repr(f) if math.isfinite(f) else "null")
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _write_json({"re": float(obj.real), "im": float(obj.imag)}, pad, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -895,8 +936,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         try:
             argv = load_scenario(path) + argv[:idx] + argv[idx + 2 :]
         except EcodynError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _report(exc)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -913,15 +953,21 @@ def run(argv: Sequence[str] | None = None) -> int:
             write_atomic(ns.out, text)
         else:
             sys.stdout.write(text)
-    except NumericalError as exc:
+    except EcodynError as exc:
+        return _report(exc)
+    return 0
+
+
+def _report(exc: EcodynError) -> int:
+    """Print ``exc`` to stderr and return its exit code: 3 for a numerical
+    failure, else 2 with the offending key."""
+    if isinstance(exc, NumericalError):
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except EcodynError as exc:
-        key = getattr(exc, "key", None)
-        suffix = f" (key: {key})" if key else ""
-        print(f"error: {exc}{suffix}", file=sys.stderr)
-        return 2
-    return 0
+    key = getattr(exc, "key", None)
+    suffix = f" (key: {key})" if key else ""
+    print(f"error: {exc}{suffix}", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

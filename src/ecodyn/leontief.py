@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateDataError,
@@ -152,6 +151,11 @@ def static_solve(
     if c.shape != (n,):
         raise ValidationError(f"demand must have {n} components", key="demand")
     if method == "direct":
+        # imported here, not at module level: scipy.linalg takes longer to
+        # import than the rest of ecodyn, and only this branch needs it
+        # (lu_factor exposes the pivots the singularity guard reads)
+        import scipy.linalg
+
         B = np.eye(n) - A
         with warnings.catch_warnings():
             # singularity is detected via the pivot threshold below
