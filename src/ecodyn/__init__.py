@@ -5,19 +5,17 @@ diagnostics (stock/flow dimension audits, time-scale-invariance checks,
 discrete/continuous adequacy residuals), the input-output balance with
 its dynamic reductions, and second-kind integral-equation machinery with
 spectra, resolvents and parameter sweeps.
+
+Only ``errors`` is imported with the package.  Every other public name
+is resolved on first use from the submodule that defines it (PEP 562
+``__getattr__``), so ``import ecodyn`` loads no numpy and a command
+loads only the models it runs.  The names are looked up again on every
+access, never stored on the package: code that patches a submodule's
+attribute is seen at once through ``ecodyn.<name>``.
 """
 
-from .dims import (
-    DIMENSIONLESS,
-    FLOW,
-    MONEY,
-    TIME,
-    ConsistencyReport,
-    DimExpr,
-    Dimension,
-    check_relation,
-    var,
-)
+import importlib
+
 from .errors import (
     BlowUpError,
     CrossCheckError,
@@ -33,120 +31,68 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .odelin import (
-    OdeSpec,
-    TimeGrid,
-    Trajectory,
-    analytic_solution,
-    char_roots,
-    rk4_integrate,
-    rk4_linear,
-)
-from .harrod import (
-    AdequacyResidual,
-    CorrectedHarrodResult,
-    DiscretePath,
-    FlowDecomposition,
-    HarrodParams,
-    adequacy_residual,
-    classical_trajectory,
-    corrected_trajectory,
-    discrete_path,
-)
-from .allen import (
-    AllenScaling,
-    BergstromResult,
-    PhillipsParams,
-    PhillipsSolution,
-    ScaleInvarianceReport,
-    bergstrom_capital_solve,
-    harrod_domar_trajectory,
-    multiplier_trajectory,
-    phillips_capital_roots,
-    phillips_solve,
-    phillips_system_residuals,
-    scale_invariance_check,
-)
-from .longwave import (
-    CycleReport,
-    LongWaveParams,
-    lw_classify,
-    lw_matrix,
-    lw_simulate,
-    zero_crossing_period,
-)
-from .leontief import (
-    DemandScaleReport,
-    IterationLog,
-    LeontiefModel,
-    MetzlerReport,
-    TaylorReduction,
-    demand_scale,
-    dynamic_solve,
-    metzler_check,
-    static_solve,
-    taylor_reduce,
-    volterra_solve,
-)
-from .fredholm import (
-    FredholmReduction,
-    KernelSpec,
-    NystromDiscretization,
-    QuadratureRule,
-    SpectralReport,
-    SweepReport,
-    VolterraReduction,
-    char_numbers,
-    degenerate_residual,
-    gauss_legendre_rule,
-    kernel_degenerate,
-    kernel_exp_diff,
-    kernel_t_plus_eta,
-    kernel_zero,
-    nystrom_solve,
-    ode_to_integral,
-    param_singularity_sweep,
-    resolvent,
-    resolvent_apply,
-    simpson_rule,
-)
 
 __version__ = "0.1.0"
 
+# public names of each lazily loaded submodule, in __all__ order
+_LAZY = {
+    "dims": (
+        "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "var",
+        "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
+    ),
+    "odelin": (
+        "OdeSpec", "TimeGrid", "Trajectory",
+        "char_roots", "analytic_solution", "rk4_integrate", "rk4_linear",
+    ),
+    "harrod": (
+        "HarrodParams", "FlowDecomposition", "DiscretePath", "AdequacyResidual",
+        "CorrectedHarrodResult", "classical_trajectory", "corrected_trajectory",
+        "discrete_path", "adequacy_residual",
+    ),
+    "allen": (
+        "AllenScaling", "PhillipsParams", "PhillipsSolution", "BergstromResult",
+        "ScaleInvarianceReport", "harrod_domar_trajectory", "phillips_solve",
+        "phillips_system_residuals", "phillips_capital_roots",
+        "bergstrom_capital_solve", "multiplier_trajectory", "scale_invariance_check",
+    ),
+    "longwave": (
+        "LongWaveParams", "CycleReport", "lw_matrix", "lw_classify", "lw_simulate",
+        "zero_crossing_period",
+    ),
+    "leontief": (
+        "LeontiefModel", "MetzlerReport", "IterationLog", "TaylorReduction",
+        "DemandScaleReport", "metzler_check", "static_solve", "taylor_reduce",
+        "dynamic_solve", "volterra_solve", "demand_scale",
+    ),
+    "fredholm": (
+        "KernelSpec", "QuadratureRule", "NystromDiscretization", "SpectralReport",
+        "SweepReport", "VolterraReduction", "FredholmReduction",
+        "simpson_rule", "gauss_legendre_rule", "nystrom_solve", "resolvent",
+        "resolvent_apply", "char_numbers", "param_singularity_sweep",
+        "degenerate_residual", "ode_to_integral",
+        "kernel_t_plus_eta", "kernel_exp_diff", "kernel_zero", "kernel_degenerate",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
 __all__ = [
     "__version__",
-    # dims
-    "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "var",
-    "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
-    # odelin
-    "OdeSpec", "TimeGrid", "Trajectory",
-    "char_roots", "analytic_solution", "rk4_integrate", "rk4_linear",
-    # harrod
-    "HarrodParams", "FlowDecomposition", "DiscretePath", "AdequacyResidual",
-    "CorrectedHarrodResult", "classical_trajectory", "corrected_trajectory",
-    "discrete_path", "adequacy_residual",
-    # allen
-    "AllenScaling", "PhillipsParams", "PhillipsSolution", "BergstromResult",
-    "ScaleInvarianceReport", "harrod_domar_trajectory", "phillips_solve",
-    "phillips_system_residuals", "phillips_capital_roots",
-    "bergstrom_capital_solve", "multiplier_trajectory", "scale_invariance_check",
-    # longwave
-    "LongWaveParams", "CycleReport", "lw_matrix", "lw_classify", "lw_simulate",
-    "zero_crossing_period",
-    # leontief
-    "LeontiefModel", "MetzlerReport", "IterationLog", "TaylorReduction",
-    "DemandScaleReport", "metzler_check", "static_solve", "taylor_reduce",
-    "dynamic_solve", "volterra_solve", "demand_scale",
-    # fredholm
-    "KernelSpec", "QuadratureRule", "NystromDiscretization", "SpectralReport",
-    "SweepReport", "VolterraReduction", "FredholmReduction",
-    "simpson_rule", "gauss_legendre_rule", "nystrom_solve", "resolvent",
-    "resolvent_apply", "char_numbers", "param_singularity_sweep",
-    "degenerate_residual", "ode_to_integral",
-    "kernel_t_plus_eta", "kernel_exp_diff", "kernel_zero", "kernel_degenerate",
-    # errors
+    *_HOME,
     "EcodynError", "ValidationError", "StructuralError", "UnsupportedError",
     "DegenerateDataError", "NumericalError", "PoleError", "BlowUpError",
     "NonConvergenceError", "SingularMatrixError", "SpectrumProximityError",
     "ResolutionError", "CrossCheckError",
 ]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _LAZY:
+        # importing a submodule binds it on the package as well
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY})

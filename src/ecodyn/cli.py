@@ -19,14 +19,18 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from . import allen, dims, fredholm, harrod, leontief, longwave
 from .errors import EcodynError, NumericalError, ValidationError
 from .odelin import OdeSpec, TimeGrid, Trajectory
+
+# Each handler imports the model module it calls, so a run loads only its
+# own command's models; these imports serve the annotations alone.
+if TYPE_CHECKING:
+    from . import dims, fredholm, leontief
 
 DEFAULT_STEPS_FALLBACK = 1000
 ENV_DEFAULT_STEPS = "ECODYN_DEFAULT_STEPS"
@@ -115,12 +119,16 @@ def _trajectory_output(command: str, params: dict, traj: Trajectory, report: dic
 # ---------------------------------------------------------------------------
 
 def _cmd_harrod(ns) -> Output:
+    from . import harrod
+
     params = harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, Y0=ns.y0, K0=ns.k0)
     traj = harrod.classical_trajectory(params, ns.nu, _grid(ns))
     return _trajectory_output("harrod", _ns_params(ns), traj)
 
 
 def _cmd_harrod_corrected(ns) -> Output:
+    from . import harrod
+
     params = harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu_star, Y0=ns.y0)
     result = harrod.corrected_trajectory(params, _grid(ns))
     report = {
@@ -131,6 +139,8 @@ def _cmd_harrod_corrected(ns) -> Output:
 
 
 def _cmd_harrod_discrete(ns) -> Output:
+    from . import harrod
+
     params = harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, K0=ns.k0)
     path = harrod.discrete_path(params, ns.nu, ns.years)
     impulse = dict(path.impulses)
@@ -152,12 +162,16 @@ def _cmd_harrod_discrete(ns) -> Output:
 
 
 def _cmd_harrod_domar(ns) -> Output:
+    from . import allen
+
     scaling = allen.AllenScaling(t0=ns.t0, Y0=ns.y0)
     traj = allen.harrod_domar_trajectory(scaling, ns.mu, ns.nu, _grid(ns))
     return _trajectory_output("harrod-domar", _ns_params(ns), traj)
 
 
 def _cmd_phillips(ns) -> Output:
+    from . import allen
+
     params = allen.PhillipsParams(kappa=ns.kappa, nu=ns.nu, mu=ns.mu, lam=ns.lam)
     scaling = allen.AllenScaling(t0=ns.t0, t_star=ns.t_star)
     sol = allen.phillips_solve(params, scaling, (ns.y0, ns.ydot0), _grid(ns))
@@ -173,6 +187,8 @@ def _cmd_phillips(ns) -> Output:
 
 
 def _cmd_bergstrom(ns) -> Output:
+    from . import allen
+
     result = allen.bergstrom_capital_solve(
         ns.mu, ns.nu, ns.gamma, ns.lam, (ns.k0, ns.kdot0), _grid(ns)
     )
@@ -186,11 +202,15 @@ def _cmd_bergstrom(ns) -> Output:
 
 
 def _cmd_multiplier(ns) -> Output:
+    from . import allen
+
     traj = allen.multiplier_trajectory(ns.mu, ns.lam, ns.y0, _grid(ns))
     return _trajectory_output("multiplier", _ns_params(ns), traj)
 
 
 def _cmd_longwave(ns) -> Output:
+    from . import longwave
+
     params = longwave.LongWaveParams(p=ns.p, r=ns.r, q=ns.q, s=ns.s)
     cycle = longwave.lw_classify(params)
     traj = longwave.lw_simulate(params, ns.x0, ns.y0, _grid(ns))
@@ -288,6 +308,8 @@ def _row_sampler(t_nodes: np.ndarray, table: np.ndarray) -> Callable[[float], np
 
 
 def _cmd_leontief_static(ns) -> Output:
+    from . import leontief
+
     A = _read_matrix(ns.matrix)
     c = _vector(ns.demand, "demand")
     X, log = leontief.static_solve(A, c, method=ns.method, tol=ns.tol, max_iter=ns.max_iter)
@@ -303,6 +325,8 @@ def _cmd_leontief_static(ns) -> Output:
 
 
 def _leontief_model(ns, order: int) -> tuple[leontief.LeontiefModel, int]:
+    from . import leontief
+
     A = _read_matrix(ns.matrix)
     n = A.shape[0]
     steps = _default_steps(ns.steps)
@@ -316,12 +340,16 @@ def _leontief_model(ns, order: int) -> tuple[leontief.LeontiefModel, int]:
 
 
 def _cmd_leontief_dynamic(ns) -> Output:
+    from . import leontief
+
     model, steps = _leontief_model(ns, ns.order)
     traj = leontief.dynamic_solve(model, steps=steps)
     return _trajectory_output("leontief-dynamic", _ns_params(ns), traj)
 
 
 def _cmd_leontief_volterra(ns) -> Output:
+    from . import leontief
+
     model, steps = _leontief_model(ns, 2)
     traj = leontief.volterra_solve(model, steps=steps)
     return _trajectory_output("leontief-volterra", _ns_params(ns), traj)
@@ -331,12 +359,13 @@ def _cmd_leontief_volterra(ns) -> Output:
 # Fredholm commands
 # ---------------------------------------------------------------------------
 
-_SIMPLE_KERNELS: dict[str, Callable[[], fredholm.KernelSpec]] = {
-    "t-plus-eta": fredholm.kernel_t_plus_eta,
-    "exp-diff": fredholm.kernel_exp_diff,
-    "zero": fredholm.kernel_zero,
-    "rho-rho": fredholm.kernel_rho_rho,
-    "sigma-rho": fredholm.kernel_sigma_rho,
+# kernel name -> the name of its factory in the fredholm module
+_SIMPLE_KERNELS: dict[str, str] = {
+    "t-plus-eta": "kernel_t_plus_eta",
+    "exp-diff": "kernel_exp_diff",
+    "zero": "kernel_zero",
+    "rho-rho": "kernel_rho_rho",
+    "sigma-rho": "kernel_sigma_rho",
 }
 
 _Q_CATALOGUE: dict[str, Callable[[float], float]] = {
@@ -347,14 +376,18 @@ _Q_CATALOGUE: dict[str, Callable[[float], float]] = {
 
 
 def _kernel_by_name(name: str, mu: float) -> fredholm.KernelSpec:
+    from . import fredholm
+
     if name == "degenerate":
         return fredholm.kernel_degenerate(mu)
     if name in _SIMPLE_KERNELS:
-        return _SIMPLE_KERNELS[name]()
+        return getattr(fredholm, _SIMPLE_KERNELS[name])()
     raise ValidationError(f"unknown kernel {name!r}", key="kernel")
 
 
 def _cmd_fredholm_solve(ns) -> Output:
+    from . import fredholm
+
     if ns.kernel == "ode-reduced":
         if not ns.ode_coeffs or not ns.ode_init:
             raise ValidationError(
@@ -379,6 +412,8 @@ def _cmd_fredholm_solve(ns) -> Output:
 
 
 def _cmd_fredholm_spectrum(ns) -> Output:
+    from . import fredholm
+
     kernel = _kernel_by_name(ns.kernel, ns.mu)
     disc = fredholm.NystromDiscretization(kernel, fredholm.simpson_rule(ns.nodes))
     report = fredholm.char_numbers(disc, discard_threshold=ns.discard_threshold)
@@ -393,6 +428,8 @@ def _cmd_fredholm_spectrum(ns) -> Output:
 
 
 def _cmd_fredholm_sweep(ns) -> Output:
+    from . import fredholm
+
     if ns.mu_count < 1:
         raise ValidationError("mu-count must be >= 1", key="mu-count")
     mu_grid = np.linspace(ns.mu_min, ns.mu_max, ns.mu_count)
@@ -439,6 +476,8 @@ def _tokenize_relation(text: str) -> list[str]:
 
 
 def _parse_dim_expr(tokens: list[str], table: dict[str, dims.Dimension]) -> dims.DimExpr:
+    from . import dims
+
     pos = 0
 
     def peek():
@@ -494,11 +533,13 @@ def _parse_dim_expr(tokens: list[str], table: dict[str, dims.Dimension]) -> dims
     return result
 
 
-_DIM_ATOMS = {"$": dims.MONEY, "s": dims.TIME, "1": dims.DIMENSIONLESS}
+# dimension symbol -> the name of its base Dimension in the dims module
+_DIM_ATOMS = {"$": "MONEY", "s": "TIME", "1": "DIMENSIONLESS"}
 
 
 def _parse_dimension(text: str) -> dims.Dimension:
     """Parse "$", "s", "1", "$/s", "$*s^-1", "s^2" into a Dimension."""
+    from . import dims
 
     def atom(part: str) -> dims.Dimension:
         part = part.strip()
@@ -513,7 +554,7 @@ def _parse_dimension(text: str) -> dims.Dimension:
         sym = sym.strip()
         if sym not in _DIM_ATOMS:
             raise ValidationError(f"unknown dimension symbol {sym!r}", key="dims")
-        base = _DIM_ATOMS[sym]
+        base = getattr(dims, _DIM_ATOMS[sym])
         return dims.Dimension(base.money_exp * exp, base.time_exp * exp)
 
     num, _, rest = text.partition("/")
@@ -541,6 +582,8 @@ def _parse_dims_table(text: str) -> dict[str, dims.Dimension]:
 
 
 def _cmd_dim_check(ns) -> Output:
+    from . import dims
+
     table = _parse_dims_table(ns.dims)
     sides = ns.relation.split("=")
     if len(sides) != 2:
@@ -568,6 +611,8 @@ _SCALE_MODELS = {
 
 
 def _cmd_scale_check(ns) -> Output:
+    from . import allen
+
     model_key, required = _SCALE_MODELS[ns.model]
     params: dict[str, float] = {}
     for key in required:
@@ -766,11 +811,34 @@ def _ns_params(ns) -> dict:
 # Parsing, emission, entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_name(argv: Sequence[str]) -> str | None:
+    """The first token of ``argv`` that argparse takes for the command: not
+    an option, and not the value of ``--scenario`` (or an abbreviation)."""
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            return token
+        if len(token) > 2 and "--scenario".startswith(token):
+            next(tokens, None)
+    return None
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given ``argv`` that names a command, only
+    that command's subparser gets its flags (and ``-h``); the others keep
+    their name and help line, all argparse shows of a command it does not
+    dispatch to, so the parse, the help and every error read as with the
+    full parser, which ``argv=None`` builds."""
+    only = _command_name(argv) if argv is not None else None
+    if only not in COMMANDS:
+        only = None
     parser = argparse.ArgumentParser(prog="ecodyn", description=__doc__)
     parser.add_argument("--scenario", help="run from a key = value scenario file")
     sub = parser.add_subparsers(dest="command")
     for cmd in COMMANDS.values():
+        if only not in (None, cmd.name):
+            sub.add_parser(cmd.name, help=cmd.help, add_help=False)
+            continue
         p = sub.add_parser(cmd.name, help=cmd.help)
         for param in cmd.params:
             p.add_argument(
@@ -937,7 +1005,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             argv = load_scenario(path) + argv[:idx] + argv[idx + 2 :]
         except EcodynError as exc:
             return _report(exc)
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

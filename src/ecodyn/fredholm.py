@@ -20,11 +20,38 @@ carry one.
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
 ``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
 mu gives (I/lambda - KW) v = (1/lambda - mu) v for its eigenvector, so
-sigma_min(I/lambda - KW) <= dist(1/lambda, spec KW).  The guard first
-computes sigma_min with a values-only SVD and accepts when it clears
-twice the tolerance plus the SVD's rounding allowance n*eps*sigma_max;
-only otherwise does it compute the eigenvalues, which decide, and name
-the nearest characteristic number in the rejection.
+sigma_min(A) <= dist(1/lambda, spec KW) for A = I/lambda - KW.  The guard
+first tries to prove sigma_min(A) >= tau, with
+
+    fro2 = ||A||_F^2  (>= sigma_max^2),
+    tau  = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n*eps*sqrt(fro2),
+
+by a Cholesky factorization of the Gram matrix G = fl(A^T A) shifted down
+by margin = tau^2 + 4(n+2)*eps*fro2.  If it succeeds, sigma_min(A) >= tau:
+
+  - Gram rounding: |fl(A^T A) - A^T A| <= gamma_n |A|^T |A| entrywise, so
+    its 2-norm is at most gamma_n ||A||_F^2 = gamma_n fro2, gamma_n =
+    n*eps/(1 - n*eps) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., sec. 3.5).
+  - A floating-point Cholesky of a symmetric S that runs to completion
+    factors S + dS with ||dS||_2 <= gamma_(n+1) tr(S) (Demmel's bound, as
+    used by Rump, "Verification of positive definiteness", *BIT* 46,
+    2006), so lambda_min(S) >= -gamma_(n+1) tr(S).  Here S = G - margin*I
+    and tr(S) <= tr(G) <= (1 + gamma_n) fro2.
+  - Together lambda_min(A^T A) >= margin - (2n+1)*eps*fro2*(1 + O(n*eps))
+    >= tau^2.  4(n+2) is about twice the 2n+1 needed; the slack covers
+    the rounding of fro2 and of the diagonal shift.  tau^2 >= 4e-16 lies
+    far above the subnormal range, so underflow in G does not matter.
+
+Since sqrt(fro2) >= sigma_max, tau is at least twice the tolerance plus
+n*eps*sigma_max.  Only when the factorization fails, or fro2 is not
+finite or above half the largest float (where G could overflow), are
+the eigenvalues computed; they decide, and name the nearest
+characteristic number in the rejection.  Accept/reject decisions and
+messages are therefore those of a guard that always computes eigvals.
+The Gram product and the factorization cost about n^3 + n^3/3 flops, a
+fraction of a values-only SVD, whose iterative bidiagonal reduction alone
+takes ~(8/3)n^3.
 """
 
 from __future__ import annotations
@@ -46,7 +73,8 @@ from .odelin import OdeSpec, TimeGrid, Trajectory
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
 SINGULARITY_FLAG_REL = 1e-6
-# the sigma_min screen skips eigvals only above this multiple of the tolerance
+# the guard skips eigvals only when sigma_min is proved above this multiple
+# of the tolerance (plus rounding)
 GUARD_SCREEN_FACTOR = 2.0
 
 
@@ -287,16 +315,31 @@ class NystromDiscretization:
         return self.K @ (self.weights * phi)
 
 
-def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
-    if lam == 0.0:
-        return
+def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
+    """Whether the shifted Gram Cholesky proves sigma_min(I/lam - KW) >= tau
+    (see the module docstring).  Never True for a matrix that is not finite."""
+    n = disc.rule.n
+    eps = np.finfo(float).eps
     shifted = disc.weighted()
     np.negative(shifted, out=shifted)
     shifted[np.diag_indices_from(shifted)] += 1.0 / lam
-    svals = np.linalg.svd(shifted, compute_uv=False)
+    fro2 = float(np.vdot(shifted, shifted))
+    # not finite, or so large that a Gram entry (at most fro2) could overflow
+    if not fro2 <= np.finfo(float).max / 2:
+        return False
+    tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n * eps * math.sqrt(fro2)
+    gram = shifted.T @ shifted
     del shifted
-    rounding = disc.rule.n * np.finfo(float).eps * svals[0]
-    if svals[-1] >= GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + rounding:
+    gram[np.diag_indices_from(gram)] -= tau * tau + 4 * (n + 2) * eps * fro2
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
+    if lam == 0.0 or _certified_far(disc, lam):
         return  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
     eigs = disc.weighted_eigs()
     dist = np.abs(1.0 / lam - eigs)

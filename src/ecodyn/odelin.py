@@ -48,6 +48,12 @@ class TimeGrid:
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("steps must be a positive integer", key="steps")
+        if not all(map(math.isfinite, (self.t_start, self.t_end, self.h))):
+            raise ValidationError(
+                f"grid ends and step must be finite, got t_start={float(self.t_start)!r}, "
+                f"t_end={float(self.t_end)!r}, step={float(self.h)!r}",
+                key="t-end",
+            )
         if not self.t_end > self.t_start:
             raise ValidationError("t_end must exceed t_start", key="t-end")
 
@@ -252,7 +258,7 @@ def rk4_integrate(
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             raise BlowUpError(
-                f"integration blew up between t={nodes[k]!r} and t={nodes[k + 1]!r}",
+                f"integration blew up between t={float(nodes[k])!r} and t={float(nodes[k + 1])!r}",
                 t_last=float(nodes[k]),
                 index_last=k,
                 x_last=values[k].copy(),
@@ -436,7 +442,7 @@ def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray) -> None:
         return
     k = max(int(np.argmin(finite)) - 1, 0)
     raise BlowUpError(
-        f"integration blew up between t={nodes[k]!r} and t={nodes[k + 1]!r}",
+        f"integration blew up between t={float(nodes[k])!r} and t={float(nodes[k + 1])!r}",
         t_last=float(nodes[k]),
         index_last=k,
         x_last=values[k].copy(),

@@ -75,9 +75,9 @@ class TestGolden:
 
 LEONTIEF_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
                  "--order", "2", "--x0", "1,1,1", "--xdot0", "0,0.1,0", "--steps", "40"]
-# CSV written by the stage-by-stage RK4 integrator: the closed-form Harrod
-# paths must match byte for byte, the integrated paths to 1e-12 of each
-# column's sup norm
+# CSV written by the stage-by-stage RK4 integrator (bergstrom and multiplier:
+# by the commit before lazy module loading): the closed-form paths must
+# match byte for byte, the integrated paths to 1e-12 of each column's sup norm
 TRAJECTORY_GOLDEN = {
     "harrod": ["harrod", "--mu", "0.3", "--nu", "2.5", "--y0", "1.5", "--t-end", "20",
                "--steps", "40"],
@@ -87,6 +87,10 @@ TRAJECTORY_GOLDEN = {
                      "--t-end", "20", "--steps", "40"],
     "longwave": ["longwave", "--p", "0.11", "--r", "0.11", "--t-end", "120",
                  "--steps", "240"],
+    "bergstrom": ["bergstrom", "--mu", "0.4", "--nu", "0.8", "--gamma", "0.5", "--lam", "1.1",
+                  "--kdot0", "0.2", "--t-end", "10", "--steps", "20"],
+    "multiplier": ["multiplier", "--mu", "0.4", "--lam", "1.1", "--y0", "2", "--t-end", "10",
+                   "--steps", "20"],
     "leontief_dynamic_o2": LEONTIEF_ARGS + ["--demand", "0.5,0.3,0.2"],
     "leontief_dynamic_o2_file": LEONTIEF_ARGS + [
         "--demand-file", str(GOLDEN / "leontief_demand.csv")],
@@ -99,7 +103,8 @@ def read_csv(text: str) -> tuple[str, np.ndarray]:
 
 
 class TestTrajectoryGolden:
-    @pytest.mark.parametrize("name", ["harrod", "harrod_corrected", "harrod_domar"])
+    @pytest.mark.parametrize("name", ["harrod", "harrod_corrected", "harrod_domar", "bergstrom",
+                                      "multiplier"])
     def test_closed_form_bytes(self, capsys, name):
         rc, out, _ = run(capsys, TRAJECTORY_GOLDEN[name])
         assert rc == 0
@@ -163,6 +168,10 @@ JSON_GOLDEN = {
     "scale_check": ["scale-check", "--model", "phillips", "--t0-a", "1", "--t0-b", "2.5",
                     "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
                     "--t-end", "4", "--steps", "40"],
+    # made with the commit before lazy module loading
+    "leontief_volterra": ["leontief-volterra", "--matrix", "leontief_matrix.txt",
+                          "--demand", "0.5,0.3,0.2", "--x0", "1,1,1", "--xdot0", "0,0.1,0",
+                          "--steps", "10"],
     # sigma = 0: no pole, so blowup_time and forecast_horizon render as null
     "harrod_corrected_mu0": ["harrod-corrected", "--mu", "0", "--nu-star", "2.5",
                              "--t-end", "5", "--steps", "10"],
@@ -261,3 +270,103 @@ def test_scipy_is_imported_only_by_the_direct_solve():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "E - A is numerically singular (pivot 0.000e+00 below 1.000e-12)\n"
+
+
+# flags of the commands that run on a TimeGrid, without --t-end
+GRID_COMMANDS = {
+    "harrod": ["--mu", "0.3", "--nu", "2.5"],
+    "harrod-corrected": ["--mu", "0.3", "--nu-star", "2.5"],
+    "harrod-domar": ["--mu", "0.3", "--nu", "2.5", "--t0", "2"],
+    "phillips": ["--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1"],
+    "bergstrom": ["--mu", "0.4", "--nu", "0.8", "--gamma", "0.5", "--lam", "1.1"],
+    "multiplier": ["--mu", "0.4", "--lam", "1.1"],
+    "longwave": ["--p", "0.11", "--r", "0.11"],
+    "scale-check": ["--model", "multiplier", "--t0-a", "1", "--t0-b", "2", "--mu", "0.4",
+                    "--lam", "1.1"],
+}
+
+
+class TestNonFiniteGrid:
+    @pytest.mark.parametrize("t_end", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_is_two_with_key(self, capsys, command, t_end):
+        rc, out, err = run(capsys, [command, *GRID_COMMANDS[command], f"--t-end={t_end}",
+                                    "--steps", "10"])
+        assert (rc, out) == (2, "")
+        assert err == (f"error: grid ends and step must be finite, got t_start=0.0, "
+                       f"t_end={float(t_end)!r}, step={float(t_end)!r} (key: t-end)\n")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_blow_up_message_prints_plain_floats(self, capsys):
+        rc, out, err = run(capsys, ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "1e308"])
+        assert (rc, out) == (3, "")
+        assert err.endswith("error: integration blew up between t=0.0 and t=1e+305\n")
+
+
+# every case the per-command parser must answer as the full parser does
+PARSER_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "1", "--bogus", "1"],
+    ["harrod", "--nu", "2.5", "--t-end", "1"],
+    ["fredholm-spectrum", "--kernel", "zero", "--format", "csv"],
+    ["harrod", "--mu", "abc", "--nu", "2.5", "--t-end", "1"],
+    ["no-such-command", "--mu", "1"],
+    ["--mu=1", "harrod", "--nu", "2.5", "--t-end", "1"],
+    ["--scen", "harrod", "multiplier", "--mu", "0.4", "--lam", "1.1", "--t-end", "1"],
+    ["--", "multiplier", "--mu", "0.4", "--lam", "1.1", "--t-end", "1"],
+    [],
+    GOLDEN_ARGS,
+    *JSON_GOLDEN.values(),
+]
+
+
+def parse(capsys, parser, argv):
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_per_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert parse(capsys, cli.build_parser(argv), argv) == parse(capsys, cli.build_parser(), argv)
+
+
+def test_per_command_parser_adds_only_its_own_flags():
+    parser = cli.build_parser(["multiplier", "--mu", "1"])
+    flags = {name: {opt for action in sub._actions for opt in action.option_strings}
+             for name, sub in parser._subparsers._group_actions[0].choices.items()}
+    assert flags.pop("multiplier") == {"-h", "--help", "--mu", "--lam", "--y0", "--t-end",
+                                       "--steps", "--out", "--format"}
+    assert all(opts == set() for opts in flags.values())
+
+
+def subprocess_run(args, **kwargs):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.ENV_DEFAULT_STEPS, None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60,
+                          **kwargs)
+
+
+# what the installed `ecodyn` console script runs: ecodyn.cli imported as a
+# module, not as __main__
+CONSOLE_SCRIPT = "import sys; from ecodyn.cli import entry; sys.argv[0] = 'ecodyn'; sys.exit(entry())"
+
+
+@pytest.mark.parametrize("argv", [
+    ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "2", "--steps", "4"],
+    ["harrod", "--nu", "2.5", "--t-end", "2"],
+    ["fredholm-solve", "--kernel", "exp-diff", "--lam", "1", "--nodes", "21"],
+    ["--help"],
+], ids=lambda argv: argv[0])
+def test_entry_gives_the_bytes_of_dash_m(argv):
+    script = subprocess_run(["-c", CONSOLE_SCRIPT, *argv])
+    module = subprocess_run(["-m", "ecodyn.cli", *argv])
+    assert (script.returncode, script.stdout, script.stderr) == (
+        module.returncode, module.stdout, module.stderr)
+    assert script.stdout or script.stderr

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecodyn.errors import SpectrumProximityError, ValidationError
@@ -12,6 +12,7 @@ from ecodyn.fredholm import (
     KernelSpec,
     NystromDiscretization,
     VolterraReduction,
+    _certified_far,
     canonical_rho,
     canonical_sigma,
     char_numbers,
@@ -464,6 +465,72 @@ class TestScreenedGuard:
         monkeypatch.setattr(disc, "weighted_eigs", forbidden)
         nystrom_solve(disc, 0.5, lambda t: 1.0)
         resolvent(disc, 0.25)
+
+
+def certificate_tau(disc, lam):
+    """The sigma_min the guard's Gram certificate claims when it accepts."""
+    shifted = np.eye(disc.rule.n) / lam - disc.weighted()
+    fro = float(np.linalg.norm(shifted))
+    return shifted, 2.0 * SPECTRUM_PROXIMITY_TOL + disc.rule.n * np.finfo(float).eps * fro
+
+
+class TestGramCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOGUE)),
+        make_rule=st.sampled_from([simpson_rule, gauss_legendre_rule]),
+        half=st.integers(2, 30),
+        pick=st.integers(0, 60),
+        sign=st.sampled_from([-1.0, 1.0]),
+        # dense where sigma_min crosses tau = 2e-8 + rounding
+        log_d=st.one_of(st.floats(-11.0, 0.5), st.floats(-7.75, -7.55)),
+    )
+    # sigma_min just below tau: certified by a Cholesky without the rounding margin
+    @example(name="exp-diff", make_rule=simpson_rule, half=30, pick=0, sign=1.0,
+             log_d=-7.610169491525424)
+    def test_accepts_only_proved_distances(self, name, make_rule, half, pick, sign, log_d):
+        disc = NystromDiscretization(CATALOGUE[name](), make_rule(2 * half + 1))
+        eigs = np.linalg.eigvals(disc.weighted())
+        mu = float(eigs[pick % len(eigs)].real)
+        denominator = mu + sign * 10.0**log_d
+        assume(denominator != 0.0)
+        lam = 1.0 / denominator
+        if _certified_far(disc, lam):
+            shifted, tau = certificate_tau(disc, lam)
+            assert np.linalg.svd(shifted, compute_uv=False)[-1] >= tau
+        expected = plain_eigvals_guard(disc, lam)
+        try:
+            nystrom_solve(disc, lam, lambda t: 1.0)
+            got = None
+        except SpectrumProximityError as exc:
+            got = str(exc)
+        assert got == expected
+
+    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
+    def test_far_solves_compute_no_svd_or_eigvals(self, make, monkeypatch):
+        disc = NystromDiscretization(make(), simpson_rule(801))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the guard computed an SVD or eigenvalues")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        for lam in (-2.0, -1.0, 0.3, 0.7):
+            nystrom_solve(disc, lam, lambda t: 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_never_certifies_a_matrix_that_is_not_finite(self, bad):
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        disc.K[3, 4] = bad
+        assert not _certified_far(disc, 0.5)
+
+    def test_leaves_a_gram_matrix_that_could_overflow_to_eigvals(self):
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        # ||I/lam - KW||_F^2 is about 0.75 of the largest float
+        lam = 1.0 / math.sqrt(0.75 * np.finfo(float).max / disc.rule.n)
+        assert not _certified_far(disc, lam)
+        assert plain_eigvals_guard(disc, lam) is None
+        nystrom_solve(disc, lam, lambda t: 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,17 @@ class TestTimeGrid:
         with pytest.raises(ValidationError):
             TimeGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("t_start, t_end", [
+        (math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan),
+        (np.float64(0.0), np.float64(math.inf)),
+        (-1e308, 1e308),  # finite ends, but the step overflows
+    ])
+    def test_rejects_non_finite_grids_one_way(self, t_start, t_end):
+        with pytest.raises(ValidationError, match="^grid ends and step must be finite") as info:
+            TimeGrid(t_start, t_end, 10)
+        assert info.value.key == "t-end"
+        assert "np.float64" not in str(info.value)
+
 
 class TestTrajectory:
     def test_column_lookup(self):
