@@ -21,6 +21,7 @@ from .odelin import (
     OdeSpec,
     TimeGrid,
     Trajectory,
+    _raise_on_blow_up,
     analytic_solution,
     char_roots,
     sup_rel_diff,
@@ -111,7 +112,8 @@ def harrod_domar_trajectory(
     if nu <= 0.0:
         raise ValidationError("nu must be positive", key="nu")
     rate = mu / (nu * scaling.t0)
-    Y = scaling.Y0 * np.exp(rate * grid.nodes)
+    with np.errstate(over="ignore"):  # an overflow fails the cross-check
+        Y = scaling.Y0 * np.exp(rate * grid.nodes)
     if cross_check:
         _exponential_cross_check(Y, rate, grid)
     C = (1.0 - mu) * Y / scaling.k1
@@ -310,12 +312,14 @@ def _physical_income(model: str, params: dict, t0: float, t_phys: np.ndarray) ->
     Y0 = float(params.get("Y0", 1.0))
     if model == "harrod_domar":
         rate = params["mu"] / (params["nu"] * t0)
-        return Y0 * np.exp(rate * t_phys)
+        with np.errstate(over="ignore"):  # checked by scale_invariance_check
+            return Y0 * np.exp(rate * t_phys)
     if model == "multiplier":
         return Y0 * np.exp(-params["lam"] * params["mu"] * t_phys / t0)
     if model == "corrected_harrod":
         sigma = params["mu"] / params["nu_star"]
-        return Y0 / (1.0 - sigma * t_phys / t_star) ** 2
+        with np.errstate(divide="ignore", over="ignore"):
+            return Y0 / (1.0 - sigma * t_phys / t_star) ** 2
     if model == "phillips":
         pp = PhillipsParams(
             kappa=params["kappa"], nu=params["nu"], mu=params["mu"], lam=params["lam"]
@@ -357,6 +361,8 @@ def scale_invariance_check(
     t_phys = grid.nodes
     Ya = _physical_income(model, params, t0_a, t_phys)
     Yb = _physical_income(model, params, t0_b, t_phys)
+    for Y in (Ya, Yb):
+        _raise_on_blow_up(Y[:, None], t_phys, "income path")
     deviation = sup_rel_diff(Ya, Yb)
     trivial = model == "corrected_harrod"
     verdict = (

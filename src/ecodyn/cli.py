@@ -813,12 +813,12 @@ def _ns_params(ns) -> dict:
 
 def _command_name(argv: Sequence[str]) -> str | None:
     """The first token of ``argv`` that argparse takes for the command: not
-    an option, and not the value of ``--scenario`` (or an abbreviation)."""
+    an option, and not the value of ``--scenario``."""
     tokens = iter(argv)
     for token in tokens:
         if not token.startswith("-"):
             return token
-        if len(token) > 2 and "--scenario".startswith(token):
+        if token == "--scenario":
             next(tokens, None)
     return None
 
@@ -832,7 +832,8 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     only = _command_name(argv) if argv is not None else None
     if only not in COMMANDS:
         only = None
-    parser = argparse.ArgumentParser(prog="ecodyn", description=__doc__)
+    # no abbreviations of --scenario: ``run`` expands the exact flag only
+    parser = argparse.ArgumentParser(prog="ecodyn", description=__doc__, allow_abbrev=False)
     parser.add_argument("--scenario", help="run from a key = value scenario file")
     sub = parser.add_subparsers(dest="command")
     for cmd in COMMANDS.values():
@@ -994,15 +995,18 @@ def write_atomic(path: str, text: str) -> None:
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--scenario" in argv:
-        idx = argv.index("--scenario")
+    # --scenario PATH or --scenario=PATH
+    idx = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--scenario"), None)
+    if idx is not None:
+        _, eq, path = argv[idx].partition("=")
+        end = idx + 1
+        if not eq:
+            if end == len(argv):
+                print("error: --scenario needs a file path", file=sys.stderr)
+                return 2
+            path, end = argv[end], end + 1
         try:
-            path = argv[idx + 1]
-        except IndexError:
-            print("error: --scenario needs a file path", file=sys.stderr)
-            return 2
-        try:
-            argv = load_scenario(path) + argv[:idx] + argv[idx + 2 :]
+            argv = load_scenario(path) + argv[:idx] + argv[end:]
         except EcodynError as exc:
             return _report(exc)
     parser = build_parser(argv)

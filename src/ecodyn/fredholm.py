@@ -17,22 +17,79 @@ kernel sample: matrix assembly (nodes x nodes) and off-node evaluation
 scalar call per entry.  The catalogue kernels and the ODE-reduced kernels
 carry one.
 
+Finite-rank route.  A kernel that carries its separable form
+k(t, eta) = sum_i g_i(t) h_i(eta) of rank r is, on the nodes, K = G H^T with
+the n x r samples G = [g_i(t_j)] and H = [h_i(eta_j)], which
+``NystromDiscretization`` takes once (n*r profile calls).  Such a kernel is
+degenerate (Kress, *Linear Integral Equations*, 3rd ed., ch. 11; Atkinson,
+*The Numerical Solution of Integral Equations of the Second Kind*, ch. 2),
+and its characteristic numbers, its sweep and its spectral guard need no
+n x n factorization:
+
+  - Spectrum.  K W = G (H^T W) has the nonzero eigenvalues of the r x r
+    matrix S = H^T W G, and an eigenpair S v = mu v gives the
+    eigenfunction phi = G v.  Each entry of S is the correctly rounded
+    sum of the products w_k h_i(eta_k) g_j(t_k) (math.fsum), and each
+    eigenvalue of S gets one correction from its exact residual, so that
+    1/mu is rounded once (see ``_rank_spectrum``).
+  - Sweep.  On an orthonormal basis Q of the span of [G0, G1, W H0, W H1]
+    (from the R factor of its QR factorization), Id - (K0 + mu K1) W is
+    Q C Q^T + (Id - Q Q^T), so its singular values are those of the small
+    C and, n - dim Q times, 1.
+  - Guard, below.
+
+Kernels without a separable form (the ODE-reduced kernels, user kernels)
+take the n x n route: eig, values-only SVD and the Gram certificate.
+
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
 ``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
 mu gives (I/lambda - KW) v = (1/lambda - mu) v for its eigenvector, so
 sigma_min(A) <= dist(1/lambda, spec KW) for A = I/lambda - KW.  The guard
 first tries to prove sigma_min(A) >= tau, with
 
-    fro2 = ||A||_F^2  (>= sigma_max^2),
-    tau  = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n*eps*sqrt(fro2),
+    F    >= ||A||_F  (>= sigma_max),
+    tau  = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n*eps*F.
 
-by a Cholesky factorization of the Gram matrix G = fl(A^T A) shifted down
-by margin = tau^2 + 4(n+2)*eps*fro2.  If it succeeds, sigma_min(A) >= tau:
+It has two certificates, one per kernel; gamma_k = k*eps/(1 - k*eps)
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.).
+
+Weyl certificate, for a separable kernel of rank r >= 0.  With m = 2r and
+k = min(n, m), Weyl's inequality (Horn & Johnson, *Matrix Analysis*,
+sec. 7.3) bounds
+
+    sigma_min(A) >= sigma_min(A_r) - ||(K - G H^T) W||_F,
+    A_r = I/lambda - G (W H)^T.
+
+  - Perturbation.  D = fl(fl(K - fl(G H^T)) * w) differs from (K - G H^T) W
+    entrywise by at most gamma_2 |(K - G H^T) W| + gamma_(r+3) |G| |W H|^T,
+    and fl(vdot(D, D)) from ||D||_F^2 by gamma_(n^2) ||D||_F^2, so
+    delta = (1 + 2(n^2 + 2) eps) sqrt(fl(vdot(D, D))) + 2(r + 3) eps s,
+    s = sum_i ||g_i||_2 ||w h_i||_2, bounds the norm with slack.
+  - Compression.  Householder QR of [G, fl(W H)] returns R with
+    [G, W H] + E = Q R, Q exactly orthonormal (n x k) and every column of E
+    at most gq = 32 n m eps times its column of [G, W H] (Higham, thm.
+    19.4, with a generous constant; it absorbs the rounding of W H).  So
+    A_r is within e_qr = (2 gq + gq^2) ||G||_F ||W H||_F of
+    Q C Q^T + (I - Q Q^T)/lambda, C = I/lambda - R_G R_H^T, whose singular
+    values are those of C and, n - k times, 1/|lambda|.
+  - Small SVD.  fl(C) is within e_c = 2 gamma_(r+2) (||R_G||_F ||R_H||_F
+    + sqrt(k)/|lambda|) of C in the 2-norm, and LAPACK's SVD returns the
+    singular values of fl(C) to 32 k^2 eps sigma_max (backward stability
+    and Weyl again; about ten times the usual constant).
+  - So sigma_min(A) >= min(s_min - e_c - 32 k^2 eps s_max, 1/|lambda|
+    (1 - eps)) - e_qr - delta, the second term only when n > k, and
+    F = (1 + 4 eps)(sqrt((||fl(C)||_F + e_c)^2 + (n - k)/lambda^2) + e_qr
+    + delta).  At 1201 nodes the margins add up to 1e-10 for t-plus-eta
+    (rank 2) and 4e-11 for exp-diff (rank 1), against tau >= 2e-8; the
+    work is O(n^2 r) for the perturbation and O(n r^2) for the QR.
+
+Gram certificate, for a kernel without a separable form.  With
+fro2 = fl(||A||_F^2) and F = sqrt(fro2), it runs a Cholesky factorization
+of the Gram matrix fl(A^T A) shifted down by margin = tau^2 +
+4(n+2)*eps*fro2.  If it succeeds, sigma_min(A) >= tau:
 
   - Gram rounding: |fl(A^T A) - A^T A| <= gamma_n |A|^T |A| entrywise, so
-    its 2-norm is at most gamma_n ||A||_F^2 = gamma_n fro2, gamma_n =
-    n*eps/(1 - n*eps) (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., sec. 3.5).
+    its 2-norm is at most gamma_n ||A||_F^2 = gamma_n fro2 (sec. 3.5).
   - A floating-point Cholesky of a symmetric S that runs to completion
     factors S + dS with ||dS||_2 <= gamma_(n+1) tr(S) (Demmel's bound, as
     used by Rump, "Verification of positive definiteness", *BIT* 46,
@@ -42,23 +99,21 @@ by margin = tau^2 + 4(n+2)*eps*fro2.  If it succeeds, sigma_min(A) >= tau:
     >= tau^2.  4(n+2) is about twice the 2n+1 needed; the slack covers
     the rounding of fro2 and of the diagonal shift.  tau^2 >= 4e-16 lies
     far above the subnormal range, so underflow in G does not matter.
+    The Gram product and the factorization cost about n^3 + n^3/3 flops.
 
-Since sqrt(fro2) >= sigma_max, tau is at least twice the tolerance plus
-n*eps*sigma_max.  Only when the factorization fails, or fro2 is not
-finite or above half the largest float (where G could overflow), are
-the eigenvalues computed; they decide, and name the nearest
-characteristic number in the rejection.  Accept/reject decisions and
-messages are therefore those of a guard that always computes eigvals.
-The Gram product and the factorization cost about n^3 + n^3/3 flops, a
-fraction of a values-only SVD, whose iterative bidiagonal reduction alone
-takes ~(8/3)n^3.
+Since F >= sigma_max, tau is at least twice the tolerance plus
+n*eps*sigma_max.  Only when the certificate fails, or F^2 is not finite
+or above half the largest float, are the eigenvalues of KW computed; they
+decide, and name the nearest characteristic number in the rejection.
+Accept/reject decisions and messages are therefore those of a guard that
+always computes eigvals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -176,6 +231,7 @@ def kernel_exp_diff() -> KernelSpec:
 def kernel_zero() -> KernelSpec:
     return KernelSpec(
         evaluator=lambda t, e: 0.0,
+        separable=(),  # rank 0
         name="zero",
         array=lambda T, E: np.zeros(np.broadcast_shapes(np.shape(T), np.shape(E))),
     )
@@ -282,17 +338,32 @@ def gauss_legendre_rule(n_nodes: int = 64) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gauss-legendre")
 
 
+def _profile_samples(profiles: Sequence[Callable[[float], float]], x: np.ndarray) -> np.ndarray:
+    """len(x) x len(profiles) matrix of f_i(x_j), one scalar call each."""
+    xs = x.tolist()
+    cols = [[float(f(v)) for v in xs] for f in profiles]
+    return np.array(cols, dtype=float).reshape(len(profiles), len(xs)).T.copy()
+
+
 @dataclass
 class NystromDiscretization:
-    """Kernel sampled on a quadrature rule: K[i, j] = k(t_i, eta_j)."""
+    """Kernel sampled on a quadrature rule: K[i, j] = k(t_i, eta_j), and,
+    for a separable kernel, its n x r factors G[j, i] = g_i(t_j) and
+    H[j, i] = h_i(eta_j) (None otherwise; see the module docstring)."""
 
     kernel: KernelSpec
     rule: QuadratureRule
     K: np.ndarray = field(init=False)
+    G: np.ndarray | None = field(init=False, default=None)
+    H: np.ndarray | None = field(init=False, default=None)
     _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.K = self.kernel.matrix(self.rule.nodes, self.rule.nodes)
+        if self.kernel.separable is not None:
+            pairs = self.kernel.separable
+            self.G = _profile_samples([g for g, _ in pairs], self.rule.nodes)
+            self.H = _profile_samples([h for _, h in pairs], self.rule.nodes)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -314,10 +385,70 @@ class NystromDiscretization:
         """Quadrature application of the kernel operator to node values."""
         return self.K @ (self.weights * phi)
 
+    def system_matrix(self, lam: float) -> np.ndarray:
+        """Id - lambda*K*diag(w), built in place in one n x n array: the
+        bits of np.eye(n) - lam * self.weighted(), since 0 - x = -x and
+        x * (-lam) = -(lam * x) exactly."""
+        M = self.weighted()
+        M *= -lam
+        M[np.diag_indices_from(M)] += 1.0
+        return M
+
 
 def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
-    """Whether the shifted Gram Cholesky proves sigma_min(I/lam - KW) >= tau
-    (see the module docstring).  Never True for a matrix that is not finite."""
+    """Whether sigma_min(I/lam - KW) >= tau is proved: by the Weyl
+    certificate for a separable kernel, else by the Gram certificate (see
+    the module docstring).  Never True for a matrix that is not finite."""
+    if disc.G is not None:
+        return _weyl_certified(disc, lam)
+    return _gram_certified(disc, lam)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a bound that is not finite fails
+def _weyl_certified(disc: NystromDiscretization, lam: float) -> bool:
+    n = disc.rule.n
+    eps = np.finfo(float).eps
+    G, H, w = disc.G, disc.H, disc.weights
+    r = G.shape[1]
+    WH = w[:, None] * H
+    # delta >= ||(K - G H^T) W||_F
+    D = G @ H.T
+    np.subtract(disc.K, D, out=D)
+    D *= w
+    s = float(np.sum(np.linalg.norm(G, axis=0) * np.linalg.norm(WH, axis=0)))
+    delta = (1.0 + 2 * (n * n + 2) * eps) * math.sqrt(float(np.vdot(D, D)))
+    delta += 2 * (r + 3) * eps * s
+    del D
+    inv = 1.0 / lam
+    k = min(n, 2 * r)
+    low, fro_c, e_qr = math.inf, 0.0, 0.0
+    if r:
+        R = np.linalg.qr(np.hstack([G, WH]), mode="r")
+        RG, RH = R[:, :r], R[:, r:]
+        C = RG @ RH.T
+        np.negative(C, out=C)
+        C[np.diag_indices_from(C)] += inv
+        if not np.isfinite(C).all():
+            return False  # the SVD would not converge
+        sv = np.linalg.svd(C, compute_uv=False)
+        gq = 32 * n * 2 * r * eps
+        e_qr = (2 * gq + gq * gq) * float(np.linalg.norm(G)) * float(np.linalg.norm(WH))
+        e_c = 2 * (r + 2) * eps * (
+            float(np.linalg.norm(RG)) * float(np.linalg.norm(RH)) + math.sqrt(k) * abs(inv)
+        )
+        low = float(sv[-1]) - e_c - 32 * k * k * eps * float(sv[0])
+        fro_c = float(np.linalg.norm(C)) + e_c
+    if n > k:
+        low = min(low, abs(inv) * (1.0 - eps))
+    fro = (1.0 + 4 * eps) * (math.sqrt(fro_c * fro_c + (n - k) * inv * inv) + e_qr + delta)
+    # not finite, or near overflow: left to eigvals as by the Gram certificate
+    if not fro * fro <= np.finfo(float).max / 2:
+        return False
+    tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n * eps * fro
+    return low - e_qr - delta >= tau
+
+
+def _gram_certified(disc: NystromDiscretization, lam: float) -> bool:
     n = disc.rule.n
     eps = np.finfo(float).eps
     shifted = disc.weighted()
@@ -382,15 +513,16 @@ def nystrom_solve(
     lam: float,
     q: Callable[[float], float],
 ) -> NystromSolution:
-    """Solve (Id - lambda*K*diag(w)) phi = q at the nodes.
+    """Solve (Id - lambda*K*diag(w)) phi = q at the nodes: the Nystrom form
+    of the second-kind equation phi = lambda K phi + q.
 
     Rejects lambda whose reciprocal sits within 1e-8 of an eigenvalue of
-    the weighted kernel matrix, naming the nearest characteristic number.
+    the weighted kernel matrix, naming the nearest characteristic number
+    (see "Spectral guard" in the module docstring).
     """
     _guard_spectrum(disc, lam)
     qv = np.array([q(float(t)) for t in disc.nodes])
-    n = disc.rule.n
-    phi = np.linalg.solve(np.eye(n) - lam * disc.weighted(), qv)
+    phi = np.linalg.solve(disc.system_matrix(lam), qv)
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)
 
 
@@ -398,8 +530,7 @@ def resolvent(disc: NystromDiscretization, lam: float) -> np.ndarray:
     """Node samples of H(t, eta, lambda) = (Id - lambda*K*W)^-1 K, so that
     phi = q + lambda * (quadrature apply of H to q)."""
     _guard_spectrum(disc, lam)
-    n = disc.rule.n
-    return np.linalg.solve(np.eye(n) - lam * disc.weighted(), disc.K)
+    return np.linalg.solve(disc.system_matrix(lam), disc.K)
 
 
 def resolvent_apply(
@@ -416,22 +547,83 @@ class SpectralReport:
     discard_threshold: float
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum, or a plain sum of terms that are not finite or overflow."""
+    try:
+        return math.fsum(terms.tolist())
+    except (OverflowError, ValueError):
+        return float(np.sum(terms))
+
+
+def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray, list[complex]]:
+    """Eigenvalues mu_i and eigenvectors v_i of S = H^T W G (r x r) of a
+    separable kernel, and its characteristic numbers 1/mu_i.
+
+    Each entry of S is the correctly rounded sum of its n products
+    w_k h_i(t_k) g_j(t_k) (``math.fsum``): a plain dot product put the
+    -12.93 of t-plus-eta off by 4.6e-14 relative at 801 nodes.  eig(S)
+    and the division 1/mu round once more each, which left some
+    characteristic numbers further from the exact ones than those of
+    eig(KW) (t-plus-eta at 7 and 51 Simpson nodes).  So each mu_i gets one
+    first-order correction d_i = (V^-1 R)_ii from the residual
+    R = S V - V diag(mu), computed exactly in fractions, and
+    1/(mu_i + d_i) is rounded once.  A correction above 1e-8 max|S| (a
+    defective or ill-conditioned S) is dropped, leaving 1/mu_i.
+    """
+    from fractions import Fraction  # here: only the spectrum needs it
+
+    G, H, w = disc.G, disc.H, disc.weights
+    r = G.shape[1]
+    WH = w[:, None] * H
+    S = np.array([[_fsum(WH[:, i] * G[:, j]) for j in range(r)] for i in range(r)])
+    mus, V = np.linalg.eig(S.reshape(r, r))
+    Sx = [[Fraction(x) for x in row] for row in S.tolist()]
+    exact, R = [], np.empty((r, r), dtype=complex)
+    for j, (mu, v) in enumerate(zip(mus.tolist(), V.T.tolist())):
+        a, b = Fraction(mu.real), Fraction(mu.imag)
+        vr, vi = [Fraction(x.real) for x in v], [Fraction(x.imag) for x in v]
+        for i, row in enumerate(Sx):
+            sr = sum((s * x for s, x in zip(row, vr)), Fraction(0))
+            si = sum((s * x for s, x in zip(row, vi)), Fraction(0))
+            R[i, j] = complex(float(sr - a * vr[i] + b * vi[i]), float(si - a * vi[i] - b * vr[i]))
+        exact.append((a, b))
+    try:
+        deltas = np.diag(np.linalg.solve(V, R)).tolist()
+    except np.linalg.LinAlgError:
+        deltas = [0j] * r
+    bound = 1e-8 * float(np.max(np.abs(S), initial=0.0))
+    lams = []
+    for (a, b), d in zip(exact, deltas):
+        if abs(d) <= bound:
+            a, b = a + Fraction(d.real), b + Fraction(d.imag)
+        norm2 = a * a + b * b
+        lams.append(complex(float(a / norm2), float(-b / norm2)) if norm2 else complex(math.inf))
+    return mus, V, lams
+
+
 def char_numbers(
     disc: NystromDiscretization,
     discard_threshold: float = EIGEN_DISCARD_DEFAULT,
 ) -> SpectralReport:
-    """Characteristic numbers lambda_i = 1/mu_i from the eigenvalues mu_i
-    of K*diag(w) with |mu_i| above the discard threshold.
+    """Characteristic numbers lambda_i = 1/mu_i of the second-kind equation
+    phi = lambda K phi + q, from the eigenvalues mu_i of K*diag(w) with
+    |mu_i| above the discard threshold.
 
     Eigenfunctions are normalized to sup-norm 1 with the max-modulus
     entry made real positive; every reported pair satisfies
-    ||phi - lambda * K_w phi||_inf <= 1e-6."""
-    eigvals, eigvecs = np.linalg.eig(disc.weighted())
+    ||phi - lambda * K_w phi||_inf <= 1e-6.  A separable kernel takes the
+    finite-rank route: the eigenpairs (mu, v) of S = H^T W G give mu and
+    the eigenfunction G v (see the module docstring)."""
+    if disc.G is not None:
+        eigvals, vecs, rank_lams = _rank_spectrum(disc)
+        eigvecs = disc.G @ vecs
+    else:
+        eigvals, eigvecs = np.linalg.eig(disc.weighted())
     pairs = []
-    for mu, vec in zip(eigvals, eigvecs.T):
+    for i, (mu, vec) in enumerate(zip(eigvals, eigvecs.T)):
         if abs(mu) <= discard_threshold:
             continue
-        lam = 1.0 / mu
+        lam = 1.0 / mu if disc.G is None else rank_lams[i]
         j = int(np.argmax(np.abs(vec)))
         phi = vec / vec[j]
         resid = float(np.max(np.abs(phi - lam * disc.apply(phi))))
@@ -466,6 +658,37 @@ class SweepReport:
         return tuple(m for m, f in zip(self.mu_values, self.flagged) if f)
 
 
+def _sweep_extremes(
+    d0: NystromDiscretization, d1: NystromDiscretization, mu_grid: Sequence[float]
+) -> Iterator[tuple[float, float]]:
+    """(sigma_min, sigma_max) of Id - (K0 + mu*K1)*diag(w) for each mu: from
+    the compression on [G0, G1, W H0, W H1] when both kernels are
+    separable (every other singular value is 1), else from the SVD."""
+    n = d0.rule.n
+    w = d0.weights
+    if d0.G is None or d1.G is None:
+        eye = np.eye(n)
+        for mu in mu_grid:
+            svals = np.linalg.svd(eye - (d0.K + mu * d1.K) * w[None, :], compute_uv=False)
+            yield float(svals[-1]), float(svals[0])
+        return
+    r0, r1 = d0.G.shape[1], d1.G.shape[1]
+    m = 2 * (r0 + r1)
+    k = min(n, m)
+    P0 = P1 = np.zeros((k, k))
+    if m:
+        R = np.linalg.qr(np.hstack([d0.G, d1.G, w[:, None] * d0.H, w[:, None] * d1.H]),
+                         mode="r")
+        P0 = R[:, :r0] @ R[:, r0 + r1 : 2 * r0 + r1].T
+        P1 = R[:, r0 : r0 + r1] @ R[:, 2 * r0 + r1 :].T
+    eye = np.eye(k)
+    for mu in mu_grid:
+        svals = np.linalg.svd(eye - (P0 + mu * P1), compute_uv=False).tolist() if k else []
+        if n > k:
+            svals.append(1.0)
+        yield min(svals), max(svals)
+
+
 def param_singularity_sweep(
     k0: KernelSpec,
     k1: KernelSpec,
@@ -474,24 +697,22 @@ def param_singularity_sweep(
 ) -> SweepReport:
     """Smallest singular value of Id - (K0 + mu*K1)*diag(w) over a mu grid.
 
+    This is the paper's probe of the Fredholm alternative for a kernel
+    with an embedded parameter, such as rho(t)rho(eta) + mu*sigma(t)rho(eta).
     A value below 1e-6 times the matrix norm flags mu as numerically
     exceptional.  Isolated flags mirror the countable-set alternative
     ("non_exceptional" kernel); adjacent flags on the grid indicate the
-    everywhere-singular alternative ("exceptional").
+    everywhere-singular alternative ("exceptional").  Two separable
+    kernels take the finite-rank route (see the module docstring).
     """
     if len(mu_grid) == 0:
         raise ValidationError("mu grid must be nonempty", key="mu-grid")
     rule = rule or simpson_rule()
     d0 = NystromDiscretization(k0, rule)
     d1 = NystromDiscretization(k1, rule)
-    w = rule.weights[None, :]
-    eye = np.eye(rule.n)
     sigma_mins: list[float] = []
     flags: list[bool] = []
-    for mu in mu_grid:
-        M = eye - (d0.K + mu * d1.K) * w
-        svals = np.linalg.svd(M, compute_uv=False)
-        smin, smax = float(svals[-1]), float(svals[0])
+    for smin, smax in _sweep_extremes(d0, d1, mu_grid):
         sigma_mins.append(smin)
         flags.append(smin < SINGULARITY_FLAG_REL * smax)
     adjacent = any(flags[i] and flags[i + 1] for i in range(len(flags) - 1))

@@ -2,17 +2,20 @@
 reduction to a matrix ODE on normalized time, and its two independent
 dynamic realizations.
 
+These are the paper's Leontief relations: the static balance, its shift
+X(t + t0) expanded in Taylor terms sum_k (t0^k/k!) X^(k) on normalized
+time t_bar = t/t0, and the Volterra form of the two-term truncation.
 The two-term truncation 0.5*Xdd + Xd + B*X = C (B = E - A) is integrated
 both as a first-order system with RK4 and, after substituting U = Xdd, as
 a second-kind Volterra equation marched with trapezoidal quadrature.  The
-two routes share nothing beyond the model data, which makes their
-agreement the module's central cross-check.
+two routes share only the model data and the loop that applies their
+(different) affine steps, which makes their agreement the module's
+central cross-check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,7 +28,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .odelin import TimeGrid, Trajectory, rk4_linear
+from .odelin import TimeGrid, Trajectory, _march, _raise_on_blow_up, rk4_linear
 
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
 
@@ -83,14 +86,37 @@ class LeontiefModel:
         return np.eye(self.n) - self.A
 
     def demand_at(self, t: float) -> np.ndarray:
-        c = np.asarray(self.demand_fn(t), dtype=float)
-        if c.shape != (self.n,):
-            raise ValidationError(f"demand sampler must return {self.n} components")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError(f"demand is not finite at t_bar = {t!r}")
-        if np.any(c < -1e-12):
-            raise ValidationError(f"demand has a negative component at t_bar = {t!r}")
-        return c
+        return self.demand_samples([t])[0]
+
+    def demand_samples(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        """C(t_bar) at every time of ``ts``, stacked len(ts) x n.
+
+        Each sample must have n components, all finite and none below
+        -1e-12.  The checks run once over the stack and name the first bad
+        t_bar, as checking the samples one by one in order would.  A
+        constant demand is sampled (and checked) once, at ts[0].
+        """
+        times = np.asarray(ts, dtype=float).tolist()
+        n = self.n
+        if callable(self.demand):
+            rows = [np.asarray(self.demand_fn(t), dtype=float) for t in times]
+        else:
+            rows = [np.asarray(self.demand_fn(times[0]), dtype=float)]
+        shape_bad = next((i for i, c in enumerate(rows) if c.shape != (n,)), len(rows))
+        C = np.array(rows[:shape_bad]).reshape(shape_bad, n)
+        nonfinite = ~np.isfinite(C).all(axis=1)
+        negative = (C < -1e-12).any(axis=1)
+        first_nonfinite = int(np.argmax(nonfinite)) if nonfinite.any() else shape_bad
+        first_negative = int(np.argmax(negative)) if negative.any() else shape_bad
+        if first_nonfinite < shape_bad and first_nonfinite <= first_negative:
+            raise ValidationError(f"demand is not finite at t_bar = {times[first_nonfinite]!r}")
+        if first_negative < shape_bad:
+            raise ValidationError(
+                f"demand has a negative component at t_bar = {times[first_negative]!r}"
+            )
+        if shape_bad < len(rows):
+            raise ValidationError(f"demand sampler must return {n} components")
+        return C if callable(self.demand) else np.repeat(C, len(times), axis=0)
 
 
 @dataclass(frozen=True)
@@ -131,6 +157,25 @@ class IterationLog:
     residual_history: list[float] = field(default_factory=list)
 
 
+def _lu_pivots(B: np.ndarray) -> np.ndarray:
+    """|u_kk| of the LU factorization of B with partial (row) pivoting, by
+    one rank-1 update per column; a zero pivot leaves its column as it is
+    and the elimination goes on, as in LAPACK's getrf."""
+    U = np.array(B, dtype=float)
+    n = U.shape[0]
+    pivots = np.empty(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        if p != k:
+            U[[k, p], k:] = U[[p, k], k:]
+        pivot = U[k, k]
+        pivots[k] = abs(pivot)
+        if pivot != 0.0:
+            col = U[k + 1 :, k] / pivot
+            U[k + 1 :, k + 1 :] -= col[:, None] * U[k, k + 1 :]
+    return pivots
+
+
 def static_solve(
     A: np.ndarray,
     c: Sequence[float],
@@ -138,37 +183,40 @@ def static_solve(
     tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> tuple[np.ndarray, IterationLog | None]:
-    """Solve X = AX + c.
+    """Solve the balance X = AX + c, that is (E - A) X = c.
 
-    "direct" factors E - A with partially pivoted LU and rejects pivots
-    below 1e-12 times the matrix norm; "iterate" runs X_{s+1} = A X_s + c
-    from X_0 = c until the step difference drops to ``tol`` (under the
-    Metzler condition this bounds the balance residual by ``tol`` too).
+    "direct" factors B = E - A by LU with partial pivoting (numpy, one
+    rank-1 update per column) and rejects B when a pivot |u_kk| is zero
+    or below 1e-12 * ||B||_F; X then comes from ``np.linalg.solve(B, c)``
+    (LAPACK gesv), and a failure there is a singular matrix too.
+    "iterate" runs X_{s+1} = A X_s + c from X_0 = c until the step
+    difference drops to ``tol`` (under the Metzler condition this bounds
+    the balance residual by ``tol`` too).  A and c must be finite.
     """
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
     n = A.shape[0]
     if c.shape != (n,):
         raise ValidationError(f"demand must have {n} components", key="demand")
+    if not np.isfinite(A).all():
+        raise ValidationError("A has an entry that is not finite", key="matrix")
+    if not np.isfinite(c).all():
+        raise ValidationError("demand has a component that is not finite", key="demand")
     if method == "direct":
-        # imported here, not at module level: scipy.linalg takes longer to
-        # import than the rest of ecodyn, and only this branch needs it
-        # (lu_factor exposes the pivots the singularity guard reads)
-        import scipy.linalg
-
         B = np.eye(n) - A
-        with warnings.catch_warnings():
-            # singularity is detected via the pivot threshold below
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(B)
-        pivots = np.abs(np.diag(lu))
+        pivots = _lu_pivots(B)
         threshold = 1e-12 * np.linalg.norm(B)
         if np.any(pivots < threshold):
             raise SingularMatrixError(
                 f"E - A is numerically singular (pivot {pivots.min():.3e} below "
                 f"{threshold:.3e})"
             )
-        return scipy.linalg.lu_solve((lu, piv), c), None
+        if not pivots.all():
+            raise SingularMatrixError("E - A is singular (zero pivot)")
+        try:
+            return np.linalg.solve(B, c), None
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"E - A is singular ({exc})") from None
     if method == "iterate":
         report = metzler_check(A)
         if not report.holds:
@@ -224,7 +272,8 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     with Xdd = 2 (C - Xd - B X), i.e. the block matrix [[0, I], [-2B, -2I]]
     with forcing [0, 2C].  Higher orders are not accepted.  A constant
     demand is checked once; a demand sampler is called once per distinct
-    RK4 stage time, each sample checked by ``LeontiefModel.demand_at``.
+    RK4 stage time, and the samples are checked together by
+    ``LeontiefModel.demand_samples``.
     """
     if model.order not in (1, 2):
         raise ValidationError("dynamic_solve supports truncation orders 1 and 2", key="order")
@@ -234,8 +283,7 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     n = model.n
     labels = tuple(f"x{i + 1}" for i in range(n))
     if callable(model.demand):
-        def demand(ts: np.ndarray) -> np.ndarray:
-            return np.array([model.demand_at(float(t)) for t in ts])
+        demand = model.demand_samples
     else:
         demand = model.demand_at(0.0)
     if model.order == 1:
@@ -258,12 +306,22 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     return Trajectory(grid, full.values[:, :n], labels)
 
 
+# overflow shows as a non-finite X, which raises BlowUpError
+@np.errstate(over="ignore", invalid="ignore")
 def _volterra_march(model: LeontiefModel, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """March U(t) = G(t) - 2*int_0^t [I + B(t-eta)] U(eta) deta and
     reconstruct X = int_0^t (t-eta) U deta + c0*t + c1 by trapezoid.
 
     Returns (nodes, X values).  The kernel's (t-eta) part vanishes at the
-    new node, so the implicit step reduces to division by (1 + h).
+    new node, so the implicit step reduces to division by (1 + h).  With
+    the trapezoid sums S0 = sum' U_j and S1 = sum' t_j U_j over the
+    history, Z_k = t_k S0 - S1 carries the (t-eta) moment, and each step
+    is the constant affine map of (S0, Z)
+
+        U_k = (G_k - 2h (S0 + B Z_k)) / (1 + h),
+        S0 <- S0 + U_k,   Z <- Z + h S0,   X_k = h Z_k + c0 t_k + c1,
+
+    marched by the linear-dynamics core with G sampled once at all nodes.
     """
     B = model.B
     n = model.n
@@ -271,23 +329,22 @@ def _volterra_march(model: LeontiefModel, steps: int) -> tuple[np.ndarray, np.nd
     c0 = model.Xdot0
     t = np.linspace(0.0, 1.0, steps + 1)
     h = 1.0 / steps
-    U = np.empty((steps + 1, n))
+    a = 1.0 / (1.0 + h)
+    G = 2.0 * (model.demand_samples(t) - c0 - (np.outer(t, c0) + c1) @ B.T)
+    eye = np.eye(n)
+    # E = P - I of the map (S0, Z) -> (S0', Z')
+    E = np.block([
+        [(-2.0 * h * a) * eye, (-2.0 * h * a) * B],
+        [(h * (1.0 - 2.0 * h * a)) * eye, (-2.0 * h * h * a) * B],
+    ])
+    state = np.empty((steps, 2 * n))  # (S0, Z) before steps 1..N
+    state[0, :n] = 0.5 * G[0]
+    state[0, n:] = (0.5 * h) * G[0]
+    _march(state, E, np.hstack([a * G[1:steps], (h * a) * G[1:steps]]))
     X = np.empty((steps + 1, n))
-
-    def G(tk: float) -> np.ndarray:
-        return 2.0 * (model.demand_at(tk) - c0 - B @ (c0 * tk + c1))
-
-    U[0] = G(0.0)
     X[0] = c1
-    S0 = 0.5 * U[0]  # running trapezoid sums over interior history
-    S1 = 0.5 * t[0] * U[0]
-    for k in range(1, steps + 1):
-        tk = t[k]
-        known = h * (S0 + B @ (tk * S0 - S1))
-        U[k] = (G(tk) - 2.0 * known) / (1.0 + h)
-        X[k] = h * (tk * S0 - S1) + c0 * tk + c1
-        S0 = S0 + U[k]
-        S1 = S1 + tk * U[k]
+    X[1:] = h * state[:, n:] + np.outer(t[1:], c0) + c1
+    _raise_on_blow_up(X, t)
     return t, X
 
 

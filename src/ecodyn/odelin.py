@@ -210,10 +210,12 @@ def analytic_solution(
 
     t = grid.nodes
     cols = []
-    for m in range(derivatives + 1):
-        zm = (c * p**m) @ np.exp(np.outer(p, t))
-        cols.append(zm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(derivatives + 1):
+            zm = (c * p**m) @ np.exp(np.outer(p, t))
+            cols.append(zm)
     z = np.column_stack(cols)
+    _raise_on_blow_up(z, t, "closed form")
     scale = max(1.0, float(np.max(np.abs(z))))
     imag_rel = float(np.max(np.abs(z.imag))) / scale
     if imag_rel >= 1e-10:
@@ -273,6 +275,8 @@ Coefficient = float | np.ndarray | Callable[[np.ndarray], np.ndarray]
 Forcing = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray]
 
 
+# overflow shows as a non-finite state, which raises BlowUpError
+@np.errstate(over="ignore", invalid="ignore")
 def rk4_linear(
     coeff: Coefficient,
     x0: Sequence[float],
@@ -412,8 +416,7 @@ def _scalar_increments(rate, starts, h, substeps) -> np.ndarray:
 
 def _cumprod(values: np.ndarray) -> None:
     """Turn [x0, g_1, g_2, ...] into the states x0, g_1 x0, g_2 g_1 x0, ... in place."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(values[:, 0], out=values[:, 0])
+    np.cumprod(values[:, 0], out=values[:, 0])
 
 
 def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
@@ -435,14 +438,14 @@ def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
                 prev = row
 
 
-def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray) -> None:
+def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray, what: str = "integration") -> None:
     """BlowUpError at the first non-finite node, carrying the node before it."""
     finite = np.isfinite(values).all(axis=1)
     if finite.all():
         return
     k = max(int(np.argmin(finite)) - 1, 0)
     raise BlowUpError(
-        f"integration blew up between t={float(nodes[k])!r} and t={float(nodes[k + 1])!r}",
+        f"{what} blew up between t={float(nodes[k])!r} and t={float(nodes[k + 1])!r}",
         t_last=float(nodes[k]),
         index_last=k,
         x_last=values[k].copy(),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -419,6 +420,24 @@ class TestBatchedOffNode:
         assert np.max(np.abs(sol(disc_sum.nodes) - sol.phi)) < 1e-12
 
 
+def dense(spec):
+    """The kernel without its separable form: it takes the n x n route."""
+    return dataclasses.replace(spec, separable=None)
+
+
+def forbid_square_factorizations(monkeypatch, n):
+    """Make eig, eigvals, svd and cholesky fail on any matrix of order >= n."""
+    for name in ("eig", "eigvals", "svd", "cholesky"):
+        original = getattr(np.linalg, name)
+
+        def guarded(a, *args, _original=original, _name=name, **kwargs):
+            if min(np.shape(a)[-2:]) >= n:
+                raise AssertionError(f"{_name} on an {np.shape(a)} matrix")
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+
+
 def plain_eigvals_guard(disc, lam):
     """The unscreened guard: eigvals on every call."""
     eigs = np.linalg.eigvals(disc.weighted())
@@ -484,12 +503,17 @@ class TestGramCertificate:
         sign=st.sampled_from([-1.0, 1.0]),
         # dense where sigma_min crosses tau = 2e-8 + rounding
         log_d=st.one_of(st.floats(-11.0, 0.5), st.floats(-7.75, -7.55)),
+        # the Weyl certificate of the separable form, or the Gram one without it
+        separable=st.booleans(),
     )
     # sigma_min just below tau: certified by a Cholesky without the rounding margin
     @example(name="exp-diff", make_rule=simpson_rule, half=30, pick=0, sign=1.0,
-             log_d=-7.610169491525424)
-    def test_accepts_only_proved_distances(self, name, make_rule, half, pick, sign, log_d):
-        disc = NystromDiscretization(CATALOGUE[name](), make_rule(2 * half + 1))
+             log_d=-7.610169491525424, separable=False)
+    def test_accepts_only_proved_distances(self, name, make_rule, half, pick, sign, log_d,
+                                           separable):
+        spec = CATALOGUE[name]()
+        disc = NystromDiscretization(spec if separable else dense(spec), make_rule(2 * half + 1))
+        assert (disc.G is not None) == separable
         eigs = np.linalg.eigvals(disc.weighted())
         mu = float(eigs[pick % len(eigs)].real)
         denominator = mu + sign * 10.0**log_d
@@ -506,9 +530,12 @@ class TestGramCertificate:
             got = str(exc)
         assert got == expected
 
+    # The Gram certificate serves kernels without a separable form: dense()
+    # keeps these tests on it.  The Weyl certificate of the separable form
+    # has its own cases below.
     @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
     def test_far_solves_compute_no_svd_or_eigvals(self, make, monkeypatch):
-        disc = NystromDiscretization(make(), simpson_rule(801))
+        disc = NystromDiscretization(dense(make()), simpson_rule(801))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the guard computed an SVD or eigenvalues")
@@ -520,13 +547,53 @@ class TestGramCertificate:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_never_certifies_a_matrix_that_is_not_finite(self, bad):
-        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        disc = NystromDiscretization(dense(kernel_t_plus_eta()), simpson_rule(21))
         disc.K[3, 4] = bad
         assert not _certified_far(disc, 0.5)
 
     def test_leaves_a_gram_matrix_that_could_overflow_to_eigvals(self):
-        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        disc = NystromDiscretization(dense(kernel_t_plus_eta()), simpson_rule(21))
         # ||I/lam - KW||_F^2 is about 0.75 of the largest float
+        lam = 1.0 / math.sqrt(0.75 * np.finfo(float).max / disc.rule.n)
+        assert not _certified_far(disc, lam)
+        assert plain_eigvals_guard(disc, lam) is None
+        nystrom_solve(disc, lam, lambda t: 1.0)
+
+    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
+    def test_far_separable_solves_factor_no_n_by_n_matrix(self, make, monkeypatch):
+        # the Weyl certificate factors only its 2r x 2r compression
+        disc = NystromDiscretization(make(), simpson_rule(801))
+        forbid_square_factorizations(monkeypatch, disc.rule.n)
+        for lam in (-2.0, -1.0, 0.3, 0.7):
+            nystrom_solve(disc, lam, lambda t: 1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_weyl_never_certifies_a_matrix_that_is_not_finite(self, bad):
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        disc.K[3, 4] = bad
+        assert not _certified_far(disc, 0.5)
+
+    def test_weyl_bounds_a_separable_form_that_is_not_the_kernel(self):
+        # t*eta matches the kernel only on the 5 x 5 lattice KernelSpec
+        # checks.  The eigenvalue near 1/2 of the sin(4 pi t) sin(4 pi eta)
+        # part shows only through ||(K - G H^T) W||_F
+        def bump(x):
+            return math.sin(4.0 * math.pi * x)
+
+        spec = KernelSpec(evaluator=lambda t, e: t * e + bump(t) * bump(e),
+                          separable=((lambda t: t, lambda e: e),))
+        disc = NystromDiscretization(spec, simpson_rule(41))
+        eigs = np.linalg.eigvals(disc.weighted())
+        lam = 1.0 / float(eigs[np.argmin(np.abs(eigs - 0.5))].real)
+        expected = plain_eigvals_guard(disc, lam)
+        assert expected is not None
+        assert not _certified_far(disc, lam)
+        with pytest.raises(SpectrumProximityError) as exc:
+            nystrom_solve(disc, lam, lambda t: 1.0)
+        assert str(exc.value) == expected
+
+    def test_weyl_leaves_a_matrix_that_could_overflow_to_eigvals(self):
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
         lam = 1.0 / math.sqrt(0.75 * np.finfo(float).max / disc.rule.n)
         assert not _certified_far(disc, lam)
         assert plain_eigvals_guard(disc, lam) is None
@@ -563,3 +630,221 @@ class TestConvergenceOrder:
             errors.append(float(np.max(np.abs(sol.trajectory.column("z") - np.cos(t)))))
         for order in observed_orders(errors):
             assert 1.8 <= order <= 2.2, errors
+
+
+# ---------------------------------------------------------------------------
+# The finite-rank route of separable kernels against the n x n route
+# ---------------------------------------------------------------------------
+
+# the kernels the CLI offers to fredholm-sweep
+SWEEP_KERNELS = ("t-plus-eta", "exp-diff", "zero", "rho-rho", "sigma-rho")
+PAIRS = [(k0, k1) for k0 in SWEEP_KERNELS for k1 in SWEEP_KERNELS]
+MU_GRID = np.linspace(-2.0, 2.0, 9)
+
+
+def dense_sweep(k0, k1, rule):
+    """(sigma_min, sigma_max) of Id - (K0 + mu*K1)W for each mu of MU_GRID,
+    by the SVD of the n x n matrix."""
+    d0, d1 = NystromDiscretization(k0, rule), NystromDiscretization(k1, rule)
+    eye = np.eye(rule.n)
+    out = []
+    for mu in MU_GRID:
+        s = np.linalg.svd(eye - (d0.K + mu * d1.K) * rule.weights, compute_uv=False)
+        out.append((s[-1], s[0]))
+    return out
+
+
+class TestFiniteRank:
+    def test_zero_kernel_has_rank_zero(self):
+        rule = simpson_rule(21)
+        disc = NystromDiscretization(kernel_zero(), rule)
+        assert kernel_zero().separable == ()
+        assert disc.G.shape == disc.H.shape == (21, 0)
+        assert char_numbers(disc).characteristic_numbers == ()
+        assert char_numbers(disc).eigenfunctions.shape == (0, 21)
+        # every singular value of I/lam is 1/|lam|
+        assert _certified_far(disc, 0.5)
+        assert not _certified_far(disc, 1.0 / (0.5 * SPECTRUM_PROXIMITY_TOL))
+        sol = nystrom_solve(disc, 3.0, lambda t: t)
+        assert np.array_equal(sol.phi, rule.nodes)
+        report = param_singularity_sweep(kernel_zero(), kernel_zero(), MU_GRID, rule)
+        assert report.smallest_singular_values == (1.0,) * len(MU_GRID)
+        assert report.classification == "non_exceptional"
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_never_certifies_a_lambda_that_is_not_finite(self, lam, separable):
+        spec = kernel_t_plus_eta() if separable else dense(kernel_t_plus_eta())
+        disc = NystromDiscretization(spec, simpson_rule(21))
+        assert not _certified_far(disc, lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_never_certifies_profile_samples_that_are_not_finite(self, bad):
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        disc.G[4, 0] = bad
+        assert not _certified_far(disc, 0.5)
+
+    def test_samples_each_profile_once_per_node(self):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t
+
+        spec = KernelSpec(evaluator=lambda t, e: t * e, separable=((g, lambda e: e),),
+                          array=np.multiply)
+        calls.clear()
+        disc = NystromDiscretization(spec, simpson_rule(41))
+        assert calls == disc.nodes.tolist()
+        assert np.array_equal(disc.G[:, 0], disc.nodes)
+        assert np.array_equal(disc.H[:, 0], disc.nodes)
+
+    @pytest.mark.parametrize("n_nodes", [7, 51, 401])
+    @pytest.mark.parametrize("name", sorted(set(CATALOGUE) - {"sigma-rho"}))
+    def test_spectrum_matches_the_dense_route(self, name, n_nodes):
+        spec = CATALOGUE[name]()
+        rule = simpson_rule(n_nodes)
+        got = char_numbers(NystromDiscretization(spec, rule))
+        want = char_numbers(NystromDiscretization(dense(spec), rule))
+        assert len(got.characteristic_numbers) == len(want.characteristic_numbers)
+        for a, b in zip(got.characteristic_numbers, want.characteristic_numbers):
+            assert abs(a - b) <= 1e-13 * abs(b)
+        assert got.eigenfunctions.shape == want.eigenfunctions.shape
+        assert np.max(np.abs(got.eigenfunctions - want.eigenfunctions), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("n_nodes", [7, 51, 401])
+    def test_sigma_rho_has_no_characteristic_number(self, n_nodes):
+        # K W = sigma rho^T W is nilpotent: its one nonzero-rank eigenvalue is
+        # int sigma*rho = 0.  eig of the n x n matrix splits that defective
+        # zero into a spurious pair near +-1/sqrt(rounding) that passes the
+        # residual filter; S = rho^T W sigma is 0 to rounding and discarded
+        rule = simpson_rule(n_nodes)
+        disc = NystromDiscretization(kernel_sigma_rho(), rule)
+        assert abs(math.fsum(rule.weights * (rule.nodes - 0.5))) < 1e-16
+        assert char_numbers(disc).characteristic_numbers == ()
+        spurious = char_numbers(NystromDiscretization(dense(kernel_sigma_rho()), rule))
+        assert all(abs(lam) > 1e6 for lam in spurious.characteristic_numbers)
+
+    @pytest.mark.parametrize("n_nodes", [7, 51])
+    @pytest.mark.parametrize("k0, k1", PAIRS)
+    def test_sweep_matches_the_dense_route(self, k0, k1, n_nodes):
+        self.check_sweep(k0, k1, simpson_rule(n_nodes))
+
+    @pytest.mark.parametrize("k0, k1", [("exp-diff", "t-plus-eta"), ("rho-rho", "sigma-rho"),
+                                        ("zero", "exp-diff")])
+    def test_sweep_matches_the_dense_route_at_401_nodes(self, k0, k1):
+        self.check_sweep(k0, k1, simpson_rule(401))
+
+    @staticmethod
+    def check_sweep(k0, k1, rule):
+        spec0, spec1 = CATALOGUE[k0](), CATALOGUE[k1]()
+        got = param_singularity_sweep(spec0, spec1, MU_GRID, rule)
+        want = param_singularity_sweep(dense(spec0), dense(spec1), MU_GRID, rule)
+        assert (got.flagged, got.classification) == (want.flagged, want.classification)
+        for s, (smin, smax) in zip(got.smallest_singular_values, dense_sweep(spec0, spec1, rule)):
+            assert abs(s - smin) <= 1e-13 * smax
+
+    @pytest.mark.parametrize("k0, k1", PAIRS)
+    def test_exceptional_exactly_when_the_determinant_vanishes(self, k0, k1):
+        # Fredholm alternative for K0 + mu*K1 = [G0, mu*G1][H0, H1]^T:
+        # Id - (K0 + mu*K1)W is singular for every mu exactly when
+        # p(mu) = det(I - [H0, H1]^T W [G0, mu*G1]), of degree <= r1, is 0
+        rule = simpson_rule(201)
+        d0 = NystromDiscretization(CATALOGUE[k0](), rule)
+        d1 = NystromDiscretization(CATALOGUE[k1](), rule)
+        H = np.hstack([d0.H, d1.H]) * rule.weights[:, None]
+        r1 = d1.G.shape[1]
+        values = []
+        for mu in range(r1 + 1):
+            G = np.hstack([d0.G, mu * d1.G])
+            S = np.array([[math.fsum(H[:, i] * G[:, j]) for j in range(G.shape[1])]
+                          for i in range(H.shape[1])]).reshape(H.shape[1], G.shape[1])
+            values.append(np.linalg.det(np.eye(len(S)) - S))
+        identically_zero = max(map(abs, values)) <= 1e-12
+        report = param_singularity_sweep(CATALOGUE[k0](), CATALOGUE[k1](), MU_GRID, rule)
+        assert (report.classification == "exceptional") == identically_zero
+
+    def test_separable_routes_factor_no_n_by_n_matrix(self, monkeypatch):
+        rule = simpson_rule(401)
+        discs = [NystromDiscretization(CATALOGUE[name](), rule) for name in sorted(CATALOGUE)]
+        forbid_square_factorizations(monkeypatch, rule.n)
+        for disc in discs:
+            char_numbers(disc)
+            nystrom_solve(disc, 0.3, lambda t: 1.0)
+            resolvent(disc, -0.4)
+        for k0, k1 in PAIRS:
+            param_singularity_sweep(CATALOGUE[k0](), CATALOGUE[k1](), MU_GRID, rule)
+
+    def test_leaves_the_rounding_band_to_eigvals(self):
+        # sigma_min(I/lam - KW) clears tau by 1e-12, less than the rounding
+        # margin the certificate must leave: eigvals decides, and accepts
+        disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(201))
+        mu = 1.0 / char_numbers(disc).characteristic_numbers[0].real
+
+        def gap(d):
+            shifted, tau = certificate_tau(disc, 1.0 / (mu + d))
+            return np.linalg.svd(shifted, compute_uv=False)[-1] - tau
+
+        lo, hi = 1e-8, 1e-7  # gap(lo) < 0 < gap(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) <= 1e-12 else (lo, mid)
+        assert 0.0 < gap(hi) <= 2e-12
+        lam = 1.0 / (mu + hi)
+        assert not _certified_far(disc, lam)
+        assert plain_eigvals_guard(disc, lam) is None
+        nystrom_solve(disc, lam, lambda t: 1.0)
+
+
+# profiles (g_i, h_i) of the separable catalogue kernels, in mpmath
+def mp_profiles(mp):
+    one = mp.mpf(1)
+    return {
+        "t-plus-eta": [(lambda t: t, lambda e: one), (lambda t: one, lambda e: e)],
+        "exp-diff": [(mp.exp, lambda e: mp.exp(-e))],
+        "rho-rho": [(lambda t: one, lambda e: one)],
+        "degenerate": [(lambda t: one, lambda e: one),
+                       (lambda t: mp.mpf(2.5) * (t - mp.mpf(0.5)), lambda e: one)],
+    }
+
+
+def mp_characteristic_numbers(name, rule):
+    """The exact characteristic numbers of the discretization (the profiles
+    at the floating-point nodes, the floating-point weights) to 50 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    pairs = mp_profiles(mp)[name]
+    t = [mp.mpf(x) for x in rule.nodes.tolist()]
+    w = [mp.mpf(x) for x in rule.weights.tolist()]
+    S = mp.matrix([[mp.fsum(wk * h(tk) * g(tk) for wk, tk in zip(w, t)) for g, _ in pairs]
+                   for _, h in pairs])
+    mus = [S[0, 0]] if S.rows == 1 else mp.eig(S, left=False, right=False)
+    assert all(abs(mp.im(mu)) < 1e-40 for mu in mus)
+    return sorted((1 / mp.re(mu) for mu in mus if abs(mu) > 1e-10), key=abs)
+
+
+def worst_relative_error(spec, rule, want):
+    got = char_numbers(NystromDiscretization(spec, rule)).characteristic_numbers
+    assert len(got) == len(want) and all(g.imag == 0.0 for g in got)
+    return max(float(abs(g.real - ref) / abs(ref)) for g, ref in zip(got, want))
+
+
+@pytest.mark.parametrize("n_nodes", [7, 201, 801, 1201])
+@pytest.mark.parametrize("name", ["t-plus-eta", "exp-diff", "rho-rho", "degenerate"])
+def test_characteristic_numbers_within_4_ulp_of_mpmath(name, n_nodes):
+    rule = simpson_rule(n_nodes)
+    want = mp_characteristic_numbers(name, rule)
+    got = char_numbers(NystromDiscretization(CATALOGUE[name](), rule)).characteristic_numbers
+    assert len(got) == len(want)
+    for g, ref in zip(got, want):
+        assert abs(g.real - ref) <= 4 * math.ulp(g.real), (g, ref)
+
+
+@pytest.mark.parametrize("rule", [simpson_rule(7), simpson_rule(21), simpson_rule(51),
+                                  simpson_rule(201), gauss_legendre_rule(40)],
+                         ids=lambda r: f"{r.name}-{r.n}")
+@pytest.mark.parametrize("name", ["t-plus-eta", "exp-diff", "degenerate"])
+def test_finite_rank_spectrum_no_less_accurate_than_the_dense_route(name, rule):
+    want = mp_characteristic_numbers(name, rule)
+    spec = CATALOGUE[name]()
+    assert worst_relative_error(spec, rule, want) <= worst_relative_error(dense(spec), rule, want)

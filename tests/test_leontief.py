@@ -1,9 +1,13 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_metzler
 from ecodyn.odelin import TimeGrid, rk4_integrate, sup_rel_diff
 from ecodyn.errors import (
+    BlowUpError,
     DegenerateDataError,
     NonConvergenceError,
     ResolutionError,
@@ -117,6 +121,84 @@ class TestStatic:
         A = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(SingularMatrixError):
             static_solve(A, [1.0, 1.0], method="direct")
+
+    def test_identity_is_singular(self):
+        # B = 0: the threshold 1e-12 * ||B|| is 0 too, so zero pivots count
+        with pytest.raises(SingularMatrixError, match=r"^E - A is singular \(zero pivot\)$"):
+            static_solve(np.eye(2), [1.0, 1.0], method="direct")
+
+    def test_solver_failure_is_a_singular_matrix(self, monkeypatch):
+        def failing(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        with pytest.raises(SingularMatrixError, match="Singular matrix"):
+            static_solve(A22, [1.0, 1.0], method="direct")
+
+    @pytest.mark.parametrize("method", ["direct", "iterate"])
+    def test_entries_must_be_finite(self, method):
+        with pytest.raises(ValidationError) as exc_info:
+            static_solve(np.array([[0.2, np.nan], [0.1, 0.4]]), [1.0, 1.0], method=method)
+        assert exc_info.value.key == "matrix"
+        with pytest.raises(ValidationError) as exc_info:
+            static_solve(A22, [1.0, np.inf], method=method)
+        assert exc_info.value.key == "demand"
+
+
+def scipy_direct(A, c):
+    """The direct solve through scipy's LU: (X or None, rejection message or None)."""
+    linalg = pytest.importorskip("scipy.linalg")
+    B = np.eye(len(c)) - A
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+        lu, piv = linalg.lu_factor(B)
+    pivots = np.abs(np.diag(lu))
+    threshold = 1e-12 * np.linalg.norm(B)
+    if np.any(pivots < threshold):
+        return None, (f"E - A is numerically singular (pivot {pivots.min():.3e} below "
+                      f"{threshold:.3e})")
+    return linalg.lu_solve((lu, piv), c), None
+
+
+def numpy_direct(A, c):
+    try:
+        return static_solve(A, c, method="direct")[0], None
+    except SingularMatrixError as exc:
+        return None, str(exc)
+
+
+class TestDirectWithoutScipy:
+    def test_matches_scipy_lu_on_random_metzler(self, rng):
+        # X is LAPACK's getrf + getrs either way, but numpy and scipy may
+        # bundle different OpenBLAS builds, which can round a solve apart
+        for _ in range(60):
+            n = int(rng.integers(2, 201))
+            A, c = random_metzler(rng, n), rng.uniform(0.5, 1.5, n)
+            (X, msg), (ref, ref_msg) = numpy_direct(A, c), scipy_direct(A, c)
+            assert msg is None and ref_msg is None
+            assert np.max(np.abs(X - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+    def test_golden_system_bit_for_bit(self):
+        A = np.loadtxt(Path(__file__).parent / "golden" / "leontief_matrix.txt",
+                       delimiter=",", skiprows=1)
+        c = np.array([0.5, 0.3, 0.2])
+        X, ref = numpy_direct(A, c)[0], scipy_direct(A, c)[0]
+        assert X.tolist() == ref.tolist()
+
+    def test_rejects_as_scipy_does(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 201))
+            A, c = random_metzler(rng, n), rng.uniform(0.5, 1.5, n)
+            i = int(rng.integers(n))
+            A[i] = 0.0
+            A[i, i] = 1.0  # row i of E - A vanishes: an exact zero pivot
+            assert numpy_direct(A, c) == scipy_direct(A, c)
+            message = numpy_direct(A, c)[1]
+            assert message.startswith("E - A is numerically singular (pivot 0.000e+00")
+            # every row sum 1: singular up to rounding, the pivots are noise
+            A = random_metzler(rng, n)
+            A /= A.sum(axis=1, keepdims=True)
+            assert numpy_direct(A, c)[1] is not None and scipy_direct(A, c)[1] is not None
 
 
 class TestTaylorReduce:
@@ -281,6 +363,95 @@ class TestVolterra:
             volterra_solve(model, steps=12)
         # fine grid resolves the same demand
         volterra_solve(model, steps=800)
+
+
+def stepwise_march(model, steps):
+    """The Volterra march one step at a time, from its running trapezoid
+    sums S0 = sum' U_j and S1 = sum' t_j U_j."""
+    B, c0, c1 = model.B, model.Xdot0, model.X0
+    t = np.linspace(0.0, 1.0, steps + 1)
+    h = 1.0 / steps
+    G = [2.0 * (model.demand_at(tk) - c0 - B @ (c0 * tk + c1)) for tk in t.tolist()]
+    X = [c1]
+    S0, S1 = 0.5 * G[0], 0.0 * G[0]
+    for k in range(1, steps + 1):
+        U = (G[k] - 2.0 * h * (S0 + B @ (t[k] * S0 - S1))) / (1.0 + h)
+        X.append(h * (t[k] * S0 - S1) + c0 * t[k] + c1)
+        S0, S1 = S0 + U, S1 + t[k] * U
+    return np.array(X)
+
+
+class TestAffineMarch:
+    @pytest.mark.parametrize("n, steps", [(1, 7), (2, 40), (5, 400), (30, 100)])
+    def test_equals_the_stepwise_march(self, rng, n, steps):
+        A = random_metzler(rng, n)
+        c0, c1 = rng.uniform(0.5, 1.5, n), rng.uniform(-0.4, 0.4, n)
+        model = LeontiefModel(A=A, demand=lambda t: c0 + c1 * t, X0=rng.uniform(0.5, 1.5, n),
+                              Xdot0=rng.uniform(-0.5, 0.5, n), order=2)
+        got = volterra_solve(model, steps=steps).values
+        want = stepwise_march(model, steps)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
+
+    def test_blow_up_is_a_numerical_failure(self):
+        model = LeontiefModel(A=np.diag([1e300, 1e300]), demand=[1.0, 1.0], X0=[1.0, 1.0],
+                              Xdot0=[1.0, 0.0], order=2)
+        with pytest.raises(BlowUpError):
+            volterra_solve(model, steps=4)
+
+
+def stepwise_check(model, ts):
+    """The message of the first failing sample, checked one at a time."""
+    for t in ts:
+        c = np.asarray(model.demand_fn(t), dtype=float)
+        if c.shape != (model.n,):
+            return f"demand sampler must return {model.n} components"
+        if not np.all(np.isfinite(c)):
+            return f"demand is not finite at t_bar = {t!r}"
+        if np.any(c < -1e-12):
+            return f"demand has a negative component at t_bar = {t!r}"
+    return None
+
+
+class TestDemandSamples:
+    BAD = {"nan": [np.nan, 1.0], "neg": [1.0, -1.0], "-inf": [-np.inf, 1.0],
+           "short": [1.0], "ok": [1.0, 2.0]}
+
+    @pytest.mark.parametrize("pattern", [
+        ("ok", "ok"), ("ok", "neg", "nan"), ("ok", "nan", "neg"), ("-inf", "neg"),
+        ("neg", "short"), ("short", "nan"), ("ok", "short", "ok"), ("ok",) * 5,
+    ], ids="-".join)
+    def test_first_bad_sample_named_as_one_by_one(self, pattern):
+        ts = np.linspace(0.0, 1.0, len(pattern)).tolist()
+        table = dict(zip(ts, pattern))
+        model = LeontiefModel(A=A22, demand=lambda t: np.array(self.BAD[table[t]]),
+                              X0=[0.0, 0.0])
+        expected = stepwise_check(model, ts)
+        if expected is None:
+            assert model.demand_samples(ts).shape == (len(ts), 2)
+        else:
+            with pytest.raises(ValidationError) as exc_info:
+                model.demand_samples(ts)
+            assert str(exc_info.value) == expected
+
+    def test_constant_demand_is_checked_once(self):
+        model = LeontiefModel(A=A22, demand=[1.0, -1.0], X0=[0.0, 0.0])
+        with pytest.raises(ValidationError, match="negative component at t_bar = 0.0$"):
+            model.demand_samples([0.0, 0.5])
+        model = LeontiefModel(A=A22, demand=[1.0, 2.0], X0=[0.0, 0.0])
+        assert model.demand_samples([0.0, 0.5]).tolist() == [[1.0, 2.0], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_solves_check_the_stack_not_each_sample(self, monkeypatch, order):
+        def per_sample(self, t):
+            raise AssertionError("demand_at called")
+
+        monkeypatch.setattr(LeontiefModel, "demand_at", per_sample)
+        model = LeontiefModel(A=A22, demand=lambda t: np.array([1.0 + t, 2.0]),
+                              X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=order)
+        dynamic_solve(model, steps=10)
+        if order == 2:
+            volterra_solve(model, steps=10)
 
 
 class TestDemandScale:
