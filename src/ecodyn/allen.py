@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, ValidationError
-from .harrod import _exponential_cross_check
+from .harrod import HarrodParams, _exponential_cross_check, corrected_trajectory
 from .odelin import (
     OdeSpec,
     TimeGrid,
@@ -45,7 +45,8 @@ class AllenScaling:
     def __post_init__(self):
         for key in ("t0", "t_star", "Y0", "C0", "I0", "Z0"):
             if getattr(self, key) <= 0.0:
-                raise ValidationError(f"{key} must be positive", key=key)
+                flag = key.lower().replace("_", "-")
+                raise ValidationError(f"{key} must be positive", key=flag)
 
     @property
     def k1(self) -> float:
@@ -304,33 +305,13 @@ class ScaleInvarianceReport:
     trivially_invariant: bool = False
 
 
-SCALE_CHECK_MODELS = ("harrod_domar", "phillips", "multiplier", "corrected_harrod")
-
-
-def _physical_income(model: str, params: dict, t0: float, t_phys: np.ndarray) -> np.ndarray:
-    t_star = float(params.get("t_star", 1.0))
-    Y0 = float(params.get("Y0", 1.0))
-    if model == "harrod_domar":
-        rate = params["mu"] / (params["nu"] * t0)
-        with np.errstate(over="ignore"):  # checked by scale_invariance_check
-            return Y0 * np.exp(rate * t_phys)
-    if model == "multiplier":
-        return Y0 * np.exp(-params["lam"] * params["mu"] * t_phys / t0)
-    if model == "corrected_harrod":
-        sigma = params["mu"] / params["nu_star"]
-        with np.errstate(divide="ignore", over="ignore"):
-            return Y0 / (1.0 - sigma * t_phys / t_star) ** 2
-    if model == "phillips":
-        pp = PhillipsParams(
-            kappa=params["kappa"], nu=params["nu"], mu=params["mu"], lam=params["lam"]
-        )
-        scaling = AllenScaling(t0=t0, t_star=t_star)
-        grid = TimeGrid(t_phys[0] / t_star, t_phys[-1] / t_star, len(t_phys) - 1)
-        sol = phillips_solve(
-            pp, scaling, (Y0, float(params.get("Ydot0", 0.0))), grid
-        )
-        return sol.trajectory.column("Y")
-    raise ValidationError(f"unknown model {model!r}", key="model")
+# model -> the names it needs in the ``params`` of ``scale_invariance_check``
+SCALE_CHECK_MODELS = {
+    "harrod_domar": ("mu", "nu"),
+    "phillips": ("kappa", "nu", "mu", "lam"),
+    "multiplier": ("mu", "lam"),
+    "corrected_harrod": ("mu", "nu_star"),
+}
 
 
 def scale_invariance_check(
@@ -358,11 +339,41 @@ def scale_invariance_check(
         raise ValidationError("t0_a and t0_b must differ", key="t0-b")
     if model not in SCALE_CHECK_MODELS:
         raise ValidationError(f"unknown model {model!r}", key="model")
-    t_phys = grid.nodes
-    Ya = _physical_income(model, params, t0_a, t_phys)
-    Yb = _physical_income(model, params, t0_b, t_phys)
+    for name in SCALE_CHECK_MODELS[model]:
+        if params.get(name) is None:
+            raise ValidationError(f"model {model!r} needs {name}", key=name.replace("_", "-"))
+    t_star = float(params.get("t_star", 1.0))
+    Y0 = float(params.get("Y0", 1.0))
+    if model == "harrod_domar":
+        def income(t0):
+            scaling = AllenScaling(t0=t0, t_star=t_star, Y0=Y0)
+            return harrod_domar_trajectory(scaling, params["mu"], params["nu"], grid)
+    elif model == "multiplier":
+        def income(t0):
+            # Y0 exp(-lam mu t/t0): the rate lam/t0 on physical time
+            return multiplier_trajectory(params["mu"], params["lam"] / t0, Y0, grid)
+    elif model == "corrected_harrod":
+        harrod_params = HarrodParams(
+            mu=params["mu"], nu_star=params["nu_star"], t_star=t_star, Y0=Y0
+        )
+        year_grid = TimeGrid(grid.t_start / t_star, grid.t_end / t_star, grid.steps)
+
+        def income(t0):
+            return corrected_trajectory(harrod_params, year_grid).trajectory
+    else:
+        phillips = PhillipsParams(
+            kappa=params["kappa"], nu=params["nu"], mu=params["mu"], lam=params["lam"]
+        )
+        init = (Y0, float(params.get("Ydot0", 0.0)))
+
+        def income(t0):
+            scaling = AllenScaling(t0=t0, t_star=t_star)
+            year_grid = TimeGrid(grid.t_start / t_star, grid.t_end / t_star, grid.steps)
+            return phillips_solve(phillips, scaling, init, year_grid).trajectory
+
+    Ya, Yb = (income(t0).column("Y") for t0 in (t0_a, t0_b))
     for Y in (Ya, Yb):
-        _raise_on_blow_up(Y[:, None], t_phys, "income path")
+        _raise_on_blow_up(Y[:, None], grid.nodes, "income path")
     deviation = sup_rel_diff(Ya, Yb)
     trivial = model == "corrected_harrod"
     verdict = (

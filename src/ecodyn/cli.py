@@ -30,7 +30,7 @@ from .odelin import OdeSpec, TimeGrid, Trajectory
 # Each handler imports the model module it calls, so a run loads only its
 # own command's models; these imports serve the annotations alone.
 if TYPE_CHECKING:
-    from . import dims, fredholm, leontief
+    from . import dims, fredholm, harrod, leontief
 
 DEFAULT_STEPS_FALLBACK = 1000
 ENV_DEFAULT_STEPS = "ECODYN_DEFAULT_STEPS"
@@ -118,10 +118,20 @@ def _trajectory_output(command: str, params: dict, traj: Trajectory, report: dic
 # Trajectory commands
 # ---------------------------------------------------------------------------
 
+def _harrod_params(ns, **fields) -> harrod.HarrodParams:
+    """HarrodParams of a command whose --nu also serves as nu_star; a bad
+    --nu is reported under its own flag."""
+    from . import harrod
+
+    if ns.nu <= 0.0:
+        raise ValidationError("nu must be positive", key="nu")
+    return harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, **fields)
+
+
 def _cmd_harrod(ns) -> Output:
     from . import harrod
 
-    params = harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, Y0=ns.y0, K0=ns.k0)
+    params = _harrod_params(ns, Y0=ns.y0, K0=ns.k0)
     traj = harrod.classical_trajectory(params, ns.nu, _grid(ns))
     return _trajectory_output("harrod", _ns_params(ns), traj)
 
@@ -141,7 +151,7 @@ def _cmd_harrod_corrected(ns) -> Output:
 def _cmd_harrod_discrete(ns) -> Output:
     from . import harrod
 
-    params = harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, K0=ns.k0)
+    params = _harrod_params(ns, K0=ns.k0)
     path = harrod.discrete_path(params, ns.nu, ns.years)
     impulse = dict(path.impulses)
     columns = {
@@ -602,32 +612,16 @@ def _cmd_dim_check(ns) -> Output:
     return Output("dim-check", _ns_params(ns), None, data)
 
 
-_SCALE_MODELS = {
-    "harrod-domar": ("harrod_domar", ("mu", "nu")),
-    "phillips": ("phillips", ("kappa", "nu", "mu", "lam")),
-    "multiplier": ("multiplier", ("mu", "lam")),
-    "corrected-harrod": ("corrected_harrod", ("mu", "nu_star")),
-}
-
-
 def _cmd_scale_check(ns) -> Output:
     from . import allen
 
-    model_key, required = _SCALE_MODELS[ns.model]
-    params: dict[str, float] = {}
-    for key in required:
-        value = getattr(ns, key, None)
-        if value is None:
-            raise ValidationError(
-                f"model {ns.model!r} requires --{key.replace('_', '-')}", key=key.replace("_", "-")
-            )
-        params[key] = value
-    for flag, key in (("y0", "Y0"), ("ydot0", "Ydot0"), ("t_star", "t_star")):
-        value = getattr(ns, flag, None)
-        if value is not None:
-            params[key] = value
+    flags = ("mu", "nu", "nu_star", "kappa", "lam", "y0", "ydot0", "t_star")
+    renamed = {"y0": "Y0", "ydot0": "Ydot0"}
+    params = {renamed.get(f, f): getattr(ns, f) for f in flags if getattr(ns, f) is not None}
     grid = _grid(ns)
-    report = allen.scale_invariance_check(model_key, params, ns.t0_a, ns.t0_b, grid)
+    report = allen.scale_invariance_check(
+        ns.model.replace("-", "_"), params, ns.t0_a, ns.t0_b, grid
+    )
     data = {
         "model": ns.model,
         "t0_a": report.t0_a,
@@ -785,7 +779,10 @@ _register(Command(
 ))
 _register(Command(
     "scale-check",
-    (_p("model", "str", required=True, choices=tuple(_SCALE_MODELS)),
+    # allen.SCALE_CHECK_MODELS with dashes, spelled out so that building
+    # the parser loads no model module
+    (_p("model", "str", required=True,
+        choices=("harrod-domar", "phillips", "multiplier", "corrected-harrod")),
      _p("t0-a", required=True), _p("t0-b", required=True),
      _p("mu"), _p("nu"), _p("nu-star"), _p("kappa"), _p("lam"),
      _p("y0"), _p("ydot0"), _p("t-star"), *_GRID_PARAMS),

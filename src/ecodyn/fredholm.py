@@ -123,7 +123,7 @@ from .errors import (
     SpectrumProximityError,
     ValidationError,
 )
-from .odelin import OdeSpec, TimeGrid, Trajectory
+from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid
 
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
@@ -470,6 +470,8 @@ def _gram_certified(disc: NystromDiscretization, lam: float) -> bool:
 
 
 def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
+    if not np.isfinite(lam):
+        raise ValidationError(f"lambda must be finite, got {lam!r}", key="lam")
     if lam == 0.0 or _certified_far(disc, lam):
         return  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
     eigs = disc.weighted_eigs()
@@ -477,11 +479,11 @@ def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
     j = int(np.argmin(dist))
     if dist[j] < SPECTRUM_PROXIMITY_TOL:
         mu = eigs[j]
-        nearest = 1.0 / mu if mu != 0 else math.inf
+        nearest = complex(1.0 / mu if mu != 0 else math.inf)
         raise SpectrumProximityError(
             f"lambda = {lam!r} sits within {SPECTRUM_PROXIMITY_TOL} of the "
             f"characteristic number {nearest!r}",
-            nearest_characteristic_number=complex(nearest),
+            nearest_characteristic_number=nearest,
         )
 
 
@@ -516,9 +518,10 @@ def nystrom_solve(
     """Solve (Id - lambda*K*diag(w)) phi = q at the nodes: the Nystrom form
     of the second-kind equation phi = lambda K phi + q.
 
-    Rejects lambda whose reciprocal sits within 1e-8 of an eigenvalue of
-    the weighted kernel matrix, naming the nearest characteristic number
-    (see "Spectral guard" in the module docstring).
+    Rejects a lambda that is not finite, and one whose reciprocal sits
+    within 1e-8 of an eigenvalue of the weighted kernel matrix, naming the
+    nearest characteristic number (see "Spectral guard" in the module
+    docstring).
     """
     _guard_spectrum(disc, lam)
     qv = np.array([q(float(t)) for t in disc.nodes])
@@ -869,7 +872,14 @@ class VolterraReduction:
     def solve(self, steps: int = 200, t_end: float = 1.0, refine: int = 4) -> OdeReductionSolution:
         """March phi with trapezoidal quadrature on an internally refined
         grid, then reconstruct z(t) = J_n[phi](t) + sum c_i t^i/i! at the
-        requested nodes."""
+        requested nodes.
+
+        The kernel is the polynomial sum_m K_m (t-eta)^m/m! with
+        K_m = -a_(n-1-m), so the march carries n running moments of the
+        history instead of summing it at every node: O(N n^2) work for the
+        N = steps * refine nodes, and J_n[phi] comes out of the last moment.
+        A non-finite phi or z raises BlowUpError.
+        """
         if steps < 1 or refine < 1:
             raise ValidationError("steps and refine must be >= 1", key="steps")
         n = self.order
@@ -878,25 +888,20 @@ class VolterraReduction:
         N = steps * refine
         t = np.linspace(0.0, t_end, N + 1)
         h = t_end / N
-        q = self._free_terms(t)
         # kernel at the moving node: kappa(t, t) = -a_{n-1}
-        diag_gain = 1.0 + (h / 2.0) * a[n - 1]
-        if abs(diag_gain) < 1e-12:
+        if abs(1.0 + (h / 2.0) * a[n - 1]) < 1e-12:
             raise ResolutionError("marching step resonates with the kernel; refine")
-        phi = np.empty(N + 1)
-        phi[0] = q[0]
-        w_phi = np.empty(N + 1)  # trapezoidal weight times phi over the history
-        w_phi[0] = (h / 2.0) * phi[0]
-        kappa = _volterra_kernel(a, n)
-        for k in range(1, N + 1):
-            row = kappa(t[k], t[:k])
-            phi[k] = (q[k] + float(row @ w_phi[:k])) / diag_gain
-            w_phi[k] = h * phi[k]
-        z = _reconstruct(t, h, phi, c, n, refine)
+        K = -np.array(a[::-1]).reshape(n, 1, 1)
+        phi, J = _volterra_trapezoid(K, self._free_terms(t)[:, None], h)
+        tk = t[::refine]
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = J[::refine, 0] + sum(c[i] * tk**i / math.factorial(i) for i in range(n))
+        phi = phi[::refine, 0]
+        _raise_on_blow_up(np.column_stack([z, phi]), tk, "Volterra march")
         grid = TimeGrid(0.0, t_end, steps)
         return OdeReductionSolution(
             trajectory=Trajectory(grid, z, ("z",)),
-            phi=phi[::refine],
+            phi=phi,
             constants=tuple(float(x) for x in c),
         )
 

@@ -7,10 +7,11 @@ X(t + t0) expanded in Taylor terms sum_k (t0^k/k!) X^(k) on normalized
 time t_bar = t/t0, and the Volterra form of the two-term truncation.
 The two-term truncation 0.5*Xdd + Xd + B*X = C (B = E - A) is integrated
 both as a first-order system with RK4 and, after substituting U = Xdd, as
-a second-kind Volterra equation marched with trapezoidal quadrature.  The
-two routes share only the model data and the loop that applies their
-(different) affine steps, which makes their agreement the module's
-central cross-check.
+the second-kind Volterra equation U = G - 2 int_0^t [I + B(t-eta)] U deta,
+whose kernel coefficients K_0 = -2I and K_1 = -2B go to the trapezoidal
+marcher of the linear-dynamics core.  The two routes share only the model
+data and the loop that applies their (different) affine steps, which
+makes their agreement the module's central cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .odelin import TimeGrid, Trajectory, _march, _raise_on_blow_up, rk4_linear
+from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid, rk4_linear
 
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
 
@@ -312,38 +313,18 @@ def _volterra_march(model: LeontiefModel, steps: int) -> tuple[np.ndarray, np.nd
     """March U(t) = G(t) - 2*int_0^t [I + B(t-eta)] U(eta) deta and
     reconstruct X = int_0^t (t-eta) U deta + c0*t + c1 by trapezoid.
 
-    Returns (nodes, X values).  The kernel's (t-eta) part vanishes at the
-    new node, so the implicit step reduces to division by (1 + h).  With
-    the trapezoid sums S0 = sum' U_j and S1 = sum' t_j U_j over the
-    history, Z_k = t_k S0 - S1 carries the (t-eta) moment, and each step
-    is the constant affine map of (S0, Z)
-
-        U_k = (G_k - 2h (S0 + B Z_k)) / (1 + h),
-        S0 <- S0 + U_k,   Z <- Z + h S0,   X_k = h Z_k + c0 t_k + c1,
-
-    marched by the linear-dynamics core with G sampled once at all nodes.
+    Returns (nodes, X values).  The kernel is K_0 + K_1 (t-eta) with
+    K_0 = -2I and K_1 = -2B, so the shared trapezoid marcher of the
+    linear-dynamics core solves it, with G sampled once at all nodes, and
+    its second moment gives the integral of X.
     """
     B = model.B
-    n = model.n
     c1 = model.X0
     c0 = model.Xdot0
     t = np.linspace(0.0, 1.0, steps + 1)
-    h = 1.0 / steps
-    a = 1.0 / (1.0 + h)
     G = 2.0 * (model.demand_samples(t) - c0 - (np.outer(t, c0) + c1) @ B.T)
-    eye = np.eye(n)
-    # E = P - I of the map (S0, Z) -> (S0', Z')
-    E = np.block([
-        [(-2.0 * h * a) * eye, (-2.0 * h * a) * B],
-        [(h * (1.0 - 2.0 * h * a)) * eye, (-2.0 * h * h * a) * B],
-    ])
-    state = np.empty((steps, 2 * n))  # (S0, Z) before steps 1..N
-    state[0, :n] = 0.5 * G[0]
-    state[0, n:] = (0.5 * h) * G[0]
-    _march(state, E, np.hstack([a * G[1:steps], (h * a) * G[1:steps]]))
-    X = np.empty((steps + 1, n))
-    X[0] = c1
-    X[1:] = h * state[:, n:] + np.outer(t[1:], c0) + c1
+    _, J = _volterra_trapezoid(np.stack([-2.0 * np.eye(model.n), -2.0 * B]), G, 1.0 / steps)
+    X = J + np.outer(t, c0) + c1
     _raise_on_blow_up(X, t)
     return t, X
 

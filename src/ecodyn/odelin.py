@@ -1,14 +1,23 @@
 """Shared linear-ODE core.
 
 Characteristic roots of constant-coefficient equations (via companion
-matrix eigenvalues), analytic solutions built from simple roots, and two
-fixed-step classical Runge-Kutta integrators: ``rk4_integrate`` for any
+matrix eigenvalues), analytic solutions built from simple roots, two
+fixed-step classical Runge-Kutta integrators, and one trapezoidal marcher
+for second-kind Volterra equations.  ``rk4_integrate`` takes any
 first-order system given as a Python right-hand side, and ``rk4_linear``
-for linear systems x' = M x + c(t), where each step folds into the affine
-map x -> P x + q with P the RK4 stability polynomial of hM.  Every model
+linear systems x' = M x + c(t), where each step folds into the affine map
+x -> P x + q with P the RK4 stability polynomial of hM.  Every model
 downstream (growth models, business-cycle systems, the input-output
 dynamics) is linear and integrates through ``rk4_linear``;
 ``rk4_integrate`` is the general integrator and the tests' reference.
+
+``_volterra_trapezoid`` marches phi = q + int_0^t K(t - eta) phi deta for
+a kernel that is a polynomial in t - eta (Linz, *Analytical and Numerical
+Methods for Volterra Equations*, SIAM 1985, ch. 7): its state is the
+history's shifted trapezoid moments, so each step is again one constant
+affine map.  Both Volterra forms of the package go through it: the
+reduction of a constant-coefficient ODE (``fredholm.VolterraReduction``)
+and the two-term Leontief balance (``leontief.volterra_solve``).
 """
 
 from __future__ import annotations
@@ -436,6 +445,49 @@ def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
                 inc += qk
                 np.add(prev, inc, out=row)
                 prev = row
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _volterra_trapezoid(K: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """March phi(t) = q(t) + int_0^t sum_m K_m (t - eta)^m/m! phi(eta) deta
+    with the trapezoidal rule on the uniform grid t_k = k h.
+
+    ``K`` stacks the (d, d) coefficients K_0..K_p, ``q`` the free term at
+    the N + 1 >= 2 nodes, one row each.  Before step k the state is the shifted
+    moments M_m = sum'_{j<k} (t_k - t_j)^m/m! phi_j, m = 0..p, where sum'
+    gives j = 0 half weight.  Only the m = 0 term sees the new node, so
+
+        phi_k = (I - (h/2) K_0)^-1 (q_k + h sum_m K_m M_m),
+
+    and moving the moments to t_(k+1) is the Taylor shift
+    M_m <- sum_(i<=m) h^(m-i)/(m-i)! M_i + h^m/m! phi_k: one constant
+    affine map per step, applied by ``_march`` in O(N (p+1)^2 d^2).
+    Returns phi and the trapezoid J = int_0^t (t - eta)^p/p! phi(eta) deta
+    at every node (h M_p, plus h/2 phi_k for p = 0).  The caller rules out
+    a singular I - (h/2) K_0 and checks the result for overflow.
+    """
+    K = np.asarray(K, dtype=float)
+    p1, d = K.shape[0], K.shape[1]
+    N = q.shape[0] - 1
+    A = np.linalg.inv(np.eye(d) - (0.5 * h) * K[0])
+    AK = np.concatenate([A @ Km for Km in K], axis=1)  # (d, (p+1) d)
+    b = np.array([h**m / math.factorial(m) for m in range(p1)])  # weight of phi_k in M_m
+    shift = np.zeros((p1, p1))
+    for m in range(1, p1):
+        shift[m, :m] = b[m:0:-1]
+    E = np.kron(shift, np.eye(d)) + np.kron((h * b)[:, None], AK)
+    Aq = q @ A.T
+    state = np.empty((N, p1 * d))  # the moments before steps 1..N
+    state[0] = np.kron(b, 0.5 * q[0])
+    _march(state, E, (b[:, None] * Aq[1:N, None, :]).reshape(N - 1, p1 * d))
+    phi = np.empty_like(Aq)
+    phi[0] = q[0]
+    phi[1:] = Aq[1:] + h * (state @ AK.T)
+    J = np.zeros_like(phi)
+    J[1:] = h * state[:, (p1 - 1) * d:]
+    if p1 == 1:
+        J[1:] += (0.5 * h) * phi[1:]
+    return phi, J
 
 
 def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray, what: str = "integration") -> None:

@@ -15,7 +15,7 @@ from ecodyn.allen import (
     phillips_system_residuals,
     scale_invariance_check,
 )
-from ecodyn.errors import ValidationError
+from ecodyn.errors import PoleError, ValidationError
 from ecodyn.odelin import TimeGrid
 
 
@@ -262,3 +262,25 @@ class TestScaleInvariance:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValidationError):
             scale_invariance_check("solow", {}, 1.0, 2.0, TimeGrid(0.0, 1.0, 10))
+
+    def test_missing_parameter_named_by_its_key(self):
+        with pytest.raises(ValidationError) as exc:
+            scale_invariance_check("corrected_harrod", {"mu": 0.5}, 1.0, 2.0,
+                                   TimeGrid(0.0, 1.0, 10))
+        assert exc.value.key == "nu-star"
+
+    def test_corrected_harrod_keeps_its_pole_guard(self):
+        # the 4-step grid would step over the pole at t = 2.5
+        with pytest.raises(PoleError):
+            scale_invariance_check("corrected_harrod", {"mu": 0.4, "nu_star": 1.0}, 1.0, 2.0,
+                                   TimeGrid(0.0, 3.0, 4))
+
+    @pytest.mark.parametrize("model, params", [
+        ("harrod_domar", {"mu": 0.5, "nu": 1.0, "Y0": 0.0}),
+        ("multiplier", {"mu": 0.5, "lam": 1.0, "Y0": -1.0}),
+        ("corrected_harrod", {"mu": 0.5, "nu_star": 10.0, "Y0": 0.0}),
+    ])
+    def test_initial_income_checked_as_by_the_model(self, model, params):
+        with pytest.raises(ValidationError) as exc:
+            scale_invariance_check(model, params, 1.0, 2.0, TimeGrid(0.0, 1.0, 10))
+        assert exc.value.key == "y0"

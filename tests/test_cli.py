@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ecodyn import cli
-from ecodyn.allen import AllenScaling, PhillipsParams, phillips_solve
+from ecodyn.allen import SCALE_CHECK_MODELS, AllenScaling, PhillipsParams, phillips_solve
 from ecodyn.odelin import TimeGrid, sup_rel_diff
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -148,6 +148,10 @@ class TestScaleCheckInitialData:
         expected = sup_rel_diff(Ya, Yb)
         assert np.isfinite(expected)
         assert self.scale_check(capsys, y0, ydot0) == pytest.approx(expected, rel=1e-12)
+
+    def test_model_choices_are_the_allen_table(self):
+        choices = next(p.choices for p in cli.COMMANDS["scale-check"].params if p.name == "model")
+        assert choices == tuple(m.replace("_", "-") for m in SCALE_CHECK_MODELS)
 
 
 # JSON made with the commit before the columnar output path, asserted byte for
@@ -504,7 +508,28 @@ FAILURES = [
          "--nu", "3", "--mu", "0.4", "--lam", "1.1", "--t-end", "1e308"]),
     (3, ["scale-check", "--model", "harrod-domar", "--t0-a", "1e-300", "--t0-b", "2",
          "--mu", "0.4", "--nu", "2.5", "--t-end", "1e5"]),
+    # the 4-step grid jumps over the pole at t = 2.5
+    (3, ["scale-check", "--model", "corrected-harrod", "--t0-a", "1", "--t0-b", "2",
+         "--mu", "0.4", "--nu-star", "1", "--t-end", "3", "--steps", "4"]),
+    # z = exp(1000 t) overflows
+    (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,-1000",
+         "--ode-init", "1", "--steps", "1000"]),
 ]
+# (key, argv): rejected inputs whose error line must name this key
+KEYED_FAILURES = [
+    ("nu", ["harrod", "--mu", "0.3", "--nu", "0", "--t-end", "1"]),
+    ("nu", ["harrod-discrete", "--mu", "0.3", "--nu", "0", "--years", "3"]),
+    ("lam", ["fredholm-solve", "--kernel", "exp-diff", "--lam", "nan", "--nodes", "5"]),
+    ("lam", ["fredholm-solve", "--kernel", "exp-diff", "--lam", "inf", "--nodes", "5"]),
+    ("lam", ["fredholm-solve", "--kernel", "exp-diff", "--lam=-inf", "--nodes", "5"]),
+    ("y0", ["scale-check", "--model", "harrod-domar", "--t0-a", "1", "--t0-b", "2",
+            "--mu", "0.4", "--nu", "2.5", "--y0", "0", "--t-end", "1"]),
+    ("y0", ["scale-check", "--model", "multiplier", "--t0-a", "1", "--t0-b", "2",
+            "--mu", "0.4", "--lam", "1.1", "--y0", "-1", "--t-end", "1"]),
+    ("y0", ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1", "--y0", "0",
+            "--t-end", "1"]),
+]
+FAILURES += [(2, argv) for _, argv in KEYED_FAILURES]
 
 
 @pytest.fixture(scope="module")
@@ -525,3 +550,17 @@ def test_failure_prints_one_error_line(capsys, fail_matrices, code, argv):
     rc, out, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
     assert (rc, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@pytest.mark.parametrize("key, argv", KEYED_FAILURES,
+                         ids=lambda x: x[0] if isinstance(x, list) else x)
+def test_failure_names_its_key(capsys, key, argv):
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert err.endswith(f" (key: {key})\n"), err
+
+
+def test_no_error_line_shows_a_numpy_repr(capsys, fail_matrices):
+    for _, argv in FAILURES:
+        _, _, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
+        assert "np." not in err, err

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ecodyn.errors import SpectrumProximityError, ValidationError
+from ecodyn import fredholm
+from ecodyn.errors import BlowUpError, ResolutionError, SpectrumProximityError, ValidationError
 from ecodyn.fredholm import (
     SPECTRUM_PROXIMITY_TOL,
     FredholmReduction,
@@ -331,6 +332,86 @@ class TestOdeReduction:
         assert np.max(np.abs(sol.trajectory.column("z") - 2 * (1 - np.exp(-t)))) < 1e-6
 
 
+def row_dot_march(red, steps, refine=4, t_end=1.0):
+    """(z, phi) of the Volterra reduction by the plain trapezoidal march: one
+    kernel row over the whole history per node, O(N^2) for N = steps *
+    refine, and z from the convolution of ``fredholm._reconstruct``."""
+    n = red.order
+    N = steps * refine
+    t = np.linspace(0.0, t_end, N + 1)
+    h = t_end / N
+    q = red._free_terms(t)
+    diag_gain = 1.0 + (h / 2.0) * red.a[n - 1]
+    phi = np.empty(N + 1)
+    phi[0] = q[0]
+    w_phi = np.empty(N + 1)  # trapezoidal weight times phi over the history
+    w_phi[0] = (h / 2.0) * phi[0]
+    kappa = fredholm._volterra_kernel(red.a, n)
+    for k in range(1, N + 1):
+        phi[k] = (q[k] + float(kappa(t[k], t[:k]) @ w_phi[:k])) / diag_gain
+        w_phi[k] = h * phi[k]
+    z = fredholm._reconstruct(t, h, phi, np.asarray(red.init, dtype=float), n, refine)
+    return z, phi[::refine]
+
+
+class TestMomentMarch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # three decimals: no data so small that the march underflows
+        coeffs=st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.floats(-3.0, 3.0).map(lambda x: round(x, 3)),
+                               min_size=n, max_size=n)),
+        init=st.lists(st.floats(-2.0, 2.0).map(lambda x: round(x, 3)), min_size=4, max_size=4),
+        steps=st.integers(7, 300),
+        refine=st.integers(1, 4),
+        t_end=st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_matches_the_row_dot_march(self, coeffs, init, steps, refine, t_end):
+        red = ode_to_integral(OdeSpec((1.0, *coeffs)), init[: len(coeffs)])
+        sol = red.solve(steps=steps, refine=refine, t_end=t_end)
+        z, phi = row_dot_march(red, steps, refine, t_end)
+        for got, want in ((sol.trajectory.column("z"), z), (sol.phi, phi)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+    def test_forced_equation_matches_the_row_dot_march(self):
+        red = ode_to_integral(OdeSpec((1.0, 0.5, 2.0), forcing=math.sin), [1.0, -0.5])
+        z, phi = row_dot_march(red, 50)
+        sol = red.solve(steps=50)
+        assert np.max(np.abs(sol.trajectory.column("z") - z)) <= 1e-12 * np.max(np.abs(z))
+        assert np.max(np.abs(sol.phi - phi)) <= 1e-12 * np.max(np.abs(phi))
+
+    def test_evaluates_no_kernel_row(self, monkeypatch):
+        calls = []
+        original = fredholm._volterra_kernel
+
+        def spy(a, n):
+            kappa = original(a, n)
+
+            def evaluate(t, eta):
+                calls.append(np.shape(eta))
+                return kappa(t, eta)
+
+            return evaluate
+
+        monkeypatch.setattr(fredholm, "_volterra_kernel", spy)
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0])
+        sol = red.solve(steps=50)
+        assert np.max(np.abs(sol.trajectory.column("z") - np.cos(sol.trajectory.times))) < 1e-4
+        assert not [shape for shape in calls if shape != ()]
+
+    def test_resonant_step_is_a_resolution_error(self):
+        # 1 + (h/2) a_0 = 0 at h = 1
+        red = ode_to_integral(OdeSpec((1.0, -2.0)), [1.0])
+        with pytest.raises(ResolutionError):
+            red.solve(steps=1, refine=1)
+
+    def test_overflow_is_a_blow_up(self):
+        red = ode_to_integral(OdeSpec((1.0, -1000.0)), [1.0])
+        with pytest.raises(BlowUpError) as exc:
+            red.solve(steps=1000)
+        assert exc.value.t_last < 0.71
+
+
 # ---------------------------------------------------------------------------
 # Array evaluators, batched off-node evaluation and the screened guard
 # ---------------------------------------------------------------------------
@@ -445,7 +526,7 @@ def plain_eigvals_guard(disc, lam):
     j = int(np.argmin(dist))
     if dist[j] < SPECTRUM_PROXIMITY_TOL:
         mu = eigs[j]
-        nearest = 1.0 / mu if mu != 0 else math.inf
+        nearest = complex(1.0 / mu if mu != 0 else math.inf)
         return (
             f"lambda = {lam!r} sits within {SPECTRUM_PROXIMITY_TOL} of the "
             f"characteristic number {nearest!r}"

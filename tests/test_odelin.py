@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ecodyn.errors import BlowUpError, UnsupportedError, ValidationError
@@ -11,6 +11,7 @@ from ecodyn.odelin import (
     OdeSpec,
     TimeGrid,
     Trajectory,
+    _volterra_trapezoid,
     analytic_solution,
     char_roots,
     rk4_integrate,
@@ -352,3 +353,55 @@ class TestRk4Linear:
             rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=[1.0])
         with pytest.raises(ValidationError):
             rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: np.ones((len(ts), 3)))
+
+
+def trapezoid_reference(K, q, h):
+    """phi and J_(p+1)[phi] of phi = q + int_0^t sum_m K_m (t-eta)^m/m! phi
+    by the trapezoidal rule, one node at a time over the whole history."""
+    p1, d = K.shape[0], K.shape[1]
+    N = q.shape[0] - 1
+
+    def kappa(s):
+        return sum(K[m] * s**m / math.factorial(m) for m in range(p1))
+
+    phi = np.empty_like(q)
+    J = np.zeros_like(q)
+    phi[0] = q[0]
+    lhs = np.eye(d) - (0.5 * h) * K[0]
+    for k in range(1, N + 1):
+        w = np.full(k, h)
+        w[0] = 0.5 * h
+        rhs = q[k] + sum(w[j] * kappa((k - j) * h) @ phi[j] for j in range(k))
+        phi[k] = np.linalg.solve(lhs, rhs)
+        w = np.append(w, 0.5 * h)
+        lag = (k - np.arange(k + 1)) * h
+        J[k] = (w * lag ** (p1 - 1) / math.factorial(p1 - 1)) @ phi[: k + 1]
+    return phi, J
+
+
+class TestVolterraTrapezoid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        p1=st.integers(1, 4),
+        steps=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_node_by_node_march(self, d, p1, steps, seed):
+        rng = np.random.default_rng(seed)
+        K = rng.uniform(-2.0, 2.0, (p1, d, d))
+        q = rng.uniform(-1.0, 1.0, (steps + 1, d))
+        h = 1.0 / steps
+        # a near-singular implicit step would measure its condition number
+        assume(np.linalg.cond(np.eye(d) - (0.5 * h) * K[0]) < 1e3)
+        phi, J = _volterra_trapezoid(K, q, h)
+        want_phi, want_J = trapezoid_reference(K, q, h)
+        for got, want in ((phi, want_phi), (J, want_J)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+    def test_recovers_the_exponential(self):
+        # phi = 1 + int_0^t phi: phi = exp(t), J_1 = exp(t) - 1
+        t = np.linspace(0.0, 1.0, 201)
+        phi, J = _volterra_trapezoid(np.ones((1, 1, 1)), np.ones((201, 1)), 1.0 / 200)
+        assert np.max(np.abs(phi[:, 0] - np.exp(t))) < 1e-4
+        assert np.max(np.abs(J[:, 0] - (np.exp(t) - 1.0))) < 1e-4
