@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, ValidationError
+from .errors import CrossCheckError, ValidationError, _require_finite
 from .harrod import HarrodParams, _exponential_cross_check, corrected_trajectory
 from .odelin import (
     OdeSpec,
@@ -44,7 +44,7 @@ class AllenScaling:
 
     def __post_init__(self):
         for key in ("t0", "t_star", "Y0", "C0", "I0", "Z0"):
-            if getattr(self, key) <= 0.0:
+            if not getattr(self, key) > 0.0:
                 flag = key.lower().replace("_", "-")
                 raise ValidationError(f"{key} must be positive", key=flag)
 
@@ -77,13 +77,13 @@ class PhillipsParams:
     lam: float
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ValidationError("kappa must be positive", key="kappa")
-        if self.nu < 0.0:
+        if not self.nu >= 0.0:
             raise ValidationError("nu must be nonnegative", key="nu")
         if not 0.0 < self.mu < 1.0:
             raise ValidationError("mu must lie in (0, 1)", key="mu")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             raise ValidationError("lam must be positive", key="lam")
 
     @property
@@ -110,7 +110,7 @@ def harrod_domar_trajectory(
     """
     if not 0.0 < mu < 1.0:
         raise ValidationError("mu must lie in (0, 1)", key="mu")
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValidationError("nu must be positive", key="nu")
     rate = mu / (nu * scaling.t0)
     with np.errstate(over="ignore"):  # an overflow fails the cross-check
@@ -149,6 +149,7 @@ def phillips_solve(
     linearly with rho, so the physical period depends on the arbitrary
     scale t0.
     """
+    _require_finite(**dict(zip(("y0", "ydot0"), init)))
     rho = scaling.rho
     a = params.a1 / rho
     b = params.b1 / rho**2
@@ -216,7 +217,7 @@ def phillips_capital_roots(
     second-order income roots when t0 = t_star, which is asserted to
     1e-10.  Scaling t0 -> c*t0 divides the nonzero roots by c.
     """
-    if t0 <= 0.0:
+    if not t0 > 0.0:
         raise ValidationError("t0 must be positive", key="t0")
     spec = OdeSpec((t0**2, t0 * params.a1, params.b1, 0.0))
     roots = [r for r, m in char_roots(spec) for _ in range(m)]
@@ -259,8 +260,13 @@ def bergstrom_capital_solve(
     """
     if not 0.0 < mu < 1.0:
         raise ValidationError("mu must lie in (0, 1)", key="mu")
-    if nu < 0.0 or gamma < 0.0 or lam <= 0.0:
-        raise ValidationError("nu, gamma must be >= 0 and lam > 0", key="gamma")
+    if not nu >= 0.0:
+        raise ValidationError("nu must be nonnegative", key="nu")
+    if not gamma >= 0.0:
+        raise ValidationError("gamma must be nonnegative", key="gamma")
+    if not lam > 0.0:
+        raise ValidationError("lam must be positive", key="lam")
+    _require_finite(**dict(zip(("k0", "kdot0"), init)))
     damping = gamma + mu * lam - nu * gamma * lam
     stiffness = mu * gamma * lam
     spec = OdeSpec((1.0, damping, stiffness))
@@ -286,9 +292,9 @@ def multiplier_trajectory(
     demand component Z = (1 - mu) * Y."""
     if not 0.0 < mu < 1.0:
         raise ValidationError("mu must lie in (0, 1)", key="mu")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValidationError("lam must be positive", key="lam")
-    if Y0 <= 0.0:
+    if not Y0 > 0.0:
         raise ValidationError("Y0 must be positive", key="y0")
     Y = Y0 * np.exp(-lam * mu * grid.nodes)
     Z = (1.0 - mu) * Y
@@ -333,8 +339,9 @@ def scale_invariance_check(
     1e-2).  Models with no t0 parameter are trivially scale invariant and
     flagged as such.
     """
-    if t0_a <= 0.0 or t0_b <= 0.0:
-        raise ValidationError("time scales must be positive", key="t0-a")
+    for key, t0 in (("t0-a", t0_a), ("t0-b", t0_b)):
+        if not t0 > 0.0:
+            raise ValidationError("time scales must be positive", key=key)
     if t0_a == t0_b:
         raise ValidationError("t0_a and t0_b must differ", key="t0-b")
     if model not in SCALE_CHECK_MODELS:

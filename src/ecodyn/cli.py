@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import EcodynError, NumericalError, ValidationError
+from .errors import EcodynError, NumericalError, ValidationError, _require_finite
 from .odelin import OdeSpec, TimeGrid, Trajectory
 
 # Each handler imports the model module it calls, so a run loads only its
@@ -48,7 +48,6 @@ class Param:
     default: object = None
     choices: tuple[str, ...] | None = None
     help: str = ""
-    steps_like: bool = False  # falls back to ECODYN_DEFAULT_STEPS
 
 
 _CONVERTERS: dict[str, Callable] = {"float": float, "int": int, "str": str}
@@ -123,7 +122,7 @@ def _harrod_params(ns, **fields) -> harrod.HarrodParams:
     --nu is reported under its own flag."""
     from . import harrod
 
-    if ns.nu <= 0.0:
+    if not ns.nu > 0.0:
         raise ValidationError("nu must be positive", key="nu")
     return harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, **fields)
 
@@ -442,6 +441,7 @@ def _cmd_fredholm_sweep(ns) -> Output:
 
     if ns.mu_count < 1:
         raise ValidationError("mu-count must be >= 1", key="mu-count")
+    _require_finite(mu_min=ns.mu_min, mu_max=ns.mu_max)
     mu_grid = np.linspace(ns.mu_min, ns.mu_max, ns.mu_count)
     k0 = _kernel_by_name(ns.k0, 0.0)
     k1 = _kernel_by_name(ns.k1, 0.0)
@@ -598,9 +598,13 @@ def _cmd_dim_check(ns) -> Output:
     sides = ns.relation.split("=")
     if len(sides) != 2:
         raise ValidationError("relation must contain exactly one '='", key="relation")
-    lhs = _parse_dim_expr(_tokenize_relation(sides[0]), table)
-    rhs = _parse_dim_expr(_tokenize_relation(sides[1]), table)
-    report = dims.check_relation(lhs, rhs)
+    try:
+        lhs = _parse_dim_expr(_tokenize_relation(sides[0]), table)
+        rhs = _parse_dim_expr(_tokenize_relation(sides[1]), table)
+        report = dims.check_relation(lhs, rhs)
+    except RecursionError:
+        # the parser and the audit recurse once per nesting level or term
+        raise ValidationError("relation is nested too deeply", key="relation") from None
     data = {
         "relation": ns.relation,
         "consistent": report.consistent,
@@ -643,7 +647,7 @@ def _p(name, kind="float", **kw) -> Param:
 
 _GRID_PARAMS = (
     _p("t-end", required=True, help="grid end"),
-    _p("steps", "int", steps_like=True, help="grid steps (default ECODYN_DEFAULT_STEPS or 1000)"),
+    _p("steps", "int", help="grid steps (default ECODYN_DEFAULT_STEPS or 1000)"),
 )
 
 COMMANDS: dict[str, Command] = {}
@@ -725,7 +729,7 @@ _register(Command(
     "leontief-dynamic",
     (_p("matrix", "str", required=True), _p("demand", "str"), _p("demand-file", "str"),
      _p("order", "int", default=1), _p("x0", "str", required=True),
-     _p("xdot0", "str"), _p("steps", "int", steps_like=True)),
+     _p("xdot0", "str"), _p("steps", "int")),
     _cmd_leontief_dynamic,
     help="truncated balance dynamics on normalized time [0, 1]",
 ))
@@ -733,7 +737,7 @@ _register(Command(
     "leontief-volterra",
     (_p("matrix", "str", required=True), _p("demand", "str"), _p("demand-file", "str"),
      _p("x0", "str", required=True), _p("xdot0", "str", required=True),
-     _p("steps", "int", steps_like=True)),
+     _p("steps", "int")),
     _cmd_leontief_volterra,
     help="order-2 balance dynamics through the Volterra route",
 ))
@@ -743,14 +747,13 @@ _register(Command(
         choices=("t-plus-eta", "exp-diff", "degenerate", "ode-reduced")),
      _p("lam", default=0.0), _p("q", "str", default="one", choices=("one", "t", "zero")),
      _p("mu", default=0.0), _p("nodes", "int", default=201),
-     _p("ode-coeffs", "str"), _p("ode-init", "str"), _p("steps", "int", steps_like=True)),
+     _p("ode-coeffs", "str"), _p("ode-init", "str"), _p("steps", "int")),
     _cmd_fredholm_solve,
     help="second-kind solve for a catalogue kernel or a reduced ODE",
 ))
 _register(Command(
     "fredholm-spectrum",
-    (_p("kernel", "str", required=True,
-        choices=("t-plus-eta", "exp-diff", "zero", "rho-rho", "sigma-rho", "degenerate")),
+    (_p("kernel", "str", required=True, choices=(*_SIMPLE_KERNELS, "degenerate")),
      _p("mu", default=0.0), _p("nodes", "int", default=201),
      _p("discard-threshold", default=1e-10)),
     _cmd_fredholm_spectrum,
@@ -760,10 +763,8 @@ _register(Command(
 ))
 _register(Command(
     "fredholm-sweep",
-    (_p("k0", "str", required=True,
-        choices=("t-plus-eta", "exp-diff", "zero", "rho-rho", "sigma-rho")),
-     _p("k1", "str", required=True,
-        choices=("t-plus-eta", "exp-diff", "zero", "rho-rho", "sigma-rho")),
+    (_p("k0", "str", required=True, choices=tuple(_SIMPLE_KERNELS)),
+     _p("k1", "str", required=True, choices=tuple(_SIMPLE_KERNELS)),
      _p("mu-min", required=True), _p("mu-max", required=True),
      _p("mu-count", "int", default=21), _p("nodes", "int", default=201)),
     _cmd_fredholm_sweep,

@@ -4,7 +4,12 @@ Two families matter to callers (and to the CLI exit-code mapping):
 ``ValidationError`` for rejected inputs and violated preconditions, and
 ``NumericalError`` for failures that arise while computing (poles,
 blow-ups, non-convergence, spectrum proximity).
+
+Range checks are written so that NaN fails them (``not x > 0.0``), and
+values without a range pass through ``_require_finite``.
 """
+
+import math
 
 
 class EcodynError(Exception):
@@ -20,6 +25,16 @@ class ValidationError(EcodynError):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
         self.key = key
+
+
+def _require_finite(**values: float) -> None:
+    """Reject the first value that is not a finite number, keyed by its name
+    with dashes for underscores (the CLI flag)."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{name} must be finite, got {float(value)!r}", key=name.replace("_", "-")
+            )
 
 
 class StructuralError(ValidationError):

@@ -39,7 +39,7 @@ n x n factorization:
   - Guard, below.
 
 Kernels without a separable form (the ODE-reduced kernels, user kernels)
-take the n x n route: eig, values-only SVD and the Gram certificate.
+take the n x n route for their spectrum and sweep: eig and values-only SVD.
 
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
 ``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
@@ -48,12 +48,12 @@ sigma_min(A) <= dist(1/lambda, spec KW) for A = I/lambda - KW.  The guard
 first tries to prove sigma_min(A) >= tau, with
 
     F    >= ||A||_F  (>= sigma_max),
-    tau  = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n*eps*F.
+    tau  = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n*eps*F,
 
-It has two certificates, one per kernel; gamma_k = k*eps/(1 - k*eps)
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.).
-
-Weyl certificate, for a separable kernel of rank r >= 0.  With m = 2r and
+by one certificate for every kernel; gamma_k = k*eps/(1 - k*eps) (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed.).  A kernel of
+rank r >= 0 enters it with its samples G, H; a kernel without a separable
+form enters it at rank 0, with G and H of no columns.  With m = 2r and
 k = min(n, m), Weyl's inequality (Horn & Johnson, *Matrix Analysis*,
 sec. 7.3) bounds
 
@@ -65,41 +65,29 @@ sec. 7.3) bounds
     and fl(vdot(D, D)) from ||D||_F^2 by gamma_(n^2) ||D||_F^2, so
     delta = (1 + 2(n^2 + 2) eps) sqrt(fl(vdot(D, D))) + 2(r + 3) eps s,
     s = sum_i ||g_i||_2 ||w h_i||_2, bounds the norm with slack.
-  - Compression.  Householder QR of [G, fl(W H)] returns R with
+  - Compression (r > 0).  Householder QR of [G, fl(W H)] returns R with
     [G, W H] + E = Q R, Q exactly orthonormal (n x k) and every column of E
     at most gq = 32 n m eps times its column of [G, W H] (Higham, thm.
     19.4, with a generous constant; it absorbs the rounding of W H).  So
     A_r is within e_qr = (2 gq + gq^2) ||G||_F ||W H||_F of
     Q C Q^T + (I - Q Q^T)/lambda, C = I/lambda - R_G R_H^T, whose singular
     values are those of C and, n - k times, 1/|lambda|.
-  - Small SVD.  fl(C) is within e_c = 2 gamma_(r+2) (||R_G||_F ||R_H||_F
-    + sqrt(k)/|lambda|) of C in the 2-norm, and LAPACK's SVD returns the
-    singular values of fl(C) to 32 k^2 eps sigma_max (backward stability
-    and Weyl again; about ten times the usual constant).
+  - Small SVD (r > 0).  fl(C) is within e_c = 2 gamma_(r+2) (||R_G||_F
+    ||R_H||_F + sqrt(k)/|lambda|) of C in the 2-norm, and LAPACK's SVD
+    returns the singular values of fl(C) to 32 k^2 eps sigma_max (backward
+    stability and Weyl again; about ten times the usual constant).
   - So sigma_min(A) >= min(s_min - e_c - 32 k^2 eps s_max, 1/|lambda|
     (1 - eps)) - e_qr - delta, the second term only when n > k, and
     F = (1 + 4 eps)(sqrt((||fl(C)||_F + e_c)^2 + (n - k)/lambda^2) + e_qr
     + delta).  At 1201 nodes the margins add up to 1e-10 for t-plus-eta
     (rank 2) and 4e-11 for exp-diff (rank 1), against tau >= 2e-8; the
     work is O(n^2 r) for the perturbation and O(n r^2) for the QR.
-
-Gram certificate, for a kernel without a separable form.  With
-fro2 = fl(||A||_F^2) and F = sqrt(fro2), it runs a Cholesky factorization
-of the Gram matrix fl(A^T A) shifted down by margin = tau^2 +
-4(n+2)*eps*fro2.  If it succeeds, sigma_min(A) >= tau:
-
-  - Gram rounding: |fl(A^T A) - A^T A| <= gamma_n |A|^T |A| entrywise, so
-    its 2-norm is at most gamma_n ||A||_F^2 = gamma_n fro2 (sec. 3.5).
-  - A floating-point Cholesky of a symmetric S that runs to completion
-    factors S + dS with ||dS||_2 <= gamma_(n+1) tr(S) (Demmel's bound, as
-    used by Rump, "Verification of positive definiteness", *BIT* 46,
-    2006), so lambda_min(S) >= -gamma_(n+1) tr(S).  Here S = G - margin*I
-    and tr(S) <= tr(G) <= (1 + gamma_n) fro2.
-  - Together lambda_min(A^T A) >= margin - (2n+1)*eps*fro2*(1 + O(n*eps))
-    >= tau^2.  4(n+2) is about twice the 2n+1 needed; the slack covers
-    the rounding of fro2 and of the diagonal shift.  tau^2 >= 4e-16 lies
-    far above the subnormal range, so underflow in G does not matter.
-    The Gram product and the factorization cost about n^3 + n^3/3 flops.
+  - Rank 0.  There is no compression and no small SVD (k = 0, e_qr = 0,
+    A_r = I/lambda), so sigma_min(A) >= (1 - eps)/|lambda| - delta with
+    delta >= ||KW||_F, and F = (1 + 4 eps)(sqrt(n)/|lambda| + delta), in
+    O(n^2) work.  It proves only lambdas with |lambda| ||KW||_F below
+    about 1; the two-point reduction of z'' + z = 0 has ||KW||_F = 0.11
+    at 51 to 801 nodes, so its solves at lambda = 1 need no eigvals.
 
 Since F >= sigma_max, tau is at least twice the tolerance plus
 n*eps*sigma_max.  Only when the certificate fails, or F^2 is not finite
@@ -122,6 +110,7 @@ from .errors import (
     ResolutionError,
     SpectrumProximityError,
     ValidationError,
+    _require_finite,
 )
 from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid
 
@@ -280,6 +269,7 @@ def kernel_degenerate(
     """rho(t)rho(eta) + mu*sigma(t)rho(eta): carries rho + mu*sigma as a
     homogeneous solution for every mu once rho is unit-normalized and
     orthogonal to sigma."""
+    _require_finite(mu=mu)
     rho_a, sigma_a = _elementwise(rho), _elementwise(sigma)
     return KernelSpec(
         evaluator=lambda t, e: (rho(t) + mu * sigma(t)) * rho(e),
@@ -395,20 +385,16 @@ class NystromDiscretization:
         return M
 
 
-def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
-    """Whether sigma_min(I/lam - KW) >= tau is proved: by the Weyl
-    certificate for a separable kernel, else by the Gram certificate (see
-    the module docstring).  Never True for a matrix that is not finite."""
-    if disc.G is not None:
-        return _weyl_certified(disc, lam)
-    return _gram_certified(disc, lam)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a bound that is not finite fails
-def _weyl_certified(disc: NystromDiscretization, lam: float) -> bool:
+def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
+    """Whether sigma_min(I/lam - KW) >= tau is proved by the Weyl
+    certificate, at rank 0 for a kernel without a separable form (see the
+    module docstring).  Never True for a matrix that is not finite."""
     n = disc.rule.n
     eps = np.finfo(float).eps
     G, H, w = disc.G, disc.H, disc.weights
+    if G is None:
+        G = H = np.zeros((n, 0))
     r = G.shape[1]
     WH = w[:, None] * H
     # delta >= ||(K - G H^T) W||_F
@@ -441,32 +427,11 @@ def _weyl_certified(disc: NystromDiscretization, lam: float) -> bool:
     if n > k:
         low = min(low, abs(inv) * (1.0 - eps))
     fro = (1.0 + 4 * eps) * (math.sqrt(fro_c * fro_c + (n - k) * inv * inv) + e_qr + delta)
-    # not finite, or near overflow: left to eigvals as by the Gram certificate
+    # not finite, or near overflow: left to eigvals
     if not fro * fro <= np.finfo(float).max / 2:
         return False
     tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n * eps * fro
     return low - e_qr - delta >= tau
-
-
-def _gram_certified(disc: NystromDiscretization, lam: float) -> bool:
-    n = disc.rule.n
-    eps = np.finfo(float).eps
-    shifted = disc.weighted()
-    np.negative(shifted, out=shifted)
-    shifted[np.diag_indices_from(shifted)] += 1.0 / lam
-    fro2 = float(np.vdot(shifted, shifted))
-    # not finite, or so large that a Gram entry (at most fro2) could overflow
-    if not fro2 <= np.finfo(float).max / 2:
-        return False
-    tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n * eps * math.sqrt(fro2)
-    gram = shifted.T @ shifted
-    del shifted
-    gram[np.diag_indices_from(gram)] -= tau * tau + 4 * (n + 2) * eps * fro2
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
@@ -617,6 +582,7 @@ def char_numbers(
     ||phi - lambda * K_w phi||_inf <= 1e-6.  A separable kernel takes the
     finite-rank route: the eigenpairs (mu, v) of S = H^T W G give mu and
     the eigenfunction G v (see the module docstring)."""
+    _require_finite(discard_threshold=discard_threshold)
     if disc.G is not None:
         eigvals, vecs, rank_lams = _rank_spectrum(disc)
         eigvecs = disc.G @ vecs

@@ -39,13 +39,13 @@ class HarrodParams:
     def __post_init__(self):
         if not 0.0 <= self.mu < 1.0:
             raise ValidationError("mu must lie in [0, 1)", key="mu")
-        if self.nu_star <= 0.0:
+        if not self.nu_star > 0.0:
             raise ValidationError("nu_star must be positive", key="nu-star")
-        if self.t_star <= 0.0:
+        if not self.t_star > 0.0:
             raise ValidationError("t_star must be positive", key="t-star")
-        if self.Y0 <= 0.0:
+        if not self.Y0 > 0.0:
             raise ValidationError("Y0 must be positive", key="y0")
-        if self.K0 <= 0.0:
+        if not self.K0 > 0.0:
             raise ValidationError("K0 must be positive", key="k0")
 
     @property
@@ -91,7 +91,7 @@ def classical_trajectory(
     When ``cross_check`` is set the closed form is validated against an
     independent RK4 integration of Ydot = (mu/nu) Y to 1e-8 relative.
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValidationError("nu must be positive", key="nu")
     rate = params.mu / nu
     with np.errstate(over="ignore"):  # an overflow fails the cross-check
@@ -197,7 +197,7 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
     recursion is asserted against the closed geometric-sum form (or the
     linear (n+1)*Y_tilde_0 branch at alpha = 1) to 1e-12 relative.
     """
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValidationError("nu must be positive", key="nu")
     if n < 0:
         raise ValidationError("n must be >= 0", key="n")

@@ -28,6 +28,7 @@ from .errors import (
     ResolutionError,
     SingularMatrixError,
     ValidationError,
+    _require_finite,
 )
 from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid, rk4_linear
 
@@ -46,13 +47,12 @@ def _as_demand(demand: DemandLike, n: int) -> Callable[[float], np.ndarray]:
 @dataclass
 class LeontiefModel:
     """Technology matrix A (nonnegative, dimensionless), demand sampler
-    C(t_bar) on [0, 1], initial data, horizon t0 and truncation order."""
+    C(t_bar) on [0, 1], initial data and truncation order."""
 
     A: np.ndarray
     demand: DemandLike
     X0: np.ndarray
     Xdot0: np.ndarray | None = None
-    t0: float = 1.0
     order: int = 1
 
     def __post_init__(self):
@@ -72,8 +72,6 @@ class LeontiefModel:
             self.Xdot0 = np.asarray(self.Xdot0, dtype=float)
             if self.Xdot0.shape != (n,):
                 raise ValidationError(f"Xdot0 must have {n} components", key="xdot0")
-        if self.t0 <= 0.0:
-            raise ValidationError("t0 must be positive", key="t0")
         if self.order < 1:
             raise ValidationError("truncation order must be >= 1", key="order")
         self.demand_fn = _as_demand(self.demand, n)
@@ -192,7 +190,7 @@ def static_solve(
     (LAPACK gesv), and a failure there is a singular matrix too.
     "iterate" runs X_{s+1} = A X_s + c from X_0 = c until the step
     difference drops to ``tol`` (under the Metzler condition this bounds
-    the balance residual by ``tol`` too).  A and c must be finite.
+    the balance residual by ``tol`` too).  A, c and tol must be finite.
     """
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -203,6 +201,7 @@ def static_solve(
         raise ValidationError("A has an entry that is not finite", key="matrix")
     if not np.isfinite(c).all():
         raise ValidationError("demand has a component that is not finite", key="demand")
+    _require_finite(tol=tol)
     if method == "direct":
         B = np.eye(n) - A
         pivots = _lu_pivots(B)
@@ -402,7 +401,6 @@ def demand_scale(
             demand=lambda t, _a=alpha: _a * fn(t),
             X0=model.X0,
             Xdot0=model.Xdot0,
-            t0=model.t0,
             order=model.order,
         )
 

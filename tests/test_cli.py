@@ -528,6 +528,11 @@ KEYED_FAILURES = [
             "--mu", "0.4", "--lam", "1.1", "--y0", "-1", "--t-end", "1"]),
     ("y0", ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1", "--y0", "0",
             "--t-end", "1"]),
+    # deeper than the parser's and the audit's recursion reach
+    ("relation", ["dim-check", "--relation", "(" * 400 + "Y" + ")" * 400 + " = Y",
+                  "--dims", "Y:$/s"]),
+    ("relation", ["dim-check", "--relation", " + ".join(["Y"] * 2000) + " = Y",
+                  "--dims", "Y:$/s"]),
 ]
 FAILURES += [(2, argv) for _, argv in KEYED_FAILURES]
 
@@ -564,3 +569,40 @@ def test_no_error_line_shows_a_numpy_repr(capsys, fail_matrices):
     for _, argv in FAILURES:
         _, _, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
         assert "np." not in err, err
+
+
+# a run of each command that has a float flag; a flag given twice takes its
+# last value, so each case appends --<flag>=nan to its command's run
+NAN_BASES = {
+    **{command: [*flags, "--t-end", "1", "--steps", "2"]
+       for command, flags in GRID_COMMANDS.items()},
+    "harrod-discrete": ["--mu", "0.3", "--nu", "2.5", "--years", "3"],
+    "leontief-static": ["--matrix", M3, "--demand", "0.5,0.3,0.2", "--method", "iterate"],
+    "fredholm-solve": ["--kernel", "degenerate", "--lam", "0.5", "--nodes", "5"],
+    "fredholm-spectrum": ["--kernel", "degenerate", "--nodes", "5"],
+    "fredholm-sweep": ["--k0", "zero", "--k1", "exp-diff", "--mu-min", "0", "--mu-max", "1",
+                       "--mu-count", "3", "--nodes", "5"],
+    # phillips reads every scale-check flag but --nu-star
+    "scale-check": ["--model", "phillips", "--t0-a", "1", "--t0-b", "2", "--kappa", "1.3",
+                    "--nu", "0.8", "--mu", "0.4", "--lam", "1.1", "--t-end", "1",
+                    "--steps", "4"],
+}
+# the flags their command's run above does not read
+NAN_FLAG_BASES = {
+    ("scale-check", "nu-star"): ["--model", "corrected-harrod", "--t0-a", "1", "--t0-b", "2",
+                                 "--mu", "0.4", "--nu-star", "2.5", "--t-end", "1",
+                                 "--steps", "4"],
+}
+NAN_CASES = [(name, param.name) for name, cmd in cli.COMMANDS.items()
+             for param in cmd.params if param.kind == "float"]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning fails the run
+@pytest.mark.parametrize("command, flag", NAN_CASES)
+def test_nan_flag_is_two_with_its_key(capsys, command, flag):
+    base = [command, *NAN_FLAG_BASES.get((command, flag), NAN_BASES[command])]
+    assert run(capsys, base)[0] == 0
+    rc, out, err = run(capsys, [*base, f"--{flag}=nan"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1, err
+    assert err.endswith(f" (key: {flag})\n"), err

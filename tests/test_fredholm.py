@@ -534,6 +534,15 @@ def plain_eigvals_guard(disc, lam):
     return None
 
 
+def guard_message(disc, lam):
+    """The message the guard rejects ``lam`` with, or None when it solves."""
+    try:
+        nystrom_solve(disc, lam, lambda t: 1.0)
+    except SpectrumProximityError as exc:
+        return str(exc)
+    return None
+
+
 class TestScreenedGuard:
     DISTANCES = (1e-10, 5e-9, 0.999e-8, 1.001e-8, 2e-8, 1e-6)
 
@@ -547,11 +556,7 @@ class TestScreenedGuard:
             for d in self.DISTANCES:
                 for lam in (1.0 / (mu + d), 1.0 / (mu - d)):
                     expected = plain_eigvals_guard(disc, lam)
-                    try:
-                        nystrom_solve(disc, lam, lambda t: 1.0)
-                        got = None
-                    except SpectrumProximityError as exc:
-                        got = str(exc)
+                    got = guard_message(disc, lam)
                     assert got == expected, (mu, d, lam)
                     assert (got is not None) == (d < SPECTRUM_PROXIMITY_TOL)
 
@@ -568,12 +573,15 @@ class TestScreenedGuard:
 
 
 def certificate_tau(disc, lam):
-    """The sigma_min the guard's Gram certificate claims when it accepts."""
+    """I/lam - KW, and the sigma_min the guard's certificate claims for it
+    when it accepts."""
     shifted = np.eye(disc.rule.n) / lam - disc.weighted()
     fro = float(np.linalg.norm(shifted))
     return shifted, 2.0 * SPECTRUM_PROXIMITY_TOL + disc.rule.n * np.finfo(float).eps * fro
 
 
+# The guard's certificate: at rank 0 for dense() kernels, at the rank of the
+# separable form otherwise
 class TestGramCertificate:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -584,10 +592,10 @@ class TestGramCertificate:
         sign=st.sampled_from([-1.0, 1.0]),
         # dense where sigma_min crosses tau = 2e-8 + rounding
         log_d=st.one_of(st.floats(-11.0, 0.5), st.floats(-7.75, -7.55)),
-        # the Weyl certificate of the separable form, or the Gram one without it
+        # the certificate at the separable form's rank, or at rank 0 without it
         separable=st.booleans(),
     )
-    # sigma_min just below tau: certified by a Cholesky without the rounding margin
+    # sigma_min just below tau, next to an eigenvalue: eigvals decides
     @example(name="exp-diff", make_rule=simpson_rule, half=30, pick=0, sign=1.0,
              log_d=-7.610169491525424, separable=False)
     def test_accepts_only_proved_distances(self, name, make_rule, half, pick, sign, log_d,
@@ -603,28 +611,32 @@ class TestGramCertificate:
         if _certified_far(disc, lam):
             shifted, tau = certificate_tau(disc, lam)
             assert np.linalg.svd(shifted, compute_uv=False)[-1] >= tau
-        expected = plain_eigvals_guard(disc, lam)
-        try:
-            nystrom_solve(disc, lam, lambda t: 1.0)
-            got = None
-        except SpectrumProximityError as exc:
-            got = str(exc)
-        assert got == expected
+        assert guard_message(disc, lam) == plain_eigvals_guard(disc, lam)
 
-    # The Gram certificate serves kernels without a separable form: dense()
-    # keeps these tests on it.  The Weyl certificate of the separable form
-    # has its own cases below.
+    # A kernel without a separable form enters the certificate at rank 0:
+    # dense() keeps these tests on it.  The finite-rank certificate of the
+    # separable form has its own cases below.
     @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
     def test_far_solves_compute_no_svd_or_eigvals(self, make, monkeypatch):
         disc = NystromDiscretization(dense(make()), simpson_rule(801))
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the guard computed an SVD or eigenvalues")
-
-        monkeypatch.setattr(np.linalg, "svd", forbidden)
-        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-        for lam in (-2.0, -1.0, 0.3, 0.7):
+        # |lam| ||KW||_F is 1.1 to 2.5 here: too far for rank 0 to prove, so
+        # eigvals decides, as the unscreened guard does
+        for lam in (-2.0, -1.0):
+            assert guard_message(disc, lam) == plain_eigvals_guard(disc, lam)
+        forbid_square_factorizations(monkeypatch, disc.rule.n)
+        for lam in (0.3, 0.7):
             nystrom_solve(disc, lam, lambda t: 1.0)
+
+    def test_two_point_solve_factors_no_n_by_n_matrix(self, monkeypatch):
+        # ||KW||_F = 0.11 for the two-point kernel of z'' + z = 0: rank 0
+        # proves lambda = 1 in O(n^2)
+        reduction = ode_to_integral(
+            OdeSpec((1.0, 0.0, 1.0)), [(0, 0.0, 1.0), (0, 1.0, math.cos(1.0))]
+        )
+        disc = NystromDiscretization(reduction.kernel_spec(), simpson_rule(801))
+        assert disc.G is None
+        forbid_square_factorizations(monkeypatch, disc.rule.n)
+        nystrom_solve(disc, 1.0, reduction.free_term)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_never_certifies_a_matrix_that_is_not_finite(self, bad):
@@ -642,7 +654,7 @@ class TestGramCertificate:
 
     @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
     def test_far_separable_solves_factor_no_n_by_n_matrix(self, make, monkeypatch):
-        # the Weyl certificate factors only its 2r x 2r compression
+        # the certificate factors only its 2r x 2r compression
         disc = NystromDiscretization(make(), simpson_rule(801))
         forbid_square_factorizations(monkeypatch, disc.rule.n)
         for lam in (-2.0, -1.0, 0.3, 0.7):
