@@ -100,7 +100,6 @@ def harrod_domar_trajectory(
     mu: float,
     nu: float,
     grid: TimeGrid,
-    cross_check: bool = True,
 ) -> Trajectory:
     """Y(t) = Y0 * exp(mu*t/(nu*t0)) on a physical-time grid, with C and I
     recovered from the flow identities k1*C = (1-mu)*Y and k2*I = mu*Y.
@@ -115,8 +114,7 @@ def harrod_domar_trajectory(
     rate = mu / (nu * scaling.t0)
     with np.errstate(over="ignore"):  # an overflow fails the cross-check
         Y = scaling.Y0 * np.exp(rate * grid.nodes)
-    if cross_check:
-        _exponential_cross_check(Y, rate, grid)
+    _exponential_cross_check(Y, rate, grid)
     C = (1.0 - mu) * Y / scaling.k1
     I = mu * Y / scaling.k2
     return Trajectory(grid, np.column_stack([Y, C, I]), ("Y", "C", "I"))

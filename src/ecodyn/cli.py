@@ -98,9 +98,12 @@ def _grid(ns, t_start: float = 0.0) -> TimeGrid:
 
 def _vector(text: str, key: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")])
+        vec = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise ValidationError(f"{key} must be comma-separated numbers, got {text!r}", key=key) from None
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"{key} must be finite, got {text!r}", key=key)
+    return vec
 
 
 def _trajectory_output(command: str, params: dict, traj: Trajectory, report: dict | None = None) -> Output:
@@ -273,6 +276,8 @@ def _demand_from_flags(ns, n: int, steps: int):
         table = np.loadtxt(ns.demand_file, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ValidationError(f"cannot read demand file: {exc}", key="demand-file") from None
+    if not np.isfinite(table).all():
+        raise ValidationError("demand file must hold finite values", key="demand-file")
     if table.shape != (steps + 1, n):
         raise ValidationError(
             f"demand file must have {steps + 1} rows of {n} values "
@@ -283,14 +288,12 @@ def _demand_from_flags(ns, n: int, steps: int):
 
 
 def _row_sampler(t_nodes: np.ndarray, table: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Piecewise-linear sampler of the rows of ``table`` at ``t_nodes``
-    (strictly increasing), equal to ``np.interp`` on every column: one
-    bracket search, then np.interp's own formula across the row."""
+    """Piecewise-linear sampler of the rows of the finite ``table`` at
+    ``t_nodes`` (strictly increasing), equal to ``np.interp`` on every
+    column: one bracket search, then np.interp's own formula across the row."""
     nodes = t_nodes.tolist()
-    with np.errstate(all="ignore"):
+    with np.errstate(over="ignore"):  # an infinite slope interpolates as in np.interp
         slopes = np.diff(table, axis=0) / np.diff(t_nodes)[:, None]
-    # with finite slopes no interpolated value is NaN: np.interp's retry never applies
-    finite = bool(np.isfinite(slopes).all())
 
     def sampler(t: float) -> np.ndarray:
         if t <= nodes[0]:
@@ -300,18 +303,7 @@ def _row_sampler(t_nodes: np.ndarray, table: np.ndarray) -> Callable[[float], np
         j = bisect.bisect_right(nodes, t) - 1
         if nodes[j] == t:
             return table[j].copy()
-        if finite:
-            return slopes[j] * (t - nodes[j]) + table[j]
-        lo, hi = table[j], table[j + 1]
-        with np.errstate(all="ignore"):
-            row = slopes[j] * (t - nodes[j]) + lo
-            # like np.interp: retry a NaN from the other end of the bracket,
-            # then fall back to the common value of an infinite flat segment
-            bad = np.isnan(row)
-            row[bad] = (slopes[j] * (t - nodes[j + 1]) + hi)[bad]
-        flat = np.isnan(row) & (lo == hi)
-        row[flat] = lo[flat]
-        return row
+        return slopes[j] * (t - nodes[j]) + table[j]
 
     return sampler
 

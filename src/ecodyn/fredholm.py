@@ -126,16 +126,12 @@ GUARD_SCREEN_FACTOR = 2.0
 class KernelSpec:
     """Pure kernel evaluator k(t, eta) on [0, 1]^2.
 
-    ``params`` records named constants baked into the evaluator (lambda
-    is reserved for the equation multiplier, mu for an embedded kernel
-    parameter).  When a separable form sum_i g_i(t) h_i(eta) is supplied
-    it is verified against the evaluator on a sample lattice to 1e-12, and
-    so is the broadcasting ``array`` form k(T, E) (see the module
-    docstring).
+    When a separable form sum_i g_i(t) h_i(eta) is supplied it is
+    verified against the evaluator on a sample lattice to 1e-12, and so is
+    the broadcasting ``array`` form k(T, E) (see the module docstring).
     """
 
     evaluator: Callable[[float, float], float]
-    params: tuple[tuple[str, float], ...] = ()
     separable: tuple[tuple[Callable[[float], float], Callable[[float], float]], ...] | None = None
     name: str = "kernel"
     array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -273,7 +269,6 @@ def kernel_degenerate(
     rho_a, sigma_a = _elementwise(rho), _elementwise(sigma)
     return KernelSpec(
         evaluator=lambda t, e: (rho(t) + mu * sigma(t)) * rho(e),
-        params=(("mu", mu),),
         separable=((rho, rho), (lambda t: mu * sigma(t), rho)),
         name="degenerate",
         array=lambda T, E: (rho_a(T) + mu * sigma_a(T)) * rho_a(E),
@@ -798,19 +793,6 @@ def _free_term_values(
     return f - _poly_part(a, c, n, t)
 
 
-def _reconstruct(t: np.ndarray, h: float, phi: np.ndarray, c: np.ndarray, n: int,
-                 refine: int) -> np.ndarray:
-    """z = J_n[phi] + sum_i c_i t^i/i! at every ``refine``-th node of the
-    uniform grid ``t`` (t[0] = 0, spacing h), where
-    J_n[phi](t) = int_0^t (t - s)^(n-1)/(n-1)! phi(s) ds by the trapezoidal
-    rule on that grid."""
-    g = t ** (n - 1) / math.factorial(n - 1)  # the integrand's kernel at lag t_K - t_j = t_(K-j)
-    conv = np.convolve(phi, g)[: len(t)]  # sum_{j<=K} g_(K-j) phi_j
-    integral = h * (conv - 0.5 * (g * phi[0] + g[0] * phi))
-    tk = t[::refine]
-    return integral[::refine] + sum(c[i] * tk**i / math.factorial(i) for i in range(n))
-
-
 @dataclass(frozen=True)
 class VolterraReduction:
     """Initial-data reduction: phi = z^(n) satisfies
@@ -821,10 +803,6 @@ class VolterraReduction:
     a: tuple[float, ...]
     init: tuple[float, ...]
     forcing: Callable[[float], float] | None = None
-
-    @property
-    def is_convolution(self) -> bool:
-        return True
 
     def kernel(self, t: float, eta: float) -> float:
         return _volterra_kernel(self.a, self.order)(t, eta)
@@ -876,7 +854,8 @@ class VolterraReduction:
 class FredholmReduction:
     """Two-point reduction: conditions at t = 1 turn the integration
     constants into linear functionals of phi, producing a genuine
-    Fredholm kernel on [0, 1]^2 with multiplier lambda = 1."""
+    Fredholm kernel on [0, 1]^2 with multiplier lambda = 1.  Its solve
+    fixes the constants; z and phi come from the initial-value march."""
 
     order: int
     a: tuple[float, ...]
@@ -936,7 +915,6 @@ class FredholmReduction:
     def kernel_spec(self) -> KernelSpec:
         return KernelSpec(
             evaluator=self.kernel,
-            params=(("lambda", 1.0),),
             name="ode-reduced",
             array=self.kernel_array,
         )
@@ -946,25 +924,17 @@ class FredholmReduction:
         return float(q[0])
 
     def solve(self, n_nodes: int = 201, steps: int = 200) -> OdeReductionSolution:
-        """Nystrom-solve the Fredholm form at lambda = 1 and reconstruct z
-        on a uniform output grid."""
+        """Nystrom-solve the Fredholm form at lambda = 1 on ``n_nodes``
+        Simpson nodes for the constants c_i = z^(i)(0) that the data imply,
+        then march the initial-value problem from c: z and phi on a uniform
+        grid of ``steps`` intervals come from ``VolterraReduction.solve``."""
         rule = simpson_rule(n_nodes)
         disc = NystromDiscretization(self.kernel_spec(), rule)
         sol = nystrom_solve(disc, 1.0, self.free_term)
-        # constants implied by the computed phi
         w_phi = np.sum(rule.weights * self._beta(rule.nodes) * sol.phi, axis=1)
         c = self._c0 - self._Minv @ w_phi
-        # reconstruct z from phi on a fine uniform grid
-        fine = 4 * steps
-        tf = np.linspace(0.0, 1.0, fine + 1)
-        phi_f = sol(tf)
-        z = _reconstruct(tf, 1.0 / fine, phi_f, c, self.order, 4)
-        grid = TimeGrid(0.0, 1.0, steps)
-        return OdeReductionSolution(
-            trajectory=Trajectory(grid, z, ("z",)),
-            phi=phi_f[::4],
-            constants=tuple(float(x) for x in c),
-        )
+        reduction = VolterraReduction(self.order, self.a, tuple(float(x) for x in c), self.forcing)
+        return reduction.solve(steps=steps)
 
 
 def ode_to_integral(
@@ -980,7 +950,9 @@ def ode_to_integral(
     """
     n = spec.order
     if len(boundary) != n:
-        raise ValidationError(f"need exactly {n} boundary data, got {len(boundary)}")
+        raise ValidationError(
+            f"need exactly {n} boundary data, got {len(boundary)}", key="ode-init"
+        )
     a = spec.normalized()
     forcing = spec.forcing
     first = boundary[0]

@@ -83,21 +83,19 @@ def classical_trajectory(
     params: HarrodParams,
     nu: float,
     grid: TimeGrid,
-    cross_check: bool = True,
 ) -> Trajectory:
     """Exponential-growth income path Y(t_hat) = Y0 * exp(mu*t_hat/nu).
 
     Emits Y together with its consumption/accumulation/investment split.
-    When ``cross_check`` is set the closed form is validated against an
-    independent RK4 integration of Ydot = (mu/nu) Y to 1e-8 relative.
+    The closed form is validated against an independent RK4 integration
+    of Ydot = (mu/nu) Y to 1e-8 relative.
     """
     if not nu > 0.0:
         raise ValidationError("nu must be positive", key="nu")
     rate = params.mu / nu
     with np.errstate(over="ignore"):  # an overflow fails the cross-check
         Y = params.Y0 * np.exp(rate * grid.nodes)
-    if cross_check:
-        _exponential_cross_check(Y, rate, grid)
+    _exponential_cross_check(Y, rate, grid)
     flows = _flows(params.mu, Y)
     values = np.column_stack([flows.Y, flows.C, flows.S, flows.I])
     return Trajectory(grid, values, ("Y", "C", "S", "I"))
@@ -113,14 +111,13 @@ class CorrectedHarrodResult:
 def corrected_trajectory(
     params: HarrodParams,
     grid: TimeGrid,
-    cross_check: bool = True,
 ) -> CorrectedHarrodResult:
     """Income path Y(t_hat) = Y0 / (1 - sigma*t_hat)^2, sigma = mu/nu_star.
 
     The solution loses meaning at t_hat = 1/sigma, so grids reaching
     (1 - 1e-6)/sigma are rejected with a PoleError.  Returns the pole
     location and the conditional forecast horizon 0.5/sigma alongside the
-    trajectory.  ``cross_check`` validates against RK4 of
+    trajectory.  The closed form is validated against RK4 of
     Ydot = 2*sigma/(1 - sigma*t_hat) * Y to 1e-6 relative.
     """
     sigma = params.sigma
@@ -137,7 +134,7 @@ def corrected_trajectory(
         )
     t = grid.nodes
     Y = params.Y0 / (1.0 - sigma * t) ** 2
-    if cross_check and sigma > 0.0:
+    if sigma > 0.0:
         rate_max = 2.0 * sigma / (1.0 - sigma * grid.t_end)
         numeric = rk4_linear(
             lambda s: 2.0 * sigma / (1.0 - sigma * s),

@@ -17,7 +17,10 @@ Methods for Volterra Equations*, SIAM 1985, ch. 7): its state is the
 history's shifted trapezoid moments, so each step is again one constant
 affine map.  Both Volterra forms of the package go through it: the
 reduction of a constant-coefficient ODE (``fredholm.VolterraReduction``)
-and the two-term Leontief balance (``leontief.volterra_solve``).
+and the two-term Leontief balance (``leontief.volterra_solve``).  So does
+the two-point reduction (``fredholm.FredholmReduction``): its Fredholm
+solve fixes the constants z^(i)(0), and z and phi come from the
+initial-value march from them.
 """
 
 from __future__ import annotations
@@ -121,9 +124,9 @@ class OdeSpec:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) < 2:
-            raise ValidationError("need order >= 1 (at least two coefficients)")
+            raise ValidationError("need order >= 1 (at least two coefficients)", key="ode-coeffs")
         if self.coeffs[0] == 0.0:
-            raise ValidationError("leading coefficient must be nonzero")
+            raise ValidationError("leading coefficient must be nonzero", key="ode-coeffs")
 
     @property
     def order(self) -> int:

@@ -446,13 +446,15 @@ def test_entry_gives_the_bytes_of_dash_m(argv):
     assert script.stdout or script.stderr
 
 
-# matrix files of the failure table, written once per session
+# matrix and demand files of the failure tables, written once per session
 FAIL_MATRICES = {
     "identity": "2\n1,0\n0,1\n",  # E - A = 0
     "half": "2\n0.5,0.5\n0.5,0.5\n",  # row sums 1: singular
     "wide": "2\n0.9,0.5\n0.5,0.9\n",  # row sums 1.4: no Metzler condition
     "huge": "2\n1e300,0\n0,1e300\n",  # overflows the propagators
     "thirty": "2\n30,0\n0,30\n",  # grows too fast for 4 Volterra steps
+    "nan": "2\nnan,0\n0,1\n",
+    "nan_demand": "1,1,1\nnan,1,1\n1,1,1\n",  # a demand table on 2 steps
 }
 M3 = str(GOLDEN / "leontief_matrix.txt")
 # (exit code, argv): every command's rejected inputs (2) and numerical failures (3)
@@ -533,6 +535,26 @@ KEYED_FAILURES = [
                   "--dims", "Y:$/s"]),
     ("relation", ["dim-check", "--relation", " + ".join(["Y"] * 2000) + " = Y",
                   "--dims", "Y:$/s"]),
+    # a vector flag or file that is not finite, rejected where it is parsed
+    ("x0", ["leontief-dynamic", "--matrix", M3, "--demand", "1,1,1", "--x0", "nan,1,1",
+            "--steps", "4"]),
+    ("xdot0", ["leontief-volterra", "--matrix", M3, "--demand", "1,1,1", "--x0", "1,1,1",
+               "--xdot0", "inf,0,0", "--steps", "4"]),
+    ("matrix", ["leontief-dynamic", "--matrix", "{nan}", "--demand", "1,1", "--x0", "1,1",
+                "--steps", "4"]),
+    ("demand-file", ["leontief-dynamic", "--matrix", M3, "--demand-file", "{nan_demand}",
+                     "--x0", "1,1,1", "--steps", "2"]),
+    ("ode-init", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1",
+                  "--ode-init", "nan,0"]),
+    ("ode-coeffs", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,nan,1",
+                    "--ode-init", "1,0"]),
+    # the ODE and its data
+    ("ode-coeffs", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "0,1",
+                    "--ode-init", "1"]),
+    ("ode-coeffs", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1",
+                    "--ode-init", "1"]),
+    ("ode-init", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1",
+                  "--ode-init", "1"]),
 ]
 FAILURES += [(2, argv) for _, argv in KEYED_FAILURES]
 
@@ -559,8 +581,8 @@ def test_failure_prints_one_error_line(capsys, fail_matrices, code, argv):
 
 @pytest.mark.parametrize("key, argv", KEYED_FAILURES,
                          ids=lambda x: x[0] if isinstance(x, list) else x)
-def test_failure_names_its_key(capsys, key, argv):
-    rc, _, err = run(capsys, argv)
+def test_failure_names_its_key(capsys, fail_matrices, key, argv):
+    rc, _, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
     assert rc == 2
     assert err.endswith(f" (key: {key})\n"), err
 

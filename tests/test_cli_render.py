@@ -105,7 +105,8 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
                 and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
-table_values = st.floats(-1e6, 1e6) | st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
+# --demand-file rejects a table that is not finite before it is sampled
+table_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
 
 
 @settings(max_examples=300, deadline=None)

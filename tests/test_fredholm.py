@@ -332,10 +332,73 @@ class TestOdeReduction:
         assert np.max(np.abs(sol.trajectory.column("z") - 2 * (1 - np.exp(-t)))) < 1e-6
 
 
+COS_TWO_POINT = [(0, 0.0, 1.0), (0, 1.0, math.cos(1.0))]  # z'' + z = 0 has z = cos t
+
+
+class TestTwoPointMarch:
+    """The two-point solve fixes z^(i)(0) by the Fredholm form, then marches
+    the initial-value problem from them."""
+
+    def test_is_the_initial_value_march_from_its_constants(self, monkeypatch):
+        def no_off_node(self, t):
+            raise AssertionError("off-node evaluation of the Nystrom solution")
+
+        monkeypatch.setattr(fredholm.NystromSolution, "__call__", no_off_node)
+        spec = OdeSpec((1.0, 0.5, 2.0), forcing=math.sin)
+        red = ode_to_integral(spec, [(0, 0.0, 1.0), (1, 1.0, -0.5)])
+        sol = red.solve(n_nodes=101, steps=80)
+        want = VolterraReduction(red.order, red.a, sol.constants, red.forcing).solve(steps=80)
+        assert np.array_equal(sol.trajectory.times, want.trajectory.times)
+        assert np.array_equal(sol.trajectory.values, want.trajectory.values)
+        assert np.array_equal(sol.phi, want.phi)
+        assert sol.trajectory.labels == ("z",)
+
+    def test_forced_two_point_matches_its_closed_form(self):
+        # z'' + z = 1, z(0) = z(1) = 0
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0), forcing=lambda t: 1.0),
+                              [(0, 0.0, 0.0), (0, 1.0, 0.0)])
+        sol = red.solve()
+        t = sol.trajectory.times
+        k = (1.0 - math.cos(1.0)) / math.sin(1.0)
+        z = 1.0 - np.cos(t) - k * np.sin(t)
+        assert np.max(np.abs(sol.trajectory.column("z") - z)) < 1e-5
+        assert np.max(np.abs(sol.phi - (1.0 - z))) < 1e-5
+
+    def test_derivative_condition_at_one_matches_its_closed_form(self):
+        # z'' + z = 0, z(0) = a, z'(1) = b: z = a cos t + B sin t with
+        # B = (b + a sin 1)/cos 1
+        a, b = 1.0, 0.5
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [(0, 0.0, a), (1, 1.0, b)])
+        sol = red.solve()
+        t = sol.trajectory.times
+        B = (b + a * math.sin(1.0)) / math.cos(1.0)
+        assert np.max(np.abs(sol.trajectory.column("z") - (a * np.cos(t) + B * np.sin(t)))) < 1e-5
+        assert sol.constants[1] == pytest.approx(B, abs=1e-5)
+
+    def test_phi_is_minus_z(self):
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), COS_TWO_POINT)
+        sol = red.solve(n_nodes=101)
+        t = sol.trajectory.times
+        assert np.max(np.abs(sol.phi + np.cos(t))) < 1e-5
+        assert np.max(np.abs(sol.phi + sol.trajectory.column("z"))) < 1e-12
+
+
+def reconstruct(t, h, phi, c, n, refine):
+    """z = J_n[phi] + sum_i c_i t^i/i! at every ``refine``-th node of the
+    uniform grid ``t`` (t[0] = 0, spacing h), where
+    J_n[phi](t) = int_0^t (t - s)^(n-1)/(n-1)! phi(s) ds by the trapezoidal
+    rule on that grid, taken as one convolution."""
+    g = t ** (n - 1) / math.factorial(n - 1)  # the integrand's kernel at lag t_K - t_j = t_(K-j)
+    conv = np.convolve(phi, g)[: len(t)]  # sum_{j<=K} g_(K-j) phi_j
+    integral = h * (conv - 0.5 * (g * phi[0] + g[0] * phi))
+    tk = t[::refine]
+    return integral[::refine] + sum(c[i] * tk**i / math.factorial(i) for i in range(n))
+
+
 def row_dot_march(red, steps, refine=4, t_end=1.0):
     """(z, phi) of the Volterra reduction by the plain trapezoidal march: one
     kernel row over the whole history per node, O(N^2) for N = steps *
-    refine, and z from the convolution of ``fredholm._reconstruct``."""
+    refine, and z from the convolution of ``reconstruct``."""
     n = red.order
     N = steps * refine
     t = np.linspace(0.0, t_end, N + 1)
@@ -350,7 +413,7 @@ def row_dot_march(red, steps, refine=4, t_end=1.0):
     for k in range(1, N + 1):
         phi[k] = (q[k] + float(kappa(t[k], t[:k]) @ w_phi[:k])) / diag_gain
         w_phi[k] = h * phi[k]
-    z = fredholm._reconstruct(t, h, phi, np.asarray(red.init, dtype=float), n, refine)
+    z = reconstruct(t, h, phi, np.asarray(red.init, dtype=float), n, refine)
     return z, phi[::refine]
 
 
