@@ -396,7 +396,14 @@ def _cmd_fredholm_solve(ns) -> Output:
             )
         coeffs = _vector(ns.ode_coeffs, "ode-coeffs")
         init = _vector(ns.ode_init, "ode-init")
-        reduction = fredholm.ode_to_integral(OdeSpec(tuple(coeffs)), list(init))
+        try:
+            spec = OdeSpec(tuple(coeffs))
+        except ValidationError as exc:
+            raise ValidationError(str(exc), key="ode-coeffs") from None
+        try:
+            reduction = fredholm.ode_to_integral(spec, list(init))
+        except ValidationError as exc:  # initial values can only be too few or too many
+            raise ValidationError(str(exc), key="ode-init") from None
         steps = _default_steps(ns.steps, fallback=200)
         sol = reduction.solve(steps=steps)
         traj = sol.trajectory

@@ -17,10 +17,11 @@ Methods for Volterra Equations*, SIAM 1985, ch. 7): its state is the
 history's shifted trapezoid moments, so each step is again one constant
 affine map.  Both Volterra forms of the package go through it: the
 reduction of a constant-coefficient ODE (``fredholm.VolterraReduction``)
-and the two-term Leontief balance (``leontief.volterra_solve``).  So does
-the two-point reduction (``fredholm.FredholmReduction``): its Fredholm
-solve fixes the constants z^(i)(0), and z and phi come from the
-initial-value march from them.
+and the two-term Leontief balance (``leontief.volterra_solve``).  With a
+zero kernel the march returns the trapezoid J of the given samples, and
+the two-point reduction (``fredholm.FredholmReduction``) takes z from the
+Fredholm phi that way: z = J_n[phi] + sum_i c_i t^i/i! with the constants
+c_i = z^(i)(0) its Fredholm solve implies.
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ class OdeSpec:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) < 2:
-            raise ValidationError("need order >= 1 (at least two coefficients)", key="ode-coeffs")
+            raise ValidationError("need order >= 1 (at least two coefficients)")
         if self.coeffs[0] == 0.0:
-            raise ValidationError("leading coefficient must be nonzero", key="ode-coeffs")
+            raise ValidationError("leading coefficient must be nonzero")
 
     @property
     def order(self) -> int:

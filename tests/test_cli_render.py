@@ -105,8 +105,9 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
                 and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
-# --demand-file rejects a table that is not finite before it is sampled
-table_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+# --demand-file rejects a table that is not finite before it is sampled; the
+# values near the float limit make a finite table's slope infinite
+table_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7e308, -1.7e308])
 
 
 @settings(max_examples=300, deadline=None)
