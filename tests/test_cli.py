@@ -446,7 +446,7 @@ def test_entry_gives_the_bytes_of_dash_m(argv):
     assert script.stdout or script.stderr
 
 
-# matrix and demand files of the failure tables, written once per session
+# matrix and demand files of the failure tables, written once per test run
 FAIL_MATRICES = {
     "identity": "2\n1,0\n0,1\n",  # E - A = 0
     "half": "2\n0.5,0.5\n0.5,0.5\n",  # row sums 1: singular
