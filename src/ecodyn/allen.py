@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, ValidationError, _require_finite
+from .errors import CrossCheckError, ValidationError, _require
 from .harrod import HarrodParams, _exponential_cross_check, corrected_trajectory
 from .odelin import (
     OdeSpec,
@@ -43,10 +43,8 @@ class AllenScaling:
     Z0: float = 1.0
 
     def __post_init__(self):
-        for key in ("t0", "t_star", "Y0", "C0", "I0", "Z0"):
-            if not getattr(self, key) > 0.0:
-                flag = key.lower().replace("_", "-")
-                raise ValidationError(f"{key} must be positive", key=flag)
+        _require("positive", t0=self.t0, t_star=self.t_star, Y0=self.Y0, C0=self.C0,
+                 I0=self.I0, Z0=self.Z0)
 
     @property
     def k1(self) -> float:
@@ -77,14 +75,10 @@ class PhillipsParams:
     lam: float
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValidationError("kappa must be positive", key="kappa")
-        if not self.nu >= 0.0:
-            raise ValidationError("nu must be nonnegative", key="nu")
-        if not 0.0 < self.mu < 1.0:
-            raise ValidationError("mu must lie in (0, 1)", key="mu")
-        if not self.lam > 0.0:
-            raise ValidationError("lam must be positive", key="lam")
+        _require("positive", kappa=self.kappa)
+        _require("nonnegative", nu=self.nu)
+        _require("(0, 1)", mu=self.mu)
+        _require("positive", lam=self.lam)
 
     @property
     def a1(self) -> float:
@@ -107,10 +101,8 @@ def harrod_domar_trajectory(
     The exponent carries the arbitrary scale t0: doubling t0 halves the
     exponent, which is the model's structural defect.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValidationError("mu must lie in (0, 1)", key="mu")
-    if not nu > 0.0:
-        raise ValidationError("nu must be positive", key="nu")
+    _require("(0, 1)", mu=mu)
+    _require("positive", nu=nu)
     rate = mu / (nu * scaling.t0)
     with np.errstate(over="ignore"):  # an overflow fails the cross-check
         Y = scaling.Y0 * np.exp(rate * grid.nodes)
@@ -145,12 +137,20 @@ def phillips_solve(
     place, which is not used here.  When the roots are complex the
     oscillation period in t_hat, 2*pi/|Im p|, is reported; it scales
     linearly with rho, so the physical period depends on the arbitrary
-    scale t0.
+    scale t0.  A t0/t_star whose reduced coefficients leave the float range
+    is rejected.
     """
-    _require_finite(**dict(zip(("y0", "ydot0"), init)))
+    _require("finite", **dict(zip(("y0", "ydot0"), init)))
     rho = scaling.rho
-    a = params.a1 / rho
-    b = params.b1 / rho**2
+    a = b = math.nan
+    if 0.0 < rho * rho < math.inf:  # else rho**2 overflows or underflows to 0
+        a, b = params.a1 / rho, params.b1 / rho**2
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(
+            f"t0/t_star = {rho!r} gives reduced coefficients a = a1/rho, b = b1/rho^2 "
+            "that are not finite",
+            key="t0",
+        )
     spec = OdeSpec((1.0, a, b))
     traj = analytic_solution(spec, list(init), grid, derivatives=1)
     traj = Trajectory(traj.grid, traj.values, ("Y", "Ydot"))
@@ -215,8 +215,7 @@ def phillips_capital_roots(
     second-order income roots when t0 = t_star, which is asserted to
     1e-10.  Scaling t0 -> c*t0 divides the nonzero roots by c.
     """
-    if not t0 > 0.0:
-        raise ValidationError("t0 must be positive", key="t0")
+    _require("positive", t0=t0)
     spec = OdeSpec((t0**2, t0 * params.a1, params.b1, 0.0))
     roots = [r for r, m in char_roots(spec) for _ in range(m)]
     if math.isclose(t0, t_star, rel_tol=1e-12):
@@ -256,15 +255,10 @@ def bergstrom_capital_solve(
     The damping coefficient matches the income-form a1 under gamma =
     kappa, which is reported as ``kappa_equivalent``.
     """
-    if not 0.0 < mu < 1.0:
-        raise ValidationError("mu must lie in (0, 1)", key="mu")
-    if not nu >= 0.0:
-        raise ValidationError("nu must be nonnegative", key="nu")
-    if not gamma >= 0.0:
-        raise ValidationError("gamma must be nonnegative", key="gamma")
-    if not lam > 0.0:
-        raise ValidationError("lam must be positive", key="lam")
-    _require_finite(**dict(zip(("k0", "kdot0"), init)))
+    _require("(0, 1)", mu=mu)
+    _require("nonnegative", nu=nu, gamma=gamma)
+    _require("positive", lam=lam)
+    _require("finite", **dict(zip(("k0", "kdot0"), init)))
     damping = gamma + mu * lam - nu * gamma * lam
     stiffness = mu * gamma * lam
     spec = OdeSpec((1.0, damping, stiffness))
@@ -288,12 +282,8 @@ def multiplier_trajectory(
 ) -> Trajectory:
     """Pure multiplier decay Y(t_hat) = Y0 * exp(-lam*mu*t_hat) with the
     demand component Z = (1 - mu) * Y."""
-    if not 0.0 < mu < 1.0:
-        raise ValidationError("mu must lie in (0, 1)", key="mu")
-    if not lam > 0.0:
-        raise ValidationError("lam must be positive", key="lam")
-    if not Y0 > 0.0:
-        raise ValidationError("Y0 must be positive", key="y0")
+    _require("(0, 1)", mu=mu)
+    _require("positive", lam=lam, Y0=Y0)
     Y = Y0 * np.exp(-lam * mu * grid.nodes)
     Z = (1.0 - mu) * Y
     return Trajectory(grid, np.column_stack([Y, Z]), ("Y", "Z"))
@@ -337,9 +327,7 @@ def scale_invariance_check(
     1e-2).  Models with no t0 parameter are trivially scale invariant and
     flagged as such.
     """
-    for key, t0 in (("t0-a", t0_a), ("t0-b", t0_b)):
-        if not t0 > 0.0:
-            raise ValidationError("time scales must be positive", key=key)
+    _require("positive", t0_a=t0_a, t0_b=t0_b)
     if t0_a == t0_b:
         raise ValidationError("t0_a and t0_b must differ", key="t0-b")
     if model not in SCALE_CHECK_MODELS:
@@ -348,6 +336,7 @@ def scale_invariance_check(
         if params.get(name) is None:
             raise ValidationError(f"model {model!r} needs {name}", key=name.replace("_", "-"))
     t_star = float(params.get("t_star", 1.0))
+    _require("positive", t_star=t_star)
     Y0 = float(params.get("Y0", 1.0))
     if model == "harrod_domar":
         def income(t0):
@@ -358,9 +347,7 @@ def scale_invariance_check(
             # Y0 exp(-lam mu t/t0): the rate lam/t0 on physical time
             return multiplier_trajectory(params["mu"], params["lam"] / t0, Y0, grid)
     elif model == "corrected_harrod":
-        harrod_params = HarrodParams(
-            mu=params["mu"], nu_star=params["nu_star"], t_star=t_star, Y0=Y0
-        )
+        harrod_params = HarrodParams(mu=params["mu"], nu_star=params["nu_star"], Y0=Y0)
         year_grid = TimeGrid(grid.t_start / t_star, grid.t_end / t_star, grid.steps)
 
         def income(t0):

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import EcodynError, NumericalError, ValidationError, _require_finite
+from .errors import EcodynError, NumericalError, ValidationError, _require
 from .odelin import OdeSpec, TimeGrid, Trajectory
 
 # Each handler imports the model module it calls, so a run loads only its
@@ -125,8 +125,7 @@ def _harrod_params(ns, **fields) -> harrod.HarrodParams:
     --nu is reported under its own flag."""
     from . import harrod
 
-    if not ns.nu > 0.0:
-        raise ValidationError("nu must be positive", key="nu")
+    _require("positive", nu=ns.nu)
     return harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu, **fields)
 
 
@@ -440,7 +439,7 @@ def _cmd_fredholm_sweep(ns) -> Output:
 
     if ns.mu_count < 1:
         raise ValidationError("mu-count must be >= 1", key="mu-count")
-    _require_finite(mu_min=ns.mu_min, mu_max=ns.mu_max)
+    _require("finite", mu_min=ns.mu_min, mu_max=ns.mu_max)
     mu_grid = np.linspace(ns.mu_min, ns.mu_max, ns.mu_count)
     k0 = _kernel_by_name(ns.k0, 0.0)
     k1 = _kernel_by_name(ns.k1, 0.0)

@@ -5,8 +5,12 @@ Two families matter to callers (and to the CLI exit-code mapping):
 ``NumericalError`` for failures that arise while computing (poles,
 blow-ups, non-convergence, spectrum proximity).
 
-Range checks are written so that NaN fails them (``not x > 0.0``), and
-values without a range pass through ``_require_finite``.
+Every scalar model parameter is checked by ``_require``: a value that is
+NaN or infinite fails as "must be finite", and a finite value outside the
+parameter's range fails with the range's wording.  Both name the
+parameter and key it by its CLI flag (lower case, dashes for
+underscores), so the finiteness rule, the wording and the key spelling
+live here alone.
 """
 
 import math
@@ -27,14 +31,26 @@ class ValidationError(EcodynError):
         self.key = key
 
 
-def _require_finite(**values: float) -> None:
-    """Reject the first value that is not a finite number, keyed by its name
-    with dashes for underscores (the CLI flag)."""
+# range -> (test of a finite value, wording of its failure)
+_RANGES = {
+    "finite": (lambda x: True, ""),
+    "positive": (lambda x: x > 0.0, "must be positive"),
+    "nonnegative": (lambda x: x >= 0.0, "must be nonnegative"),
+    "(0, 1)": (lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
+    "[0, 1)": (lambda x: 0.0 <= x < 1.0, "must lie in [0, 1)"),
+}
+
+
+def _require(range_: str, **values: float) -> None:
+    """Reject the first of ``values``, in argument order, that is not finite
+    or lies outside ``range_`` (a key of ``_RANGES``)."""
+    inside, wording = _RANGES[range_]
     for name, value in values.items():
+        key = name.lower().replace("_", "-")
         if not math.isfinite(value):
-            raise ValidationError(
-                f"{name} must be finite, got {float(value)!r}", key=name.replace("_", "-")
-            )
+            raise ValidationError(f"{name} must be finite, got {float(value)!r}", key=key)
+        if not inside(value):
+            raise ValidationError(f"{name} {wording}", key=key)
 
 
 class StructuralError(ValidationError):

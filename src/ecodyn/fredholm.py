@@ -110,7 +110,7 @@ from .errors import (
     ResolutionError,
     SpectrumProximityError,
     ValidationError,
-    _require_finite,
+    _require,
 )
 from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid
 
@@ -265,7 +265,7 @@ def kernel_degenerate(
     """rho(t)rho(eta) + mu*sigma(t)rho(eta): carries rho + mu*sigma as a
     homogeneous solution for every mu once rho is unit-normalized and
     orthogonal to sigma."""
-    _require_finite(mu=mu)
+    _require("finite", mu=mu)
     rho_a, sigma_a = _elementwise(rho), _elementwise(sigma)
     return KernelSpec(
         evaluator=lambda t, e: (rho(t) + mu * sigma(t)) * rho(e),
@@ -577,7 +577,7 @@ def char_numbers(
     ||phi - lambda * K_w phi||_inf <= 1e-6.  A separable kernel takes the
     finite-rank route: the eigenpairs (mu, v) of S = H^T W G give mu and
     the eigenfunction G v (see the module docstring)."""
-    _require_finite(discard_threshold=discard_threshold)
+    _require("nonnegative", discard_threshold=discard_threshold)
     if disc.G is not None:
         eigvals, vecs, rank_lams = _rank_spectrum(disc)
         eigvecs = disc.G @ vecs

@@ -18,35 +18,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, PoleError, ValidationError
-from .odelin import TimeGrid, Trajectory, rk4_linear, sup_rel_diff
+from .errors import CrossCheckError, PoleError, ValidationError, _require
+from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, rk4_linear, sup_rel_diff
 
 POLE_GUARD_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class HarrodParams:
-    """Accumulation share mu in (0,1), base capital/income ratio nu_star
-    (years), year length t_star, initial income intensity Y0 (money/time)
-    and initial capital K0 (money)."""
+    """Accumulation share mu in [0,1), base capital/income ratio nu_star
+    (years), initial income intensity Y0 (money/time) and initial capital
+    K0 (money)."""
 
     mu: float
     nu_star: float
-    t_star: float = 1.0
     Y0: float = 1.0
     K0: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.mu < 1.0:
-            raise ValidationError("mu must lie in [0, 1)", key="mu")
-        if not self.nu_star > 0.0:
-            raise ValidationError("nu_star must be positive", key="nu-star")
-        if not self.t_star > 0.0:
-            raise ValidationError("t_star must be positive", key="t-star")
-        if not self.Y0 > 0.0:
-            raise ValidationError("Y0 must be positive", key="y0")
-        if not self.K0 > 0.0:
-            raise ValidationError("K0 must be positive", key="k0")
+        _require("[0, 1)", mu=self.mu)
+        _require("positive", nu_star=self.nu_star, Y0=self.Y0, K0=self.K0)
 
     @property
     def sigma(self) -> float:
@@ -90,8 +81,7 @@ def classical_trajectory(
     The closed form is validated against an independent RK4 integration
     of Ydot = (mu/nu) Y to 1e-8 relative.
     """
-    if not nu > 0.0:
-        raise ValidationError("nu must be positive", key="nu")
+    _require("positive", nu=nu)
     rate = params.mu / nu
     with np.errstate(over="ignore"):  # an overflow fails the cross-check
         Y = params.Y0 * np.exp(rate * grid.nodes)
@@ -193,9 +183,9 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
     Y_tilde_n = K_n/nu and I_tilde_n = K_n*mu/nu.  The iterative
     recursion is asserted against the closed geometric-sum form (or the
     linear (n+1)*Y_tilde_0 branch at alpha = 1) to 1e-12 relative.
+    A path that overflows is a BlowUpError.
     """
-    if not nu > 0.0:
-        raise ValidationError("nu must be positive", key="nu")
+    _require("positive", nu=nu)
     if n < 0:
         raise ValidationError("n must be >= 0", key="n")
     alpha = params.mu / nu
@@ -204,10 +194,14 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
             f"alpha = mu/nu = {alpha!r} exceeds 1, outside the model's range",
             key="nu",
         )
+    years = np.arange(n + 1)
     K = np.empty(n + 1)
     K[0] = params.K0
-    for i in range(1, n + 1):
-        K[i] = params.K0 + alpha * K[i - 1]
+    with np.errstate(over="ignore"):  # an overflow is a blow-up, raised below
+        for i in range(1, n + 1):
+            K[i] = params.K0 + alpha * K[i - 1]
+        Y_tilde = K / nu
+    _raise_on_blow_up(np.column_stack([K, Y_tilde]), years, "capital path")
     # closed form check
     if alpha == 1.0:
         K_closed = params.K0 * (np.arange(n + 1) + 1.0)
@@ -217,11 +211,10 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
     dev = sup_rel_diff(K_closed, K)
     if dev > 1e-12:
         raise ValidationError(f"recursion vs closed form deviation {dev:.3e}")
-    Y_tilde = K / nu
     I_tilde = K * (params.mu / nu)
     impulses = tuple((i, float(K[i] - K[i - 1])) for i in range(1, n + 1))
     return DiscretePath(
-        years=np.arange(n + 1),
+        years=years,
         K=K,
         Y_tilde=Y_tilde,
         I_tilde=I_tilde,
@@ -257,8 +250,7 @@ def adequacy_residual(alpha: float, n: int) -> AdequacyResidual:
     """
     if alpha in (0.0, 1.0):
         raise ValidationError("alpha = 0 and alpha = 1 are trivial cases", key="alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)", key="alpha")
+    _require("(0, 1)", alpha=alpha)
     if n < 1:
         raise ValidationError("n must be >= 1 (n = 0 is trivial)", key="n")
     lhs_exp = math.exp(alpha * n)

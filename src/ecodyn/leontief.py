@@ -28,7 +28,7 @@ from .errors import (
     ResolutionError,
     SingularMatrixError,
     ValidationError,
-    _require_finite,
+    _require,
 )
 from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid, rk4_linear
 
@@ -201,7 +201,7 @@ def static_solve(
         raise ValidationError("A has an entry that is not finite", key="matrix")
     if not np.isfinite(c).all():
         raise ValidationError("demand has a component that is not finite", key="demand")
-    _require_finite(tol=tol)
+    _require("finite", tol=tol)
     if method == "direct":
         B = np.eye(n) - A
         pivots = _lu_pivots(B)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _require_finite
+from .errors import ValidationError, _require
 from .odelin import TimeGrid, Trajectory, rk4_linear
 
 REGIME_REAL_TOL = 1e-10
@@ -32,11 +32,8 @@ class LongWaveParams:
     s: float = -2.0
 
     def __post_init__(self):
-        if not self.p >= 0.0:
-            raise ValidationError("p must be nonnegative", key="p")
-        if not self.r >= 0.0:
-            raise ValidationError("r must be nonnegative", key="r")
-        _require_finite(q=self.q, s=self.s)
+        _require("nonnegative", p=self.p, r=self.r)
+        _require("finite", q=self.q, s=self.s)
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ def lw_simulate(
     grid: TimeGrid,
 ) -> Trajectory:
     """Integrate the (x, y) system with RK4 and emit z = x - y alongside."""
-    _require_finite(x0=x0, y0=y0)
+    _require("finite", x0=x0, y0=y0)
     traj = rk4_linear(lw_matrix(params), [x0, y0], grid, labels=("x", "y"))
     x = traj.values[:, 0]
     y = traj.values[:, 1]

@@ -108,9 +108,6 @@ class Trajectory:
             raise ValidationError(f"no component labelled {label!r}") from None
         return self.values[:, j]
 
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
 
 @dataclass(frozen=True)
 class OdeSpec:
@@ -495,13 +492,18 @@ def _volterra_trapezoid(K: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndar
 
 
 def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray, what: str = "integration") -> None:
-    """BlowUpError at the first non-finite node, carrying the node before it."""
+    """BlowUpError at the first non-finite node, carrying the node before it
+    (the first node itself when that one is not finite)."""
     finite = np.isfinite(values).all(axis=1)
     if finite.all():
         return
-    k = max(int(np.argmin(finite)) - 1, 0)
+    bad = int(np.argmin(finite))
+    k = max(bad - 1, 0)
+    where = f"at t={float(nodes[0])!r}"
+    if bad:
+        where = f"between t={float(nodes[k])!r} and t={float(nodes[bad])!r}"
     raise BlowUpError(
-        f"{what} blew up between t={float(nodes[k])!r} and t={float(nodes[k + 1])!r}",
+        f"{what} blew up {where}",
         t_last=float(nodes[k]),
         index_last=k,
         x_last=values[k].copy(),

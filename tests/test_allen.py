@@ -65,6 +65,14 @@ class TestPhillips:
         assert p.a1 == pytest.approx(2.1, rel=1e-14)
         assert p.b1 == pytest.approx(2.4, rel=1e-14)
 
+    @pytest.mark.parametrize("t0", [1e-200, 1e300])
+    def test_reduced_coefficients_out_of_range_are_keyed_t0(self, t0):
+        # rho**2 underflows to 0 at 1e-200 and overflows at 1e300
+        with pytest.raises(ValidationError, match="not finite") as exc:
+            phillips_solve(PhillipsParams(**PHILLIPS), AllenScaling(t0=t0), (1.0, 0.0),
+                           TimeGrid(0.0, 1.0, 2))
+        assert exc.value.key == "t0"
+
     def test_oscillatory_roots(self):
         p = PhillipsParams(**PHILLIPS)
         sol = phillips_solve(p, AllenScaling(t0=1.0), (1.0, 0.0), TimeGrid(0.0, 5.0, 500))
@@ -258,6 +266,22 @@ class TestScaleInvariance:
     def test_identical_scales_rejected(self):
         with pytest.raises(ValidationError):
             scale_invariance_check("multiplier", {"mu": 0.5, "lam": 1.0}, 1.0, 1.0, TimeGrid(0.0, 1.0, 10))
+
+    @pytest.mark.parametrize("t0_a, t0_b, message, key", [
+        (0.0, 2.0, "t0_a must be positive", "t0-a"),
+        (1.0, math.inf, "t0_b must be finite, got inf", "t0-b"),
+    ])
+    def test_scales_named_by_their_key(self, t0_a, t0_b, message, key):
+        with pytest.raises(ValidationError) as exc:
+            scale_invariance_check("multiplier", {"mu": 0.5, "lam": 1.0}, t0_a, t0_b,
+                                   TimeGrid(0.0, 1.0, 10))
+        assert (str(exc.value), exc.value.key) == (message, key)
+
+    def test_corrected_harrod_checks_its_year_length(self):
+        with pytest.raises(ValidationError) as exc:
+            scale_invariance_check("corrected_harrod", {"mu": 0.5, "nu_star": 10.0, "t_star": 0.0},
+                                   1.0, 2.0, TimeGrid(0.0, 1.0, 10))
+        assert exc.value.key == "t-star"
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValidationError):

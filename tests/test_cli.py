@@ -467,6 +467,8 @@ FAILURES = [
     (3, ["harrod-corrected", "--mu", "0.3", "--nu-star", "2.5", "--t-end", "8.3333",
          "--steps", "3"]),
     (2, ["harrod-discrete", "--mu", "0.9", "--nu", "0.01", "--years", "3"]),
+    # Y_tilde = K/nu overflows in year 0 and K from year 1
+    (3, ["harrod-discrete", "--mu", "0.39", "--nu", "0.4", "--k0", "1e308", "--years", "5"]),
     (2, ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "0", "--t-end", "1"]),
     (3, ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1", "--t-end", "1e308"]),
     (2, ["phillips", "--kappa", "1", "--nu", "1", "--mu", "1", "--lam", "1", "--t-end", "1"]),
@@ -508,6 +510,9 @@ FAILURES = [
          "--mu", "0.4", "--nu-star", "2.5", "--t-end", "10"]),
     (3, ["scale-check", "--model", "phillips", "--t0-a", "1", "--t0-b", "2", "--kappa", "1.3",
          "--nu", "3", "--mu", "0.4", "--lam", "1.1", "--t-end", "1e308"]),
+    # rho**2 underflows to 0
+    (2, ["scale-check", "--model", "phillips", "--t0-a", "1e-200", "--t0-b", "2", "--kappa",
+         "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1", "--t-end", "1", "--steps", "4"]),
     (3, ["scale-check", "--model", "harrod-domar", "--t0-a", "1e-300", "--t0-b", "2",
          "--mu", "0.4", "--nu", "2.5", "--t-end", "1e5"]),
     # the 4-step grid jumps over the pole at t = 2.5
@@ -530,6 +535,12 @@ KEYED_FAILURES = [
             "--mu", "0.4", "--lam", "1.1", "--y0", "-1", "--t-end", "1"]),
     ("y0", ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1", "--y0", "0",
             "--t-end", "1"]),
+    # the reduced coefficient b = b1/rho**2 at an underflowing rho**2
+    ("t0", ["phillips", "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
+            "--t0", "1e-200", "--t-end", "1", "--steps", "2"]),
+    # a negative threshold would keep the zero eigenvalues, whose 1/mu is not finite
+    ("discard-threshold", ["fredholm-spectrum", "--kernel", "degenerate", "--nodes", "5",
+                           "--discard-threshold=-1"]),
     # deeper than the parser's and the audit's recursion reach
     ("relation", ["dim-check", "--relation", "(" * 400 + "Y" + ")" * 400 + " = Y",
                   "--dims", "Y:$/s"]),
@@ -594,7 +605,7 @@ def test_no_error_line_shows_a_numpy_repr(capsys, fail_matrices):
 
 
 # a run of each command that has a float flag; a flag given twice takes its
-# last value, so each case appends --<flag>=nan to its command's run
+# last value, so each case appends --<flag>=<value> to its command's run
 NAN_BASES = {
     **{command: [*flags, "--t-end", "1", "--steps", "2"]
        for command, flags in GRID_COMMANDS.items()},
@@ -619,12 +630,20 @@ NAN_CASES = [(name, param.name) for name, cmd in cli.COMMANDS.items()
              for param in cmd.params if param.kind == "float"]
 
 
+# each case at nan (id <command>-<flag>), inf and -inf (ids <command>-<flag>=<value>)
+NONFINITE_CASES = [
+    pytest.param(command, flag, value,
+                 id=f"{command}-{flag}" + ("" if value == "nan" else f"={value}"))
+    for command, flag in NAN_CASES for value in ("nan", "inf", "-inf")
+]
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning fails the run
-@pytest.mark.parametrize("command, flag", NAN_CASES)
-def test_nan_flag_is_two_with_its_key(capsys, command, flag):
+@pytest.mark.parametrize("command, flag, value", NONFINITE_CASES)
+def test_nan_flag_is_two_with_its_key(capsys, command, flag, value):
     base = [command, *NAN_FLAG_BASES.get((command, flag), NAN_BASES[command])]
     assert run(capsys, base)[0] == 0
-    rc, out, err = run(capsys, [*base, f"--{flag}=nan"])
+    rc, out, err = run(capsys, [*base, f"--{flag}={value}"])
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1, err
     assert err.endswith(f" (key: {flag})\n"), err

@@ -5,7 +5,7 @@ import pytest
 
 from ecodyn import harrod
 from ecodyn.allen import AllenScaling, harrod_domar_trajectory
-from ecodyn.errors import CrossCheckError, PoleError, ValidationError
+from ecodyn.errors import BlowUpError, CrossCheckError, PoleError, ValidationError
 from ecodyn.harrod import (
     HarrodParams,
     adequacy_residual,
@@ -149,6 +149,20 @@ class TestDiscrete:
         p = HarrodParams(mu=0.9, nu_star=10.0)
         with pytest.raises(ValidationError):
             discrete_path(p, 0.5, 3)
+
+    @pytest.mark.filterwarnings("error")  # the overflow is raised, not warned
+    def test_capital_overflow_is_a_blow_up(self):
+        p = HarrodParams(mu=0.5, nu_star=10.0, K0=1.5e308)
+        with pytest.raises(BlowUpError, match="^capital path blew up between t=0.0 and t=1.0$") as exc:
+            discrete_path(p, 1.0, 5)
+        assert (exc.value.index_last, exc.value.t_last) == (0, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_income_overflow_in_year_zero_is_a_blow_up(self):
+        # K0/nu leaves the float range although K0 does not
+        p = HarrodParams(mu=1e-301, nu_star=1e-300, K0=1e10)
+        with pytest.raises(BlowUpError, match="^capital path blew up at t=0.0$"):
+            discrete_path(p, 1e-300, 0)
 
     def test_impulses_telescope_to_total_growth(self):
         p = HarrodParams(mu=0.4, nu_star=10.0, K0=3.0)
