@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, ValidationError, _require
-from .harrod import HarrodParams, _exponential_cross_check, corrected_trajectory
+from .errors import CrossCheckError, ValidationError, _require, _require_finite_result
+from .harrod import HarrodParams, _checked_exponential, corrected_trajectory
 from .odelin import (
     OdeSpec,
     TimeGrid,
@@ -103,10 +103,8 @@ def harrod_domar_trajectory(
     """
     _require("(0, 1)", mu=mu)
     _require("positive", nu=nu)
-    rate = mu / (nu * scaling.t0)
-    with np.errstate(over="ignore"):  # an overflow fails the cross-check
-        Y = scaling.Y0 * np.exp(rate * grid.nodes)
-    _exponential_cross_check(Y, rate, grid)
+    time_scale = nu * scaling.t0  # underflows to 0 for a tiny nu*t0: the rate is inf
+    Y = _checked_exponential(scaling.Y0, mu / time_scale if time_scale else math.inf, grid)
     C = (1.0 - mu) * Y / scaling.k1
     I = mu * Y / scaling.k2
     return Trajectory(grid, np.column_stack([Y, C, I]), ("Y", "C", "I"))
@@ -141,6 +139,7 @@ def phillips_solve(
     is rejected.
     """
     _require("finite", **dict(zip(("y0", "ydot0"), init)))
+    _require_finite_result(a1=params.a1, b1=params.b1)
     rho = scaling.rho
     a = b = math.nan
     if 0.0 < rho * rho < math.inf:  # else rho**2 overflows or underflows to 0
@@ -261,6 +260,7 @@ def bergstrom_capital_solve(
     _require("finite", **dict(zip(("k0", "kdot0"), init)))
     damping = gamma + mu * lam - nu * gamma * lam
     stiffness = mu * gamma * lam
+    _require_finite_result(damping=damping, stiffness=stiffness)
     spec = OdeSpec((1.0, damping, stiffness))
     traj = analytic_solution(spec, list(init), grid, derivatives=1)
     traj = Trajectory(traj.grid, traj.values, ("K", "Kdot"))
@@ -284,7 +284,8 @@ def multiplier_trajectory(
     demand component Z = (1 - mu) * Y."""
     _require("(0, 1)", mu=mu)
     _require("positive", lam=lam, Y0=Y0)
-    Y = Y0 * np.exp(-lam * mu * grid.nodes)
+    with np.errstate(over="ignore"):  # exp(-inf) is exactly 0
+        Y = Y0 * np.exp(-lam * mu * grid.nodes)
     Z = (1.0 - mu) * Y
     return Trajectory(grid, np.column_stack([Y, Z]), ("Y", "Z"))
 

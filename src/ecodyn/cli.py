@@ -267,10 +267,7 @@ def _demand_from_flags(ns, n: int, steps: int):
     if len(given) != 1:
         raise ValidationError("provide exactly one of demand / demand-file", key="demand")
     if ns.demand:
-        vec = _vector(ns.demand, "demand")
-        if len(vec) != n:
-            raise ValidationError(f"demand must have {n} components", key="demand")
-        return vec
+        return _vector(ns.demand, "demand")
     try:
         table = np.loadtxt(ns.demand_file, delimiter=",", ndmin=2)
     except OSError as exc:
@@ -332,9 +329,7 @@ def _leontief_model(ns, order: int) -> tuple[leontief.LeontiefModel, int]:
     steps = _default_steps(ns.steps)
     demand = _demand_from_flags(ns, n, steps)
     X0 = _vector(ns.x0, "x0")
-    Xdot0 = _vector(ns.xdot0, "xdot0") if getattr(ns, "xdot0", None) else None
-    if order == 2 and Xdot0 is None:
-        raise ValidationError("order 2 needs xdot0", key="xdot0")
+    Xdot0 = _vector(ns.xdot0, "xdot0") if ns.xdot0 else None
     model = leontief.LeontiefModel(A=A, demand=demand, X0=X0, Xdot0=Xdot0, order=order)
     return model, steps
 

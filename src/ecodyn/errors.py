@@ -11,6 +11,12 @@ parameter's range fails with the range's wording.  Both name the
 parameter and key it by its CLI flag (lower case, dashes for
 underscores), so the finiteness rule, the wording and the key spelling
 live here alone.
+
+A coefficient formed from finite parameters can still leave the float
+range (mu/nu at a subnormal nu, gamma*lam at 1e200 each).
+``_require_finite_result`` names the first such coefficient where it is
+formed and raises a ``NumericalError``, before a root finder, a substep
+count or a warning meets the infinity.
 """
 
 import math
@@ -51,6 +57,16 @@ def _require(range_: str, **values: float) -> None:
             raise ValidationError(f"{name} must be finite, got {float(value)!r}", key=key)
         if not inside(value):
             raise ValidationError(f"{name} {wording}", key=key)
+
+
+def _require_finite_result(**values) -> None:
+    """Reject the first of ``values``, in argument order, that is not
+    finite or, as a tuple or an array, holds an entry that is not."""
+    for name, value in values.items():
+        entries = getattr(value, "flat", value if isinstance(value, tuple) else (value,))
+        bad = next((x for x in entries if not math.isfinite(x)), None)
+        if bad is not None:
+            raise NumericalError(f"derived coefficient {name} is not finite, got {float(bad)!r}")
 
 
 class StructuralError(ValidationError):

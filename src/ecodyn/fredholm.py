@@ -108,9 +108,11 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     ResolutionError,
+    SingularMatrixError,
     SpectrumProximityError,
     ValidationError,
     _require,
+    _require_finite_result,
 )
 from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid
 
@@ -429,6 +431,21 @@ def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
     return low - e_qr - delta >= tau
 
 
+def _guarded_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """(Id - lambda*K*W)^-1 rhs after the spectral guard.  Entries near the
+    float range pass the guard, so a system matrix that overflows raises
+    NumericalError, and one that LAPACK finds singular SingularMatrixError."""
+    _guard_spectrum(disc, lam)
+    with np.errstate(over="ignore"):
+        M = disc.system_matrix(lam)
+    if not (math.isfinite(M.max()) and math.isfinite(M.min())):  # no n x n temporary
+        _require_finite_result(system_matrix=M)
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"Id - lambda*K*W is singular ({exc})") from None
+
+
 def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
     if not np.isfinite(lam):
         raise ValidationError(f"lambda must be finite, got {lam!r}", key="lam")
@@ -483,17 +500,14 @@ def nystrom_solve(
     nearest characteristic number (see "Spectral guard" in the module
     docstring).
     """
-    _guard_spectrum(disc, lam)
-    qv = np.array([q(float(t)) for t in disc.nodes])
-    phi = np.linalg.solve(disc.system_matrix(lam), qv)
+    phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes]))
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)
 
 
 def resolvent(disc: NystromDiscretization, lam: float) -> np.ndarray:
     """Node samples of H(t, eta, lambda) = (Id - lambda*K*W)^-1 K, so that
     phi = q + lambda * (quadrature apply of H to q)."""
-    _guard_spectrum(disc, lam)
-    return np.linalg.solve(disc.system_matrix(lam), disc.K)
+    return _guarded_solve(disc, lam, disc.K)
 
 
 def resolvent_apply(
@@ -867,7 +881,6 @@ class FredholmReduction:
     a: tuple[float, ...]
     conditions: tuple[BoundaryCondition, ...]
     forcing: Callable[[float], float] | None = None
-    _M: np.ndarray = field(repr=False, init=False, default=None)  # type: ignore[assignment]
     _c0: np.ndarray = field(repr=False, init=False, default=None)  # type: ignore[assignment]
     _Minv: np.ndarray = field(repr=False, init=False, default=None)  # type: ignore[assignment]
 
@@ -886,7 +899,6 @@ class FredholmReduction:
             Minv = np.linalg.inv(M)
         except np.linalg.LinAlgError:
             raise DegenerateDataError("boundary placement yields a singular system") from None
-        object.__setattr__(self, "_M", M)
         object.__setattr__(self, "_Minv", Minv)
         object.__setattr__(self, "_c0", Minv @ v)
 
@@ -968,6 +980,7 @@ def ode_to_integral(
     if len(boundary) != n:
         raise ValidationError(f"need exactly {n} boundary data, got {len(boundary)}")
     a = spec.normalized()
+    _require_finite_result(normalized_coeffs=a)
     forcing = spec.forcing
     first = boundary[0]
     if not isinstance(first, (tuple, list)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, PoleError, ValidationError, _require
+from .errors import CrossCheckError, PoleError, ValidationError, _require, _require_finite_result
 from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, rk4_linear, sup_rel_diff
 
 POLE_GUARD_REL = 1e-6
@@ -82,10 +82,7 @@ def classical_trajectory(
     of Ydot = (mu/nu) Y to 1e-8 relative.
     """
     _require("positive", nu=nu)
-    rate = params.mu / nu
-    with np.errstate(over="ignore"):  # an overflow fails the cross-check
-        Y = params.Y0 * np.exp(rate * grid.nodes)
-    _exponential_cross_check(Y, rate, grid)
+    Y = _checked_exponential(params.Y0, params.mu / nu, grid)
     flows = _flows(params.mu, Y)
     values = np.column_stack([flows.Y, flows.C, flows.S, flows.I])
     return Trajectory(grid, values, ("Y", "C", "S", "I"))
@@ -141,20 +138,26 @@ def corrected_trajectory(
     return CorrectedHarrodResult(traj, blowup_time=blowup, forecast_horizon=horizon)
 
 
-def _exponential_cross_check(Y: np.ndarray, rate: float, grid: TimeGrid) -> None:
-    """Validate the closed form Y on ``grid`` against RK4 of Ydot = rate*Y,
-    started from Y[0], to 1e-8 relative (CrossCheckError otherwise)."""
+def _checked_exponential(Y0: float, rate: float, grid: TimeGrid) -> np.ndarray:
+    """The closed form Y = Y0 * exp(rate*t) on ``grid``, validated against
+    RK4 of Ydot = rate*Y, started from Y[0], to 1e-8 relative
+    (CrossCheckError otherwise).  A rate that is not finite is rejected
+    before Y is formed; an overflow of Y fails the cross-check."""
+    _require_finite_result(rate=rate)
+    with np.errstate(over="ignore"):
+        Y = Y0 * np.exp(rate * grid.nodes)
     numeric = rk4_linear(rate, [Y[0]], grid, substeps=_substeps_for(abs(rate), grid.h))
     dev = sup_rel_diff(Y, numeric.values[:, 0])
     if dev > 1e-8:
         raise CrossCheckError(f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-8")
+    return Y
 
 
 def _substeps_for(rate: float, h: float, target: float = 0.02, cap: int = 64) -> int:
     """Substeps keeping rate*h_eff below ``target`` so RK4 meets the check tolerances."""
     if rate <= 0.0:
         return 1
-    return min(cap, max(1, math.ceil(rate * h / target)))
+    return max(1, math.ceil(min(rate * h / target, cap)))  # rate*h may overflow
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ whose kernel coefficients K_0 = -2I and K_1 = -2B go to the trapezoidal
 marcher of the linear-dynamics core.  The two routes share only the model
 data and the loop that applies their (different) affine steps, which
 makes their agreement the module's central cross-check.
+
+Each input has one owner here.  ``_as_matrix`` is the one rule for a
+technology matrix (square, finite, nonnegative; key ``matrix``), used by
+``LeontiefModel``, ``metzler_check`` and ``static_solve``.  The demand is
+stored once, as the caller's sampler or a constant float vector, and
+``LeontiefModel.demand_samples`` is its only accessor.
 """
 
 from __future__ import annotations
@@ -35,19 +41,24 @@ from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
 
 
-def _as_demand(demand: DemandLike, n: int) -> Callable[[float], np.ndarray]:
-    if callable(demand):
-        return demand
-    vec = np.asarray(demand, dtype=float)
-    if vec.shape != (n,):
-        raise ValidationError(f"constant demand must have {n} components", key="demand")
-    return lambda _t, _v=vec: _v
+def _as_matrix(A: np.ndarray) -> np.ndarray:
+    """A as a float array, rejected unless square, finite and nonnegative."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValidationError("A must be a square matrix", key="matrix")
+    if not np.isfinite(A).all():
+        raise ValidationError("A has an entry that is not finite", key="matrix")
+    if np.any(A < 0.0):
+        i, j = np.argwhere(A < 0.0)[0]
+        raise ValidationError(f"A[{i},{j}] = {float(A[i, j])!r} is negative", key="matrix")
+    return A
 
 
 @dataclass
 class LeontiefModel:
-    """Technology matrix A (nonnegative, dimensionless), demand sampler
-    C(t_bar) on [0, 1], initial data and truncation order."""
+    """Technology matrix A (nonnegative, dimensionless), demand (a sampler
+    C(t_bar) on [0, 1], or a constant kept as a float vector), initial data
+    and truncation order."""
 
     A: np.ndarray
     demand: DemandLike
@@ -56,14 +67,7 @@ class LeontiefModel:
     order: int = 1
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-            raise ValidationError("A must be a square matrix", key="matrix")
-        if np.any(self.A < 0.0):
-            i, j = np.argwhere(self.A < 0.0)[0]
-            raise ValidationError(
-                f"A[{i},{j}] = {self.A[i, j]!r} is negative", key="matrix"
-            )
+        self.A = _as_matrix(self.A)
         n = self.A.shape[0]
         self.X0 = np.asarray(self.X0, dtype=float)
         if self.X0.shape != (n,):
@@ -74,7 +78,10 @@ class LeontiefModel:
                 raise ValidationError(f"Xdot0 must have {n} components", key="xdot0")
         if self.order < 1:
             raise ValidationError("truncation order must be >= 1", key="order")
-        self.demand_fn = _as_demand(self.demand, n)
+        if not callable(self.demand):
+            self.demand = np.asarray(self.demand, dtype=float)
+            if self.demand.shape != (n,):
+                raise ValidationError(f"constant demand must have {n} components", key="demand")
 
     @property
     def n(self) -> int:
@@ -83,9 +90,6 @@ class LeontiefModel:
     @property
     def B(self) -> np.ndarray:
         return np.eye(self.n) - self.A
-
-    def demand_at(self, t: float) -> np.ndarray:
-        return self.demand_samples([t])[0]
 
     def demand_samples(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
         """C(t_bar) at every time of ``ts``, stacked len(ts) x n.
@@ -98,9 +102,9 @@ class LeontiefModel:
         times = np.asarray(ts, dtype=float).tolist()
         n = self.n
         if callable(self.demand):
-            rows = [np.asarray(self.demand_fn(t), dtype=float) for t in times]
+            rows = [np.asarray(self.demand(t), dtype=float) for t in times]
         else:
-            rows = [np.asarray(self.demand_fn(times[0]), dtype=float)]
+            rows = [self.demand]
         shape_bad = next((i for i, c in enumerate(rows) if c.shape != (n,)), len(rows))
         C = np.array(rows[:shape_bad]).reshape(shape_bad, n)
         nonfinite = ~np.isfinite(C).all(axis=1)
@@ -130,12 +134,7 @@ def metzler_check(A: np.ndarray) -> MetzlerReport:
     """Row sums of the nonnegative matrix must all be <= 1 with at least
     one strictly below; that guarantees solvability of the balance and
     convergence of simple iteration."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError("A must be a square matrix", key="matrix")
-    if np.any(A < 0.0):
-        i, j = np.argwhere(A < 0.0)[0]
-        raise ValidationError(f"A[{i},{j}] = {A[i, j]!r} is negative", key="matrix")
+    A = _as_matrix(A)
     sums = A.sum(axis=1)
     offending = tuple(int(i) for i in np.nonzero(sums > 1.0 + 1e-15)[0])
     strict = bool(np.any(sums < 1.0 - 1e-15))
@@ -190,15 +189,14 @@ def static_solve(
     (LAPACK gesv), and a failure there is a singular matrix too.
     "iterate" runs X_{s+1} = A X_s + c from X_0 = c until the step
     difference drops to ``tol`` (under the Metzler condition this bounds
-    the balance residual by ``tol`` too).  A, c and tol must be finite.
+    the balance residual by ``tol`` too).  A goes through the one matrix
+    rule before it is factored or iterated; c and tol must be finite.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A)
     c = np.asarray(c, dtype=float)
     n = A.shape[0]
     if c.shape != (n,):
         raise ValidationError(f"demand must have {n} components", key="demand")
-    if not np.isfinite(A).all():
-        raise ValidationError("A has an entry that is not finite", key="matrix")
     if not np.isfinite(c).all():
         raise ValidationError("demand has a component that is not finite", key="demand")
     _require("finite", tol=tol)
@@ -282,10 +280,7 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     grid = TimeGrid(0.0, 1.0, steps)
     n = model.n
     labels = tuple(f"x{i + 1}" for i in range(n))
-    if callable(model.demand):
-        demand = model.demand_samples
-    else:
-        demand = model.demand_at(0.0)
+    demand = model.demand_samples if callable(model.demand) else model.demand_samples([0.0])[0]
     if model.order == 1:
         return rk4_linear(-model.B, model.X0, grid, forcing=demand, labels=labels)
 
@@ -391,14 +386,12 @@ def demand_scale(
     X_star = np.asarray(X_star, dtype=float)
     if X_star.shape != (model.n,):
         raise ValidationError(f"X_star must have {model.n} components", key="x-star")
-    if model.order not in (1, 2):
-        raise ValidationError("demand_scale supports truncation orders 1 and 2", key="order")
 
     def scaled_model(alpha: float) -> LeontiefModel:
-        fn = model.demand_fn
+        demand = model.demand
         return LeontiefModel(
             A=model.A,
-            demand=lambda t, _a=alpha: _a * fn(t),
+            demand=(lambda t: alpha * demand(t)) if callable(demand) else alpha * demand,
             X0=model.X0,
             Xdot0=model.Xdot0,
             order=model.order,

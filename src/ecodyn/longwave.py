@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _require
+from .errors import ValidationError, _require, _require_finite_result
 from .odelin import TimeGrid, Trajectory, rk4_linear
 
 REGIME_REAL_TOL = 1e-10
@@ -47,7 +47,9 @@ def lw_matrix(params: LongWaveParams) -> np.ndarray:
     """Coefficient matrix of (x, y) after substituting z = x - y:
     [[-p, p*q], [r*s, -r*(1+s)]]."""
     p, q, r, s = params.p, params.q, params.r, params.s
-    return np.array([[-p, p * q], [r * s, -r * (1.0 + s)]])
+    M = np.array([[-p, p * q], [r * s, -r * (1.0 + s)]])
+    _require_finite_result(lw_matrix=M)
+    return M
 
 
 def lw_classify(params: LongWaveParams) -> CycleReport:

@@ -455,6 +455,7 @@ FAIL_MATRICES = {
     "thirty": "2\n30,0\n0,30\n",  # grows too fast for 4 Volterra steps
     "nan": "2\nnan,0\n0,1\n",
     "nan_demand": "1,1,1\nnan,1,1\n1,1,1\n",  # a demand table on 2 steps
+    "negative_singular": "2\n1,-1\n0,0\n",  # E - A = [[0, 1], [0, 1]]
 }
 M3 = str(GOLDEN / "leontief_matrix.txt")
 # (exit code, argv): every command's rejected inputs (2) and numerical failures (3)
@@ -521,7 +522,40 @@ FAILURES = [
     # z = exp(1000 t) overflows
     (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,-1000",
          "--ode-init", "1", "--steps", "1000"]),
+    # negative and singular: A is checked before E - A is factored
+    (2, ["leontief-static", "--matrix", "{negative_singular}", "--demand", "1,1"]),
+    # the guard passes, and LAPACK finds Id - lambda*K*W singular
+    (3, ["fredholm-solve", "--kernel", "degenerate", "--lam", "0.5", "--nodes", "5",
+         "--mu", "1e20"]),
+    (3, ["fredholm-solve", "--kernel", "degenerate", "--lam", "0.5", "--nodes", "5",
+         "--mu", "1e300"]),
+    # a finite rate whose step rate*h overflows: the substep count is capped, Y blows up
+    (3, ["harrod", "--mu", "0.3", "--nu", "1e-200", "--t-end", "1e200", "--steps", "2"]),
+    (3, ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1e-200", "--t-end", "1e200",
+         "--steps", "2"]),
 ]
+# (coefficient, argv): finite flags whose derived coefficient is not finite
+DERIVED_OVERFLOWS = [
+    ("rate", ["harrod", "--mu", "0.3", "--nu", "1e-320", "--t-end", "1", "--steps", "2"]),
+    ("rate", ["harrod-domar", "--mu", "0.3", "--nu", "1e-300", "--t0", "1e-10", "--t-end", "1",
+              "--steps", "2"]),
+    # nu*t0 underflows to 0
+    ("rate", ["harrod-domar", "--mu", "0.3", "--nu", "1e-300", "--t0", "1e-300", "--t-end", "1",
+              "--steps", "2"]),
+    ("rate", ["scale-check", "--model", "harrod-domar", "--t0-a", "1e-300", "--t0-b", "1",
+              "--mu", "0.3", "--nu", "1e-10", "--t-end", "1", "--steps", "2"]),
+    ("damping", ["bergstrom", "--mu", "0.4", "--nu", "0.8", "--gamma", "1e200", "--lam", "1e200",
+                 "--t-end", "1"]),
+    ("lw_matrix", ["longwave", "--p", "1e200", "--r", "1e200", "--q", "1e200", "--t-end", "1"]),
+    ("a1", ["phillips", "--kappa", "1e200", "--nu", "0.8", "--mu", "0.4", "--lam", "1e200",
+            "--t-end", "1"]),
+    ("normalized_coeffs", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs",
+                           "1e-300,1e300,1", "--ode-init", "1,0", "--steps", "4"]),
+    # lambda*K*W overflows: solved through, phi would print as NaN
+    ("system_matrix", ["fredholm-solve", "--kernel", "degenerate", "--lam", "1e200",
+                       "--nodes", "5", "--mu", "1e200"]),
+]
+FAILURES += [(3, argv) for _, argv in DERIVED_OVERFLOWS]
 # (key, argv): rejected inputs whose error line must name this key
 KEYED_FAILURES = [
     ("nu", ["harrod", "--mu", "0.3", "--nu", "0", "--t-end", "1"]),
@@ -596,6 +630,40 @@ def test_failure_names_its_key(capsys, fail_matrices, key, argv):
     rc, _, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
     assert rc == 2
     assert err.endswith(f" (key: {key})\n"), err
+
+
+@pytest.mark.parametrize("name, argv", DERIVED_OVERFLOWS,
+                         ids=lambda x: x[0] if isinstance(x, list) else x)
+def test_derived_overflow_names_its_coefficient(capsys, name, argv):
+    rc, _, err = run(capsys, argv)
+    assert rc == 3
+    assert err.startswith(f"error: derived coefficient {name} is not finite, got "), err
+
+
+# (message, argv): rules the model or the solver owns, reached through the CLI
+OWNED_RULES = [
+    ("order 2 needs Xdot0 (key: xdot0)",
+     ["leontief-dynamic", "--matrix", M3, "--demand", "1,1,1", "--x0", "1,1,1", "--order", "2",
+      "--steps", "4"]),
+    ("constant demand must have 3 components (key: demand)",
+     ["leontief-dynamic", "--matrix", M3, "--demand", "1,1", "--x0", "1,1,1", "--steps", "4"]),
+    ("A[0,1] = -1.0 is negative (key: matrix)",
+     ["leontief-static", "--matrix", "{negative_singular}", "--demand", "1,1"]),
+]
+
+
+@pytest.mark.parametrize("message, argv", OWNED_RULES, ids=["xdot0", "demand", "matrix"])
+def test_owned_rule_message(capsys, fail_matrices, message, argv):
+    rc, out, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_underflowing_multiplier_is_exact_zero_without_a_warning(capsys):
+    # -lam*mu*t overflows to -inf at t = 1e10, and exp(-inf) is exactly 0
+    rc, out, err = run(capsys, ["multiplier", "--mu", "0.4", "--lam", "1e308", "--t-end", "1e10",
+                                "--steps", "2", "--format", "json"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["data"]["columns"]["Y"][1:] == [0.0, 0.0]
 
 
 def test_no_error_line_shows_a_numpy_repr(capsys, fail_matrices):

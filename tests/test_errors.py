@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ecodyn.errors import ValidationError, _require
+from ecodyn.errors import NumericalError, ValidationError, _require, _require_finite_result
 
 
 def rejection(range_, **values) -> ValidationError:
@@ -58,3 +58,21 @@ class TestRequire:
 
     def test_a_numpy_scalar_is_reported_as_a_plain_float(self):
         assert str(rejection("finite", mu=np.float64("inf"))) == "mu must be finite, got inf"
+
+
+class TestRequireFiniteResult:
+    def test_finite_values_pass(self):
+        assert _require_finite_result(a=1e308, b=(0.0, -1.0), m=np.ones((2, 2))) is None
+
+    @pytest.mark.parametrize("value, shown", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+        ((1.0, math.inf), "inf"), (np.array([[1.0, 2.0], [np.nan, np.inf]]), "nan"),
+    ])
+    def test_the_first_entry_that_is_not_finite_is_shown(self, value, shown):
+        with pytest.raises(NumericalError) as info:
+            _require_finite_result(coeff=value)
+        assert str(info.value) == f"derived coefficient coeff is not finite, got {shown}"
+
+    def test_the_first_bad_value_in_argument_order_is_reported(self):
+        with pytest.raises(NumericalError, match="^derived coefficient b1 is not"):
+            _require_finite_result(a1=1.0, b1=math.inf, c1=math.nan)

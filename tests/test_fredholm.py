@@ -7,7 +7,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecodyn import fredholm
-from ecodyn.errors import BlowUpError, ResolutionError, SpectrumProximityError, ValidationError
+from ecodyn.errors import (
+    BlowUpError,
+    DegenerateDataError,
+    NumericalError,
+    ResolutionError,
+    SingularMatrixError,
+    SpectrumProximityError,
+    ValidationError,
+)
 from ecodyn.fredholm import (
     SPECTRUM_PROXIMITY_TOL,
     FredholmReduction,
@@ -127,6 +135,22 @@ class TestNystromSolve:
         bound = norm ** (m + 1) / (1.0 - norm) * float(np.max(np.abs(q)))
         sol = nystrom_solve(disc_sum, lam, lambda t: 1.0)
         assert np.max(np.abs(sol.phi - series)) <= bound + 1e-14
+
+    @pytest.mark.parametrize("mu", [1e20, 1e300])
+    def test_numerically_singular_system_is_a_singular_matrix(self, mu):
+        # the guard passes, and LAPACK meets an exact zero pivot
+        disc = NystromDiscretization(kernel_degenerate(mu), simpson_rule(5))
+        with pytest.raises(SingularMatrixError, match="Singular matrix"):
+            nystrom_solve(disc, 0.5, lambda t: 1.0)
+        with pytest.raises(SingularMatrixError, match="Singular matrix"):
+            resolvent(disc, 0.5)
+
+    def test_overflowing_system_matrix_is_a_numerical_failure(self):
+        disc = NystromDiscretization(kernel_degenerate(1e200), simpson_rule(5))
+        for solve in (lambda: nystrom_solve(disc, 1e200, lambda t: 1.0),
+                      lambda: resolvent(disc, 1e200)):
+            with pytest.raises(NumericalError, match="^derived coefficient system_matrix is not"):
+                solve()
 
     def test_gauss_rule_agrees_with_simpson(self):
         disc_g = NystromDiscretization(kernel_t_plus_eta(), gauss_legendre_rule(40))
@@ -319,6 +343,16 @@ class TestOdeReduction:
     def test_duplicate_orders_rejected(self):
         with pytest.raises(ValidationError):
             ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [(0, 0.0, 1.0), (0, 0.0, 2.0)])
+
+    def test_singular_boundary_placement_rejected(self):
+        # z'' + z = 0 with z'(0) and z'(1) given leaves z(0) free
+        with pytest.raises(DegenerateDataError, match="singular system"):
+            ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [(1, 0.0, 0.0), (1, 1.0, 0.0)])
+
+    def test_normalized_coefficients_must_be_finite(self):
+        # c_1/c_2 = 1e300/1e-300 overflows
+        with pytest.raises(NumericalError, match="^derived coefficient normalized_coeffs"):
+            ode_to_integral(OdeSpec((1e-300, 1e300, 1.0)), [1.0, 0.0])
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValidationError):

@@ -144,6 +144,21 @@ class TestStatic:
             static_solve(A22, [1.0, np.inf], method=method)
         assert exc_info.value.key == "demand"
 
+    @pytest.mark.parametrize("method", ["direct", "iterate"])
+    @pytest.mark.parametrize("A, message", [
+        ([[0.1, -0.5], [0.0, 0.2]], "A[0,1] = -0.5 is negative"),
+        ([[0.1, 0.2, 0.3], [0.0, 0.2, 0.1]], "A must be a square matrix"),
+    ], ids=["negative", "not-square"])
+    def test_matrix_rule_under_both_methods(self, method, A, message):
+        with pytest.raises(ValidationError) as exc_info:
+            static_solve(np.array(A), [1.0, 1.0], method=method)
+        assert (str(exc_info.value), exc_info.value.key) == (message, "matrix")
+
+    def test_matrix_checked_before_it_is_factored(self):
+        # negative and singular: E - A = [[0, 1], [0, 1]]
+        with pytest.raises(ValidationError, match=r"^A\[0,1\] = -1.0 is negative$"):
+            static_solve(np.array([[1.0, -1.0], [0.0, 0.0]]), [1.0, 1.0], method="direct")
+
 
 def scipy_direct(A, c):
     """The direct solve through scipy's LU: (X or None, rejection message or None)."""
@@ -289,11 +304,12 @@ class TestDynamic:
                               Xdot0=rng.uniform(-0.5, 0.5, n), order=order)
         grid = TimeGrid(0.0, 1.0, 300)
         if order == 1:
-            ref = rk4_integrate(lambda t, x: model.demand_at(t) - B @ x, model.X0, grid)
+            ref = rk4_integrate(lambda t, x: model.demand_samples([t])[0] - B @ x, model.X0,
+                                grid)
         else:
             ref = rk4_integrate(
                 lambda t, s: np.concatenate(
-                    [s[n:], 2.0 * (model.demand_at(t) - s[n:] - B @ s[:n])]),
+                    [s[n:], 2.0 * (model.demand_samples([t])[0] - s[n:] - B @ s[:n])]),
                 np.concatenate([model.X0, model.Xdot0]),
                 grid,
             )
@@ -371,7 +387,8 @@ def stepwise_march(model, steps):
     B, c0, c1 = model.B, model.Xdot0, model.X0
     t = np.linspace(0.0, 1.0, steps + 1)
     h = 1.0 / steps
-    G = [2.0 * (model.demand_at(tk) - c0 - B @ (c0 * tk + c1)) for tk in t.tolist()]
+    G = [2.0 * (model.demand_samples([tk])[0] - c0 - B @ (c0 * tk + c1))
+         for tk in t.tolist()]
     X = [c1]
     S0, S1 = 0.5 * G[0], 0.0 * G[0]
     for k in range(1, steps + 1):
@@ -403,7 +420,7 @@ class TestAffineMarch:
 def stepwise_check(model, ts):
     """The message of the first failing sample, checked one at a time."""
     for t in ts:
-        c = np.asarray(model.demand_fn(t), dtype=float)
+        c = np.asarray(model.demand(t), dtype=float)
         if c.shape != (model.n,):
             return f"demand sampler must return {model.n} components"
         if not np.all(np.isfinite(c)):
@@ -443,15 +460,23 @@ class TestDemandSamples:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_solves_check_the_stack_not_each_sample(self, monkeypatch, order):
-        def per_sample(self, t):
-            raise AssertionError("demand_at called")
+        # one call per march: the 21 RK4 stage times of 10 steps, then the
+        # 11 and 6 nodes of the Volterra march and its half-resolution rerun
+        sizes = []
+        demand_samples = LeontiefModel.demand_samples
 
-        monkeypatch.setattr(LeontiefModel, "demand_at", per_sample)
+        def counted(self, ts):
+            sizes.append(len(ts))
+            return demand_samples(self, ts)
+
+        monkeypatch.setattr(LeontiefModel, "demand_samples", counted)
         model = LeontiefModel(A=A22, demand=lambda t: np.array([1.0 + t, 2.0]),
                               X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=order)
         dynamic_solve(model, steps=10)
+        assert sizes == [21]
         if order == 2:
             volterra_solve(model, steps=10)
+            assert sizes == [21, 11, 6]
 
 
 class TestDemandScale:
@@ -468,7 +493,7 @@ class TestDemandScale:
 
         zero = LeontiefModel(
             A=model.A,
-            demand=lambda t: 0.0 * model.demand_fn(t),
+            demand=0.0 * model.demand,
             X0=model.X0,
             Xdot0=model.Xdot0,
             order=model.order,
@@ -508,8 +533,27 @@ class TestDemandScale:
 
 class TestModelValidation:
     def test_negative_entry_named(self):
-        with pytest.raises(ValidationError):
+        # the entry reads as a plain float, not as np.float64(-0.5)
+        with pytest.raises(ValidationError, match=r"^A\[0,1\] = -0.5 is negative$"):
             LeontiefModel(A=np.array([[0.1, -0.5], [0.0, 0.2]]), demand=[1.0, 1.0], X0=[0.0, 0.0])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_matrix_must_be_finite(self, entry):
+        with pytest.raises(ValidationError) as exc_info:
+            LeontiefModel(A=np.array([[0.1, entry], [0.0, 0.2]]), demand=[1.0, 1.0],
+                          X0=[0.0, 0.0])
+        assert (str(exc_info.value), exc_info.value.key) == (
+            "A has an entry that is not finite", "matrix")
+
+    def test_metzler_check_shares_the_rule(self):
+        with pytest.raises(ValidationError, match="^A has an entry that is not finite$"):
+            metzler_check(np.array([[np.nan]]))
+        with pytest.raises(ValidationError, match="^A must be a square matrix$"):
+            metzler_check(np.zeros(3))
+
+    def test_constant_demand_stored_as_a_float_vector(self):
+        model = LeontiefModel(A=A22, demand=[1, 2], X0=[0.0, 0.0])
+        assert model.demand.dtype == float and model.demand.tolist() == [1.0, 2.0]
 
     def test_demand_shape_checked(self):
         with pytest.raises(ValidationError):
