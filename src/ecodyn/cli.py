@@ -3,7 +3,8 @@ file and emit trajectories and reports as CSV or JSON.
 
 Exit codes: 0 success, 2 validation error (the message names the
 offending key), 3 numerical failure (pole, blow-up, non-convergence,
-spectrum proximity) with the originating module's message verbatim.
+spectrum proximity) with the originating module's message verbatim, or a
+run too large for the memory at hand.
 Output files are written atomically; a failed run never leaves a
 partial file behind.
 """
@@ -1018,6 +1019,10 @@ def run(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(text)
     except EcodynError as exc:
         return _report(exc)
+    except MemoryError as exc:  # e.g. the n x n kernel matrix of a huge --nodes
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 3
     return 0
 
 

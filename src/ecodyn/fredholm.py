@@ -36,10 +36,25 @@ n x n factorization:
     (from the R factor of its QR factorization), Id - (K0 + mu K1) W is
     Q C Q^T + (Id - Q Q^T), so its singular values are those of the small
     C and, n - dim Q times, 1.
+  - Solve.  (Id - lambda K W) phi = q is, for K = G H^T, the r x r
+    capacitance system of the Woodbury identity (Kress, ch. 11):
+    phi = q + G (I/lambda - S)^-1 H^T W q, with S and H^T W q summed by
+    math.fsum.  ``nystrom_solve`` takes it when the guard's certificate
+    proved lambda far from the spectrum and K is G H^T to the rounding of
+    forming G H^T, ||D||_F <= 2(r + 3) eps s (below); a rank-0 kernel
+    returns q.  Otherwise (eigvals decided, the kernel has no separable
+    form, or its separable form is not the kernel), and always for
+    ``resolvent``, the solve is LU of the n x n system matrix.  The
+    paper's example of the Fredholm alternative, the degenerate kernel
+    rho(t)rho(eta) + mu sigma(t)rho(eta) (arXiv:0804.3658), is rank 2:
+    away from its characteristic numbers its solve holds K and
+    ``_DEFECT_ROWS`` x n more floats, where the n x n route holds the
+    system matrix and LAPACK's copy of it besides.
   - Guard, below.
 
 Kernels without a separable form (the ODE-reduced kernels, user kernels)
-take the n x n route for their spectrum and sweep: eig and values-only SVD.
+take the n x n route for their spectrum, sweep and solve: eig, values-only
+SVD and LU.
 
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
 ``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
@@ -64,7 +79,10 @@ sec. 7.3) bounds
     entrywise by at most gamma_2 |(K - G H^T) W| + gamma_(r+3) |G| |W H|^T,
     and fl(vdot(D, D)) from ||D||_F^2 by gamma_(n^2) ||D||_F^2, so
     delta = (1 + 2(n^2 + 2) eps) sqrt(fl(vdot(D, D))) + 2(r + 3) eps s,
-    s = sum_i ||g_i||_2 ||w h_i||_2, bounds the norm with slack.
+    s = sum_i ||g_i||_2 ||w h_i||_2, bounds the norm with slack.  D is
+    formed ``_DEFECT_ROWS`` rows at a time and the blocks' vdots are
+    added: gamma_(n^2) bounds a sum of n^2 terms in any order, and the
+    working memory stays at that many rows.
   - Compression (r > 0).  Householder QR of [G, fl(W H)] returns R with
     [G, W H] + E = Q R, Q exactly orthonormal (n x k) and every column of E
     at most gq = 32 n m eps times its column of [G, W H] (Higham, thm.
@@ -107,6 +125,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDataError,
+    NumericalError,
     ResolutionError,
     SingularMatrixError,
     SpectrumProximityError,
@@ -122,6 +141,8 @@ SINGULARITY_FLAG_REL = 1e-6
 # the guard skips eigvals only when sigma_min is proved above this multiple
 # of the tolerance (plus rounding)
 GUARD_SCREEN_FACTOR = 2.0
+# rows of (K - G H^T) W the certificate forms at a time
+_DEFECT_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -344,6 +365,7 @@ class NystromDiscretization:
     G: np.ndarray | None = field(init=False, default=None)
     H: np.ndarray | None = field(init=False, default=None)
     _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
+    _defect: tuple[float, float] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.K = self.kernel.matrix(self.rule.nodes, self.rule.nodes)
@@ -382,6 +404,37 @@ class NystromDiscretization:
         return M
 
 
+def _factors(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray]:
+    """G and H, with no columns for a kernel without a separable form."""
+    if disc.G is None:
+        return np.zeros((disc.rule.n, 0)), np.zeros((disc.rule.n, 0))
+    return disc.G, disc.H
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a sum that is not finite fails the callers
+def _separable_defect(disc: NystromDiscretization) -> tuple[float, float]:
+    """fl(||D||_F^2) for D = fl(fl(K - fl(G H^T)) * w), summed over blocks of
+    ``_DEFECT_ROWS`` rows, and s = sum_i ||g_i||_2 ||w h_i||_2 (see
+    "Perturbation" in the module docstring).  Neither depends on lambda, so
+    they are computed once per discretization."""
+    if disc._defect is None:
+        G, H = _factors(disc)
+        w = disc.weights
+        n = disc.rule.n
+        block = np.empty((min(n, _DEFECT_ROWS), n))
+        dsq = 0.0
+        for i in range(0, n, _DEFECT_ROWS):
+            rows = disc.K[i : i + _DEFECT_ROWS]
+            D = block[: len(rows)]
+            np.matmul(G[i : i + _DEFECT_ROWS], H.T, out=D)
+            np.subtract(rows, D, out=D)
+            D *= w
+            dsq += float(np.vdot(D, D))
+        s = float(np.sum(np.linalg.norm(G, axis=0) * np.linalg.norm(w[:, None] * H, axis=0)))
+        disc._defect = (dsq, s)
+    return disc._defect
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a bound that is not finite fails
 def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
     """Whether sigma_min(I/lam - KW) >= tau is proved by the Weyl
@@ -389,19 +442,13 @@ def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
     module docstring).  Never True for a matrix that is not finite."""
     n = disc.rule.n
     eps = np.finfo(float).eps
-    G, H, w = disc.G, disc.H, disc.weights
-    if G is None:
-        G = H = np.zeros((n, 0))
+    G, H = _factors(disc)
     r = G.shape[1]
-    WH = w[:, None] * H
+    WH = disc.weights[:, None] * H
     # delta >= ||(K - G H^T) W||_F
-    D = G @ H.T
-    np.subtract(disc.K, D, out=D)
-    D *= w
-    s = float(np.sum(np.linalg.norm(G, axis=0) * np.linalg.norm(WH, axis=0)))
-    delta = (1.0 + 2 * (n * n + 2) * eps) * math.sqrt(float(np.vdot(D, D)))
+    dsq, s = _separable_defect(disc)
+    delta = (1.0 + 2 * (n * n + 2) * eps) * math.sqrt(dsq)
     delta += 2 * (r + 3) * eps * s
-    del D
     inv = 1.0 / lam
     k = min(n, 2 * r)
     low, fro_c, e_qr = math.inf, 0.0, 0.0
@@ -431,11 +478,10 @@ def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
     return low - e_qr - delta >= tau
 
 
-def _guarded_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """(Id - lambda*K*W)^-1 rhs after the spectral guard.  Entries near the
+def _dense_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """(Id - lambda*K*W)^-1 rhs by the n x n system matrix.  Entries near the
     float range pass the guard, so a system matrix that overflows raises
     NumericalError, and one that LAPACK finds singular SingularMatrixError."""
-    _guard_spectrum(disc, lam)
     with np.errstate(over="ignore"):
         M = disc.system_matrix(lam)
     if not (math.isfinite(M.max()) and math.isfinite(M.min())):  # no n x n temporary
@@ -446,11 +492,45 @@ def _guarded_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> 
         raise SingularMatrixError(f"Id - lambda*K*W is singular ({exc})") from None
 
 
-def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
+def _guarded_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
+    """(Id - lambda*K*W)^-1 q after the spectral guard: at the kernel's rank
+    when the certificate decided and K is G H^T to rounding, else by the
+    n x n system matrix (see "Solve" in the module docstring)."""
+    if not (_guard_spectrum(disc, lam) and disc.G is not None and _is_separable_form(disc)):
+        return _dense_solve(disc, lam, q)
+    r = disc.G.shape[1]
+    if r == 0:
+        return q
+    with np.errstate(over="ignore", invalid="ignore"):  # a phi that is not finite fails
+        Sq = _weighted_inner(disc, np.column_stack([disc.G, q]))
+        C = -Sq[:, :r]
+        C[np.diag_indices_from(C)] += 1.0 / lam
+        try:
+            phi = q + disc.G @ np.linalg.solve(C, Sq[:, r])
+        except np.linalg.LinAlgError as exc:  # singular exactly when Id - lambda*K*W is
+            raise SingularMatrixError(f"Id - lambda*K*W is singular ({exc})") from None
+    if not np.isfinite(phi).all():
+        raise NumericalError("the finite-rank solve gave a phi that is not finite")
+    return phi
+
+
+def _is_separable_form(disc: NystromDiscretization) -> bool:
+    """Whether ||D||_F <= 2 (r + 3) eps s: K differs from G H^T by no more
+    than the rounding the certificate allows for forming G H^T."""
+    dsq, s = _separable_defect(disc)
+    r = disc.G.shape[1]
+    return math.sqrt(dsq) <= 2 * (r + 3) * np.finfo(float).eps * s
+
+
+def _guard_spectrum(disc: NystromDiscretization, lam: float) -> bool:
+    """Reject lam as ``nystrom_solve`` describes; True when the certificate
+    decided, False when eigvals did (or lam = 0)."""
     if not np.isfinite(lam):
         raise ValidationError(f"lambda must be finite, got {lam!r}", key="lam")
-    if lam == 0.0 or _certified_far(disc, lam):
-        return  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
+    if lam == 0.0:
+        return False
+    if _certified_far(disc, lam):
+        return True  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
     eigs = disc.weighted_eigs()
     dist = np.abs(1.0 / lam - eigs)
     j = int(np.argmin(dist))
@@ -462,6 +542,7 @@ def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
             f"characteristic number {nearest!r}",
             nearest_characteristic_number=nearest,
         )
+    return False
 
 
 @dataclass
@@ -498,16 +579,19 @@ def nystrom_solve(
     Rejects a lambda that is not finite, and one whose reciprocal sits
     within 1e-8 of an eigenvalue of the weighted kernel matrix, naming the
     nearest characteristic number (see "Spectral guard" in the module
-    docstring).
+    docstring).  A separable kernel away from its spectrum is solved at its
+    rank, with no n x n array besides K (see "Solve" there).
     """
-    phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes]))
+    phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes], dtype=float))
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)
 
 
 def resolvent(disc: NystromDiscretization, lam: float) -> np.ndarray:
     """Node samples of H(t, eta, lambda) = (Id - lambda*K*W)^-1 K, so that
-    phi = q + lambda * (quadrature apply of H to q)."""
-    return _guarded_solve(disc, lam, disc.K)
+    phi = q + lambda * (quadrature apply of H to q).  Always by the n x n
+    system matrix, which keeps it an independent check of ``nystrom_solve``."""
+    _guard_spectrum(disc, lam)
+    return _dense_solve(disc, lam, disc.K)
 
 
 def resolvent_apply(
@@ -532,6 +616,24 @@ def _fsum(terms: np.ndarray) -> float:
         return float(np.sum(terms))
 
 
+def _weighted_inner(disc: NystromDiscretization, X: np.ndarray) -> np.ndarray:
+    """H^T W X (r x m) for an n x m ``X``, each entry the correctly rounded
+    sum of its n products w_k h_i(eta_k) x_kj (``math.fsum``)."""
+    WH = disc.weights[:, None] * disc.H
+    r, m = WH.shape[1], X.shape[1]
+    S = [[_fsum(WH[:, i] * X[:, j]) for j in range(m)] for i in range(r)]
+    return np.array(S).reshape(r, m)
+
+
+def _saturate(x) -> float:
+    """float(x) of a Fraction, or +-inf where it is beyond the float range
+    (1/mu of an eigenvalue mu below about 1e-308)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray, list[complex]]:
     """Eigenvalues mu_i and eigenvectors v_i of S = H^T W G (r x r) of a
     separable kernel, and its characteristic numbers 1/mu_i.
@@ -549,11 +651,9 @@ def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray,
     """
     from fractions import Fraction  # here: only the spectrum needs it
 
-    G, H, w = disc.G, disc.H, disc.weights
-    r = G.shape[1]
-    WH = w[:, None] * H
-    S = np.array([[_fsum(WH[:, i] * G[:, j]) for j in range(r)] for i in range(r)])
-    mus, V = np.linalg.eig(S.reshape(r, r))
+    r = disc.G.shape[1]
+    S = _weighted_inner(disc, disc.G)
+    mus, V = np.linalg.eig(S)
     Sx = [[Fraction(x) for x in row] for row in S.tolist()]
     exact, R = [], np.empty((r, r), dtype=complex)
     for j, (mu, v) in enumerate(zip(mus.tolist(), V.T.tolist())):
@@ -574,7 +674,7 @@ def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray,
         if abs(d) <= bound:
             a, b = a + Fraction(d.real), b + Fraction(d.imag)
         norm2 = a * a + b * b
-        lams.append(complex(float(a / norm2), float(-b / norm2)) if norm2 else complex(math.inf))
+        lams.append(complex(_saturate(a / norm2), _saturate(-b / norm2)) if norm2 else complex(math.inf))
     return mus, V, lams
 
 

@@ -64,15 +64,6 @@ class TestAtomicOut:
         assert target.read_text(encoding="utf-8") == run(capsys, GOLDEN_ARGS)[1]
 
 
-class TestGolden:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_fredholm_solve_t_plus_eta_bytes(self, capsys, fmt):
-        rc, out, _ = run(capsys, GOLDEN_ARGS + ["--format", fmt])
-        assert rc == 0
-        expected = (GOLDEN / f"fredholm_solve_t_plus_eta.{fmt}").read_text(encoding="utf-8")
-        assert out == expected
-
-
 LEONTIEF_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
                  "--order", "2", "--x0", "1,1,1", "--xdot0", "0,0.1,0", "--steps", "40"]
 # CSV written by the stage-by-stage RK4 integrator (bergstrom and multiplier:
@@ -168,6 +159,7 @@ JSON_GOLDEN = {
                        "--mu-max", "1.5", "--mu-count", "7", "--nodes", "21"],
     "leontief_static": ["leontief-static", "--matrix", "leontief_matrix.txt",
                         "--demand", "0.5,0.3,0.2", "--method", "iterate"],
+    "fredholm_solve_t_plus_eta": GOLDEN_ARGS,
     "dim_check": ["dim-check", "--relation", "Y = C + K", "--dims", "Y:$/s,C:$/s,K:$"],
     "scale_check": ["scale-check", "--model", "phillips", "--t0-a", "1", "--t0-b", "2.5",
                     "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
@@ -180,8 +172,8 @@ JSON_GOLDEN = {
     "harrod_corrected_mu0": ["harrod-corrected", "--mu", "0", "--nu-star", "2.5",
                              "--t-end", "5", "--steps", "10"],
 }
-# commands with int columns
-CSV_GOLDEN = ("harrod_discrete", "fredholm_sweep")
+# also checked as CSV: commands with int columns, and the Nystrom solve
+CSV_GOLDEN = ("harrod_discrete", "fredholm_sweep", "fredholm_solve_t_plus_eta")
 # Goldens of the n x n Fredholm route and of the step-by-step Volterra march,
 # with the relative tolerance they now hold to: each float against the sup
 # norm of its list (a column, an eigenfunction, a {re, im} pair), other
@@ -190,6 +182,7 @@ CSV_GOLDEN = ("harrod_discrete", "fredholm_sweep")
 SUPERSEDED = {
     "fredholm_spectrum": (1e-13, "fredholm_spectrum_finite_rank"),
     "fredholm_sweep": (1e-13, "fredholm_sweep_finite_rank"),
+    "fredholm_solve_t_plus_eta": (1e-13, "fredholm_solve_t_plus_eta_rank"),
     "leontief_volterra": (1e-12, "leontief_volterra_affine"),
 }
 
@@ -622,6 +615,30 @@ def test_failure_prints_one_error_line(capsys, fail_matrices, code, argv):
     rc, out, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
     assert (rc, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# numpy's refusal of the 100001 x 100001 kernel matrix, raised without
+# asking for its 75 GiB
+NUMPY_REFUSAL = ("Unable to allocate 74.5 GiB for an array with shape (100001, 100001) "
+                 "and data type float64")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(NUMPY_REFUSAL), f"error: out of memory: {NUMPY_REFUSAL}\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_three_with_one_error_line(capsys, monkeypatch, tmp_path, exc, line):
+    from ecodyn import fredholm
+
+    def refuse(self, t, eta):
+        raise exc
+
+    monkeypatch.setattr(fredholm.KernelSpec, "matrix", refuse)
+    target = tmp_path / "out.csv"
+    argv = ["fredholm-solve", "--kernel", "t-plus-eta", "--lam", "0.5", "--nodes", "100001",
+            "--out", str(target)]
+    assert run(capsys, argv) == (3, "", line)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, argv", KEYED_FAILURES,

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -910,6 +912,16 @@ class TestFiniteRank:
         assert got.eigenfunctions.shape == want.eigenfunctions.shape
         assert np.max(np.abs(got.eigenfunctions - want.eigenfunctions), initial=0.0) <= 1e-12
 
+    @pytest.mark.parametrize("mu", [3.064689215977694e-289, -3.064689215977694e-289, 1e-320])
+    def test_characteristic_number_beyond_the_float_range_is_infinite(self, mu):
+        # the eigenvalue near mu of the degenerate kernel has 1/mu above
+        # the float range; its exact quotient saturates to +-inf, and the
+        # discard threshold drops it
+        disc = NystromDiscretization(kernel_degenerate(mu), simpson_rule(23))
+        lams = fredholm._rank_spectrum(disc)[2]
+        assert sorted(abs(lam.real) for lam in lams)[1] == math.inf
+        assert char_numbers(disc).characteristic_numbers == pytest.approx((1.0,))
+
     @pytest.mark.parametrize("n_nodes", [7, 51, 401])
     def test_sigma_rho_has_no_characteristic_number(self, n_nodes):
         # K W = sigma rho^T W is nilpotent: its one nonzero-rank eigenvalue is
@@ -992,6 +1004,99 @@ class TestFiniteRank:
         assert not _certified_far(disc, lam)
         assert plain_eigvals_guard(disc, lam) is None
         nystrom_solve(disc, lam, lambda t: 1.0)
+
+
+def solve_orders(call):
+    """call()'s result, and the order of every matrix np.linalg.solve met in it."""
+    orders, original = [], np.linalg.solve
+
+    def spy(a, b):
+        orders.append(len(a))
+        return original(a, b)
+
+    with mock.patch.object(np.linalg, "solve", spy):
+        return call(), orders
+
+
+# the separable solve at rank r (Woodbury) against the n x n solve
+RANK_KERNELS = {
+    "t-plus-eta": lambda mu: kernel_t_plus_eta(),
+    "exp-diff": lambda mu: kernel_exp_diff(),
+    "degenerate": kernel_degenerate,
+    "zero": lambda mu: kernel_zero(),
+}
+
+
+class TestRankSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(RANK_KERNELS)),
+        mu=st.floats(-1.0, 1.0),
+        half=st.integers(1, 200),
+        # below |lam| = 1e-150 or so ||I/lam - KW||_F^2 overflows, and
+        # eigvals decides
+        log_lam=st.floats(-6.0, 1.3),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_matches_the_dense_solve(self, name, mu, half, log_lam, sign):
+        lam = sign * 10.0**log_lam
+        disc = NystromDiscretization(RANK_KERNELS[name](mu), simpson_rule(2 * half + 1))
+        mus = fredholm._rank_spectrum(disc)[0]
+        assume(all(abs(1.0 - lam * m) >= 0.1 for m in mus))
+        sol, orders = solve_orders(lambda: nystrom_solve(disc, lam, math.cos))
+        assert all(k < disc.rule.n for k in orders)  # no n x n solve
+        q = np.cos(disc.nodes)
+        if name == "zero":
+            assert np.array_equal(sol.phi, q)
+        # the dense oracle with one step of refinement: the plain LU solve
+        # was off by up to 2.2e-13 of ||phi|| from the exact solution of the
+        # degenerate kernel (n = 363, lam = 8.85), and the rank route by 5e-16
+        M = disc.system_matrix(lam)
+        want = np.linalg.solve(M, q)
+        want += np.linalg.solve(M, q - M @ want)
+        assert np.max(np.abs(sol.phi - want)) <= 1e-13 * np.max(np.abs(sol.phi))
+
+    def test_separable_solve_holds_less_than_half_a_square_array(self):
+        n = 801
+        disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nystrom_solve(disc, 0.3, math.cos)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8
+
+    @pytest.mark.parametrize("n_nodes", [7, 255, 257, 801])
+    @pytest.mark.parametrize("separable", [True, False])
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_blocked_defect_matches_one_vdot(self, name, separable, n_nodes):
+        spec = CATALOGUE[name]()
+        disc = NystromDiscretization(spec if separable else dense(spec), simpson_rule(n_nodes))
+        G, H = fredholm._factors(disc)
+        D = (disc.K - G @ H.T) * disc.weights
+        want = float(np.vdot(D, D))
+        assert abs(fredholm._separable_defect(disc)[0] - want) <= 1e-12 * want
+
+    def test_a_separable_form_that_is_not_the_kernel_solves_dense(self):
+        # t*eta matches t*eta + sin(4 pi t) sin(4 pi eta) on KernelSpec's 5 x 5
+        # lattice only: the certificate proves lambda far, and the solve
+        # keeps to K
+        def bump(x):
+            return math.sin(4.0 * math.pi * x)
+
+        spec = KernelSpec(evaluator=lambda t, e: t * e + bump(t) * bump(e),
+                          separable=((lambda t: t, lambda e: e),))
+        disc = NystromDiscretization(spec, simpson_rule(41))
+        assert _certified_far(disc, 0.3)
+        want = np.linalg.solve(disc.system_matrix(0.3), np.cos(disc.nodes))
+        assert np.array_equal(nystrom_solve(disc, 0.3, math.cos).phi, want)
+
+    def test_phi_that_is_not_finite_is_a_numerical_failure(self):
+        disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(21))
+        with pytest.raises(NumericalError, match="^the finite-rank solve gave a phi that is not"):
+            nystrom_solve(disc, 0.3, lambda t: math.inf if t == 0.5 else 1.0)
 
 
 # profiles (g_i, h_i) of the separable catalogue kernels, in mpmath
