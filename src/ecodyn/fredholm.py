@@ -12,10 +12,10 @@ Array evaluators.  A ``KernelSpec`` may carry, besides its scalar
 arrays broadcasting against each other and returns a new float array of
 their broadcast shape holding k at every pair.  It is checked against the
 scalar evaluator on a 5 x 5 lattice to 1e-12 and then used for every
-kernel sample: matrix assembly (nodes x nodes) and off-node evaluation
-(points x nodes) are one call each.  A kernel without it is sampled one
-scalar call per entry.  The catalogue kernels and the ODE-reduced kernels
-carry one.
+kernel sample: matrix assembly (nodes x nodes), a block of its rows and
+off-node evaluation (points x nodes) are one call each.  A kernel without
+it is sampled one scalar call per entry.  The catalogue kernels and the
+ODE-reduced kernels carry one.
 
 Finite-rank route.  A kernel that carries its separable form
 k(t, eta) = sum_i g_i(t) h_i(eta) of rank r is, on the nodes, K = G H^T with
@@ -24,7 +24,10 @@ the n x r samples G = [g_i(t_j)] and H = [h_i(eta_j)], which
 degenerate (Kress, *Linear Integral Equations*, 3rd ed., ch. 11; Atkinson,
 *The Numerical Solution of Integral Equations of the Second Kind*, ch. 2),
 and its characteristic numbers, its sweep and its spectral guard need no
-n x n factorization:
+n x n factorization.  Where none is made no n x n array is held either:
+K is assembled on its first read, which only the n x n routes (eigvals,
+LU, SVD) make, and is otherwise sampled in blocks of rows
+(``NystromDiscretization.rows``).
 
   - Spectrum.  K W = G (H^T W) has the nonzero eigenvalues of the r x r
     matrix S = H^T W G, and an eigenpair S v = mu v gives the
@@ -47,9 +50,9 @@ n x n factorization:
     ``resolvent``, the solve is LU of the n x n system matrix.  The
     paper's example of the Fredholm alternative, the degenerate kernel
     rho(t)rho(eta) + mu sigma(t)rho(eta) (arXiv:0804.3658), is rank 2:
-    away from its characteristic numbers its solve holds K and
-    ``_DEFECT_ROWS`` x n more floats, where the n x n route holds the
-    system matrix and LAPACK's copy of it besides.
+    away from its characteristic numbers its solve never assembles K and
+    holds two blocks of ``_DEFECT_ROWS`` x n floats at most, where the
+    n x n route holds K, the system matrix and LAPACK's copy of it.
   - Guard, below.
 
 Kernels without a separable form (the ODE-reduced kernels, user kernels)
@@ -81,8 +84,10 @@ sec. 7.3) bounds
     delta = (1 + 2(n^2 + 2) eps) sqrt(fl(vdot(D, D))) + 2(r + 3) eps s,
     s = sum_i ||g_i||_2 ||w h_i||_2, bounds the norm with slack.  D is
     formed ``_DEFECT_ROWS`` rows at a time and the blocks' vdots are
-    added: gamma_(n^2) bounds a sum of n^2 terms in any order, and the
-    working memory stays at that many rows.
+    added: gamma_(n^2) bounds a sum of n^2 terms in any order.  Each block
+    samples its rows of K afresh unless K is assembled, with the bits of
+    the full assembly (the array forms are elementwise), so the working
+    memory stays at two blocks and the bound needs no new term.
   - Compression (r > 0).  Householder QR of [G, fl(W H)] returns R with
     [G, W H] + E = Q R, Q exactly orthonormal (n x k) and every column of E
     at most gq = 32 n m eps times its column of [G, W H] (Higham, thm.
@@ -119,6 +124,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -141,8 +147,9 @@ SINGULARITY_FLAG_REL = 1e-6
 # the guard skips eigvals only when sigma_min is proved above this multiple
 # of the tolerance (plus rounding)
 GUARD_SCREEN_FACTOR = 2.0
-# rows of (K - G H^T) W the certificate forms at a time
-_DEFECT_ROWS = 256
+# rows of K sampled at a time where K is not assembled (the certificate's
+# (K - G H^T) W and ``apply``): 32 x 1201 floats is about 300 KB
+_DEFECT_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -357,22 +364,39 @@ def _profile_samples(profiles: Sequence[Callable[[float], float]], x: np.ndarray
 class NystromDiscretization:
     """Kernel sampled on a quadrature rule: K[i, j] = k(t_i, eta_j), and,
     for a separable kernel, its n x r factors G[j, i] = g_i(t_j) and
-    H[j, i] = h_i(eta_j) (None otherwise; see the module docstring)."""
+    H[j, i] = h_i(eta_j) (None otherwise; see the module docstring).
+
+    K is assembled on its first read.  A kernel without a separable form
+    assembles it at once, since its spectrum, sweep and solve all read it;
+    a separable kernel's certificate and spectrum sample the kernel
+    ``_DEFECT_ROWS`` rows at a time (``rows``), so only the n x n routes
+    (``weighted``, ``system_matrix``, eigvals, ``resolvent``) assemble it."""
 
     kernel: KernelSpec
     rule: QuadratureRule
-    K: np.ndarray = field(init=False)
     G: np.ndarray | None = field(init=False, default=None)
     H: np.ndarray | None = field(init=False, default=None)
     _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
     _defect: tuple[float, float] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        self.K = self.kernel.matrix(self.rule.nodes, self.rule.nodes)
-        if self.kernel.separable is not None:
+        if self.kernel.separable is None:
+            self.K  # assembled now: the n x n routes read it
+        else:
             pairs = self.kernel.separable
             self.G = _profile_samples([g for g, _ in pairs], self.rule.nodes)
             self.H = _profile_samples([h for _, h in pairs], self.rule.nodes)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return self.kernel.matrix(self.rule.nodes, self.rule.nodes)
+
+    def rows(self, i: int, j: int) -> np.ndarray:
+        """Rows i:j of K: a view of K once it is assembled, else a new
+        (j - i) x n sample of the kernel with the same bits."""
+        if "K" in self.__dict__:
+            return self.K[i:j]
+        return self.kernel.matrix(self.rule.nodes[i:j], self.rule.nodes)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -391,8 +415,13 @@ class NystromDiscretization:
         return self._weighted_eigs
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Quadrature application of the kernel operator to node values."""
-        return self.K @ (self.weights * phi)
+        """Quadrature application of the kernel operator to node values,
+        ``_DEFECT_ROWS`` rows of K at a time."""
+        wphi = self.weights * phi
+        n = self.rule.n
+        return np.concatenate(
+            [self.rows(i, i + _DEFECT_ROWS) @ wphi for i in range(0, n, _DEFECT_ROWS)]
+        )
 
     def system_matrix(self, lam: float) -> np.ndarray:
         """Id - lambda*K*diag(w), built in place in one n x n array: the
@@ -424,10 +453,9 @@ def _separable_defect(disc: NystromDiscretization) -> tuple[float, float]:
         block = np.empty((min(n, _DEFECT_ROWS), n))
         dsq = 0.0
         for i in range(0, n, _DEFECT_ROWS):
-            rows = disc.K[i : i + _DEFECT_ROWS]
-            D = block[: len(rows)]
+            D = block[: min(_DEFECT_ROWS, n - i)]
             np.matmul(G[i : i + _DEFECT_ROWS], H.T, out=D)
-            np.subtract(rows, D, out=D)
+            np.subtract(disc.rows(i, i + _DEFECT_ROWS), D, out=D)  # the sample is freed here
             D *= w
             dsq += float(np.vdot(D, D))
         s = float(np.sum(np.linalg.norm(G, axis=0) * np.linalg.norm(w[:, None] * H, axis=0)))
@@ -495,9 +523,20 @@ def _dense_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> np
 def _guarded_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
     """(Id - lambda*K*W)^-1 q after the spectral guard: at the kernel's rank
     when the certificate decided and K is G H^T to rounding, else by the
-    n x n system matrix (see "Solve" in the module docstring)."""
+    n x n system matrix (see "Solve" in the module docstring).  A phi that
+    is not finite raises NumericalError on either route."""
     if not (_guard_spectrum(disc, lam) and disc.G is not None and _is_separable_form(disc)):
-        return _dense_solve(disc, lam, q)
+        phi, route = _dense_solve(disc, lam, q), "n x n"
+    else:
+        phi, route = _rank_solve(disc, lam, q), "finite-rank"
+    if not np.isfinite(phi).all():
+        raise NumericalError(f"the {route} solve gave a phi that is not finite")
+    return phi
+
+
+def _rank_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
+    """phi = q + G (I/lambda - S)^-1 H^T W q, the Woodbury form for K = G H^T;
+    q itself at rank 0."""
     r = disc.G.shape[1]
     if r == 0:
         return q
@@ -506,12 +545,9 @@ def _guarded_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np
         C = -Sq[:, :r]
         C[np.diag_indices_from(C)] += 1.0 / lam
         try:
-            phi = q + disc.G @ np.linalg.solve(C, Sq[:, r])
+            return q + disc.G @ np.linalg.solve(C, Sq[:, r])
         except np.linalg.LinAlgError as exc:  # singular exactly when Id - lambda*K*W is
             raise SingularMatrixError(f"Id - lambda*K*W is singular ({exc})") from None
-    if not np.isfinite(phi).all():
-        raise NumericalError("the finite-rank solve gave a phi that is not finite")
-    return phi
 
 
 def _is_separable_form(disc: NystromDiscretization) -> bool:
@@ -580,7 +616,8 @@ def nystrom_solve(
     within 1e-8 of an eigenvalue of the weighted kernel matrix, naming the
     nearest characteristic number (see "Spectral guard" in the module
     docstring).  A separable kernel away from its spectrum is solved at its
-    rank, with no n x n array besides K (see "Solve" there).
+    rank, with no n x n array at all (see "Solve" there).  A phi that is
+    not finite, as from a free term that is not, raises NumericalError.
     """
     phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes], dtype=float))
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)

@@ -1068,12 +1068,32 @@ class TestRankSolve:
             tracemalloc.stop()
         assert peak < 0.5 * n * n * 8
 
-    @pytest.mark.parametrize("n_nodes", [7, 255, 257, 801])
+    def test_separable_solve_holds_no_square_array(self):
+        # K is not assembled: the certificate and the solve hold two blocks
+        # of _DEFECT_ROWS rows (0.065 n^2 floats at 1201 nodes)
+        n = 1201
+        disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nystrom_solve(disc, 0.3, math.cos)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * n * 8
+
+    @pytest.mark.parametrize(
+        "n_nodes",
+        [7, fredholm._DEFECT_ROWS - 1, fredholm._DEFECT_ROWS + 1, 2 * fredholm._DEFECT_ROWS,
+         255, 257, 801],
+    )
     @pytest.mark.parametrize("separable", [True, False])
     @pytest.mark.parametrize("name", sorted(CATALOGUE))
     def test_blocked_defect_matches_one_vdot(self, name, separable, n_nodes):
         spec = CATALOGUE[name]()
-        disc = NystromDiscretization(spec if separable else dense(spec), simpson_rule(n_nodes))
+        # Simpson needs an odd node count
+        rule = simpson_rule(n_nodes) if n_nodes % 2 else gauss_legendre_rule(n_nodes)
+        disc = NystromDiscretization(spec if separable else dense(spec), rule)
         G, H = fredholm._factors(disc)
         D = (disc.K - G @ H.T) * disc.weights
         want = float(np.vdot(D, D))
@@ -1097,6 +1117,85 @@ class TestRankSolve:
         disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(21))
         with pytest.raises(NumericalError, match="^the finite-rank solve gave a phi that is not"):
             nystrom_solve(disc, 0.3, lambda t: math.inf if t == 0.5 else 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("spec, route", [
+        (kernel_exp_diff(), "finite-rank"),
+        (kernel_zero(), "finite-rank"),  # rank 0 returns q
+        (dense(kernel_exp_diff()), "n x n"),
+    ])
+    def test_free_term_that_is_not_finite_fails_on_every_route(self, spec, route, bad):
+        disc = NystromDiscretization(spec, simpson_rule(21))
+        with pytest.raises(NumericalError, match=f"^the {route} solve gave a phi that is not"):
+            nystrom_solve(disc, 0.3, lambda t: bad if t == 0.5 else 1.0)
+
+
+# K is assembled on first read: the separable routes sample it in row blocks
+class TestLazyMatrix:
+    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
+    def test_far_separable_solve_leaves_K_unassembled(self, make):
+        disc = NystromDiscretization(make(), simpson_rule(801))
+        for lam in (-2.0, -1.0, 0.3, 0.7):
+            assert _certified_far(disc, lam)
+            nystrom_solve(disc, lam, math.cos)
+        assert "K" not in disc.__dict__
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_finite_rank_spectrum_leaves_K_unassembled(self, name):
+        disc = NystromDiscretization(CATALOGUE[name](), simpson_rule(401))
+        char_numbers(disc)
+        assert "K" not in disc.__dict__
+
+    @pytest.mark.parametrize("k0, k1", [("rho-rho", "sigma-rho"), ("exp-diff", "t-plus-eta")])
+    def test_finite_rank_sweep_leaves_K_unassembled(self, k0, k1, monkeypatch):
+        made = []
+
+        class Recorded(NystromDiscretization):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(fredholm, "NystromDiscretization", Recorded)
+        param_singularity_sweep(CATALOGUE[k0](), CATALOGUE[k1](), MU_GRID, simpson_rule(401))
+        assert len(made) == 2
+        assert all("K" not in d.__dict__ for d in made)
+
+    def test_kernel_without_a_separable_form_is_assembled_once(self, monkeypatch):
+        n = 41
+        shapes, original = [], KernelSpec.matrix
+
+        def spy(self, t, eta):
+            shapes.append((len(t), len(eta)))
+            return original(self, t, eta)
+
+        monkeypatch.setattr(KernelSpec, "matrix", spy)
+        disc = NystromDiscretization(dense(kernel_exp_diff()), simpson_rule(n))
+        assert shapes == [(n, n)]
+        nystrom_solve(disc, 0.3, math.cos)
+        char_numbers(disc)
+        resolvent(disc, 0.3)
+        assert shapes == [(n, n)]
+
+    @pytest.mark.parametrize("n_nodes", [7, fredholm._DEFECT_ROWS - 1, fredholm._DEFECT_ROWS + 1,
+                                         2 * fredholm._DEFECT_ROWS, 257, 801])
+    @pytest.mark.parametrize("separable", [True, False])
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_row_blocks_have_the_bits_of_the_full_assembly(self, name, separable, n_nodes):
+        # so delta, and every decision of the certificate and the gate, is
+        # that of the assembled K
+        spec = CATALOGUE[name]()
+        spec = spec if separable else dense(spec)
+        nodes = gauss_legendre_rule(n_nodes).nodes
+        full = spec.matrix(nodes, nodes)
+        step = fredholm._DEFECT_ROWS
+        blocks = np.vstack([spec.matrix(nodes[i : i + step], nodes)
+                            for i in range(0, n_nodes, step)])
+        assert blocks.tobytes() == full.tobytes()
+        if separable:
+            disc = NystromDiscretization(spec, simpson_rule(n_nodes | 1))
+            rows = np.vstack([disc.rows(i, i + step) for i in range(0, disc.rule.n, step)])
+            assert "K" not in disc.__dict__
+            assert rows.tobytes() == disc.K.tobytes()
 
 
 # profiles (g_i, h_i) of the separable catalogue kernels, in mpmath
