@@ -5,8 +5,11 @@ Exit codes: 0 success, 2 validation error (the message names the
 offending key), 3 numerical failure (pole, blow-up, non-convergence,
 spectrum proximity) with the originating module's message verbatim, or a
 run too large for the memory at hand.
-Output files are written atomically; a failed run never leaves a
-partial file behind.
+Output is rendered and written a block of rows at a time, so a long
+trajectory is never held whole as text.  --out stays atomic: the blocks
+go to a temporary file beside the target, which is renamed into place
+once complete, so a failed run never leaves a partial file behind.  A
+run that fails before rendering writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,13 +158,13 @@ def _cmd_harrod_discrete(ns) -> Output:
 
     params = _harrod_params(ns, K0=ns.k0)
     path = harrod.discrete_path(params, ns.nu, ns.years)
-    impulse = dict(path.impulses)
     columns = {
         "year": path.years,
         "K": path.K,
         "Y_tilde": path.Y_tilde,
         "I_tilde": path.I_tilde,
-        "impulse": np.array([impulse.get(y, 0.0) for y in path.years.tolist()]),
+        # year 0 has no jump; year i has the impulse K_i - K_{i-1}
+        "impulse": np.concatenate(([0.0], np.diff(path.K))),
     }
     data = {
         "years": path.years,
@@ -884,19 +887,39 @@ def load_scenario(path: str) -> list[str]:
     return [command, *argv]
 
 
+# rows of a CSV table, or cells of a JSON float array, rendered at a time
+_BLOCK = 4096
+# characters of rendered pieces gathered into one write
+_FLUSH_CHARS = 1 << 16
+
+
 def render_csv(output: Output) -> str:
-    """Header line, then one line per row. A cell is the ``repr`` of its
-    Python value: the shortest round-trip float, or a plain int."""
+    """The CSV text ``run`` writes for ``output``, as one string."""
+    return "".join(_csv_chunks(output))
+
+
+def render_json(output: Output) -> str:
+    """The JSON text ``run`` writes for ``output``, as one string."""
+    return "".join(_json_document(output))
+
+
+def _csv_chunks(output: Output) -> Iterator[str]:
+    """The CSV text in pieces: the header line, then ``_BLOCK`` rows at a
+    time.  A cell is the ``repr`` of its Python value: the shortest
+    round-trip float, or a plain int."""
     if output.columns is None:
         raise ValidationError(
             f"command {output.command!r} has no CSV rendering; use --format json",
             key="format",
         )
-    cells = [map(repr, col.tolist()) for col in output.columns.values()]
-    return "\n".join([",".join(output.columns), *map(",".join, zip(*cells)), ""])
+    columns = list(output.columns.values())
+    yield ",".join(output.columns) + "\n"
+    for i in range(0, min(map(len, columns), default=0), _BLOCK):
+        cells = [map(repr, col[i : i + _BLOCK].tolist()) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def render_json(output: Output) -> str:
+def _json_document(output: Output) -> Iterator[str]:
     payload = {
         "meta": {
             "command": output.command,
@@ -905,76 +928,118 @@ def render_json(output: Output) -> str:
         },
         "data": output.data if output.data is not None else {},
     }
-    chunks: list[str] = []
-    _write_json(payload, "", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    yield from _json_chunks(payload, "")
+    yield "\n"
 
 
 # the string encoder json.dumps uses with ensure_ascii=False
 _json_str = json.encoder.encode_basestring
 
 
-def _write_json(obj, pad: str, out: list[str]) -> None:
-    """Append to ``out`` the text ``json.dumps(obj, sort_keys=True, indent=2,
+# the values _json_chunks renders on more than one line; a scalar inside a
+# list or dict is rendered in place, without a generator of its own
+_NESTED = (dict, list, tuple, np.ndarray, complex, np.complexfloating)
+
+
+def _json_chunks(obj, pad: str) -> Iterator[str]:
+    """The text ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives for ``obj`` starting on a line indented by
-    ``pad``, after mapping numpy scalars to Python, complex numbers to
-    {re, im} and non-finite floats to null."""
+    ``pad``, in pieces, after mapping numpy scalars to Python, complex
+    numbers to {re, im} and non-finite floats to null."""
     inner = pad + "  "
-    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
-        # the whole array at once: one finiteness check and one join
-        cells = list(map(repr, obj.tolist()))
-        for i in np.flatnonzero(~np.isfinite(obj)).tolist():
-            cells[i] = "null"
-        body = (",\n" + inner).join(cells)
-        out.append("[\n" + inner + body + "\n" + pad + "]" if cells else "[]")
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
+        if len(obj) == 0:
+            yield "[]"
+            return
+        # _BLOCK cells at once, in one join; float64 with one finiteness check
+        sep = ",\n" + inner
+        lead = "[\n" + inner
+        for i in range(0, len(obj), _BLOCK):
+            block = obj[i : i + _BLOCK]
+            if block.dtype == np.float64:
+                cells = list(map(repr, block.tolist()))
+                for j in np.flatnonzero(~np.isfinite(block)).tolist():
+                    cells[j] = "null"
+            else:
+                cells = map(_json_scalar, block.tolist())
+            yield lead + sep.join(cells)
+            lead = sep
+        yield "\n" + pad + "]"
     elif isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         if not items:
-            out.append("{}")
+            yield "{}"
             return
         sep = "{\n" + inner
         for key in sorted(items):
-            out.append(sep + _json_str(key) + ": ")
-            _write_json(items[key], inner, out)
+            value = items[key]
+            if isinstance(value, _NESTED):
+                yield sep + _json_str(key) + ": "
+                yield from _json_chunks(value, inner)
+            else:
+                yield sep + _json_str(key) + ": " + _json_scalar(value)
             sep = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        # the rows of a float array stay arrays and take the branch above
-        if isinstance(obj, np.ndarray) and obj.dtype != np.float64:
-            obj = obj.tolist()
+        yield "\n" + pad + "}"
+    elif isinstance(obj, (complex, np.complexfloating)):
+        yield from _json_chunks({"re": float(obj.real), "im": float(obj.imag)}, pad)
+    elif isinstance(obj, _NESTED):
         if len(obj) == 0:
-            out.append("[]")
+            yield "[]"
             return
+        # the rows of a numeric array stay arrays and take the first branch
         sep = "[\n" + inner
         for item in obj:
-            out.append(sep)
-            _write_json(item, inner, out)
+            if isinstance(item, _NESTED):
+                yield sep
+                yield from _json_chunks(item, inner)
+            else:
+                yield sep + _json_scalar(item)
             sep = ",\n" + inner
-        out.append("\n" + pad + "]")
-    elif isinstance(obj, str):
-        out.append(_json_str(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        out.append(repr(f) if math.isfinite(f) else "null")
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _write_json({"re": float(obj.real), "im": float(obj.imag)}, pad, out)
+        yield "\n" + pad + "]"
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        yield _json_scalar(obj)
 
 
-def write_atomic(path: str, text: str) -> None:
+def _json_scalar(obj) -> str:
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return repr(f) if math.isfinite(f) else "null"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _emit(chunks: Iterable[str], write: Callable[[str], object]) -> None:
+    """Pass ``chunks`` to ``write`` gathered into pieces of at least
+    ``_FLUSH_CHARS`` characters, the last one excepted."""
+    pending: list[str] = []
+    size = 0
+    for chunk in chunks:
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _FLUSH_CHARS:
+            write("".join(pending))
+            pending.clear()
+            size = 0
+    if pending:
+        write("".join(pending))
+
+
+def write_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or its pieces, to a temporary file beside
+    ``path`` and rename it into place; if anything fails, the temporary
+    file is removed and ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ecodyn-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _emit([text] if isinstance(text, str) else text, fh.write)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -1012,11 +1077,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     cmd = COMMANDS[ns.command]
     try:
         output = cmd.handler(ns)
-        text = render_csv(output) if ns.format == "csv" else render_json(output)
+        chunks = _csv_chunks(output) if ns.format == "csv" else _json_document(output)
         if ns.out:
-            write_atomic(ns.out, text)
+            write_atomic(ns.out, chunks)
         else:
-            sys.stdout.write(text)
+            _emit(chunks, sys.stdout.write)  # looked up now: callers may redirect stdout
     except EcodynError as exc:
         return _report(exc)
     except MemoryError as exc:  # e.g. the n x n kernel matrix of a huge --nodes

@@ -213,11 +213,32 @@ class KernelSpec:
         return out
 
 
-def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """A scalar profile applied to every element of an array.  Kernels built
-    from profiles sample them on the (n, 1) and (1, n) node axes only, so
-    this costs O(n) Python calls for an n x n matrix."""
-    return np.vectorize(f, otypes=[float])
+class _Elementwise:
+    """A scalar profile applied to every element of an array, one Python
+    call each.  Kernels built from profiles sample them on the (m, 1) t
+    axis and the (1, n) eta axis only.  The last eta axis is kept with its
+    samples: a row-block loop (``NystromDiscretization.rows``) passes the
+    same eta nodes with every block of t rows, so a pass over K costs
+    O(n) profile calls, not O(n) per block."""
+
+    def __init__(self, f: Callable[[float], float]):
+        self._f = f
+        self._eta: tuple[bytes, np.ndarray] | None = None
+
+    def _each(self, x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(self._f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        # a (1, 1) array may be a one-row block of t, so it is not kept
+        if x.ndim != 2 or x.shape[0] != 1 or x.shape[1] == 1:
+            return self._each(x)
+        key = x.tobytes()
+        if self._eta is None or self._eta[0] != key:
+            values = self._each(x)
+            values.flags.writeable = False  # shared by every later block
+            self._eta = (key, values)
+        return self._eta[1]
 
 
 def _exp_diff(T: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -265,7 +286,7 @@ def canonical_sigma(t: float) -> float:
 def kernel_rho_rho(
     rho: Callable[[float], float] = canonical_rho,
 ) -> KernelSpec:
-    rho_a = _elementwise(rho)
+    rho_a = _Elementwise(rho)
     return KernelSpec(
         evaluator=lambda t, e: rho(t) * rho(e),
         separable=((rho, rho),),
@@ -278,7 +299,7 @@ def kernel_sigma_rho(
     sigma: Callable[[float], float] = canonical_sigma,
     rho: Callable[[float], float] = canonical_rho,
 ) -> KernelSpec:
-    sigma_a, rho_a = _elementwise(sigma), _elementwise(rho)
+    sigma_a, rho_a = _Elementwise(sigma), _Elementwise(rho)
     return KernelSpec(
         evaluator=lambda t, e: sigma(t) * rho(e),
         separable=((sigma, rho),),
@@ -296,7 +317,7 @@ def kernel_degenerate(
     homogeneous solution for every mu once rho is unit-normalized and
     orthogonal to sigma."""
     _require("finite", mu=mu)
-    rho_a, sigma_a = _elementwise(rho), _elementwise(sigma)
+    rho_a, sigma_a = _Elementwise(rho), _Elementwise(sigma)
     return KernelSpec(
         evaluator=lambda t, e: (rho(t) + mu * sigma(t)) * rho(e),
         separable=((rho, rho), (lambda t: mu * sigma(t), rho)),

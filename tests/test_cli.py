@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecodyn import cli
+from ecodyn import cli, harrod
 from ecodyn.allen import SCALE_CHECK_MODELS, AllenScaling, PhillipsParams, phillips_solve
+from ecodyn.errors import NumericalError
 from ecodyn.odelin import TimeGrid, sup_rel_diff
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,6 +64,51 @@ class TestAtomicOut:
         assert run(capsys, GOLDEN_ARGS + ["--out", str(target)])[0] == 0
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
         assert target.read_text(encoding="utf-8") == run(capsys, GOLDEN_ARGS)[1]
+
+    @pytest.mark.parametrize("error, rc", [(NumericalError("render failed"), 3),
+                                           (MemoryError("render failed"), 3)])
+    def test_failure_mid_stream_leaves_the_target_as_it_was(self, capsys, tmp_path,
+                                                            monkeypatch, error, rc):
+        target = tmp_path / "out.csv"
+        target.write_text("earlier run\n", encoding="utf-8")
+
+        def failing(output):
+            yield "x" * (2 * cli._FLUSH_CHARS)  # a full write, to the temporary file
+            [tmp] = tmp_path.glob(".ecodyn-*.tmp")
+            assert tmp.stat().st_size >= 2 * cli._FLUSH_CHARS
+            raise error
+
+        monkeypatch.setattr(cli, "_csv_chunks", failing)
+        code, out, err = run(capsys, GOLDEN_ARGS + ["--out", str(target)])
+        assert code == rc
+        assert out == ""
+        assert "render failed" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text(encoding="utf-8") == "earlier run\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["fredholm-spectrum", "--kernel", "t-plus-eta", "--nodes", "7"],
+        ["dim-check", "--relation", "Y = C + K", "--dims", "Y:$/s,C:$/s,K:$"],
+        ["scale-check", "--model", "multiplier", "--t0-a", "1", "--t0-b", "2", "--mu", "0.4",
+         "--lam", "1.1", "--y0", "1", "--t-end", "1", "--steps", "4"],
+    ])
+    def test_csv_of_a_json_only_command_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                       argv):
+        target = tmp_path / "out.csv"
+        # the parser rejects the format before the command runs
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'csv'" in err
+        # past the parser, the renderer rejects it before its first piece
+        cmd = cli.COMMANDS[argv[0]]
+        monkeypatch.setitem(cli.COMMANDS, argv[0], dataclasses.replace(cmd, formats=("csv", "json")))
+        code, out, err = run(capsys, argv + ["--format", "csv"])
+        assert (code, out) == (2, "")
+        assert err.rstrip().endswith("(key: format)")
+        code, out, err = run(capsys, argv + ["--format", "csv", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.rstrip().endswith("(key: format)")
+        assert list(tmp_path.iterdir()) == []
 
 
 LEONTIEF_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
@@ -213,6 +260,28 @@ def csv_table(text: str) -> dict:
     header, _, body = text.partition("\n")
     rows = [[json.loads(v) for v in ln.split(",")] for ln in body.splitlines()]
     return {name: [row[j] for row in rows] for j, name in enumerate(header.split(","))}
+
+
+class TestHarrodDiscreteImpulse:
+    """The CSV impulse column is K's first difference.  The golden, made from
+    the (year, K_i - K_(i-1)) pairs of the model, holds years 0 to 12; past
+    them the column is checked against those pairs."""
+
+    @pytest.mark.parametrize("years", [0, 1, 50])
+    def test_column_matches_the_impulse_pairs(self, capsys, years):
+        rc, out, _ = run(capsys, ["harrod-discrete", "--mu", "0.3", "--nu", "2.5",
+                                  "--years", str(years)])
+        assert rc == 0
+        lines = out.splitlines(keepends=True)
+        golden = (GOLDEN / "harrod_discrete.csv").read_text(encoding="utf-8")
+        golden_lines = golden.splitlines(keepends=True)
+        assert len(lines) == years + 2
+        shared = min(len(lines), len(golden_lines))
+        assert lines[:shared] == golden_lines[:shared]
+        path = harrod.discrete_path(harrod.HarrodParams(mu=0.3, nu_star=2.5), 2.5, years)
+        pairs = dict(path.impulses)
+        expected = [repr(pairs.get(year, 0.0)) for year in range(years + 1)]
+        assert [ln.rstrip("\n").rpartition(",")[2] for ln in lines[1:]] == expected
 
 
 class TestOutputGolden:

@@ -1,11 +1,16 @@
 """Properties of the CLI's output helpers against the code they replaced:
-the JSON writer against json.dumps of the old per-element sanitizer, and
-the --demand-file row sampler against per-column np.interp."""
+the JSON writer against json.dumps of the old per-element sanitizer, the
+block-wise CSV writer against the one-shot join, the memory the streamed
+output holds, and the --demand-file row sampler against per-column
+np.interp."""
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -34,16 +39,15 @@ def old_sanitize(obj):
 
 
 def write_json(obj) -> str:
-    chunks: list[str] = []
-    cli._write_json(obj, "", chunks)
-    return "".join(chunks)
+    return "".join(cli._json_chunks(obj, ""))
 
 
 special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308])
 floats = st.floats(width=64) | special_floats
+# arrays long enough to cross blocks of the sizes the property patches in
 float_arrays = hnp.arrays(
     np.float64,
-    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7),
     elements=floats,
 )
 scalars = st.one_of(
@@ -60,8 +64,8 @@ scalars = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True).map(np.complex128),
     st.text(),
     float_arrays,
-    hnp.arrays(np.int64, st.integers(0, 3)),
-    hnp.arrays(np.bool_, st.integers(0, 3)),
+    hnp.arrays(np.int64, st.integers(0, 7)),
+    hnp.arrays(np.bool_, st.integers(0, 7)),
     hnp.arrays(np.complex128, st.integers(0, 2)),
 )
 keys = st.text(max_size=6) | st.integers(-3, 3)
@@ -77,10 +81,11 @@ payloads = st.recursive(
 
 
 @settings(max_examples=400, deadline=None)
-@given(payloads)
-def test_json_writer_matches_json_dumps_of_old_sanitize(obj):
+@given(payloads, st.sampled_from([1, 2, 3, cli._BLOCK]))
+def test_json_writer_matches_json_dumps_of_old_sanitize(obj, block):
     expected = json.dumps(old_sanitize(obj), sort_keys=True, indent=2, ensure_ascii=False)
-    assert write_json(obj) == expected
+    with mock.patch.object(cli, "_BLOCK", block):
+        assert write_json(obj) == expected
 
 
 def test_json_writer_float_array_edges():
@@ -96,6 +101,99 @@ def test_json_writer_float_array_edges():
     for obj in cases:
         expected = json.dumps(old_sanitize(obj), sort_keys=True, indent=2, ensure_ascii=False)
         assert write_json(obj) == expected
+
+
+B = cli._BLOCK
+BLOCK_EDGE_ROWS = [0, 1, B - 1, B, B + 1, 2 * B + 1]
+
+
+def table(rows: int) -> cli.Output:
+    """Int columns as the CLI makes them (years, components, flags) beside
+    float columns with every float class: tiny, huge, negative zero and
+    the non-finite values."""
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    x[::7] = -0.0
+    x[3::11] = 5e-324
+    specials = [math.nan, math.inf, -math.inf]
+    for k, i in enumerate(range(0, rows, max(1, B // 2))):
+        x[i] = specials[k % 3]
+    columns = {
+        "year": np.arange(rows),
+        "component": np.arange(1, rows + 1),
+        "flagged": rng.integers(0, 2, rows),
+        "t": np.linspace(0.0, 1.0, rows),
+        "x": x,
+    }
+    return cli.Output("table", {}, columns, {"columns": columns})
+
+
+def one_shot_csv(output: cli.Output) -> str:
+    """The CSV formula of the renderer before its output was streamed."""
+    cells = [map(repr, col.tolist()) for col in output.columns.values()]
+    return "\n".join([",".join(output.columns), *map(",".join, zip(*cells)), ""])
+
+
+def emitted(chunks) -> list[str]:
+    writes: list[str] = []
+    cli._emit(chunks, writes.append)
+    return writes
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+def test_csv_blocks_match_one_shot_join(rows):
+    output = table(rows)
+    expected = one_shot_csv(output)
+    assert cli.render_csv(output) == expected
+    writes = emitted(cli._csv_chunks(output))
+    assert "".join(writes) == expected
+    # every write but the last gathers at least _FLUSH_CHARS characters
+    assert all(len(w) >= cli._FLUSH_CHARS for w in writes[:-1])
+
+
+@pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+def test_json_blocks_match_json_dumps(rows):
+    output = table(rows)
+    x = output.columns["x"]
+    for i in (0, B - 1, B, B + 1, 2 * B):  # block edges
+        if i < rows:
+            x[i] = (math.nan, math.inf, -math.inf)[i % 3]
+    expected = json.dumps(old_sanitize(output.data), sort_keys=True, indent=2,
+                          ensure_ascii=False)
+    assert write_json(output.data) == expected
+    document = "".join(emitted(cli._json_document(output)))
+    assert document == cli.render_json(output)
+    data = json.loads(document)["data"]
+    assert data == json.loads(expected)
+    nulls = [i for i, v in enumerate(data["columns"]["x"]) if v is None]
+    assert nulls == np.flatnonzero(~np.isfinite(x)).tolist()
+
+
+# a fixed bound, below the size of the 200 000-row documents themselves (4.9
+# MiB of CSV, 8.3 MiB of JSON): the text held at once does not grow with the rows
+STREAM_PEAK_BYTES = 4 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [50_000, 200_000])
+def test_streamed_output_holds_a_bounded_amount(tmp_path, fmt, rows):
+    columns = {"year": np.arange(rows), "t": np.linspace(0.0, 1.0, rows)}
+    output = cli.Output("table", {}, columns, {"columns": columns})
+    chunks = cli._csv_chunks(output) if fmt == "csv" else cli._json_document(output)
+    target = tmp_path / f"out.{fmt}"
+    tracemalloc.start()
+    try:
+        cli.write_atomic(str(target), chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STREAM_PEAK_BYTES
+    # the bytes of each block are pinned above; here, that every row arrived
+    text = target.read_text(encoding="utf-8")
+    if fmt == "csv":
+        assert text.count("\n") == rows + 1 and text.endswith(f"\n{rows - 1},1.0\n")
+    else:
+        assert json.loads(text)["data"]["columns"]["year"] == list(range(rows))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

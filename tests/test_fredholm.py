@@ -1176,6 +1176,32 @@ class TestLazyMatrix:
         resolvent(disc, 0.3)
         assert shapes == [(n, n)]
 
+    @pytest.mark.parametrize("make", [
+        lambda rho, sigma: kernel_rho_rho(rho),
+        lambda rho, sigma: kernel_sigma_rho(sigma, rho),
+        lambda rho, sigma: kernel_degenerate(0.5, rho, sigma),
+    ], ids=["rho-rho", "sigma-rho", "degenerate"])
+    def test_spectrum_samples_the_eta_profile_once(self, make):
+        # each block of rows samples the profiles of t at its own nodes and
+        # reuses one sample of the eta profile: a kept pair costs at most 3n
+        # profile calls (rho and sigma of t, rho of eta), where sampling eta
+        # per block cost n per block, about n^2 / 32
+        calls = []
+
+        def counted(profile):
+            def f(t):
+                calls.append(t)
+                return profile(t)
+            return f
+
+        n = 801
+        disc = NystromDiscretization(make(counted(canonical_rho), counted(canonical_sigma)),
+                                     simpson_rule(n))
+        calls.clear()
+        kept = len(char_numbers(disc).characteristic_numbers)
+        assert len(calls) <= 3 * n * kept
+        assert "K" not in disc.__dict__
+
     @pytest.mark.parametrize("n_nodes", [7, fredholm._DEFECT_ROWS - 1, fredholm._DEFECT_ROWS + 1,
                                          2 * fredholm._DEFECT_ROWS, 257, 801])
     @pytest.mark.parametrize("separable", [True, False])
