@@ -42,10 +42,10 @@ _LAZY = {
     ),
     "odelin": (
         "OdeSpec", "TimeGrid", "Trajectory",
-        "char_roots", "analytic_solution", "rk4_integrate", "rk4_linear",
+        "char_roots", "analytic_solution", "rk4_linear",
     ),
     "harrod": (
-        "HarrodParams", "FlowDecomposition", "DiscretePath", "AdequacyResidual",
+        "HarrodParams", "DiscretePath", "AdequacyResidual",
         "CorrectedHarrodResult", "classical_trajectory", "corrected_trajectory",
         "discrete_path", "adequacy_residual",
     ),

@@ -20,8 +20,10 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -245,18 +247,23 @@ def _read_matrix(path: str) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read matrix file {path!r}: {exc}", key="matrix") from None
     if not lines:
         raise ValidationError(f"matrix file {path!r} is empty", key="matrix")
     try:
         n = int(lines[0])
     except ValueError:
+        n = 0
+    if n < 1:
         raise ValidationError(
-            f"matrix file {path!r} must start with the dimension n", key="matrix"
-        ) from None
-    if len(lines) < n + 1:
-        raise ValidationError(f"matrix file {path!r} needs {n} coefficient rows", key="matrix")
+            f"matrix file {path!r} must start with the dimension n >= 1", key="matrix"
+        )
+    if len(lines) != n + 1:
+        raise ValidationError(
+            f"matrix file {path!r} needs {n} coefficient rows, got {len(lines) - 1}",
+            key="matrix",
+        )
     rows = []
     for ln in lines[1 : n + 1]:
         row = _vector(ln, "matrix")
@@ -273,8 +280,10 @@ def _demand_from_flags(ns, n: int, steps: int):
     if ns.demand:
         return _vector(ns.demand, "demand")
     try:
-        table = np.loadtxt(ns.demand_file, delimiter=",", ndmin=2)
-    except OSError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file fails the shape check
+            table = np.loadtxt(ns.demand_file, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:  # ValueError: a cell that is no number, ragged rows
         raise ValidationError(f"cannot read demand file: {exc}", key="demand-file") from None
     if not np.isfinite(table).all():
         raise ValidationError("demand file must hold finite values", key="demand-file")
@@ -1031,14 +1040,28 @@ def _emit(chunks: Iterable[str], write: Callable[[str], object]) -> None:
         write("".join(pending))
 
 
+def _redirect_mode(path: str) -> int:
+    """The permission bits ``> path`` leaves on ``path``: those of the file
+    it truncates, or 0o666 less the umask for a new file."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:
+        umask = os.umask(0o077)  # the umask is read by setting it; put it back at once
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_atomic(path: str, text: str | Iterable[str]) -> None:
     """Write ``text``, a string or its pieces, to a temporary file beside
     ``path`` and rename it into place; if anything fails, the temporary
-    file is removed and ``path`` is left as it was."""
+    file is removed and ``path`` is left as it was.  The file gets the
+    permission bits a shell redirect would give it, not the 0o600 of
+    ``mkstemp``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ecodyn-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, _redirect_mode(path))
             _emit([text] if isinstance(text, str) else text, fh.write)
         os.replace(tmp, path)
     except BaseException:

@@ -15,7 +15,8 @@ scalar evaluator on a 5 x 5 lattice to 1e-12 and then used for every
 kernel sample: matrix assembly (nodes x nodes), a block of its rows and
 off-node evaluation (points x nodes) are one call each.  A kernel without
 it is sampled one scalar call per entry.  The catalogue kernels and the
-ODE-reduced kernels carry one.
+ODE-reduced kernels carry one; the ODE-reduced kernel has no other code,
+its scalar evaluator is the array form at one point.
 
 Finite-rank route.  A kernel that carries its separable form
 k(t, eta) = sum_i g_i(t) h_i(eta) of rank r is, on the nodes, K = G H^T with
@@ -58,6 +59,18 @@ LU, SVD) make, and is otherwise sampled in blocks of rows
 Kernels without a separable form (the ODE-reduced kernels, user kernels)
 take the n x n route for their spectrum, sweep and solve: eig, values-only
 SVD and LU.
+
+Routes the commands reach.  Every kernel the CLI offers (``--kernel``,
+``--k0``, ``--k1``) has a separable form, and ``--kernel ode-reduced``
+accepts initial values only, so it builds a ``VolterraReduction`` and no
+Nystrom discretization.  The commands reach the n x n routes only when
+the guard's certificate fails and eigvals decide lambda: a lambda at a
+characteristic number is rejected there, and one they accept is solved by
+LU.  The ``eig`` branch of ``char_numbers``, the SVD branch of
+``_sweep_extremes`` and ``resolvent`` serve library callers only, and the
+two-point reduction (``FredholmReduction``, whose kernel has no separable
+form) is reached through the library alone, as ``perfbench/twopoint.py``
+does.
 
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
 ``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
@@ -1072,16 +1085,11 @@ class FredholmReduction:
                 out[j] = (1.0 - eta) ** m / math.factorial(m)
         return out
 
-    def kernel(self, t: float, eta: float) -> float:
-        n = self.order
-        base = _volterra_kernel(self.a, n)(t, eta) if eta <= t else 0.0
-        coeff = self._Minv @ self._beta(eta)  # contribution of phi to c
-        add = float(_poly_part(self.a, coeff, n, np.array([t]))[0])
-        return base + add
-
     def kernel_array(self, T: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """``kernel`` on broadcasting arrays: the Volterra polynomial in
-        t - eta masked to eta <= t, plus the rank-n term P(t).Minv beta(eta)."""
+        """The Fredholm kernel on broadcasting arrays: the Volterra
+        polynomial in t - eta masked to eta <= t, plus the rank-n term
+        P(t).Minv beta(eta), where Minv beta(eta) is the contribution of
+        phi(eta) to the constants c."""
         n = self.order
         out = np.where(E <= T, _volterra_kernel(self.a, n)(T, E), 0.0)
         coeff = np.tensordot(self._Minv, self._beta(E), axes=1)
@@ -1089,10 +1097,13 @@ class FredholmReduction:
         return out
 
     def kernel_spec(self) -> KernelSpec:
+        """The kernel as a ``KernelSpec`` whose scalar evaluator is
+        ``kernel_array`` at one point."""
+        array = self.kernel_array
         return KernelSpec(
-            evaluator=self.kernel,
+            evaluator=lambda t, eta: float(array(np.float64(t), np.float64(eta))),
             name="ode-reduced",
-            array=self.kernel_array,
+            array=array,
         )
 
     def free_term(self, t: float) -> float:

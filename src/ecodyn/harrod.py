@@ -44,32 +44,6 @@ class HarrodParams:
         return self.mu / self.nu_star
 
 
-@dataclass(frozen=True)
-class FlowDecomposition:
-    """Income split Y = C + S with S = I = mu*Y at every node."""
-
-    Y: np.ndarray
-    C: np.ndarray
-    S: np.ndarray
-    I: np.ndarray
-
-    def validate(self, rtol: float = 1e-12) -> None:
-        scale = max(float(np.max(np.abs(self.Y))), 1e-300)
-        for name, resid in (
-            ("Y = C + S", self.Y - (self.C + self.S)),
-            ("S = I", self.S - self.I),
-        ):
-            if float(np.max(np.abs(resid))) / scale > rtol:
-                raise ValidationError(f"flow identity violated: {name}")
-
-
-def _flows(mu: float, Y: np.ndarray) -> FlowDecomposition:
-    S = mu * Y
-    flows = FlowDecomposition(Y=Y, C=(1.0 - mu) * Y, S=S, I=S.copy())
-    flows.validate()
-    return flows
-
-
 def classical_trajectory(
     params: HarrodParams,
     nu: float,
@@ -77,14 +51,15 @@ def classical_trajectory(
 ) -> Trajectory:
     """Exponential-growth income path Y(t_hat) = Y0 * exp(mu*t_hat/nu).
 
-    Emits Y together with its consumption/accumulation/investment split.
+    Emits Y together with its split Y = C + S into consumption
+    C = (1 - mu) Y and accumulation S = mu Y, with investment I = S.
     The closed form is validated against an independent RK4 integration
     of Ydot = (mu/nu) Y to 1e-8 relative.
     """
     _require("positive", nu=nu)
     Y = _checked_exponential(params.Y0, params.mu / nu, grid)
-    flows = _flows(params.mu, Y)
-    values = np.column_stack([flows.Y, flows.C, flows.S, flows.I])
+    S = params.mu * Y
+    values = np.column_stack([Y, (1.0 - params.mu) * Y, S, S])
     return Trajectory(grid, values, ("Y", "C", "S", "I"))
 
 
@@ -120,7 +95,8 @@ def corrected_trajectory(
             pole_location=blowup,
         )
     t = grid.nodes
-    Y = params.Y0 / (1.0 - sigma * t) ** 2
+    with np.errstate(over="ignore"):  # an overflow is a blow-up, raised below
+        Y = params.Y0 / (1.0 - sigma * t) ** 2
     if sigma > 0.0:
         rate_max = 2.0 * sigma / (1.0 - sigma * grid.t_end)
         numeric = rk4_linear(
@@ -129,8 +105,9 @@ def corrected_trajectory(
             grid,
             substeps=_substeps_for(rate_max, grid.h),
         )
+        _raise_on_blow_up(Y[:, None], t, "closed form")
         dev = sup_rel_diff(Y, numeric.values[:, 0])
-        if dev > 1e-6:
+        if not dev <= 1e-6:
             raise CrossCheckError(
                 f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-6"
             )
@@ -142,13 +119,14 @@ def _checked_exponential(Y0: float, rate: float, grid: TimeGrid) -> np.ndarray:
     """The closed form Y = Y0 * exp(rate*t) on ``grid``, validated against
     RK4 of Ydot = rate*Y, started from Y[0], to 1e-8 relative
     (CrossCheckError otherwise).  A rate that is not finite is rejected
-    before Y is formed; an overflow of Y fails the cross-check."""
+    before Y is formed; an overflow of Y is a BlowUpError."""
     _require_finite_result(rate=rate)
     with np.errstate(over="ignore"):
         Y = Y0 * np.exp(rate * grid.nodes)
     numeric = rk4_linear(rate, [Y[0]], grid, substeps=_substeps_for(abs(rate), grid.h))
+    _raise_on_blow_up(Y[:, None], grid.nodes, "closed form")
     dev = sup_rel_diff(Y, numeric.values[:, 0])
-    if dev > 1e-8:
+    if not dev <= 1e-8:
         raise CrossCheckError(f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-8")
     return Y
 

@@ -203,7 +203,10 @@ def static_solve(
     if method == "direct":
         B = np.eye(n) - A
         pivots = _lu_pivots(B)
-        threshold = 1e-12 * np.linalg.norm(B)
+        # ||B||_F of B scaled to its largest entry: the plain sum of squares
+        # overflows from entries of about 1e154 on
+        scale = float(np.max(np.abs(B)))
+        threshold = scale * (1e-12 * float(np.linalg.norm(B / scale))) if scale else 0.0
         if np.any(pivots < threshold):
             raise SingularMatrixError(
                 f"E - A is numerically singular (pivot {pivots.min():.3e} below "

@@ -1,15 +1,13 @@
 """Shared linear-ODE core.
 
 Characteristic roots of constant-coefficient equations (via companion
-matrix eigenvalues), analytic solutions built from simple roots, two
-fixed-step classical Runge-Kutta integrators, and one trapezoidal marcher
-for second-kind Volterra equations.  ``rk4_integrate`` takes any
-first-order system given as a Python right-hand side, and ``rk4_linear``
-linear systems x' = M x + c(t), where each step folds into the affine map
-x -> P x + q with P the RK4 stability polynomial of hM.  Every model
-downstream (growth models, business-cycle systems, the input-output
-dynamics) is linear and integrates through ``rk4_linear``;
-``rk4_integrate`` is the general integrator and the tests' reference.
+matrix eigenvalues), analytic solutions built from simple roots, one
+fixed-step classical Runge-Kutta integrator, and one trapezoidal marcher
+for second-kind Volterra equations.  ``rk4_linear`` integrates linear
+systems x' = M x + c(t) without right-hand-side callbacks: each step
+folds into the affine map x -> P x + q with P the RK4 stability
+polynomial of hM.  Every model downstream (growth models, business-cycle
+systems, the input-output dynamics) is linear and integrates through it.
 
 ``_volterra_trapezoid`` marches phi = q + int_0^t K(t - eta) phi deta for
 a kernel that is a polynomial in t - eta (Linz, *Analytical and Numerical
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -236,51 +234,6 @@ def analytic_solution(
     return Trajectory(grid, z.real, tuple(labels))
 
 
-def rk4_integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    x0: Sequence[float],
-    grid: TimeGrid,
-    labels: Sequence[str] | None = None,
-    substeps: int = 1,
-) -> Trajectory:
-    """Classical fixed-step fourth-order Runge-Kutta; global error O(h^4).
-
-    ``substeps`` subdivides every grid step internally while recording
-    only the grid nodes.  A non-finite state raises BlowUpError carrying
-    the last valid node.
-    """
-    if substeps < 1:
-        raise ValidationError("substeps must be >= 1", key="substeps")
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
-    d = x.shape[0]
-    nodes = grid.nodes
-    values = np.empty((grid.steps + 1, d))
-    values[0] = x
-    h = grid.h / substeps
-    for k in range(grid.steps):
-        t = nodes[k]
-        for s in range(substeps):
-            ts = t + s * h
-            k1 = np.asarray(rhs(ts, x), dtype=float)
-            k2 = np.asarray(rhs(ts + 0.5 * h, x + 0.5 * h * k1), dtype=float)
-            k3 = np.asarray(rhs(ts + 0.5 * h, x + 0.5 * h * k2), dtype=float)
-            k4 = np.asarray(rhs(ts + h, x + h * k3), dtype=float)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(
-                f"integration blew up between t={float(nodes[k])!r} and t={float(nodes[k + 1])!r}",
-                t_last=float(nodes[k]),
-                index_last=k,
-                x_last=values[k].copy(),
-            )
-        values[k + 1] = x
-    if labels is None:
-        labels = [f"x{i}" for i in range(d)] if d > 1 else ["x"]
-    return Trajectory(grid, values, tuple(labels))
-
-
 Coefficient = float | np.ndarray | Callable[[np.ndarray], np.ndarray]
 Forcing = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray]
 
@@ -295,23 +248,26 @@ def rk4_linear(
     labels: Sequence[str] | None = None,
     substeps: int = 1,
 ) -> Trajectory:
-    """Classical RK4 for the linear system x' = M x + c(t), without
-    right-hand-side callbacks.
+    """Classical fixed-step RK4 for the linear system x' = M x + c(t),
+    without right-hand-side callbacks; global error O(h^4).
 
-    For a linear system one RK4 step of size h is the affine map
-    x -> P x + q, with P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 (the
-    RK4 stability polynomial) and q the step applied to the zero state, so
-    the result is ``rk4_integrate`` of the same system up to rounding.
-    Steps are applied as x + ((P - I) x + q), which rounds like the
-    stage sums of ``rk4_integrate`` instead of repeating the rounding of P.
+    One RK4 step of size h from (t, x) takes the stages k1 = f(t, x),
+    k2 = f(t + h/2, x + (h/2) k1), k3 = f(t + h/2, x + (h/2) k2) and
+    k4 = f(t + h, x + h k3) of f(t, x) = M x + c(t), and returns
+    x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  For a linear f that is the affine
+    map x -> P x + q, with P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
+    (the RK4 stability polynomial) and q the step applied to the zero
+    state.  Steps are applied as x + ((P - I) x + q), which rounds like
+    the stage sum instead of repeating the rounding of P.
 
     ``coeff`` is a constant (d, d) matrix, a constant scalar rate, or a
     time-varying scalar rate a(t) that maps an array of times to an array
     of rates; the time-varying rate takes no ``forcing``.  ``forcing`` is
     a constant (d,) vector or a callable mapping an array of m increasing
     times to an (m, d) array; it is sampled once at each distinct stage
-    time (every substep node and midpoint).  ``substeps`` and BlowUpError
-    behave as in ``rk4_integrate``.
+    time (every substep node and midpoint).  ``substeps`` subdivides every
+    grid step while recording only the grid nodes.  A non-finite state
+    raises BlowUpError carrying the last finite node.
     """
     if substeps < 1:
         raise ValidationError("substeps must be >= 1", key="substeps")

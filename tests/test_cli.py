@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecodyn import cli, harrod
 from ecodyn.allen import SCALE_CHECK_MODELS, AllenScaling, PhillipsParams, phillips_solve
@@ -63,6 +66,30 @@ class TestAtomicOut:
         target = tmp_path / "out.csv"
         assert run(capsys, GOLDEN_ARGS + ["--out", str(target)])[0] == 0
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert target.read_text(encoding="utf-8") == run(capsys, GOLDEN_ARGS)[1]
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=oct)
+    def test_new_file_mode_is_that_of_a_shell_redirect(self, capsys, tmp_path, mask):
+        target = tmp_path / "out.csv"
+        before = os.umask(mask)
+        try:
+            assert run(capsys, GOLDEN_ARGS + ["--out", str(target)])[0] == 0
+            assert os.umask(mask) == mask  # the run put the umask back
+        finally:
+            os.umask(before)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~mask
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o666], ids=oct)
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path, mode):
+        target = tmp_path / "out.csv"
+        target.write_text("earlier run\n", encoding="utf-8")
+        target.chmod(mode)
+        before = os.umask(0o022)
+        try:
+            assert run(capsys, GOLDEN_ARGS + ["--out", str(target)])[0] == 0
+        finally:
+            os.umask(before)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
         assert target.read_text(encoding="utf-8") == run(capsys, GOLDEN_ARGS)[1]
 
     @pytest.mark.parametrize("error, rc", [(NumericalError("render failed"), 3),
@@ -518,6 +545,12 @@ FAIL_MATRICES = {
     "nan": "2\nnan,0\n0,1\n",
     "nan_demand": "1,1,1\nnan,1,1\n1,1,1\n",  # a demand table on 2 steps
     "negative_singular": "2\n1,-1\n0,0\n",  # E - A = [[0, 1], [0, 1]]
+    "zero_dim": "0\n",
+    "negative_dim": "-2\n",
+    "extra_row": "2\n0.1,0\n0,0.1\n0.5,0.5\n",  # a third row under n = 2
+    "word_demand": "1,1,1\nabc,1,1\n1,1,1\n",
+    "ragged_demand": "1,1,1\n1,1\n1,1,1\n",
+    "empty_demand": "",
 }
 M3 = str(GOLDEN / "leontief_matrix.txt")
 # (exit code, argv): every command's rejected inputs (2) and numerical failures (3)
@@ -595,6 +628,12 @@ FAILURES = [
     (3, ["harrod", "--mu", "0.3", "--nu", "1e-200", "--t-end", "1e200", "--steps", "2"]),
     (3, ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1e-200", "--t-end", "1e200",
          "--steps", "2"]),
+    # the closed form overflows while the capped-substep RK4 stays finite
+    (3, ["harrod", "--mu", "0.9", "--nu", "0.001", "--t-end", "1", "--steps", "1"]),
+    (3, ["harrod-domar", "--mu", "0.9", "--nu", "0.001", "--t0", "1", "--t-end", "1",
+         "--steps", "1"]),
+    (3, ["harrod-corrected", "--mu", "0.5", "--nu-star", "1", "--y0", "1e300",
+         "--t-end", "1.9999", "--steps", "4"]),
 ]
 # (coefficient, argv): finite flags whose derived coefficient is not finite
 DERIVED_OVERFLOWS = [
@@ -664,6 +703,19 @@ KEYED_FAILURES = [
                   "--ode-init", "1"]),
 ]
 FAILURES += [(2, argv) for _, argv in KEYED_FAILURES]
+# (key, file, argv): input files that do not hold what their flag asks for.
+# A matrix file declares a dimension below 1 or rows beyond the n it
+# declares; a demand file holds no number table, or nothing at all.
+BAD_FILES = [
+    *(("matrix", name, [command, "--matrix", f"{{{name}}}", "--demand", "1,1", *flags])
+      for command, flags in (("leontief-static", []),
+                             ("leontief-dynamic", ["--x0", "1,1", "--steps", "4"]))
+      for name in ("zero_dim", "negative_dim", "extra_row")),
+    *(("demand-file", name, ["leontief-dynamic", "--matrix", M3, "--x0", "1,1,1", "--steps",
+                             "2", "--demand-file", f"{{{name}}}"])
+      for name in ("word_demand", "ragged_demand", "empty_demand")),
+]
+FAILURES += [(2, argv) for _, _, argv in BAD_FILES]
 
 
 @pytest.fixture(scope="module")
@@ -672,6 +724,32 @@ def fail_matrices(tmp_path_factory):
     for name, text in FAIL_MATRICES.items():
         (root / f"{name}.txt").write_text(text, encoding="utf-8")
     return {name: str(root / f"{name}.txt") for name in FAIL_MATRICES}
+
+
+# matrix-file text: a dimension line, then rows of numbers near the shape it
+# declares, or any text at all
+MATRIX_NUMBERS = st.sampled_from(["0", "0.1", "0.5", "-1", "1e300", "nan", "inf", "x", ""])
+MATRIX_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        lambda n, rows: "\n".join([n, *(",".join(row) for row in rows)]) + "\n",
+        st.sampled_from(["-2", "0", "1", "2", "3", "2.5", "#", ""]),
+        st.lists(st.lists(MATRIX_NUMBERS, min_size=1, max_size=3), max_size=4),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=MATRIX_TEXT, demand=st.sampled_from(["1", "1,1", "1,1,1"]))
+def test_any_matrix_file_gives_an_answer_or_one_error_line(capsys, tmp_path, text, demand):
+    path = tmp_path / "matrix.txt"
+    path.write_text(text, encoding="utf-8")
+    rc, _, err = run(capsys, ["leontief-static", "--matrix", str(path), "--demand", demand])
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc in (2, 3) and err.startswith("error: ") and err.count("\n") == 1, (rc, err)
 
 
 def test_every_command_has_its_failures():
@@ -710,8 +788,10 @@ def test_out_of_memory_is_three_with_one_error_line(capsys, monkeypatch, tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("key, argv", KEYED_FAILURES,
-                         ids=lambda x: x[0] if isinstance(x, list) else x)
+@pytest.mark.parametrize("key, argv", [
+    *KEYED_FAILURES,
+    *(pytest.param(key, argv, id=f"{key}-{argv[0]}-{name}") for key, name, argv in BAD_FILES),
+], ids=lambda x: x[0] if isinstance(x, list) else x)
 def test_failure_names_its_key(capsys, fail_matrices, key, argv):
     rc, _, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
     assert rc == 2

@@ -109,7 +109,9 @@ class TestCrossCheck:
     # the exponential checks; the corrected check's bound is 1e-6 itself,
     # so it gets twice that
     @pytest.mark.parametrize("name, rel", [
-        ("classical", 1e-6), ("corrected", 2e-6), ("harrod-domar", 1e-6)])
+        ("classical", 1e-6), ("corrected", 2e-6), ("harrod-domar", 1e-6),
+        # a NaN deviation is no pass
+        ("classical", math.nan), ("corrected", math.nan), ("harrod-domar", math.nan)])
     def test_perturbed_reference_raises(self, monkeypatch, name, rel):
         original = harrod.rk4_linear
 
@@ -122,6 +124,25 @@ class TestCrossCheck:
         monkeypatch.setattr(harrod, "rk4_linear", perturbed)
         with pytest.raises(CrossCheckError, match="closed form vs RK4 deviation"):
             TRAJECTORIES[name]()
+
+
+# closed forms that overflow where the capped-substep RK4 stays finite
+OVERFLOWS = {
+    "classical": lambda: classical_trajectory(
+        HarrodParams(mu=0.9, nu_star=1.0), 0.001, TimeGrid(0.0, 1.0, 1)),
+    "corrected": lambda: corrected_trajectory(
+        HarrodParams(mu=0.5, nu_star=1.0, Y0=1e300), TimeGrid(0.0, 1.9999, 4)),
+    "harrod-domar": lambda: harrod_domar_trajectory(
+        AllenScaling(t0=1.0), 0.9, 0.001, TimeGrid(0.0, 1.0, 1)),
+}
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is raised, not warned
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_closed_form_overflow_is_a_blow_up(name):
+    with pytest.raises(BlowUpError, match="^closed form blew up between t=") as exc:
+        OVERFLOWS[name]()
+    assert np.isfinite(exc.value.x_last).all()
 
 
 class TestDiscrete:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_metzler
-from ecodyn.odelin import TimeGrid, rk4_integrate, sup_rel_diff
+from ecodyn.odelin import TimeGrid, sup_rel_diff
 from ecodyn.errors import (
     BlowUpError,
     DegenerateDataError,
@@ -23,6 +23,7 @@ from ecodyn.leontief import (
     taylor_reduce,
     volterra_solve,
 )
+from rk4_reference import rk4_integrate
 
 A22 = np.array([[0.2, 0.3], [0.1, 0.4]])
 
@@ -68,6 +69,15 @@ class TestStatic:
         assert np.allclose(X, expected, rtol=1e-12)
         assert X[0] == pytest.approx(80.0 / 3.0, abs=1e-10)
         assert X[1] == pytest.approx(340.0 / 9.0, abs=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_are_not_taken_for_a_singular_matrix(self):
+        # ||E - A||_F as a plain sum of squares overflows to inf, which puts
+        # every pivot below the threshold 1e-12 * inf
+        X, _ = static_solve(np.array([[1e300]]), [1.0])
+        assert X[0] == pytest.approx(-1e-300, rel=1e-15)
+        X, _ = static_solve(np.array([[1e200, 0.0], [0.0, 3e200]]), [1.0, 3.0])
+        assert X == pytest.approx([-1e-200, -1e-200], rel=1e-15)
 
     def test_direct_residual_small_instances(self, rng):
         for _ in range(10):

@@ -14,10 +14,10 @@ from ecodyn.odelin import (
     _volterra_trapezoid,
     analytic_solution,
     char_roots,
-    rk4_integrate,
     rk4_linear,
     sup_rel_diff,
 )
+from rk4_reference import rk4_integrate
 
 
 class TestTimeGrid:
