@@ -105,9 +105,10 @@ def harrod_domar_trajectory(
     _require("positive", nu=nu)
     time_scale = nu * scaling.t0  # underflows to 0 for a tiny nu*t0: the rate is inf
     Y = _checked_exponential(scaling.Y0, mu / time_scale if time_scale else math.inf, grid)
-    C = (1.0 - mu) * Y / scaling.k1
-    I = mu * Y / scaling.k2
-    return Trajectory(grid, np.column_stack([Y, C, I]), ("Y", "C", "I"))
+    values = Y[:, None] * np.array([1.0, 1.0 - mu, mu])
+    values[:, 1] /= scaling.k1
+    values[:, 2] /= scaling.k2
+    return Trajectory(grid, values, ("Y", "C", "I"))
 
 
 @dataclass(frozen=True)
@@ -286,8 +287,7 @@ def multiplier_trajectory(
     _require("positive", lam=lam, Y0=Y0)
     with np.errstate(over="ignore"):  # exp(-inf) is exactly 0
         Y = Y0 * np.exp(-lam * mu * grid.nodes)
-    Z = (1.0 - mu) * Y
-    return Trajectory(grid, np.column_stack([Y, Z]), ("Y", "Z"))
+    return Trajectory(grid, Y[:, None] * np.array([1.0, 1.0 - mu]), ("Y", "Z"))
 
 
 @dataclass(frozen=True)

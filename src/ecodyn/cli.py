@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import errno
 import json
 import math
 import os
@@ -896,7 +897,8 @@ def load_scenario(path: str) -> list[str]:
     return [command, *argv]
 
 
-# rows of a CSV table, or cells of a JSON float array, rendered at a time
+# cells rendered at a time: of a JSON float array, or of a CSV table in
+# whole rows, so the text held does not grow with the table's width
 _BLOCK = 4096
 # characters of rendered pieces gathered into one write
 _FLUSH_CHARS = 1 << 16
@@ -913,9 +915,10 @@ def render_json(output: Output) -> str:
 
 
 def _csv_chunks(output: Output) -> Iterator[str]:
-    """The CSV text in pieces: the header line, then ``_BLOCK`` rows at a
-    time.  A cell is the ``repr`` of its Python value: the shortest
-    round-trip float, or a plain int."""
+    """The CSV text in pieces: the header line, then blocks of about
+    ``_BLOCK`` cells, ``_BLOCK // width`` whole rows (at least one).  A cell
+    is the ``repr`` of its Python value: the shortest round-trip float, or
+    a plain int."""
     if output.columns is None:
         raise ValidationError(
             f"command {output.command!r} has no CSV rendering; use --format json",
@@ -923,8 +926,9 @@ def _csv_chunks(output: Output) -> Iterator[str]:
         )
     columns = list(output.columns.values())
     yield ",".join(output.columns) + "\n"
-    for i in range(0, min(map(len, columns), default=0), _BLOCK):
-        cells = [map(repr, col[i : i + _BLOCK].tolist()) for col in columns]
+    rows = max(1, _BLOCK // max(1, len(columns)))
+    for i in range(0, min(map(len, columns), default=0), rows):
+        cells = [map(repr, col[i : i + rows].tolist()) for col in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -1056,8 +1060,13 @@ def write_atomic(path: str, text: str | Iterable[str]) -> None:
     ``path`` and rename it into place; if anything fails, the temporary
     file is removed and ``path`` is left as it was.  The file gets the
     permission bits a shell redirect would give it, not the 0o600 of
-    ``mkstemp``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    ``mkstemp``.  As with a redirect, a symlinked ``path`` stays a link and
+    its target, existing or not, gets the bytes; a loop of links raises
+    ``OSError``, as it fails a redirect."""
+    path = os.path.realpath(path)
+    if os.path.islink(path):  # left unresolved: the links form a loop
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ecodyn-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -1102,7 +1111,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         output = cmd.handler(ns)
         chunks = _csv_chunks(output) if ns.format == "csv" else _json_document(output)
         if ns.out:
-            write_atomic(ns.out, chunks)
+            try:
+                write_atomic(ns.out, chunks)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {ns.out!r}: {exc.strerror or exc}",
+                                      key="out") from None
         else:
             _emit(chunks, sys.stdout.write)  # looked up now: callers may redirect stdout
     except EcodynError as exc:

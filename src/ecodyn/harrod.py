@@ -58,8 +58,9 @@ def classical_trajectory(
     """
     _require("positive", nu=nu)
     Y = _checked_exponential(params.Y0, params.mu / nu, grid)
-    S = params.mu * Y
-    values = np.column_stack([Y, (1.0 - params.mu) * Y, S, S])
+    mu = params.mu
+    # one (steps+1, 4) allocation; Y * 1.0 is Y, and Y * c is c * Y bit for bit
+    values = Y[:, None] * np.array([1.0, 1.0 - mu, mu, mu])
     return Trajectory(grid, values, ("Y", "C", "S", "I"))
 
 
@@ -176,13 +177,14 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
             key="nu",
         )
     years = np.arange(n + 1)
-    K = np.empty(n + 1)
+    KY = np.empty((n + 1, 2))  # K and Y_tilde side by side, for the blow-up check
+    K, Y_tilde = KY.T
     K[0] = params.K0
     with np.errstate(over="ignore"):  # an overflow is a blow-up, raised below
         for i in range(1, n + 1):
             K[i] = params.K0 + alpha * K[i - 1]
-        Y_tilde = K / nu
-    _raise_on_blow_up(np.column_stack([K, Y_tilde]), years, "capital path")
+        np.divide(K, nu, out=Y_tilde)
+    _raise_on_blow_up(KY, years, "capital path")
     # closed form check
     if alpha == 1.0:
         K_closed = params.K0 * (np.arange(n + 1) + 1.0)

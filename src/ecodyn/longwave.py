@@ -88,9 +88,9 @@ def lw_simulate(
     """Integrate the (x, y) system with RK4 and emit z = x - y alongside."""
     _require("finite", x0=x0, y0=y0)
     traj = rk4_linear(lw_matrix(params), [x0, y0], grid, labels=("x", "y"))
-    x = traj.values[:, 0]
-    y = traj.values[:, 1]
-    values = np.column_stack([x, y, x - y])
+    values = np.empty((len(traj.values), 3))
+    values[:, :2] = traj.values
+    np.subtract(values[:, 0], values[:, 1], out=values[:, 2])
     return Trajectory(grid, values, ("x", "y", "z"))
 
 

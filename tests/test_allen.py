@@ -48,6 +48,14 @@ class TestHarrodDomar:
         assert y1 == pytest.approx(math.exp(0.5), rel=1e-12)
         assert y2 == pytest.approx(math.exp(0.25), rel=1e-12)
 
+    @pytest.mark.parametrize("mu", [0.1, 0.37, 0.9])
+    def test_bits_match_the_stacked_columns(self, mu):
+        s = AllenScaling(t0=1.7, Y0=1.1, C0=3.0, I0=0.7)
+        grid = TimeGrid(0.0, 4.0, 1000)
+        values = harrod_domar_trajectory(s, mu, 2.0, grid).values
+        Y = values[:, 0]
+        assert same_bits(values, np.column_stack([Y, (1.0 - mu) * Y / s.k1, mu * Y / s.k2]))
+
     def test_flow_recovery(self):
         s = AllenScaling(t0=1.0, C0=2.0, I0=4.0)
         traj = harrod_domar_trajectory(s, 0.25, 1.0, TimeGrid(0.0, 1.0, 50))
@@ -191,7 +199,18 @@ class TestBergstrom:
         assert res.kappa_equivalent == 4.0
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestMultiplier:
+    @pytest.mark.parametrize("mu", [0.1, 0.37, 0.9])
+    def test_bits_match_the_stacked_columns(self, mu):
+        grid = TimeGrid(0.0, 7.0, 1000)
+        Y = 2.5 * np.exp(-1.3 * mu * grid.nodes)
+        expected = np.column_stack([Y, (1.0 - mu) * Y])
+        assert same_bits(multiplier_trajectory(mu, 1.3, 2.5, grid).values, expected)
+
     def test_initial_value(self):
         traj = multiplier_trajectory(0.5, 1.0, 2.0, TimeGrid(0.0, 1.0, 10))
         assert traj.values[0, 0] == 2.0

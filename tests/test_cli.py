@@ -92,6 +92,44 @@ class TestAtomicOut:
         assert stat.S_IMODE(target.stat().st_mode) == mode
         assert target.read_text(encoding="utf-8") == run(capsys, GOLDEN_ARGS)[1]
 
+    @pytest.mark.parametrize("live", [True, False], ids=["live", "dangling"])
+    def test_symlinked_target_gets_the_bytes_through_the_link(self, capsys, tmp_path, live):
+        # as with `> link.csv`: the link stays a link, and the file it names,
+        # here in another directory, is written with that file's mode
+        (tmp_path / "links").mkdir()
+        (tmp_path / "files").mkdir()
+        real = tmp_path / "files" / "real.csv"
+        link = tmp_path / "links" / "link.csv"
+        link.symlink_to(os.path.join("..", "files", "real.csv"))
+        if live:
+            real.write_text("earlier run\n", encoding="utf-8")
+            real.chmod(0o640)
+        before = os.umask(0o022)
+        try:
+            assert run(capsys, GOLDEN_ARGS + ["--out", str(link)])[0] == 0
+        finally:
+            os.umask(before)
+        assert link.is_symlink() and os.readlink(link) == os.path.join("..", "files", "real.csv")
+        assert real.read_text(encoding="utf-8") == run(capsys, GOLDEN_ARGS)[1]
+        assert stat.S_IMODE(real.stat().st_mode) == (0o640 if live else 0o644)
+        assert [p.name for p in (tmp_path / "files").iterdir()] == ["real.csv"]
+        assert [p.name for p in (tmp_path / "links").iterdir()] == ["link.csv"]
+
+    @pytest.mark.parametrize("target, reason", [
+        ("loop.csv", "Too many levels of symbolic links"),
+        ("missing/out.csv", "No such file or directory"),
+        ("sub", "Is a directory"),
+    ])
+    def test_unwritable_target_is_a_rejected_input(self, capsys, tmp_path, target, reason):
+        (tmp_path / "loop.csv").symlink_to("back.csv")
+        (tmp_path / "back.csv").symlink_to("loop.csv")
+        (tmp_path / "sub").mkdir()
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        code, out, err = run(capsys, GOLDEN_ARGS + ["--out", str(tmp_path / target)])
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {str(tmp_path / target)!r}: {reason} (key: out)\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("error, rc", [(NumericalError("render failed"), 3),
                                            (MemoryError("render failed"), 3)])
     def test_failure_mid_stream_leaves_the_target_as_it_was(self, capsys, tmp_path,

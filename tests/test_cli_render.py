@@ -4,6 +4,7 @@ block-wise CSV writer against the one-shot join, the memory the streamed
 output holds, and the --demand-file row sampler against per-column
 np.interp."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -151,6 +152,30 @@ def test_csv_blocks_match_one_shot_join(rows):
     assert all(len(w) >= cli._FLUSH_CHARS for w in writes[:-1])
 
 
+def wide_table(rows: int, width: int) -> cli.Output:
+    """``width`` columns cycled from the five of ``table(rows)``."""
+    base = itertools.cycle(table(rows).columns.items())
+    columns = {f"{name}{k}": col for k, (name, col) in zip(range(width), base)}
+    return cli.Output("table", {}, columns, {"columns": columns})
+
+
+# a CSV block holds about B cells in whole rows: B // width of them
+WIDTH_EDGES = [(w, rows) for w in (1, 5, 51, 201)
+               for rows in (B // w - 1, B // w, B // w + 1)]
+
+
+@pytest.mark.parametrize("width, rows", WIDTH_EDGES)
+def test_csv_cell_blocks_match_one_shot_join(width, rows):
+    output = wide_table(rows, width)
+    expected = one_shot_csv(output)
+    assert cli.render_csv(output) == expected
+    pieces = list(cli._csv_chunks(output))
+    assert len(pieces) == 1 + math.ceil(rows / (B // width))  # the header, then the blocks
+    writes = emitted(pieces)
+    assert "".join(writes) == expected
+    assert all(len(w) >= cli._FLUSH_CHARS for w in writes[:-1])
+
+
 @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
 def test_json_blocks_match_json_dumps(rows):
     output = table(rows)
@@ -170,8 +195,12 @@ def test_json_blocks_match_json_dumps(rows):
 
 
 # a fixed bound, below the size of the 200 000-row documents themselves (4.9
-# MiB of CSV, 8.3 MiB of JSON): the text held at once does not grow with the rows
+# MiB of CSV, 8.3 MiB of JSON): the text held at once does not grow with the
+# rows.  Nor with the columns: a CSV block is about B cells whatever the
+# table's width, so any CSV write holds under CSV_PEAK_BYTES (rendered B rows
+# at a time, a 4097 x 201 table held 71 MiB)
 STREAM_PEAK_BYTES = 4 * 2**20
+CSV_PEAK_BYTES = 2**20
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -194,6 +223,23 @@ def test_streamed_output_holds_a_bounded_amount(tmp_path, fmt, rows):
         assert text.count("\n") == rows + 1 and text.endswith(f"\n{rows - 1},1.0\n")
     else:
         assert json.loads(text)["data"]["columns"]["year"] == list(range(rows))
+
+
+@pytest.mark.parametrize("rows, width", [(1001, 51), (4097, 201)])
+def test_csv_write_holds_a_bounded_amount_at_any_width(tmp_path, rows, width):
+    rng = np.random.default_rng(width)
+    columns = {f"c{k}": rng.standard_normal(rows) for k in range(width)}
+    output = cli.Output("table", {}, columns, {"columns": columns})
+    target = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        cli.write_atomic(str(target), cli._csv_chunks(output))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CSV_PEAK_BYTES
+    with target.open(encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == rows + 1
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -11,7 +11,7 @@ from ecodyn.longwave import (
     lw_simulate,
     zero_crossing_period,
 )
-from ecodyn.odelin import TimeGrid
+from ecodyn.odelin import TimeGrid, rk4_linear
 
 
 class TestMatrix:
@@ -79,6 +79,17 @@ class TestSimulate:
         assert np.all(traj.column("x") == 1.0)
         assert np.all(traj.column("y") == 0.5)
         assert np.all(traj.column("z") == 0.5)
+
+    @pytest.mark.parametrize("p, r, x0, y0", [(0.11, 0.11, 1.0, 0.2), (0.2, 0.05, -0.7, 0.3),
+                                               (0.1, 0.1, 0.0, -0.0)])
+    def test_bits_match_the_stacked_columns(self, p, r, x0, y0):
+        params = LongWaveParams(p=p, r=r)
+        grid = TimeGrid(0.0, 80.0, 800)
+        xy = rk4_linear(lw_matrix(params), [x0, y0], grid).values
+        x, y = xy[:, 0], xy[:, 1]
+        expected = np.column_stack([x, y, x - y])
+        values = lw_simulate(params, x0, y0, grid).values
+        assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
     def test_z_is_x_minus_y(self):
         traj = lw_simulate(LongWaveParams(p=0.11, r=0.11), 1.0, 0.2, TimeGrid(0.0, 80.0, 800))
