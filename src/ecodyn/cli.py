@@ -81,8 +81,7 @@ class Output:
 
 def _default_steps(value, fallback: int = DEFAULT_STEPS_FALLBACK) -> int:
     if value is not None:
-        if value < 1:
-            raise ValidationError("steps must be positive", key="steps")
+        _require("positive", steps=value)
         return int(value)
     raw = os.environ.get(ENV_DEFAULT_STEPS)
     if raw is None:
@@ -99,8 +98,8 @@ def _default_steps(value, fallback: int = DEFAULT_STEPS_FALLBACK) -> int:
     return steps
 
 
-def _grid(ns, t_start: float = 0.0) -> TimeGrid:
-    return TimeGrid(t_start, ns.t_end, _default_steps(ns.steps))
+def _grid(ns) -> TimeGrid:
+    return TimeGrid(0.0, ns.t_end, _default_steps(ns.steps))
 
 
 def _vector(text: str, key: str) -> np.ndarray:
@@ -294,7 +293,7 @@ def _demand_from_flags(ns, n: int, steps: int):
             f"(grid-aligned), got shape {table.shape}",
             key="demand-file",
         )
-    return _row_sampler(np.linspace(0.0, 1.0, steps + 1), table)
+    return _row_sampler(TimeGrid(0.0, 1.0, steps).nodes, table)
 
 
 def _row_sampler(t_nodes: np.ndarray, table: np.ndarray) -> Callable[[float], np.ndarray]:
@@ -446,8 +445,7 @@ def _cmd_fredholm_spectrum(ns) -> Output:
 def _cmd_fredholm_sweep(ns) -> Output:
     from . import fredholm
 
-    if ns.mu_count < 1:
-        raise ValidationError("mu-count must be >= 1", key="mu-count")
+    _require("positive", mu_count=ns.mu_count)
     _require("finite", mu_min=ns.mu_min, mu_max=ns.mu_max)
     mu_grid = np.linspace(ns.mu_min, ns.mu_max, ns.mu_count)
     k0 = _kernel_by_name(ns.k0, 0.0)

@@ -10,7 +10,14 @@ NaN or infinite fails as "must be finite", and a finite value outside the
 parameter's range fails with the range's wording.  Both name the
 parameter and key it by its CLI flag (lower case, dashes for
 underscores), so the finiteness rule, the wording and the key spelling
-live here alone.
+live here alone.  Counts go through it too: a step, substep, refinement,
+iteration, sweep or truncation-order count is "positive" and a year
+count "nonnegative", and every march takes its nodes and step from
+``odelin.TimeGrid``, which checks its count and ends before any work
+runs.  The count rules that stay special are Simpson's odd count >= 3
+and Gauss's >= 2 nodes, ``leontief.volterra_solve``'s >= 4 steps for its
+half-resolution rerun, ``dynamic_solve``'s truncation orders 1 and 2, and
+the ``ECODYN_DEFAULT_STEPS`` parse, which is keyed by the variable's name.
 
 A coefficient formed from finite parameters can still leave the float
 range (mu/nu at a subnormal nu, gamma*lam at 1e200 each).

@@ -936,18 +936,18 @@ class OdeReductionSolution:
     constants: tuple[float, ...]  # c_i = z^(i)(0) implied by the data
 
 
-def _ode_solution(t: np.ndarray, refine: int, phi: np.ndarray, J: np.ndarray, c: np.ndarray,
+def _ode_solution(grid: TimeGrid, refine: int, phi: np.ndarray, J: np.ndarray, c: np.ndarray,
                   what: str) -> OdeReductionSolution:
     """z = J_n[phi] + sum_i c_i t^i/i! and phi at every ``refine``-th node of
-    the uniform grid ``t`` from 0, given phi and its trapezoid J_n[phi] on
+    ``grid``, which starts at 0, given phi and its trapezoid J_n[phi] on
     that grid.  A non-finite z or phi raises BlowUpError naming ``what``."""
-    tk = t[::refine]
+    tk = grid.nodes[::refine]
     with np.errstate(over="ignore", invalid="ignore"):
         z = J[::refine] + sum(c[i] * tk**i / math.factorial(i) for i in range(len(c)))
     phi = phi[::refine]
     _raise_on_blow_up(np.column_stack([z, phi]), tk, what)
     return OdeReductionSolution(
-        trajectory=Trajectory(TimeGrid(0.0, float(t[-1]), len(tk) - 1), z, ("z",)),
+        trajectory=Trajectory(TimeGrid(0.0, grid.t_end, grid.steps // refine), z, ("z",)),
         phi=phi,
         constants=tuple(float(x) for x in c),
     )
@@ -1024,22 +1024,21 @@ class VolterraReduction:
         K_m = -a_(n-1-m), so the march carries n running moments of the
         history instead of summing it at every node: O(N n^2) work for the
         N = steps * refine nodes, and J_n[phi] comes out of the last moment.
-        A non-finite phi or z raises BlowUpError.
+        Counts below 1 and a grid end that is not finite and positive are
+        rejected before the march; a non-finite phi or z raises BlowUpError.
         """
-        if steps < 1 or refine < 1:
-            raise ValidationError("steps and refine must be >= 1", key="steps")
+        _require("positive", steps=steps, refine=refine)
+        grid = TimeGrid(0.0, float(t_end), steps * refine)
         n = self.order
         a = self.a
         c = np.asarray(self.init, dtype=float)
-        N = steps * refine
-        t = np.linspace(0.0, t_end, N + 1)
-        h = t_end / N
+        h = grid.h
         # kernel at the moving node: kappa(t, t) = -a_{n-1}
         if abs(1.0 + (h / 2.0) * a[n - 1]) < 1e-12:
             raise ResolutionError("marching step resonates with the kernel; refine")
         K = -np.array(a[::-1]).reshape(n, 1, 1)
-        phi, J = _volterra_trapezoid(K, self._free_terms(t)[:, None], h)
-        return _ode_solution(t, refine, phi[:, 0], J[:, 0], c, "Volterra march")
+        phi, J = _volterra_trapezoid(K, self._free_terms(grid.nodes)[:, None], h)
+        return _ode_solution(grid, refine, phi[:, 0], J[:, 0], c, "Volterra march")
 
 
 @dataclass(frozen=True)
@@ -1123,15 +1122,15 @@ class FredholmReduction:
         at t = 1 for z'' = k z.  Integrating phi, which the Fredholm form
         fixes on all of [0, 1] at once, amplifies none.
         """
+        grid = TimeGrid(0.0, 1.0, 4 * steps)
         rule = simpson_rule(n_nodes)
         disc = NystromDiscretization(self.kernel_spec(), rule)
         sol = nystrom_solve(disc, 1.0, self.free_term)
         w_phi = np.sum(rule.weights * self._beta(rule.nodes) * sol.phi, axis=1)
         c = self._c0 - self._Minv @ w_phi
-        N = 4 * steps
-        t = np.linspace(0.0, 1.0, N + 1)
-        phi, J = _volterra_trapezoid(np.zeros((self.order, 1, 1)), sol(t)[:, None], 1.0 / N)
-        return _ode_solution(t, 4, phi[:, 0], J[:, 0], c, "two-point reduction")
+        K = np.zeros((self.order, 1, 1))
+        phi, J = _volterra_trapezoid(K, sol(grid.nodes)[:, None], grid.h)
+        return _ode_solution(grid, 4, phi[:, 0], J[:, 0], c, "two-point reduction")
 
 
 def ode_to_integral(
@@ -1143,14 +1142,17 @@ def ode_to_integral(
     ``boundary`` is either n initial values (z(0), ..., z^(n-1)(0)),
     giving a Volterra problem with a convolution kernel, or n triples
     (derivative order, location in {0, 1}, value) splitting the data
-    between the ends of [0, 1], giving a Fredholm problem.
+    between the ends of [0, 1], giving a Fredholm problem.  Like the
+    coefficients, the forcing is divided by the leading c_n, so phi solves
+    z^(n) + sum a_k z^(k) = f/c_n.
     """
     n = spec.order
     if len(boundary) != n:
         raise ValidationError(f"need exactly {n} boundary data, got {len(boundary)}")
     a = spec.normalized()
     _require_finite_result(normalized_coeffs=a)
-    forcing = spec.forcing
+    f, cn = spec.forcing, spec.coeffs[0]
+    forcing = None if f is None else (lambda t: f(t) / cn)
     first = boundary[0]
     if not isinstance(first, (tuple, list)):
         init = tuple(float(b) for b in boundary)  # type: ignore[arg-type]

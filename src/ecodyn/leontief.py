@@ -76,8 +76,7 @@ class LeontiefModel:
             self.Xdot0 = np.asarray(self.Xdot0, dtype=float)
             if self.Xdot0.shape != (n,):
                 raise ValidationError(f"Xdot0 must have {n} components", key="xdot0")
-        if self.order < 1:
-            raise ValidationError("truncation order must be >= 1", key="order")
+        _require("positive", order=self.order)
         if not callable(self.demand):
             self.demand = np.asarray(self.demand, dtype=float)
             if self.demand.shape != (n,):
@@ -190,7 +189,8 @@ def static_solve(
     "iterate" runs X_{s+1} = A X_s + c from X_0 = c until the step
     difference drops to ``tol`` (under the Metzler condition this bounds
     the balance residual by ``tol`` too).  A goes through the one matrix
-    rule before it is factored or iterated; c and tol must be finite.
+    rule before it is factored or iterated; c must be finite, tol
+    nonnegative and max_iter positive, whichever the method.
     """
     A = _as_matrix(A)
     c = np.asarray(c, dtype=float)
@@ -199,7 +199,8 @@ def static_solve(
         raise ValidationError(f"demand must have {n} components", key="demand")
     if not np.isfinite(c).all():
         raise ValidationError("demand has a component that is not finite", key="demand")
-    _require("finite", tol=tol)
+    _require("nonnegative", tol=tol)
+    _require("positive", max_iter=max_iter)
     if method == "direct":
         B = np.eye(n) - A
         pivots = _lu_pivots(B)
@@ -306,9 +307,9 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
 
 # overflow shows as a non-finite X, which raises BlowUpError
 @np.errstate(over="ignore", invalid="ignore")
-def _volterra_march(model: LeontiefModel, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """March U(t) = G(t) - 2*int_0^t [I + B(t-eta)] U(eta) deta and
-    reconstruct X = int_0^t (t-eta) U deta + c0*t + c1 by trapezoid.
+def _volterra_march(model: LeontiefModel, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """March U(t) = G(t) - 2*int_0^t [I + B(t-eta)] U(eta) deta on ``grid``
+    and reconstruct X = int_0^t (t-eta) U deta + c0*t + c1 by trapezoid.
 
     Returns (nodes, X values).  The kernel is K_0 + K_1 (t-eta) with
     K_0 = -2I and K_1 = -2B, so the shared trapezoid marcher of the
@@ -318,9 +319,9 @@ def _volterra_march(model: LeontiefModel, steps: int) -> tuple[np.ndarray, np.nd
     B = model.B
     c1 = model.X0
     c0 = model.Xdot0
-    t = np.linspace(0.0, 1.0, steps + 1)
+    t = grid.nodes
     G = 2.0 * (model.demand_samples(t) - c0 - (np.outer(t, c0) + c1) @ B.T)
-    _, J = _volterra_trapezoid(np.stack([-2.0 * np.eye(model.n), -2.0 * B]), G, 1.0 / steps)
+    _, J = _volterra_trapezoid(np.stack([-2.0 * np.eye(model.n), -2.0 * B]), G, grid.h)
     X = J + np.outer(t, c0) + c1
     _raise_on_blow_up(X, t)
     return t, X
@@ -339,8 +340,9 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
         raise ValidationError("order 2 needs Xdot0", key="xdot0")
     if steps < 4:
         raise ValidationError("need at least 4 steps", key="steps")
-    t, X = _volterra_march(model, steps)
-    t_c, X_c = _volterra_march(model, steps // 2)
+    grid = TimeGrid(0.0, 1.0, steps)
+    t, X = _volterra_march(model, grid)
+    t_c, X_c = _volterra_march(model, TimeGrid(0.0, 1.0, steps // 2))
     scale = max(float(np.max(np.abs(X))), 1e-300)
     coarse_on_fine = np.column_stack(
         [np.interp(t, t_c, X_c[:, j]) for j in range(model.n)]
@@ -351,7 +353,7 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
             f"half-resolution drift {drift:.3e} exceeds 10%; refine the grid"
         )
     labels = tuple(f"x{i + 1}" for i in range(model.n))
-    return Trajectory(TimeGrid(0.0, 1.0, steps), X, labels)
+    return Trajectory(grid, X, labels)
 
 
 @dataclass(frozen=True)

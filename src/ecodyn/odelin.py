@@ -36,6 +36,7 @@ from .errors import (
     DegenerateDataError,
     UnsupportedError,
     ValidationError,
+    _require,
 )
 
 # Two computed roots within this distance of their center, relative to their
@@ -50,15 +51,19 @@ ROOT_CLUSTER_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``steps + 1`` nodes on [t_start, t_end]."""
+    """Uniform grid of ``steps + 1`` nodes on [t_start, t_end].
+
+    Every march builds its nodes and step here, so its count and its ends
+    are checked before any work runs.  On a grid from 0 the step is
+    t_end / steps bit for bit.
+    """
 
     t_start: float
     t_end: float
     steps: int
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError("steps must be a positive integer", key="steps")
+        _require("positive", steps=self.steps)
         if not all(map(math.isfinite, (self.t_start, self.t_end, self.h))):
             raise ValidationError(
                 f"grid ends and step must be finite, got t_start={float(self.t_start)!r}, "
@@ -111,7 +116,8 @@ class Trajectory:
 class OdeSpec:
     """Constant-coefficient linear ODE c_n z^(n) + ... + c_0 z = f(t).
 
-    ``coeffs`` lists (c_n, ..., c_0), highest derivative first.
+    ``coeffs`` lists (c_n, ..., c_0), highest derivative first, each
+    finite (a coefficient that is not is rejected under its name, c_k).
     """
 
     coeffs: tuple[float, ...]
@@ -121,6 +127,7 @@ class OdeSpec:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if len(self.coeffs) < 2:
             raise ValidationError("need order >= 1 (at least two coefficients)")
+        _require("finite", **{f"c_{self.order - i}": c for i, c in enumerate(self.coeffs)})
         if self.coeffs[0] == 0.0:
             raise ValidationError("leading coefficient must be nonzero")
 
@@ -269,8 +276,7 @@ def rk4_linear(
     grid step while recording only the grid nodes.  A non-finite state
     raises BlowUpError carrying the last finite node.
     """
-    if substeps < 1:
-        raise ValidationError("substeps must be >= 1", key="substeps")
+    _require("positive", substeps=substeps)
     x = np.asarray(x0, dtype=float)
     if x.ndim == 0:
         x = x[None]

@@ -739,6 +739,16 @@ KEYED_FAILURES = [
                     "--ode-init", "1"]),
     ("ode-init", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1",
                   "--ode-init", "1"]),
+    # counts below their range, each under its own flag
+    ("max-iter", ["leontief-static", "--matrix", M3, "--demand", "1,1,1", "--method", "iterate",
+                  "--max-iter", "0"]),
+    ("max-iter", ["leontief-static", "--matrix", M3, "--demand", "1,1,1", "--method", "iterate",
+                  "--max-iter", "-5"]),
+    ("tol", ["leontief-static", "--matrix", M3, "--demand", "1,1,1", "--tol", "-1"]),
+    ("years", ["harrod-discrete", "--mu", "0.3", "--nu", "0.5", "--years", "-1"]),
+    ("steps", ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "1", "--steps", "0"]),
+    ("steps", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1",
+               "--ode-init", "1,0", "--steps", "-1"]),
 ]
 FAILURES += [(2, argv) for _, argv in KEYED_FAILURES]
 # (key, file, argv): input files that do not hold what their flag asks for.

@@ -429,6 +429,68 @@ class TestTwoPointSolve:
         assert np.max(np.abs(sol.phi + sol.trajectory.column("z"))) < 1e-5
 
 
+# 2 z'' + 2 z = 2 from rest has z = 1 - cos t: the forcing, like the
+# coefficients, is divided by c_2 = 2, so the reduction is that of the c_2 = 1 spec
+FORCED_CN2 = OdeSpec((2.0, 0.0, 2.0), forcing=lambda t: 2.0)
+FORCED_CN1 = OdeSpec((1.0, 0.0, 1.0), forcing=lambda t: 1.0)
+
+
+class TestLeadingCoefficient:
+    @pytest.mark.parametrize("boundary, bound", [
+        ([0.0, 0.0], 1e-6),
+        ([(0, 0.0, 0.0), (0, 1.0, 1.0 - math.cos(1.0))], 2e-6),
+    ], ids=["volterra", "two-point"])
+    def test_forcing_is_divided_by_it(self, boundary, bound):
+        sol = ode_to_integral(FORCED_CN2, boundary).solve(steps=100)
+        t = sol.trajectory.times
+        assert np.max(np.abs(sol.trajectory.column("z") - (1.0 - np.cos(t)))) < bound
+        same = ode_to_integral(FORCED_CN1, boundary).solve(steps=100)
+        assert np.array_equal(sol.trajectory.values, same.trajectory.values)
+        assert np.array_equal(sol.phi, same.phi)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a rejected grid reached the solver")
+
+
+class TestReductionGrid:
+    """Both reductions take their grid from TimeGrid, which rejects a bad
+    count or end before any work runs."""
+
+    def test_two_point_zero_steps(self, monkeypatch):
+        monkeypatch.setattr(fredholm, "nystrom_solve", refuse)
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [(0, 0.0, 1.0), (0, 1.0, 0.5)])
+        for steps in (0, -1):
+            with pytest.raises(ValidationError, match="^steps must be positive$") as info:
+                red.solve(steps=steps)
+            assert info.value.key == "steps"
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"steps": 0}, "steps"),
+        ({"steps": -2, "refine": -2}, "steps"),  # a positive product is no excuse
+        ({"refine": 0}, "refine"),
+        ({"t_end": math.nan}, "t-end"),
+        ({"t_end": math.inf}, "t-end"),
+        ({"t_end": -1.0}, "t-end"),
+    ], ids=["steps-0", "both-negative", "refine-0", "t-end-nan", "t-end-inf", "t-end-negative"])
+    def test_volterra_rejects_before_the_march(self, monkeypatch, kwargs, key):
+        monkeypatch.setattr(fredholm, "_volterra_trapezoid", refuse)
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0])
+        with pytest.raises(ValidationError) as info:
+            red.solve(**kwargs)
+        assert info.value.key == key
+
+    @pytest.mark.parametrize("t_end, steps, refine", [
+        (1.0, 200, 4), (0.7, 33, 3), (2.0, 7, 1), (np.float64(1.5), 10, 2), (3, 12, 2)])
+    def test_output_grid_is_every_refine_th_node(self, t_end, steps, refine):
+        sol = ode_to_integral(OdeSpec((1.0, 0.5, 2.0)), [1.0, -0.5]).solve(
+            steps=steps, refine=refine, t_end=t_end)
+        grid = sol.trajectory.grid
+        assert (grid.t_start, grid.t_end, grid.steps) == (0.0, t_end, steps)
+        assert type(grid.t_end) is float
+        assert np.array_equal(grid.nodes, np.linspace(0.0, t_end, steps + 1))
+
+
 def reconstruct(t, h, phi, c, n, refine):
     """z = J_n[phi] + sum_i c_i t^i/i! at every ``refine``-th node of the
     uniform grid ``t`` (t[0] = 0, spacing h), where

@@ -237,6 +237,46 @@ class TestDiscrete:
         assert same_bits(path.Y_tilde, K / nu)
         assert same_bits(path.I_tilde, K * (mu / nu))
 
+    # alpha = mu/nu within 1e-6 .. 1e-10 of 1, where the plain reference
+    # K0 (1 - alpha^(n+1))/(1 - alpha) lost up to 5e-9 to cancellation
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("years", [10, 100, 1000, 10000])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+    def test_alpha_near_one_runs_and_keeps_the_recursion(self, gap, years):
+        mu, K0 = 0.5, 1.3
+        nu = mu / (1.0 - gap)
+        path = discrete_path(HarrodParams(mu=mu, nu_star=10.0, K0=K0), nu, years)
+        K = np.empty(years + 1)
+        K[0] = K0
+        for i in range(1, years + 1):
+            K[i] = K0 + (mu / nu) * K[i - 1]
+        assert same_bits(path.K, K)
+
+    # alpha = 0, and alpha so small that alpha - 1 rounds to -1 (a log1p
+    # of that would be a domain error), down to a subnormal
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mu", [0.0, 1e-20, 5e-324])
+    def test_alpha_at_or_near_zero_keeps_the_recursion(self, mu):
+        K0 = 2.5
+        path = discrete_path(HarrodParams(mu=mu, nu_star=10.0, K0=K0), 1.0, 6)
+        K = np.empty(7)
+        K[0] = K0
+        for i in range(1, 7):
+            K[i] = K0 + mu * K[i - 1]
+        assert same_bits(path.K, K)
+
+    @pytest.mark.parametrize("dev", [2e-12, math.nan])
+    def test_disagreement_is_a_cross_check_error(self, monkeypatch, dev):
+        monkeypatch.setattr(harrod, "sup_rel_diff", lambda a, b: dev)
+        with pytest.raises(CrossCheckError, match="^recursion vs closed form deviation"):
+            discrete_path(HarrodParams(mu=0.4, nu_star=10.0), 0.8, 5)
+
+    @pytest.mark.parametrize("n", [-1, -100])
+    def test_negative_year_count_is_keyed_years(self, n):
+        with pytest.raises(ValidationError, match="^years must be nonnegative$") as info:
+            discrete_path(HarrodParams(mu=0.4, nu_star=10.0), 0.8, n)
+        assert info.value.key == "years"
+
     def test_impulses_telescope_to_total_growth(self):
         p = HarrodParams(mu=0.4, nu_star=10.0, K0=3.0)
         path = discrete_path(p, 0.8, 12)
@@ -279,3 +319,11 @@ class TestAdequacy:
             adequacy_residual(1.0, 3)
         with pytest.raises(ValidationError):
             adequacy_residual(0.5, 0)
+
+    @pytest.mark.parametrize("alpha, n, key", [
+        (0.0, 3, "alpha"), (1.0, 3, "alpha"), (math.nan, 3, "alpha"),
+        (0.5, 0, "n"), (0.5, -2, "n")])
+    def test_rejections_are_keyed(self, alpha, n, key):
+        with pytest.raises(ValidationError) as info:
+            adequacy_residual(alpha, n)
+        assert info.value.key == key

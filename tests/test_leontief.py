@@ -126,6 +126,23 @@ class TestStatic:
             static_solve(A22, [10.0, 20.0], method="iterate", tol=1e-14, max_iter=3)
         assert exc_info.value.log.iterates == 3
 
+    @pytest.mark.parametrize("method", ["direct", "iterate"])
+    @pytest.mark.parametrize("kwargs, message, key", [
+        ({"max_iter": 0}, "max_iter must be positive", "max-iter"),
+        ({"max_iter": -5}, "max_iter must be positive", "max-iter"),
+        ({"tol": -1.0}, "tol must be nonnegative", "tol"),
+        ({"tol": np.nan}, "tol must be finite, got nan", "tol"),
+    ])
+    def test_tolerance_and_budget_are_checked(self, method, kwargs, message, key):
+        with pytest.raises(ValidationError) as exc_info:
+            static_solve(A22, [1.0, 1.0], method=method, **kwargs)
+        assert (str(exc_info.value), exc_info.value.key) == (message, key)
+
+    def test_zero_tolerance_iterates_to_a_fixed_point(self):
+        X, log = static_solve(A22, [1.0, 1.0], method="iterate", tol=0.0)
+        assert log.residual_history[-1] == 0.0
+        assert np.allclose(X, np.linalg.solve(np.eye(2) - A22, [1.0, 1.0]), rtol=1e-14)
+
     def test_singular_balance_rejected(self):
         # row sum exactly 1 in every row makes E - A singular
         A = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -357,6 +374,12 @@ class TestDynamic:
         model = LeontiefModel(A=A22, demand=[1.0, 1.0], X0=[0.0, 0.0], order=2)
         with pytest.raises(ValidationError):
             dynamic_solve(model)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_keyed_order(self, order):
+        with pytest.raises(ValidationError, match="^order must be positive$") as exc_info:
+            LeontiefModel(A=A22, demand=[1.0, 1.0], X0=[0.0, 0.0], order=order)
+        assert exc_info.value.key == "order"
 
 
 class TestVolterra:

@@ -43,6 +43,12 @@ class TestTimeGrid:
         assert info.value.key == "t-end"
         assert "np.float64" not in str(info.value)
 
+    @pytest.mark.parametrize("steps", [0, -1, -10**6])
+    def test_count_below_one_is_keyed_steps(self, steps):
+        with pytest.raises(ValidationError, match="^steps must be positive$") as info:
+            TimeGrid(0.0, 1.0, steps)
+        assert info.value.key == "steps"
+
 
 class TestTrajectory:
     def test_column_lookup(self):
@@ -112,6 +118,17 @@ class TestCharRoots:
     def test_order_zero_rejected(self):
         with pytest.raises(ValidationError):
             OdeSpec((1.0,))
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ((1.0, math.nan, 1.0), "c_1 must be finite, got nan"),
+        ((math.inf, 0.0, 1.0), "c_2 must be finite, got inf"),
+        ((1.0, 0.0, -math.inf), "c_0 must be finite, got -inf"),
+    ], ids=["c1-nan", "c2-inf", "c0-minus-inf"])
+    def test_coefficients_must_be_finite(self, coeffs, message):
+        # numpy's root finder would raise LinAlgError, which is no EcodynError
+        with pytest.raises(ValidationError) as info:
+            OdeSpec(coeffs)
+        assert str(info.value) == message
 
 
 class TestAnalyticSolution:
@@ -353,6 +370,12 @@ class TestRk4Linear:
             rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=[1.0])
         with pytest.raises(ValidationError):
             rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: np.ones((len(ts), 3)))
+
+    @pytest.mark.parametrize("substeps", [0, -3])
+    def test_substeps_below_one_is_keyed_substeps(self, substeps):
+        with pytest.raises(ValidationError, match="^substeps must be positive$") as info:
+            rk4_linear(1.0, [1.0], TimeGrid(0.0, 1.0, 10), substeps=substeps)
+        assert info.value.key == "substeps"
 
 
 def trapezoid_reference(K, q, h):
