@@ -151,15 +151,22 @@ def phillips_solve(
             "that are not finite",
             key="t0",
         )
-    spec = OdeSpec((1.0, a, b))
-    traj = analytic_solution(spec, list(init), grid, derivatives=1)
-    traj = Trajectory(traj.grid, traj.values, ("Y", "Ydot"))
-    roots = tuple(r for r, _ in char_roots(spec))
+    traj, roots = _second_order_solve(a, b, init, grid, ("Y", "Ydot"))
     period = None
     im = max(abs(r.imag) for r in roots)
     if im > 0.0:
         period = 2.0 * math.pi / im
     return PhillipsSolution(trajectory=traj, roots=roots, a=a, b=b, period_t_hat=period)
+
+
+def _second_order_solve(
+    a: float, b: float, init: tuple[float, float], grid: TimeGrid, labels: tuple[str, str]
+) -> tuple[Trajectory, tuple[complex, ...]]:
+    """x'' + a x' + b x = 0 with initial data ``init`` = (x, x'): the closed-form
+    trajectory of x and x' under ``labels``, and the characteristic roots."""
+    spec = OdeSpec((1.0, a, b))
+    traj = analytic_solution(spec, list(init), grid, derivatives=1)
+    return Trajectory(traj.grid, traj.values, labels), tuple(r for r, _ in char_roots(spec))
 
 
 def phillips_system_residuals(
@@ -262,10 +269,7 @@ def bergstrom_capital_solve(
     damping = gamma + mu * lam - nu * gamma * lam
     stiffness = mu * gamma * lam
     _require_finite_result(damping=damping, stiffness=stiffness)
-    spec = OdeSpec((1.0, damping, stiffness))
-    traj = analytic_solution(spec, list(init), grid, derivatives=1)
-    traj = Trajectory(traj.grid, traj.values, ("K", "Kdot"))
-    roots = tuple(r for r, _ in char_roots(spec))
+    traj, roots = _second_order_solve(damping, stiffness, init, grid, ("K", "Kdot"))
     return BergstromResult(
         trajectory=traj,
         roots=roots,

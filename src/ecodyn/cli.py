@@ -4,7 +4,9 @@ file and emit trajectories and reports as CSV or JSON.
 Exit codes: 0 success, 2 validation error (the message names the
 offending key), 3 numerical failure (pole, blow-up, non-convergence,
 spectrum proximity) with the originating module's message verbatim, or a
-run too large for the memory at hand.
+run too large for the memory at hand.  The console script exits 1,
+silently, when its stdout is closed before the output is written (the
+reader of a pipe quit, as `head` does).
 Output is rendered and written a block of rows at a time, so a long
 trajectory is never held whole as text.  --out stays atomic: the blocks
 go to a temporary file beside the target, which is renamed into place
@@ -1138,7 +1140,14 @@ def _report(exc: EcodynError) -> int:
 
 
 def entry() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()  # inside the try: a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the exit flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

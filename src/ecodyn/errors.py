@@ -12,7 +12,11 @@ parameter and key it by its CLI flag (lower case, dashes for
 underscores), so the finiteness rule, the wording and the key spelling
 live here alone.  Counts go through it too: a step, substep, refinement,
 iteration, sweep or truncation-order count is "positive" and a year
-count "nonnegative", and every march takes its nodes and step from
+count "nonnegative".  An integer beyond ``sys.maxsize`` in magnitude
+indexes no array and may lie beyond the float range: it is rejected
+before any range test, by a message that never converts it to float.  A
+count within that bound whose arrays do not fit in memory fails where
+they are allocated.  Every march takes its nodes and step from
 ``odelin.TimeGrid``, which checks its count and ends before any work
 runs.  The count rules that stay special are Simpson's odd count >= 3
 and Gauss's >= 2 nodes, ``leontief.volterra_solve``'s >= 4 steps for its
@@ -27,6 +31,7 @@ count or a warning meets the infinity.
 """
 
 import math
+import sys
 
 
 class EcodynError(Exception):
@@ -60,6 +65,9 @@ def _require(range_: str, **values: float) -> None:
     inside, wording = _RANGES[range_]
     for name, value in values.items():
         key = name.lower().replace("_", "-")
+        # an int is exact and may lie beyond the float range: never float() it
+        if isinstance(value, int) and abs(value) > sys.maxsize:
+            raise ValidationError(f"{name} must not exceed {sys.maxsize} in magnitude", key=key)
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {float(value)!r}", key=key)
         if not inside(value):

@@ -368,6 +368,7 @@ def simpson_rule(n_nodes: int = 201) -> QuadratureRule:
     """Composite Simpson on [0, 1]; requires an odd node count >= 3."""
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValidationError("Simpson needs an odd node count >= 3", key="nodes")
+    _require("positive", nodes=n_nodes)  # bounds the count by sys.maxsize
     h = 1.0 / (n_nodes - 1)
     w = np.full(n_nodes, 2.0)
     w[1::2] = 4.0
@@ -892,17 +893,19 @@ def degenerate_residual(
     rule: QuadratureRule | None = None,
 ) -> DegenerateResidual:
     """Sup residual of phi = rho + mu*sigma in the homogeneous equation
-    with kernel rho(t)rho(eta) + mu*sigma(t)rho(eta).
+    phi = K phi with the kernel ``kernel_degenerate(mu, rho, sigma)``,
+    rho(t)rho(eta) + mu*sigma(t)rho(eta): the paper's example of the
+    Fredholm alternative, whose homogeneous equation has the solution
+    phi for every mu.
 
     Requires int rho^2 = 1 and int rho*sigma = 0 within 1e-8 (measured
-    with the rule's weights); then the residual is at quadrature level
-    for any mu.
+    with the rule's weights); then the residual ||phi - K_w phi||, with
+    K_w applied by the ``NystromDiscretization.apply`` the solver runs,
+    is at quadrature level for any mu.
     """
     rule = rule or simpson_rule()
-    t = rule.nodes
     w = rule.weights
-    rho_v = np.array([rho(float(x)) for x in t])
-    sigma_v = np.array([sigma(float(x)) for x in t])
+    rho_v, sigma_v = _profile_samples([rho, sigma], rule.nodes).T
     rho_sq = float(np.sum(w * rho_v**2))
     rho_sig = float(np.sum(w * rho_v * sigma_v))
     if abs(rho_sq - 1.0) > 1e-8 or abs(rho_sig) > 1e-8:
@@ -911,9 +914,8 @@ def degenerate_residual(
             f"{rho_sq!r} (need 1), int rho*sigma = {rho_sig!r} (need 0)"
         )
     phi = rho_v + mu * sigma_v
-    inner = float(np.sum(w * rho_v * phi))
-    reproduced = (rho_v + mu * sigma_v) * inner
-    residual = float(np.max(np.abs(phi - reproduced)))
+    disc = NystromDiscretization(kernel_degenerate(mu, rho, sigma), rule)
+    residual = float(np.max(np.abs(phi - disc.apply(phi))))
     return DegenerateResidual(
         mu=mu,
         residual=residual,

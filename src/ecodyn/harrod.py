@@ -80,8 +80,9 @@ def corrected_trajectory(
     The solution loses meaning at t_hat = 1/sigma, so grids reaching
     (1 - 1e-6)/sigma are rejected with a PoleError.  Returns the pole
     location and the conditional forecast horizon 0.5/sigma alongside the
-    trajectory.  The closed form is validated against RK4 of
-    Ydot = 2*sigma/(1 - sigma*t_hat) * Y to 1e-6 relative.
+    trajectory.  The closed form of this corrected model is validated
+    against RK4 of Ydot = 2*sigma/(1 - sigma*t_hat) * Y, started from Y[0],
+    to 1e-6 relative.
     """
     sigma = params.sigma
     blowup = math.inf if sigma == 0.0 else 1.0 / sigma
@@ -95,41 +96,38 @@ def corrected_trajectory(
             f"at t_hat = {blowup!r}",
             pole_location=blowup,
         )
-    t = grid.nodes
     with np.errstate(over="ignore"):  # an overflow is a blow-up, raised below
-        Y = params.Y0 / (1.0 - sigma * t) ** 2
+        Y = params.Y0 / (1.0 - sigma * grid.nodes) ** 2
     if sigma > 0.0:
         rate_max = 2.0 * sigma / (1.0 - sigma * grid.t_end)
-        numeric = rk4_linear(
-            lambda s: 2.0 * sigma / (1.0 - sigma * s),
-            [params.Y0 / (1.0 - sigma * t[0]) ** 2],
-            grid,
-            substeps=_substeps_for(rate_max, grid.h),
-        )
-        _raise_on_blow_up(Y[:, None], t, "closed form")
-        dev = sup_rel_diff(Y, numeric.values[:, 0])
-        if not dev <= 1e-6:
-            raise CrossCheckError(
-                f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-6"
-            )
+        _check_against_rk4(Y, lambda s: 2.0 * sigma / (1.0 - sigma * s), rate_max, grid, "1e-6")
     traj = Trajectory(grid, Y, ("Y",))
     return CorrectedHarrodResult(traj, blowup_time=blowup, forecast_horizon=horizon)
 
 
 def _checked_exponential(Y0: float, rate: float, grid: TimeGrid) -> np.ndarray:
-    """The closed form Y = Y0 * exp(rate*t) on ``grid``, validated against
-    RK4 of Ydot = rate*Y, started from Y[0], to 1e-8 relative
-    (CrossCheckError otherwise).  A rate that is not finite is rejected
-    before Y is formed; an overflow of Y is a BlowUpError."""
+    """The closed form Y = Y0 * exp(rate*t) on ``grid``, checked by
+    ``_check_against_rk4`` to 1e-8 relative.  A rate that is not finite is
+    rejected before Y is formed."""
     _require_finite_result(rate=rate)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow is a blow-up, raised by the check
         Y = Y0 * np.exp(rate * grid.nodes)
-    numeric = rk4_linear(rate, [Y[0]], grid, substeps=_substeps_for(abs(rate), grid.h))
+    _check_against_rk4(Y, rate, abs(rate), grid, "1e-8")
+    return Y
+
+
+def _check_against_rk4(Y: np.ndarray, rate, rate_max: float, grid: TimeGrid, tol: str) -> None:
+    """Validate the closed form Y of Ydot = rate*Y on ``grid`` against RK4
+    started from Y[0].  ``rate`` is a constant or a function of time,
+    ``rate_max`` bounds its size over the grid (it sets the substeps), and
+    ``tol`` is the relative tolerance as shown in the message.  A Y that is
+    not finite is a BlowUpError, raised before a disagreement beyond
+    ``tol``, which is a CrossCheckError."""
+    numeric = rk4_linear(rate, [Y[0]], grid, substeps=_substeps_for(rate_max, grid.h))
     _raise_on_blow_up(Y[:, None], grid.nodes, "closed form")
     dev = sup_rel_diff(Y, numeric.values[:, 0])
-    if not dev <= 1e-8:
-        raise CrossCheckError(f"closed form vs RK4 deviation {dev:.3e} exceeds 1e-8")
-    return Y
+    if not dev <= float(tol):
+        raise CrossCheckError(f"closed form vs RK4 deviation {dev:.3e} exceeds {tol}")
 
 
 def _substeps_for(rate: float, h: float, target: float = 0.02, cap: int = 64) -> int:
@@ -165,10 +163,10 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
 
     Y_tilde_n = K_n/nu and I_tilde_n = K_n*mu/nu.  The recursion
     K_i = K0 + alpha K_(i-1) is checked to 1e-12 relative against the
-    geometric sum in the stable form -K0 expm1((i+1) log(alpha))/(1 - alpha),
-    or K0 (i+1) at alpha = 1.  The plain K0 (1 - alpha^(i+1))/(1 - alpha)
-    loses digits to cancellation near alpha = 1 (up to 5e-9 within 10 000
-    years), where the stable form stays within 2.5e-13 of the recursion.
+    geometric sum K0 * ``_geometric_sum(alpha, i+1)``.  The plain
+    K0 (1 - alpha^(i+1))/(1 - alpha) loses digits to cancellation near
+    alpha = 1 (up to 5e-9 within 10 000 years), where the stable form
+    stays within 2.5e-13 of the recursion.
     At 100 000 years with alpha within 1e-5 of 1, the recursion's own
     rounding (up to 2.4e-12 seen) exceeds the bound, so such a path fails
     the check.  A disagreement is a CrossCheckError, and a path that
@@ -191,19 +189,11 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
             K[i] = params.K0 + alpha * K[i - 1]
         np.divide(K, nu, out=Y_tilde)
     _raise_on_blow_up(KY, years, "capital path")
-    # closed form check; log(alpha) = -inf at alpha = 0 makes every
-    # alpha^(i+1) zero
-    powers = years + 1
-    if alpha == 1.0:
-        K_closed = params.K0 * powers
-    else:
-        log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
-        K_closed = -params.K0 * np.expm1(powers * log_alpha) / (1.0 - alpha)
-    dev = sup_rel_diff(K_closed, K)
+    dev = sup_rel_diff(params.K0 * _geometric_sum(alpha, years + 1), K)
     if not dev <= 1e-12:
         raise CrossCheckError(f"recursion vs closed form deviation {dev:.3e} exceeds 1e-12")
     I_tilde = K * (params.mu / nu)
-    impulses = tuple((i, float(K[i] - K[i - 1])) for i in range(1, n + 1))
+    impulses = tuple(zip(range(1, n + 1), np.diff(K).tolist()))
     return DiscretePath(
         years=years,
         K=K,
@@ -211,6 +201,17 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
         I_tilde=I_tilde,
         impulses=impulses,
     )
+
+
+def _geometric_sum(alpha: float, p: np.ndarray) -> np.ndarray:
+    """1 + alpha + ... + alpha^(p-1) = (1 - alpha^p)/(1 - alpha) for each
+    entry of ``p``, as -expm1(p log(alpha))/(1 - alpha), which keeps the
+    digits that 1 - alpha^p cancels near alpha = 1; p itself at alpha = 1.
+    log(0) = -inf makes every alpha^p zero at alpha = 0."""
+    if alpha == 1.0:
+        return p
+    log_alpha = math.log(alpha) if alpha > 0.0 else -math.inf
+    return -np.expm1(p * log_alpha) / (1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,10 @@ class AdequacyResidual:
 
 
 def adequacy_residual(alpha: float, n: int) -> AdequacyResidual:
-    """Evaluate both inadequacy residuals at (alpha, n).
+    """Evaluate the inadequacy residuals (154) and (155) of the paper at
+    (alpha, n): the exponential yearly path against the geometric sums
+    1 + alpha + ... + alpha^n and 1 + ... + alpha^(n-1), both taken from
+    ``_geometric_sum``, the reference of ``discrete_path``.
 
     alpha must lie in (0, 1) and n be positive: alpha in {0, 1} and n = 0
     are trivial cases.
@@ -243,11 +247,9 @@ def adequacy_residual(alpha: float, n: int) -> AdequacyResidual:
     _require("(0, 1)", alpha=alpha)
     _require("positive", n=n)
     lhs_exp = math.exp(alpha * n)
-    rhs_rational = (1.0 - alpha ** (n + 1)) / (1.0 - alpha)
+    rhs_rational, rhs_previous = _geometric_sum(alpha, np.array([n + 1, n])).tolist()
     residual_154 = abs(alpha * n - math.log(rhs_rational))
-    residual_155 = abs(
-        alpha - math.log((1.0 - alpha ** (n + 1)) / (1.0 - alpha**n))
-    )
+    residual_155 = abs(alpha - math.log(rhs_rational / rhs_previous))
     return AdequacyResidual(
         alpha=alpha,
         n=n,

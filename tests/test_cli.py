@@ -573,6 +573,19 @@ def test_entry_gives_the_bytes_of_dash_m(argv):
     assert script.stdout or script.stderr
 
 
+def test_entry_exits_one_in_silence_when_the_reader_closes_the_pipe():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["harrod", "--mu", "0.2", "--nu", "3", "--t-end", "10", "--steps", "100000"]
+    # far more than a pipe buffer: the writer meets the closed pipe
+    with subprocess.Popen([sys.executable, "-c", CONSOLE_SCRIPT, *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"t,Y,C,S,I\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+
+
 # matrix and demand files of the failure tables, written once per test run
 FAIL_MATRICES = {
     "identity": "2\n1,0\n0,1\n",  # E - A = 0
@@ -591,6 +604,7 @@ FAIL_MATRICES = {
     "empty_demand": "",
 }
 M3 = str(GOLDEN / "leontief_matrix.txt")
+HUGE = "1" + "0" * 400  # an int flag beyond the float range
 # (exit code, argv): every command's rejected inputs (2) and numerical failures (3)
 FAILURES = [
     (2, ["harrod", "--mu", "1.5", "--nu", "2.5", "--t-end", "1"]),
@@ -749,6 +763,17 @@ KEYED_FAILURES = [
     ("steps", ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "1", "--steps", "0"]),
     ("steps", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1",
                "--ode-init", "1,0", "--steps", "-1"]),
+    # counts beyond sys.maxsize, which index no array, some beyond the float range too
+    ("steps", ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1", "--t-end", "1",
+               "--steps", HUGE]),
+    ("steps", ["phillips", "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
+               "--t-end", "1", "--steps", str(10**20)]),
+    ("years", ["harrod-discrete", "--mu", "0.3", "--nu", "0.5", "--years", str(10**20)]),
+    ("max-iter", ["leontief-static", "--matrix", M3, "--demand", "1,1,1", "--method", "iterate",
+                  "--max-iter", HUGE]),
+    ("mu-count", ["fredholm-sweep", "--k0", "exp-diff", "--k1", "t-plus-eta", "--mu-min", "-1",
+                  "--mu-max", "1", "--mu-count", HUGE]),
+    ("nodes", ["fredholm-solve", "--kernel", "exp-diff", "--lam", "0.3", "--nodes", HUGE + "1"]),
 ]
 FAILURES += [(2, argv) for _, argv in KEYED_FAILURES]
 # (key, file, argv): input files that do not hold what their flag asks for.

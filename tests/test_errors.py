@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ class TestRequire:
         assert (str(exc), exc.key) == ("t_star must be finite, got inf", "t-star")
         exc = rejection("positive", t0=1.0, t_star=-1.0, Y0=math.nan)
         assert (str(exc), exc.key) == ("t_star must be positive", "t-star")
+
+    @pytest.mark.parametrize("range_", ["finite", "positive", "nonnegative"])
+    @pytest.mark.parametrize("value", [sys.maxsize + 1, -sys.maxsize - 1, 10**20, 10**400,
+                                       -(10**400)])
+    def test_an_int_beyond_sys_maxsize_is_out_of_range(self, range_, value):
+        exc = rejection(range_, max_iter=value)
+        assert str(exc) == f"max_iter must not exceed {sys.maxsize} in magnitude"
+        assert exc.key == "max-iter"
+
+    @pytest.mark.parametrize("value", [sys.maxsize, 1])
+    def test_an_int_up_to_sys_maxsize_is_tested_for_its_range(self, value):
+        assert _require("positive", steps=value) is None
 
     def test_a_numpy_scalar_is_reported_as_a_plain_float(self):
         assert str(rejection("finite", mu=np.float64("inf"))) == "mu must be finite, got inf"

@@ -269,6 +269,18 @@ class TestDegenerateResidual:
         res = degenerate_residual(canonical_rho, canonical_sigma, mu, rule)
         assert res.residual <= 1e-8
 
+    @pytest.mark.parametrize("mu", [-3.0, 0.5, 10.0])
+    def test_residual_is_the_solver_s_kernel_action(self, mu, rule):
+        # rho = 1 and sigma = cos(2 pi t): a pair other than the canonical one
+        def sigma(t):
+            return math.cos(2.0 * math.pi * t)
+
+        res = degenerate_residual(canonical_rho, sigma, mu, rule)
+        phi = 1.0 + mu * np.array([sigma(t) for t in rule.nodes.tolist()])
+        disc = NystromDiscretization(kernel_degenerate(mu, canonical_rho, sigma), rule)
+        assert res.residual == float(np.max(np.abs(phi - disc.apply(phi))))
+        assert res.residual <= 1e-8
+
     def test_side_condition_violation_reported(self, rule):
         # sigma = t has int rho*sigma = 0.5 != 0
         with pytest.raises(ValidationError) as exc_info:

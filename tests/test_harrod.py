@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,15 @@ class TestCrossCheck:
             TRAJECTORIES[name]()
 
 
+    @pytest.mark.parametrize("name, tol", [
+        ("classical", "1e-8"), ("corrected", "1e-6"), ("harrod-domar", "1e-8")])
+    def test_each_check_names_its_own_tolerance(self, monkeypatch, name, tol):
+        monkeypatch.setattr(harrod, "sup_rel_diff", lambda a, b: 2.0 * float(tol))
+        message = rf"^closed form vs RK4 deviation \S+ exceeds {tol}$"
+        with pytest.raises(CrossCheckError, match=message):
+            TRAJECTORIES[name]()
+
+
 # closed forms that overflow where the capped-substep RK4 stays finite
 OVERFLOWS = {
     "classical": lambda: classical_trajectory(
@@ -299,6 +309,14 @@ class TestAdequacy:
         assert res.mismatch_ratio == pytest.approx(expected_ratio, rel=1e-14)
         assert res.mismatch_ratio == pytest.approx(74.2428, abs=1e-3)
         assert res.mismatch_ratio > 70.0
+
+    def test_sums_near_one_keep_their_digits(self):
+        # 1 - alpha^11 cancels nine digits here; the exact sum is a Fraction
+        alpha, n = 1 - 1e-9, 10
+        res = adequacy_residual(alpha, n)
+        exact = sum(Fraction(alpha) ** i for i in range(n + 1))
+        assert abs(Fraction(res.rhs_rational) / exact - 1) <= 1e-15
+        assert abs(Fraction(res.mismatch_ratio) / (Fraction(res.lhs_exp) / exact) - 1) <= 1e-15
 
     def test_positive_over_grid(self):
         for alpha in np.arange(0.1, 1.0, 0.1):
