@@ -16,10 +16,12 @@ count "nonnegative".  An integer beyond ``sys.maxsize`` in magnitude
 indexes no array and may lie beyond the float range: it is rejected
 before any range test, by a message that never converts it to float.  A
 count within that bound whose arrays do not fit in memory fails where
-they are allocated.  Every march takes its nodes and step from
-``odelin.TimeGrid``, which checks its count and ends before any work
-runs.  The count rules that stay special are Simpson's odd count >= 3
-and Gauss's >= 2 nodes, ``leontief.volterra_solve``'s >= 4 steps for its
+they are allocated, with MemoryError.  Every march takes its nodes and
+step from ``odelin.TimeGrid``, which checks its count and ends before any
+work runs, and raises that MemoryError itself, without allocating, for a
+node count near numpy's largest array (from 2^59 nodes).  The count
+rules that stay special are Simpson's odd count >= 3 and Gauss's >= 2
+nodes, ``leontief.volterra_solve``'s >= 4 steps for its
 half-resolution rerun, ``dynamic_solve``'s truncation orders 1 and 2, and
 the ``ECODYN_DEFAULT_STEPS`` parse, which is keyed by the variable's name.
 

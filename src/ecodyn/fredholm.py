@@ -7,16 +7,21 @@ for kernels k0 + mu*k1, and the classic reduction of a constant-
 coefficient ODE to a Volterra (initial data) or Fredholm (two-point data)
 equation.
 
-Array evaluators.  A ``KernelSpec`` may carry, besides its scalar
-``evaluator`` k(t, eta), an ``array`` form k(T, E) that takes float
-arrays broadcasting against each other and returns a new float array of
-their broadcast shape holding k at every pair.  It is checked against the
-scalar evaluator on a 5 x 5 lattice to 1e-12 and then used for every
-kernel sample: matrix assembly (nodes x nodes), a block of its rows and
-off-node evaluation (points x nodes) are one call each.  A kernel without
-it is sampled one scalar call per entry.  The catalogue kernels and the
-ODE-reduced kernels carry one; the ODE-reduced kernel has no other code,
-its scalar evaluator is the array form at one point.
+One definition per kernel.  A ``KernelSpec`` is defined by its ``array``
+form k(T, E), which takes float arrays broadcasting against each other
+and returns a new float array of their broadcast shape holding k at every
+pair; or, for a kernel built from profiles (``kernel_rho_rho``,
+``kernel_sigma_rho``, ``kernel_degenerate``, ``kernel_zero``), by its
+``separable`` pairs alone, and then G H^T is the kernel.  A closed-form
+kernel with a factorization (``kernel_t_plus_eta``, ``kernel_exp_diff``)
+gives both, and only then are the two forms compared: on a 5 x 5 lattice,
+to 1e-12, at construction, where each given form is also checked for its
+shape and for values that are not finite.  k(t, eta) is the kernel's
+matrix at one point.  An array form samples K (nodes x nodes), a block of
+its rows or the off-node values (points x nodes) in one call each; a
+profile kernel's K, rows and action are formed from the samples G and H
+below, so it makes no profile call after its discretization.  The
+ODE-reduced kernels are array forms.
 
 Finite-rank route.  A kernel that carries its separable form
 k(t, eta) = sum_i g_i(t) h_i(eta) of rank r is, on the nodes, K = G H^T with
@@ -100,7 +105,9 @@ sec. 7.3) bounds
     added: gamma_(n^2) bounds a sum of n^2 terms in any order.  Each block
     samples its rows of K afresh unless K is assembled, with the bits of
     the full assembly (the array forms are elementwise), so the working
-    memory stays at two blocks and the bound needs no new term.
+    memory stays at two blocks and the bound needs no new term.  The rows
+    of a profile kernel are G H^T itself, so its D is the rounding of
+    forming G H^T, which the second term already bounds.
   - Compression (r > 0).  Householder QR of [G, fl(W H)] returns R with
     [G, W H] + E = Q R, Q exactly orthonormal (n x k) and every column of E
     at most gq = 32 n m eps times its column of [G, W H] (Higham, thm.
@@ -152,7 +159,14 @@ from .errors import (
     _require,
     _require_finite_result,
 )
-from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid
+from .odelin import (
+    OdeSpec,
+    TimeGrid,
+    Trajectory,
+    _check_half_resolution,
+    _raise_on_blow_up,
+    _volterra_trapezoid,
+)
 
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
@@ -167,91 +181,68 @@ _DEFECT_ROWS = 32
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Pure kernel evaluator k(t, eta) on [0, 1]^2.
+    """A kernel k(t, eta) on [0, 1]^2, defined once: by its broadcasting
+    ``array`` form k(T, E), by its ``separable`` pairs (g_i, h_i) of scalar
+    profiles alone, as sum_i g_i(t) h_i(eta), or by both for a closed form
+    with a factorization, where the array form is the kernel (see the
+    module docstring).
 
-    When a separable form sum_i g_i(t) h_i(eta) is supplied it is
-    verified against the evaluator on a sample lattice to 1e-12, and so is
-    the broadcasting ``array`` form k(T, E) (see the module docstring).
+    Construction samples each given form on a 5 x 5 lattice and rejects a
+    kernel with neither, a form of the wrong shape or with a value that is
+    not finite, and two forms that differ by more than 1e-12 relative.
     """
 
-    evaluator: Callable[[float, float], float]
+    array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     separable: tuple[tuple[Callable[[float], float], Callable[[float], float]], ...] | None = None
     name: str = "kernel"
-    array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         probe = np.linspace(0.0, 1.0, 5)
-        lattice = None
+        forms = {}
         if self.array is not None:
-            lattice = np.asarray(self.array(probe[:, None], probe[None, :]))
+            forms["array form"] = np.asarray(self.array(probe[:, None], probe[None, :]))
+        if self.separable is not None:
+            G, H = self.factors(probe, probe)
+            forms["separable form"] = G @ H.T
+        if not forms:
+            raise ValidationError(f"kernel {self.name!r} needs an array or a separable form")
+        for what, lattice in forms.items():
             if lattice.shape != (5, 5):
                 raise ValidationError(
-                    f"array form of {self.name!r} returned shape {lattice.shape} "
-                    "on a 5 x 5 lattice"
+                    f"{what} of {self.name!r} returned shape {lattice.shape} on a 5 x 5 lattice"
                 )
-        for i, t in enumerate(probe):
-            for j, e in enumerate(probe):
-                v = self.evaluator(float(t), float(e))
-                if not math.isfinite(v):
-                    raise ValidationError(
-                        f"kernel {self.name!r} is not finite at ({t}, {e})"
-                    )
-                if self.separable is not None:
-                    s = sum(g(float(t)) * h(float(e)) for g, h in self.separable)
-                    if abs(s - v) > 1e-12 * max(1.0, abs(v)):
-                        raise ValidationError(
-                            f"separable form of {self.name!r} deviates from the "
-                            f"evaluator at ({t}, {e}): {s!r} vs {v!r}"
-                        )
-                if lattice is not None:
-                    a = float(lattice[i, j])
-                    if not abs(a - v) <= 1e-12 * max(1.0, abs(v)):
-                        raise ValidationError(
-                            f"array form of {self.name!r} deviates from the "
-                            f"evaluator at ({t}, {e}): {a!r} vs {v!r}"
-                        )
+            if not np.isfinite(lattice).all():
+                i, j = np.argwhere(~np.isfinite(lattice))[0]
+                raise ValidationError(
+                    f"{what} of {self.name!r} is not finite at ({probe[i]}, {probe[j]})"
+                )
+        if len(forms) == 2:
+            a, s = forms["array form"], forms["separable form"]
+            off = np.abs(s - a) > 1e-12 * np.maximum(1.0, np.abs(a))
+            if off.any():
+                i, j = np.argwhere(off)[0]
+                raise ValidationError(
+                    f"separable form of {self.name!r} deviates from the array form at "
+                    f"({probe[i]}, {probe[j]}): {float(s[i, j])!r} vs {float(a[i, j])!r}"
+                )
 
     def __call__(self, t: float, eta: float) -> float:
-        return self.evaluator(t, eta)
+        return float(self.matrix(np.array([t], dtype=float), np.array([eta], dtype=float))[0, 0])
+
+    def factors(self, t: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G[j, i] = g_i(t_j) and H[j, i] = h_i(eta_j), one profile call per
+        entry."""
+        pairs = self.separable
+        return (_profile_samples([g for g, _ in pairs], t),
+                _profile_samples([h for _, h in pairs], eta))
 
     def matrix(self, t: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """Samples k(t_i, eta_j) for 1-D ``t`` and ``eta`` as a
-        len(t) x len(eta) array."""
+        len(t) x len(eta) array: the array form, or G H^T."""
         if self.array is not None:
             return self.array(t[:, None], eta[None, :])
-        out = np.empty((len(t), len(eta)))
-        for i, ti in enumerate(t):
-            for j, ej in enumerate(eta):
-                out[i, j] = self.evaluator(float(ti), float(ej))
-        return out
-
-
-class _Elementwise:
-    """A scalar profile applied to every element of an array, one Python
-    call each.  Kernels built from profiles sample them on the (m, 1) t
-    axis and the (1, n) eta axis only.  The last eta axis is kept with its
-    samples: a row-block loop (``NystromDiscretization.rows``) passes the
-    same eta nodes with every block of t rows, so a pass over K costs
-    O(n) profile calls, not O(n) per block."""
-
-    def __init__(self, f: Callable[[float], float]):
-        self._f = f
-        self._eta: tuple[bytes, np.ndarray] | None = None
-
-    def _each(self, x: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(self._f, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # a (1, 1) array may be a one-row block of t, so it is not kept
-        if x.ndim != 2 or x.shape[0] != 1 or x.shape[1] == 1:
-            return self._each(x)
-        key = x.tobytes()
-        if self._eta is None or self._eta[0] != key:
-            values = self._each(x)
-            values.flags.writeable = False  # shared by every later block
-            self._eta = (key, values)
-        return self._eta[1]
+        G, H = self.factors(t, eta)
+        return G @ H.T
 
 
 def _exp_diff(T: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -261,29 +252,22 @@ def _exp_diff(T: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 def kernel_t_plus_eta() -> KernelSpec:
     return KernelSpec(
-        evaluator=lambda t, e: t + e,
+        array=np.add,
         separable=((lambda t: t, lambda e: 1.0), (lambda t: 1.0, lambda e: e)),
         name="t-plus-eta",
-        array=np.add,
     )
 
 
 def kernel_exp_diff() -> KernelSpec:
     return KernelSpec(
-        evaluator=lambda t, e: math.exp(t - e),
+        array=_exp_diff,
         separable=((math.exp, lambda e: math.exp(-e)),),
         name="exp-diff",
-        array=_exp_diff,
     )
 
 
 def kernel_zero() -> KernelSpec:
-    return KernelSpec(
-        evaluator=lambda t, e: 0.0,
-        separable=(),  # rank 0
-        name="zero",
-        array=lambda T, E: np.zeros(np.broadcast_shapes(np.shape(T), np.shape(E))),
-    )
+    return KernelSpec(separable=(), name="zero")  # rank 0
 
 
 def canonical_rho(t: float) -> float:
@@ -299,26 +283,14 @@ def canonical_sigma(t: float) -> float:
 def kernel_rho_rho(
     rho: Callable[[float], float] = canonical_rho,
 ) -> KernelSpec:
-    rho_a = _Elementwise(rho)
-    return KernelSpec(
-        evaluator=lambda t, e: rho(t) * rho(e),
-        separable=((rho, rho),),
-        name="rho-rho",
-        array=lambda T, E: rho_a(T) * rho_a(E),
-    )
+    return KernelSpec(separable=((rho, rho),), name="rho-rho")
 
 
 def kernel_sigma_rho(
     sigma: Callable[[float], float] = canonical_sigma,
     rho: Callable[[float], float] = canonical_rho,
 ) -> KernelSpec:
-    sigma_a, rho_a = _Elementwise(sigma), _Elementwise(rho)
-    return KernelSpec(
-        evaluator=lambda t, e: sigma(t) * rho(e),
-        separable=((sigma, rho),),
-        name="sigma-rho",
-        array=lambda T, E: sigma_a(T) * rho_a(E),
-    )
+    return KernelSpec(separable=((sigma, rho),), name="sigma-rho")
 
 
 def kernel_degenerate(
@@ -326,17 +298,12 @@ def kernel_degenerate(
     rho: Callable[[float], float] = canonical_rho,
     sigma: Callable[[float], float] = canonical_sigma,
 ) -> KernelSpec:
-    """rho(t)rho(eta) + mu*sigma(t)rho(eta): carries rho + mu*sigma as a
+    """rho(t)rho(eta) + mu*sigma(t)rho(eta), the paper's example of the
+    Fredholm alternative (arXiv:0804.3658): it carries rho + mu*sigma as a
     homogeneous solution for every mu once rho is unit-normalized and
     orthogonal to sigma."""
     _require("finite", mu=mu)
-    rho_a, sigma_a = _Elementwise(rho), _Elementwise(sigma)
-    return KernelSpec(
-        evaluator=lambda t, e: (rho(t) + mu * sigma(t)) * rho(e),
-        separable=((rho, rho), (lambda t: mu * sigma(t), rho)),
-        name="degenerate",
-        array=lambda T, E: (rho_a(T) + mu * sigma_a(T)) * rho_a(E),
-    )
+    return KernelSpec(separable=((rho, rho), (lambda t: mu * sigma(t), rho)), name="degenerate")
 
 
 @dataclass(frozen=True)
@@ -405,7 +372,9 @@ class NystromDiscretization:
     assembles it at once, since its spectrum, sweep and solve all read it;
     a separable kernel's certificate and spectrum sample the kernel
     ``_DEFECT_ROWS`` rows at a time (``rows``), so only the n x n routes
-    (``weighted``, ``system_matrix``, eigvals, ``resolvent``) assemble it."""
+    (``weighted``, ``system_matrix``, eigvals, ``resolvent``) assemble it.
+    A kernel given by its profiles alone takes K, its rows and ``apply``
+    from G and H."""
 
     kernel: KernelSpec
     rule: QuadratureRule
@@ -418,19 +387,22 @@ class NystromDiscretization:
         if self.kernel.separable is None:
             self.K  # assembled now: the n x n routes read it
         else:
-            pairs = self.kernel.separable
-            self.G = _profile_samples([g for g, _ in pairs], self.rule.nodes)
-            self.H = _profile_samples([h for _, h in pairs], self.rule.nodes)
+            self.G, self.H = self.kernel.factors(self.rule.nodes, self.rule.nodes)
 
     @cached_property
     def K(self) -> np.ndarray:
+        if self.kernel.array is None:
+            return self.G @ self.H.T
         return self.kernel.matrix(self.rule.nodes, self.rule.nodes)
 
     def rows(self, i: int, j: int) -> np.ndarray:
         """Rows i:j of K: a view of K once it is assembled, else a new
-        (j - i) x n sample of the kernel with the same bits."""
+        (j - i) x n sample, from the array form with the bits of the full
+        assembly, or G[i:j] H^T for a profile kernel."""
         if "K" in self.__dict__:
             return self.K[i:j]
+        if self.kernel.array is None:
+            return self.G[i:j] @ self.H.T
         return self.kernel.matrix(self.rule.nodes[i:j], self.rule.nodes)
 
     @property
@@ -450,9 +422,12 @@ class NystromDiscretization:
         return self._weighted_eigs
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Quadrature application of the kernel operator to node values,
-        ``_DEFECT_ROWS`` rows of K at a time."""
+        """Quadrature application of the kernel operator to node values:
+        G (H^T (w phi)) for a profile kernel, else ``_DEFECT_ROWS`` rows of
+        K at a time."""
         wphi = self.weights * phi
+        if self.kernel.array is None:
+            return self.G @ (self.H.T @ wphi)
         n = self.rule.n
         return np.concatenate(
             [self.rows(i, i + _DEFECT_ROWS) @ wphi for i in range(0, n, _DEFECT_ROWS)]
@@ -1028,9 +1003,18 @@ class VolterraReduction:
         N = steps * refine nodes, and J_n[phi] comes out of the last moment.
         Counts below 1 and a grid end that is not finite and positive are
         rejected before the march; a non-finite phi or z raises BlowUpError.
+        A second march at half the N nodes (a one-node march is its own
+        half) guards the step: z drifting from it by more than 10% raises
+        ResolutionError, as in ``leontief.volterra_solve``.
         """
         _require("positive", steps=steps, refine=refine)
         grid = TimeGrid(0.0, float(t_end), steps * refine)
+        sol = self._march(grid, refine)
+        half = self._march(TimeGrid(0.0, grid.t_end, max(grid.steps // 2, 1)), 1).trajectory
+        _check_half_resolution(sol.trajectory.times, sol.trajectory.values, half.times, half.values)
+        return sol
+
+    def _march(self, grid: TimeGrid, refine: int) -> OdeReductionSolution:
         n = self.order
         a = self.a
         c = np.asarray(self.init, dtype=float)
@@ -1098,14 +1082,8 @@ class FredholmReduction:
         return out
 
     def kernel_spec(self) -> KernelSpec:
-        """The kernel as a ``KernelSpec`` whose scalar evaluator is
-        ``kernel_array`` at one point."""
-        array = self.kernel_array
-        return KernelSpec(
-            evaluator=lambda t, eta: float(array(np.float64(t), np.float64(eta))),
-            name="ode-reduced",
-            array=array,
-        )
+        """The kernel as a ``KernelSpec`` given by ``kernel_array``."""
+        return KernelSpec(array=self.kernel_array, name="ode-reduced")
 
     def free_term(self, t: float) -> float:
         q = _free_term_values(self.forcing, self.a, self._c0, self.order, np.array([t]))

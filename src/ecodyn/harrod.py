@@ -242,11 +242,16 @@ def adequacy_residual(alpha: float, n: int) -> AdequacyResidual:
     ``_geometric_sum``, the reference of ``discrete_path``.
 
     alpha must lie in (0, 1) and n be positive: alpha in {0, 1} and n = 0
-    are trivial cases.
+    are trivial cases.  Past the float range (alpha*n above about 709.78)
+    ``lhs_exp`` and ``mismatch_ratio`` are inf; the residuals, which are
+    logarithms, stay finite at any horizon.
     """
     _require("(0, 1)", alpha=alpha)
     _require("positive", n=n)
-    lhs_exp = math.exp(alpha * n)
+    try:
+        lhs_exp = math.exp(alpha * n)
+    except OverflowError:
+        lhs_exp = math.inf
     rhs_rational, rhs_previous = _geometric_sum(alpha, np.array([n + 1, n])).tolist()
     residual_154 = abs(alpha * n - math.log(rhs_rational))
     residual_155 = abs(alpha - math.log(rhs_rational / rhs_previous))

@@ -31,12 +31,18 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     NonConvergenceError,
-    ResolutionError,
     SingularMatrixError,
     ValidationError,
     _require,
 )
-from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, _volterra_trapezoid, rk4_linear
+from .odelin import (
+    TimeGrid,
+    Trajectory,
+    _check_half_resolution,
+    _raise_on_blow_up,
+    _volterra_trapezoid,
+    rk4_linear,
+)
 
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
 
@@ -342,16 +348,7 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
         raise ValidationError("need at least 4 steps", key="steps")
     grid = TimeGrid(0.0, 1.0, steps)
     t, X = _volterra_march(model, grid)
-    t_c, X_c = _volterra_march(model, TimeGrid(0.0, 1.0, steps // 2))
-    scale = max(float(np.max(np.abs(X))), 1e-300)
-    coarse_on_fine = np.column_stack(
-        [np.interp(t, t_c, X_c[:, j]) for j in range(model.n)]
-    )
-    drift = float(np.max(np.abs(X - coarse_on_fine))) / scale
-    if drift > 0.10:
-        raise ResolutionError(
-            f"half-resolution drift {drift:.3e} exceeds 10%; refine the grid"
-        )
+    _check_half_resolution(t, X, *_volterra_march(model, TimeGrid(0.0, 1.0, steps // 2)))
     labels = tuple(f"x{i + 1}" for i in range(model.n))
     return Trajectory(grid, X, labels)
 

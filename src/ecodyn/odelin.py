@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     BlowUpError,
     DegenerateDataError,
+    ResolutionError,
     UnsupportedError,
     ValidationError,
     _require,
@@ -79,7 +80,12 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
+        n = self.steps + 1
+        # numpy refuses a float64 array near intp.max bytes as too big, and
+        # linspace wraps a count near sys.maxsize: both are out of memory
+        if n > np.iinfo(np.intp).max // 16:
+            raise MemoryError(f"Unable to allocate {n} nodes: more bytes than an array can hold")
+        return np.linspace(self.t_start, self.t_end, n)
 
 
 @dataclass
@@ -451,6 +457,18 @@ def _volterra_trapezoid(K: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndar
     if p1 == 1:
         J[1:] += (0.5 * h) * phi[1:]
     return phi, J
+
+
+def _check_half_resolution(t: np.ndarray, X: np.ndarray, t_c: np.ndarray, X_c: np.ndarray) -> None:
+    """ResolutionError when the march X on the nodes ``t`` (one column per
+    component) and its rerun X_c on the coarser nodes ``t_c``, interpolated
+    linearly onto ``t``, differ by more than 10% of max |X| in the sup
+    norm: the grid is too coarse for the trapezoid."""
+    scale = max(float(np.max(np.abs(X))), 1e-300)
+    coarse_on_fine = np.column_stack([np.interp(t, t_c, X_c[:, j]) for j in range(X.shape[1])])
+    drift = float(np.max(np.abs(X - coarse_on_fine))) / scale
+    if drift > 0.10:
+        raise ResolutionError(f"half-resolution drift {drift:.3e} exceeds 10%; refine the grid")
 
 
 def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray, what: str = "integration") -> None:

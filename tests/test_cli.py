@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ecodyn import cli, harrod
 from ecodyn.allen import SCALE_CHECK_MODELS, AllenScaling, PhillipsParams, phillips_solve
 from ecodyn.errors import NumericalError
-from ecodyn.odelin import TimeGrid, sup_rel_diff
+from ecodyn.odelin import OdeSpec, TimeGrid, analytic_solution, sup_rel_diff
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_ARGS = ["fredholm-solve", "--kernel", "t-plus-eta", "--lam", "0.5", "--q", "t",
@@ -669,6 +669,15 @@ FAILURES = [
     # z = exp(1000 t) overflows
     (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,-1000",
          "--ode-init", "1", "--steps", "1000"]),
+    # the march at 800 nodes drifts from its rerun at 400 by more than 10%:
+    # z(1) = 0.893 against cos 100 = 0.862, and 1.9e4 against e^-20 = 2e-9
+    (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1e4",
+         "--ode-init", "1,0"]),
+    (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,-400",
+         "--ode-init", "1,-20"]),
+    # counts up to sys.maxsize whose nodes no array can hold: out of memory
+    (3, ["harrod", "--mu", "0.2", "--nu", "3", "--t-end", "10", "--steps", str(2**62)]),
+    (3, ["harrod", "--mu", "0.2", "--nu", "3", "--t-end", "10", "--steps", str(sys.maxsize)]),
     # negative and singular: A is checked before E - A is factored
     (2, ["leontief-static", "--matrix", "{negative_singular}", "--demand", "1,1"]),
     # the guard passes, and LAPACK finds Id - lambda*K*W singular
@@ -835,6 +844,41 @@ def test_failure_prints_one_error_line(capsys, fail_matrices, code, argv):
     rc, out, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
     assert (rc, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# ODEs with simple characteristic roots, as coefficients (1, a_1, ..., a_n):
+# one real root, two real roots, or a complex pair, real parts in [-40, 40]
+REAL_ROOT = st.floats(-40.0, 40.0)
+SIMPLE_ROOT_ODES = st.one_of(
+    REAL_ROOT.map(lambda r: (1.0, -r)),
+    st.tuples(REAL_ROOT, REAL_ROOT).filter(lambda p: abs(p[0] - p[1]) > 1e-2).map(
+        lambda p: (1.0, -(p[0] + p[1]), p[0] * p[1])),
+    st.tuples(REAL_ROOT, st.floats(1e-2, 1200.0)).map(
+        lambda p: (1.0, -2.0 * p[0], p[0] ** 2 + p[1] ** 2)),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per run
+@given(coeffs=SIMPLE_ROOT_ODES, data=st.data())
+def test_ode_reduced_answers_within_ten_percent_or_exits_three(capsys, coeffs, data):
+    # the Volterra route's contract: the drift guard refuses what it cannot
+    # resolve, and what it accepts is within 10% of the closed form
+    init = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(coeffs) - 1,
+                              max_size=len(coeffs) - 1), label="init")
+    rc, out, err = run(capsys, ["fredholm-solve", "--kernel", "ode-reduced",
+                                "--ode-coeffs=" + ",".join(map(repr, coeffs)),
+                                "--ode-init=" + ",".join(map(repr, init)), "--steps", "200"])
+    if rc == 3:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert (rc, err) == (0, "")
+    header, table = read_csv(out)
+    assert header == "t,z,phi"
+    exact = analytic_solution(OdeSpec(coeffs), init, TimeGrid(0.0, 1.0, 200)).values[:, 0]
+    # relative to sup |z| floored at 1e-300, the drift check's own scale: a
+    # z that is all subnormal carries too few bits for a relative bound
+    assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * max(np.max(np.abs(exact)), 1e-300)
 
 
 # numpy's refusal of the 100001 x 100001 kernel matrix, raised without

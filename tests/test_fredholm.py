@@ -45,7 +45,7 @@ from ecodyn.fredholm import (
     resolvent_apply,
     simpson_rule,
 )
-from ecodyn.odelin import OdeSpec
+from ecodyn.odelin import OdeSpec, TimeGrid
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ class TestRules:
     def test_kernel_separable_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             KernelSpec(
-                evaluator=lambda t, e: t + e,
+                array=np.add,
                 separable=((lambda t: t, lambda e: 1.0),),  # missing the eta factor
             )
 
@@ -550,8 +550,10 @@ class TestMomentMarch:
         t_end=st.sampled_from([0.5, 1.0, 2.0]),
     )
     def test_matches_the_row_dot_march(self, coeffs, init, steps, refine, t_end):
+        # the march alone: ``solve`` refuses the coarsest draws (7 steps on
+        # [0, 2]) by its half-resolution check
         red = ode_to_integral(OdeSpec((1.0, *coeffs)), init[: len(coeffs)])
-        sol = red.solve(steps=steps, refine=refine, t_end=t_end)
+        sol = red._march(TimeGrid(0.0, t_end, steps * refine), refine)
         z, phi = row_dot_march(red, steps, refine, t_end)
         for got, want in ((sol.trajectory.column("z"), z), (sol.phi, phi)):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
@@ -588,6 +590,28 @@ class TestMomentMarch:
         with pytest.raises(ResolutionError):
             red.solve(steps=1, refine=1)
 
+    @pytest.mark.parametrize("coeffs, init", [
+        ((1.0, 0.0, 1e4), [1.0, 0.0]),
+        ((1.0, 0.0, 1e6), [1.0, 0.0]),
+        ((1.0, 0.0, -400.0), [1.0, -20.0]),  # e^-20t, with the mode e^20t growing
+    ], ids=["omega-100", "omega-1000", "growing-mode"])
+    def test_unresolved_march_is_a_resolution_error(self, coeffs, init):
+        # each used to return a wrong z: z(1) = 0.893 against cos 100 = 0.862,
+        # 0.879 against cos 1000 = 0.562, 1.9e4 against 2e-9
+        red = ode_to_integral(OdeSpec(coeffs), init)
+        with pytest.raises(ResolutionError,
+                           match="^half-resolution drift .* exceeds 10%; refine the grid$"):
+            red.solve()
+
+    @pytest.mark.parametrize("steps, refine", [(1, 4), (1, 1)])
+    def test_one_output_step_passes_its_check(self, steps, refine):
+        # one step of 4 nodes against 2; a one-node march is its own half
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0])
+        sol = red.solve(steps=steps, refine=refine)
+        want = red._march(TimeGrid(0.0, 1.0, steps * refine), refine)
+        assert sol.trajectory.values.tobytes() == want.trajectory.values.tobytes()
+        assert abs(sol.trajectory.column("z")[-1] - math.cos(1.0)) < 0.1
+
     def test_overflow_is_a_blow_up(self):
         red = ode_to_integral(OdeSpec((1.0, -1000.0)), [1.0])
         with pytest.raises(BlowUpError) as exc:
@@ -596,7 +620,7 @@ class TestMomentMarch:
 
 
 # ---------------------------------------------------------------------------
-# Array evaluators, batched off-node evaluation and the screened guard
+# Kernel forms, batched off-node evaluation and the screened guard
 # ---------------------------------------------------------------------------
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -604,14 +628,32 @@ points = st.lists(st.tuples(unit, unit), min_size=1, max_size=20)
 coeff = st.floats(-3.0, 3.0, allow_nan=False)
 
 
-def assert_array_matches_scalar(spec, ts, es):
+def assert_array_matches_scalar(spec, reference, ts, es):
+    """k at the pairs (t_i, e_i), taken from the array form where the kernel
+    has one and from its matrix otherwise, and k one point at a time, both
+    within 1e-12 of the closed form ``reference``."""
     T, E = np.array(ts, dtype=float), np.array(es, dtype=float)
-    got = spec.array(T, E)
-    assert got.shape == T.shape
+    if spec.array is not None:
+        got = spec.array(T, E)
+        assert got.shape == T.shape
+    else:
+        got = np.diagonal(spec.matrix(T, E))
     for t, e, a in zip(ts, es, got):
-        v = spec.evaluator(float(t), float(e))
-        assert abs(a - v) <= 1e-12 * max(1.0, abs(v)), (t, e, a, v)
+        v = reference(float(t), float(e))
+        for value in (a, spec(float(t), float(e))):
+            assert abs(value - v) <= 1e-12 * max(1.0, abs(v)), (t, e, value, v)
 
+
+# closed forms of the catalogue kernels, with the canonical profiles
+# rho = 1 and sigma = t - 1/2
+REFERENCES = {
+    "t-plus-eta": lambda t, e: t + e,
+    "exp-diff": lambda t, e: math.exp(t - e),
+    "zero": lambda t, e: 0.0,
+    "rho-rho": lambda t, e: 1.0,
+    "sigma-rho": lambda t, e: t - 0.5,
+    "degenerate": lambda t, e: 1.0 + 2.5 * (t - 0.5),
+}
 
 CATALOGUE = {
     "t-plus-eta": kernel_t_plus_eta,
@@ -628,12 +670,17 @@ class TestArrayEvaluators:
     @given(pts=points)
     def test_catalogue_matches_scalar(self, name, pts):
         spec = CATALOGUE[name]()
-        assert_array_matches_scalar(spec, [p[0] for p in pts], [p[1] for p in pts])
+        assert_array_matches_scalar(spec, REFERENCES[name], [p[0] for p in pts],
+                                    [p[1] for p in pts])
 
     @given(pts=points, mu=coeff)
     def test_profile_kernels_with_math_profiles(self, pts, mu):
         spec = kernel_degenerate(mu, rho=math.cos, sigma=math.sin)
-        assert_array_matches_scalar(spec, [p[0] for p in pts], [p[1] for p in pts])
+
+        def reference(t, e):
+            return (math.cos(t) + mu * math.sin(t)) * math.cos(e)
+
+        assert_array_matches_scalar(spec, reference, [p[0] for p in pts], [p[1] for p in pts])
 
     @given(pts=points, a0=coeff, a1=coeff, a2=coeff, layout=st.sampled_from([
         ((0, 0.0, 1.0), (0, 1.0, 0.5)),
@@ -659,17 +706,28 @@ class TestArrayEvaluators:
             # the kernel jumps on eta = t: probe it and one ulp either side
             ts += [t, t, t, t]
             es += [e, t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
-        assert_array_matches_scalar(dataclasses.replace(red.kernel_spec(), evaluator=scalar),
-                                    ts, es)
+        assert_array_matches_scalar(red.kernel_spec(), scalar, ts, es)
 
-    def test_array_form_checked_at_construction(self):
-        with pytest.raises(ValidationError, match="array form"):
-            KernelSpec(evaluator=lambda t, e: t + e, array=lambda T, E: T - E)
-        with pytest.raises(ValidationError, match="shape"):
-            KernelSpec(evaluator=lambda t, e: 1.0, array=lambda T, E: np.ones(5))
+    @pytest.mark.parametrize("forms, match", [
+        ({}, "^kernel 'kernel' needs an array or a separable form$"),
+        ({"array": lambda T, E: T - E,
+          "separable": ((lambda t: t, lambda e: 1.0), (lambda t: 1.0, lambda e: e))},
+         "^separable form of 'kernel' deviates from the array form at "),
+        ({"array": lambda T, E: np.ones(5)}, "^array form of 'kernel' returned shape"),
+        ({"separable": ((lambda t: math.nan if t == 0.5 else t, lambda e: 1.0),)},
+         r"^separable form of 'kernel' is not finite at \(0.5, 0.0\)$"),
+        ({"array": lambda T, E: np.where(T == E, np.inf, T)},
+         r"^array form of 'kernel' is not finite at \(0.0, 0.0\)$"),
+    ], ids=["neither", "disagree", "shape", "nan-profile", "inf-array"])
+    def test_user_forms_checked_at_construction(self, forms, match):
+        with pytest.raises(ValidationError, match=match):
+            KernelSpec(**forms)
 
-    def test_scalar_only_kernel_still_assembles(self, rule):
-        spec = KernelSpec(evaluator=lambda t, e: math.exp(t - e))
+    @pytest.mark.parametrize("spec", [
+        KernelSpec(array=lambda T, E: np.exp(T - E)),
+        KernelSpec(separable=((math.exp, lambda e: math.exp(-e)),)),
+    ], ids=["array", "profiles"])
+    def test_one_form_kernel_assembles(self, spec, rule):
         disc = NystromDiscretization(spec, rule)
         T, E = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
         assert np.max(np.abs(disc.K - np.exp(T - E))) < 1e-15
@@ -677,7 +735,7 @@ class TestArrayEvaluators:
 
 class TestBatchedOffNode:
     @pytest.mark.parametrize("spec", [kernel_t_plus_eta(), kernel_exp_diff(),
-                                      KernelSpec(evaluator=lambda t, e: t * e)])
+                                      KernelSpec(array=np.multiply), kernel_degenerate(0.5)])
     def test_array_equals_pointwise(self, spec, rng):
         disc = NystromDiscretization(spec, simpson_rule(101))
         sol = nystrom_solve(disc, 0.3, lambda t: math.cos(3.0 * t))
@@ -694,8 +752,21 @@ class TestBatchedOffNode:
 
 
 def dense(spec):
-    """The kernel without its separable form: it takes the n x n route."""
-    return dataclasses.replace(spec, separable=None)
+    """The kernel as an array form alone: it takes the n x n route.  A
+    profile kernel's array form is the sum of g(T) h(E) over its pairs,
+    one profile call per element of T and of E."""
+    if spec.array is not None:
+        return dataclasses.replace(spec, separable=None)
+    pairs = [(np.vectorize(g, otypes=[float]), np.vectorize(h, otypes=[float]))
+             for g, h in spec.separable]
+
+    def array(T, E):
+        out = np.zeros(np.broadcast_shapes(np.shape(T), np.shape(E)))
+        for g, h in pairs:
+            out += g(T) * h(E)
+        return out
+
+    return KernelSpec(array=array, name=spec.name)
 
 
 def forbid_square_factorizations(monkeypatch, n):
@@ -863,9 +934,9 @@ class TestGramCertificate:
         # checks.  The eigenvalue near 1/2 of the sin(4 pi t) sin(4 pi eta)
         # part shows only through ||(K - G H^T) W||_F
         def bump(x):
-            return math.sin(4.0 * math.pi * x)
+            return np.sin(4.0 * np.pi * x)
 
-        spec = KernelSpec(evaluator=lambda t, e: t * e + bump(t) * bump(e),
+        spec = KernelSpec(array=lambda T, E: T * E + bump(T) * bump(E),
                           separable=((lambda t: t, lambda e: e),))
         disc = NystromDiscretization(spec, simpson_rule(41))
         eigs = np.linalg.eigvals(disc.weighted())
@@ -976,8 +1047,7 @@ class TestFiniteRank:
             calls.append(t)
             return t
 
-        spec = KernelSpec(evaluator=lambda t, e: t * e, separable=((g, lambda e: e),),
-                          array=np.multiply)
+        spec = KernelSpec(array=np.multiply, separable=((g, lambda e: e),))
         calls.clear()
         disc = NystromDiscretization(spec, simpson_rule(41))
         assert calls == disc.nodes.tolist()
@@ -1189,9 +1259,9 @@ class TestRankSolve:
         # lattice only: the certificate proves lambda far, and the solve
         # keeps to K
         def bump(x):
-            return math.sin(4.0 * math.pi * x)
+            return np.sin(4.0 * np.pi * x)
 
-        spec = KernelSpec(evaluator=lambda t, e: t * e + bump(t) * bump(e),
+        spec = KernelSpec(array=lambda T, E: T * E + bump(T) * bump(E),
                           separable=((lambda t: t, lambda e: e),))
         disc = NystromDiscretization(spec, simpson_rule(41))
         assert _certified_far(disc, 0.3)
@@ -1266,11 +1336,9 @@ class TestLazyMatrix:
         lambda rho, sigma: kernel_sigma_rho(sigma, rho),
         lambda rho, sigma: kernel_degenerate(0.5, rho, sigma),
     ], ids=["rho-rho", "sigma-rho", "degenerate"])
-    def test_spectrum_samples_the_eta_profile_once(self, make):
-        # each block of rows samples the profiles of t at its own nodes and
-        # reuses one sample of the eta profile: a kept pair costs at most 3n
-        # profile calls (rho and sigma of t, rho of eta), where sampling eta
-        # per block cost n per block, about n^2 / 32
+    def test_spectrum_makes_no_profile_call(self, make):
+        # a profile kernel's rows and action come from the G and H its
+        # discretization sampled, so the spectrum calls no profile
         calls = []
 
         def counted(profile):
@@ -1283,8 +1351,8 @@ class TestLazyMatrix:
         disc = NystromDiscretization(make(counted(canonical_rho), counted(canonical_sigma)),
                                      simpson_rule(n))
         calls.clear()
-        kept = len(char_numbers(disc).characteristic_numbers)
-        assert len(calls) <= 3 * n * kept
+        char_numbers(disc)
+        assert calls == []
         assert "K" not in disc.__dict__
 
     @pytest.mark.parametrize("n_nodes", [7, fredholm._DEFECT_ROWS - 1, fredholm._DEFECT_ROWS + 1,

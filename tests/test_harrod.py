@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from ecodyn import harrod
 from ecodyn.allen import AllenScaling, harrod_domar_trajectory
-from ecodyn.errors import BlowUpError, CrossCheckError, PoleError, ValidationError
+from ecodyn.errors import BlowUpError, CrossCheckError, EcodynError, PoleError, ValidationError
 from ecodyn.harrod import (
     HarrodParams,
     adequacy_residual,
@@ -324,6 +325,23 @@ class TestAdequacy:
                 res = adequacy_residual(float(alpha), n)
                 assert res.residual_155 > 0.0
                 assert res.residual_154 > 0.0
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-8, 0.1, 0.5, 0.8, 0.999, 1 - 1e-9])
+    @pytest.mark.parametrize("n", [1, 10, 886, 887, 1000, 10**6, 10**12, sys.maxsize])
+    def test_any_horizon_gives_finite_residuals(self, alpha, n):
+        # math.exp(alpha * n) raised OverflowError past alpha * n = 709.78,
+        # as at (0.8, 1000)
+        try:
+            res = adequacy_residual(alpha, n)
+        except EcodynError:
+            return
+        assert math.isfinite(res.residual_154) and math.isfinite(res.residual_155)
+        assert math.isfinite(res.rhs_rational)
+        if alpha * n <= 709.0:  # inside the float range: the bits of exp
+            assert res.lhs_exp == math.exp(alpha * n)
+            assert res.mismatch_ratio == math.exp(alpha * n) / res.rhs_rational
+        elif alpha * n > 710.0:
+            assert res.lhs_exp == res.mismatch_ratio == math.inf
 
     def test_vanishing_alpha_limit(self):
         res = adequacy_residual(1e-8, 3)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +50,20 @@ class TestTimeGrid:
         with pytest.raises(ValidationError, match="^steps must be positive$") as info:
             TimeGrid(0.0, 1.0, steps)
         assert info.value.key == "steps"
+
+    @pytest.mark.parametrize("steps", [2**59, 2**60 - 3, 2**62, sys.maxsize - 1, sys.maxsize])
+    def test_nodes_no_array_can_hold_are_out_of_memory(self, steps):
+        # from about 2^60 nodes numpy refused the array as too big
+        # (ValueError) or wrapped the count (IndexError); every such count is
+        # refused without allocating
+        grid = TimeGrid(0.0, 1.0, steps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=f"^Unable to allocate {steps + 1} nodes"):
+                grid.nodes
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestTrajectory:
