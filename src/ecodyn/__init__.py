@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 # public names of each lazily loaded submodule, in __all__ order
 _LAZY = {
     "dims": (
-        "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "var",
-        "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
+        "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "parse_relation",
+        "var", "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
     ),
     "odelin": (
         "OdeSpec", "TimeGrid", "Trajectory",

@@ -22,7 +22,6 @@ import errno
 import json
 import math
 import os
-import re
 import stat
 import sys
 import tempfile
@@ -33,13 +32,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import EcodynError, NumericalError, ValidationError, _require
+from .errors import EcodynError, NumericalError, ValidationError, _require, _require_array_length
 from .odelin import OdeSpec, TimeGrid, Trajectory
 
 # Each handler imports the model module it calls, so a run loads only its
 # own command's models; these imports serve the annotations alone.
 if TYPE_CHECKING:
-    from . import dims, fredholm, harrod, leontief
+    from . import fredholm, harrod, leontief
 
 DEFAULT_STEPS_FALLBACK = 1000
 ENV_DEFAULT_STEPS = "ECODYN_DEFAULT_STEPS"
@@ -449,6 +448,7 @@ def _cmd_fredholm_sweep(ns) -> Output:
 
     _require("positive", mu_count=ns.mu_count)
     _require("finite", mu_min=ns.mu_min, mu_max=ns.mu_max)
+    _require_array_length(ns.mu_count, "mu values")
     mu_grid = np.linspace(ns.mu_min, ns.mu_max, ns.mu_count)
     k0 = _kernel_by_name(ns.k0, 0.0)
     k1 = _kernel_by_name(ns.k1, 0.0)
@@ -474,144 +474,11 @@ def _cmd_fredholm_sweep(ns) -> Output:
 # Diagnostic commands
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[()*/+-])")
-
-
-def _tokenize_relation(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValidationError(f"cannot tokenize relation at {text[pos:]!r}", key="relation")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def _parse_dim_expr(tokens: list[str], table: dict[str, dims.Dimension]) -> dims.DimExpr:
-    from . import dims
-
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValidationError(
-                f"unexpected token {tok!r} in relation (expected {expected!r})",
-                key="relation",
-            )
-        pos += 1
-        return tok
-
-    def factor() -> dims.DimExpr:
-        tok = take()
-        if tok == "(":
-            e = expr()
-            take(")")
-            return e
-        if tok in ("int", "ddt") and peek() == "(":
-            take("(")
-            inner = expr()
-            take(")")
-            return inner.integral_dt() if tok == "int" else inner.derivative_dt()
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            if tok not in table:
-                raise ValidationError(f"no dimension given for {tok!r}", key="dims")
-            return dims.var(tok, table[tok])
-        raise ValidationError(f"unexpected token {tok!r} in relation", key="relation")
-
-    def term() -> dims.DimExpr:
-        e = factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = factor()
-            e = e * rhs if op == "*" else e / rhs
-        return e
-
-    def expr() -> dims.DimExpr:
-        e = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    result = expr()
-    if peek() is not None:
-        raise ValidationError(f"trailing tokens {tokens[pos:]!r} in relation", key="relation")
-    return result
-
-
-# dimension symbol -> the name of its base Dimension in the dims module
-_DIM_ATOMS = {"$": "MONEY", "s": "TIME", "1": "DIMENSIONLESS"}
-
-
-def _parse_dimension(text: str) -> dims.Dimension:
-    """Parse "$", "s", "1", "$/s", "$*s^-1", "s^2" into a Dimension."""
-    from . import dims
-
-    def atom(part: str) -> dims.Dimension:
-        part = part.strip()
-        if "^" in part:
-            sym, _, exp_text = part.partition("^")
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ValidationError(f"bad exponent in {part!r}", key="dims") from None
-        else:
-            sym, exp = part, 1
-        sym = sym.strip()
-        if sym not in _DIM_ATOMS:
-            raise ValidationError(f"unknown dimension symbol {sym!r}", key="dims")
-        base = getattr(dims, _DIM_ATOMS[sym])
-        return dims.Dimension(base.money_exp * exp, base.time_exp * exp)
-
-    num, _, rest = text.partition("/")
-    result = dims.DIMENSIONLESS
-    for part in num.split("*"):
-        if part.strip():
-            result = result * atom(part)
-    while rest:
-        part, _, rest = rest.partition("/")
-        result = result / atom(part)
-    return result
-
-
-def _parse_dims_table(text: str) -> dict[str, dims.Dimension]:
-    table: dict[str, dims.Dimension] = {}
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        name, sep, dim_text = entry.partition(":")
-        if not sep:
-            raise ValidationError(f"dims entry {entry!r} must look like name:dim", key="dims")
-        table[name.strip()] = _parse_dimension(dim_text.strip())
-    return table
-
-
 def _cmd_dim_check(ns) -> Output:
     from . import dims
 
-    table = _parse_dims_table(ns.dims)
-    sides = ns.relation.split("=")
-    if len(sides) != 2:
-        raise ValidationError("relation must contain exactly one '='", key="relation")
-    try:
-        lhs = _parse_dim_expr(_tokenize_relation(sides[0]), table)
-        rhs = _parse_dim_expr(_tokenize_relation(sides[1]), table)
-        report = dims.check_relation(lhs, rhs)
-    except RecursionError:
-        # the parser and the audit recurse once per nesting level or term
-        raise ValidationError("relation is nested too deeply", key="relation") from None
+    lhs, rhs = dims.parse_relation(ns.relation, dims.parse_dims(ns.dims))
+    report = dims.check_relation(lhs, rhs)
     data = {
         "relation": ns.relation,
         "consistent": report.consistent,
@@ -779,7 +646,12 @@ _register(Command(
 ))
 _register(Command(
     "dim-check",
-    (_p("relation", "str", required=True), _p("dims", "str", required=True)),
+    (_p("relation", "str", required=True,
+        help="side = side, each side built from names in --dims with + - * /, "
+             "parentheses, int(...) for the time integral and ddt(...) for the time "
+             "derivative; K = nu*Y with a dimensionless nu equates a stock ($) with a "
+             "flow ($/s)"),
+     _p("dims", "str", required=True, help="name:dim entries such as K:$,nu:1,Y:$/s")),
     _cmd_dim_check,
     default_format="json",
     formats=("json",),

@@ -2,17 +2,31 @@
 
 A stock is measured in money ($), a flow in money per time ($/s).
 Relations that equate a stock to a flow, or add the two, are exactly the
-dimensional contradictions this module makes machine-detectable.
+dimensional contradictions this module makes machine-detectable: Harrod's
+K = nu*Y with a dimensionless nu equates the capital stock K ($) with the
+income flow Y ($/s) (arXiv:0804.3658).
+
+:func:`parse_relation` reads a relation given as text, such as
+``"K = nu*int(Y)"``, against a table such as ``parse_dims("K:$,nu:1,Y:$/s")``.
+Each side of its one ``=`` is a Python expression of ASCII names from the
+table (a Python keyword is no name), ``+ - * /`` with Python's precedence,
+parentheses, ``int(x)`` (the time integral) and ``ddt(x)`` (the time
+derivative).  A table entry is ``name:dim``: a product of the atoms ``$``,
+``s`` and ``1``, each with an optional integer exponent ``^e``, divided by
+further atoms, as in ``$/s``, ``$*s^-1`` or ``s^2``.
 """
 
 from __future__ import annotations
 
+import ast
+import sys
 from dataclasses import dataclass
 
-from .errors import StructuralError
+from .errors import StructuralError, ValidationError
 
 _BINARY_OPS = {"add", "sub", "mul", "div"}
 _UNARY_OPS = {"integrate_dt", "differentiate_dt"}
+_TOO_DEEP = "relation is nested too deeply"
 
 
 @dataclass(frozen=True)
@@ -186,17 +200,108 @@ def check_relation(lhs: DimExpr, rhs: DimExpr) -> ConsistencyReport:
 
     Consistent iff every add/sub node on both sides is homogeneous and
     the two sides carry the same dimension.  The first offending node
-    (leftmost, depth-first) is reported when there is one.
+    (leftmost, depth-first) is reported when there is one.  A tree too deep
+    for the audit's recursion is a ValidationError keyed ``relation``.
     """
     violations: list[Violation] = []
-    lhs_dim = _evaluate(_as_expr(lhs), "lhs", (), violations)
-    rhs_dim = _evaluate(_as_expr(rhs), "rhs", (), violations)
-    first = violations[0] if violations else None
-    if first is None and lhs_dim != rhs_dim:
-        first = Violation("relation", (), f"{lhs.render()} = {rhs.render()}", lhs_dim, rhs_dim)
+    try:  # the audit and the rendering recurse once per nesting level or term
+        lhs_dim = _evaluate(_as_expr(lhs), "lhs", (), violations)
+        rhs_dim = _evaluate(_as_expr(rhs), "rhs", (), violations)
+        first = violations[0] if violations else None
+        if first is None and lhs_dim != rhs_dim:
+            first = Violation("relation", (), f"{lhs.render()} = {rhs.render()}", lhs_dim, rhs_dim)
+    except RecursionError:
+        raise ValidationError(_TOO_DEEP, key="relation") from None
     return ConsistencyReport(
         consistent=first is None,
         lhs_dim=lhs_dim,
         rhs_dim=rhs_dim,
         first_violation=first,
+    )
+
+
+# dimension symbol -> its base Dimension
+_DIM_ATOMS = {"$": MONEY, "s": TIME, "1": DIMENSIONLESS}
+
+
+def _parse_dimension(text: str) -> Dimension:
+    """Parse "$", "s", "1", "$/s", "$*s^-1", "s^2" into a Dimension."""
+    num, *den = text.split("/")
+    result = DIMENSIONLESS
+    for sign, part in [(1, p) for p in num.split("*") if p.strip()] + [(-1, p) for p in den]:
+        part = part.strip()
+        sym, caret, exp_text = part.partition("^")
+        try:
+            exp = sign * (int(exp_text) if caret else 1)
+        except ValueError:
+            raise ValidationError(f"bad exponent in {part!r}", key="dims") from None
+        base = _DIM_ATOMS.get(sym.strip())
+        if base is None:
+            raise ValidationError(f"unknown dimension symbol {sym.strip()!r}", key="dims")
+        result = result * Dimension(base.money_exp * exp, base.time_exp * exp)
+    return result
+
+
+def parse_dims(text: str) -> dict[str, Dimension]:
+    """The table of a text such as ``"Y:$/s,K:$"``: name -> Dimension."""
+    table: dict[str, Dimension] = {}
+    for entry in filter(None, (entry.strip() for entry in text.split(","))):
+        name, sep, dim_text = entry.partition(":")
+        if not sep:
+            raise ValidationError(f"dims entry {entry!r} must look like name:dim", key="dims")
+        table[name.strip()] = _parse_dimension(dim_text)
+    return table
+
+
+_OPS = {ast.Add: DimExpr.__add__, ast.Sub: DimExpr.__sub__,
+        ast.Mult: DimExpr.__mul__, ast.Div: DimExpr.__truediv__}
+_CALLS = {"int": DimExpr.integral_dt, "ddt": DimExpr.derivative_dt}
+
+
+def parse_relation(text: str, table: dict[str, Dimension]) -> tuple[DimExpr, DimExpr]:
+    """The two sides of the relation ``text`` (grammar in the module
+    docstring), each name tagged with its dimension in ``table``.
+
+    A name missing from ``table`` is a ValidationError keyed ``dims``;
+    anything outside the grammar, numbers, ``**`` and unary minus
+    included, is one keyed ``relation``.  So is a side nested deeper than
+    Python's parser allows, or with more operators than the recursion
+    limit, refused before it is parsed: the audit of such a side recurses
+    once per operator.
+    """
+    sides = text.split("=")
+    if len(sides) != 2:
+        raise ValidationError("relation must contain exactly one '='", key="relation")
+    return _parse_side(sides[0], table), _parse_side(sides[1], table)
+
+
+def _parse_side(side: str, table: dict[str, Dimension]) -> DimExpr:
+    side = " ".join(side.split())  # no indent and no line break reach the parser
+    # ast folds a non-ASCII name to NFKC (a fullwidth Y reads as Y) and skips a comment
+    if not side.isascii() or "#" in side or "\0" in side:
+        bad = next(c for c in side if c in "#\0" or not c.isascii())
+        raise ValidationError(f"unexpected {bad!r} in relation", key="relation")
+    if sum(map(side.count, "+-*/")) > sys.getrecursionlimit():  # before ast has to build it
+        raise ValidationError(_TOO_DEEP, key="relation")
+    try:  # ast.parse and _build recurse once per nesting level
+        return _build(ast.parse(side, mode="eval").body, side, table)
+    except SyntaxError as exc:
+        raise ValidationError(f"cannot parse relation side {side!r}: {exc.msg}",
+                              key="relation") from None
+    except (RecursionError, MemoryError):
+        raise ValidationError(_TOO_DEEP, key="relation") from None
+
+
+def _build(node: ast.expr, side: str, table: dict[str, Dimension]) -> DimExpr:
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_build(node.left, side, table), _build(node.right, side, table))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _CALLS and len(node.args) == 1 and not node.keywords):
+        return _CALLS[node.func.id](_build(node.args[0], side, table))
+    if isinstance(node, ast.Name):
+        if node.id not in table:
+            raise ValidationError(f"no dimension given for {node.id!r}", key="dims")
+        return var(node.id, table[node.id])
+    raise ValidationError(
+        f"unexpected {ast.get_source_segment(side, node)!r} in relation", key="relation"
     )

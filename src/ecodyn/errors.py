@@ -16,10 +16,12 @@ count "nonnegative".  An integer beyond ``sys.maxsize`` in magnitude
 indexes no array and may lie beyond the float range: it is rejected
 before any range test, by a message that never converts it to float.  A
 count within that bound whose arrays do not fit in memory fails where
-they are allocated, with MemoryError.  Every march takes its nodes and
+they are allocated, with MemoryError; from 2^59 entries, which numpy
+refuses as too big or wraps, ``_require_array_length`` raises it without
+allocating, before a ``TimeGrid``'s nodes, ``discrete_path``'s years, a
+quadrature rule or a sweep's mu grid.  Every march takes its nodes and
 step from ``odelin.TimeGrid``, which checks its count and ends before any
-work runs, and raises that MemoryError itself, without allocating, for a
-node count near numpy's largest array (from 2^59 nodes).  The count
+work runs.  The count
 rules that stay special are Simpson's odd count >= 3 and Gauss's >= 2
 nodes, ``leontief.volterra_solve``'s >= 4 steps for its
 half-resolution rerun, ``dynamic_solve``'s truncation orders 1 and 2, and
@@ -74,6 +76,13 @@ def _require(range_: str, **values: float) -> None:
             raise ValidationError(f"{name} must be finite, got {float(value)!r}", key=key)
         if not inside(value):
             raise ValidationError(f"{name} {wording}", key=key)
+
+
+def _require_array_length(n: int, what: str) -> None:
+    """MemoryError for ``n`` entries of ``what`` beyond 1/16 of the largest
+    array size in bytes: room for two float64 columns of that length."""
+    if n > sys.maxsize // 16:
+        raise MemoryError(f"Unable to allocate {n} {what}: more bytes than an array can hold")
 
 
 def _require_finite_result(**values) -> None:

@@ -157,6 +157,7 @@ from .errors import (
     SpectrumProximityError,
     ValidationError,
     _require,
+    _require_array_length,
     _require_finite_result,
 )
 from .odelin import (
@@ -336,6 +337,7 @@ def simpson_rule(n_nodes: int = 201) -> QuadratureRule:
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValidationError("Simpson needs an odd node count >= 3", key="nodes")
     _require("positive", nodes=n_nodes)  # bounds the count by sys.maxsize
+    _require_array_length(n_nodes, "nodes")
     h = 1.0 / (n_nodes - 1)
     w = np.full(n_nodes, 2.0)
     w[1::2] = 4.0
@@ -348,6 +350,7 @@ def simpson_rule(n_nodes: int = 201) -> QuadratureRule:
 def gauss_legendre_rule(n_nodes: int = 64) -> QuadratureRule:
     if n_nodes < 2:
         raise ValidationError("need at least 2 Gauss nodes", key="nodes")
+    _require_array_length(n_nodes, "nodes")
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w

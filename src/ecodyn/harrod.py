@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossCheckError, PoleError, ValidationError, _require, _require_finite_result
+from .errors import _require_array_length
 from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, rk4_linear, sup_rel_diff
 
 POLE_GUARD_REL = 1e-6
@@ -180,6 +181,7 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
             f"alpha = mu/nu = {alpha!r} exceeds 1, outside the model's range",
             key="nu",
         )
+    _require_array_length(n + 1, "years")
     years = np.arange(n + 1)
     KY = np.empty((n + 1, 2))  # K and Y_tilde side by side, for the blow-up check
     K, Y_tilde = KY.T

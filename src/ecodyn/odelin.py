@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
     _require,
+    _require_array_length,
 )
 
 # Two computed roots within this distance of their center, relative to their
@@ -80,12 +81,8 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        n = self.steps + 1
-        # numpy refuses a float64 array near intp.max bytes as too big, and
-        # linspace wraps a count near sys.maxsize: both are out of memory
-        if n > np.iinfo(np.intp).max // 16:
-            raise MemoryError(f"Unable to allocate {n} nodes: more bytes than an array can hold")
-        return np.linspace(self.t_start, self.t_end, n)
+        _require_array_length(self.steps + 1, "nodes")
+        return np.linspace(self.t_start, self.t_end, self.steps + 1)
 
 
 @dataclass
@@ -463,12 +460,18 @@ def _check_half_resolution(t: np.ndarray, X: np.ndarray, t_c: np.ndarray, X_c: n
     """ResolutionError when the march X on the nodes ``t`` (one column per
     component) and its rerun X_c on the coarser nodes ``t_c``, interpolated
     linearly onto ``t``, differ by more than 10% of max |X| in the sup
-    norm: the grid is too coarse for the trapezoid."""
-    scale = max(float(np.max(np.abs(X))), 1e-300)
+    norm: the grid is too coarse for the trapezoid.  The scale is max |X|
+    itself, with no floor; a march that is zero everywhere, as is its
+    rerun, has drift 0.  A march whose max |X| is subnormal is refused as
+    well, whatever its drift: its few bits cannot hold a 10% bound."""
+    scale = float(np.max(np.abs(X)))
     coarse_on_fine = np.column_stack([np.interp(t, t_c, X_c[:, j]) for j in range(X.shape[1])])
-    drift = float(np.max(np.abs(X - coarse_on_fine))) / scale
+    gap = float(np.max(np.abs(X - coarse_on_fine)))
+    drift = gap / scale if scale else (math.inf if gap else 0.0)
     if drift > 0.10:
         raise ResolutionError(f"half-resolution drift {drift:.3e} exceeds 10%; refine the grid")
+    if 0.0 < scale < np.finfo(float).tiny:
+        raise ResolutionError(f"march sup {scale!r} is subnormal, too few bits for a 10% bound")
 
 
 def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray, what: str = "integration") -> None:

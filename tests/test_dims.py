@@ -1,8 +1,24 @@
-import pytest
+import keyword
+import operator
 
-from ecodyn import dims
-from ecodyn.dims import DIMENSIONLESS, FLOW, MONEY, TIME, Dimension, check_relation, var
-from ecodyn.errors import StructuralError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ecodyn import cli, dims
+from ecodyn.dims import (
+    DIMENSIONLESS,
+    FLOW,
+    MONEY,
+    TIME,
+    Dimension,
+    DimExpr,
+    check_relation,
+    parse_dims,
+    parse_relation,
+    var,
+)
+from ecodyn.errors import StructuralError, ValidationError
 
 
 def test_base_constants():
@@ -130,3 +146,133 @@ def test_render_expressions():
     assert (nu * Y.integral_dt()).render() == "nu*int(Y)dt"
     assert (K.derivative_dt()).render() == "d(K)/dt"
     assert ((K + K) * Y).render() == "(K + K)*Y"
+
+
+# ---------------------------------------------------------------------------
+# The relation grammar
+# ---------------------------------------------------------------------------
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True).filter(
+    lambda name: not keyword.iskeyword(name))
+DIMENSIONS = st.builds(Dimension, st.integers(-3, 3), st.integers(-3, 3))
+BINARY = {"add": ("+", operator.add), "sub": ("-", operator.sub),
+          "mul": ("*", operator.mul), "div": ("/", operator.truediv)}
+UNARY = {"integrate_dt": ("int", DimExpr.integral_dt),
+         "differentiate_dt": ("ddt", DimExpr.derivative_dt)}
+
+
+# tree shapes whose leaves index the entries of a table
+SHAPES = st.recursive(st.integers(0, 5), lambda sub: st.one_of(
+    st.tuples(st.sampled_from(sorted(BINARY)), sub, sub),
+    st.tuples(st.sampled_from(sorted(UNARY)), sub),
+), max_leaves=12)
+
+
+def tree(shape, leaves: list) -> DimExpr:
+    if isinstance(shape, int):
+        return leaves[shape % len(leaves)]
+    if shape[0] in UNARY:
+        return UNARY[shape[0]][1](tree(shape[1], leaves))
+    return BINARY[shape[0]][1](tree(shape[1], leaves), tree(shape[2], leaves))
+
+
+def cli_text(expr: DimExpr) -> str:
+    """``expr`` fully parenthesised in the --relation syntax."""
+    if expr.op == "leaf":
+        return expr.name
+    if expr.op in UNARY:
+        return f"{UNARY[expr.op][0]}({cli_text(expr.children[0])})"
+    left, right = expr.children
+    return f"({cli_text(left)} {BINARY[expr.op][0]} {cli_text(right)})"
+
+
+@settings(deadline=None)
+@given(table=st.dictionaries(NAMES, DIMENSIONS, min_size=1, max_size=6), lhs=SHAPES, rhs=SHAPES)
+def test_printed_relation_parses_back_to_its_trees(table, lhs, rhs):
+    leaves = [var(name, dim) for name, dim in table.items()]
+    lhs, rhs = tree(lhs, leaves), tree(rhs, leaves)
+    parsed = parse_relation(f"{cli_text(lhs)} = {cli_text(rhs)}", table)
+    assert parsed == (lhs, rhs)
+    assert check_relation(*parsed) == check_relation(lhs, rhs)
+
+
+def test_precedence_and_grouping_follow_python():
+    table = parse_dims("a:$,b:s,c:1")
+    a, b, c = (var(name, table[name]) for name in "abc")
+    assert parse_relation("a - b - c = a + b*c", table) == ((a - b) - c, a + (b * c))
+    assert parse_relation("a/b/c = int(a)*ddt(b)", table) == (
+        (a / b) / c, a.integral_dt() * b.derivative_dt())
+    # whitespace and line breaks anywhere between tokens, as the shell may pass them
+    assert parse_relation(" a\n*\tb =\n c ", table) == (a * b, c)
+
+
+# side -> the key of its ValidationError
+REFUSED_SIDES = {
+    "2*Y": "relation",  # a number
+    "Y**2": "relation",
+    "-Y": "relation",
+    "Y.x": "relation",
+    "Y[0]": "relation",
+    "int(Y, Y)": "relation",
+    "int(Y=Y)": "relation",
+    "ddt()": "relation",
+    "f(Y)": "relation",
+    "Y // Y": "relation",
+    "Y Y": "relation",
+    "(Y": "relation",
+    "": "relation",
+    "None": "relation",
+    "lambda": "relation",  # a Python keyword is no name
+    "Y # a comment": "relation",
+    "\uff39": "relation",  # a fullwidth Y, which ast would read as Y
+    "(" * 400 + "Y" + ")" * 400: "relation",
+    " + ".join(["Y"] * 2000): "relation",
+    "Q": "dims",
+    "Y + Q": "dims",
+}
+
+
+@pytest.mark.parametrize("side, key", REFUSED_SIDES.items(), ids=lambda x: x[:20])
+@pytest.mark.parametrize("template", ["{} = Y", "Y = {}"], ids=["lhs", "rhs"])
+def test_refused_side_names_its_key(template, side, key):
+    with pytest.raises(ValidationError) as info:
+        parse_relation(template.format(side), {"Y": FLOW})
+    assert info.value.key == key
+
+
+@pytest.mark.parametrize("text", ["K", "K = Y = K", "K == Y"])
+def test_relation_needs_one_equals_sign(text):
+    with pytest.raises(ValidationError, match="exactly one '='") as info:
+        parse_relation(text, {"K": MONEY, "Y": FLOW})
+    assert info.value.key == "relation"
+
+
+def test_tree_too_deep_for_the_audit_is_a_validation_error():
+    deep = var("Y", FLOW)
+    for _ in range(5000):
+        deep = deep + var("Y", FLOW)
+    with pytest.raises(ValidationError, match="^relation is nested too deeply$") as info:
+        check_relation(deep, var("Y", FLOW))
+    assert info.value.key == "relation"
+
+
+def test_huge_sum_is_refused_by_the_cli_in_one_line(capsys):
+    relation = " + ".join(["Y"] * 200_000) + " = Y"
+    rc = cli.run(["dim-check", "--relation", relation, "--dims", "Y:$/s"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: relation is nested too deeply (key: relation)\n"
+
+
+def test_parse_dims_reads_the_table():
+    assert parse_dims("Y:$/s, K:$,nu:1,t:s ,") == {"Y": FLOW, "K": MONEY, "nu": DIMENSIONLESS,
+                                                   "t": TIME}
+    assert parse_dims("a:$*s^-1,b:s^2/$,c:$/s/s") == {
+        "a": FLOW, "b": Dimension(-1, 2), "c": Dimension(1, -2)}
+
+
+@pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:$/", "Y:$//s"])
+def test_parse_dims_refuses_malformed_entries(text):
+    with pytest.raises(ValidationError) as info:
+        parse_dims(text)
+    assert info.value.key == "dims"

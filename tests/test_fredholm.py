@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -73,6 +74,13 @@ class TestRules:
     def test_simpson_needs_odd_count(self):
         with pytest.raises(ValidationError):
             simpson_rule(200)
+
+    @pytest.mark.parametrize("rule, n", [(simpson_rule, 2**62 + 1), (simpson_rule, sys.maxsize),
+                                         (gauss_legendre_rule, 2**62)])
+    def test_nodes_no_array_can_hold_are_out_of_memory(self, rule, n):
+        # numpy refused these as too big (ValueError)
+        with pytest.raises(MemoryError, match=f"^Unable to allocate {n} nodes"):
+            rule(n)
 
     def test_gauss_legendre_integrates_polynomials(self):
         r = gauss_legendre_rule(16)
@@ -594,13 +602,25 @@ class TestMomentMarch:
         ((1.0, 0.0, 1e4), [1.0, 0.0]),
         ((1.0, 0.0, 1e6), [1.0, 0.0]),
         ((1.0, 0.0, -400.0), [1.0, -20.0]),  # e^-20t, with the mode e^20t growing
-    ], ids=["omega-100", "omega-1000", "growing-mode"])
+        ((1.0, -0.0, 13689.0), [0.0, 2.225073858507e-311]),  # all subnormal
+    ], ids=["omega-100", "omega-1000", "growing-mode", "subnormal"])
     def test_unresolved_march_is_a_resolution_error(self, coeffs, init):
         # each used to return a wrong z: z(1) = 0.893 against cos 100 = 0.862,
-        # 0.879 against cos 1000 = 0.562, 1.9e4 against 2e-9
+        # 0.879 against cos 1000 = 0.562, 1.9e4 against 2e-9; the subnormal
+        # march drifts by 0.31 of its sup, once hidden by a 1e-300 scale floor
         red = ode_to_integral(OdeSpec(coeffs), init)
         with pytest.raises(ResolutionError,
                            match="^half-resolution drift .* exceeds 10%; refine the grid$"):
+            red.solve()
+
+    def test_zero_march_has_no_drift(self):
+        sol = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [0.0, 0.0]).solve()
+        assert not sol.trajectory.values.any()
+
+    def test_subnormal_march_is_a_resolution_error(self):
+        # sup |z| = 5e-324 with a drift of 0: too few bits for any relative bound
+        red = ode_to_integral(OdeSpec((1.0, 0.0)), [5e-324])
+        with pytest.raises(ResolutionError, match="^march sup 5e-324 is subnormal"):
             red.solve()
 
     @pytest.mark.parametrize("steps, refine", [(1, 4), (1, 1)])

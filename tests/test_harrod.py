@@ -215,6 +215,11 @@ class TestDiscrete:
         path = discrete_path(p, 0.5, 4)
         assert path.Y_tilde[4] == pytest.approx(5.0 * path.Y_tilde[0], rel=1e-14)
 
+    @pytest.mark.parametrize("n", [2**62, sys.maxsize])
+    def test_years_no_array_can_hold_are_out_of_memory(self, n):
+        with pytest.raises(MemoryError, match=f"^Unable to allocate {n + 1} years"):
+            discrete_path(HarrodParams(mu=0.3, nu_star=10.0), 0.5, n)
+
     def test_alpha_above_one_rejected(self):
         p = HarrodParams(mu=0.9, nu_star=10.0)
         with pytest.raises(ValidationError):

@@ -15,7 +15,7 @@ SUBMODULES = (dims, odelin, harrod, allen, longwave, leontief, fredholm, errors)
 # ecodyn.__all__, written out independently of the package
 PUBLIC = {
     "__version__",
-    "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "var",
+    "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "parse_relation", "var",
     "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
     "OdeSpec", "TimeGrid", "Trajectory",
     "char_roots", "analytic_solution", "rk4_linear",
