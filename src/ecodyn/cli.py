@@ -12,6 +12,16 @@ trajectory is never held whole as text.  --out stays atomic: the blocks
 go to a temporary file beside the target, which is renamed into place
 once complete, so a failed run never leaves a partial file behind.  A
 run that fails before rendering writes nothing to stdout.
+
+Process rules of a command-line run (``python -m ecodyn.cli`` or the
+``ecodyn`` console script): the cyclic garbage collector is off, since a
+short run frees its memory by ending; and once stdout and stderr are
+flushed the process ends with ``os._exit``, without interpreter teardown.
+So ``atexit`` handlers registered by others do not run.  A traced or
+profiled process (``sys.settrace``, ``sys.setprofile`` or a
+``sys.monitoring`` tool, as coverage and cProfile use) exits normally, so
+that its data is written.  ``run()`` is unaffected: called in process, it
+leaves the collector and the exit to its caller.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import errno
+import gc
 import json
 import math
 import os
@@ -28,6 +39,9 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+if __name__ == "__main__":
+    gc.disable()  # before numpy's import, whose object graph it would traverse
 
 import numpy as np
 
@@ -709,8 +723,11 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     only = _command_name(argv) if argv is not None else None
     if only not in COMMANDS:
         only = None
+    # the process rules concern code that embeds or profiles the CLI, not --help
+    # (``python -OO`` strips the docstring)
+    description = (__doc__ or "").partition("\n\nProcess rules")[0]
     # no abbreviations of --scenario: ``run`` expands the exact flag only
-    parser = argparse.ArgumentParser(prog="ecodyn", description=__doc__, allow_abbrev=False)
+    parser = argparse.ArgumentParser(prog="ecodyn", description=description, allow_abbrev=False)
     parser.add_argument("--scenario", help="run from a key = value scenario file")
     sub = parser.add_subparsers(dest="command")
     for cmd in COMMANDS.values():
@@ -1012,14 +1029,29 @@ def _report(exc: EcodynError) -> int:
 
 
 def entry() -> None:
+    """The console script: ``run()`` under the process rules of the module
+    docstring."""
+    gc.disable()
     try:
         status = run()
         sys.stdout.flush()  # inside the try: a closed pipe raises here, not at exit
     except BrokenPipeError:
-        # the reader is gone: send the rest, and the exit flush, to devnull
+        # the reader is gone: send the rest, and any exit flush, to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = 1
-    sys.exit(status)
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(status)  # the tracer or profiler writes its data at exit
+    os._exit(status)
+
+
+def _observed() -> bool:
+    """Whether a tracer, profiler or ``sys.monitoring`` tool watches this
+    process (cProfile uses ``sys.monitoring`` from Python 3.12 on)."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
 
 
 if __name__ == "__main__":

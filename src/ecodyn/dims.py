@@ -249,6 +249,9 @@ def parse_dims(text: str) -> dict[str, Dimension]:
         name, sep, dim_text = entry.partition(":")
         if not sep:
             raise ValidationError(f"dims entry {entry!r} must look like name:dim", key="dims")
+        if not dim_text.strip():  # not read as dimensionless: that is spelled 1
+            raise ValidationError(f"dims entry {entry!r} has no dimension (a dimensionless "
+                                  "one is written 1)", key="dims")
         table[name.strip()] = _parse_dimension(dim_text)
     return table
 

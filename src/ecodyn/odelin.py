@@ -221,8 +221,14 @@ def analytic_solution(
         )
     p = np.array([r for r, _ in roots], dtype=complex)
     vander = np.vstack([p**i for i in range(n)])  # row i: z^(i)(0) coefficients
+    # The data are scaled by 2**-e to below 1 in magnitude, and z back by
+    # 2**e once evaluated: exact in the normal range, and subnormal data
+    # keep their bits through the solve instead of rounding the mode
+    # coefficients away before the modes grow.
+    data = np.asarray(init, dtype=complex)
+    _, e = math.frexp(float(np.max(np.abs(data))))
     try:
-        c = np.linalg.solve(vander, np.asarray(init, dtype=complex))
+        c = np.linalg.solve(vander, _ldexp(data, -e))
     except np.linalg.LinAlgError:
         raise DegenerateDataError("singular Vandermonde system for initial data") from None
 
@@ -232,7 +238,7 @@ def analytic_solution(
         for m in range(derivatives + 1):
             zm = (c * p**m) @ np.exp(np.outer(p, t))
             cols.append(zm)
-    z = np.column_stack(cols)
+        z = _ldexp(np.column_stack(cols), e)
     _raise_on_blow_up(z, t, "closed form")
     scale = max(1.0, float(np.max(np.abs(z))))
     imag_rel = float(np.max(np.abs(z.imag))) / scale
@@ -242,6 +248,11 @@ def analytic_solution(
         )
     labels = ["z"] + [f"z_d{m}" for m in range(1, derivatives + 1)]
     return Trajectory(grid, z.real, tuple(labels))
+
+
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """The complex array ``z`` times 2**e, each part rounded once."""
+    return np.ldexp(np.ascontiguousarray(z).view(float), e).view(complex)
 
 
 Coefficient = float | np.ndarray | Callable[[np.ndarray], np.ndarray]

@@ -550,6 +550,7 @@ def subprocess_run(args, **kwargs):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop(cli.ENV_DEFAULT_STEPS, None)
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as a user's interpreter has
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60,
                           **kwargs)
 
@@ -564,13 +565,82 @@ CONSOLE_SCRIPT = "import sys; from ecodyn.cli import entry; sys.argv[0] = 'ecody
     ["harrod", "--nu", "2.5", "--t-end", "2"],
     ["fredholm-solve", "--kernel", "exp-diff", "--lam", "1", "--nodes", "21"],
     ["--help"],
+    pytest.param(["harrod", "--mu", "0.3", "--nu", "nan", "--t-end", "1"], id="exit-2"),
+    pytest.param(["harrod-corrected", "--mu", "0.3", "--nu-star", "2.5", "--t-end", "10",
+                  "--steps", "1000"], id="exit-3-pole"),
+    pytest.param(["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "20", "--steps", "1000",
+                  "--format", "json", "--out", "{out}"], id="out"),
 ], ids=lambda argv: argv[0])
-def test_entry_gives_the_bytes_of_dash_m(argv):
-    script = subprocess_run(["-c", CONSOLE_SCRIPT, *argv])
-    module = subprocess_run(["-m", "ecodyn.cli", *argv])
-    assert (script.returncode, script.stdout, script.stderr) == (
-        module.returncode, module.stdout, module.stderr)
-    assert script.stdout or script.stderr
+def test_entry_gives_the_bytes_of_dash_m(capsys, monkeypatch, tmp_path, argv):
+    # both give the bytes of an in-process run, so nothing is lost at exit
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    monkeypatch.delenv(cli.ENV_DEFAULT_STEPS, raising=False)
+    runs, files = [], []
+    for prefix in (None, ["-c", CONSOLE_SCRIPT], ["-m", "ecodyn.cli"]):
+        out = tmp_path / f"{len(runs)}.out"
+        args = [arg.format(out=out) for arg in argv]
+        if prefix is None:
+            rc, stdout, stderr = run(capsys, args)
+            runs.append((rc, stdout.encode(), stderr.encode()))
+        else:
+            proc = subprocess_run([*prefix, *args])
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        files.append(out.read_bytes() if out.exists() else None)
+    assert runs[0] == runs[1] == runs[2] and files[0] == files[1] == files[2]
+    assert runs[0][1] or runs[0][2] or files[0]
+    assert (files[0] is not None) == ("--out" in argv)
+
+
+def test_help_leaves_out_the_process_rules(capsys):
+    rc, out, err = run(capsys, ["--help"])
+    assert (rc, err) == (0, "")
+    assert "Exit codes: 0 success" in out and "_exit" not in out and "Process rules" not in out
+
+
+def test_profiled_run_exits_normally_and_writes_its_profile(tmp_path):
+    # cProfile writes its data after the module returns, which os._exit would skip
+    profile = tmp_path / "h.prof"
+    proc = subprocess_run(["-m", "cProfile", "-o", str(profile), "-m", "ecodyn.cli", "harrod",
+                           "--mu", "0.3", "--nu", "2.5", "--t-end", "2", "--steps", "4"])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"t,Y,C,S,I\n")
+    assert profile.stat().st_size > 0
+
+
+# runs ecodyn.cli as `python -m` does, counting the collections that start
+# once numpy's import has begun, with os._exit patched to report them and the
+# collector's state on the way out
+DASH_M_REPORTING_GC = """\
+import gc, os, runpy, sys
+late = []
+gc.callbacks.append(lambda phase, info: phase == "start" and "numpy" in sys.modules
+                    and late.append(info))
+exit_now = os._exit
+def report(status):
+    sys.stderr.write(f"collector enabled: {gc.isenabled()}, runs since numpy: {len(late)}\\n")
+    sys.stderr.flush()
+    exit_now(status)
+os._exit = report
+sys.argv[0] = "ecodyn"
+runpy.run_module("ecodyn.cli", run_name="__main__", alter_sys=True)
+"""
+IN_PROCESS_RUN = """\
+import gc
+from ecodyn import cli
+assert cli.run(["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "2", "--steps", "4"]) == 0
+print("collector enabled:", gc.isenabled())
+"""
+
+
+def test_collector_is_off_in_a_command_line_run_only():
+    argv = ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "2", "--steps", "4"]
+    module = subprocess_run(["-c", DASH_M_REPORTING_GC, *argv])
+    assert (module.returncode, module.stderr) == (
+        0, b"collector enabled: False, runs since numpy: 0\n")
+    assert module.stdout == subprocess_run(["-m", "ecodyn.cli", *argv]).stdout
+    in_process = subprocess_run(["-c", IN_PROCESS_RUN])
+    assert in_process.returncode == 0, in_process.stderr
+    assert in_process.stdout.endswith(b"collector enabled: True\n")
 
 
 def test_entry_exits_one_in_silence_when_the_reader_closes_the_pipe():
@@ -749,6 +819,8 @@ KEYED_FAILURES = [
                   "--dims", "Y:$/s"]),
     ("relation", ["dim-check", "--relation", " + ".join(["Y"] * 2000) + " = Y",
                   "--dims", "Y:$/s"]),
+    # an empty dimension, which is not read as dimensionless
+    ("dims", ["dim-check", "--relation", "K = nu*Y", "--dims", "K:$,nu:,Y:$/s"]),
     # a vector flag or file that is not finite, rejected where it is parsed
     ("x0", ["leontief-dynamic", "--matrix", M3, "--demand", "1,1,1", "--x0", "nan,1,1",
             "--steps", "4"]),

@@ -271,7 +271,8 @@ def test_parse_dims_reads_the_table():
         "a": FLOW, "b": Dimension(-1, 2), "c": Dimension(1, -2)}
 
 
-@pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:$/", "Y:$//s"])
+@pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:$/", "Y:$//s", "Y:",
+                                  "K:$,nu: ,Y:$/s"])
 def test_parse_dims_refuses_malformed_entries(text):
     with pytest.raises(ValidationError) as info:
         parse_dims(text)

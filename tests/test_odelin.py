@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import sys
 import tracemalloc
@@ -235,6 +236,44 @@ class TestAnalyticSolution:
 
             numeric = rk4_integrate(rhs, init, grid)
             assert sup_rel_diff(exact.values[:, 0], numeric.values[:, 0]) < 1e-5
+
+    @pytest.mark.parametrize("coeffs, init", [
+        ((1.0, -49.67, 450.7), [-5e-324, -5e-324]),  # was z = 0 throughout
+        ((1.0, -27.10, -461.3), [0.0, 3e-322]),  # was 17% off
+    ])
+    def test_subnormal_data_match_mpmath(self, coeffs, init):
+        # the modes grow from subnormal data into the normal range
+        mp = pytest.importorskip("mpmath").mp
+        grid = TimeGrid(0.0, 1.0, 200)
+        traj = analytic_solution(OdeSpec(coeffs), init, grid, derivatives=1)
+        with mp.workdps(50):
+            roots = mp.polyroots(coeffs)
+            c = mp.lu_solve(mp.matrix([[p**i for p in roots] for i in range(len(roots))]),
+                            mp.matrix(init))
+            exact = np.array([[float(mp.re(sum(c[k] * roots[k]**m * mp.exp(roots[k] * t)
+                                                for k in range(len(roots)))))
+                               for m in (0, 1)] for t in grid.nodes])
+        sup = np.max(np.abs(exact), axis=0)
+        assert np.all(sup > 1e-308)
+        assert np.all(np.max(np.abs(traj.values - exact), axis=0) <= 1e-12 * sup)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-20000, 20000).map(lambda i: i / 1000), min_size=1, max_size=3),
+           st.lists(st.integers(-1000, 1000).map(lambda i: i / 1000), min_size=3, max_size=3),
+           st.integers(-600, 600))
+    def test_power_of_two_data_scale_z_exactly(self, lower, init, k):
+        # data and z stay in the normal range, where scaling by 2**k is exact
+        spec = OdeSpec((1.0, *lower))
+        roots = [r for r, _ in char_roots(spec)]  # well separated: a well-posed solve
+        assume(len(roots) == spec.order
+               and all(abs(p - q) > 0.1 for p, q in itertools.combinations(roots, 2)))
+        init = init[:spec.order]
+        grid = TimeGrid(0.0, 1.0, 16)
+        base = analytic_solution(spec, init, grid, derivatives=1).values
+        assume(np.all(np.isfinite(base)))
+        scaled = analytic_solution(spec, [math.ldexp(x, k) for x in init], grid,
+                                   derivatives=1).values
+        assert np.array_equal(scaled, np.ldexp(base, k))
 
 
 class TestRk4:

@@ -110,9 +110,13 @@ LOADS = [
     (["dim-check", "--relation", "Y = C", "--dims", "Y:$/s,C:$/s"], {"dims"}),
 ]
 
-# `python -m ecodyn.cli <argv>`, then the ecodyn modules loaded and numpy's presence
+# `python -m ecodyn.cli <argv>`, then the ecodyn modules loaded and numpy's presence;
+# the run's closing os._exit is turned into the SystemExit of a normal exit
 RUN_AS_MAIN = """
-import runpy, sys
+import os, runpy, sys
+def exit_normally(status):
+    raise SystemExit(status)
+os._exit = exit_normally
 sys.argv[0] = "ecodyn"
 try:
     runpy.run_module("ecodyn.cli", run_name="__main__", alter_sys=True)
