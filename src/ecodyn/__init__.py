@@ -4,7 +4,7 @@ Growth and business-cycle models in dimensional form with their
 diagnostics (stock/flow dimension audits, time-scale-invariance checks,
 discrete/continuous adequacy residuals), the input-output balance with
 its dynamic reductions, and second-kind integral-equation machinery with
-spectra, resolvents and parameter sweeps.
+spectra and parameter sweeps.
 
 Only ``errors`` is imported with the package.  Every other public name
 is resolved on first use from the submodule that defines it (PEP 562
@@ -61,14 +61,14 @@ _LAZY = {
     ),
     "leontief": (
         "LeontiefModel", "MetzlerReport", "IterationLog", "TaylorReduction",
-        "DemandScaleReport", "metzler_check", "static_solve", "taylor_reduce",
-        "dynamic_solve", "volterra_solve", "demand_scale",
+        "metzler_check", "static_solve", "taylor_reduce", "dynamic_solve",
+        "volterra_solve",
     ),
     "fredholm": (
         "KernelSpec", "QuadratureRule", "NystromDiscretization", "SpectralReport",
         "SweepReport", "VolterraReduction", "FredholmReduction",
-        "simpson_rule", "gauss_legendre_rule", "nystrom_solve", "resolvent",
-        "resolvent_apply", "char_numbers", "param_singularity_sweep",
+        "simpson_rule", "gauss_legendre_rule", "nystrom_solve", "char_numbers",
+        "param_singularity_sweep",
         "degenerate_residual", "ode_to_integral",
         "kernel_t_plus_eta", "kernel_exp_diff", "kernel_zero", "kernel_degenerate",
     ),

@@ -175,20 +175,22 @@ def _cmd_harrod_discrete(ns) -> Output:
 
     params = _harrod_params(ns, K0=ns.k0)
     path = harrod.discrete_path(params, ns.nu, ns.years)
+    # year 0 has no jump; year i has the impulse K_i - K_{i-1}, the data form
+    # of the distributional derivative of the piecewise-constant capital
+    impulse = np.concatenate(([0.0], np.diff(path.K)))
     columns = {
         "year": path.years,
         "K": path.K,
         "Y_tilde": path.Y_tilde,
         "I_tilde": path.I_tilde,
-        # year 0 has no jump; year i has the impulse K_i - K_{i-1}
-        "impulse": np.concatenate(([0.0], np.diff(path.K))),
+        "impulse": impulse,
     }
     data = {
         "years": path.years,
         "K": path.K,
         "Y_tilde": path.Y_tilde,
         "I_tilde": path.I_tilde,
-        "impulses": path.impulses,
+        "impulses": tuple(zip(path.years[1:].tolist(), impulse[1:].tolist())),
     }
     return Output("harrod-discrete", _ns_params(ns), columns, data)
 

@@ -225,11 +225,19 @@ _DIM_ATOMS = {"$": MONEY, "s": TIME, "1": DIMENSIONLESS}
 
 
 def _parse_dimension(text: str) -> Dimension:
-    """Parse "$", "s", "1", "$/s", "$*s^-1", "s^2" into a Dimension."""
+    """Parse "$", "s", "1", "$/s", "$*s^-1", "s^2" into a Dimension.
+
+    Every factor of the product and every divisor must be given, save that
+    an empty product before a divisor is 1: "/s" reads as s^-1, while "$*",
+    "$**s" and "$/" are refused.
+    """
     num, *den = text.split("/")
+    factors = [] if den and not num.strip() else [(1, p) for p in num.split("*")]
     result = DIMENSIONLESS
-    for sign, part in [(1, p) for p in num.split("*") if p.strip()] + [(-1, p) for p in den]:
+    for sign, part in factors + [(-1, p) for p in den]:
         part = part.strip()
+        if not part:
+            raise ValidationError(f"dimension {text.strip()!r} has an empty factor", key="dims")
         sym, caret, exp_text = part.partition("^")
         try:
             exp = sign * (int(exp_text) if caret else 1)

@@ -1,11 +1,10 @@
 """Second-kind integral equation machinery on [0, 1].
 
 Nystrom discretization (composite Simpson by default, Gauss-Legendre as
-an alternative rule), direct solves of phi = lambda*K phi + q, the
-resolvent, characteristic numbers with eigenfunctions, singularity sweeps
-for kernels k0 + mu*k1, and the classic reduction of a constant-
-coefficient ODE to a Volterra (initial data) or Fredholm (two-point data)
-equation.
+an alternative rule), direct solves of phi = lambda*K phi + q,
+characteristic numbers with eigenfunctions, singularity sweeps for
+kernels k0 + mu*k1, and the classic reduction of a constant-coefficient
+ODE to a Volterra (initial data) or Fredholm (two-point data) equation.
 
 One definition per kernel.  A ``KernelSpec`` is defined by its ``array``
 form k(T, E), which takes float arrays broadcasting against each other
@@ -52,13 +51,13 @@ LU, SVD) make, and is otherwise sampled in blocks of rows
     proved lambda far from the spectrum and K is G H^T to the rounding of
     forming G H^T, ||D||_F <= 2(r + 3) eps s (below); a rank-0 kernel
     returns q.  Otherwise (eigvals decided, the kernel has no separable
-    form, or its separable form is not the kernel), and always for
-    ``resolvent``, the solve is LU of the n x n system matrix.  The
-    paper's example of the Fredholm alternative, the degenerate kernel
-    rho(t)rho(eta) + mu sigma(t)rho(eta) (arXiv:0804.3658), is rank 2:
-    away from its characteristic numbers its solve never assembles K and
-    holds two blocks of ``_DEFECT_ROWS`` x n floats at most, where the
-    n x n route holds K, the system matrix and LAPACK's copy of it.
+    form, or its separable form is not the kernel), the solve is LU of the
+    n x n system matrix.  The paper's example of the Fredholm alternative,
+    the degenerate kernel rho(t)rho(eta) + mu sigma(t)rho(eta)
+    (arXiv:0804.3658), is rank 2: away from its characteristic numbers its
+    solve never assembles K and holds two blocks of ``_DEFECT_ROWS`` x n
+    floats at most, where the n x n route holds K, the system matrix and
+    LAPACK's copy of it.
   - Guard, below.
 
 Kernels without a separable form (the ODE-reduced kernels, user kernels)
@@ -71,11 +70,10 @@ accepts initial values only, so it builds a ``VolterraReduction`` and no
 Nystrom discretization.  The commands reach the n x n routes only when
 the guard's certificate fails and eigvals decide lambda: a lambda at a
 characteristic number is rejected there, and one they accept is solved by
-LU.  The ``eig`` branch of ``char_numbers``, the SVD branch of
-``_sweep_extremes`` and ``resolvent`` serve library callers only, and the
-two-point reduction (``FredholmReduction``, whose kernel has no separable
-form) is reached through the library alone, as ``perfbench/twopoint.py``
-does.
+LU.  The ``eig`` branch of ``char_numbers`` and the SVD branch of
+``_sweep_extremes`` serve library callers only, and the two-point
+reduction (``FredholmReduction``, whose kernel has no separable form) is
+reached through the library alone, as ``perfbench/twopoint.py`` does.
 
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
 ``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
@@ -375,7 +373,7 @@ class NystromDiscretization:
     assembles it at once, since its spectrum, sweep and solve all read it;
     a separable kernel's certificate and spectrum sample the kernel
     ``_DEFECT_ROWS`` rows at a time (``rows``), so only the n x n routes
-    (``weighted``, ``system_matrix``, eigvals, ``resolvent``) assemble it.
+    (``weighted``, ``system_matrix``, eigvals) assemble it.
     A kernel given by its profiles alone takes K, its rows and ``apply``
     from G and H."""
 
@@ -634,20 +632,6 @@ def nystrom_solve(
     """
     phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes], dtype=float))
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)
-
-
-def resolvent(disc: NystromDiscretization, lam: float) -> np.ndarray:
-    """Node samples of H(t, eta, lambda) = (Id - lambda*K*W)^-1 K, so that
-    phi = q + lambda * (quadrature apply of H to q).  Always by the n x n
-    system matrix, which keeps it an independent check of ``nystrom_solve``."""
-    _guard_spectrum(disc, lam)
-    return _dense_solve(disc, lam, disc.K)
-
-
-def resolvent_apply(
-    disc: NystromDiscretization, H: np.ndarray, lam: float, q_nodes: np.ndarray
-) -> np.ndarray:
-    return q_nodes + lam * (H @ (disc.weights * q_nodes))
 
 
 @dataclass(frozen=True)

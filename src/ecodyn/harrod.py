@@ -140,22 +140,12 @@ def _substeps_for(rate: float, h: float, target: float = 0.02, cap: int = 64) ->
 
 @dataclass(frozen=True)
 class DiscretePath:
-    """Yearly capital/income/investment volumes of the discrete recursion.
-
-    ``impulses`` lists (year, jump K_i - K_{i-1}) for years 1..n: the data
-    representation of the distributional derivative of the piecewise-
-    constant capital.
-    """
+    """Yearly capital/income/investment volumes of the discrete recursion."""
 
     years: np.ndarray
     K: np.ndarray
     Y_tilde: np.ndarray
     I_tilde: np.ndarray
-    impulses: tuple[tuple[int, float], ...]
-
-    @property
-    def impulse_total(self) -> float:
-        return float(sum(w for _, w in self.impulses))
 
 
 def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
@@ -194,15 +184,7 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
     dev = sup_rel_diff(params.K0 * _geometric_sum(alpha, years + 1), K)
     if not dev <= 1e-12:
         raise CrossCheckError(f"recursion vs closed form deviation {dev:.3e} exceeds 1e-12")
-    I_tilde = K * (params.mu / nu)
-    impulses = tuple(zip(range(1, n + 1), np.diff(K).tolist()))
-    return DiscretePath(
-        years=years,
-        K=K,
-        Y_tilde=Y_tilde,
-        I_tilde=I_tilde,
-        impulses=impulses,
-    )
+    return DiscretePath(years=years, K=K, Y_tilde=Y_tilde, I_tilde=K * (params.mu / nu))
 
 
 def _geometric_sum(alpha: float, p: np.ndarray) -> np.ndarray:

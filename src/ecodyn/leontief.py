@@ -6,7 +6,9 @@ These are the paper's Leontief relations: the static balance, its shift
 X(t + t0) expanded in Taylor terms sum_k (t0^k/k!) X^(k) on normalized
 time t_bar = t/t0, and the Volterra form of the two-term truncation.
 The two-term truncation 0.5*Xdd + Xd + B*X = C (B = E - A) is integrated
-both as a first-order system with RK4 and, after substituting U = Xdd, as
+both as a first-order system with RK4, which ``dynamic_solve`` builds from
+the coefficients of ``taylor_reduce`` (as it does the one-term
+truncation), and, after substituting U = Xdd, as
 the second-kind Volterra equation U = G - 2 int_0^t [I + B(t-eta)] U deta,
 whose kernel coefficients K_0 = -2I and K_1 = -2B go to the trapezoidal
 marcher of the linear-dynamics core.  The two routes share only the model
@@ -29,7 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateDataError,
     NonConvergenceError,
     SingularMatrixError,
     ValidationError,
@@ -276,39 +277,37 @@ def taylor_reduce(model: LeontiefModel) -> TaylorReduction:
 def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     """Integrate the truncated balance on t_bar in [0, 1] with RK4.
 
-    Order 1: Xd = C - B X.  Order 2: the first-order system in (X, Xd)
-    with Xdd = 2 (C - Xd - B X), i.e. the block matrix [[0, I], [-2B, -2I]]
-    with forcing [0, 2C].  Higher orders are not accepted.  A constant
-    demand is checked once; a demand sampler is called once per distinct
-    RK4 stage time, and the samples are checked together by
-    ``LeontiefModel.demand_samples``.
+    The coefficients c_k = 1/k! and B come from ``taylor_reduce``.  Solved
+    for its top derivative, X^(m) = m! (C - B X - sum_(k<m) c_k X^(k)), the
+    order-m balance is the first-order system in (X, X', ..., X^(m-1))
+    whose matrix has I on its block superdiagonal and the last block row
+    -m! [B, c_1 I, ..., c_(m-1) I], with forcing m! C in the last block:
+    Xd = C - B X at order 1, [[0, I], [-2B, -2I]] and [0, 2C] at order 2.
+    Higher orders are not accepted.  A constant demand is checked once; a
+    demand sampler is called once per distinct RK4 stage time, and the
+    samples are checked together by ``LeontiefModel.demand_samples``.
     """
     if model.order not in (1, 2):
         raise ValidationError("dynamic_solve supports truncation orders 1 and 2", key="order")
     if model.order == 2 and model.Xdot0 is None:
         raise ValidationError("order 2 needs Xdot0", key="xdot0")
     grid = TimeGrid(0.0, 1.0, steps)
-    n = model.n
-    labels = tuple(f"x{i + 1}" for i in range(n))
+    reduction = taylor_reduce(model)
+    m, n = reduction.order, model.n
+    top = 1.0 / reduction.derivative_coeffs[-1]  # m!, exactly at orders 1 and 2
+    M = np.eye(m * n, k=n)
+    M[-n:] = -top * np.hstack(
+        [reduction.B, *(c * np.eye(n) for c in reduction.derivative_coeffs[:-1])]
+    )
+    pad = (m - 1) * n  # the forcing drives the last block only
     demand = model.demand_samples if callable(model.demand) else model.demand_samples([0.0])[0]
-    if model.order == 1:
-        return rk4_linear(-model.B, model.X0, grid, forcing=demand, labels=labels)
-
-    eye = np.eye(n)
-    M = np.block([[np.zeros((n, n)), eye], [-2.0 * model.B, -2.0 * eye]])
     if callable(demand):
         def forcing(ts: np.ndarray) -> np.ndarray:
-            return np.hstack([np.zeros((len(ts), n)), 2.0 * demand(ts)])
+            return np.hstack([np.zeros((len(ts), pad)), top * demand(ts)])
     else:
-        forcing = np.concatenate([np.zeros(n), 2.0 * demand])
-    full = rk4_linear(
-        M,
-        np.concatenate([model.X0, model.Xdot0]),
-        grid,
-        forcing=forcing,
-        labels=labels + tuple(f"v{i + 1}" for i in range(n)),
-    )
-    return Trajectory(grid, full.values[:, :n], labels)
+        forcing = np.concatenate([np.zeros(pad), top * demand])
+    full = rk4_linear(M, np.concatenate((model.X0, model.Xdot0)[:m]), grid, forcing=forcing)
+    return Trajectory(grid, full.values[:, :n], tuple(f"x{i + 1}" for i in range(n)))
 
 
 # overflow shows as a non-finite X, which raises BlowUpError
@@ -351,73 +350,3 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     _check_half_resolution(t, X, *_volterra_march(model, TimeGrid(0.0, 1.0, steps // 2)))
     labels = tuple(f"x{i + 1}" for i in range(model.n))
     return Trajectory(grid, X, labels)
-
-
-@dataclass(frozen=True)
-class DemandScaleReport:
-    alpha: float
-    alpha_raw: float
-    feasible: bool
-    aggregate_target: float
-    aggregate_base: float
-    aggregate_full: float
-    per_component_residuals: tuple[float, ...]
-
-
-def _component_integrals(traj: Trajectory) -> np.ndarray:
-    t = traj.times
-    return np.array(
-        [np.trapezoid(traj.values[:, j], t) for j in range(traj.values.shape[1])]
-    )
-
-
-def demand_scale(
-    model: LeontiefModel,
-    X_star: Sequence[float],
-    tol: float = 1e-8,
-    steps: int = 400,
-) -> DemandScaleReport:
-    """Choose alpha in (0, 1] multiplying the demand so that the aggregate
-    produced volume sum_i int_0^1 x_i matches sum_i x*_i.
-
-    The dynamic solution is affine in the demand, so two solves (alpha = 0
-    and alpha = 1) determine alpha exactly.  A required alpha outside
-    (0, 1] yields an infeasibility report carrying the unclamped value;
-    the per-component residuals of the matching are always reported.
-    """
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.shape != (model.n,):
-        raise ValidationError(f"X_star must have {model.n} components", key="x-star")
-
-    def scaled_model(alpha: float) -> LeontiefModel:
-        demand = model.demand
-        return LeontiefModel(
-            A=model.A,
-            demand=(lambda t: alpha * demand(t)) if callable(demand) else alpha * demand,
-            X0=model.X0,
-            Xdot0=model.Xdot0,
-            order=model.order,
-        )
-
-    base = _component_integrals(dynamic_solve(scaled_model(0.0), steps=steps))
-    full = _component_integrals(dynamic_solve(scaled_model(1.0), steps=steps))
-    response = full - base
-    target = float(np.sum(X_star))
-    agg_base = float(np.sum(base))
-    agg_full = float(np.sum(full))
-    agg_response = agg_full - agg_base
-    if abs(agg_response) < 1e-14 * max(1.0, abs(agg_base)):
-        raise DegenerateDataError("demand scaling has zero aggregate response")
-    alpha_raw = (target - agg_base) / agg_response
-    feasible = 0.0 < alpha_raw <= 1.0 + tol
-    alpha = min(1.0, max(alpha_raw, 0.0)) if not feasible else min(alpha_raw, 1.0)
-    residuals = base + alpha * response - X_star
-    return DemandScaleReport(
-        alpha=float(alpha),
-        alpha_raw=float(alpha_raw),
-        feasible=feasible,
-        aggregate_target=target,
-        aggregate_base=agg_base,
-        aggregate_full=agg_full,
-        per_component_residuals=tuple(float(r) for r in residuals),
-    )

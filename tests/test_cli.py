@@ -198,6 +198,15 @@ TRAJECTORY_GOLDEN = {
     "leontief_dynamic_o2_file": LEONTIEF_ARGS + [
         "--demand-file", str(GOLDEN / "leontief_demand.csv")],
 }
+# made with the commit before dynamic_solve took its coefficients from
+# taylor_reduce, asserted byte for byte
+LEONTIEF_O1_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
+                    "--order", "1", "--x0", "1,1,1", "--steps", "40"]
+LEONTIEF_O1_GOLDEN = {
+    "leontief_dynamic_o1": LEONTIEF_O1_ARGS + ["--demand", "0.5,0.3,0.2"],
+    "leontief_dynamic_o1_file": LEONTIEF_O1_ARGS + [
+        "--demand-file", str(GOLDEN / "leontief_demand.csv")],
+}
 
 
 def read_csv(text: str) -> tuple[str, np.ndarray]:
@@ -224,6 +233,12 @@ class TestTrajectoryGolden:
         assert got.shape == expected.shape
         scale = np.max(np.abs(expected), axis=0)
         assert np.all(np.max(np.abs(got - expected), axis=0) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("name", sorted(LEONTIEF_O1_GOLDEN))
+    def test_leontief_order_one_bytes(self, capsys, name):
+        rc, out, _ = run(capsys, LEONTIEF_O1_GOLDEN[name])
+        assert rc == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
 
 
 class TestScaleCheckInitialData:
@@ -328,14 +343,14 @@ def csv_table(text: str) -> dict:
 
 
 class TestHarrodDiscreteImpulse:
-    """The CSV impulse column is K's first difference.  The golden, made from
-    the (year, K_i - K_(i-1)) pairs of the model, holds years 0 to 12; past
-    them the column is checked against those pairs."""
+    """The CSV impulse column is K's first difference, and the JSON impulses
+    are its (year, K_i - K_(i-1)) pairs.  The golden holds years 0 to 12;
+    past them the column is checked against the model's K."""
 
     @pytest.mark.parametrize("years", [0, 1, 50])
     def test_column_matches_the_impulse_pairs(self, capsys, years):
-        rc, out, _ = run(capsys, ["harrod-discrete", "--mu", "0.3", "--nu", "2.5",
-                                  "--years", str(years)])
+        argv = ["harrod-discrete", "--mu", "0.3", "--nu", "2.5", "--years", str(years)]
+        rc, out, _ = run(capsys, argv)
         assert rc == 0
         lines = out.splitlines(keepends=True)
         golden = (GOLDEN / "harrod_discrete.csv").read_text(encoding="utf-8")
@@ -344,9 +359,13 @@ class TestHarrodDiscreteImpulse:
         shared = min(len(lines), len(golden_lines))
         assert lines[:shared] == golden_lines[:shared]
         path = harrod.discrete_path(harrod.HarrodParams(mu=0.3, nu_star=2.5), 2.5, years)
-        pairs = dict(path.impulses)
-        expected = [repr(pairs.get(year, 0.0)) for year in range(years + 1)]
+        expected = [repr(jump) for jump in [0.0, *np.diff(path.K).tolist()]]
         assert [ln.rstrip("\n").rpartition(",")[2] for ln in lines[1:]] == expected
+        table = csv_table(out)
+        rc, out, _ = run(capsys, argv + ["--format", "json"])
+        assert rc == 0
+        pairs = json.loads(out)["data"]["impulses"]
+        assert pairs == [list(pair) for pair in zip(table["year"][1:], table["impulse"][1:])]
 
 
 class TestOutputGolden:
@@ -821,6 +840,8 @@ KEYED_FAILURES = [
                   "--dims", "Y:$/s"]),
     # an empty dimension, which is not read as dimensionless
     ("dims", ["dim-check", "--relation", "K = nu*Y", "--dims", "K:$,nu:,Y:$/s"]),
+    # and one with an empty factor, which is not read without it
+    ("dims", ["dim-check", "--relation", "Y = Y", "--dims", "Y:$**s"]),
     # a vector flag or file that is not finite, rejected where it is parsed
     ("x0", ["leontief-dynamic", "--matrix", M3, "--demand", "1,1,1", "--x0", "nan,1,1",
             "--steps", "4"]),

@@ -1,5 +1,6 @@
 import keyword
 import operator
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -269,11 +270,25 @@ def test_parse_dims_reads_the_table():
                                                    "t": TIME}
     assert parse_dims("a:$*s^-1,b:s^2/$,c:$/s/s") == {
         "a": FLOW, "b": Dimension(-1, 2), "c": Dimension(1, -2)}
+    # an empty product before a divisor is 1
+    assert parse_dims("r:/s,q: / s^2") == {"r": Dimension(0, -1), "q": Dimension(0, -2)}
 
 
-@pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:$/", "Y:$//s", "Y:",
-                                  "K:$,nu: ,Y:$/s"])
+EMPTY_FACTORS = ["Y:*", "Y:1*", "Y:$*", "Y: * $", "Y:$**s", "Y:$/", "Y:$//s", "Y:/", "Y:*/s",
+                 "Y:$/s/"]
+
+
+@pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:", "K:$,nu: ,Y:$/s",
+                                  *EMPTY_FACTORS])
 def test_parse_dims_refuses_malformed_entries(text):
     with pytest.raises(ValidationError) as info:
         parse_dims(text)
     assert info.value.key == "dims"
+
+
+@pytest.mark.parametrize("text", EMPTY_FACTORS)
+def test_empty_factor_has_one_message(text):
+    dim = text.partition(":")[2].strip()
+    with pytest.raises(ValidationError, match=f"^dimension {re.escape(repr(dim))} has an "
+                                              "empty factor$"):
+        parse_dims(text)

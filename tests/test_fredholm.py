@@ -42,8 +42,6 @@ from ecodyn.fredholm import (
     nystrom_solve,
     ode_to_integral,
     param_singularity_sweep,
-    resolvent,
-    resolvent_apply,
     simpson_rule,
 )
 from ecodyn.odelin import OdeSpec, TimeGrid
@@ -154,56 +152,17 @@ class TestNystromSolve:
         disc = NystromDiscretization(kernel_degenerate(mu), simpson_rule(5))
         with pytest.raises(SingularMatrixError, match="Singular matrix"):
             nystrom_solve(disc, 0.5, lambda t: 1.0)
-        with pytest.raises(SingularMatrixError, match="Singular matrix"):
-            resolvent(disc, 0.5)
 
     def test_overflowing_system_matrix_is_a_numerical_failure(self):
         disc = NystromDiscretization(kernel_degenerate(1e200), simpson_rule(5))
-        for solve in (lambda: nystrom_solve(disc, 1e200, lambda t: 1.0),
-                      lambda: resolvent(disc, 1e200)):
-            with pytest.raises(NumericalError, match="^derived coefficient system_matrix is not"):
-                solve()
+        with pytest.raises(NumericalError, match="^derived coefficient system_matrix is not"):
+            nystrom_solve(disc, 1e200, lambda t: 1.0)
 
     def test_gauss_rule_agrees_with_simpson(self):
         disc_g = NystromDiscretization(kernel_t_plus_eta(), gauss_legendre_rule(40))
         sol_g = nystrom_solve(disc_g, 0.5, lambda t: 1.0)
         expected = 36.0 / 23.0 + (24.0 / 23.0) * disc_g.nodes
         assert np.max(np.abs(sol_g.phi - expected)) < 1e-10
-
-
-class TestResolvent:
-    def test_lambda_zero_is_kernel(self, disc_sum):
-        H = resolvent(disc_sum, 0.0)
-        assert np.allclose(H, disc_sum.K, atol=1e-15)
-
-    def test_exp_kernel_geometric_series(self, disc_exp):
-        H = resolvent(disc_exp, 0.5)
-        assert np.max(np.abs(H - disc_exp.K / 0.5)) < 1e-8
-
-    def test_sum_kernel_closed_form_bracket(self, disc_sum):
-        # H(t,eta) = [6(lam-2)(t+eta) - 12*lam*t*eta - 4*lam] / (lam^2+12lam-12)
-        lam = 0.5
-        H = resolvent(disc_sum, lam)
-        T, E = np.meshgrid(disc_sum.nodes, disc_sum.nodes, indexing="ij")
-        expected = (6 * (lam - 2) * (T + E) - 12 * lam * T * E - 4 * lam) / (
-            lam**2 + 12 * lam - 12
-        )
-        assert np.max(np.abs(H - expected)) < 1e-6
-
-    def test_resolvent_route_equals_direct_solve(self, disc_sum, rng):
-        lam = 0.4
-        H = resolvent(disc_sum, lam)
-        t = disc_sum.nodes
-        for _ in range(10):
-            coeffs = rng.uniform(-1.0, 1.0, 4)
-            q_nodes = coeffs[0] + coeffs[1] * t + coeffs[2] * t**2 + coeffs[3] * np.sin(3 * t)
-            via_resolvent = resolvent_apply(disc_sum, H, lam, q_nodes)
-
-            def q_fn(x, c=coeffs):
-                return c[0] + c[1] * x + c[2] * x**2 + c[3] * math.sin(3 * x)
-
-            direct = nystrom_solve(disc_sum, lam, q_fn)
-            assert np.max(np.abs(via_resolvent - direct.phi)) < 1e-10
 
 
 class TestSpectrum:
@@ -852,7 +811,7 @@ class TestScreenedGuard:
 
         monkeypatch.setattr(disc, "weighted_eigs", forbidden)
         nystrom_solve(disc, 0.5, lambda t: 1.0)
-        resolvent(disc, 0.25)
+        nystrom_solve(disc, 0.25, lambda t: 1.0)
 
 
 def certificate_tau(disc, lam):
@@ -1156,7 +1115,7 @@ class TestFiniteRank:
         for disc in discs:
             char_numbers(disc)
             nystrom_solve(disc, 0.3, lambda t: 1.0)
-            resolvent(disc, -0.4)
+            nystrom_solve(disc, -0.4, lambda t: 1.0)
         for k0, k1 in PAIRS:
             param_singularity_sweep(CATALOGUE[k0](), CATALOGUE[k1](), MU_GRID, rule)
 
@@ -1348,7 +1307,6 @@ class TestLazyMatrix:
         assert shapes == [(n, n)]
         nystrom_solve(disc, 0.3, math.cos)
         char_numbers(disc)
-        resolvent(disc, 0.3)
         assert shapes == [(n, n)]
 
     @pytest.mark.parametrize("make", [

@@ -199,7 +199,7 @@ class TestDiscrete:
         p = HarrodParams(mu=0.5, nu_star=10.0, K0=7.0)
         path = discrete_path(p, 2.0, 0)
         assert path.Y_tilde[0] == pytest.approx(3.5)
-        assert path.impulses == ()
+        assert np.diff(path.K).size == 0
 
     def test_geometric_sum_oracle(self):
         # alpha = 0.5, n = 2: brute-force partial sums as the oracle
@@ -296,9 +296,10 @@ class TestDiscrete:
     def test_impulses_telescope_to_total_growth(self):
         p = HarrodParams(mu=0.4, nu_star=10.0, K0=3.0)
         path = discrete_path(p, 0.8, 12)
-        assert path.impulse_total == pytest.approx(path.K[-1] - path.K[0], rel=1e-12)
-        for year, weight in path.impulses:
-            assert weight == pytest.approx(path.K[year] - path.K[year - 1], rel=1e-12)
+        jumps = np.diff(path.K)
+        assert jumps.sum() == pytest.approx(path.K[-1] - path.K[0], rel=1e-12)
+        # K_i - K_(i-1) = K0 alpha^i, alpha = mu/nu = 0.5
+        assert np.allclose(jumps, 3.0 * 0.5 ** np.arange(1, 13), rtol=1e-12, atol=0.0)
 
 
 class TestAdequacy:

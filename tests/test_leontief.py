@@ -8,7 +8,6 @@ from conftest import random_metzler
 from ecodyn.odelin import TimeGrid, sup_rel_diff
 from ecodyn.errors import (
     BlowUpError,
-    DegenerateDataError,
     NonConvergenceError,
     ResolutionError,
     SingularMatrixError,
@@ -16,7 +15,6 @@ from ecodyn.errors import (
 )
 from ecodyn.leontief import (
     LeontiefModel,
-    demand_scale,
     dynamic_solve,
     metzler_check,
     static_solve,
@@ -510,58 +508,6 @@ class TestDemandSamples:
         if order == 2:
             volterra_solve(model, steps=10)
             assert sizes == [21, 11, 6]
-
-
-class TestDemandScale:
-    def _model(self, rng):
-        A = random_metzler(rng, 3)
-        c = rng.uniform(0.5, 2.0, 3)
-        return LeontiefModel(
-            A=A, demand=c, X0=rng.uniform(0.0, 0.5, 3), Xdot0=np.zeros(3), order=2
-        )
-
-    @staticmethod
-    def _aggregates(model):
-        from ecodyn.leontief import _component_integrals
-
-        zero = LeontiefModel(
-            A=model.A,
-            demand=0.0 * model.demand,
-            X0=model.X0,
-            Xdot0=model.Xdot0,
-            order=model.order,
-        )
-        base = _component_integrals(dynamic_solve(zero, steps=400))
-        full = _component_integrals(dynamic_solve(model, steps=400))
-        return base, full
-
-    def test_full_demand_integral_gives_alpha_one(self, rng):
-        model = self._model(rng)
-        _, full = self._aggregates(model)
-        rep = demand_scale(model, X_star=full)
-        assert rep.alpha == pytest.approx(1.0, abs=1e-9)
-        assert rep.feasible
-
-    def test_midpoint_gives_alpha_half(self, rng):
-        model = self._model(rng)
-        base, full = self._aggregates(model)
-        rep = demand_scale(model, X_star=(base + full) / 2.0)
-        assert rep.alpha == pytest.approx(0.5, abs=1e-9)
-        assert max(abs(r) for r in rep.per_component_residuals) < 1e-9
-
-    def test_target_below_base_infeasible(self, rng):
-        model = self._model(rng)
-        base, _ = self._aggregates(model)
-        rep = demand_scale(model, X_star=base - 1.0)
-        assert not rep.feasible
-        assert rep.alpha_raw < 0.0
-
-    def test_zero_response_degenerate(self):
-        model = LeontiefModel(
-            A=A22, demand=[0.0, 0.0], X0=[1.0, 1.0], Xdot0=[0.0, 0.0], order=2
-        )
-        with pytest.raises(DegenerateDataError):
-            demand_scale(model, X_star=[1.0, 1.0])
 
 
 class TestModelValidation:

@@ -29,12 +29,12 @@ PUBLIC = {
     "LongWaveParams", "CycleReport", "lw_matrix", "lw_classify", "lw_simulate",
     "zero_crossing_period",
     "LeontiefModel", "MetzlerReport", "IterationLog", "TaylorReduction",
-    "DemandScaleReport", "metzler_check", "static_solve", "taylor_reduce",
-    "dynamic_solve", "volterra_solve", "demand_scale",
+    "metzler_check", "static_solve", "taylor_reduce", "dynamic_solve",
+    "volterra_solve",
     "KernelSpec", "QuadratureRule", "NystromDiscretization", "SpectralReport",
     "SweepReport", "VolterraReduction", "FredholmReduction",
-    "simpson_rule", "gauss_legendre_rule", "nystrom_solve", "resolvent",
-    "resolvent_apply", "char_numbers", "param_singularity_sweep",
+    "simpson_rule", "gauss_legendre_rule", "nystrom_solve", "char_numbers",
+    "param_singularity_sweep",
     "degenerate_residual", "ode_to_integral",
     "kernel_t_plus_eta", "kernel_exp_diff", "kernel_zero", "kernel_degenerate",
     "EcodynError", "ValidationError", "StructuralError", "UnsupportedError",
