@@ -42,7 +42,7 @@ _LAZY = {
     ),
     "odelin": (
         "OdeSpec", "TimeGrid", "Trajectory",
-        "char_roots", "analytic_solution", "rk4_linear",
+        "char_roots", "analytic_solution", "linear_flow",
     ),
     "harrod": (
         "HarrodParams", "DiscretePath", "AdequacyResidual",

@@ -229,9 +229,15 @@ def _parse_dimension(text: str) -> Dimension:
 
     Every factor of the product and every divisor must be given, save that
     an empty product before a divisor is 1: "/s" reads as s^-1, while "$*",
-    "$**s" and "$/" are refused.
+    "$**s" and "$/" are refused.  A divisor is a single factor, so "$/s*s"
+    is refused too rather than read as either $ or $/s^2.
     """
     num, *den = text.split("/")
+    product = next((part.strip() for part in den if "*" in part), None)
+    if product is not None:
+        raise ValidationError(f"dimension {text.strip()!r} divides by the product {product!r}, "
+                              "but a divisor is a single factor: write $/s/s or $*s^-2",
+                              key="dims")
     factors = [] if den and not num.strip() else [(1, p) for p in num.split("*")]
     result = DIMENSIONLESS
     for sign, part in factors + [(-1, p) for p in den]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CrossCheckError, PoleError, ValidationError, _require, _require_finite_result
 from .errors import _require_array_length
-from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, rk4_linear, sup_rel_diff
+from .odelin import TimeGrid, Trajectory, _raise_on_blow_up, sup_rel_diff
 
 POLE_GUARD_REL = 1e-6
 
@@ -124,11 +124,47 @@ def _check_against_rk4(Y: np.ndarray, rate, rate_max: float, grid: TimeGrid, tol
     ``tol`` is the relative tolerance as shown in the message.  A Y that is
     not finite is a BlowUpError, raised before a disagreement beyond
     ``tol``, which is a CrossCheckError."""
-    numeric = rk4_linear(rate, [Y[0]], grid, substeps=_substeps_for(rate_max, grid.h))
+    numeric = _rk4_growth(rate, Y[0], grid, _substeps_for(rate_max, grid.h))
     _raise_on_blow_up(Y[:, None], grid.nodes, "closed form")
-    dev = sup_rel_diff(Y, numeric.values[:, 0])
+    dev = sup_rel_diff(Y, numeric)
     if not dev <= float(tol):
         raise CrossCheckError(f"closed form vs RK4 deviation {dev:.3e} exceeds {tol}")
+
+
+# overflow shows as a non-finite state, which raises BlowUpError
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_growth(rate, y0: float, grid: TimeGrid, substeps: int) -> np.ndarray:
+    """Classical fixed-step RK4 for the scalar growth y' = a(t) y from
+    y(t_start) = y0; global error O(h^4).  It is the package's one
+    Runge-Kutta step, kept because the exact step of y' = a y would be the
+    very closed form it checks.
+
+    ``rate`` is a constant or maps an array of times to an array of rates,
+    evaluated at each substep's start, midpoint and end.  Each grid step
+    is ``substeps`` RK4 steps, whose gains fold into one gain minus one,
+    and the path at the grid nodes is y0 times the running product of the
+    step gains.  A non-finite state raises BlowUpError carrying the last
+    finite node.
+    """
+    nodes, h = grid.nodes, grid.h / substeps
+    total = 0.0
+    for s in range(substeps):
+        if callable(rate):
+            ts = nodes[:-1] + s * h
+            a0, am, a1 = rate(ts), rate(ts + 0.5 * h), rate(ts + h)
+        else:
+            a0 = am = a1 = rate
+        r2 = am * (1.0 + (0.5 * h) * a0)
+        r3 = am * (1.0 + (0.5 * h) * r2)
+        r4 = a1 * (1.0 + h * r3)
+        e = (h / 6.0) * (a0 + 2.0 * r2 + 2.0 * r3 + r4)
+        total += e + total * e
+    y = np.empty(grid.steps + 1)
+    y[0] = y0
+    y[1:] = 1.0 + total
+    np.cumprod(y, out=y)
+    _raise_on_blow_up(y[:, None], nodes)
+    return y
 
 
 def _substeps_for(rate: float, h: float, target: float = 0.02, cap: int = 64) -> int:
@@ -152,16 +188,16 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
     """Yearly path K_n = K0 * sum_{i<=n} alpha^i with alpha = mu/nu over
     n >= 0 years (checked as ``years``).
 
-    Y_tilde_n = K_n/nu and I_tilde_n = K_n*mu/nu.  The recursion
-    K_i = K0 + alpha K_(i-1) is checked to 1e-12 relative against the
-    geometric sum K0 * ``_geometric_sum(alpha, i+1)``.  The plain
-    K0 (1 - alpha^(i+1))/(1 - alpha) loses digits to cancellation near
-    alpha = 1 (up to 5e-9 within 10 000 years), where the stable form
-    stays within 2.5e-13 of the recursion.
-    At 100 000 years with alpha within 1e-5 of 1, the recursion's own
-    rounding (up to 2.4e-12 seen) exceeds the bound, so such a path fails
-    the check.  A disagreement is a CrossCheckError, and a path that
-    overflows is a BlowUpError.
+    Y_tilde_n = K_n/nu and I_tilde_n = K_n*mu/nu.  K comes from the
+    recursion K_i = K0 + alpha K_(i-1), compensated (``_compensated_path``)
+    so that each K_i is within about one rounding of the exact partial
+    sum, at any horizon: the plain loop's own rounding grew to 2.4e-12 at
+    100 000 years with alpha within 1e-5 of 1.  It is checked to 1e-12
+    relative against the geometric sum K0 * ``_geometric_sum(alpha, i+1)``.
+    The plain K0 (1 - alpha^(i+1))/(1 - alpha) would lose digits to
+    cancellation near alpha = 1 (up to 5e-9 within 10 000 years); the
+    stable form stays within 2.5e-13.  A disagreement is a CrossCheckError,
+    and a path that overflows is a BlowUpError.
     """
     _require("positive", nu=nu)
     _require("nonnegative", years=n)
@@ -175,16 +211,48 @@ def discrete_path(params: HarrodParams, nu: float, n: int) -> DiscretePath:
     years = np.arange(n + 1)
     KY = np.empty((n + 1, 2))  # K and Y_tilde side by side, for the blow-up check
     K, Y_tilde = KY.T
-    K[0] = params.K0
+    # K0 = m 2^e: the recursion runs on m in [0.5, 1), where no product or
+    # split overflows, and K is scaled back by 2^e, exactly up to overflow
+    m, e = math.frexp(params.K0)
+    _compensated_path(m, alpha, K)
     with np.errstate(over="ignore"):  # an overflow is a blow-up, raised below
-        for i in range(1, n + 1):
-            K[i] = params.K0 + alpha * K[i - 1]
+        np.ldexp(K, e, out=K)
         np.divide(K, nu, out=Y_tilde)
     _raise_on_blow_up(KY, years, "capital path")
     dev = sup_rel_diff(params.K0 * _geometric_sum(alpha, years + 1), K)
     if not dev <= 1e-12:
         raise CrossCheckError(f"recursion vs closed form deviation {dev:.3e} exceeds 1e-12")
     return DiscretePath(years=years, K=K, Y_tilde=Y_tilde, I_tilde=K * (params.mu / nu))
+
+
+def _compensated_path(k0: float, alpha: float, K: np.ndarray) -> None:
+    """Fill K with k_i = k0 + alpha k_(i-1), k_0 = k0, by the compensated
+    Horner scheme (Graillat, Langlois & Louvet, "Compensated Horner
+    scheme", 2005).
+
+    Beside the plain recursion's value s_i runs the correction
+    c_i = alpha c_(i-1) + (pi_i + sigma_i), where pi_i is the exact
+    rounding error of alpha s_(i-1) (Dekker's TwoProduct, on Veltkamp's
+    splitting) and sigma_i that of the sum with k0 (Knuth's TwoSum), and
+    k_i is the rounded s_i + c_i.  The splitting needs |s_i| far below
+    2^996, which k0 < 1 gives for any array length.
+    """
+    split = 134217729.0  # 2^27 + 1
+    t = split * alpha
+    a_hi = t - (t - alpha)
+    a_lo = alpha - a_hi
+    s, c = k0, 0.0
+    K[0] = k0
+    for i in range(1, K.shape[0]):
+        p = alpha * s
+        t = split * s
+        s_hi = t - (t - s)
+        s_lo = s - s_hi
+        pi = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+        s = p + k0
+        z = s - p
+        c = alpha * c + (pi + ((p - (s - z)) + (k0 - z)))
+        K[i] = s + c
 
 
 def _geometric_sum(alpha: float, p: np.ndarray) -> np.ndarray:

@@ -2,18 +2,19 @@
 reduction to a matrix ODE on normalized time, and its two independent
 dynamic realizations.
 
-These are the paper's Leontief relations: the static balance, its shift
-X(t + t0) expanded in Taylor terms sum_k (t0^k/k!) X^(k) on normalized
-time t_bar = t/t0, and the Volterra form of the two-term truncation.
-The two-term truncation 0.5*Xdd + Xd + B*X = C (B = E - A) is integrated
-both as a first-order system with RK4, which ``dynamic_solve`` builds from
-the coefficients of ``taylor_reduce`` (as it does the one-term
-truncation), and, after substituting U = Xdd, as
-the second-kind Volterra equation U = G - 2 int_0^t [I + B(t-eta)] U deta,
-whose kernel coefficients K_0 = -2I and K_1 = -2B go to the trapezoidal
-marcher of the linear-dynamics core.  The two routes share only the model
-data and the loop that applies their (different) affine steps, which
-makes their agreement the module's central cross-check.
+These are the Leontief relations of arXiv:0804.3658: the static balance,
+its shift X(t + t0) expanded in Taylor terms sum_k (t0^k/k!) X^(k) on
+normalized time t_bar = t/t0, and the Volterra form of the two-term
+truncation.  The two-term truncation 0.5*Xdd + Xd + B*X = C (B = E - A)
+is solved both as a first-order system stepped by its exact flow e^(hM)
+(``odelin.linear_flow``), which ``dynamic_solve`` builds from the
+coefficients of ``taylor_reduce`` (as it does the one-term truncation),
+and, after substituting U = Xdd, as the second-kind Volterra equation
+U = G - 2 int_0^t [I + B(t-eta)] U deta, whose kernel coefficients
+K_0 = -2I and K_1 = -2B go to the trapezoidal marcher of the
+linear-dynamics core.  The two routes share only the model data and the
+loop that applies their (different) affine steps, which makes their
+agreement the module's central cross-check.
 
 Each input has one owner here.  ``_as_matrix`` is the one rule for a
 technology matrix (square, finite, nonnegative; key ``matrix``), used by
@@ -42,7 +43,7 @@ from .odelin import (
     _check_half_resolution,
     _raise_on_blow_up,
     _volterra_trapezoid,
-    rk4_linear,
+    linear_flow,
 )
 
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
@@ -275,7 +276,8 @@ def taylor_reduce(model: LeontiefModel) -> TaylorReduction:
 
 
 def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
-    """Integrate the truncated balance on t_bar in [0, 1] with RK4.
+    """Solve the truncated balance on t_bar in [0, 1] by the exact flow of
+    its first-order system (``odelin.linear_flow``).
 
     The coefficients c_k = 1/k! and B come from ``taylor_reduce``.  Solved
     for its top derivative, X^(m) = m! (C - B X - sum_(k<m) c_k X^(k)), the
@@ -283,9 +285,12 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     whose matrix has I on its block superdiagonal and the last block row
     -m! [B, c_1 I, ..., c_(m-1) I], with forcing m! C in the last block:
     Xd = C - B X at order 1, [[0, I], [-2B, -2I]] and [0, 2C] at order 2.
-    Higher orders are not accepted.  A constant demand is checked once; a
-    demand sampler is called once per distinct RK4 stage time, and the
-    samples are checked together by ``LeontiefModel.demand_samples``.
+    Higher orders are not accepted.  A constant demand is checked once,
+    and the flow takes it exactly.  A demand sampler is called once at
+    every node and every step midpoint, the samples are checked together
+    by ``LeontiefModel.demand_samples``, and the flow integrates their
+    quadratic on each step exactly: exact for a demand that is linear
+    between the nodes, as a demand file is, and O(h^4) for a smooth one.
     """
     if model.order not in (1, 2):
         raise ValidationError("dynamic_solve supports truncation orders 1 and 2", key="order")
@@ -306,7 +311,7 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
             return np.hstack([np.zeros((len(ts), pad)), top * demand(ts)])
     else:
         forcing = np.concatenate([np.zeros(pad), top * demand])
-    full = rk4_linear(M, np.concatenate((model.X0, model.Xdot0)[:m]), grid, forcing=forcing)
+    full = linear_flow(M, np.concatenate((model.X0, model.Xdot0)[:m]), grid, forcing=forcing)
     return Trajectory(grid, full.values[:, :n], tuple(f"x{i + 1}" for i in range(n)))
 
 

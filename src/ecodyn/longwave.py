@@ -6,6 +6,12 @@ With s = -2 and p = r the 2x2 system has purely imaginary eigenvalues:
 regular undamped cycles whose period (years if p and r are yearly rates)
 is 2*pi/|Im|.  q defaults to 1, which puts the period at 2*pi/p for
 p = r: 52.4 to 62.8 years over p in [0.10, 0.12], 18.5 years at 0.34.
+
+It is the long-wave case among the models that arXiv:0804.3658
+criticizes.  ``lw_simulate`` steps it by its exact flow e^(hM)
+(``odelin.linear_flow``), so a cycle that ``lw_classify`` calls undamped
+keeps its amplitude on the simulated path at any step size; a
+Runge-Kutta step would damp it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _require, _require_finite_result
-from .odelin import TimeGrid, Trajectory, rk4_linear
+from .odelin import TimeGrid, Trajectory, linear_flow
 
 REGIME_REAL_TOL = 1e-10
 
@@ -85,9 +91,15 @@ def lw_simulate(
     y0: float,
     grid: TimeGrid,
 ) -> Trajectory:
-    """Integrate the (x, y) system with RK4 and emit z = x - y alongside."""
+    """Step the (x, y) system by its exact flow (``odelin.linear_flow``)
+    and emit z = x - y alongside.
+
+    An undamped cycle keeps its amplitude over any horizon: for p = r,
+    q = 1 and s = -2 the invariant 2x^2 - 2xy + y^2 of the flow holds to
+    rounding at every node, however coarse the grid.
+    """
     _require("finite", x0=x0, y0=y0)
-    traj = rk4_linear(lw_matrix(params), [x0, y0], grid, labels=("x", "y"))
+    traj = linear_flow(lw_matrix(params), [x0, y0], grid, labels=("x", "y"))
     values = np.empty((len(traj.values), 3))
     values[:, :2] = traj.values
     np.subtract(values[:, 0], values[:, 1], out=values[:, 2])

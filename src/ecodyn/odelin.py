@@ -2,12 +2,17 @@
 
 Characteristic roots of constant-coefficient equations (via companion
 matrix eigenvalues), analytic solutions built from simple roots, one
-fixed-step classical Runge-Kutta integrator, and one trapezoidal marcher
-for second-kind Volterra equations.  ``rk4_linear`` integrates linear
-systems x' = M x + c(t) without right-hand-side callbacks: each step
-folds into the affine map x -> P x + q with P the RK4 stability
-polynomial of hM.  Every model downstream (growth models, business-cycle
-systems, the input-output dynamics) is linear and integrates through it.
+exact-step propagator for linear systems, and one trapezoidal marcher for
+second-kind Volterra equations.  ``linear_flow`` solves x' = M x + c(t)
+for a constant M without right-hand-side callbacks: each step is the
+affine map x -> x + (E x + q) with E = e^(hM) - I, computed once per run
+by scaling and squaring, and q the forcing integrated against the same
+flow through the phi-functions of hM.  The linear models of
+arXiv:0804.3658 that are integrated rather than solved in closed form,
+the long-wave cycle and the truncated input-output balance, go through
+it.  No Runge-Kutta step is left here: the one RK4 of the package is
+``harrod._rk4_growth``, the independent check of the Harrod closed forms,
+for which the exact step of y' = a y would be the closed form itself.
 
 ``_volterra_trapezoid`` marches phi = q + int_0^t K(t - eta) phi deta for
 a kernel that is a polynomial in t - eta (Linz, *Analytical and Numerical
@@ -255,154 +260,126 @@ def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(z).view(float), e).view(complex)
 
 
-Coefficient = float | np.ndarray | Callable[[np.ndarray], np.ndarray]
 Forcing = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray]
 
 
 # overflow shows as a non-finite state, which raises BlowUpError
 @np.errstate(over="ignore", invalid="ignore")
-def rk4_linear(
-    coeff: Coefficient,
+def linear_flow(
+    M: np.ndarray,
     x0: Sequence[float],
     grid: TimeGrid,
     forcing: Forcing | None = None,
     labels: Sequence[str] | None = None,
-    substeps: int = 1,
 ) -> Trajectory:
-    """Classical fixed-step RK4 for the linear system x' = M x + c(t),
-    without right-hand-side callbacks; global error O(h^4).
+    """The linear system x' = M x + c(t) with a constant (d, d) matrix M,
+    stepped by its exact flow over each grid step h.
 
-    One RK4 step of size h from (t, x) takes the stages k1 = f(t, x),
-    k2 = f(t + h/2, x + (h/2) k1), k3 = f(t + h/2, x + (h/2) k2) and
-    k4 = f(t + h, x + h k3) of f(t, x) = M x + c(t), and returns
-    x + (h/6)(k1 + 2 k2 + 2 k3 + k4).  For a linear f that is the affine
-    map x -> P x + q, with P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24
-    (the RK4 stability polynomial) and q the step applied to the zero
-    state.  Steps are applied as x + ((P - I) x + q), which rounds like
-    the stage sum instead of repeating the rounding of P.
-
-    ``coeff`` is a constant (d, d) matrix, a constant scalar rate, or a
-    time-varying scalar rate a(t) that maps an array of times to an array
-    of rates; the time-varying rate takes no ``forcing``.  ``forcing`` is
-    a constant (d,) vector or a callable mapping an array of m increasing
-    times to an (m, d) array; it is sampled once at each distinct stage
-    time (every substep node and midpoint).  ``substeps`` subdivides every
-    grid step while recording only the grid nodes.  A non-finite state
-    raises BlowUpError carrying the last finite node.
+    Every step is the affine map x -> x + (E x + q_k) with E = e^(hM) - I
+    and q_k = int_0^h e^((h - tau) M) c(t_k + tau) dtau, applied in that
+    form so that a slow mode keeps the digits that e^(hM) x would round
+    away.  The homogeneous part is exact to rounding, undamped cycles
+    included.  ``forcing`` is a constant (d,) vector c, for which
+    q = h phi_1(hM) c is exact, or a callable mapping an array of m
+    increasing times to an (m, d) array.  The callable is sampled once,
+    at every node and every step midpoint, and q_k integrates the
+    quadratic through a step's three samples exactly (``_forcing_terms``):
+    exact for a forcing that is piecewise quadratic on the grid, global
+    error O(h^4) for a smooth one.  A non-finite state raises BlowUpError
+    carrying the last finite node.
     """
-    _require("positive", substeps=substeps)
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x.shape[0]
-    nodes = grid.nodes
-    h = grid.h / substeps
+    M = np.asarray(M, dtype=float)
+    if M.shape != (d, d):
+        raise ValidationError(f"coefficient matrix must be {d}x{d} for {d} components")
+    nodes, h = grid.nodes, grid.h
     values = np.empty((grid.steps + 1, d))
     values[0] = x
-    if callable(coeff):
-        if d != 1 or forcing is not None:
-            raise ValidationError("a time-varying rate needs one component and no forcing")
-        values[1:, 0] = 1.0 + _scalar_increments(coeff, nodes[:-1], h, substeps)
-        _cumprod(values)
+    E, *phis = _phi_functions(h * M)
+    if forcing is None:
+        q = None
+    elif callable(forcing):
+        q = _forcing_terms(forcing, nodes, h, *phis)
     else:
-        M = np.atleast_2d(np.asarray(coeff, dtype=float))
-        if M.shape != (d, d):
-            raise ValidationError(f"coefficient matrix must be {d}x{d} for {d} components")
-        E = _stability_increment(h * M)
-        E_step = E
-        for _ in range(substeps - 1):
-            E_step = E_step + (E + E @ E_step)
-        if forcing is None and d == 1:
-            values[1:, 0] = 1.0 + E_step[0, 0]
-            _cumprod(values)
-        elif forcing is None:
-            _march(values, E_step, None)
-        elif callable(forcing):
-            _march(values, E_step, _forcing_terms(M, E, forcing, nodes, h, substeps))
-        else:
-            c = np.asarray(forcing, dtype=float)
-            if c.shape != (d,):
-                raise ValidationError(f"constant forcing must have {d} components")
-            _march(values, E_step, _fold_substeps(E, [_stage_terms(M, h, c, c, c)] * substeps))
+        c = np.asarray(forcing, dtype=float)
+        if c.shape != (d,):
+            raise ValidationError(f"constant forcing must have {d} components")
+        q = h * (phis[0] @ c)
+    _march(values, E, q)
     _raise_on_blow_up(values, nodes)
     if labels is None:
         labels = [f"x{i}" for i in range(d)] if d > 1 else ["x"]
     return Trajectory(grid, values, tuple(labels))
 
 
-def _stability_increment(hM: np.ndarray) -> np.ndarray:
-    """P - I = hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, by Horner."""
-    eye = np.eye(hM.shape[0])
-    E = hM / 4.0
-    for j in (3.0, 2.0, 1.0):
-        E = (hM / j) @ (eye + E)
-    return E
+def _phi_functions(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """E = e^A - I and phi_1, phi_2, phi_3 of A, phi_k(A) = sum_j A^j/(j + k)!.
 
-
-def _stage_terms(M, h, c0, cm, c1):
-    """One RK4 step of x' = M x + c from the zero state.
-
-    c0, cm and c1 are the forcing at the step's start, midpoint and end;
-    rows of a 2-D argument are independent steps.
+    Scaling and squaring (Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 2005):
+    B = A/2^s has ||B||_1 <= 1/2, and phi_3(B) is one Taylor sum, by
+    Horner, of the least degree m >= 1 whose tail bound
+    6 ||B||^(m+1)/(m+4)! relative to phi_3 is below eps/2 (m = 12 at
+    ||B|| = 1/2); its innermost term B/(m+3)! needs no product.  Then
+    phi_j(B) = I/j! + B phi_(j+1)(B) down to E = B phi_1(B), and s
+    doublings undo the scaling: E <- 2E + E^2 and the modified squaring
+    phi_k(2B) = 2^-k [e^B phi_k(B) + sum_(1<=j<=k) phi_j(B)/(k - j)!] of
+    Skaflestad & Wright ("The scaling and modified squaring method for
+    matrix functions related to the exponential", Appl. Numer. Math. 59,
+    2009), with e^B = I + E so that no step subtracts I.
     """
-    k1 = c0
-    k2 = (0.5 * h) * (k1 @ M.T) + cm
-    k3 = (0.5 * h) * (k2 @ M.T) + cm
-    k4 = h * (k3 @ M.T) + c1
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    d = A.shape[0]
+
+    def plus_eye(X, c):  # X + c I, in place
+        X.flat[::d + 1] += c
+        return X
+
+    s = max(0, math.frexp(float(np.linalg.norm(A, 1)))[1] + 1)
+    B = np.ldexp(A, -s)
+    theta = float(np.linalg.norm(B, 1))
+    m, tail = 1, theta**2 / 20.0
+    while m < 12 and not tail <= 0.5 * np.finfo(float).eps:
+        m += 1
+        tail *= theta / (m + 4)
+    phi3 = plus_eye(B / math.factorial(m + 3), 1.0 / math.factorial(m + 2))
+    for j in range(m + 1, 2, -1):
+        phi3 = plus_eye(B @ phi3, 1.0 / math.factorial(j))
+    phi2 = plus_eye(B @ phi3, 0.5)
+    phi1 = plus_eye(B @ phi2, 1.0)
+    E = B @ phi1
+    for _ in range(s):
+        phi3 = (E @ phi3 + 2.0 * phi3 + phi2 + 0.5 * phi1) / 8.0
+        phi2 = (E @ phi2 + 2.0 * phi2 + phi1) / 4.0
+        phi1 = phi1 + 0.5 * (E @ phi1)
+        E = 2.0 * E + E @ E
+    return E, phi1, phi2, phi3
 
 
-def _forcing_terms(M, E, forcing, nodes, h, substeps) -> np.ndarray:
-    """Per-grid-step forcing terms q_k of the folded substeps.
+def _forcing_terms(forcing, nodes, h, phi1, phi2, phi3) -> np.ndarray:
+    """Per-step forcing terms q_k of ``linear_flow`` for a sampled forcing.
 
-    The forcing is sampled once, in increasing time, at every substep node
-    and midpoint: (steps * substeps + 1) + steps * substeps times.
+    The forcing is sampled once, in increasing time, at the 2 steps + 1
+    times t_k and t_k + h/2.  On step k it is replaced by the quadratic
+    c0 + u r + w r^2, r = tau/h, through its samples c0, cm and c1 at the
+    step's start, midpoint and end, whose integral against e^((h - tau) M)
+    is exact (Hochbruck & Ostermann, "Exponential integrators", Acta
+    Numerica 19, 2010): int_0^h e^((h - tau) M) (tau/h)^j dtau =
+    j! h phi_(j+1)(hM).
     """
-    steps, d = nodes.shape[0] - 1, M.shape[0]
-    sub = (nodes[:-1, None] + h * np.arange(substeps)).ravel()
-    times = np.empty(2 * sub.shape[0] + 1)
-    times[0:-1:2] = sub
-    times[1::2] = sub + 0.5 * h
-    times[-1] = nodes[-1]
+    d = phi1.shape[0]
+    times = np.empty(2 * nodes.shape[0] - 1)
+    times[0::2] = nodes
+    times[1::2] = nodes[:-1] + 0.5 * h
     c = np.asarray(forcing(times), dtype=float)
     if c.shape != (times.shape[0], d):
         raise ValidationError(f"forcing must return {d} components per time")
-    ends = c[0::2]
-    q = _stage_terms(M, h, ends[:-1], c[1::2], ends[1:]).reshape(steps, substeps, d)
-    return _fold_substeps(E, [q[:, s] for s in range(substeps)])
-
-
-def _fold_substeps(E: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
-    """Forcing term of consecutive substeps, sum_s P^(S-1-s) terms[s] with
-    P = I + E; each term is one vector or one row per grid step."""
-    q = terms[0]
-    for term in terms[1:]:
-        q = q + (q @ E.T + term)
-    return q
-
-
-def _scalar_increments(rate, starts, h, substeps) -> np.ndarray:
-    """Per-grid-step RK4 gain minus one of x' = a(t) x, substeps folded in.
-
-    The rate is evaluated at each substep's start, midpoint and end.
-    """
-    total = np.zeros(starts.shape[0])
-    for s in range(substeps):
-        ts = starts + s * h
-        a0 = rate(ts)
-        am = rate(ts + 0.5 * h)
-        a1 = rate(ts + h)
-        r2 = am * (1.0 + (0.5 * h) * a0)
-        r3 = am * (1.0 + (0.5 * h) * r2)
-        r4 = a1 * (1.0 + h * r3)
-        e = (h / 6.0) * (a0 + 2.0 * r2 + 2.0 * r3 + r4)
-        total += e + total * e
-    return total
-
-
-def _cumprod(values: np.ndarray) -> None:
-    """Turn [x0, g_1, g_2, ...] into the states x0, g_1 x0, g_2 g_1 x0, ... in place."""
-    np.cumprod(values[:, 0], out=values[:, 0])
+    live = np.flatnonzero(c.any(axis=0))  # a component forced by zero adds nothing
+    c = c[:, live]
+    c0, cm, c1 = c[0:-1:2], c[1::2], c[2::2]
+    u = 4.0 * cm - 3.0 * c0 - c1
+    w = 2.0 * (c0 + c1) - 4.0 * cm
+    return c0 @ (h * phi1[:, live]).T + u @ (h * phi2[:, live]).T + w @ (2.0 * h * phi3[:, live]).T
 
 
 def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:

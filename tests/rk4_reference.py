@@ -1,9 +1,12 @@
 """The general RK4 integrator the tests use as the reference for
-``odelin.rk4_linear`` and for the closed forms.
+``odelin._rk4_growth``, the scalar RK4 of Harrod's closed-form
+cross-checks, and as an oracle for the closed forms of
+``odelin.analytic_solution``.
 
 It takes any first-order system as a Python right-hand side and applies
-the four RK4 stages literally, so it shares no code with the affine-map
-folding of ``rk4_linear``.
+the four RK4 stages literally, so it shares no code with the folded step
+gains of ``_rk4_growth``.  The linear systems that ``odelin.linear_flow``
+steps exactly are checked against the matrix exponential instead.
 """
 
 from __future__ import annotations

@@ -178,9 +178,11 @@ class TestAtomicOut:
 
 LEONTIEF_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
                  "--order", "2", "--x0", "1,1,1", "--xdot0", "0,0.1,0", "--steps", "40"]
-# CSV written by the stage-by-stage RK4 integrator (bergstrom and multiplier:
-# by the commit before lazy module loading): the closed-form paths must
-# match byte for byte, the integrated paths to 1e-12 of each column's sup norm
+# CSV of the closed-form paths (bergstrom and multiplier: made by the commit
+# before lazy module loading), matched byte for byte, and of the paths
+# stepped by the exact flow (longwave, leontief), each column checked within
+# 1e-13 of its sup against mpmath's expm before it was written, matched to
+# 1e-12 of each column's sup norm
 TRAJECTORY_GOLDEN = {
     "harrod": ["harrod", "--mu", "0.3", "--nu", "2.5", "--y0", "1.5", "--t-end", "20",
                "--steps", "40"],
@@ -198,8 +200,8 @@ TRAJECTORY_GOLDEN = {
     "leontief_dynamic_o2_file": LEONTIEF_ARGS + [
         "--demand-file", str(GOLDEN / "leontief_demand.csv")],
 }
-# made with the commit before dynamic_solve took its coefficients from
-# taylor_reduce, asserted byte for byte
+# stepped by the exact flow, each column checked within 1e-13 of its sup
+# against mpmath's expm before it was written, asserted byte for byte
 LEONTIEF_O1_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
                     "--order", "1", "--x0", "1,1,1", "--steps", "40"]
 LEONTIEF_O1_GOLDEN = {
@@ -279,7 +281,9 @@ JSON_GOLDEN = {
     "harrod_domar": TRAJECTORY_GOLDEN["harrod_domar"],
     "phillips": ["phillips", "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
                  "--ydot0", "0.5", "--t-end", "10", "--steps", "20"],
+    # remade by the exact flow, within 6e-15 of mpmath's expm
     "longwave": ["longwave", "--p", "0.11", "--r", "0.11", "--t-end", "120", "--steps", "24"],
+    # remade by the compensated recursion: K is the exact sum, rounded once
     "harrod_discrete": ["harrod-discrete", "--mu", "0.3", "--nu", "2.5", "--years", "12"],
     "fredholm_spectrum": ["fredholm-spectrum", "--kernel", "t-plus-eta", "--nodes", "7"],
     "fredholm_sweep": ["fredholm-sweep", "--k0", "zero", "--k1", "exp-diff", "--mu-min", "0",
@@ -717,7 +721,8 @@ FAILURES = [
          "--t-end", "1e308"]),
     (2, ["multiplier", "--mu", "0.4", "--lam", "-1", "--t-end", "1"]),
     (2, ["longwave", "--p", "-0.11", "--r", "0.11", "--t-end", "1"]),
-    (3, ["longwave", "--p", "0.11", "--r", "0.11", "--s", "2", "--t-end", "1e308"]),
+    # trace r - p > 0: a growing cycle, which leaves the float range
+    (3, ["longwave", "--p", "0.11", "--r", "0.2", "--t-end", "1e308"]),
     (2, ["leontief-static", "--matrix", M3, "--demand", "1,2"]),
     (2, ["leontief-static", "--matrix", M3, "--demand", "nan,1,1"]),
     (2, ["leontief-static", "--matrix", "{wide}", "--demand", "1,1", "--method", "iterate"]),
@@ -842,6 +847,8 @@ KEYED_FAILURES = [
     ("dims", ["dim-check", "--relation", "K = nu*Y", "--dims", "K:$,nu:,Y:$/s"]),
     # and one with an empty factor, which is not read without it
     ("dims", ["dim-check", "--relation", "Y = Y", "--dims", "Y:$**s"]),
+    # and one whose divisor is a product, which / does not take
+    ("dims", ["dim-check", "--relation", "Y = Y", "--dims", "Y:$/s*s"]),
     # a vector flag or file that is not finite, rejected where it is parsed
     ("x0", ["leontief-dynamic", "--matrix", M3, "--demand", "1,1,1", "--x0", "nan,1,1",
             "--steps", "4"]),

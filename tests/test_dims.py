@@ -279,11 +279,20 @@ EMPTY_FACTORS = ["Y:*", "Y:1*", "Y:$*", "Y: * $", "Y:$**s", "Y:$/", "Y:$//s", "Y
 
 
 @pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:", "K:$,nu: ,Y:$/s",
-                                  *EMPTY_FACTORS])
+                                  "Y:$/s*s", *EMPTY_FACTORS])
 def test_parse_dims_refuses_malformed_entries(text):
     with pytest.raises(ValidationError) as info:
         parse_dims(text)
     assert info.value.key == "dims"
+
+
+@pytest.mark.parametrize("text", ["Y:$/s*s", "Y:$ / s * s^-1", "Y:1/s/$*s"])
+def test_divisor_product_is_refused_with_the_two_spellings(text):
+    # not "unknown dimension symbol 's*s'": / takes a single factor
+    dim = text.partition(":")[2].strip()
+    with pytest.raises(ValidationError, match=f"^dimension {re.escape(repr(dim))} divides by "
+                                              r"the product .* write \$/s/s or \$\*s\^-2$"):
+        parse_dims(text)
 
 
 @pytest.mark.parametrize("text", EMPTY_FACTORS)

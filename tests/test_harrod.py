@@ -5,18 +5,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecodyn import harrod
 from ecodyn.allen import AllenScaling, harrod_domar_trajectory
 from ecodyn.errors import BlowUpError, CrossCheckError, EcodynError, PoleError, ValidationError
 from ecodyn.harrod import (
     HarrodParams,
+    _rk4_growth,
     adequacy_residual,
     classical_trajectory,
     corrected_trajectory,
     discrete_path,
 )
-from ecodyn.odelin import TimeGrid
+from ecodyn.odelin import TimeGrid, sup_rel_diff
+from rk4_reference import rk4_integrate
 
 
 class TestParams:
@@ -61,6 +65,21 @@ class TestClassical:
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def exact_partial_sums(K0: float, alpha: float, n: int) -> list[Fraction]:
+    """K0 * (1 + alpha + ... + alpha^i) for i = 0..n, in exact rationals."""
+    a, k, out = Fraction(alpha), Fraction(K0), [Fraction(K0)]
+    for _ in range(n):
+        out.append(k + a * out[-1])
+    return out
+
+
+def max_rel_error(got: np.ndarray, exact) -> float:
+    """Largest |got_i - exact_i| / |exact_i|, each taken exactly when the
+    references are rationals."""
+    return float(max(abs(Fraction(float(g)) - Fraction(e)) / abs(Fraction(e))
+                     for g, e in zip(got, exact)))
 
 
 def stacked_classical(params: HarrodParams, nu: float, grid: TimeGrid) -> np.ndarray:
@@ -153,15 +172,13 @@ class TestCrossCheck:
         # a NaN deviation is no pass
         ("classical", math.nan), ("corrected", math.nan), ("harrod-domar", math.nan)])
     def test_perturbed_reference_raises(self, monkeypatch, name, rel):
-        original = harrod.rk4_linear
+        original = harrod._rk4_growth
 
         def perturbed(*args, **kwargs):
-            traj = original(*args, **kwargs)
-            traj.values *= 1.0 + rel
-            return traj
+            return original(*args, **kwargs) * (1.0 + rel)
 
         TRAJECTORIES[name]()  # passes unperturbed
-        monkeypatch.setattr(harrod, "rk4_linear", perturbed)
+        monkeypatch.setattr(harrod, "_rk4_growth", perturbed)
         with pytest.raises(CrossCheckError, match="closed form vs RK4 deviation"):
             TRAJECTORIES[name]()
 
@@ -192,6 +209,58 @@ def test_closed_form_overflow_is_a_blow_up(name):
     with pytest.raises(BlowUpError, match="^closed form blew up between t=") as exc:
         OVERFLOWS[name]()
     assert np.isfinite(exc.value.x_last).all()
+
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestRk4Growth:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(-2.0, 2.0, **FINITE),
+        beta=st.floats(-1.0, 1.0, **FINITE),
+        omega=st.floats(0.0, 5.0, **FINITE),
+        x0=st.floats(0.1, 2.0, **FINITE),
+        t_end=st.floats(0.1, 3.0, **FINITE),
+        steps=st.integers(20, 2000),
+        substeps=st.integers(1, 4),
+    )
+    def test_time_varying_rate_matches_rk4_integrate(
+        self, alpha, beta, omega, x0, t_end, steps, substeps
+    ):
+        grid = TimeGrid(0.0, t_end, steps)
+        ref = rk4_integrate(
+            lambda t, x: (alpha + beta * math.sin(omega * t)) * x, [x0], grid, substeps=substeps
+        )
+        got = _rk4_growth(lambda t: alpha + beta * np.sin(omega * t), x0, grid, substeps)
+        assert sup_rel_diff(ref.values[:, 0], got) <= 1e-12
+
+    @pytest.mark.parametrize("substeps", [1, 3])
+    def test_constant_rate_matches_rk4_integrate(self, substeps):
+        grid = TimeGrid(0.0, 2.0, 300)
+        ref = rk4_integrate(lambda t, x: -0.7 * x, [1.5], grid, substeps=substeps)
+        assert sup_rel_diff(ref.values[:, 0], _rk4_growth(-0.7, 1.5, grid, substeps)) <= 1e-12
+
+    def test_constant_scalar_rate(self):
+        y = _rk4_growth(1.0, 1.0, TimeGrid(0.0, 1.0, 1000), 1)
+        assert abs(y[-1] - math.e) < 1e-10
+
+    @pytest.mark.parametrize("case", ["constant", "callable"])
+    def test_blow_up_matches_rk4_integrate(self, case):
+        # x' = 100 x at h = 0.1 overflows in step 110
+        grid = TimeGrid(0.0, 20.0, 200)
+        rate = 100.0 if case == "constant" else (lambda t: 100.0 + 0.0 * t)
+        errors = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: rk4_integrate(lambda t, x: 100.0 * x, [1.0], grid),
+                        lambda: _rk4_growth(rate, 1.0, grid, 1)):
+                with pytest.raises(BlowUpError) as exc_info:
+                    run()
+                errors.append(exc_info.value)
+        ref, got = errors
+        assert got.index_last == ref.index_last == 109
+        assert got.t_last == ref.t_last
+        assert sup_rel_diff(ref.x_last, got.x_last) <= 1e-12
 
 
 class TestDiscrete:
@@ -241,45 +310,52 @@ class TestDiscrete:
 
     @pytest.mark.parametrize("mu, nu, K0, n", [(0.5, 1.0, 1.0, 40), (0.37, 0.9, 7.1, 300),
                                                (0.5, 0.5, 2.0, 12), (1e-301, 1e-300, 1.0, 5)])
-    def test_bits_match_separate_arrays(self, mu, nu, K0, n):
-        # K and Y_tilde share one (n+1, 2) buffer; the values are those of
-        # the separate arrays the path was built from before
-        K = np.empty(n + 1)
-        K[0] = K0
-        for i in range(1, n + 1):
-            K[i] = K0 + (mu / nu) * K[i - 1]
+    def test_path_matches_exact_sums(self, mu, nu, K0, n):
+        # K and Y_tilde share one (n+1, 2) buffer; Y_tilde and I_tilde are K
+        # scaled once, and K is the partial sum of K0 alpha^i within one
+        # rounding, alpha being the float mu/nu
         path = discrete_path(HarrodParams(mu=mu, nu_star=10.0, K0=K0), nu, n)
-        assert same_bits(path.K, K)
-        assert same_bits(path.Y_tilde, K / nu)
-        assert same_bits(path.I_tilde, K * (mu / nu))
+        assert max_rel_error(path.K, exact_partial_sums(K0, mu / nu, n)) <= 2.0**-53
+        assert same_bits(path.Y_tilde, path.K / nu)
+        assert same_bits(path.I_tilde, path.K * (mu / nu))
 
     # alpha = mu/nu within 1e-6 .. 1e-10 of 1, where the plain reference
     # K0 (1 - alpha^(n+1))/(1 - alpha) lost up to 5e-9 to cancellation
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("years", [10, 100, 1000, 10000])
     @pytest.mark.parametrize("gap", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
-    def test_alpha_near_one_runs_and_keeps_the_recursion(self, gap, years):
+    def test_alpha_near_one_runs_and_matches_mpmath(self, gap, years):
+        mp = pytest.importorskip("mpmath").mp
         mu, K0 = 0.5, 1.3
         nu = mu / (1.0 - gap)
         path = discrete_path(HarrodParams(mu=mu, nu_star=10.0, K0=K0), nu, years)
-        K = np.empty(years + 1)
-        K[0] = K0
-        for i in range(1, years + 1):
-            K[i] = K0 + (mu / nu) * K[i - 1]
-        assert same_bits(path.K, K)
+        with mp.workdps(40):
+            alpha, k, ref = mp.mpf(mu / nu), mp.mpf(K0), [mp.mpf(K0)]
+            for _ in range(years):
+                ref.append(k + alpha * ref[-1])
+            ref = np.array([float(r) for r in ref])
+        assert max_rel_error(path.K, ref) <= 2.0**-52
+
+    # alpha within 2.1e-6 of 1 over 100 000 years: the plain loop's rounding
+    # reached 2.4e-12 there and failed its own 1e-12 check
+    def test_long_path_near_alpha_one_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath").mp
+        mu, nu, K0 = 0.2080900585423031, 0.2080904892145072, 1.3121918303736375
+        path = discrete_path(HarrodParams(mu=mu, nu_star=10.0, K0=K0), nu, 100_000)
+        with mp.workdps(50):
+            alpha = mp.mpf(mu / nu)
+            for i in (1000, 50_000, 100_000):
+                exact = mp.mpf(K0) * (1 - alpha ** (i + 1)) / (1 - alpha)
+                assert abs(path.K[i] - exact) / exact <= 2.0**-52
 
     # alpha = 0, and alpha so small that alpha - 1 rounds to -1 (a log1p
     # of that would be a domain error), down to a subnormal
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mu", [0.0, 1e-20, 5e-324])
-    def test_alpha_at_or_near_zero_keeps_the_recursion(self, mu):
+    def test_alpha_at_or_near_zero_matches_exact_sums(self, mu):
         K0 = 2.5
         path = discrete_path(HarrodParams(mu=mu, nu_star=10.0, K0=K0), 1.0, 6)
-        K = np.empty(7)
-        K[0] = K0
-        for i in range(1, 7):
-            K[i] = K0 + mu * K[i - 1]
-        assert same_bits(path.K, K)
+        assert max_rel_error(path.K, exact_partial_sums(K0, mu, 6)) <= 2.0**-53
 
     @pytest.mark.parametrize("dev", [2e-12, math.nan])
     def test_disagreement_is_a_cross_check_error(self, monkeypatch, dev):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_metzler
+from conftest import expm, random_metzler
 from ecodyn.odelin import TimeGrid, sup_rel_diff
 from ecodyn.errors import (
     BlowUpError,
@@ -21,7 +21,6 @@ from ecodyn.leontief import (
     taylor_reduce,
     volterra_solve,
 )
-from rk4_reference import rk4_integrate
 
 A22 = np.array([[0.2, 0.3], [0.1, 0.4]])
 
@@ -185,6 +184,25 @@ class TestStatic:
             static_solve(np.array([[1.0, -1.0], [0.0, 0.0]]), [1.0, 1.0], method="direct")
 
 
+def balance_flow(model, c0, c1, times, digits=None):
+    """X(t) of the order-1 or order-2 balance with demand c0 + c1 t, as
+    ``expm`` of its first-order system augmented by the states t and 1."""
+    n, order = model.n, model.order
+    d = order * n
+    M = np.zeros((d + 2, d + 2))
+    M[:d - n, n:d] = np.eye(d - n)
+    top = 1.0 if order == 1 else 2.0
+    M[d - n:d, :n] = -top * model.B
+    if order == 2:
+        M[d - n:d, n:d] = -2.0 * np.eye(n)
+    M[d - n:d, d] = top * c1
+    M[d - n:d, d + 1] = top * c0
+    M[d, d + 1] = 1.0  # t' = 1
+    z0 = np.concatenate([model.X0, model.Xdot0, [0.0, 1.0]] if order == 2
+                        else [model.X0, [0.0, 1.0]])
+    return np.array([(expm(t * M, digits) @ z0)[:n] for t in times])
+
+
 def scipy_direct(A, c):
     """The direct solve through scipy's LU: (X or None, rejection message or None)."""
     linalg = pytest.importorskip("scipy.linalg")
@@ -317,29 +335,30 @@ class TestDynamic:
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("constant", [True, False])
-    def test_matches_rk4_integrate_of_the_balance(self, rng, order, constant):
-        # reference: the stage-by-stage RK4 of Xd = C - B X, or of
-        # (X, Xd)' = (Xd, 2 (C - Xd - B X)) for order 2
+    def test_matches_expm_of_the_balance(self, rng, order, constant):
+        # a demand c0 + c1 t is integrated exactly, constant or sampled, so
+        # only rounding separates the flow from expm of the balance
         n = 3
         A = random_metzler(rng, n)
-        B = np.eye(n) - A
-        c = rng.uniform(0.5, 2.0, n)
-        demand = c if constant else (lambda t: c * (1.0 + 0.4 * np.sin(2 * np.pi * t)))
+        c0 = rng.uniform(0.5, 2.0, n)
+        c1 = np.zeros(n) if constant else rng.uniform(-0.4, 0.4, n)
+        demand = c0 if constant else (lambda t: c0 + c1 * t)
         model = LeontiefModel(A=A, demand=demand, X0=rng.uniform(0.0, 1.0, n),
                               Xdot0=rng.uniform(-0.5, 0.5, n), order=order)
-        grid = TimeGrid(0.0, 1.0, 300)
-        if order == 1:
-            ref = rk4_integrate(lambda t, x: model.demand_samples([t])[0] - B @ x, model.X0,
-                                grid)
-        else:
-            ref = rk4_integrate(
-                lambda t, s: np.concatenate(
-                    [s[n:], 2.0 * (model.demand_samples([t])[0] - s[n:] - B @ s[:n])]),
-                np.concatenate([model.X0, model.Xdot0]),
-                grid,
-            )
         got = dynamic_solve(model, steps=300)
-        assert sup_rel_diff(ref.values[:, :n], got.values) <= 1e-12
+        ref = balance_flow(model, c0, c1, got.times)
+        assert sup_rel_diff(ref, got.values) <= 1e-12
+
+    @pytest.mark.parametrize("steps", [4, 20])
+    def test_golden_matrix_order_two_matches_mpmath(self, steps):
+        # RK4 was 2.9e-5 off at 4 steps and 4.2e-8 at 20
+        A = np.loadtxt(Path(__file__).parent / "golden" / "leontief_matrix.txt", delimiter=",",
+                       skiprows=1)
+        model = LeontiefModel(A=A, demand=[0.5, 0.3, 0.2], X0=[1.0, 1.0, 1.0],
+                              Xdot0=[0.0, 0.1, 0.0], order=2)
+        got = dynamic_solve(model, steps=steps)
+        ref = balance_flow(model, np.array([0.5, 0.3, 0.2]), np.zeros(3), got.times, digits=40)
+        assert sup_rel_diff(ref, got.values) <= 1e-14
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_demand_sampled_once_per_stage_time(self, order):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecodyn.errors import ValidationError
 from ecodyn.longwave import (
@@ -11,7 +13,7 @@ from ecodyn.longwave import (
     lw_simulate,
     zero_crossing_period,
 )
-from ecodyn.odelin import TimeGrid, rk4_linear
+from ecodyn.odelin import TimeGrid, linear_flow
 
 
 class TestMatrix:
@@ -85,11 +87,30 @@ class TestSimulate:
     def test_bits_match_the_stacked_columns(self, p, r, x0, y0):
         params = LongWaveParams(p=p, r=r)
         grid = TimeGrid(0.0, 80.0, 800)
-        xy = rk4_linear(lw_matrix(params), [x0, y0], grid).values
+        xy = linear_flow(lw_matrix(params), [x0, y0], grid).values
         x, y = xy[:, 0], xy[:, 1]
         expected = np.column_stack([x, y, x - y])
         values = lw_simulate(params, x0, y0, grid).values
         assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+
+    # p = r, q = 1, s = -2: x' = p(y - x), y' = p(y - 2x) conserves
+    # V = 2x^2 - 2xy + y^2, so an undamped cycle keeps its amplitude; RK4
+    # at h = 2 years lost 44% of it by t = 2000 at p = 0.34
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(0.05, 1.0), t_end=st.floats(1.0, 2000.0),
+           x0=st.floats(0.1, 2.0), y0=st.floats(-2.0, 2.0))
+    def test_undamped_cycle_keeps_its_invariant(self, p, t_end, x0, y0):
+        xy = lw_simulate(LongWaveParams(p=p, r=p), x0, y0, TimeGrid(0.0, t_end, 1000)).values
+        x, y = xy[:, 0], xy[:, 1]
+        V = 2.0 * x * x - 2.0 * x * y + y * y
+        assert np.all(np.abs(V - V[0]) <= 1e-12 * V[0])
+
+    def test_stable_system_decays_at_any_step(self):
+        # eigenvalues -0.03 and -0.41 (s = 2): at h = 1e305 the exact flow
+        # is zero after one step, where RK4 overflowed
+        traj = lw_simulate(LongWaveParams(p=0.11, r=0.11, s=2.0), 1.0, 0.0,
+                           TimeGrid(0.0, 1e308, 1000))
+        assert np.all(traj.values[1:] == 0.0)
 
     def test_z_is_x_minus_y(self):
         traj = lw_simulate(LongWaveParams(p=0.11, r=0.11), 1.0, 0.2, TimeGrid(0.0, 80.0, 800))

@@ -17,9 +17,10 @@ from ecodyn.odelin import (
     _volterra_trapezoid,
     analytic_solution,
     char_roots,
-    rk4_linear,
+    linear_flow,
     sup_rel_diff,
 )
+from conftest import expm
 from rk4_reference import rk4_integrate
 
 
@@ -322,115 +323,130 @@ class TestRk4:
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
+def augmented_flow(M, x0, coeffs, times, digits=None):
+    """x(t) of x' = M x + sum_j coeffs[j] t^j from x(0) = x0, at each time,
+    as ``expm`` of the system augmented by the states t^j."""
+    d, p = M.shape[0], len(coeffs)
+    big = np.zeros((d + p, d + p))
+    big[:d, :d] = M
+    for j, c in enumerate(coeffs):
+        big[:d, d + j] = c
+        if j:
+            big[d + j, d + j - 1] = j  # (t^j)' = j t^(j-1)
+    z0 = np.concatenate([x0, [1.0], np.zeros(p - 1)]) if p else x0
+    return np.array([(expm(t * big, digits) @ z0)[:d] for t in times])
+
+
 @st.composite
-def constant_systems(draw):
-    """x' = M x + a + b t with |M_ij| <= 1, d <= 4, and h*|M| <= 0.4."""
-    d = draw(st.integers(1, 4))
+def linear_systems(draw):
+    """x' = M x + c(t), d <= 6, with ||hM||_1 up to 6 so that the squarings
+    run, and c none, constant or quadratic in t.  ||t_end M||_1 <= 12 keeps
+    scipy's expm itself within about 1e-13 (at 36 it was 7e-13 off)."""
+    d = draw(st.integers(1, 6))
     entries = st.floats(-1.0, 1.0, **FINITE)
-    M = np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
+    scale = draw(st.floats(0.1, 1.0, **FINITE))
+    M = scale * np.array(draw(st.lists(entries, min_size=d * d, max_size=d * d))).reshape(d, d)
     x0 = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
-    affine = draw(st.booleans())
-    a = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
-    b = np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    degree = draw(st.sampled_from([None, 0, 2]))  # None: no forcing
+    coeffs = [np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+              for _ in range(0 if degree is None else degree + 1)]
     t_end = draw(st.floats(0.1, 2.0, **FINITE))
-    steps = draw(st.integers(20, 2000))
-    return M, x0, (a, b) if affine else None, TimeGrid(0.0, t_end, steps)
+    steps = draw(st.integers(1, 60))
+    return M, x0, degree, coeffs, TimeGrid(0.0, t_end, steps)
 
 
-class TestRk4Linear:
-    @settings(max_examples=25, deadline=None)
-    @given(system=constant_systems(), substeps=st.integers(1, 4))
-    def test_constant_matrix_matches_rk4_integrate(self, system, substeps):
-        M, x0, affine, grid = system
-        if affine is None:
-            ref = rk4_integrate(lambda t, x: M @ x, x0, grid, substeps=substeps)
-            got = rk4_linear(M, x0, grid, substeps=substeps)
+class TestLinearFlow:
+    @settings(max_examples=60, deadline=None)
+    @given(system=linear_systems())
+    def test_matches_expm_of_the_augmented_system(self, system):
+        # a constant forcing and a forcing quadratic in t are both integrated
+        # exactly, so only rounding separates the flow from expm
+        M, x0, degree, coeffs, grid = system
+        if degree is None:
+            forcing = None
+        elif degree == 0:
+            forcing = coeffs[0]
         else:
-            a, b = affine
-            ref = rk4_integrate(lambda t, x: M @ x + a + b * t, x0, grid, substeps=substeps)
-            got = rk4_linear(M, x0, grid, forcing=lambda ts: a + np.outer(ts, b),
-                             substeps=substeps)
-        assert got.labels == ref.labels
-        assert sup_rel_diff(ref.values, got.values) <= 1e-12
+            def forcing(ts):
+                return sum(np.outer(ts**j, c) for j, c in enumerate(coeffs))
+        got = linear_flow(M, x0, grid, forcing=forcing)
+        ref = augmented_flow(M, x0, coeffs, grid.nodes)
+        assert got.labels == (("x",) if len(x0) == 1 else tuple(f"x{i}" for i in range(len(x0))))
+        assert sup_rel_diff(ref, got.values) <= 1e-12
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        alpha=st.floats(-2.0, 2.0, **FINITE),
-        beta=st.floats(-1.0, 1.0, **FINITE),
-        omega=st.floats(0.0, 5.0, **FINITE),
-        x0=st.floats(0.1, 2.0, **FINITE),
-        t_end=st.floats(0.1, 3.0, **FINITE),
-        steps=st.integers(20, 2000),
-        substeps=st.integers(1, 4),
-    )
-    def test_time_varying_rate_matches_rk4_integrate(
-        self, alpha, beta, omega, x0, t_end, steps, substeps
-    ):
-        grid = TimeGrid(0.0, t_end, steps)
-        ref = rk4_integrate(
-            lambda t, x: (alpha + beta * math.sin(omega * t)) * x, [x0], grid, substeps=substeps
-        )
-        got = rk4_linear(lambda t: alpha + beta * np.sin(omega * t), [x0], grid,
-                         substeps=substeps)
-        assert sup_rel_diff(ref.values, got.values) <= 1e-12
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_squarings_run_at_large_steps(self, quadratic):
+        # ||hM||_1 = 6.6 and 66: four and eight squarings of the scaled Taylor
+        # sums, of phi_1 alone for a constant forcing and of phi_1..phi_3 for
+        # a quadratic one; scipy's expm is 2e-14 off at 66, so mpmath is the
+        # reference
+        M = np.array([[0.0, 10.0], [-10.0, -1.0]])
+        coeffs = [np.array([3.0, 1.0])] + quadratic * [np.array([0.5, -1.0]),
+                                                       np.array([-0.2, 0.1])]
+        if quadratic:
+            def forcing(ts):
+                return sum(np.outer(ts**j, c) for j, c in enumerate(coeffs))
+        else:
+            forcing = coeffs[0]
+        for grid in (TimeGrid(0.0, 3.0, 5), TimeGrid(0.0, 30.0, 5)):
+            got = linear_flow(M, [1.0, -2.0], grid, forcing=forcing)
+            ref = augmented_flow(M, np.array([1.0, -2.0]), coeffs, grid.nodes, digits=40)
+            assert sup_rel_diff(ref, got.values) <= 1e-12
 
-    @pytest.mark.parametrize("substeps", [1, 3])
-    def test_constant_forcing_matches_rk4_integrate(self, substeps):
-        M = np.array([[-1.0, 0.5], [0.2, -0.3]])
-        c = np.array([1.0, -2.0])
-        grid = TimeGrid(0.0, 2.0, 300)
-        ref = rk4_integrate(lambda t, x: M @ x + c, [1.0, 0.5], grid, substeps=substeps)
-        got = rk4_linear(M, [1.0, 0.5], grid, forcing=c, substeps=substeps)
-        assert sup_rel_diff(ref.values, got.values) <= 1e-12
+    def test_sine_forcing_converges_at_fourth_order(self):
+        # x' = M x + v sin(w t): the quadratic through a step's three samples
+        # leaves an O(h^5) local error, so each halving of h cuts the global
+        # error about 16-fold
+        M = np.array([[-0.5, 1.0], [-1.0, -0.2]])
+        v, w = np.array([1.0, 2.0]), 3.0
+        big = np.zeros((4, 4))
+        big[:2, :2] = M
+        big[:2, 2] = v
+        big[2, 3], big[3, 2] = w, -w  # (sin, cos)' = (w cos, -w sin)
+        errors = []
+        for steps in (10, 20, 40, 80):
+            grid = TimeGrid(0.0, 2.0, steps)
+            got = linear_flow(M, [1.0, 0.0], grid,
+                              forcing=lambda ts: np.outer(np.sin(w * ts), v))
+            ref = np.array([(expm(t * big) @ [1.0, 0.0, 0.0, 1.0])[:2] for t in grid.nodes])
+            errors.append(float(np.max(np.abs(got.values - ref))))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(r >= 14.0 for r in ratios), ratios
 
-    def test_constant_scalar_rate(self):
-        traj = rk4_linear(1.0, [1.0], TimeGrid(0.0, 1.0, 1000))
-        assert traj.labels == ("x",)
-        assert abs(traj.values[-1, 0] - math.e) < 1e-10
+    def test_zero_matrix_adds_the_forcing_integral(self):
+        traj = linear_flow(np.zeros((2, 2)), [1.0, 2.0], TimeGrid(0.0, 2.0, 8),
+                           forcing=lambda ts: np.outer(ts, [1.0, 0.0]))
+        assert np.allclose(traj.values[:, 0], 1.0 + 0.5 * traj.times**2, rtol=0.0, atol=1e-15)
+        assert np.all(traj.values[:, 1] == 2.0)
 
-    @pytest.mark.parametrize("case", ["scalar", "rate", "matrix", "forced"])
-    def test_blow_up_matches_rk4_integrate(self, case):
-        # x' = 100 x (or its 2x2 analogue) at h = 0.1 overflows in step 110
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_blow_up_carries_the_last_finite_node(self, forced):
+        # x' = M x grows like 0.75 e^(100 t) and leaves the float range in
+        # step 72 at h = 0.1; the last finite node is still the exact flow
+        # (mpmath: scipy's expm at ||tM||_1 = 710 is 8e-12 off)
         grid = TimeGrid(0.0, 20.0, 200)
         M = np.array([[0.0, 100.0], [100.0, 0.0]])
         c = np.array([1.0, 2.0])
-        coeff, rhs, x0, forcing = {
-            "scalar": (100.0, lambda t, x: 100.0 * x, [1.0], None),
-            "rate": (lambda t: 100.0 + 0.0 * t, lambda t, x: 100.0 * x, [1.0], None),
-            "matrix": (M, lambda t, x: M @ x, [1.0, 0.5], None),
-            "forced": (M, lambda t, x: M @ x + c * t, [1.0, 0.5],
-                       lambda ts: np.outer(ts, c)),
-        }[case]
-        errors = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run in (lambda: rk4_integrate(rhs, x0, grid),
-                        lambda: rk4_linear(coeff, x0, grid, forcing=forcing)):
-                with pytest.raises(BlowUpError) as exc_info:
-                    run()
-                errors.append(exc_info.value)
-        ref, got = errors
-        assert got.index_last == ref.index_last == 109
-        assert got.t_last == ref.t_last
-        assert sup_rel_diff(ref.x_last, got.x_last) <= 1e-12
+        forcing = (lambda ts: np.outer(ts, c)) if forced else None
+        with pytest.raises(BlowUpError, match="^integration blew up between t=") as exc_info:
+            linear_flow(M, [1.0, 0.5], grid, forcing=forcing)
+        err = exc_info.value
+        assert err.index_last == 71
+        assert err.t_last == grid.nodes[71]
+        ref = augmented_flow(M, np.array([1.0, 0.5]), [np.zeros(2), c] if forced else [],
+                             [err.t_last], digits=40)[0]
+        assert sup_rel_diff(ref, err.x_last) <= 1e-12
 
     def test_rejects_bad_arguments(self):
         grid = TimeGrid(0.0, 1.0, 10)
-        with pytest.raises(ValidationError):
-            rk4_linear(1.0, [1.0], grid, substeps=0)
-        with pytest.raises(ValidationError):
-            rk4_linear(np.eye(2), [1.0, 0.0, 0.0], grid)
-        with pytest.raises(ValidationError):
-            rk4_linear(lambda t: t, [1.0, 0.0], grid)
-        with pytest.raises(ValidationError):
-            rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=[1.0])
-        with pytest.raises(ValidationError):
-            rk4_linear(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: np.ones((len(ts), 3)))
-
-    @pytest.mark.parametrize("substeps", [0, -3])
-    def test_substeps_below_one_is_keyed_substeps(self, substeps):
-        with pytest.raises(ValidationError, match="^substeps must be positive$") as info:
-            rk4_linear(1.0, [1.0], TimeGrid(0.0, 1.0, 10), substeps=substeps)
-        assert info.value.key == "substeps"
+        with pytest.raises(ValidationError, match="^coefficient matrix must be 3x3"):
+            linear_flow(np.eye(2), [1.0, 0.0, 0.0], grid)
+        with pytest.raises(ValidationError, match="^coefficient matrix must be 1x1"):
+            linear_flow(1.0, [1.0], grid)
+        with pytest.raises(ValidationError, match="^constant forcing must have 2"):
+            linear_flow(np.eye(2), [1.0, 0.0], grid, forcing=[1.0])
+        with pytest.raises(ValidationError, match="^forcing must return 2 components"):
+            linear_flow(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: np.ones((len(ts), 3)))
 
 
 def trapezoid_reference(K, q, h):

@@ -18,7 +18,7 @@ PUBLIC = {
     "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "parse_relation", "var",
     "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
     "OdeSpec", "TimeGrid", "Trajectory",
-    "char_roots", "analytic_solution", "rk4_linear",
+    "char_roots", "analytic_solution", "linear_flow",
     "HarrodParams", "DiscretePath", "AdequacyResidual",
     "CorrectedHarrodResult", "classical_trajectory", "corrected_trajectory",
     "discrete_path", "adequacy_residual",
