@@ -150,7 +150,6 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     NumericalError,
-    ResolutionError,
     SingularMatrixError,
     SpectrumProximityError,
     ValidationError,
@@ -158,14 +157,7 @@ from .errors import (
     _require_array_length,
     _require_finite_result,
 )
-from .odelin import (
-    OdeSpec,
-    TimeGrid,
-    Trajectory,
-    _check_half_resolution,
-    _raise_on_blow_up,
-    _volterra_trapezoid,
-)
+from .odelin import OdeSpec, TimeGrid, Trajectory, _volterra_ivp, _volterra_nodes
 
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
@@ -900,23 +892,6 @@ class OdeReductionSolution:
     constants: tuple[float, ...]  # c_i = z^(i)(0) implied by the data
 
 
-def _ode_solution(grid: TimeGrid, refine: int, phi: np.ndarray, J: np.ndarray, c: np.ndarray,
-                  what: str) -> OdeReductionSolution:
-    """z = J_n[phi] + sum_i c_i t^i/i! and phi at every ``refine``-th node of
-    ``grid``, which starts at 0, given phi and its trapezoid J_n[phi] on
-    that grid.  A non-finite z or phi raises BlowUpError naming ``what``."""
-    tk = grid.nodes[::refine]
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = J[::refine] + sum(c[i] * tk**i / math.factorial(i) for i in range(len(c)))
-    phi = phi[::refine]
-    _raise_on_blow_up(np.column_stack([z, phi]), tk, what)
-    return OdeReductionSolution(
-        trajectory=Trajectory(TimeGrid(0.0, grid.t_end, grid.steps // refine), z, ("z",)),
-        phi=phi,
-        constants=tuple(float(x) for x in c),
-    )
-
-
 def _volterra_kernel(a: tuple[float, ...], n: int) -> Callable[[float, float], float]:
     """kappa(t, eta) = -sum_k a_k (t - eta)^(n-1-k)/(n-1-k)!, for floats or
     broadcasting arrays."""
@@ -980,38 +955,16 @@ class VolterraReduction:
         return _free_term_values(self.forcing, self.a, np.asarray(self.init), self.order, t)
 
     def solve(self, steps: int = 200, t_end: float = 1.0, refine: int = 4) -> OdeReductionSolution:
-        """March phi with trapezoidal quadrature on an internally refined
-        grid, then reconstruct z(t) = J_n[phi](t) + sum c_i t^i/i! at the
-        requested nodes.
-
-        The kernel is the polynomial sum_m K_m (t-eta)^m/m! with
-        K_m = -a_(n-1-m), so the march carries n running moments of the
-        history instead of summing it at every node: O(N n^2) work for the
-        N = steps * refine nodes, and J_n[phi] comes out of the last moment.
-        Counts below 1 and a grid end that is not finite and positive are
-        rejected before the march; a non-finite phi or z raises BlowUpError.
-        A second march at half the N nodes (a one-node march is its own
-        half) guards the step: z drifting from it by more than 10% raises
-        ResolutionError, as in ``leontief.volterra_solve``.
-        """
-        _require("positive", steps=steps, refine=refine)
-        grid = TimeGrid(0.0, float(t_end), steps * refine)
-        sol = self._march(grid, refine)
-        half = self._march(TimeGrid(0.0, grid.t_end, max(grid.steps // 2, 1)), 1).trajectory
-        _check_half_resolution(sol.trajectory.times, sol.trajectory.values, half.times, half.values)
-        return sol
-
-    def _march(self, grid: TimeGrid, refine: int) -> OdeReductionSolution:
-        n = self.order
-        a = self.a
-        c = np.asarray(self.init, dtype=float)
-        h = grid.h
-        # kernel at the moving node: kappa(t, t) = -a_{n-1}
-        if abs(1.0 + (h / 2.0) * a[n - 1]) < 1e-12:
-            raise ResolutionError("marching step resonates with the kernel; refine")
-        K = -np.array(a[::-1]).reshape(n, 1, 1)
-        phi, J = _volterra_trapezoid(K, self._free_terms(grid.nodes)[:, None], h)
-        return _ode_solution(grid, refine, phi[:, 0], J[:, 0], c, "Volterra march")
+        """phi and z = J_n[phi] + sum c_i t^i/i! at the ``steps`` + 1 nodes
+        of [0, t_end] by the core's one Volterra solve, ``odelin._volterra_ivp``
+        (counts, blow-up check and half-resolution guard included), marched
+        on N = steps * refine intervals with the kernel coefficients
+        K_m = -a_(n-1-m): n moments of the history, O(N n^2) work."""
+        K = -np.array(self.a[::-1]).reshape(self.order, 1, 1)
+        grid, z, phi = _volterra_ivp(K, self._free_terms, self.init, t_end, steps, refine,
+                                     "Volterra march")
+        return OdeReductionSolution(Trajectory(grid, z, ("z",)), phi[:, 0],
+                                    tuple(float(x) for x in self.init))
 
 
 @dataclass(frozen=True)
@@ -1081,8 +1034,10 @@ class FredholmReduction:
         Simpson nodes, which fixes the constants c_i = z^(i)(0) the data
         imply, then integrate the initial-value problem z^(n) = phi,
         z^(i)(0) = c_i: phi is the Nystrom interpolant on a grid four
-        times finer than the ``steps`` output intervals, and
-        ``_volterra_trapezoid`` with a zero kernel gives its J_n[phi].
+        times finer than the ``steps`` output intervals, and the core's
+        unguarded Volterra solve, ``odelin._volterra_nodes``, with a zero
+        kernel gives z = J_n[phi] + sum c_i t^i/i!.  The step count is
+        checked before the Nystrom solve.
 
         The full ODE is not marched from c: that would carry every error
         in c along the ODE's growing modes, by about e^sqrt(k)/(2 sqrt(k))
@@ -1095,9 +1050,10 @@ class FredholmReduction:
         sol = nystrom_solve(disc, 1.0, self.free_term)
         w_phi = np.sum(rule.weights * self._beta(rule.nodes) * sol.phi, axis=1)
         c = self._c0 - self._Minv @ w_phi
-        K = np.zeros((self.order, 1, 1))
-        phi, J = _volterra_trapezoid(K, sol(grid.nodes)[:, None], grid.h)
-        return _ode_solution(grid, 4, phi[:, 0], J[:, 0], c, "two-point reduction")
+        z, phi = _volterra_nodes(np.zeros((self.order, 1, 1)), sol, c, grid, 4,
+                                 "two-point reduction")
+        return OdeReductionSolution(Trajectory(TimeGrid(0.0, 1.0, steps), z, ("z",)), phi[:, 0],
+                                    tuple(float(x) for x in c))
 
 
 def ode_to_integral(
@@ -1109,7 +1065,8 @@ def ode_to_integral(
     ``boundary`` is either n initial values (z(0), ..., z^(n-1)(0)),
     giving a Volterra problem with a convolution kernel, or n triples
     (derivative order, location in {0, 1}, value) splitting the data
-    between the ends of [0, 1], giving a Fredholm problem.  Like the
+    between the ends of [0, 1], giving a Fredholm problem.  A value that is
+    not finite, and a condition that is not a triple, are rejected.  Like the
     coefficients, the forcing is divided by the leading c_n, so phi solves
     z^(n) + sum a_k z^(k) = f/c_n.
     """
@@ -1123,10 +1080,17 @@ def ode_to_integral(
     first = boundary[0]
     if not isinstance(first, (tuple, list)):
         init = tuple(float(b) for b in boundary)  # type: ignore[arg-type]
+        bad = next((i for i, v in enumerate(init) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValidationError(f"initial value z^({bad})(0) = {init[bad]!r} is not finite")
         return VolterraReduction(order=n, a=a, init=init, forcing=forcing)
     conditions: list[BoundaryCondition] = []
     seen: set[tuple[int, float]] = set()
     for item in boundary:  # type: ignore[assignment]
+        if not isinstance(item, (tuple, list)) or len(item) != 3:
+            raise ValidationError(
+                f"boundary condition {item!r} is not a (derivative order, location, value) triple"
+            )
         d, loc, value = item
         d = int(d)
         loc = float(loc)
@@ -1138,8 +1102,11 @@ def ode_to_integral(
             raise ValidationError(
                 f"duplicate derivative order {d} at t = {loc:g} in the boundary set"
             )
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValidationError(f"boundary value of z^({d}) at t = {loc:g} is {value!r}")
         seen.add((d, loc))
-        conditions.append((d, loc, float(value)))
+        conditions.append((d, loc, value))
     if all(loc == 0.0 for _, loc, _ in conditions):
         init_map = {d: value for d, _, value in conditions}
         init = tuple(init_map[i] for i in sorted(init_map))

@@ -11,8 +11,9 @@ is solved both as a first-order system stepped by its exact flow e^(hM)
 coefficients of ``taylor_reduce`` (as it does the one-term truncation),
 and, after substituting U = Xdd, as the second-kind Volterra equation
 U = G - 2 int_0^t [I + B(t-eta)] U deta, whose kernel coefficients
-K_0 = -2I and K_1 = -2B go to the trapezoidal marcher of the
-linear-dynamics core.  The two routes share only the model data and the
+K_0 = -2I and K_1 = -2B go to the one Volterra solve of the
+linear-dynamics core, ``odelin._volterra_ivp``, as the ODE reduction of
+``fredholm`` does.  The two routes share only the model data and the
 loop that applies their (different) affine steps, which makes their
 agreement the module's central cross-check.
 
@@ -37,14 +38,7 @@ from .errors import (
     ValidationError,
     _require,
 )
-from .odelin import (
-    TimeGrid,
-    Trajectory,
-    _check_half_resolution,
-    _raise_on_blow_up,
-    _volterra_trapezoid,
-    linear_flow,
-)
+from .odelin import TimeGrid, Trajectory, _volterra_ivp, linear_flow
 
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
 
@@ -80,10 +74,14 @@ class LeontiefModel:
         self.X0 = np.asarray(self.X0, dtype=float)
         if self.X0.shape != (n,):
             raise ValidationError(f"X0 must have {n} components", key="x0")
+        if not np.isfinite(self.X0).all():
+            raise ValidationError("X0 has a component that is not finite", key="x0")
         if self.Xdot0 is not None:
             self.Xdot0 = np.asarray(self.Xdot0, dtype=float)
             if self.Xdot0.shape != (n,):
                 raise ValidationError(f"Xdot0 must have {n} components", key="xdot0")
+            if not np.isfinite(self.Xdot0).all():
+                raise ValidationError("Xdot0 has a component that is not finite", key="xdot0")
         _require("positive", order=self.order)
         if not callable(self.demand):
             self.demand = np.asarray(self.demand, dtype=float)
@@ -315,34 +313,13 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     return Trajectory(grid, full.values[:, :n], tuple(f"x{i + 1}" for i in range(n)))
 
 
-# overflow shows as a non-finite X, which raises BlowUpError
-@np.errstate(over="ignore", invalid="ignore")
-def _volterra_march(model: LeontiefModel, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """March U(t) = G(t) - 2*int_0^t [I + B(t-eta)] U(eta) deta on ``grid``
-    and reconstruct X = int_0^t (t-eta) U deta + c0*t + c1 by trapezoid.
-
-    Returns (nodes, X values).  The kernel is K_0 + K_1 (t-eta) with
-    K_0 = -2I and K_1 = -2B, so the shared trapezoid marcher of the
-    linear-dynamics core solves it, with G sampled once at all nodes, and
-    its second moment gives the integral of X.
-    """
-    B = model.B
-    c1 = model.X0
-    c0 = model.Xdot0
-    t = grid.nodes
-    G = 2.0 * (model.demand_samples(t) - c0 - (np.outer(t, c0) + c1) @ B.T)
-    _, J = _volterra_trapezoid(np.stack([-2.0 * np.eye(model.n), -2.0 * B]), G, grid.h)
-    X = J + np.outer(t, c0) + c1
-    _raise_on_blow_up(X, t)
-    return t, X
-
-
 def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
-    """Solve the order-2 balance through its Volterra second-kind form.
-
-    An internal half-resolution rerun guards the quadrature step: if the
-    two solutions differ by more than 10% (sup norm, relative) the grid
-    is too coarse and a ResolutionError is raised.
+    """Solve the order-2 balance through its Volterra second-kind form
+    (arXiv:0804.3658), U = Xdd = G - 2 int_0^t [I + B(t-eta)] U deta with
+    G = 2 (C - Xdot0 - B (X0 + t Xdot0)), by the core's one Volterra solve
+    ``odelin._volterra_ivp``: a non-finite X or U raises BlowUpError, and
+    X drifting by more than 10% (sup norm, relative) from its rerun at
+    half the steps raises ResolutionError.
     """
     if model.order != 2:
         raise ValidationError("volterra_solve requires truncation order 2", key="order")
@@ -350,8 +327,11 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
         raise ValidationError("order 2 needs Xdot0", key="xdot0")
     if steps < 4:
         raise ValidationError("need at least 4 steps", key="steps")
-    grid = TimeGrid(0.0, 1.0, steps)
-    t, X = _volterra_march(model, grid)
-    _check_half_resolution(t, X, *_volterra_march(model, TimeGrid(0.0, 1.0, steps // 2)))
-    labels = tuple(f"x{i + 1}" for i in range(model.n))
-    return Trajectory(grid, X, labels)
+    B, c0 = model.B, model.Xdot0
+
+    def G(t: np.ndarray) -> np.ndarray:
+        return 2.0 * (model.demand_samples(t) - c0 - (np.outer(t, c0) + model.X0) @ B.T)
+
+    K = np.stack([-2.0 * np.eye(model.n), -2.0 * B])
+    grid, X, _ = _volterra_ivp(K, G, [model.X0, c0], 1.0, steps, 1, "integration")
+    return Trajectory(grid, X, tuple(f"x{i + 1}" for i in range(model.n)))

@@ -14,17 +14,17 @@ it.  No Runge-Kutta step is left here: the one RK4 of the package is
 ``harrod._rk4_growth``, the independent check of the Harrod closed forms,
 for which the exact step of y' = a y would be the closed form itself.
 
-``_volterra_trapezoid`` marches phi = q + int_0^t K(t - eta) phi deta for
-a kernel that is a polynomial in t - eta (Linz, *Analytical and Numerical
-Methods for Volterra Equations*, SIAM 1985, ch. 7): its state is the
-history's shifted trapezoid moments, so each step is again one constant
-affine map.  Both Volterra forms of the package go through it: the
-reduction of a constant-coefficient ODE (``fredholm.VolterraReduction``)
-and the two-term Leontief balance (``leontief.volterra_solve``).  With a
-zero kernel the march returns the trapezoid J of the given samples, and
-the two-point reduction (``fredholm.FredholmReduction``) takes z from the
-Fredholm phi that way: z = J_n[phi] + sum_i c_i t^i/i! with the constants
-c_i = z^(i)(0) its Fredholm solve implies.
+The Volterra form of the Leontief balance and the reduction of a
+constant-coefficient ODE (arXiv:0804.3658) are one computation: phi =
+z^(n) solves phi = q + int_0^t K(t - eta) phi deta, K a polynomial in
+t - eta, and z = J_n[phi] + sum_i c_i t^i/i! with c_i = z^(i)(0).
+``_volterra_trapezoid`` marches phi by the trapezoidal rule (Linz,
+*Analytical and Numerical Methods for Volterra Equations*, SIAM 1985,
+ch. 7) on the history's shifted moments, one constant affine map a step.
+``_volterra_nodes`` adds the resonance check, the reconstruction of z and
+the blow-up check, and ``_volterra_ivp`` the half-resolution guard.  The
+ODE reduction and the balance call ``_volterra_ivp``; the two-point
+reduction calls ``_volterra_nodes`` with a zero kernel on its Fredholm phi.
 """
 
 from __future__ import annotations
@@ -417,8 +417,8 @@ def _volterra_trapezoid(K: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndar
     M_m <- sum_(i<=m) h^(m-i)/(m-i)! M_i + h^m/m! phi_k: one constant
     affine map per step, applied by ``_march`` in O(N (p+1)^2 d^2).
     Returns phi and the trapezoid J = int_0^t (t - eta)^p/p! phi(eta) deta
-    at every node (h M_p, plus h/2 phi_k for p = 0).  The caller rules out
-    a singular I - (h/2) K_0 and checks the result for overflow.
+    at every node (h M_p, plus h/2 phi_k for p = 0).  ``_volterra_nodes``
+    rules out a singular I - (h/2) K_0 and checks the result for overflow.
     """
     K = np.asarray(K, dtype=float)
     p1, d = K.shape[0], K.shape[1]
@@ -444,22 +444,71 @@ def _volterra_trapezoid(K: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndar
     return phi, J
 
 
-def _check_half_resolution(t: np.ndarray, X: np.ndarray, t_c: np.ndarray, X_c: np.ndarray) -> None:
-    """ResolutionError when the march X on the nodes ``t`` (one column per
-    component) and its rerun X_c on the coarser nodes ``t_c``, interpolated
-    linearly onto ``t``, differ by more than 10% of max |X| in the sup
-    norm: the grid is too coarse for the trapezoid.  The scale is max |X|
-    itself, with no floor; a march that is zero everywhere, as is its
-    rerun, has drift 0.  A march whose max |X| is subnormal is refused as
-    well, whatever its drift: its few bits cannot hold a 10% bound."""
-    scale = float(np.max(np.abs(X)))
-    coarse_on_fine = np.column_stack([np.interp(t, t_c, X_c[:, j]) for j in range(X.shape[1])])
-    gap = float(np.max(np.abs(X - coarse_on_fine)))
+# overflow shows as a non-finite z or phi, which raises BlowUpError
+@np.errstate(over="ignore", invalid="ignore")
+def _volterra_nodes(K: np.ndarray, free: Callable[[np.ndarray], np.ndarray], init: Sequence,
+                    grid: TimeGrid, refine: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """z and phi = z^(n) at every ``refine``-th node of ``grid`` (from 0)
+    for phi = free + int_0^t sum_m K_m (t - eta)^m/m! phi(eta) deta and the
+    n = len(K) initial values z^(i)(0) = init[i], each of d components.
+
+    A singular I - (h/2) K_0 (sigma_min below 1e-12) raises ResolutionError
+    before ``free`` samples the nodes.  ``_volterra_trapezoid`` marches phi,
+    z = J_n[phi] + sum_i init[i] t^i/i! is summed from the highest i down,
+    and a non-finite z or phi raises BlowUpError naming ``what``.
+    """
+    K = np.asarray(K, dtype=float)
+    n, d = K.shape[0], K.shape[1]
+    M = np.eye(d) - (0.5 * grid.h) * K[0]
+    # Johnson's bound (Linear Algebra Appl. 112, 1989), sigma_min >= min_i
+    # |m_ii| - (r_i + c_i)/2 over the off-diagonal row and column sums, less
+    # 4 d eps max|m| for its rounding, spares the SVD and the 0.8 MB its
+    # LAPACK code adds to a process; for d = 1 it is |m| itself
+    a = np.abs(M)
+    bound = np.min(2.0 * a.diagonal() - 0.5 * (a.sum(0) + a.sum(1))) - 9e-16 * d * a.max()
+    if bound < 1e-12 and np.linalg.svd(M, compute_uv=False)[-1] < 1e-12:
+        raise ResolutionError("marching step resonates with the kernel; refine")
+    t = grid.nodes
+    phi, J = _volterra_trapezoid(K, np.reshape(free(t), (t.shape[0], d)), grid.h)
+    tk, c, z = t[::refine], np.reshape(init, (n, d)), J[::refine]
+    for i in range(n - 1, -1, -1):
+        z = z + np.outer(tk**i, c[i]) / math.factorial(i)
+    phi = phi[::refine]
+    if not (np.isfinite(z).all() and np.isfinite(phi).all()):
+        _raise_on_blow_up(np.hstack([z, phi]), tk, what)
+    return z, phi
+
+
+def _volterra_ivp(K: np.ndarray, free: Callable[[np.ndarray], np.ndarray], init: Sequence,
+                  t_end: float, steps: int, refine: int, what: str
+                  ) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
+    """The output grid of ``steps`` intervals on [0, t_end] and z and phi
+    on its nodes by ``_volterra_nodes`` on ``steps * refine`` intervals,
+    counts and grid end checked first.  A rerun at half those intervals
+    (a one-interval march is its own half) guards the step.
+
+    ResolutionError when z and the rerun, interpolated linearly onto the
+    output nodes, differ by more than 10% of max |z| in the sup norm: the
+    grid is too coarse for the trapezoid.  The scale has no floor; a march
+    that is zero everywhere, as is its rerun, has drift 0.  A march whose
+    max |z| is subnormal is refused as well, whatever its drift: its few
+    bits cannot hold a 10% bound.
+    """
+    _require("positive", steps=steps, refine=refine)
+    grid = TimeGrid(0.0, float(t_end), steps * refine)
+    out = TimeGrid(0.0, grid.t_end, steps)
+    z, phi = _volterra_nodes(K, free, init, grid, refine, what)
+    half = TimeGrid(0.0, grid.t_end, max(grid.steps // 2, 1))
+    z_half, _ = _volterra_nodes(K, free, init, half, 1, what)
+    scale = float(np.max(np.abs(z)))
+    coarse = np.column_stack([np.interp(out.nodes, half.nodes, col) for col in z_half.T])
+    gap = float(np.max(np.abs(z - coarse)))
     drift = gap / scale if scale else (math.inf if gap else 0.0)
     if drift > 0.10:
         raise ResolutionError(f"half-resolution drift {drift:.3e} exceeds 10%; refine the grid")
     if 0.0 < scale < np.finfo(float).tiny:
         raise ResolutionError(f"march sup {scale!r} is subnormal, too few bits for a 10% bound")
+    return out, z, phi
 
 
 def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray, what: str = "integration") -> None:

@@ -987,6 +987,26 @@ def test_ode_reduced_answers_within_ten_percent_or_exits_three(capsys, coeffs, d
     assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * np.max(np.abs(exact))
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known drift-guard miss, a FOUND line of CHANGES.md: z'' + 60 z' + 339624 z = 0 at 200 "
+    "steps drifts 9.6% from its half-resolution rerun, so the guard passes a z 17.0% of "
+    "sup |z| off the closed form (400 steps: refused at 12.9% drift, error 4.1%; 800 steps: "
+    "drift 3.1%, error 1.0%)"))
+def test_ode_reduced_drift_guard_miss(capsys):
+    # the contract of the property above, at the case it can draw and fail on
+    coeffs, init = (1.0, 60.0, 339624.0), [1.0, 0.0]
+    rc, out, err = run(capsys, ["fredholm-solve", "--kernel", "ode-reduced",
+                                "--ode-coeffs", "1,60,339624", "--ode-init", "1,0",
+                                "--steps", "200"])
+    if rc == 3:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert (rc, err) == (0, "")
+    _, table = read_csv(out)
+    exact = analytic_solution(OdeSpec(coeffs), init, TimeGrid(0.0, 1.0, 200)).values[:, 0]
+    assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * np.max(np.abs(exact))
+
+
 # numpy's refusal of the 100001 x 100001 kernel matrix, raised without
 # asking for its 75 GiB
 NUMPY_REFUSAL = ("Unable to allocate 74.5 GiB for an array with shape (100001, 100001) "

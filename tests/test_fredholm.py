@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ecodyn import fredholm
+from ecodyn import fredholm, odelin
 from ecodyn.errors import (
     BlowUpError,
     DegenerateDataError,
@@ -44,7 +44,7 @@ from ecodyn.fredholm import (
     param_singularity_sweep,
     simpson_rule,
 )
-from ecodyn.odelin import OdeSpec, TimeGrid
+from ecodyn.odelin import OdeSpec, TimeGrid, _volterra_nodes
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +341,21 @@ class TestOdeReduction:
         with pytest.raises(ValidationError):
             ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [1.0])
 
+    @pytest.mark.parametrize("boundary, message", [
+        ([(0, 0.0), (0, 1.0, 1.0)],
+         "boundary condition (0, 0.0) is not a (derivative order, location, value) triple"),
+        ([(0, 0.0, 1.0), 2.0],
+         "boundary condition 2.0 is not a (derivative order, location, value) triple"),
+        ([math.nan, 0.0], "initial value z^(0)(0) = nan is not finite"),
+        ([1.0, -math.inf], "initial value z^(1)(0) = -inf is not finite"),
+        ([(0, 0.0, 1.0), (0, 1.0, math.nan)], "boundary value of z^(0) at t = 1 is nan"),
+        ([(1, 0.0, math.inf), (0, 0.0, 1.0)], "boundary value of z^(1) at t = 0 is inf"),
+    ], ids=["pair", "scalar-among-triples", "nan-init", "inf-init", "nan-at-one", "inf-at-zero"])
+    def test_malformed_or_non_finite_data_rejected(self, boundary, message):
+        with pytest.raises(ValidationError) as info:
+            ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), boundary)
+        assert str(info.value) == message
+
     def test_forced_equation_free_term(self):
         red = ode_to_integral(OdeSpec((1.0, 1.0), forcing=lambda t: 2.0), [0.0])
         # zdot + z = 2 from 0 -> z = 2(1 - e^-t)
@@ -453,7 +468,7 @@ class TestReductionGrid:
         ({"t_end": -1.0}, "t-end"),
     ], ids=["steps-0", "both-negative", "refine-0", "t-end-nan", "t-end-inf", "t-end-negative"])
     def test_volterra_rejects_before_the_march(self, monkeypatch, kwargs, key):
-        monkeypatch.setattr(fredholm, "_volterra_trapezoid", refuse)
+        monkeypatch.setattr(odelin, "_volterra_trapezoid", refuse)
         red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0])
         with pytest.raises(ValidationError) as info:
             red.solve(**kwargs)
@@ -504,6 +519,14 @@ def row_dot_march(red, steps, refine=4, t_end=1.0):
     return z, phi[::refine]
 
 
+def unguarded_march(red, steps, refine=4, t_end=1.0):
+    """(z, phi) of ``red.solve`` without its half-resolution rerun: the
+    core's march with the reduction's kernel K_m = -a_(n-1-m)."""
+    K = -np.array(red.a[::-1]).reshape(red.order, 1, 1)
+    grid = TimeGrid(0.0, t_end, steps * refine)
+    return _volterra_nodes(K, red._free_terms, red.init, grid, refine, "Volterra march")
+
+
 class TestMomentMarch:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -520,9 +543,9 @@ class TestMomentMarch:
         # the march alone: ``solve`` refuses the coarsest draws (7 steps on
         # [0, 2]) by its half-resolution check
         red = ode_to_integral(OdeSpec((1.0, *coeffs)), init[: len(coeffs)])
-        sol = red._march(TimeGrid(0.0, t_end, steps * refine), refine)
+        got_z, got_phi = unguarded_march(red, steps, refine, t_end)
         z, phi = row_dot_march(red, steps, refine, t_end)
-        for got, want in ((sol.trajectory.column("z"), z), (sol.phi, phi)):
+        for got, want in ((got_z[:, 0], z), (got_phi[:, 0], phi)):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
 
     def test_forced_equation_matches_the_row_dot_march(self):
@@ -587,8 +610,8 @@ class TestMomentMarch:
         # one step of 4 nodes against 2; a one-node march is its own half
         red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0])
         sol = red.solve(steps=steps, refine=refine)
-        want = red._march(TimeGrid(0.0, 1.0, steps * refine), refine)
-        assert sol.trajectory.values.tobytes() == want.trajectory.values.tobytes()
+        want, _ = unguarded_march(red, steps, refine)
+        assert sol.trajectory.values.tobytes() == want.tobytes()
         assert abs(sol.trajectory.column("z")[-1] - math.cos(1.0)) < 0.1
 
     def test_overflow_is_a_blow_up(self):

@@ -3,11 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import expm, random_metzler
-from ecodyn.odelin import TimeGrid, sup_rel_diff
+from ecodyn.fredholm import ode_to_integral
+from ecodyn.odelin import OdeSpec, TimeGrid, sup_rel_diff
 from ecodyn.errors import (
     BlowUpError,
+    EcodynError,
     NonConvergenceError,
     ResolutionError,
     SingularMatrixError,
@@ -466,6 +470,41 @@ class TestAffineMarch:
         with pytest.raises(BlowUpError):
             volterra_solve(model, steps=4)
 
+    def test_blow_up_names_the_first_node_where_x_or_u_is_not_finite(self):
+        # U = X'' overflows at t = 0.25, a node before X, whose trapezoid at
+        # a node does not yet weigh U there
+        model = LeontiefModel(A=np.diag([1e300, 1e300]), demand=[1.0, 1.0], X0=[1.0, 1.0],
+                              Xdot0=[1.0, 0.0], order=2)
+        with pytest.raises(BlowUpError, match=r"^integration blew up between t=0.0 and t=0.25$"):
+            volterra_solve(model, steps=4)
+
+    def test_non_finite_u_at_the_last_node_is_a_blow_up(self):
+        # G = 2 C overflows at t = 1 only; X there is still finite
+        model = LeontiefModel(A=[[0.5]], demand=lambda t: np.array([1e308 if t == 1.0 else 1.0]),
+                              X0=[1.0], Xdot0=[0.0], order=2)
+        with pytest.raises(BlowUpError, match=r"^integration blew up between t=0.75 and t=1.0$"):
+            volterra_solve(model, steps=4)
+
+
+class TestTwoVolterraForms:
+    @settings(max_examples=100, deadline=None)
+    @given(b=st.floats(0.0, 1.0, exclude_min=True), c=st.floats(0.0, 2.0),
+           x0=st.floats(-2.0, 2.0), v=st.floats(-2.0, 2.0), steps=st.integers(4, 500))
+    def test_scalar_balance_matches_the_ode_reduction(self, b, c, x0, v, steps):
+        # 0.5 X'' + X' + b X = c as a balance with B = b, and as the ODE
+        # reduction of the same equation: one march, two free terms
+        model = LeontiefModel(A=[[1.0 - b]], demand=[c], X0=[x0], Xdot0=[v], order=2)
+        red = ode_to_integral(OdeSpec((0.5, 1.0, b), forcing=lambda t: c), [x0, v])
+        try:
+            x = volterra_solve(model, steps=steps).values[:, 0]
+        except EcodynError as exc:
+            with pytest.raises(type(exc)) as info:
+                red.solve(steps=steps, refine=1)
+            assert str(info.value) == str(exc)
+            return
+        z = red.solve(steps=steps, refine=1).trajectory.values[:, 0]
+        assert np.max(np.abs(x - z)) <= 1e-13 * np.max(np.abs(x))
+
 
 def stepwise_check(model, ts):
     """The message of the first failing sample, checked one at a time."""
@@ -510,8 +549,9 @@ class TestDemandSamples:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_solves_check_the_stack_not_each_sample(self, monkeypatch, order):
-        # one call per march: the 21 RK4 stage times of 10 steps, then the
-        # 11 and 6 nodes of the Volterra march and its half-resolution rerun
+        # one call per march: the 11 nodes and 10 midpoints that the exact
+        # flow of 10 steps samples, then the 11 and 6 nodes of the Volterra
+        # march and its half-resolution rerun
         sizes = []
         demand_samples = LeontiefModel.demand_samples
 
@@ -542,6 +582,16 @@ class TestModelValidation:
                           X0=[0.0, 0.0])
         assert (str(exc_info.value), exc_info.value.key) == (
             "A has an entry that is not finite", "matrix")
+
+    @pytest.mark.parametrize("X0, Xdot0, message, key", [
+        ([np.nan], [0.0], "X0 has a component that is not finite", "x0"),
+        ([0.0], [np.inf], "Xdot0 has a component that is not finite", "xdot0"),
+        ([-np.inf], None, "X0 has a component that is not finite", "x0"),
+    ], ids=["nan-x0", "inf-xdot0", "order-one"])
+    def test_initial_data_must_be_finite(self, X0, Xdot0, message, key):
+        with pytest.raises(ValidationError) as exc_info:
+            LeontiefModel(A=[[0.5]], demand=[1.0], X0=X0, Xdot0=Xdot0, order=2 if Xdot0 else 1)
+        assert (str(exc_info.value), exc_info.value.key) == (message, key)
 
     def test_metzler_check_shares_the_rule(self):
         with pytest.raises(ValidationError, match="^A has an entry that is not finite$"):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecodyn.errors import BlowUpError, UnsupportedError, ValidationError
+from ecodyn.errors import BlowUpError, ResolutionError, UnsupportedError, ValidationError
 from ecodyn.odelin import (
     OdeSpec,
     TimeGrid,
     Trajectory,
+    _volterra_nodes,
     _volterra_trapezoid,
     analytic_solution,
     char_roots,
@@ -499,3 +500,20 @@ class TestVolterraTrapezoid:
         phi, J = _volterra_trapezoid(np.ones((1, 1, 1)), np.ones((201, 1)), 1.0 / 200)
         assert np.max(np.abs(phi[:, 0] - np.exp(t))) < 1e-4
         assert np.max(np.abs(J[:, 0] - (np.exp(t) - 1.0))) < 1e-4
+
+    @pytest.mark.parametrize("K0", [[[2.0]], [[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
+                             ids=["scalar", "diagonal", "rank-one"])
+    def test_singular_step_is_refused_before_the_free_term(self, K0):
+        # I - (h/2) K_0 at h = 1 has a zero singular value in each case
+        def free(t):
+            raise AssertionError("a resonant step sampled the free term")
+
+        grid, init = TimeGrid(0.0, 1.0, 1), np.zeros((1, len(K0)))
+        with pytest.raises(ResolutionError, match="^marching step resonates with the kernel"):
+            _volterra_nodes(np.array([K0]), free, init, grid, 1, "march")
+
+    def test_regular_step_outside_the_screen_marches(self):
+        # I - (h/2) K_0 = [[1, 2], [0, 1]]: no diagonal dominance, sigma_min 0.41
+        z, phi = _volterra_nodes(np.array([[[0.0, -4.0], [0.0, 0.0]]]), lambda t: np.ones((2, 2)),
+                                 np.zeros((1, 2)), TimeGrid(0.0, 1.0, 1), 1, "march")
+        assert np.isfinite(z).all() and np.isfinite(phi).all()
