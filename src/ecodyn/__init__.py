@@ -28,7 +28,6 @@ from .errors import (
     SingularMatrixError,
     SpectrumProximityError,
     StructuralError,
-    UnsupportedError,
     ValidationError,
 )
 
@@ -42,7 +41,7 @@ _LAZY = {
     ),
     "odelin": (
         "OdeSpec", "TimeGrid", "Trajectory",
-        "char_roots", "analytic_solution", "linear_flow",
+        "char_roots", "linear_flow",
     ),
     "harrod": (
         "HarrodParams", "DiscretePath", "AdequacyResidual",
@@ -78,10 +77,9 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 __all__ = [
     "__version__",
     *_HOME,
-    "EcodynError", "ValidationError", "StructuralError", "UnsupportedError",
-    "DegenerateDataError", "NumericalError", "PoleError", "BlowUpError",
-    "NonConvergenceError", "SingularMatrixError", "SpectrumProximityError",
-    "ResolutionError", "CrossCheckError",
+    "EcodynError", "ValidationError", "StructuralError", "DegenerateDataError",
+    "NumericalError", "PoleError", "BlowUpError", "NonConvergenceError",
+    "SingularMatrixError", "SpectrumProximityError", "ResolutionError", "CrossCheckError",
 ]
 
 

@@ -1,11 +1,14 @@
 """Flow-form growth and multiplier-accelerator models plus the
-time-scale-invariance diagnostic.
+time-scale-invariance diagnostic (arXiv:0804.3658).
 
 All models here are stated in normalized time and re-dimensionalized
 through an arbitrary scale t0.  A reliable model cannot depend on that
 choice; ``scale_invariance_check`` runs a model under two scales and
 measures the deviation of the physical trajectories, which is the
-operational form of that criticism.
+operational form of that criticism.  The second-order Phillips and
+Bergstrom models step the exact flow of their companion matrices through
+``odelin.linear_flow``, so a critically damped model, whose roots
+coincide, is solved like any other.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .odelin import (
     TimeGrid,
     Trajectory,
     _raise_on_blow_up,
-    analytic_solution,
     char_roots,
+    linear_flow,
     sup_rel_diff,
 )
 
@@ -162,11 +165,12 @@ def phillips_solve(
 def _second_order_solve(
     a: float, b: float, init: tuple[float, float], grid: TimeGrid, labels: tuple[str, str]
 ) -> tuple[Trajectory, tuple[complex, ...]]:
-    """x'' + a x' + b x = 0 with initial data ``init`` = (x, x'): the closed-form
-    trajectory of x and x' under ``labels``, and the characteristic roots."""
-    spec = OdeSpec((1.0, a, b))
-    traj = analytic_solution(spec, list(init), grid, derivatives=1)
-    return Trajectory(traj.grid, traj.values, labels), tuple(r for r, _ in char_roots(spec))
+    """x'' + a x' + b x = 0 with initial data ``init`` = (x, x'): the trajectory
+    of x and x' under ``labels``, stepped by the exact flow of the companion
+    matrix, and the two characteristic roots, a double root twice."""
+    traj = linear_flow(np.array([[0.0, 1.0], [-b, -a]]), init, grid, labels=labels)
+    roots = char_roots(OdeSpec((1.0, a, b)))
+    return traj, tuple(r for r, m in roots for _ in range(m))
 
 
 def phillips_system_residuals(

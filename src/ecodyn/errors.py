@@ -99,12 +99,9 @@ class StructuralError(ValidationError):
     """Malformed expression tree or container."""
 
 
-class UnsupportedError(ValidationError):
-    """Input outside the supported regime (e.g. repeated roots)."""
-
-
 class DegenerateDataError(ValidationError):
-    """Data that makes the problem singular (e.g. singular Vandermonde)."""
+    """Data that makes the problem singular (e.g. a boundary placement that
+    leaves a constant of the two-point reduction free)."""
 
 
 class NumericalError(EcodynError):

@@ -141,6 +141,7 @@ always computes eigvals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
@@ -1066,9 +1067,10 @@ def ode_to_integral(
     giving a Volterra problem with a convolution kernel, or n triples
     (derivative order, location in {0, 1}, value) splitting the data
     between the ends of [0, 1], giving a Fredholm problem.  A value that is
-    not finite, and a condition that is not a triple, are rejected.  Like the
-    coefficients, the forcing is divided by the leading c_n, so phi solves
-    z^(n) + sum a_k z^(k) = f/c_n.
+    not finite, a derivative order that is not an integer, a condition that
+    is not a triple and initial values mixed with triples are rejected.
+    Like the coefficients, the forcing is divided by the leading c_n, so
+    phi solves z^(n) + sum a_k z^(k) = f/c_n.
     """
     n = spec.order
     if len(boundary) != n:
@@ -1079,6 +1081,9 @@ def ode_to_integral(
     forcing = None if f is None else (lambda t: f(t) / cn)
     first = boundary[0]
     if not isinstance(first, (tuple, list)):
+        if any(isinstance(b, (tuple, list)) for b in boundary):
+            raise ValidationError("boundary data mix initial values with "
+                                  "(derivative order, location, value) triples")
         init = tuple(float(b) for b in boundary)  # type: ignore[arg-type]
         bad = next((i for i, v in enumerate(init) if not math.isfinite(v)), None)
         if bad is not None:
@@ -1092,8 +1097,10 @@ def ode_to_integral(
                 f"boundary condition {item!r} is not a (derivative order, location, value) triple"
             )
         d, loc, value = item
-        d = int(d)
-        loc = float(loc)
+        if not (isinstance(d, numbers.Integral) or isinstance(d, float) and d.is_integer()):
+            shown = float(d) if isinstance(d, float) else d
+            raise ValidationError(f"derivative order {shown!r} is not an integer")
+        d, loc = int(d), float(loc)
         if not 0 <= d < n:
             raise ValidationError(f"derivative order {d} outside 0..{n - 1}")
         if loc not in (0.0, 1.0):

@@ -1,16 +1,17 @@
 """Shared linear-ODE core.
 
 Characteristic roots of constant-coefficient equations (via companion
-matrix eigenvalues), analytic solutions built from simple roots, one
-exact-step propagator for linear systems, and one trapezoidal marcher for
-second-kind Volterra equations.  ``linear_flow`` solves x' = M x + c(t)
-for a constant M without right-hand-side callbacks: each step is the
-affine map x -> x + (E x + q) with E = e^(hM) - I, computed once per run
-by scaling and squaring, and q the forcing integrated against the same
-flow through the phi-functions of hM.  The linear models of
-arXiv:0804.3658 that are integrated rather than solved in closed form,
-the long-wave cycle and the truncated input-output balance, go through
-it.  No Runge-Kutta step is left here: the one RK4 of the package is
+matrix eigenvalues), one exact-step propagator for linear systems, and
+one trapezoidal marcher for second-kind Volterra equations.
+``linear_flow`` solves x' = M x + c(t) for a constant M without
+right-hand-side callbacks: each step is the affine map x -> x + (E x + q)
+with E = e^(hM) - I, computed once per run by scaling and squaring, and q
+the forcing integrated against the same flow through the phi-functions of
+hM.  Every linear differential model of arXiv:0804.3658 that has no
+scalar closed form goes through it: the second-order Phillips and
+Bergstrom models on their companion matrices, repeated roots included,
+the long-wave cycle and the truncated input-output balance.  No
+Runge-Kutta step is left here: the one RK4 of the package is
 ``harrod._rk4_growth``, the independent check of the Harrod closed forms,
 for which the exact step of y' = a y would be the closed form itself.
 
@@ -38,9 +39,7 @@ import numpy as np
 
 from .errors import (
     BlowUpError,
-    DegenerateDataError,
     ResolutionError,
-    UnsupportedError,
     ValidationError,
     _require,
     _require_array_length,
@@ -202,64 +201,6 @@ def _clusters(roots: list[complex], m_max: int) -> list[list[complex]]:
     return out
 
 
-def analytic_solution(
-    spec: OdeSpec,
-    init: Sequence[float],
-    grid: TimeGrid,
-    derivatives: int = 0,
-) -> Trajectory:
-    """Evaluate sum c_i exp(p_i t) fitted to initial data z(0)..z^(n-1)(0).
-
-    Only homogeneous equations with simple characteristic roots are
-    supported; with ``derivatives`` = m the trajectory carries columns
-    z, z', ..., z^(m).
-    """
-    if spec.forcing is not None:
-        raise UnsupportedError("analytic_solution handles homogeneous equations only")
-    n = spec.order
-    if len(init) != n:
-        raise ValidationError(f"need {n} initial values, got {len(init)}")
-    roots = char_roots(spec)
-    if any(m > 1 for _, m in roots):
-        raise UnsupportedError(
-            "repeated characteristic roots are not supported by the analytic path"
-        )
-    p = np.array([r for r, _ in roots], dtype=complex)
-    vander = np.vstack([p**i for i in range(n)])  # row i: z^(i)(0) coefficients
-    # The data are scaled by 2**-e to below 1 in magnitude, and z back by
-    # 2**e once evaluated: exact in the normal range, and subnormal data
-    # keep their bits through the solve instead of rounding the mode
-    # coefficients away before the modes grow.
-    data = np.asarray(init, dtype=complex)
-    _, e = math.frexp(float(np.max(np.abs(data))))
-    try:
-        c = np.linalg.solve(vander, _ldexp(data, -e))
-    except np.linalg.LinAlgError:
-        raise DegenerateDataError("singular Vandermonde system for initial data") from None
-
-    t = grid.nodes
-    cols = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(derivatives + 1):
-            zm = (c * p**m) @ np.exp(np.outer(p, t))
-            cols.append(zm)
-        z = _ldexp(np.column_stack(cols), e)
-    _raise_on_blow_up(z, t, "closed form")
-    scale = max(1.0, float(np.max(np.abs(z))))
-    imag_rel = float(np.max(np.abs(z.imag))) / scale
-    if imag_rel >= 1e-10:
-        raise DegenerateDataError(
-            f"imaginary residue {imag_rel:.3e} of the real solution exceeds 1e-10"
-        )
-    labels = ["z"] + [f"z_d{m}" for m in range(1, derivatives + 1)]
-    return Trajectory(grid, z.real, tuple(labels))
-
-
-def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
-    """The complex array ``z`` times 2**e, each part rounded once."""
-    return np.ldexp(np.ascontiguousarray(z).view(float), e).view(complex)
-
-
 Forcing = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray]
 
 
@@ -285,8 +226,15 @@ def linear_flow(
     at every node and every step midpoint, and q_k integrates the
     quadratic through a step's three samples exactly (``_forcing_terms``):
     exact for a forcing that is piecewise quadratic on the grid, global
-    error O(h^4) for a smooth one.  A non-finite state raises BlowUpError
-    carrying the last finite node.
+    error O(h^4) for a smooth one.  Homogeneous data whose largest entry is
+    subnormal are marched scaled by 2^-e, e from ``math.frexp``, and the
+    values scaled back by 2^e once, so that the data keep their bits while
+    their modes grow into the normal range.  The scaled data peak at
+    2^-969, 2^53 times the least normal number: products with entries of E
+    down to 2^-53 stay normal, and only a growth beyond 2^1993, to values
+    beyond 2^919, overflows in the scaled march where the unscaled one
+    would not.  Normal-range data march unscaled.  A non-finite state
+    raises BlowUpError carrying the last finite node.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x.shape[0]
@@ -297,8 +245,13 @@ def linear_flow(
     values = np.empty((grid.steps + 1, d))
     values[0] = x
     E, *phis = _phi_functions(h * M)
+    e = 0
     if forcing is None:
         q = None
+        top = float(np.max(np.abs(x)))
+        if 0.0 < top < np.finfo(float).tiny:
+            e = math.frexp(top)[1] + 968  # 2^-e x0 peaks in [2^-969, 2^-968)
+            values[0] = np.ldexp(x, -e)
     elif callable(forcing):
         q = _forcing_terms(forcing, nodes, h, *phis)
     else:
@@ -307,6 +260,8 @@ def linear_flow(
             raise ValidationError(f"constant forcing must have {d} components")
         q = h * (phis[0] @ c)
     _march(values, E, q)
+    if e:
+        values = np.ldexp(values, e)
     _raise_on_blow_up(values, nodes)
     if labels is None:
         labels = [f"x{i}" for i in range(d)] if d > 1 else ["x"]

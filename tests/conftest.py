@@ -23,3 +23,32 @@ def expm(a: np.ndarray, digits: int | None = None) -> np.ndarray:
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(digits):
         return np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def companion(coeffs) -> np.ndarray:
+    """Companion matrix of c_n z^(n) + ... + c_0 z = 0, coefficients listed
+    highest first, on the state (z, z', ..., z^(n-1))."""
+    c = np.asarray(coeffs, dtype=float)
+    M = np.eye(c.shape[0] - 1, k=1)
+    M[-1] = -c[:0:-1] / c[0]
+    return M
+
+
+def flow(M: np.ndarray, x0, times, digits: int | None = None) -> np.ndarray:
+    """x(t) = e^(tM) x0 at each time, one row each, by ``expm``.  With
+    ``digits`` the product with x0 is formed in mpmath as well, so that
+    subnormal data are not rounded before they grow."""
+    x0 = np.asarray(x0, dtype=float)
+    if digits is None:
+        return np.array([expm(t * M) @ x0 for t in times])
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(digits):
+        x0 = mp.matrix(x0.tolist())
+        return np.array([[float(v) for v in mp.expm(mp.matrix((t * M).tolist())) * x0]
+                         for t in times])
+
+
+def ode_flow(coeffs, init, times, digits: int | None = None) -> np.ndarray:
+    """z, z', ..., z^(n-1) of the homogeneous ODE from ``init`` at each
+    time, one row each: the ``flow`` of its companion matrix."""
+    return flow(companion(coeffs), init, times, digits)

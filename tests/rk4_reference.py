@@ -1,12 +1,13 @@
 """The general RK4 integrator the tests use as the reference for
-``odelin._rk4_growth``, the scalar RK4 of Harrod's closed-form
-cross-checks, and as an oracle for the closed forms of
-``odelin.analytic_solution``.
+``harrod._rk4_growth``, the scalar RK4 of Harrod's closed-form
+cross-checks, and as an independent integration of the companion systems
+that ``odelin.linear_flow`` steps exactly.
 
 It takes any first-order system as a Python right-hand side and applies
 the four RK4 stages literally, so it shares no code with the folded step
-gains of ``_rk4_growth``.  The linear systems that ``odelin.linear_flow``
-steps exactly are checked against the matrix exponential instead.
+gains of ``_rk4_growth`` or with the exact flow.  The tight accuracy
+checks of ``linear_flow`` are made against the matrix exponential
+(``conftest.expm``) instead.
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ecodyn.allen import (
     AllenScaling,
@@ -17,6 +19,7 @@ from ecodyn.allen import (
 )
 from ecodyn.errors import PoleError, ValidationError
 from ecodyn.odelin import TimeGrid
+from conftest import ode_flow
 
 
 class TestScaling:
@@ -197,6 +200,69 @@ class TestBergstrom:
         assert res.damping == pytest.approx(2.1, rel=1e-14)
         assert res.stiffness == pytest.approx(2.0, rel=1e-14)
         assert res.kappa_equivalent == 4.0
+
+
+# a/(2 sqrt(b)) of x'' + a x' + b x = 0: exactly critical, 1e-12 off it on
+# either side, or anywhere from growing oscillations to overdamped decay
+DAMPING_RATIOS = st.one_of(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12]),
+                           st.floats(-0.5, 3.0))
+UNIT = st.floats(0.05, 0.95)
+RATE = st.floats(0.2, 3.0)
+INIT = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+GRIDS = st.builds(lambda t_end, steps: TimeGrid(0.0, t_end, steps),
+                  st.floats(0.5, 5.0), st.integers(1, 200))
+
+
+def assert_matches_expm(traj, a, b, init):
+    """Each column of ``traj`` within 1e-12 of its sup of mpmath's expm,
+    at no more than eleven of its nodes."""
+    nodes = slice(None, None, max(1, traj.grid.steps // 10))
+    exact = ode_flow((1.0, a, b), init, traj.times[nodes], digits=30)
+    sup = np.max(np.abs(exact), axis=0)
+    assert np.all(np.max(np.abs(traj.values[nodes] - exact), axis=0) <= 1e-12 * sup)
+
+
+class TestSecondOrderExactFlow:
+    @settings(max_examples=50, deadline=None)
+    @given(zeta=DAMPING_RATIOS, kappa=RATE, mu=UNIT, lam=RATE, t0=st.floats(0.5, 2.0),
+           init=INIT, grid=GRIDS)
+    def test_phillips_matches_expm(self, zeta, kappa, mu, lam, t0, init, grid):
+        # nu puts a1/(2 sqrt(b1)) at zeta: s = sqrt(b1) solves s^2 + 2 zeta s = kappa + mu lam
+        c = kappa + mu * lam
+        s = c / (zeta + math.sqrt(zeta * zeta + c))
+        params = PhillipsParams(kappa=kappa, nu=s * s / (kappa * lam), mu=mu, lam=lam)
+        sol = phillips_solve(params, AllenScaling(t0=t0), init, grid)
+        assert len(sol.roots) == 2
+        assert_matches_expm(sol.trajectory, sol.a, sol.b, init)
+
+    @settings(max_examples=50, deadline=None)
+    @given(zeta=DAMPING_RATIOS, mu=UNIT, gamma=RATE, lam=RATE, init=INIT, grid=GRIDS)
+    def test_bergstrom_matches_expm(self, zeta, mu, gamma, lam, init, grid):
+        # nu puts the damping at 2 zeta sqrt(stiffness); a nu below 0 is no model
+        nu = (gamma + mu * lam - 2.0 * zeta * math.sqrt(mu * gamma * lam)) / (gamma * lam)
+        assume(nu >= 0.0)
+        res = bergstrom_capital_solve(mu, nu, gamma, lam, init, grid)
+        assert len(res.roots) == 2
+        assert_matches_expm(res.trajectory, res.damping, res.stiffness, init)
+
+    def test_critically_damped_phillips_has_no_period(self):
+        # a1 = 2 and b1 = 1 exactly: Y'' + 2 Y' + Y = 0, Y = (1 + t) e^(-t)
+        params = PhillipsParams(kappa=1.0, nu=0.25, mu=0.5, lam=4.0)
+        sol = phillips_solve(params, AllenScaling(t0=1.0), (1.0, 0.0), TimeGrid(0.0, 10.0, 20))
+        assert (sol.a, sol.b) == (2.0, 1.0)
+        assert sol.roots == (-1.0, -1.0)
+        assert sol.period_t_hat is None
+        t = sol.trajectory.times
+        assert np.max(np.abs(sol.trajectory.column("Y") - (1.0 + t) * np.exp(-t))) <= 1e-13
+
+    def test_critically_damped_bergstrom(self):
+        # damping 1 + 1 - 0 = 2, stiffness 0.5 * 1 * 2 = 1: K = (1 + t) e^(-t)
+        res = bergstrom_capital_solve(0.5, 0.0, 1.0, 2.0, (1.0, 0.0), TimeGrid(0.0, 10.0, 20))
+        assert (res.damping, res.stiffness) == (2.0, 1.0)
+        assert res.roots == (-1.0, -1.0)
+        t = res.trajectory.times
+        assert np.max(np.abs(res.trajectory.column("K") - (1.0 + t) * np.exp(-t))) <= 1e-13
+        assert np.max(np.abs(res.trajectory.column("Kdot") + t * np.exp(-t))) <= 1e-13
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

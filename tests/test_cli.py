@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from ecodyn import cli, harrod
 from ecodyn.allen import SCALE_CHECK_MODELS, AllenScaling, PhillipsParams, phillips_solve
 from ecodyn.errors import NumericalError
-from ecodyn.odelin import OdeSpec, TimeGrid, analytic_solution, sup_rel_diff
+from ecodyn.longwave import LongWaveParams, lw_matrix
+from ecodyn.odelin import TimeGrid, sup_rel_diff
+from conftest import flow, ode_flow
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_ARGS = ["fredholm-solve", "--kernel", "t-plus-eta", "--lam", "0.5", "--q", "t",
@@ -178,11 +180,13 @@ class TestAtomicOut:
 
 LEONTIEF_ARGS = ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"),
                  "--order", "2", "--x0", "1,1,1", "--xdot0", "0,0.1,0", "--steps", "40"]
-# CSV of the closed-form paths (bergstrom and multiplier: made by the commit
-# before lazy module loading), matched byte for byte, and of the paths
-# stepped by the exact flow (longwave, leontief), each column checked within
-# 1e-13 of its sup against mpmath's expm before it was written, matched to
-# 1e-12 of each column's sup norm
+# CSV of the closed-form paths (multiplier: made by the commit before lazy
+# module loading) and of bergstrom, remade by the exact flow of its
+# companion matrix with each column within 1e-13 of its sup of mpmath's
+# expm, matched byte for byte, and of the other paths stepped by the exact
+# flow (longwave, leontief), each column checked within 1e-13 of its sup
+# against mpmath's expm before it was written, matched to 1e-12 of each
+# column's sup norm
 TRAJECTORY_GOLDEN = {
     "harrod": ["harrod", "--mu", "0.3", "--nu", "2.5", "--y0", "1.5", "--t-end", "20",
                "--steps", "40"],
@@ -243,6 +247,47 @@ class TestTrajectoryGolden:
         assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
 
 
+class TestExactFlowEdges:
+    """Regime edges of the models stepped by ``odelin.linear_flow``."""
+
+    def test_critically_damped_bergstrom_answers(self, capsys):
+        # damping 2, stiffness 1: K'' + 2 K' + K = 0, K = (1 + t) e^(-t)
+        argv = ["bergstrom", "--mu", "0.5", "--nu", "0", "--gamma", "1", "--lam", "2",
+                "--t-end", "10", "--steps", "20"]
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        header, table = read_csv(out)
+        assert header == "t,K,Kdot" and table.shape == (21, 3)
+        t = table[:, 0]
+        assert np.max(np.abs(table[:, 1] - (1.0 + t) * np.exp(-t))) <= 1e-13
+        rc, out, _ = run(capsys, argv + ["--format", "json"])
+        assert rc == 0
+        assert json.loads(out)["data"]["report"]["roots"] == [{"re": -1.0, "im": 0.0}] * 2
+
+    def test_critically_damped_phillips_has_no_period(self, capsys):
+        # a1 = 1 + 0.5 * 4 - 1 = 2 and b1 = 0.25 * 4 = 1: the double root -1
+        rc, out, err = run(capsys, ["phillips", "--kappa", "1", "--nu", "0.25", "--mu", "0.5",
+                                    "--lam", "4", "--t-end", "10", "--steps", "20",
+                                    "--format", "json"])
+        assert (rc, err) == (0, "")
+        report = json.loads(out)["data"]["report"]
+        assert report["period_t_hat"] is None
+        assert report["roots"] == [{"re": -1.0, "im": 0.0}] * 2
+
+    def test_subnormal_longwave_matches_mpmath(self, capsys):
+        # x0 = 3e-320 grows through the subnormal range to about 1e-294
+        rc, out, err = run(capsys, ["longwave", "--p", "0.11", "--r", "0.5", "--x0", "3e-320",
+                                    "--y0", "0", "--t-end", "300", "--steps", "300"])
+        assert (rc, err) == (0, "")
+        header, table = read_csv(out)
+        assert header == "t,x,y,z"
+        M = lw_matrix(LongWaveParams(p=0.11, r=0.5))
+        xy = flow(M, [3e-320, 0.0], table[:, 0], digits=30)
+        exact = np.column_stack([xy, xy[:, 0] - xy[:, 1]])
+        sup = np.max(np.abs(exact), axis=0)
+        assert np.all(np.max(np.abs(table[:, 1:] - exact), axis=0) <= 1e-12 * sup)
+
+
 class TestScaleCheckInitialData:
     PARAMS = {"kappa": 1.3, "nu": 0.8, "mu": 0.4, "lam": 1.1}
 
@@ -279,6 +324,8 @@ class TestScaleCheckInitialData:
 # are relative paths
 JSON_GOLDEN = {
     "harrod_domar": TRAJECTORY_GOLDEN["harrod_domar"],
+    # phillips and scale_check: remade by the exact flow of the companion
+    # matrix, each column and the deviation within 1e-13 of mpmath's expm
     "phillips": ["phillips", "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
                  "--ydot0", "0.5", "--t-end", "10", "--steps", "20"],
     # remade by the exact flow, within 6e-15 of mpmath's expm
@@ -982,7 +1029,7 @@ def test_ode_reduced_answers_within_ten_percent_or_exits_three(capsys, coeffs, d
     assert (rc, err) == (0, "")
     header, table = read_csv(out)
     assert header == "t,z,phi"
-    exact = analytic_solution(OdeSpec(coeffs), init, TimeGrid(0.0, 1.0, 200)).values[:, 0]
+    exact = ode_flow(coeffs, init, TimeGrid(0.0, 1.0, 200).nodes)[:, 0]
     # relative to sup |z|, the drift check's own scale (a subnormal march is refused)
     assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * np.max(np.abs(exact))
 
@@ -1003,7 +1050,7 @@ def test_ode_reduced_drift_guard_miss(capsys):
         return
     assert (rc, err) == (0, "")
     _, table = read_csv(out)
-    exact = analytic_solution(OdeSpec(coeffs), init, TimeGrid(0.0, 1.0, 200)).values[:, 0]
+    exact = ode_flow(coeffs, init, TimeGrid(0.0, 1.0, 200).nodes)[:, 0]
     assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * np.max(np.abs(exact))
 
 

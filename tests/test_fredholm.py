@@ -45,6 +45,7 @@ from ecodyn.fredholm import (
     simpson_rule,
 )
 from ecodyn.odelin import OdeSpec, TimeGrid, _volterra_nodes
+from conftest import ode_flow
 
 
 @pytest.fixture(scope="module")
@@ -289,14 +290,12 @@ class TestOdeReduction:
                 red.kernel(t + shift, eta + shift), rel=1e-12
             )
 
-    def test_matches_analytic_solution_orders_one_two(self):
-        from ecodyn.odelin import TimeGrid, analytic_solution
-
+    def test_matches_the_matrix_exponential_orders_one_two(self):
         for coeffs, init in [((1.0, 2.0), [1.5]), ((1.0, 1.0, 2.0), [1.0, -0.5])]:
             red = ode_to_integral(OdeSpec(coeffs), init)
             sol = red.solve(steps=200)
-            exact = analytic_solution(OdeSpec(coeffs), init, TimeGrid(0.0, 1.0, 200))
-            err = np.max(np.abs(sol.trajectory.column("z") - exact.values[:, 0]))
+            exact = ode_flow(coeffs, init, sol.trajectory.times)
+            err = np.max(np.abs(sol.trajectory.column("z") - exact[:, 0]))
             assert err < 1e-6
 
     def test_two_point_boundary_produces_fredholm(self):
@@ -317,6 +316,14 @@ class TestOdeReduction:
         )
         k = red.kernel_spec()
         assert k(0.6, 0.2) != pytest.approx(k(0.9, 0.5), rel=1e-6)
+
+    def test_integral_float_and_numpy_orders_are_read_as_ints(self):
+        # z'' + z = 0 with z(0) = 1 and z'(1) = -sin(1): z = cos
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)),
+                              [(0.0, 0.0, 1.0), (np.int64(1), 1.0, -math.sin(1.0))])
+        assert isinstance(red, FredholmReduction)
+        assert red.conditions == ((0, 0.0, 1.0), (1, 1.0, -math.sin(1.0)))
+        assert all(type(d) is int for d, _, _ in red.conditions)
 
     def test_all_conditions_at_zero_collapse_to_volterra(self):
         red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), [(1, 0.0, 0.0), (0, 0.0, 1.0)])
@@ -350,7 +357,14 @@ class TestOdeReduction:
         ([1.0, -math.inf], "initial value z^(1)(0) = -inf is not finite"),
         ([(0, 0.0, 1.0), (0, 1.0, math.nan)], "boundary value of z^(0) at t = 1 is nan"),
         ([(1, 0.0, math.inf), (0, 0.0, 1.0)], "boundary value of z^(1) at t = 0 is inf"),
-    ], ids=["pair", "scalar-among-triples", "nan-init", "inf-init", "nan-at-one", "inf-at-zero"])
+        ([(math.nan, 0.0, 1.0), (0, 1.0, 1.0)], "derivative order nan is not an integer"),
+        ([(0.5, 0.0, 1.0), (0, 1.0, 1.0)], "derivative order 0.5 is not an integer"),
+        ([(0, 0.0, 1.0), (math.inf, 1.0, 1.0)], "derivative order inf is not an integer"),
+        ([(np.float64(0.5), 0.0, 1.0), (0, 1.0, 1.0)], "derivative order 0.5 is not an integer"),
+        ([1.0, (0, 1.0, 1.0)], "boundary data mix initial values with "
+                               "(derivative order, location, value) triples"),
+    ], ids=["pair", "scalar-among-triples", "nan-init", "inf-init", "nan-at-one", "inf-at-zero",
+            "nan-order", "half-order", "inf-order", "numpy-half-order", "triple-among-scalars"])
     def test_malformed_or_non_finite_data_rejected(self, boundary, message):
         with pytest.raises(ValidationError) as info:
             ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), boundary)

@@ -1,5 +1,4 @@
 import cmath
-import itertools
 import math
 import sys
 import tracemalloc
@@ -9,19 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecodyn.errors import BlowUpError, ResolutionError, UnsupportedError, ValidationError
+from ecodyn.errors import BlowUpError, ResolutionError, ValidationError
 from ecodyn.odelin import (
     OdeSpec,
     TimeGrid,
     Trajectory,
     _volterra_nodes,
     _volterra_trapezoid,
-    analytic_solution,
     char_roots,
     linear_flow,
     sup_rel_diff,
 )
-from conftest import expm
+from conftest import companion, expm, flow, ode_flow
 from rk4_reference import rk4_integrate
 
 
@@ -126,6 +124,21 @@ class TestCharRoots:
                 if abs(r.imag) > 1e-9:
                     assert any(abs(r.conjugate() - s) < 1e-7 * max(1.0, abs(r)) for s in roots)
 
+    def test_critical_damping_sweep_is_one_double_root(self):
+        # z'' + a z' + (a^2/4) z has the double root -a/2 for every a; the
+        # computed roots split by up to ~4e-8 relative, whatever a is
+        for a in np.linspace(0.1, 20.0, 400):
+            spec = OdeSpec((1.0, float(a), float(a) ** 2 / 4.0))
+            assert [m for _, m in char_roots(spec)] == [2]
+
+    def test_triple_root_sweep_is_one_triple_root(self):
+        # (p + a)^3 has the triple root -a; the computed roots split by up to
+        # ~1.2e-5 relative (about eps^(1/3)), whatever a is
+        for a in np.linspace(0.1, 20.0, 100):
+            a = float(a)
+            spec = OdeSpec((1.0, 3.0 * a, 3.0 * a**2, a**3))
+            assert [m for _, m in char_roots(spec)] == [3]
+
     def test_multiplicity_clustering(self):
         # (p + 1)^2 = p^2 + 2p + 1
         roots = char_roots(OdeSpec((1.0, 2.0, 1.0)))
@@ -150,67 +163,36 @@ class TestCharRoots:
         assert str(info.value) == message
 
 
-class TestAnalyticSolution:
+class TestCompanionFlow:
+    """``linear_flow`` on the companion matrix of a homogeneous ODE, the
+    route of the second-order Allen models."""
+
+    def flow(self, coeffs, init, grid):
+        return linear_flow(companion(coeffs), init, grid)
+
     def test_exponential(self):
-        traj = analytic_solution(OdeSpec((1.0, -1.0)), [1.0], TimeGrid(0.0, 1.0, 10))
+        traj = self.flow((1.0, -1.0), [1.0], TimeGrid(0.0, 1.0, 10))
         assert traj.values[-1, 0] == pytest.approx(math.e, rel=1e-12)
 
     def test_cosine_at_pi(self):
-        traj = analytic_solution(
-            OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0], TimeGrid(0.0, math.pi, 64)
-        )
+        traj = self.flow((1.0, 0.0, 1.0), [1.0, 0.0], TimeGrid(0.0, math.pi, 64))
         assert traj.values[-1, 0] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_derivative_column(self):
+        traj = self.flow((1.0, 0.0, 1.0), [1.0, 0.0], TimeGrid(0.0, 1.0, 50))
+        assert np.allclose(traj.values[:, 1], -np.sin(traj.times), atol=1e-12)
 
     def test_matches_rk4_on_damped_oscillator(self):
         # a = 2.1, b = 2.4: the numerical integration is the oracle
-        spec = OdeSpec((1.0, 2.1, 2.4))
         grid = TimeGrid(0.0, 1.0, 1000)
-        exact = analytic_solution(spec, [1.0, 0.0], grid)
+        exact = self.flow((1.0, 2.1, 2.4), [1.0, 0.0], grid)
         numeric = rk4_integrate(
             lambda t, x: np.array([x[1], -2.1 * x[1] - 2.4 * x[0]]), [1.0, 0.0], grid
         )
         assert sup_rel_diff(exact.values[:, 0], numeric.values[:, 0]) < 1e-6
 
-    def test_derivative_columns(self):
-        traj = analytic_solution(
-            OdeSpec((1.0, 0.0, 1.0)), [1.0, 0.0], TimeGrid(0.0, 1.0, 50), derivatives=1
-        )
-        assert traj.labels == ("z", "z_d1")
-        t = traj.times
-        assert np.allclose(traj.values[:, 1], -np.sin(t), atol=1e-12)
-
-    def test_repeated_roots_rejected(self):
-        with pytest.raises(UnsupportedError):
-            analytic_solution(OdeSpec((1.0, 2.0, 1.0)), [1.0, 0.0], TimeGrid(0.0, 1.0, 4))
-
-    def test_critical_damping_sweep_fails_one_way(self):
-        # z'' + a z' + (a^2/4) z has the double root -a/2 for every a; the
-        # computed roots split by up to ~4e-8 relative, whatever a is
-        grid = TimeGrid(0.0, 1.0, 10)
-        for a in np.linspace(0.1, 20.0, 400):
-            spec = OdeSpec((1.0, float(a), float(a) ** 2 / 4.0))
-            with pytest.raises(UnsupportedError):
-                analytic_solution(spec, [1.0, 0.0], grid)
-            assert [m for _, m in char_roots(spec)] == [2]
-
-    def test_triple_root_sweep_fails_one_way(self):
-        # (p + a)^3 has the triple root -a; the computed roots split by up to
-        # ~1.2e-5 relative (about eps^(1/3)), whatever a is
-        grid = TimeGrid(0.0, 1.0, 10)
-        for a in np.linspace(0.1, 20.0, 100):
-            a = float(a)
-            spec = OdeSpec((1.0, 3.0 * a, 3.0 * a**2, a**3))
-            with pytest.raises(UnsupportedError):
-                analytic_solution(spec, [1.0, 0.0, 0.0], grid)
-            assert [m for _, m in char_roots(spec)] == [3]
-
-    def test_forced_spec_rejected(self):
-        spec = OdeSpec((1.0, 1.0), forcing=lambda t: 1.0)
-        with pytest.raises(UnsupportedError):
-            analytic_solution(spec, [0.0], TimeGrid(0.0, 1.0, 4))
-
     def test_agreement_with_rk4_on_random_specs(self, rng):
-        # orders <= 3, simple moderate roots, horizon <= 2
+        # orders <= 3, moderate roots, horizon <= 2
         for _ in range(10):
             order = int(rng.integers(1, 4))
             roots = []
@@ -222,13 +204,10 @@ class TestAnalyticSolution:
                         roots += [complex(re, im), complex(re, -im)]
                 else:
                     roots.append(complex(rng.uniform(-5.0, 2.0), 0.0))
-            poly = np.poly(np.array(roots))
-            spec = OdeSpec(tuple(poly.real))
-            if any(m > 1 for _, m in char_roots(spec)):
-                continue
+            spec = OdeSpec(tuple(np.poly(np.array(roots)).real))
             init = list(rng.uniform(-1.0, 1.0, order))
             grid = TimeGrid(0.0, 2.0, 2000)
-            exact = analytic_solution(spec, init, grid)
+            exact = self.flow(spec.coeffs, init, grid)
 
             def rhs(t, x, a=spec.normalized(), n=order):
                 dx = np.empty(n)
@@ -239,15 +218,27 @@ class TestAnalyticSolution:
             numeric = rk4_integrate(rhs, init, grid)
             assert sup_rel_diff(exact.values[:, 0], numeric.values[:, 0]) < 1e-5
 
+    def test_critical_damping_sweep_matches_mpmath(self):
+        # z'' + a z' + (a^2/4) z has the double root -a/2 for every a, where
+        # a solve through the roots meets a singular Vandermonde matrix
+        grid = TimeGrid(0.0, 1.0, 4)
+        for a in np.linspace(0.1, 20.0, 400):
+            coeffs = (1.0, float(a), float(a) ** 2 / 4.0)
+            got = self.flow(coeffs, [1.0, 0.0], grid).values
+            exact = ode_flow(coeffs, [1.0, 0.0], grid.nodes, digits=30)
+            sup = np.max(np.abs(exact), axis=0)
+            assert np.all(np.max(np.abs(got - exact), axis=0) <= 1e-13 * sup), a
+
     @pytest.mark.parametrize("coeffs, init", [
         ((1.0, -49.67, 450.7), [-5e-324, -5e-324]),  # was z = 0 throughout
         ((1.0, -27.10, -461.3), [0.0, 3e-322]),  # was 17% off
     ])
     def test_subnormal_data_match_mpmath(self, coeffs, init):
-        # the modes grow from subnormal data into the normal range
+        # the modes grow from subnormal data into the normal range; the
+        # reference is summed in mpmath, where the data are no longer subnormal
         mp = pytest.importorskip("mpmath").mp
         grid = TimeGrid(0.0, 1.0, 200)
-        traj = analytic_solution(OdeSpec(coeffs), init, grid, derivatives=1)
+        traj = self.flow(coeffs, init, grid)
         with mp.workdps(50):
             roots = mp.polyroots(coeffs)
             c = mp.lu_solve(mp.matrix([[p**i for p in roots] for i in range(len(roots))]),
@@ -265,16 +256,12 @@ class TestAnalyticSolution:
            st.integers(-600, 600))
     def test_power_of_two_data_scale_z_exactly(self, lower, init, k):
         # data and z stay in the normal range, where scaling by 2**k is exact
-        spec = OdeSpec((1.0, *lower))
-        roots = [r for r, _ in char_roots(spec)]  # well separated: a well-posed solve
-        assume(len(roots) == spec.order
-               and all(abs(p - q) > 0.1 for p, q in itertools.combinations(roots, 2)))
-        init = init[:spec.order]
+        coeffs = (1.0, *lower)
+        init = init[:len(lower)]
         grid = TimeGrid(0.0, 1.0, 16)
-        base = analytic_solution(spec, init, grid, derivatives=1).values
+        base = self.flow(coeffs, init, grid).values
         assume(np.all(np.isfinite(base)))
-        scaled = analytic_solution(spec, [math.ldexp(x, k) for x in init], grid,
-                                   derivatives=1).values
+        scaled = self.flow(coeffs, [math.ldexp(x, k) for x in init], grid).values
         assert np.array_equal(scaled, np.ldexp(base, k))
 
 
@@ -437,6 +424,20 @@ class TestLinearFlow:
         ref = augmented_flow(M, np.array([1.0, 0.5]), [np.zeros(2), c] if forced else [],
                              [err.t_last], digits=40)[0]
         assert sup_rel_diff(ref, err.x_last) <= 1e-12
+
+    def test_subnormal_data_keep_their_bits_through_large_growth(self):
+        # the long-wave matrix at p = 0.11, r = 0.5 grows x0 = 3e-320 to about
+        # 3e19 by t = 4000, a growth of 2^1120 that the data march through
+        # scaled; unscaled, they lose bits before the mode grows (6e-6 off).
+        # 400 steps of the growing mode round to 2.1e-12 of sup, as they do
+        # from x0 = 1e-300
+        M = np.array([[-0.11, 0.11], [-1.0, 0.5]])
+        grid = TimeGrid(0.0, 4000.0, 400)
+        got = linear_flow(M, [3e-320, 0.0], grid).values[::40]
+        exact = flow(M, [3e-320, 0.0], grid.nodes[::40], digits=40)
+        assert np.max(np.abs(exact)) > 1e19
+        sup = np.max(np.abs(exact), axis=0)
+        assert np.all(np.max(np.abs(got - exact), axis=0) <= 1e-11 * sup)
 
     def test_rejects_bad_arguments(self):
         grid = TimeGrid(0.0, 1.0, 10)

@@ -18,7 +18,7 @@ PUBLIC = {
     "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "parse_relation", "var",
     "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
     "OdeSpec", "TimeGrid", "Trajectory",
-    "char_roots", "analytic_solution", "linear_flow",
+    "char_roots", "linear_flow",
     "HarrodParams", "DiscretePath", "AdequacyResidual",
     "CorrectedHarrodResult", "classical_trajectory", "corrected_trajectory",
     "discrete_path", "adequacy_residual",
@@ -37,10 +37,9 @@ PUBLIC = {
     "param_singularity_sweep",
     "degenerate_residual", "ode_to_integral",
     "kernel_t_plus_eta", "kernel_exp_diff", "kernel_zero", "kernel_degenerate",
-    "EcodynError", "ValidationError", "StructuralError", "UnsupportedError",
-    "DegenerateDataError", "NumericalError", "PoleError", "BlowUpError",
-    "NonConvergenceError", "SingularMatrixError", "SpectrumProximityError",
-    "ResolutionError", "CrossCheckError",
+    "EcodynError", "ValidationError", "StructuralError", "DegenerateDataError",
+    "NumericalError", "PoleError", "BlowUpError", "NonConvergenceError",
+    "SingularMatrixError", "SpectrumProximityError", "ResolutionError", "CrossCheckError",
 }
 
 
