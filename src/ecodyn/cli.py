@@ -782,7 +782,7 @@ def load_scenario(path: str) -> list[str]:
         if key == "command":
             command = value
         else:
-            argv.extend([f"--{key}", value])
+            argv.append(f"--{key}={value}")  # a value such as -1e-3 is not read as a flag
     if command is None:
         raise ValidationError("scenario file must set `command`", key="command")
     return [command, *argv]
@@ -972,6 +972,32 @@ def write_atomic(path: str, text: str | Iterable[str]) -> None:
         raise
 
 
+def _is_number_list(token: str) -> bool:
+    """Whether ``token`` is a number or a comma-separated list of numbers."""
+    try:
+        for part in token.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """``--flag -1e-3`` as ``--flag=-1e-3``.  argparse takes a token that
+    starts with '-' for an option unless it reads as a plain negative
+    number (-1, -.5), so a negative value in exponent, inf or vector form
+    (-1e-3, -inf, -1,2) would leave its flag with "expected one argument"."""
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and len(flag) > 2 and "=" not in flag and flag != "--help"
+                and token.startswith("-") and _is_number_list(token)):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -989,6 +1015,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             argv = load_scenario(path) + argv[:idx] + argv[end:]
         except EcodynError as exc:
             return _report(exc)
+    argv = _attach_signed_values(argv)
     parser = build_parser(argv)
     try:
         ns = parser.parse_args(argv)
@@ -1011,7 +1038,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             _emit(chunks, sys.stdout.write)  # looked up now: callers may redirect stdout
     except EcodynError as exc:
         return _report(exc)
-    except MemoryError as exc:  # e.g. the n x n kernel matrix of a huge --nodes
+    except MemoryError as exc:  # e.g. the samples of a huge --nodes
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 3

@@ -6,40 +6,33 @@ characteristic numbers with eigenfunctions, singularity sweeps for
 kernels k0 + mu*k1, and the classic reduction of a constant-coefficient
 ODE to a Volterra (initial data) or Fredholm (two-point data) equation.
 
-One definition per kernel.  A ``KernelSpec`` is defined by its ``array``
-form k(T, E), which takes float arrays broadcasting against each other
-and returns a new float array of their broadcast shape holding k at every
-pair; or, for a kernel built from profiles (``kernel_rho_rho``,
-``kernel_sigma_rho``, ``kernel_degenerate``, ``kernel_zero``), by its
-``separable`` pairs alone, and then G H^T is the kernel.  A closed-form
-kernel with a factorization (``kernel_t_plus_eta``, ``kernel_exp_diff``)
-gives both, and only then are the two forms compared: on a 5 x 5 lattice,
-to 1e-12, at construction, where each given form is also checked for its
-shape and for values that are not finite.  k(t, eta) is the kernel's
-matrix at one point.  An array form samples K (nodes x nodes), a block of
-its rows or the off-node values (points x nodes) in one call each; a
-profile kernel's K, rows and action are formed from the samples G and H
-below, so it makes no profile call after its discretization.  The
-ODE-reduced kernels are array forms.
+One definition per kernel.  A ``KernelSpec`` has exactly one form: its
+``array`` form k(T, E), which takes float arrays broadcasting against each
+other and returns a new float array of their broadcast shape holding k at
+every pair, or its ``separable`` pairs (g_i, h_i) of scalar profiles, and
+then G H^T is the kernel.  Every catalogue kernel (``kernel_t_plus_eta``,
+``kernel_exp_diff``, ``kernel_rho_rho``, ``kernel_sigma_rho``,
+``kernel_degenerate``, ``kernel_zero``) is separable; the ODE-reduced
+kernels are array forms.  Construction checks the form on a 5 x 5 lattice
+for its shape and for values that are not finite.  k(t, eta) is the
+kernel's matrix at one point.
 
-Finite-rank route.  A kernel that carries its separable form
-k(t, eta) = sum_i g_i(t) h_i(eta) of rank r is, on the nodes, K = G H^T with
-the n x r samples G = [g_i(t_j)] and H = [h_i(eta_j)], which
-``NystromDiscretization`` takes once (n*r profile calls).  Such a kernel is
-degenerate (Kress, *Linear Integral Equations*, 3rd ed., ch. 11; Atkinson,
-*The Numerical Solution of Integral Equations of the Second Kind*, ch. 2),
-and its characteristic numbers, its sweep and its spectral guard need no
-n x n factorization.  Where none is made no n x n array is held either:
-K is assembled on its first read, which only the n x n routes (eigvals,
-LU, SVD) make, and is otherwise sampled in blocks of rows
-(``NystromDiscretization.rows``).
+Finite-rank route.  A separable kernel k(t, eta) = sum_i g_i(t) h_i(eta) of
+rank r is, on the nodes, K = G H^T with the n x r samples G = [g_i(t_j)]
+and H = [h_i(eta_j)], which ``NystromDiscretization`` takes once (n*r
+profile calls; none after).  Such a kernel is degenerate (Kress, *Linear
+Integral Equations*, 3rd ed., ch. 11; Atkinson, *The Numerical Solution of
+Integral Equations of the Second Kind*, ch. 2), and its spectrum, sweep,
+spectral guard and solve need no n x n array: K is assembled only when a
+library caller reads it.
 
   - Spectrum.  K W = G (H^T W) has the nonzero eigenvalues of the r x r
     matrix S = H^T W G, and an eigenpair S v = mu v gives the
-    eigenfunction phi = G v.  Each entry of S is the correctly rounded
-    sum of the products w_k h_i(eta_k) g_j(t_k) (math.fsum), and each
-    eigenvalue of S gets one correction from its exact residual, so that
-    1/mu is rounded once (see ``_rank_spectrum``).
+    eigenfunction phi = G v; KW's other n - r eigenvalues are exactly 0.
+    Each entry of S is the correctly rounded sum of the products
+    w_k h_i(eta_k) g_j(t_k) (math.fsum), and each eigenvalue of S gets one
+    correction from its exact residual, so that 1/mu is rounded once (see
+    ``_rank_spectrum``).
   - Sweep.  On an orthonormal basis Q of the span of [G0, G1, W H0, W H1]
     (from the R factor of its QR factorization), Id - (K0 + mu K1) W is
     Q C Q^T + (Id - Q Q^T), so its singular values are those of the small
@@ -47,95 +40,39 @@ LU, SVD) make, and is otherwise sampled in blocks of rows
   - Solve.  (Id - lambda K W) phi = q is, for K = G H^T, the r x r
     capacitance system of the Woodbury identity (Kress, ch. 11):
     phi = q + G (I/lambda - S)^-1 H^T W q, with S and H^T W q summed by
-    math.fsum.  ``nystrom_solve`` takes it when the guard's certificate
-    proved lambda far from the spectrum and K is G H^T to the rounding of
-    forming G H^T, ||D||_F <= 2(r + 3) eps s (below); a rank-0 kernel
-    returns q.  Otherwise (eigvals decided, the kernel has no separable
-    form, or its separable form is not the kernel), the solve is LU of the
-    n x n system matrix.  The paper's example of the Fredholm alternative,
-    the degenerate kernel rho(t)rho(eta) + mu sigma(t)rho(eta)
-    (arXiv:0804.3658), is rank 2: away from its characteristic numbers its
-    solve never assembles K and holds two blocks of ``_DEFECT_ROWS`` x n
-    floats at most, where the n x n route holds K, the system matrix and
-    LAPACK's copy of it.
-  - Guard, below.
+    math.fsum; a rank-0 kernel, or lambda = 0, returns q.  The paper's
+    example of the Fredholm alternative, the degenerate kernel
+    rho(t)rho(eta) + mu sigma(t)rho(eta) (arXiv:0804.3658), is rank 2.
 
-Kernels without a separable form (the ODE-reduced kernels, user kernels)
-take the n x n route for their spectrum, sweep and solve: eig, values-only
-SVD and LU.
+Kernels without a separable form (the ODE-reduced kernels, user array
+kernels) assemble K at discretization and take the n x n route for their
+spectrum, sweep and solve: eig, values-only SVD and LU.
 
 Routes the commands reach.  Every kernel the CLI offers (``--kernel``,
-``--k0``, ``--k1``) has a separable form, and ``--kernel ode-reduced``
-accepts initial values only, so it builds a ``VolterraReduction`` and no
-Nystrom discretization.  The commands reach the n x n routes only when
-the guard's certificate fails and eigvals decide lambda: a lambda at a
-characteristic number is rejected there, and one they accept is solved by
-LU.  The ``eig`` branch of ``char_numbers`` and the SVD branch of
-``_sweep_extremes`` serve library callers only, and the two-point
-reduction (``FredholmReduction``, whose kernel has no separable form) is
-reached through the library alone, as ``perfbench/twopoint.py`` does.
+``--k0``, ``--k1``) is separable, so ``fredholm-solve``,
+``fredholm-spectrum`` and ``fredholm-sweep`` form no n x n array, a
+rejected solve included.  ``--kernel ode-reduced`` accepts initial values
+only, so it builds a ``VolterraReduction`` and no Nystrom discretization.
+The n x n routes serve library callers alone, such as the two-point
+reduction (``FredholmReduction``), as ``perfbench/twopoint.py`` runs it.
 
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
-``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w).  Every such
-mu gives (I/lambda - KW) v = (1/lambda - mu) v for its eigenvector, so
-sigma_min(A) <= dist(1/lambda, spec KW) for A = I/lambda - KW.  The guard
-first tries to prove sigma_min(A) >= tau, with
-
-    F    >= ||A||_F  (>= sigma_max),
-    tau  = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n*eps*F,
-
-by one certificate for every kernel; gamma_k = k*eps/(1 - k*eps) (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed.).  A kernel of
-rank r >= 0 enters it with its samples G, H; a kernel without a separable
-form enters it at rank 0, with G and H of no columns.  With m = 2r and
-k = min(n, m), Weyl's inequality (Horn & Johnson, *Matrix Analysis*,
-sec. 7.3) bounds
-
-    sigma_min(A) >= sigma_min(A_r) - ||(K - G H^T) W||_F,
-    A_r = I/lambda - G (W H)^T.
-
-  - Perturbation.  D = fl(fl(K - fl(G H^T)) * w) differs from (K - G H^T) W
-    entrywise by at most gamma_2 |(K - G H^T) W| + gamma_(r+3) |G| |W H|^T,
-    and fl(vdot(D, D)) from ||D||_F^2 by gamma_(n^2) ||D||_F^2, so
-    delta = (1 + 2(n^2 + 2) eps) sqrt(fl(vdot(D, D))) + 2(r + 3) eps s,
-    s = sum_i ||g_i||_2 ||w h_i||_2, bounds the norm with slack.  D is
-    formed ``_DEFECT_ROWS`` rows at a time and the blocks' vdots are
-    added: gamma_(n^2) bounds a sum of n^2 terms in any order.  Each block
-    samples its rows of K afresh unless K is assembled, with the bits of
-    the full assembly (the array forms are elementwise), so the working
-    memory stays at two blocks and the bound needs no new term.  The rows
-    of a profile kernel are G H^T itself, so its D is the rounding of
-    forming G H^T, which the second term already bounds.
-  - Compression (r > 0).  Householder QR of [G, fl(W H)] returns R with
-    [G, W H] + E = Q R, Q exactly orthonormal (n x k) and every column of E
-    at most gq = 32 n m eps times its column of [G, W H] (Higham, thm.
-    19.4, with a generous constant; it absorbs the rounding of W H).  So
-    A_r is within e_qr = (2 gq + gq^2) ||G||_F ||W H||_F of
-    Q C Q^T + (I - Q Q^T)/lambda, C = I/lambda - R_G R_H^T, whose singular
-    values are those of C and, n - k times, 1/|lambda|.
-  - Small SVD (r > 0).  fl(C) is within e_c = 2 gamma_(r+2) (||R_G||_F
-    ||R_H||_F + sqrt(k)/|lambda|) of C in the 2-norm, and LAPACK's SVD
-    returns the singular values of fl(C) to 32 k^2 eps sigma_max (backward
-    stability and Weyl again; about ten times the usual constant).
-  - So sigma_min(A) >= min(s_min - e_c - 32 k^2 eps s_max, 1/|lambda|
-    (1 - eps)) - e_qr - delta, the second term only when n > k, and
-    F = (1 + 4 eps)(sqrt((||fl(C)||_F + e_c)^2 + (n - k)/lambda^2) + e_qr
-    + delta).  At 1201 nodes the margins add up to 1e-10 for t-plus-eta
-    (rank 2) and 4e-11 for exp-diff (rank 1), against tau >= 2e-8; the
-    work is O(n^2 r) for the perturbation and O(n r^2) for the QR.
-  - Rank 0.  There is no compression and no small SVD (k = 0, e_qr = 0,
-    A_r = I/lambda), so sigma_min(A) >= (1 - eps)/|lambda| - delta with
-    delta >= ||KW||_F, and F = (1 + 4 eps)(sqrt(n)/|lambda| + delta), in
-    O(n^2) work.  It proves only lambdas with |lambda| ||KW||_F below
-    about 1; the two-point reduction of z'' + z = 0 has ||KW||_F = 0.11
-    at 51 to 801 nodes, so its solves at lambda = 1 need no eigvals.
-
-Since F >= sigma_max, tau is at least twice the tolerance plus
-n*eps*sigma_max.  Only when the certificate fails, or F^2 is not finite
-or above half the largest float, are the eigenvalues of KW computed; they
-decide, and name the nearest characteristic number in the rejection.
-Accept/reject decisions and messages are therefore those of a guard that
-always computes eigvals.
+``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w), naming the
+nearest characteristic number 1/mu.
+  - |lambda| >= 1/SPECTRUM_PROXIMITY_TOL = 1e8 is one regime boundary:
+    1/lambda is then within the tolerance of 0, an exact eigenvalue of KW
+    when n > r and in the spectrum of every compact kernel operator, and
+    the rejection names inf.
+  - A separable kernel is decided by the r eigenvalues of S, and a
+    rejection names the 1/mu that ``char_numbers`` reports.
+  - A kernel without a separable form is first screened: sigma_min(A) <=
+    dist(1/lambda, spec KW) for A = I/lambda - KW, and Weyl's inequality
+    (Horn & Johnson, *Matrix Analysis*, sec. 7.3) gives sigma_min(A) >=
+    (1 - eps)/|lambda| - ||KW||_F.  When that bound, with the rounding of
+    the norm, clears tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL +
+    n eps F (F >= ||A||_F), lambda is accepted with no factorization; the
+    two-point reduction of z'' + z = 0 (||KW||_F = 0.11) is, at lambda = 1.
+    Otherwise the eigenvalues of KW decide.
 """
 
 from __future__ import annotations
@@ -163,25 +100,20 @@ from .odelin import OdeSpec, TimeGrid, Trajectory, _volterra_ivp, _volterra_node
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
 SINGULARITY_FLAG_REL = 1e-6
-# the guard skips eigvals only when sigma_min is proved above this multiple
+# the screen skips eigvals only when sigma_min is proved above this multiple
 # of the tolerance (plus rounding)
 GUARD_SCREEN_FACTOR = 2.0
-# rows of K sampled at a time where K is not assembled (the certificate's
-# (K - G H^T) W and ``apply``): 32 x 1201 floats is about 300 KB
-_DEFECT_ROWS = 32
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel k(t, eta) on [0, 1]^2, defined once: by its broadcasting
-    ``array`` form k(T, E), by its ``separable`` pairs (g_i, h_i) of scalar
-    profiles alone, as sum_i g_i(t) h_i(eta), or by both for a closed form
-    with a factorization, where the array form is the kernel (see the
-    module docstring).
+    ``array`` form k(T, E), or by its ``separable`` pairs (g_i, h_i) of
+    scalar profiles, as sum_i g_i(t) h_i(eta) (see the module docstring).
 
-    Construction samples each given form on a 5 x 5 lattice and rejects a
-    kernel with neither, a form of the wrong shape or with a value that is
-    not finite, and two forms that differ by more than 1e-12 relative.
+    Construction samples the form on a 5 x 5 lattice and rejects a kernel
+    with no form or with both, and a form of the wrong shape or with a
+    value that is not finite.
     """
 
     array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
@@ -189,34 +121,21 @@ class KernelSpec:
     name: str = "kernel"
 
     def __post_init__(self):
+        if (self.array is None) == (self.separable is None):
+            raise ValidationError(f"kernel {self.name!r} needs an array or a separable form"
+                                  + (", not both" if self.array is not None else ""))
+        what = "array form" if self.array is not None else "separable form"
         probe = np.linspace(0.0, 1.0, 5)
-        forms = {}
-        if self.array is not None:
-            forms["array form"] = np.asarray(self.array(probe[:, None], probe[None, :]))
-        if self.separable is not None:
-            G, H = self.factors(probe, probe)
-            forms["separable form"] = G @ H.T
-        if not forms:
-            raise ValidationError(f"kernel {self.name!r} needs an array or a separable form")
-        for what, lattice in forms.items():
-            if lattice.shape != (5, 5):
-                raise ValidationError(
-                    f"{what} of {self.name!r} returned shape {lattice.shape} on a 5 x 5 lattice"
-                )
-            if not np.isfinite(lattice).all():
-                i, j = np.argwhere(~np.isfinite(lattice))[0]
-                raise ValidationError(
-                    f"{what} of {self.name!r} is not finite at ({probe[i]}, {probe[j]})"
-                )
-        if len(forms) == 2:
-            a, s = forms["array form"], forms["separable form"]
-            off = np.abs(s - a) > 1e-12 * np.maximum(1.0, np.abs(a))
-            if off.any():
-                i, j = np.argwhere(off)[0]
-                raise ValidationError(
-                    f"separable form of {self.name!r} deviates from the array form at "
-                    f"({probe[i]}, {probe[j]}): {float(s[i, j])!r} vs {float(a[i, j])!r}"
-                )
+        lattice = np.asarray(self.matrix(probe, probe))
+        if lattice.shape != (5, 5):
+            raise ValidationError(
+                f"{what} of {self.name!r} returned shape {lattice.shape} on a 5 x 5 lattice"
+            )
+        if not np.isfinite(lattice).all():
+            i, j = np.argwhere(~np.isfinite(lattice))[0]
+            raise ValidationError(
+                f"{what} of {self.name!r} is not finite at ({probe[i]}, {probe[j]})"
+            )
 
     def __call__(self, t: float, eta: float) -> float:
         return float(self.matrix(np.array([t], dtype=float), np.array([eta], dtype=float))[0, 0])
@@ -237,25 +156,15 @@ class KernelSpec:
         return G @ H.T
 
 
-def _exp_diff(T: np.ndarray, E: np.ndarray) -> np.ndarray:
-    out = np.subtract(T, E)
-    return np.exp(out, out=out)
-
-
 def kernel_t_plus_eta() -> KernelSpec:
     return KernelSpec(
-        array=np.add,
         separable=((lambda t: t, lambda e: 1.0), (lambda t: 1.0, lambda e: e)),
         name="t-plus-eta",
     )
 
 
 def kernel_exp_diff() -> KernelSpec:
-    return KernelSpec(
-        array=_exp_diff,
-        separable=((math.exp, lambda e: math.exp(-e)),),
-        name="exp-diff",
-    )
+    return KernelSpec(separable=((math.exp, lambda e: math.exp(-e)),), name="exp-diff")
 
 
 def kernel_zero() -> KernelSpec:
@@ -362,20 +271,18 @@ class NystromDiscretization:
     for a separable kernel, its n x r factors G[j, i] = g_i(t_j) and
     H[j, i] = h_i(eta_j) (None otherwise; see the module docstring).
 
-    K is assembled on its first read.  A kernel without a separable form
-    assembles it at once, since its spectrum, sweep and solve all read it;
-    a separable kernel's certificate and spectrum sample the kernel
-    ``_DEFECT_ROWS`` rows at a time (``rows``), so only the n x n routes
-    (``weighted``, ``system_matrix``, eigvals) assemble it.
-    A kernel given by its profiles alone takes K, its rows and ``apply``
-    from G and H."""
+    A kernel without a separable form assembles K at once, since its
+    spectrum, sweep and solve all read it.  A separable kernel's routes
+    read G and H alone, and its ``apply`` is G (H^T (w phi)); K = G H^T is
+    assembled on its first read, which only the n x n routes a library
+    caller reaches (``weighted``, ``system_matrix``, ``weighted_eigs``)
+    make."""
 
     kernel: KernelSpec
     rule: QuadratureRule
     G: np.ndarray | None = field(init=False, default=None)
     H: np.ndarray | None = field(init=False, default=None)
     _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
-    _defect: tuple[float, float] | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.kernel.separable is None:
@@ -385,19 +292,9 @@ class NystromDiscretization:
 
     @cached_property
     def K(self) -> np.ndarray:
-        if self.kernel.array is None:
+        if self.G is not None:
             return self.G @ self.H.T
         return self.kernel.matrix(self.rule.nodes, self.rule.nodes)
-
-    def rows(self, i: int, j: int) -> np.ndarray:
-        """Rows i:j of K: a view of K once it is assembled, else a new
-        (j - i) x n sample, from the array form with the bits of the full
-        assembly, or G[i:j] H^T for a profile kernel."""
-        if "K" in self.__dict__:
-            return self.K[i:j]
-        if self.kernel.array is None:
-            return self.G[i:j] @ self.H.T
-        return self.kernel.matrix(self.rule.nodes[i:j], self.rule.nodes)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -417,15 +314,11 @@ class NystromDiscretization:
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Quadrature application of the kernel operator to node values:
-        G (H^T (w phi)) for a profile kernel, else ``_DEFECT_ROWS`` rows of
-        K at a time."""
+        G (H^T (w phi)) for a separable kernel, else K (w phi)."""
         wphi = self.weights * phi
-        if self.kernel.array is None:
+        if self.G is not None:
             return self.G @ (self.H.T @ wphi)
-        n = self.rule.n
-        return np.concatenate(
-            [self.rows(i, i + _DEFECT_ROWS) @ wphi for i in range(0, n, _DEFECT_ROWS)]
-        )
+        return self.K @ wphi
 
     def system_matrix(self, lam: float) -> np.ndarray:
         """Id - lambda*K*diag(w), built in place in one n x n array: the
@@ -437,77 +330,25 @@ class NystromDiscretization:
         return M
 
 
-def _factors(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray]:
-    """G and H, with no columns for a kernel without a separable form."""
-    if disc.G is None:
-        return np.zeros((disc.rule.n, 0)), np.zeros((disc.rule.n, 0))
-    return disc.G, disc.H
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a sum that is not finite fails the callers
-def _separable_defect(disc: NystromDiscretization) -> tuple[float, float]:
-    """fl(||D||_F^2) for D = fl(fl(K - fl(G H^T)) * w), summed over blocks of
-    ``_DEFECT_ROWS`` rows, and s = sum_i ||g_i||_2 ||w h_i||_2 (see
-    "Perturbation" in the module docstring).  Neither depends on lambda, so
-    they are computed once per discretization."""
-    if disc._defect is None:
-        G, H = _factors(disc)
-        w = disc.weights
-        n = disc.rule.n
-        block = np.empty((min(n, _DEFECT_ROWS), n))
-        dsq = 0.0
-        for i in range(0, n, _DEFECT_ROWS):
-            D = block[: min(_DEFECT_ROWS, n - i)]
-            np.matmul(G[i : i + _DEFECT_ROWS], H.T, out=D)
-            np.subtract(disc.rows(i, i + _DEFECT_ROWS), D, out=D)  # the sample is freed here
-            D *= w
-            dsq += float(np.vdot(D, D))
-        s = float(np.sum(np.linalg.norm(G, axis=0) * np.linalg.norm(w[:, None] * H, axis=0)))
-        disc._defect = (dsq, s)
-    return disc._defect
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a bound that is not finite fails
-def _certified_far(disc: NystromDiscretization, lam: float) -> bool:
-    """Whether sigma_min(I/lam - KW) >= tau is proved by the Weyl
-    certificate, at rank 0 for a kernel without a separable form (see the
-    module docstring).  Never True for a matrix that is not finite."""
+def _screened_far(disc: NystromDiscretization, lam: float) -> bool:
+    """Whether sigma_min(I/lam - KW) >= tau is proved by Weyl's inequality
+    against I/lam, the screen of a kernel without a separable form (see
+    "Spectral guard" in the module docstring).  fl(vdot(D, D)) for
+    D = fl(K * w) is within gamma_(n^2) of ||KW||_F^2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed.), so delta below bounds
+    ||KW||_F with slack.  Never True for a matrix that is not finite."""
     n = disc.rule.n
     eps = np.finfo(float).eps
-    G, H = _factors(disc)
-    r = G.shape[1]
-    WH = disc.weights[:, None] * H
-    # delta >= ||(K - G H^T) W||_F
-    dsq, s = _separable_defect(disc)
-    delta = (1.0 + 2 * (n * n + 2) * eps) * math.sqrt(dsq)
-    delta += 2 * (r + 3) * eps * s
-    inv = 1.0 / lam
-    k = min(n, 2 * r)
-    low, fro_c, e_qr = math.inf, 0.0, 0.0
-    if r:
-        R = np.linalg.qr(np.hstack([G, WH]), mode="r")
-        RG, RH = R[:, :r], R[:, r:]
-        C = RG @ RH.T
-        np.negative(C, out=C)
-        C[np.diag_indices_from(C)] += inv
-        if not np.isfinite(C).all():
-            return False  # the SVD would not converge
-        sv = np.linalg.svd(C, compute_uv=False)
-        gq = 32 * n * 2 * r * eps
-        e_qr = (2 * gq + gq * gq) * float(np.linalg.norm(G)) * float(np.linalg.norm(WH))
-        e_c = 2 * (r + 2) * eps * (
-            float(np.linalg.norm(RG)) * float(np.linalg.norm(RH)) + math.sqrt(k) * abs(inv)
-        )
-        low = float(sv[-1]) - e_c - 32 * k * k * eps * float(sv[0])
-        fro_c = float(np.linalg.norm(C)) + e_c
-    if n > k:
-        low = min(low, abs(inv) * (1.0 - eps))
-    fro = (1.0 + 4 * eps) * (math.sqrt(fro_c * fro_c + (n - k) * inv * inv) + e_qr + delta)
+    D = disc.weighted()
+    delta = (1.0 + 2 * (n * n + 2) * eps) * math.sqrt(float(np.vdot(D, D)))
+    inv = abs(1.0 / lam)
+    fro = (1.0 + 4 * eps) * (math.sqrt(n) * inv + delta)  # >= ||I/lam - KW||_F
     # not finite, or near overflow: left to eigvals
     if not fro * fro <= np.finfo(float).max / 2:
         return False
     tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n * eps * fro
-    return low - e_qr - delta >= tau
+    return inv * (1.0 - eps) - delta >= tau
 
 
 def _dense_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> np.ndarray:
@@ -526,10 +367,11 @@ def _dense_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> np
 
 def _guarded_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
     """(Id - lambda*K*W)^-1 q after the spectral guard: at the kernel's rank
-    when the certificate decided and K is G H^T to rounding, else by the
-    n x n system matrix (see "Solve" in the module docstring).  A phi that
-    is not finite raises NumericalError on either route."""
-    if not (_guard_spectrum(disc, lam) and disc.G is not None and _is_separable_form(disc)):
+    for a separable kernel, else by the n x n system matrix (see "Solve" in
+    the module docstring).  A phi that is not finite raises NumericalError
+    on either route."""
+    _guard_spectrum(disc, lam)
+    if disc.G is None:
         phi, route = _dense_solve(disc, lam, q), "n x n"
     else:
         phi, route = _rank_solve(disc, lam, q), "finite-rank"
@@ -540,9 +382,9 @@ def _guarded_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np
 
 def _rank_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
     """phi = q + G (I/lambda - S)^-1 H^T W q, the Woodbury form for K = G H^T;
-    q itself at rank 0."""
+    q itself at rank 0 or lambda = 0."""
     r = disc.G.shape[1]
-    if r == 0:
+    if r == 0 or lam == 0.0:
         return q
     with np.errstate(over="ignore", invalid="ignore"):  # a phi that is not finite fails
         Sq = _weighted_inner(disc, np.column_stack([disc.G, q]))
@@ -554,35 +396,37 @@ def _rank_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.nd
             raise SingularMatrixError(f"Id - lambda*K*W is singular ({exc})") from None
 
 
-def _is_separable_form(disc: NystromDiscretization) -> bool:
-    """Whether ||D||_F <= 2 (r + 3) eps s: K differs from G H^T by no more
-    than the rounding the certificate allows for forming G H^T."""
-    dsq, s = _separable_defect(disc)
-    r = disc.G.shape[1]
-    return math.sqrt(dsq) <= 2 * (r + 3) * np.finfo(float).eps * s
-
-
-def _guard_spectrum(disc: NystromDiscretization, lam: float) -> bool:
-    """Reject lam as ``nystrom_solve`` describes; True when the certificate
-    decided, False when eigvals did (or lam = 0)."""
+def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
+    """Reject lam as ``nystrom_solve`` describes."""
     if not np.isfinite(lam):
         raise ValidationError(f"lambda must be finite, got {lam!r}", key="lam")
     if lam == 0.0:
-        return False
-    if _certified_far(disc, lam):
-        return True  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
-    eigs = disc.weighted_eigs()
+        return
+    if abs(lam) >= 1.0 / SPECTRUM_PROXIMITY_TOL:  # 1/lam is within the tolerance of 0
+        raise _proximity_error(lam, math.inf)
+    if disc.G is not None:
+        S, eigs, V = _rank_eig(disc)
+    elif _screened_far(disc, lam):
+        return  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
+    else:
+        eigs = disc.weighted_eigs()
     dist = np.abs(1.0 / lam - eigs)
-    j = int(np.argmin(dist))
-    if dist[j] < SPECTRUM_PROXIMITY_TOL:
-        mu = eigs[j]
-        nearest = complex(1.0 / mu if mu != 0 else math.inf)
-        raise SpectrumProximityError(
-            f"lambda = {lam!r} sits within {SPECTRUM_PROXIMITY_TOL} of the "
-            f"characteristic number {nearest!r}",
-            nearest_characteristic_number=nearest,
-        )
-    return False
+    if dist.size and dist.min() < SPECTRUM_PROXIMITY_TOL:
+        j = int(np.argmin(dist))
+        if disc.G is not None:
+            nearest = _reciprocals(S, eigs, V)[j]
+        else:
+            nearest = 1.0 / eigs[j] if eigs[j] != 0 else math.inf
+        raise _proximity_error(lam, nearest)
+
+
+def _proximity_error(lam: float, nearest) -> SpectrumProximityError:
+    nearest = complex(nearest)
+    return SpectrumProximityError(
+        f"lambda = {lam!r} sits within {SPECTRUM_PROXIMITY_TOL} of the "
+        f"characteristic number {nearest!r}",
+        nearest_characteristic_number=nearest,
+    )
 
 
 @dataclass
@@ -618,10 +462,12 @@ def nystrom_solve(
 
     Rejects a lambda that is not finite, and one whose reciprocal sits
     within 1e-8 of an eigenvalue of the weighted kernel matrix, naming the
-    nearest characteristic number (see "Spectral guard" in the module
-    docstring).  A separable kernel away from its spectrum is solved at its
-    rank, with no n x n array at all (see "Solve" there).  A phi that is
-    not finite, as from a free term that is not, raises NumericalError.
+    nearest characteristic number: for a separable kernel the one
+    ``char_numbers`` reports, and inf for |lambda| >= 1e8 (see "Spectral
+    guard" in the module docstring).  A separable kernel is solved at its
+    rank, and neither its solve nor its rejection forms an n x n array (see
+    "Solve" there).  A phi that is not finite, as from a free term that is
+    not, raises NumericalError.
     """
     phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes], dtype=float))
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)
@@ -661,26 +507,23 @@ def _saturate(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray, list[complex]]:
-    """Eigenvalues mu_i and eigenvectors v_i of S = H^T W G (r x r) of a
-    separable kernel, and its characteristic numbers 1/mu_i.
-
-    Each entry of S is the correctly rounded sum of its n products
-    w_k h_i(t_k) g_j(t_k) (``math.fsum``): a plain dot product put the
-    -12.93 of t-plus-eta off by 4.6e-14 relative at 801 nodes.  eig(S)
-    and the division 1/mu round once more each, which left some
-    characteristic numbers further from the exact ones than those of
-    eig(KW) (t-plus-eta at 7 and 51 Simpson nodes).  So each mu_i gets one
-    first-order correction d_i = (V^-1 R)_ii from the residual
-    R = S V - V diag(mu), computed exactly in fractions, and
-    1/(mu_i + d_i) is rounded once.  A correction above 1e-8 max|S| (a
-    defective or ill-conditioned S) is dropped, leaving 1/mu_i.
-    """
-    from fractions import Fraction  # here: only the spectrum needs it
-
-    r = disc.G.shape[1]
+def _rank_eig(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S = H^T W G (r x r) of a separable kernel, each entry the correctly
+    rounded sum of its n products w_k h_i(t_k) g_j(t_k) (``math.fsum``),
+    and its eigenvalues and eigenvectors.  An S that is not finite raises
+    NumericalError."""
     S = _weighted_inner(disc, disc.G)
+    _require_finite_result(S=S)
     mus, V = np.linalg.eig(S)
+    return S, mus, V
+
+
+def _reciprocals(S: np.ndarray, mus: np.ndarray, V: np.ndarray) -> list[complex]:
+    """1/mu_i for the eigenpairs (mu_i, v_i) of S, each corrected once from
+    the exact residual and rounded once (see ``_rank_spectrum``)."""
+    from fractions import Fraction  # here: only the spectrum and a rejection need it
+
+    r = len(S)
     Sx = [[Fraction(x) for x in row] for row in S.tolist()]
     exact, R = [], np.empty((r, r), dtype=complex)
     for j, (mu, v) in enumerate(zip(mus.tolist(), V.T.tolist())):
@@ -702,7 +545,25 @@ def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray,
             a, b = a + Fraction(d.real), b + Fraction(d.imag)
         norm2 = a * a + b * b
         lams.append(complex(_saturate(a / norm2), _saturate(-b / norm2)) if norm2 else complex(math.inf))
-    return mus, V, lams
+    return lams
+
+
+def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray, list[complex]]:
+    """Eigenvalues mu_i and eigenvectors v_i of S = H^T W G (r x r) of a
+    separable kernel, and its characteristic numbers 1/mu_i.
+
+    A plain dot product for S put the -12.93 of t-plus-eta off by 4.6e-14
+    relative at 801 nodes, hence math.fsum (``_rank_eig``).  eig(S) and
+    the division 1/mu round once more each, which left some characteristic
+    numbers further from the exact ones than those of eig(KW) (t-plus-eta
+    at 7 and 51 Simpson nodes).  So each mu_i gets one first-order
+    correction d_i = (V^-1 R)_ii from the residual R = S V - V diag(mu),
+    computed exactly in fractions, and 1/(mu_i + d_i) is rounded once.  A
+    correction above 1e-8 max|S| (a defective or ill-conditioned S) is
+    dropped, leaving 1/mu_i.
+    """
+    S, mus, V = _rank_eig(disc)
+    return mus, V, _reciprocals(S, mus, V)
 
 
 def char_numbers(

@@ -447,7 +447,8 @@ def _volterra_ivp(K: np.ndarray, free: Callable[[np.ndarray], np.ndarray], init:
     grid is too coarse for the trapezoid.  The scale has no floor; a march
     that is zero everywhere, as is its rerun, has drift 0.  A march whose
     max |z| is subnormal is refused as well, whatever its drift: its few
-    bits cannot hold a 10% bound.
+    bits cannot hold a 10% bound.  Both messages give four significant
+    digits, so equations that differ by a rounding are refused alike.
     """
     _require("positive", steps=steps, refine=refine)
     grid = TimeGrid(0.0, float(t_end), steps * refine)
@@ -462,7 +463,7 @@ def _volterra_ivp(K: np.ndarray, free: Callable[[np.ndarray], np.ndarray], init:
     if drift > 0.10:
         raise ResolutionError(f"half-resolution drift {drift:.3e} exceeds 10%; refine the grid")
     if 0.0 < scale < np.finfo(float).tiny:
-        raise ResolutionError(f"march sup {scale!r} is subnormal, too few bits for a 10% bound")
+        raise ResolutionError(f"march sup {scale:.3e} is subnormal, too few bits for a 10% bound")
     return out, z, phi
 
 

@@ -494,6 +494,56 @@ class TestScenario:
         assert err.rstrip().endswith("(key: command)")
 
 
+# negative values that argparse alone takes for options: in exponent, inf
+# and vector form
+SIGNED_ARGV = [
+    ["longwave", "--p", "0.3", "--r", "0.3", "--y0", "-1e-3", "--t-end", "1", "--steps", "2"],
+    ["fredholm-sweep", "--k0", "exp-diff", "--k1", "t-plus-eta", "--mu-min", "-1e-1",
+     "--mu-max", "1", "--mu-count", "3"],
+    ["leontief-dynamic", "--matrix", str(GOLDEN / "leontief_matrix.txt"), "--demand", "1,1,1",
+     "--x0", "-1,2,0.5", "--steps", "2"],
+]
+
+
+def joined(argv):
+    """``argv`` with each flag and its value as one --flag=value token."""
+    out = [argv[0]]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        out.append(f"{flag}={value}")
+    return out
+
+
+class TestSignedValues:
+    @pytest.mark.parametrize("argv", SIGNED_ARGV, ids=lambda argv: argv[0])
+    def test_command_line_reads_the_value(self, capsys, argv):
+        rc, out, err = run(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == run(capsys, joined(argv))
+
+    @pytest.mark.parametrize("argv", SIGNED_ARGV, ids=lambda argv: argv[0])
+    def test_scenario_file_reads_the_value(self, capsys, tmp_path, argv):
+        scenario = tmp_path / "signed.scenario"
+        lines = [f"command = {argv[0]}"]
+        lines += [f"{flag[2:]} = {value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        scenario.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.load_scenario(str(scenario)) == joined(argv)
+        rc, out, err = run(capsys, ["--scenario", str(scenario)])
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == run(capsys, argv)
+
+    def test_negative_infinity_is_read_and_rejected_by_its_key(self, capsys):
+        rc, out, err = run(capsys, ["fredholm-solve", "--kernel", "exp-diff", "--lam", "-inf",
+                                    "--nodes", "5"])
+        assert (rc, out) == (2, "")
+        assert err == "error: lambda must be finite, got -inf (key: lam)\n"
+
+    def test_a_flag_is_not_taken_for_a_value(self, capsys):
+        rc, out, err = run(capsys, ["fredholm-solve", "--kernel", "exp-diff", "--lam",
+                                    "--nodes", "5"])
+        assert (rc, out) == (2, "")
+        assert err.endswith("error: argument --lam: expected one argument\n")
+
+
 class TestDefaultStepsEnv:
     ARGV = ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "20"]
 
@@ -828,11 +878,10 @@ FAILURES = [
       for count in (2**62 - 1, sys.maxsize)),
     # negative and singular: A is checked before E - A is factored
     (2, ["leontief-static", "--matrix", "{negative_singular}", "--demand", "1,1"]),
-    # the guard passes, and LAPACK finds Id - lambda*K*W singular
-    (3, ["fredholm-solve", "--kernel", "degenerate", "--lam", "0.5", "--nodes", "5",
-         "--mu", "1e20"]),
-    (3, ["fredholm-solve", "--kernel", "degenerate", "--lam", "0.5", "--nodes", "5",
-         "--mu", "1e300"]),
+    # |lambda| >= 1e8 puts 1/lambda within 1e-8 of KW's eigenvalue 0: refused
+    # naming inf
+    (3, ["fredholm-solve", "--kernel", "degenerate", "--lam", "1e200", "--nodes", "5",
+         "--mu", "1e200"]),
     # a finite rate whose step rate*h overflows: the substep count is capped, Y blows up
     (3, ["harrod", "--mu", "0.3", "--nu", "1e-200", "--t-end", "1e200", "--steps", "2"]),
     (3, ["harrod-domar", "--mu", "0.3", "--nu", "2.5", "--t0", "1e-200", "--t-end", "1e200",
@@ -861,9 +910,6 @@ DERIVED_OVERFLOWS = [
             "--t-end", "1"]),
     ("normalized_coeffs", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs",
                            "1e-300,1e300,1", "--ode-init", "1,0", "--steps", "4"]),
-    # lambda*K*W overflows: solved through, phi would print as NaN
-    ("system_matrix", ["fredholm-solve", "--kernel", "degenerate", "--lam", "1e200",
-                       "--nodes", "5", "--mu", "1e200"]),
 ]
 FAILURES += [(3, argv) for _, argv in DERIVED_OVERFLOWS]
 # (key, argv): rejected inputs whose error line must name this key
@@ -1054,9 +1100,9 @@ def test_ode_reduced_drift_guard_miss(capsys):
     assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * np.max(np.abs(exact))
 
 
-# numpy's refusal of the 100001 x 100001 kernel matrix, raised without
-# asking for its 75 GiB
-NUMPY_REFUSAL = ("Unable to allocate 74.5 GiB for an array with shape (100001, 100001) "
+# numpy's refusal of the 2 x 100001 profile samples, as a machine without
+# their 1.53 MiB would raise it
+NUMPY_REFUSAL = ("Unable to allocate 1.53 MiB for an array with shape (2, 100001) "
                  "and data type float64")
 
 
@@ -1067,10 +1113,12 @@ NUMPY_REFUSAL = ("Unable to allocate 74.5 GiB for an array with shape (100001, 1
 def test_out_of_memory_is_three_with_one_error_line(capsys, monkeypatch, tmp_path, exc, line):
     from ecodyn import fredholm
 
-    def refuse(self, t, eta):
+    def refuse(profiles, x):
         raise exc
 
-    monkeypatch.setattr(fredholm.KernelSpec, "matrix", refuse)
+    # the n x r samples of G and H, the one array of --nodes length a
+    # separable solve allocates before its solve
+    monkeypatch.setattr(fredholm, "_profile_samples", refuse)
     target = tmp_path / "out.csv"
     argv = ["fredholm-solve", "--kernel", "t-plus-eta", "--lam", "0.5", "--nodes", "100001",
             "--out", str(target)]
@@ -1094,6 +1142,38 @@ def test_derived_overflow_names_its_coefficient(capsys, name, argv):
     rc, _, err = run(capsys, argv)
     assert rc == 3
     assert err.startswith(f"error: derived coefficient {name} is not finite, got "), err
+
+
+@pytest.mark.parametrize("mu", ["1e20", "1e300"])
+def test_huge_mu_degenerate_prints_its_exact_solution(capsys, mu):
+    # phi = 2 + mu (t - 1/2), whose integral is 2, from the 2 x 2 rank solve;
+    # LU of the n x n system meets an exact zero pivot here
+    rc, out, err = run(capsys, ["fredholm-solve", "--kernel", "degenerate", "--lam", "0.5",
+                                "--nodes", "5", "--mu", mu])
+    assert (rc, err) == (0, "")
+    _, table = read_csv(out)
+    assert np.array_equal(table[:, 1], 2.0 + float(mu) * (table[:, 0] - 0.5))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per run
+@given(kernel=st.sampled_from(["t-plus-eta", "exp-diff", "degenerate"]),
+       half=st.integers(25, 800), mu=st.floats(-2.0, 2.0), data=st.data())
+def test_rejection_names_the_number_the_spectrum_prints(capsys, kernel, half, mu, data):
+    flags = ["--kernel", kernel, "--nodes", str(2 * half + 1), "--mu", repr(mu)]
+    rc, out, _ = run(capsys, ["fredholm-spectrum", *flags])
+    assert rc == 0
+    printed = [complex(z["re"], z["im"])
+               for z in json.loads(out)["data"]["characteristic_numbers"]]
+    nearest = data.draw(st.sampled_from(printed), label="printed")
+    lam = nearest.real
+    rc, out, err = run(capsys, ["fredholm-solve", *flags, "--lam", repr(lam)])
+    assert (rc, out) == (3, "")
+    assert err == (f"error: lambda = {lam!r} sits within 1e-08 of the characteristic number "
+                   f"{nearest!r}\n")
+    for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+        rc, _, err = run(capsys, ["fredholm-solve", *flags, "--lam", repr(lam * factor)])
+        assert (rc, err) == (0, "")
 
 
 # (message, argv): rules the model or the solver owns, reached through the CLI

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import tracemalloc
@@ -25,7 +24,7 @@ from ecodyn.fredholm import (
     KernelSpec,
     NystromDiscretization,
     VolterraReduction,
-    _certified_far,
+    _screened_far,
     _poly_part,
     _volterra_kernel,
     canonical_rho,
@@ -85,11 +84,12 @@ class TestRules:
         r = gauss_legendre_rule(16)
         assert float(np.sum(r.weights * r.nodes**5)) == pytest.approx(1.0 / 6.0, abs=1e-14)
 
-    def test_kernel_separable_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
+    def test_kernel_with_two_forms_rejected(self):
+        # a kernel is defined once: the two forms are never compared
+        with pytest.raises(ValidationError, match="separable form, not both$"):
             KernelSpec(
                 array=np.add,
-                separable=((lambda t: t, lambda e: 1.0),),  # missing the eta factor
+                separable=((lambda t: t, lambda e: 1.0), (lambda t: 1.0, lambda e: e)),
             )
 
 
@@ -148,16 +148,50 @@ class TestNystromSolve:
         assert np.max(np.abs(sol.phi - series)) <= bound + 1e-14
 
     @pytest.mark.parametrize("mu", [1e20, 1e300])
-    def test_numerically_singular_system_is_a_singular_matrix(self, mu):
-        # the guard passes, and LAPACK meets an exact zero pivot
+    def test_huge_mu_degenerate_solves_at_its_rank(self, mu):
+        # the 2 x 2 capacitance system gives the exact solution 2 + mu (t - 1/2),
+        # whose integral is 2, where the n x n system meets an exact zero pivot
         disc = NystromDiscretization(kernel_degenerate(mu), simpson_rule(5))
+        sol = nystrom_solve(disc, 0.5, lambda t: 1.0)
+        assert np.array_equal(sol.phi, 2.0 + mu * (disc.nodes - 0.5))
+
+    @pytest.mark.parametrize("mu", [1e20, 1e300])
+    def test_numerically_singular_system_is_a_singular_matrix(self, mu):
+        # the same kernel without its separable form: eigvals passes lambda,
+        # and LAPACK meets an exact zero pivot
+        disc = NystromDiscretization(dense(kernel_degenerate(mu)), simpson_rule(5))
         with pytest.raises(SingularMatrixError, match="Singular matrix"):
             nystrom_solve(disc, 0.5, lambda t: 1.0)
 
     def test_overflowing_system_matrix_is_a_numerical_failure(self):
-        disc = NystromDiscretization(kernel_degenerate(1e200), simpson_rule(5))
+        # lambda * K * W overflows on the n x n route of a kernel without a
+        # separable form
+        disc = NystromDiscretization(KernelSpec(array=lambda T, E: 1e305 * (T + E)),
+                                     simpson_rule(5))
         with pytest.raises(NumericalError, match="^derived coefficient system_matrix is not"):
-            nystrom_solve(disc, 1e200, lambda t: 1.0)
+            nystrom_solve(disc, 1e7, lambda t: 1.0)
+
+    @pytest.mark.parametrize("lam", [1e8, -1e8, 1e9, 1e200])
+    @pytest.mark.parametrize("name", ["t-plus-eta", "zero", "two-point"])
+    def test_lambda_from_1e8_names_infinity(self, name, lam):
+        # 1/lambda is within 1e-8 of 0, an exact eigenvalue of KW (n > r) and
+        # in the spectrum of the compact operator, not of rounding noise
+        if name == "two-point":
+            spec = ode_to_integral(OdeSpec((1.0, 0.0, 1.0)), COS_TWO_POINT).kernel_spec()
+        else:
+            spec = CATALOGUE[name]()
+        disc = NystromDiscretization(spec, simpson_rule(21))
+        with pytest.raises(SpectrumProximityError) as exc:
+            nystrom_solve(disc, lam, lambda t: 1.0)
+        assert exc.value.nearest_characteristic_number == complex(math.inf)
+        assert str(exc.value) == (f"lambda = {lam!r} sits within 1e-08 of the characteristic "
+                                  "number (inf+0j)")
+
+    @pytest.mark.parametrize("lam", [math.nextafter(1e8, 0.0), -math.nextafter(1e8, 0.0)])
+    @pytest.mark.parametrize("name", ["t-plus-eta", "zero"])
+    def test_lambda_just_below_1e8_is_solved(self, name, lam):
+        disc = NystromDiscretization(CATALOGUE[name](), simpson_rule(21))
+        nystrom_solve(disc, lam, lambda t: 1.0)
 
     def test_gauss_rule_agrees_with_simpson(self):
         disc_g = NystromDiscretization(kernel_t_plus_eta(), gauss_legendre_rule(40))
@@ -616,7 +650,7 @@ class TestMomentMarch:
     def test_subnormal_march_is_a_resolution_error(self):
         # sup |z| = 5e-324 with a drift of 0: too few bits for any relative bound
         red = ode_to_integral(OdeSpec((1.0, 0.0)), [5e-324])
-        with pytest.raises(ResolutionError, match="^march sup 5e-324 is subnormal"):
+        with pytest.raises(ResolutionError, match="^march sup 4.941e-324 is subnormal"):
             red.solve()
 
     @pytest.mark.parametrize("steps, refine", [(1, 4), (1, 1)])
@@ -726,15 +760,15 @@ class TestArrayEvaluators:
 
     @pytest.mark.parametrize("forms, match", [
         ({}, "^kernel 'kernel' needs an array or a separable form$"),
-        ({"array": lambda T, E: T - E,
+        ({"array": lambda T, E: T + E,
           "separable": ((lambda t: t, lambda e: 1.0), (lambda t: 1.0, lambda e: e))},
-         "^separable form of 'kernel' deviates from the array form at "),
+         "^kernel 'kernel' needs an array or a separable form, not both$"),
         ({"array": lambda T, E: np.ones(5)}, "^array form of 'kernel' returned shape"),
         ({"separable": ((lambda t: math.nan if t == 0.5 else t, lambda e: 1.0),)},
          r"^separable form of 'kernel' is not finite at \(0.5, 0.0\)$"),
         ({"array": lambda T, E: np.where(T == E, np.inf, T)},
          r"^array form of 'kernel' is not finite at \(0.0, 0.0\)$"),
-    ], ids=["neither", "disagree", "shape", "nan-profile", "inf-array"])
+    ], ids=["neither", "both", "shape", "nan-profile", "inf-array"])
     def test_user_forms_checked_at_construction(self, forms, match):
         with pytest.raises(ValidationError, match=match):
             KernelSpec(**forms)
@@ -768,11 +802,11 @@ class TestBatchedOffNode:
 
 
 def dense(spec):
-    """The kernel as an array form alone: it takes the n x n route.  A
-    profile kernel's array form is the sum of g(T) h(E) over its pairs,
-    one profile call per element of T and of E."""
+    """The kernel as an array form: it takes the n x n route.  A separable
+    kernel's array form is the sum of g(T) h(E) over its pairs, one
+    profile call per element of T and of E."""
     if spec.array is not None:
-        return dataclasses.replace(spec, separable=None)
+        return spec
     pairs = [(np.vectorize(g, otypes=[float]), np.vectorize(h, otypes=[float]))
              for g, h in spec.separable]
 
@@ -822,46 +856,112 @@ def guard_message(disc, lam):
     return None
 
 
-class TestScreenedGuard:
+def printed_message(lam, nearest):
+    """The guard's rejection of ``lam`` naming ``nearest``."""
+    return (f"lambda = {lam!r} sits within {SPECTRUM_PROXIMITY_TOL} of the "
+            f"characteristic number {complex(nearest)!r}")
+
+
+# A separable kernel is decided by the r eigenvalues of S = H^T W G, and a
+# rejection names the characteristic number char_numbers reports
+class TestRankGuard:
     DISTANCES = (1e-10, 5e-9, 0.999e-8, 1.001e-8, 2e-8, 1e-6)
 
     @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
     def test_decision_table_matches_plain_eigvals(self, make, rule):
+        # eigvals on the n x n KW decides the same, and the rejection names
+        # the printed number, not eigvals' 1/mu
         disc = NystromDiscretization(make(), rule)
-        eigs = np.linalg.eigvals(disc.weighted())
-        mus = [mu.real for mu in eigs if abs(mu) > 1e-3]
-        assert mus
-        for mu in mus:
+        printed = char_numbers(disc).characteristic_numbers
+        assert printed
+        for nearest in printed:
+            mu = 1.0 / nearest.real
             for d in self.DISTANCES:
                 for lam in (1.0 / (mu + d), 1.0 / (mu - d)):
-                    expected = plain_eigvals_guard(disc, lam)
                     got = guard_message(disc, lam)
-                    assert got == expected, (mu, d, lam)
+                    assert (got is None) == (plain_eigvals_guard(disc, lam) is None), (mu, d)
                     assert (got is not None) == (d < SPECTRUM_PROXIMITY_TOL)
+                    if got is not None:
+                        assert got == printed_message(lam, nearest)
 
     @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
     def test_far_from_spectrum_skips_eigvals(self, make, rule, monkeypatch):
         disc = NystromDiscretization(make(), rule)
 
         def forbidden():
-            raise AssertionError("eigvals computed although sigma_min cleared the tolerance")
+            raise AssertionError("eigvals computed for a separable kernel")
 
         monkeypatch.setattr(disc, "weighted_eigs", forbidden)
         nystrom_solve(disc, 0.5, lambda t: 1.0)
         nystrom_solve(disc, 0.25, lambda t: 1.0)
 
+    @pytest.mark.parametrize("n_nodes", [3, 5, 7, 21, 63, 255])
+    @pytest.mark.parametrize("make_rule", [simpson_rule, gauss_legendre_rule],
+                             ids=["simpson", "gauss"])
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_rejects_each_printed_number_by_name(self, name, make_rule, n_nodes):
+        # lambda at a number char_numbers prints is rejected naming it, and
+        # 2e-8 either side of its reciprocal is solved; eigvals on the
+        # assembled KW decides the same at each (zero and sigma-rho print
+        # none, and lambda = +-1e7 is solved as eigvals solves it)
+        disc = NystromDiscretization(CATALOGUE[name](), make_rule(n_nodes))
+        printed = char_numbers(disc).characteristic_numbers
+        assert (len(printed) == 0) == (name in ("zero", "sigma-rho"))
+        lams = [1e7, -1e7]
+        for nearest in printed:
+            assert nearest.imag == 0.0
+            lam = nearest.real
+            assert guard_message(disc, lam) == printed_message(lam, nearest)
+            assert plain_eigvals_guard(disc, lam) is not None
+            lams += [1.0 / (1.0 / lam + 2e-8), 1.0 / (1.0 / lam - 2e-8)]
+        for lam in lams:
+            assert guard_message(disc, lam) is None
+            assert plain_eigvals_guard(disc, lam) is None
 
-def certificate_tau(disc, lam):
-    """I/lam - KW, and the sigma_min the guard's certificate claims for it
-    when it accepts."""
+    def test_decides_at_the_tolerance_itself(self):
+        # no rounding band is left to eigvals: 1e-14 either side of the
+        # tolerance decides
+        disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(201))
+        mu = fredholm._rank_spectrum(disc)[0][0].real
+        tol = SPECTRUM_PROXIMITY_TOL
+        assert guard_message(disc, 1.0 / (mu + tol * (1.0 + 1e-6))) is None
+        assert guard_message(disc, 1.0 / (mu + tol * (1.0 - 1e-6))) == printed_message(
+            1.0 / (mu + tol * (1.0 - 1e-6)), char_numbers(disc).characteristic_numbers[0])
+
+    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
+    def test_solves_and_rejections_factor_no_n_by_n_matrix(self, make, monkeypatch):
+        disc = NystromDiscretization(make(), simpson_rule(801))
+        printed = char_numbers(disc).characteristic_numbers
+        forbid_square_factorizations(monkeypatch, disc.rule.n)
+        for lam in (-2.0, -1.0, 0.3, 0.7):
+            nystrom_solve(disc, lam, lambda t: 1.0)
+        for nearest in printed:
+            assert guard_message(disc, nearest.real) == printed_message(nearest.real, nearest)
+        assert "K" not in disc.__dict__
+
+    def test_tiny_lambda_is_solved_at_its_rank(self, monkeypatch):
+        # ||I/lam - KW||_F^2 is about 0.75 of the largest float, which the
+        # n x n screen leaves to eigvals
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        lam = 1.0 / math.sqrt(0.75 * np.finfo(float).max / disc.rule.n)
+        assert plain_eigvals_guard(disc, lam) is None
+        forbid_square_factorizations(monkeypatch, disc.rule.n)
+        sol = nystrom_solve(disc, lam, lambda t: 1.0)
+        assert np.array_equal(sol.phi, np.ones(disc.rule.n))
+
+
+def screen_tau(disc, lam):
+    """I/lam - KW, and the sigma_min the screen claims for it when it
+    accepts."""
     shifted = np.eye(disc.rule.n) / lam - disc.weighted()
     fro = float(np.linalg.norm(shifted))
     return shifted, 2.0 * SPECTRUM_PROXIMITY_TOL + disc.rule.n * np.finfo(float).eps * fro
 
 
-# The guard's certificate: at rank 0 for dense() kernels, at the rank of the
-# separable form otherwise
-class TestGramCertificate:
+# The guard of every kernel against eigvals on the n x n KW: the rank guard
+# of a separable kernel, or the screen of one without that form (dense()
+# keeps the catalogue kernels on it)
+class TestGuardProperty:
     @settings(max_examples=150, deadline=None)
     @given(
         name=st.sampled_from(sorted(CATALOGUE)),
@@ -871,14 +971,13 @@ class TestGramCertificate:
         sign=st.sampled_from([-1.0, 1.0]),
         # dense where sigma_min crosses tau = 2e-8 + rounding
         log_d=st.one_of(st.floats(-11.0, 0.5), st.floats(-7.75, -7.55)),
-        # the certificate at the separable form's rank, or at rank 0 without it
         separable=st.booleans(),
     )
     # sigma_min just below tau, next to an eigenvalue: eigvals decides
     @example(name="exp-diff", make_rule=simpson_rule, half=30, pick=0, sign=1.0,
              log_d=-7.610169491525424, separable=False)
-    def test_accepts_only_proved_distances(self, name, make_rule, half, pick, sign, log_d,
-                                           separable):
+    def test_agrees_with_plain_eigvals(self, name, make_rule, half, pick, sign, log_d,
+                                       separable):
         spec = CATALOGUE[name]()
         disc = NystromDiscretization(spec if separable else dense(spec), make_rule(2 * half + 1))
         assert (disc.G is not None) == separable
@@ -887,19 +986,31 @@ class TestGramCertificate:
         denominator = mu + sign * 10.0**log_d
         assume(denominator != 0.0)
         lam = 1.0 / denominator
-        if _certified_far(disc, lam):
-            shifted, tau = certificate_tau(disc, lam)
-            assert np.linalg.svd(shifted, compute_uv=False)[-1] >= tau
-        assert guard_message(disc, lam) == plain_eigvals_guard(disc, lam)
+        got = guard_message(disc, lam)
+        if abs(lam) >= 1e8:
+            assert got == printed_message(lam, math.inf)
+        elif not separable:
+            if _screened_far(disc, lam):
+                shifted, tau = screen_tau(disc, lam)
+                assert np.linalg.svd(shifted, compute_uv=False)[-1] >= tau
+            assert got == plain_eigvals_guard(disc, lam)
+        else:
+            # eigvals rounds the spectrum to about n eps ||KW||: the decisions
+            # agree outside that band around the tolerance
+            dist = float(np.min(np.abs(1.0 / lam - eigs)))
+            if abs(dist - SPECTRUM_PROXIMITY_TOL) > 1e-12:
+                assert (got is None) == (plain_eigvals_guard(disc, lam) is None)
+            if got is not None:
+                printed = char_numbers(disc).characteristic_numbers
+                assert got in [printed_message(lam, x) for x in printed]
 
-    # A kernel without a separable form enters the certificate at rank 0:
-    # dense() keeps these tests on it.  The finite-rank certificate of the
-    # separable form has its own cases below.
+
+class TestScreen:
     @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
     def test_far_solves_compute_no_svd_or_eigvals(self, make, monkeypatch):
         disc = NystromDiscretization(dense(make()), simpson_rule(801))
-        # |lam| ||KW||_F is 1.1 to 2.5 here: too far for rank 0 to prove, so
-        # eigvals decides, as the unscreened guard does
+        # |lam| ||KW||_F is 1.1 to 2.5 here: too far for the screen to
+        # prove, so eigvals decides, as the unscreened guard does
         for lam in (-2.0, -1.0):
             assert guard_message(disc, lam) == plain_eigvals_guard(disc, lam)
         forbid_square_factorizations(monkeypatch, disc.rule.n)
@@ -907,8 +1018,8 @@ class TestGramCertificate:
             nystrom_solve(disc, lam, lambda t: 1.0)
 
     def test_two_point_solve_factors_no_n_by_n_matrix(self, monkeypatch):
-        # ||KW||_F = 0.11 for the two-point kernel of z'' + z = 0: rank 0
-        # proves lambda = 1 in O(n^2)
+        # ||KW||_F = 0.11 for the two-point kernel of z'' + z = 0: the
+        # screen proves lambda = 1 in O(n^2)
         reduction = ode_to_integral(
             OdeSpec((1.0, 0.0, 1.0)), [(0, 0.0, 1.0), (0, 1.0, math.cos(1.0))]
         )
@@ -918,56 +1029,21 @@ class TestGramCertificate:
         nystrom_solve(disc, 1.0, reduction.free_term)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_never_certifies_a_matrix_that_is_not_finite(self, bad):
+    def test_never_accepts_a_matrix_that_is_not_finite(self, bad):
         disc = NystromDiscretization(dense(kernel_t_plus_eta()), simpson_rule(21))
         disc.K[3, 4] = bad
-        assert not _certified_far(disc, 0.5)
+        assert not _screened_far(disc, 0.5)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_never_accepts_a_lambda_that_is_not_finite(self, lam):
+        disc = NystromDiscretization(dense(kernel_t_plus_eta()), simpson_rule(21))
+        assert not _screened_far(disc, lam)
 
     def test_leaves_a_gram_matrix_that_could_overflow_to_eigvals(self):
         disc = NystromDiscretization(dense(kernel_t_plus_eta()), simpson_rule(21))
         # ||I/lam - KW||_F^2 is about 0.75 of the largest float
         lam = 1.0 / math.sqrt(0.75 * np.finfo(float).max / disc.rule.n)
-        assert not _certified_far(disc, lam)
-        assert plain_eigvals_guard(disc, lam) is None
-        nystrom_solve(disc, lam, lambda t: 1.0)
-
-    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
-    def test_far_separable_solves_factor_no_n_by_n_matrix(self, make, monkeypatch):
-        # the certificate factors only its 2r x 2r compression
-        disc = NystromDiscretization(make(), simpson_rule(801))
-        forbid_square_factorizations(monkeypatch, disc.rule.n)
-        for lam in (-2.0, -1.0, 0.3, 0.7):
-            nystrom_solve(disc, lam, lambda t: 1.0)
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_weyl_never_certifies_a_matrix_that_is_not_finite(self, bad):
-        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
-        disc.K[3, 4] = bad
-        assert not _certified_far(disc, 0.5)
-
-    def test_weyl_bounds_a_separable_form_that_is_not_the_kernel(self):
-        # t*eta matches the kernel only on the 5 x 5 lattice KernelSpec
-        # checks.  The eigenvalue near 1/2 of the sin(4 pi t) sin(4 pi eta)
-        # part shows only through ||(K - G H^T) W||_F
-        def bump(x):
-            return np.sin(4.0 * np.pi * x)
-
-        spec = KernelSpec(array=lambda T, E: T * E + bump(T) * bump(E),
-                          separable=((lambda t: t, lambda e: e),))
-        disc = NystromDiscretization(spec, simpson_rule(41))
-        eigs = np.linalg.eigvals(disc.weighted())
-        lam = 1.0 / float(eigs[np.argmin(np.abs(eigs - 0.5))].real)
-        expected = plain_eigvals_guard(disc, lam)
-        assert expected is not None
-        assert not _certified_far(disc, lam)
-        with pytest.raises(SpectrumProximityError) as exc:
-            nystrom_solve(disc, lam, lambda t: 1.0)
-        assert str(exc.value) == expected
-
-    def test_weyl_leaves_a_matrix_that_could_overflow_to_eigvals(self):
-        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
-        lam = 1.0 / math.sqrt(0.75 * np.finfo(float).max / disc.rule.n)
-        assert not _certified_far(disc, lam)
+        assert not _screened_far(disc, lam)
         assert plain_eigvals_guard(disc, lam) is None
         nystrom_solve(disc, lam, lambda t: 1.0)
 
@@ -1034,9 +1110,11 @@ class TestFiniteRank:
         assert disc.G.shape == disc.H.shape == (21, 0)
         assert char_numbers(disc).characteristic_numbers == ()
         assert char_numbers(disc).eigenfunctions.shape == (0, 21)
-        # every singular value of I/lam is 1/|lam|
-        assert _certified_far(disc, 0.5)
-        assert not _certified_far(disc, 1.0 / (0.5 * SPECTRUM_PROXIMITY_TOL))
+        # KW = 0: only a lambda from 1e8 on, whose 1/lambda is within the
+        # tolerance of 0, is rejected
+        assert guard_message(disc, 0.5) is None
+        lam = 1.0 / (0.5 * SPECTRUM_PROXIMITY_TOL)
+        assert guard_message(disc, lam) == printed_message(lam, math.inf)
         sol = nystrom_solve(disc, 3.0, lambda t: t)
         assert np.array_equal(sol.phi, rule.nodes)
         report = param_singularity_sweep(kernel_zero(), kernel_zero(), MU_GRID, rule)
@@ -1045,16 +1123,21 @@ class TestFiniteRank:
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("separable", [True, False])
-    def test_never_certifies_a_lambda_that_is_not_finite(self, lam, separable):
+    def test_rejects_a_lambda_that_is_not_finite(self, lam, separable):
         spec = kernel_t_plus_eta() if separable else dense(kernel_t_plus_eta())
         disc = NystromDiscretization(spec, simpson_rule(21))
-        assert not _certified_far(disc, lam)
+        with pytest.raises(ValidationError, match="^lambda must be finite") as exc:
+            nystrom_solve(disc, lam, lambda t: 1.0)
+        assert exc.value.key == "lam"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_never_certifies_profile_samples_that_are_not_finite(self, bad):
+    def test_profile_samples_that_are_not_finite_are_a_numerical_failure(self, bad):
+        # S = H^T W G is not finite: neither the guard nor the spectrum reads it
         disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
         disc.G[4, 0] = bad
-        assert not _certified_far(disc, 0.5)
+        for call in (lambda: nystrom_solve(disc, 0.5, lambda t: 1.0), lambda: char_numbers(disc)):
+            with pytest.raises(NumericalError, match="^derived coefficient S is not finite"):
+                call()
 
     def test_samples_each_profile_once_per_node(self):
         calls = []
@@ -1063,7 +1146,7 @@ class TestFiniteRank:
             calls.append(t)
             return t
 
-        spec = KernelSpec(array=np.multiply, separable=((g, lambda e: e),))
+        spec = KernelSpec(separable=((g, lambda e: e),))
         calls.clear()
         disc = NystromDiscretization(spec, simpson_rule(41))
         assert calls == disc.nodes.tolist()
@@ -1156,26 +1239,6 @@ class TestFiniteRank:
         for k0, k1 in PAIRS:
             param_singularity_sweep(CATALOGUE[k0](), CATALOGUE[k1](), MU_GRID, rule)
 
-    def test_leaves_the_rounding_band_to_eigvals(self):
-        # sigma_min(I/lam - KW) clears tau by 1e-12, less than the rounding
-        # margin the certificate must leave: eigvals decides, and accepts
-        disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(201))
-        mu = 1.0 / char_numbers(disc).characteristic_numbers[0].real
-
-        def gap(d):
-            shifted, tau = certificate_tau(disc, 1.0 / (mu + d))
-            return np.linalg.svd(shifted, compute_uv=False)[-1] - tau
-
-        lo, hi = 1e-8, 1e-7  # gap(lo) < 0 < gap(hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if gap(mid) <= 1e-12 else (lo, mid)
-        assert 0.0 < gap(hi) <= 2e-12
-        lam = 1.0 / (mu + hi)
-        assert not _certified_far(disc, lam)
-        assert plain_eigvals_guard(disc, lam) is None
-        nystrom_solve(disc, lam, lambda t: 1.0)
-
 
 def solve_orders(call):
     """call()'s result, and the order of every matrix np.linalg.solve met in it."""
@@ -1227,6 +1290,26 @@ class TestRankSolve:
         want += np.linalg.solve(M, q - M @ want)
         assert np.max(np.abs(sol.phi - want)) <= 1e-13 * np.max(np.abs(sol.phi))
 
+    @pytest.mark.parametrize("n_nodes", [3, 5, 7, 21, 63, 255, 801])
+    @pytest.mark.parametrize("make_rule", [simpson_rule, gauss_legendre_rule],
+                             ids=["simpson", "gauss"])
+    @pytest.mark.parametrize("name", sorted(CATALOGUE))
+    def test_catalogue_solve_matches_the_assembled_solve(self, name, make_rule, n_nodes):
+        # every catalogue kernel on both rules, from 3 nodes (n close to the
+        # rank) to 801: the rank solve leaves K unassembled, and agrees with
+        # the refined n x n solve of the K = G H^T assembled afterwards
+        disc = NystromDiscretization(CATALOGUE[name](), make_rule(n_nodes))
+        q = np.cos(disc.nodes)
+        for lam in (-0.7, 0.3):
+            sol, orders = solve_orders(lambda: nystrom_solve(disc, lam, math.cos))
+            assert all(k < disc.rule.n for k in orders)
+            assert "K" not in disc.__dict__
+            M = disc.system_matrix(lam)
+            want = np.linalg.solve(M, q)
+            want += np.linalg.solve(M, q - M @ want)
+            assert np.max(np.abs(sol.phi - want)) <= 1e-13 * np.max(np.abs(sol.phi))
+            del disc.K
+
     def test_separable_solve_holds_less_than_half_a_square_array(self):
         n = 801
         disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(n))
@@ -1240,8 +1323,7 @@ class TestRankSolve:
         assert peak < 0.5 * n * n * 8
 
     def test_separable_solve_holds_no_square_array(self):
-        # K is not assembled: the certificate and the solve hold two blocks
-        # of _DEFECT_ROWS rows (0.065 n^2 floats at 1201 nodes)
+        # K is not assembled: the guard and the solve hold n x r arrays
         n = 1201
         disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(n))
         tracemalloc.start()
@@ -1253,36 +1335,30 @@ class TestRankSolve:
             tracemalloc.stop()
         assert peak < 0.1 * n * n * 8
 
-    @pytest.mark.parametrize(
-        "n_nodes",
-        [7, fredholm._DEFECT_ROWS - 1, fredholm._DEFECT_ROWS + 1, 2 * fredholm._DEFECT_ROWS,
-         255, 257, 801],
-    )
-    @pytest.mark.parametrize("separable", [True, False])
-    @pytest.mark.parametrize("name", sorted(CATALOGUE))
-    def test_blocked_defect_matches_one_vdot(self, name, separable, n_nodes):
-        spec = CATALOGUE[name]()
-        # Simpson needs an odd node count
-        rule = simpson_rule(n_nodes) if n_nodes % 2 else gauss_legendre_rule(n_nodes)
-        disc = NystromDiscretization(spec if separable else dense(spec), rule)
-        G, H = fredholm._factors(disc)
-        D = (disc.K - G @ H.T) * disc.weights
-        want = float(np.vdot(D, D))
-        assert abs(fredholm._separable_defect(disc)[0] - want) <= 1e-12 * want
+    def test_separable_rejection_holds_less_than_half_a_square_array(self):
+        # one n x n float array is 20.5 MB here
+        n = 1601
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(SpectrumProximityError):
+                nystrom_solve(disc, 0.9282032302755091, math.cos)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8
 
-    def test_a_separable_form_that_is_not_the_kernel_solves_dense(self):
-        # t*eta matches t*eta + sin(4 pi t) sin(4 pi eta) on KernelSpec's 5 x 5
-        # lattice only: the certificate proves lambda far, and the solve
-        # keeps to K
+    def test_a_kernel_with_a_separable_form_that_is_not_it_is_refused(self):
+        # t*eta matches t*eta + sin(4 pi t) sin(4 pi eta) on the 5 x 5 lattice
+        # only: a kernel has one form, so none can disagree with the other
         def bump(x):
             return np.sin(4.0 * np.pi * x)
 
-        spec = KernelSpec(array=lambda T, E: T * E + bump(T) * bump(E),
-                          separable=((lambda t: t, lambda e: e),))
-        disc = NystromDiscretization(spec, simpson_rule(41))
-        assert _certified_far(disc, 0.3)
-        want = np.linalg.solve(disc.system_matrix(0.3), np.cos(disc.nodes))
-        assert np.array_equal(nystrom_solve(disc, 0.3, math.cos).phi, want)
+        with pytest.raises(ValidationError, match="^kernel 'kernel' needs an array or a "
+                                                  "separable form, not both$"):
+            KernelSpec(array=lambda T, E: T * E + bump(T) * bump(E),
+                       separable=((lambda t: t, lambda e: e),))
 
     def test_phi_that_is_not_finite_is_a_numerical_failure(self):
         disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(21))
@@ -1301,14 +1377,15 @@ class TestRankSolve:
             nystrom_solve(disc, 0.3, lambda t: bad if t == 0.5 else 1.0)
 
 
-# K is assembled on first read: the separable routes sample it in row blocks
+# K is assembled on first read, which no separable route makes
 class TestLazyMatrix:
     @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff])
-    def test_far_separable_solve_leaves_K_unassembled(self, make):
+    def test_separable_solve_and_rejection_leave_K_unassembled(self, make):
         disc = NystromDiscretization(make(), simpson_rule(801))
         for lam in (-2.0, -1.0, 0.3, 0.7):
-            assert _certified_far(disc, lam)
             nystrom_solve(disc, lam, math.cos)
+        with pytest.raises(SpectrumProximityError):
+            nystrom_solve(disc, char_numbers(disc).characteristic_numbers[0].real, math.cos)
         assert "K" not in disc.__dict__
 
     @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -1339,8 +1416,9 @@ class TestLazyMatrix:
             shapes.append((len(t), len(eta)))
             return original(self, t, eta)
 
+        spec = dense(kernel_exp_diff())  # its 5 x 5 construction check is no assembly
         monkeypatch.setattr(KernelSpec, "matrix", spy)
-        disc = NystromDiscretization(dense(kernel_exp_diff()), simpson_rule(n))
+        disc = NystromDiscretization(spec, simpson_rule(n))
         assert shapes == [(n, n)]
         nystrom_solve(disc, 0.3, math.cos)
         char_numbers(disc)
@@ -1369,27 +1447,6 @@ class TestLazyMatrix:
         char_numbers(disc)
         assert calls == []
         assert "K" not in disc.__dict__
-
-    @pytest.mark.parametrize("n_nodes", [7, fredholm._DEFECT_ROWS - 1, fredholm._DEFECT_ROWS + 1,
-                                         2 * fredholm._DEFECT_ROWS, 257, 801])
-    @pytest.mark.parametrize("separable", [True, False])
-    @pytest.mark.parametrize("name", sorted(CATALOGUE))
-    def test_row_blocks_have_the_bits_of_the_full_assembly(self, name, separable, n_nodes):
-        # so delta, and every decision of the certificate and the gate, is
-        # that of the assembled K
-        spec = CATALOGUE[name]()
-        spec = spec if separable else dense(spec)
-        nodes = gauss_legendre_rule(n_nodes).nodes
-        full = spec.matrix(nodes, nodes)
-        step = fredholm._DEFECT_ROWS
-        blocks = np.vstack([spec.matrix(nodes[i : i + step], nodes)
-                            for i in range(0, n_nodes, step)])
-        assert blocks.tobytes() == full.tobytes()
-        if separable:
-            disc = NystromDiscretization(spec, simpson_rule(n_nodes | 1))
-            rows = np.vstack([disc.rows(i, i + step) for i in range(0, disc.rule.n, step)])
-            assert "K" not in disc.__dict__
-            assert rows.tobytes() == disc.K.tobytes()
 
 
 # profiles (g_i, h_i) of the separable catalogue kernels, in mpmath
