@@ -10,9 +10,9 @@ NaN or infinite fails as "must be finite", and a finite value outside the
 parameter's range fails with the range's wording.  Both name the
 parameter and key it by its CLI flag (lower case, dashes for
 underscores), so the finiteness rule, the wording and the key spelling
-live here alone.  Counts go through it too: a step, substep, refinement,
-iteration, sweep or truncation-order count is "positive" and a year
-count "nonnegative".  An integer beyond ``sys.maxsize`` in magnitude
+live here alone.  Counts go through it too: a step, substep, iteration,
+sweep or truncation-order count is "positive" and a year count
+"nonnegative".  An integer beyond ``sys.maxsize`` in magnitude
 indexes no array and may lie beyond the float range: it is rejected
 before any range test, by a message that never converts it to float.  A
 count within that bound whose arrays do not fit in memory fails where
@@ -150,7 +150,8 @@ class SpectrumProximityError(NumericalError):
 
 
 class ResolutionError(NumericalError):
-    """Quadrature grid too coarse: internal refinement check failed."""
+    """Grid too coarse: a march drifts by more than 10% from its rerun on
+    half the steps, or its values are too small to hold that bound."""
 
 
 class CrossCheckError(NumericalError):

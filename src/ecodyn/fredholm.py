@@ -811,20 +811,21 @@ class VolterraReduction:
         return _volterra_kernel(self.a, self.order)(t, eta)
 
     def free_term(self, t: float) -> float:
-        return float(self._free_terms(np.array([t]))[0])
+        c = np.asarray(self.init)
+        return float(_free_term_values(self.forcing, self.a, c, self.order, np.array([t]))[0])
 
-    def _free_terms(self, t: np.ndarray) -> np.ndarray:
-        return _free_term_values(self.forcing, self.a, np.asarray(self.init), self.order, t)
-
-    def solve(self, steps: int = 200, t_end: float = 1.0, refine: int = 4) -> OdeReductionSolution:
+    def solve(self, steps: int = 200, t_end: float = 1.0) -> OdeReductionSolution:
         """phi and z = J_n[phi] + sum c_i t^i/i! at the ``steps`` + 1 nodes
         of [0, t_end] by the core's one Volterra solve, ``odelin._volterra_ivp``
-        (counts, blow-up check and half-resolution guard included), marched
-        on N = steps * refine intervals with the kernel coefficients
-        K_m = -a_(n-1-m): n moments of the history, O(N n^2) work."""
+        (grid check, blow-up check and half-resolution guard included): the
+        exact flow of the n moments of the history under the kernel
+        coefficients K_m = -a_(n-1-m), O(steps n^2) work after one n x n
+        exponential per march.  The forcing f/c_n, if any, is sampled at every node
+        and step midpoint; the rest of the free term is exact."""
         K = -np.array(self.a[::-1]).reshape(self.order, 1, 1)
-        grid, z, phi = _volterra_ivp(K, self._free_terms, self.init, t_end, steps, refine,
-                                     "Volterra march")
+        f = self.forcing
+        forcing = None if f is None else (lambda t: np.array([f(float(x)) for x in t]))
+        grid, z, phi = _volterra_ivp(K, forcing, self.init, t_end, steps, "Volterra march")
         return OdeReductionSolution(Trajectory(grid, z, ("z",)), phi[:, 0],
                                     tuple(float(x) for x in self.init))
 
@@ -895,26 +896,27 @@ class FredholmReduction:
         """Nystrom-solve the Fredholm form at lambda = 1 on ``n_nodes``
         Simpson nodes, which fixes the constants c_i = z^(i)(0) the data
         imply, then integrate the initial-value problem z^(n) = phi,
-        z^(i)(0) = c_i: phi is the Nystrom interpolant on a grid four
-        times finer than the ``steps`` output intervals, and the core's
-        unguarded Volterra solve, ``odelin._volterra_nodes``, with a zero
-        kernel gives z = J_n[phi] + sum c_i t^i/i!.  The step count is
-        checked before the Nystrom solve.
+        z^(i)(0) = c_i: the core's unguarded Volterra solve,
+        ``odelin._volterra_nodes``, with a zero kernel samples the Nystrom
+        interpolant phi at every node and midpoint of the ``steps`` output
+        intervals and gives z = J_n[phi] + sum c_i t^i/i!, integrating the
+        quadratic through each step's three samples exactly.  The step
+        count is checked before the Nystrom solve.
 
         The full ODE is not marched from c: that would carry every error
         in c along the ODE's growing modes, by about e^sqrt(k)/(2 sqrt(k))
         at t = 1 for z'' = k z.  Integrating phi, which the Fredholm form
         fixes on all of [0, 1] at once, amplifies none.
         """
-        grid = TimeGrid(0.0, 1.0, 4 * steps)
+        grid = TimeGrid(0.0, 1.0, steps)
         rule = simpson_rule(n_nodes)
         disc = NystromDiscretization(self.kernel_spec(), rule)
         sol = nystrom_solve(disc, 1.0, self.free_term)
         w_phi = np.sum(rule.weights * self._beta(rule.nodes) * sol.phi, axis=1)
         c = self._c0 - self._Minv @ w_phi
-        z, phi = _volterra_nodes(np.zeros((self.order, 1, 1)), sol, c, grid, 4,
+        z, phi = _volterra_nodes(np.zeros((self.order, 1, 1)), sol, c, grid,
                                  "two-point reduction")
-        return OdeReductionSolution(Trajectory(TimeGrid(0.0, 1.0, steps), z, ("z",)), phi[:, 0],
+        return OdeReductionSolution(Trajectory(grid, z, ("z",)), phi[:, 0],
                                     tuple(float(x) for x in c))
 
 

@@ -13,9 +13,10 @@ and, after substituting U = Xdd, as the second-kind Volterra equation
 U = G - 2 int_0^t [I + B(t-eta)] U deta, whose kernel coefficients
 K_0 = -2I and K_1 = -2B go to the one Volterra solve of the
 linear-dynamics core, ``odelin._volterra_ivp``, as the ODE reduction of
-``fredholm`` does.  The two routes share only the model data and the
-loop that applies their (different) affine steps, which makes their
-agreement the module's central cross-check.
+``fredholm`` does.  The moments of U are (X', X) less their Taylor
+polynomials, so both routes step one system, in two orders of its
+blocks, by one flow on one set of demand samples: they agree to
+rounding, and the Volterra route adds its half-resolution guard.
 
 Each input has one owner here.  ``_as_matrix`` is the one rule for a
 technology matrix (square, finite, nonnegative; key ``matrix``), used by
@@ -317,9 +318,14 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     """Solve the order-2 balance through its Volterra second-kind form
     (arXiv:0804.3658), U = Xdd = G - 2 int_0^t [I + B(t-eta)] U deta with
     G = 2 (C - Xdot0 - B (X0 + t Xdot0)), by the core's one Volterra solve
-    ``odelin._volterra_ivp``: a non-finite X or U raises BlowUpError, and
-    X drifting by more than 10% (sup norm, relative) from its rerun at
-    half the steps raises ResolutionError.
+    ``odelin._volterra_ivp``: the exact flow of the moments of U, started
+    from the initial data, which carry the part of G that is linear in t.
+    A constant demand is checked once, and the flow takes it exactly.  A
+    demand sampler is called once per march at every node and step
+    midpoint, so a demand linear between the nodes, as a demand file is,
+    is integrated exactly.  A non-finite X or U raises BlowUpError, and X
+    drifting by more than 10% (sup norm, relative) from its rerun at half
+    the steps raises ResolutionError.
     """
     if model.order != 2:
         raise ValidationError("volterra_solve requires truncation order 2", key="order")
@@ -327,11 +333,8 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
         raise ValidationError("order 2 needs Xdot0", key="xdot0")
     if steps < 4:
         raise ValidationError("need at least 4 steps", key="steps")
-    B, c0 = model.B, model.Xdot0
-
-    def G(t: np.ndarray) -> np.ndarray:
-        return 2.0 * (model.demand_samples(t) - c0 - (np.outer(t, c0) + model.X0) @ B.T)
-
-    K = np.stack([-2.0 * np.eye(model.n), -2.0 * B])
-    grid, X, _ = _volterra_ivp(K, G, [model.X0, c0], 1.0, steps, 1, "integration")
+    K = np.stack([-2.0 * np.eye(model.n), -2.0 * model.B])
+    demand = model.demand_samples if callable(model.demand) else model.demand_samples([0.0])[0]
+    forcing = (lambda t: 2.0 * demand(t)) if callable(demand) else 2.0 * demand
+    grid, X, _ = _volterra_ivp(K, forcing, [model.X0, model.Xdot0], 1.0, steps, "integration")
     return Trajectory(grid, X, tuple(f"x{i + 1}" for i in range(model.n)))

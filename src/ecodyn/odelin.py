@@ -1,16 +1,15 @@
 """Shared linear-ODE core.
 
 Characteristic roots of constant-coefficient equations (via companion
-matrix eigenvalues), one exact-step propagator for linear systems, and
-one trapezoidal marcher for second-kind Volterra equations.
+matrix eigenvalues) and one exact-step propagator for linear systems.
 ``linear_flow`` solves x' = M x + c(t) for a constant M without
 right-hand-side callbacks: each step is the affine map x -> x + (E x + q)
 with E = e^(hM) - I, computed once per run by scaling and squaring, and q
 the forcing integrated against the same flow through the phi-functions of
-hM.  Every linear differential model of arXiv:0804.3658 that has no
-scalar closed form goes through it: the second-order Phillips and
-Bergstrom models on their companion matrices, repeated roots included,
-the long-wave cycle and the truncated input-output balance.  No
+hM.  Every linear model of arXiv:0804.3658 that has no scalar closed form
+goes through it: the second-order Phillips and Bergstrom models on their
+companion matrices, repeated roots included, the long-wave cycle, the
+truncated input-output balance and the Volterra forms below.  No
 Runge-Kutta step is left here: the one RK4 of the package is
 ``harrod._rk4_growth``, the independent check of the Harrod closed forms,
 for which the exact step of y' = a y would be the closed form itself.
@@ -18,14 +17,14 @@ for which the exact step of y' = a y would be the closed form itself.
 The Volterra form of the Leontief balance and the reduction of a
 constant-coefficient ODE (arXiv:0804.3658) are one computation: phi =
 z^(n) solves phi = q + int_0^t K(t - eta) phi deta, K a polynomial in
-t - eta, and z = J_n[phi] + sum_i c_i t^i/i! with c_i = z^(i)(0).
-``_volterra_trapezoid`` marches phi by the trapezoidal rule (Linz,
-*Analytical and Numerical Methods for Volterra Equations*, SIAM 1985,
-ch. 7) on the history's shifted moments, one constant affine map a step.
-``_volterra_nodes`` adds the resonance check, the reconstruction of z and
-the blow-up check, and ``_volterra_ivp`` the half-resolution guard.  The
-ODE reduction and the balance call ``_volterra_ivp``; the two-point
-reduction calls ``_volterra_nodes`` with a zero kernel on its Fredholm phi.
+t - eta, and z = J_n[phi] + sum_i c_i t^i/i! with c_i = z^(i)(0).  The
+moments M_m of phi's history under (t - eta)^m/m! obey a linear system
+driven by q, so ``_volterra_nodes`` steps that system by ``linear_flow``
+(the exponential integrator of Hochbruck & Ostermann, Acta Numerica 19,
+2010) and reads z and phi off its nodes, and ``_volterra_ivp`` adds the
+half-resolution guard.  The ODE reduction and the balance call
+``_volterra_ivp``; the two-point reduction calls ``_volterra_nodes`` with
+a zero kernel on its Fredholm phi.
 """
 
 from __future__ import annotations
@@ -212,6 +211,7 @@ def linear_flow(
     grid: TimeGrid,
     forcing: Forcing | None = None,
     labels: Sequence[str] | None = None,
+    what: str = "integration",
 ) -> Trajectory:
     """The linear system x' = M x + c(t) with a constant (d, d) matrix M,
     stepped by its exact flow over each grid step h.
@@ -234,7 +234,7 @@ def linear_flow(
     down to 2^-53 stay normal, and only a growth beyond 2^1993, to values
     beyond 2^919, overflows in the scaled march where the unscaled one
     would not.  Normal-range data march unscaled.  A non-finite state
-    raises BlowUpError carrying the last finite node.
+    raises BlowUpError naming ``what`` and carrying the last finite node.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x.shape[0]
@@ -262,7 +262,7 @@ def linear_flow(
     _march(values, E, q)
     if e:
         values = np.ldexp(values, e)
-    _raise_on_blow_up(values, nodes)
+    _raise_on_blow_up(values, nodes, what)
     if labels is None:
         labels = [f"x{i}" for i in range(d)] if d > 1 else ["x"]
     return Trajectory(grid, values, tuple(labels))
@@ -332,9 +332,12 @@ def _forcing_terms(forcing, nodes, h, phi1, phi2, phi3) -> np.ndarray:
     live = np.flatnonzero(c.any(axis=0))  # a component forced by zero adds nothing
     c = c[:, live]
     c0, cm, c1 = c[0:-1:2], c[1::2], c[2::2]
-    u = 4.0 * cm - 3.0 * c0 - c1
-    w = 2.0 * (c0 + c1) - 4.0 * cm
-    return c0 @ (h * phi1[:, live]).T + u @ (h * phi2[:, live]).T + w @ (2.0 * h * phi3[:, live]).T
+    # summed term by term in the order of one expression, u and w formed in
+    # turn: the same roundings, one (steps, d) temporary at a time
+    q = c0 @ (h * phi1[:, live]).T
+    q += (4.0 * cm - 3.0 * c0 - c1) @ (h * phi2[:, live]).T  # u
+    q += (2.0 * (c0 + c1) - 4.0 * cm) @ (2.0 * h * phi3[:, live]).T  # w
+    return q
 
 
 def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
@@ -356,115 +359,85 @@ def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
                 prev = row
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _volterra_trapezoid(K: np.ndarray, q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """March phi(t) = q(t) + int_0^t sum_m K_m (t - eta)^m/m! phi(eta) deta
-    with the trapezoidal rule on the uniform grid t_k = k h.
-
-    ``K`` stacks the (d, d) coefficients K_0..K_p, ``q`` the free term at
-    the N + 1 >= 2 nodes, one row each.  Before step k the state is the shifted
-    moments M_m = sum'_{j<k} (t_k - t_j)^m/m! phi_j, m = 0..p, where sum'
-    gives j = 0 half weight.  Only the m = 0 term sees the new node, so
-
-        phi_k = (I - (h/2) K_0)^-1 (q_k + h sum_m K_m M_m),
-
-    and moving the moments to t_(k+1) is the Taylor shift
-    M_m <- sum_(i<=m) h^(m-i)/(m-i)! M_i + h^m/m! phi_k: one constant
-    affine map per step, applied by ``_march`` in O(N (p+1)^2 d^2).
-    Returns phi and the trapezoid J = int_0^t (t - eta)^p/p! phi(eta) deta
-    at every node (h M_p, plus h/2 phi_k for p = 0).  ``_volterra_nodes``
-    rules out a singular I - (h/2) K_0 and checks the result for overflow.
-    """
-    K = np.asarray(K, dtype=float)
-    p1, d = K.shape[0], K.shape[1]
-    N = q.shape[0] - 1
-    A = np.linalg.inv(np.eye(d) - (0.5 * h) * K[0])
-    AK = np.concatenate([A @ Km for Km in K], axis=1)  # (d, (p+1) d)
-    b = np.array([h**m / math.factorial(m) for m in range(p1)])  # weight of phi_k in M_m
-    shift = np.zeros((p1, p1))
-    for m in range(1, p1):
-        shift[m, :m] = b[m:0:-1]
-    E = np.kron(shift, np.eye(d)) + np.kron((h * b)[:, None], AK)
-    Aq = q @ A.T
-    state = np.empty((N, p1 * d))  # the moments before steps 1..N
-    state[0] = np.kron(b, 0.5 * q[0])
-    _march(state, E, (b[:, None] * Aq[1:N, None, :]).reshape(N - 1, p1 * d))
-    phi = np.empty_like(Aq)
-    phi[0] = q[0]
-    phi[1:] = Aq[1:] + h * (state @ AK.T)
-    J = np.zeros_like(phi)
-    J[1:] = h * state[:, (p1 - 1) * d:]
-    if p1 == 1:
-        J[1:] += (0.5 * h) * phi[1:]
-    return phi, J
-
-
 # overflow shows as a non-finite z or phi, which raises BlowUpError
 @np.errstate(over="ignore", invalid="ignore")
-def _volterra_nodes(K: np.ndarray, free: Callable[[np.ndarray], np.ndarray], init: Sequence,
-                    grid: TimeGrid, refine: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """z and phi = z^(n) at every ``refine``-th node of ``grid`` (from 0)
-    for phi = free + int_0^t sum_m K_m (t - eta)^m/m! phi(eta) deta and the
-    n = len(K) initial values z^(i)(0) = init[i], each of d components.
+def _volterra_nodes(K: np.ndarray, forcing: Forcing | None, init: Sequence, grid: TimeGrid,
+                    what: str) -> tuple[np.ndarray, np.ndarray]:
+    """z and phi = z^(n) at every node of ``grid`` (from 0) for the Volterra
+    equation phi = q + int_0^t sum_m K_m (t - eta)^m/m! phi(eta) deta of
+    z^(n) = f + sum_m K_m z^(n-1-m), z^(i)(0) = init[i], i < n = len(K),
+    each of d components: q = f + sum_m K_m P_m, P_m the Taylor polynomial
+    of z^(n-1-m) from the initial data.
 
-    A singular I - (h/2) K_0 (sigma_min below 1e-12) raises ResolutionError
-    before ``free`` samples the nodes.  ``_volterra_trapezoid`` marches phi,
-    z = J_n[phi] + sum_i init[i] t^i/i! is summed from the highest i down,
-    and a non-finite z or phi raises BlowUpError naming ``what``.
+    The moments M_m = int_0^t (t - eta)^m/m! phi(eta) deta satisfy
+    M_0' = phi = q + sum_m K_m M_m and M_m' = M_(m-1): one linear system
+    whose matrix has [K_0 ... K_p] as block row 0 and identity blocks
+    below the diagonal.  ``linear_flow`` steps it exactly.  The part of q
+    that is polynomial in t enters through the state, not the forcing:
+    the state M_m + P_m starts at the initial data and obeys the same
+    system driven by f alone (``forcing``: a callable mapping m times to
+    m rows, a constant (d,) vector, or None for f = 0), so a free term
+    that is polynomial in t is exact at every order, and only a sampled f
+    goes through the flow's quadratic rule.  Then
+    z = M_(n-1) + sum_i init[i] t^i/i! is the last block of the state and
+    phi = f + sum_m K_m (M_m + P_m).  A non-finite state or phi raises
+    BlowUpError naming ``what``.
     """
     K = np.asarray(K, dtype=float)
     n, d = K.shape[0], K.shape[1]
-    M = np.eye(d) - (0.5 * grid.h) * K[0]
-    # Johnson's bound (Linear Algebra Appl. 112, 1989), sigma_min >= min_i
-    # |m_ii| - (r_i + c_i)/2 over the off-diagonal row and column sums, less
-    # 4 d eps max|m| for its rounding, spares the SVD and the 0.8 MB its
-    # LAPACK code adds to a process; for d = 1 it is |m| itself
-    a = np.abs(M)
-    bound = np.min(2.0 * a.diagonal() - 0.5 * (a.sum(0) + a.sum(1))) - 9e-16 * d * a.max()
-    if bound < 1e-12 and np.linalg.svd(M, compute_uv=False)[-1] < 1e-12:
-        raise ResolutionError("marching step resonates with the kernel; refine")
-    t = grid.nodes
-    phi, J = _volterra_trapezoid(K, np.reshape(free(t), (t.shape[0], d)), grid.h)
-    tk, c, z = t[::refine], np.reshape(init, (n, d)), J[::refine]
-    for i in range(n - 1, -1, -1):
-        z = z + np.outer(tk**i, c[i]) / math.factorial(i)
-    phi = phi[::refine]
-    if not (np.isfinite(z).all() and np.isfinite(phi).all()):
-        _raise_on_blow_up(np.hstack([z, phi]), tk, what)
+    A = np.eye(n * d, k=-d)
+    A[:d] = np.hstack(K)
+    x0 = np.reshape(init, (n, d))[::-1].ravel()  # (z^(n-1), ..., z)(0)
+    f = []  # f at the nodes, or the constant f, for phi
+    if callable(forcing):
+        def drive(t: np.ndarray) -> np.ndarray:
+            ft = np.reshape(forcing(t), (t.shape[0], d))
+            f.append(ft[::2].copy())
+            return np.pad(ft, ((0, 0), (0, (n - 1) * d)))
+    elif forcing is None:
+        drive = None
+    else:
+        f.append(np.asarray(forcing, dtype=float))
+        drive = np.pad(f[0], (0, (n - 1) * d))
+    x = linear_flow(A, x0, grid, drive, what=what).values
+    z, phi = x[:, -d:], x @ A[:d].T
+    if f:
+        phi += f[0]
+    if not np.isfinite(phi).all():
+        _raise_on_blow_up(np.hstack([z, phi]), grid.nodes, what)
     return z, phi
 
 
-def _volterra_ivp(K: np.ndarray, free: Callable[[np.ndarray], np.ndarray], init: Sequence,
-                  t_end: float, steps: int, refine: int, what: str
+def _volterra_ivp(K: np.ndarray, forcing: Forcing | None, init: Sequence, t_end: float,
+                  steps: int, what: str
                   ) -> tuple[TimeGrid, np.ndarray, np.ndarray]:
-    """The output grid of ``steps`` intervals on [0, t_end] and z and phi
-    on its nodes by ``_volterra_nodes`` on ``steps * refine`` intervals,
-    counts and grid end checked first.  A rerun at half those intervals
-    (a one-interval march is its own half) guards the step.
+    """The grid of ``steps`` intervals on [0, t_end] and z and phi on its
+    nodes by ``_volterra_nodes``, the grid checked first.  A rerun at half
+    the intervals (a one-interval march is its own half) guards the step.
 
-    ResolutionError when z and the rerun, interpolated linearly onto the
-    output nodes, differ by more than 10% of max |z| in the sup norm: the
-    grid is too coarse for the trapezoid.  The scale has no floor; a march
-    that is zero everywhere, as is its rerun, has drift 0.  A march whose
-    max |z| is subnormal is refused as well, whatever its drift: its few
-    bits cannot hold a 10% bound.  Both messages give four significant
-    digits, so equations that differ by a rounding are refused alike.
+    ResolutionError when the rerun and z, interpolated linearly onto the
+    rerun's nodes, differ by more than 10% of max |z| in the sup norm: the
+    grid is too coarse for the forcing.  At an even step count the rerun's
+    nodes are nodes of the grid, so no interpolation enters.  The scale
+    has no floor; a march that is zero everywhere, as is its rerun, has
+    drift 0.  A march whose max |z| is subnormal is refused as well,
+    whatever its drift: its few bits cannot hold a 10% bound.  Both
+    messages give four significant digits, so equations that differ by a
+    rounding are refused alike.
     """
-    _require("positive", steps=steps, refine=refine)
-    grid = TimeGrid(0.0, float(t_end), steps * refine)
-    out = TimeGrid(0.0, grid.t_end, steps)
-    z, phi = _volterra_nodes(K, free, init, grid, refine, what)
-    half = TimeGrid(0.0, grid.t_end, max(grid.steps // 2, 1))
-    z_half, _ = _volterra_nodes(K, free, init, half, 1, what)
+    grid = TimeGrid(0.0, float(t_end), steps)
+    z, phi = _volterra_nodes(K, forcing, init, grid, what)
+    half = TimeGrid(0.0, grid.t_end, max(steps // 2, 1))
+    z_half, _ = _volterra_nodes(K, forcing, init, half, what)
     scale = float(np.max(np.abs(z)))
-    coarse = np.column_stack([np.interp(out.nodes, half.nodes, col) for col in z_half.T])
-    gap = float(np.max(np.abs(z - coarse)))
+    fine = np.column_stack([np.interp(half.nodes, grid.nodes, col) for col in z.T])
+    gap = float(np.max(np.abs(fine - z_half)))
     drift = gap / scale if scale else (math.inf if gap else 0.0)
     if drift > 0.10:
         raise ResolutionError(f"half-resolution drift {drift:.3e} exceeds 10%; refine the grid")
     if 0.0 < scale < np.finfo(float).tiny:
         raise ResolutionError(f"march sup {scale:.3e} is subnormal, too few bits for a 10% bound")
-    return out, z, phi
+    return grid, z, phi
 
 
 def _raise_on_blow_up(values: np.ndarray, nodes: np.ndarray, what: str = "integration") -> None:

@@ -52,3 +52,17 @@ def ode_flow(coeffs, init, times, digits: int | None = None) -> np.ndarray:
     """z, z', ..., z^(n-1) of the homogeneous ODE from ``init`` at each
     time, one row each: the ``flow`` of its companion matrix."""
     return flow(companion(coeffs), init, times, digits)
+
+
+def augmented_flow(M, x0, coeffs, times, digits=None):
+    """x(t) of x' = M x + sum_j coeffs[j] t^j from x(0) = x0, at each time,
+    as ``expm`` of the system augmented by the states t^j."""
+    d, p = M.shape[0], len(coeffs)
+    big = np.zeros((d + p, d + p))
+    big[:d, :d] = M
+    for j, c in enumerate(coeffs):
+        big[:d, d + j] = c
+        if j:
+            big[d + j, d + j - 1] = j  # (t^j)' = j t^(j-1)
+    z0 = np.concatenate([x0, [1.0], np.zeros(p - 1)]) if p else x0
+    return np.array([(expm(t * big, digits) @ z0)[:d] for t in times])

@@ -342,7 +342,7 @@ JSON_GOLDEN = {
     "scale_check": ["scale-check", "--model", "phillips", "--t0-a", "1", "--t0-b", "2.5",
                     "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
                     "--t-end", "4", "--steps", "40"],
-    # made with the commit before lazy module loading
+    # the expm of the balance augmented by 1, at 40 digits, rounded once
     "leontief_volterra": ["leontief-volterra", "--matrix", "leontief_matrix.txt",
                           "--demand", "0.5,0.3,0.2", "--x0", "1,1,1", "--xdot0", "0,0.1,0",
                           "--steps", "10"],
@@ -352,10 +352,10 @@ JSON_GOLDEN = {
 }
 # also checked as CSV: commands with int columns, and the Nystrom solve
 CSV_GOLDEN = ("harrod_discrete", "fredholm_sweep", "fredholm_solve_t_plus_eta")
-# Goldens of the n x n Fredholm route and of the step-by-step Volterra march,
-# with the relative tolerance they now hold to: each float against the sup
-# norm of its list (a column, an eigenfunction, a {re, im} pair), other
-# values exactly.  The finite-rank route and the affine march round
+# Goldens of the n x n Fredholm route and the reference of the Volterra
+# balance, with the relative tolerance they now hold to: each float against
+# the sup norm of its list (a column, an eigenfunction, a {re, im} pair),
+# other values exactly.  The finite-rank route and the moment flow round
 # differently; their own bytes are pinned by the goldens named here.
 SUPERSEDED = {
     "fredholm_spectrum": (1e-13, "fredholm_spectrum_finite_rank"),
@@ -782,7 +782,9 @@ FAIL_MATRICES = {
     "half": "2\n0.5,0.5\n0.5,0.5\n",  # row sums 1: singular
     "wide": "2\n0.9,0.5\n0.5,0.9\n",  # row sums 1.4: no Metzler condition
     "huge": "2\n1e300,0\n0,1e300\n",  # overflows the propagators
-    "thirty": "2\n30,0\n0,30\n",  # grows too fast for 4 Volterra steps
+    "thirty": "2\n30,0\n0,30\n",  # X grows as e^6.68t
+    "a22": "2\n0.2,0.3\n0.1,0.4\n",
+    "zigzag_demand": "0,0\n1,1\n0,0\n1,1\n0,0\n",  # aliases on 4 steps
     "nan": "2\nnan,0\n0,1\n",
     "nan_demand": "1,1,1\nnan,1,1\n1,1,1\n",  # a demand table on 2 steps
     "negative_singular": "2\n1,-1\n0,0\n",  # E - A = [[0, 1], [0, 1]]
@@ -833,8 +835,6 @@ FAILURES = [
          "--steps", "2", "--order", "2", "--xdot0", "0,0"]),
     (2, ["leontief-volterra", "--matrix", M3, "--demand", "1,1,1", "--x0", "1,1,1",
          "--xdot0", "0,0,0", "--steps", "3"]),
-    (3, ["leontief-volterra", "--matrix", "{thirty}", "--demand", "1,1", "--x0", "1,1",
-         "--xdot0", "0,0", "--steps", "4"]),
     (3, ["leontief-volterra", "--matrix", "{huge}", "--demand", "1,1", "--x0", "1,1",
          "--xdot0", "1,0", "--steps", "4"]),
     (2, EVEN_NODES_ARGS),
@@ -860,12 +860,9 @@ FAILURES = [
     # z = exp(1000 t) overflows
     (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,-1000",
          "--ode-init", "1", "--steps", "1000"]),
-    # the march at 800 nodes drifts from its rerun at 400 by more than 10%:
-    # z(1) = 0.893 against cos 100 = 0.862, and 1.9e4 against e^-20 = 2e-9
-    (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1e4",
-         "--ode-init", "1,0"]),
-    (3, ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,-400",
-         "--ode-init", "1,-20"]),
+    # a demand zigzag on 4 steps drifts from its rerun on 2 by 33%
+    (3, ["leontief-volterra", "--matrix", "{a22}", "--demand-file", "{zigzag_demand}",
+         "--x0", "0,0", "--xdot0", "0,0", "--steps", "4"]),
     # counts up to sys.maxsize whose nodes no array can hold: out of memory
     (3, ["harrod", "--mu", "0.2", "--nu", "3", "--t-end", "10", "--steps", str(2**62)]),
     (3, ["harrod", "--mu", "0.2", "--nu", "3", "--t-end", "10", "--steps", str(sys.maxsize)]),
@@ -1080,24 +1077,39 @@ def test_ode_reduced_answers_within_ten_percent_or_exits_three(capsys, coeffs, d
     assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * np.max(np.abs(exact))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known drift-guard miss, a FOUND line of CHANGES.md: z'' + 60 z' + 339624 z = 0 at 200 "
-    "steps drifts 9.6% from its half-resolution rerun, so the guard passes a z 17.0% of "
-    "sup |z| off the closed form (400 steps: refused at 12.9% drift, error 4.1%; 800 steps: "
-    "drift 3.1%, error 1.0%)"))
-def test_ode_reduced_drift_guard_miss(capsys):
-    # the contract of the property above, at the case it can draw and fail on
-    coeffs, init = (1.0, 60.0, 339624.0), [1.0, 0.0]
+@pytest.mark.parametrize("coeffs, init, bound", [
+    # roots -30 +- 582i, 2.2 nodes a period; then 12.6 and 1.3 nodes a period
+    ((1.0, 60.0, 339624.0), (1.0, 0.0), 1e-12),
+    ((1.0, 0.0, 1e4), (1.0, 0.0), 1e-12),
+    ((1.0, 0.0, 1e6), (1.0, 0.0), 1e-12),
+    # z = e^-20t: rounding grows with the mode e^20t, 4.9e8 at t = 1
+    ((1.0, 0.0, -400.0), (1.0, -20.0), 2.0 * math.exp(20.0) * 2.0**-52),
+], ids=["damped-582", "omega-100", "omega-1000", "growing-mode"])
+def test_ode_reduced_fast_and_growing_modes_answer_to_rounding(capsys, coeffs, init, bound):
     rc, out, err = run(capsys, ["fredholm-solve", "--kernel", "ode-reduced",
-                                "--ode-coeffs", "1,60,339624", "--ode-init", "1,0",
-                                "--steps", "200"])
-    if rc == 3:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-        return
+                                "--ode-coeffs=" + ",".join(map(repr, coeffs)),
+                                "--ode-init=" + ",".join(map(repr, init)), "--steps", "200"])
     assert (rc, err) == (0, "")
     _, table = read_csv(out)
-    exact = ode_flow(coeffs, init, TimeGrid(0.0, 1.0, 200).nodes)[:, 0]
-    assert np.max(np.abs(table[:, 1] - exact)) <= 0.1 * np.max(np.abs(exact))
+    exact = ode_flow(coeffs, init, TimeGrid(0.0, 1.0, 200).nodes, digits=40)[:, 0]
+    assert np.max(np.abs(table[:, 1] - exact)) <= bound * np.max(np.abs(exact))
+
+
+def test_stiff_balance_on_four_volterra_steps_answers(capsys, fail_matrices):
+    # X'' + 2 X' - 58 X = 2 from X = 1, X' = 0 in each sector, growing
+    # 5-fold a step: X = -1/29 + a e^(r1 t) + b e^(r2 t)
+    rc, out, err = run(capsys, ["leontief-volterra", "--matrix", fail_matrices["thirty"],
+                                "--demand", "1,1", "--x0", "1,1", "--xdot0", "0,0",
+                                "--steps", "4"])
+    assert (rc, err) == (0, "")
+    _, table = read_csv(out)
+    r1, r2 = -1.0 + math.sqrt(59.0), -1.0 - math.sqrt(59.0)
+    a = -r2 * (1.0 + 1.0 / 29.0) / (r1 - r2)
+    b = 1.0 + 1.0 / 29.0 - a
+    t = table[:, 0]
+    exact = -1.0 / 29.0 + a * np.exp(r1 * t) + b * np.exp(r2 * t)
+    for col in table[:, 1:].T:
+        assert np.max(np.abs(col - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 # numpy's refusal of the 2 x 100001 profile samples, as a machine without

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expm, random_metzler
+from conftest import augmented_flow, expm, random_metzler
 from ecodyn.fredholm import ode_to_integral
 from ecodyn.odelin import OdeSpec, TimeGrid, sup_rel_diff
 from ecodyn.errors import (
@@ -421,48 +421,82 @@ class TestVolterra:
         with pytest.raises(ValidationError):
             volterra_solve(model)
 
-    def test_resolution_error_on_coarse_grid(self):
-        model = LeontiefModel(
-            A=A22,
-            demand=lambda t: np.array([1.0 + np.sin(40 * np.pi * t), 1.0]),
-            X0=[0.0, 0.0],
-            Xdot0=[0.0, 0.0],
-            order=2,
-        )
-        with pytest.raises(ResolutionError):
-            volterra_solve(model, steps=12)
-        # fine grid resolves the same demand
-        volterra_solve(model, steps=800)
-
-
-def stepwise_march(model, steps):
-    """The Volterra march one step at a time, from its running trapezoid
-    sums S0 = sum' U_j and S1 = sum' t_j U_j."""
-    B, c0, c1 = model.B, model.Xdot0, model.X0
-    t = np.linspace(0.0, 1.0, steps + 1)
-    h = 1.0 / steps
-    G = [2.0 * (model.demand_samples([tk])[0] - c0 - B @ (c0 * tk + c1))
-         for tk in t.tolist()]
-    X = [c1]
-    S0, S1 = 0.5 * G[0], 0.0 * G[0]
-    for k in range(1, steps + 1):
-        U = (G[k] - 2.0 * h * (S0 + B @ (t[k] * S0 - S1))) / (1.0 + h)
-        X.append(h * (t[k] * S0 - S1) + c0 * t[k] + c1)
-        S0, S1 = S0 + U, S1 + t[k] * U
-    return np.array(X)
-
-
-class TestAffineMarch:
-    @pytest.mark.parametrize("n, steps", [(1, 7), (2, 40), (5, 400), (30, 100)])
-    def test_equals_the_stepwise_march(self, rng, n, steps):
-        A = random_metzler(rng, n)
-        c0, c1 = rng.uniform(0.5, 1.5, n), rng.uniform(-0.4, 0.4, n)
-        model = LeontiefModel(A=A, demand=lambda t: c0 + c1 * t, X0=rng.uniform(0.5, 1.5, n),
-                              Xdot0=rng.uniform(-0.5, 0.5, n), order=2)
+    @pytest.mark.parametrize("steps, bound", [(12, 0.07), (800, 3e-9)])
+    def test_aliased_sine_demand_answers_within_its_drift_contract(self, steps, bound):
+        # 20 periods of demand on 12 steps: the samples alias, and the
+        # answer is 6.6% off while the drift from its 6-step rerun reads
+        # 1.6%, inside the 10% bound; 800 steps resolve the demand
+        w = 40.0 * np.pi
+        model = LeontiefModel(A=A22, demand=lambda t: np.array([1.0 + np.sin(w * t), 1.0]),
+                              X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=2)
+        # (X, X', sin wt, cos wt, 1): the demand is part of the state
+        M = np.zeros((7, 7))
+        M[0:2, 2:4] = np.eye(2)
+        M[2:4] = np.hstack([-2.0 * model.B, -2.0 * np.eye(2), [[2.0, 0.0, 2.0], [0.0, 0.0, 2.0]]])
+        M[4, 5], M[5, 4] = w, -w
+        y0 = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        step = expm(M / steps, 30)
+        want = [y0]
+        for _ in range(steps):
+            want.append(step @ want[-1])
         got = volterra_solve(model, steps=steps).values
-        want = stepwise_march(model, steps)
-        scale = np.max(np.abs(want), axis=0)
-        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-12 * scale)
+        assert sup_rel_diff(np.array(want)[:, :2], got) <= bound
+
+    def test_aliased_demand_file_is_a_resolution_error(self):
+        # a demand zigzag between 0 and 1 at every node of 4 steps: the rerun
+        # on 2 steps sees a quadratic through 0, 1 and 0 on each of its steps
+        nodes, zigzag = np.linspace(0.0, 1.0, 5), [0.0, 1.0, 0.0, 1.0, 0.0]
+        model = LeontiefModel(A=A22, demand=lambda t: np.full(2, np.interp(t, nodes, zigzag)),
+                              X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=2)
+        with pytest.raises(ResolutionError,
+                           match="^half-resolution drift 3.283e-01 exceeds 10%; refine the grid$"):
+            volterra_solve(model, steps=4)
+
+
+def stepwise_flow(model, nodes):
+    """X of the order-2 balance at ``nodes`` for a demand linear between
+    them: each step is ``expm`` of the system augmented by 1 and t."""
+    n = model.n
+    M = np.block([[np.zeros((n, n)), np.eye(n)], [-2.0 * model.B, -2.0 * np.eye(n)]])
+    C = model.demand_samples(nodes)
+    x = np.concatenate([model.X0, model.Xdot0])
+    out = [x]
+    for k in range(len(nodes) - 1):
+        h = nodes[k + 1] - nodes[k]
+        slope = (C[k + 1] - C[k]) / h
+        terms = [np.concatenate([np.zeros(n), 2.0 * c]) for c in (C[k], slope)]
+        x = augmented_flow(M, x, terms, [h], digits=30)[0]
+        out.append(x)
+    return np.array(out)[:, :n]
+
+
+class TestMomentFlow:
+    @pytest.mark.parametrize("n", [3, 50, 200])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(4, 400), constant=st.booleans())
+    def test_matches_dynamic_solve(self, n, seed, steps, constant):
+        # one core: the moments of U = X'' are the first-order system of
+        # the balance, stepped by the same flow on the same demand samples
+        rng = np.random.default_rng(seed)
+        c0, c1 = rng.uniform(0.5, 1.5, n), rng.uniform(-0.4, 0.4, n)
+        demand = c0 if constant else (lambda t: c0 + c1 * t)
+        model = LeontiefModel(A=random_metzler(rng, n), demand=demand,
+                              X0=rng.uniform(0.5, 1.5, n), Xdot0=rng.uniform(-0.5, 0.5, n),
+                              order=2)
+        got = volterra_solve(model, steps=steps).values
+        want = dynamic_solve(model, steps=steps).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("steps", [4, 9, 40])
+    def test_grid_aligned_demand_file_is_exact(self, rng, steps):
+        # a demand file is linear between the grid nodes, as the CLI reads it
+        nodes = np.linspace(0.0, 1.0, steps + 1)
+        table = rng.uniform(0.0, 2.0, (steps + 1, 3))
+        model = LeontiefModel(
+            A=random_metzler(rng, 3), X0=rng.uniform(0.5, 1.5, 3), Xdot0=rng.uniform(-0.5, 0.5, 3),
+            demand=lambda t: np.array([np.interp(t, nodes, col) for col in table.T]), order=2)
+        got = volterra_solve(model, steps=steps).values
+        assert sup_rel_diff(stepwise_flow(model, nodes), got) <= 1e-14
 
     def test_blow_up_is_a_numerical_failure(self):
         model = LeontiefModel(A=np.diag([1e300, 1e300]), demand=[1.0, 1.0], X0=[1.0, 1.0],
@@ -471,15 +505,14 @@ class TestAffineMarch:
             volterra_solve(model, steps=4)
 
     def test_blow_up_names_the_first_node_where_x_or_u_is_not_finite(self):
-        # U = X'' overflows at t = 0.25, a node before X, whose trapezoid at
-        # a node does not yet weigh U there
+        # e^(hM) overflows on the first step
         model = LeontiefModel(A=np.diag([1e300, 1e300]), demand=[1.0, 1.0], X0=[1.0, 1.0],
                               Xdot0=[1.0, 0.0], order=2)
         with pytest.raises(BlowUpError, match=r"^integration blew up between t=0.0 and t=0.25$"):
             volterra_solve(model, steps=4)
 
     def test_non_finite_u_at_the_last_node_is_a_blow_up(self):
-        # G = 2 C overflows at t = 1 only; X there is still finite
+        # 2 C overflows at t = 1 only, the end of the last step
         model = LeontiefModel(A=[[0.5]], demand=lambda t: np.array([1e308 if t == 1.0 else 1.0]),
                               X0=[1.0], Xdot0=[0.0], order=2)
         with pytest.raises(BlowUpError, match=r"^integration blew up between t=0.75 and t=1.0$"):
@@ -499,10 +532,10 @@ class TestTwoVolterraForms:
             x = volterra_solve(model, steps=steps).values[:, 0]
         except EcodynError as exc:
             with pytest.raises(type(exc)) as info:
-                red.solve(steps=steps, refine=1)
+                red.solve(steps=steps)
             assert str(info.value) == str(exc)
             return
-        z = red.solve(steps=steps, refine=1).trajectory.values[:, 0]
+        z = red.solve(steps=steps).trajectory.values[:, 0]
         assert np.max(np.abs(x - z)) <= 1e-13 * np.max(np.abs(x))
 
 
@@ -550,8 +583,8 @@ class TestDemandSamples:
     @pytest.mark.parametrize("order", [1, 2])
     def test_solves_check_the_stack_not_each_sample(self, monkeypatch, order):
         # one call per march: the 11 nodes and 10 midpoints that the exact
-        # flow of 10 steps samples, then the 11 and 6 nodes of the Volterra
-        # march and its half-resolution rerun
+        # flow of 10 steps samples, then as many for the Volterra march and
+        # the 6 nodes and 5 midpoints of its half-resolution rerun
         sizes = []
         demand_samples = LeontiefModel.demand_samples
 
@@ -566,7 +599,7 @@ class TestDemandSamples:
         assert sizes == [21]
         if order == 2:
             volterra_solve(model, steps=10)
-            assert sizes == [21, 11, 6]
+            assert sizes == [21, 21, 11]
 
 
 class TestModelValidation:

@@ -8,18 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ecodyn.errors import BlowUpError, ResolutionError, ValidationError
+from ecodyn.errors import BlowUpError, ValidationError
 from ecodyn.odelin import (
     OdeSpec,
     TimeGrid,
     Trajectory,
     _volterra_nodes,
-    _volterra_trapezoid,
     char_roots,
     linear_flow,
     sup_rel_diff,
 )
-from conftest import companion, expm, flow, ode_flow
+from conftest import augmented_flow, companion, expm, flow, ode_flow
 from rk4_reference import rk4_integrate
 
 
@@ -311,20 +310,6 @@ class TestRk4:
 FINITE = dict(allow_nan=False, allow_infinity=False)
 
 
-def augmented_flow(M, x0, coeffs, times, digits=None):
-    """x(t) of x' = M x + sum_j coeffs[j] t^j from x(0) = x0, at each time,
-    as ``expm`` of the system augmented by the states t^j."""
-    d, p = M.shape[0], len(coeffs)
-    big = np.zeros((d + p, d + p))
-    big[:d, :d] = M
-    for j, c in enumerate(coeffs):
-        big[:d, d + j] = c
-        if j:
-            big[d + j, d + j - 1] = j  # (t^j)' = j t^(j-1)
-    z0 = np.concatenate([x0, [1.0], np.zeros(p - 1)]) if p else x0
-    return np.array([(expm(t * big, digits) @ z0)[:d] for t in times])
-
-
 @st.composite
 def linear_systems(draw):
     """x' = M x + c(t), d <= 6, with ||hM||_1 up to 6 so that the squarings
@@ -451,70 +436,28 @@ class TestLinearFlow:
             linear_flow(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: np.ones((len(ts), 3)))
 
 
-def trapezoid_reference(K, q, h):
-    """phi and J_(p+1)[phi] of phi = q + int_0^t sum_m K_m (t-eta)^m/m! phi
-    by the trapezoidal rule, one node at a time over the whole history."""
-    p1, d = K.shape[0], K.shape[1]
-    N = q.shape[0] - 1
-
-    def kappa(s):
-        return sum(K[m] * s**m / math.factorial(m) for m in range(p1))
-
-    phi = np.empty_like(q)
-    J = np.zeros_like(q)
-    phi[0] = q[0]
-    lhs = np.eye(d) - (0.5 * h) * K[0]
-    for k in range(1, N + 1):
-        w = np.full(k, h)
-        w[0] = 0.5 * h
-        rhs = q[k] + sum(w[j] * kappa((k - j) * h) @ phi[j] for j in range(k))
-        phi[k] = np.linalg.solve(lhs, rhs)
-        w = np.append(w, 0.5 * h)
-        lag = (k - np.arange(k + 1)) * h
-        J[k] = (w * lag ** (p1 - 1) / math.factorial(p1 - 1)) @ phi[: k + 1]
-    return phi, J
-
-
-class TestVolterraTrapezoid:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        d=st.integers(1, 3),
-        p1=st.integers(1, 4),
-        steps=st.integers(1, 40),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_the_node_by_node_march(self, d, p1, steps, seed):
-        rng = np.random.default_rng(seed)
-        K = rng.uniform(-2.0, 2.0, (p1, d, d))
-        q = rng.uniform(-1.0, 1.0, (steps + 1, d))
-        h = 1.0 / steps
-        # a near-singular implicit step would measure its condition number
-        assume(np.linalg.cond(np.eye(d) - (0.5 * h) * K[0]) < 1e3)
-        phi, J = _volterra_trapezoid(K, q, h)
-        want_phi, want_J = trapezoid_reference(K, q, h)
-        for got, want in ((phi, want_phi), (J, want_J)):
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+class TestVolterraNodes:
+    """The moment flow of phi = q + int_0^t sum_m K_m (t - eta)^m/m! phi."""
 
     def test_recovers_the_exponential(self):
-        # phi = 1 + int_0^t phi: phi = exp(t), J_1 = exp(t) - 1
-        t = np.linspace(0.0, 1.0, 201)
-        phi, J = _volterra_trapezoid(np.ones((1, 1, 1)), np.ones((201, 1)), 1.0 / 200)
-        assert np.max(np.abs(phi[:, 0] - np.exp(t))) < 1e-4
-        assert np.max(np.abs(J[:, 0] - (np.exp(t) - 1.0))) < 1e-4
+        # phi = 1 + int_0^t phi: phi = e^t and z = J_1[phi] = e^t - 1
+        grid = TimeGrid(0.0, 1.0, 200)
+        z, phi = _volterra_nodes(np.ones((1, 1, 1)), lambda t: np.ones(len(t)), [0.0], grid,
+                                 "march")
+        t = grid.nodes
+        assert np.max(np.abs(phi[:, 0] - np.exp(t))) <= 1e-15 * math.e
+        assert np.max(np.abs(z[:, 0] - np.expm1(t))) <= 1e-15 * math.e
 
     @pytest.mark.parametrize("K0", [[[2.0]], [[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]],
                              ids=["scalar", "diagonal", "rank-one"])
-    def test_singular_step_is_refused_before_the_free_term(self, K0):
-        # I - (h/2) K_0 at h = 1 has a zero singular value in each case
-        def free(t):
-            raise AssertionError("a resonant step sampled the free term")
-
-        grid, init = TimeGrid(0.0, 1.0, 1), np.zeros((1, len(K0)))
-        with pytest.raises(ResolutionError, match="^marching step resonates with the kernel"):
-            _volterra_nodes(np.array([K0]), free, init, grid, 1, "march")
-
-    def test_regular_step_outside_the_screen_marches(self):
-        # I - (h/2) K_0 = [[1, 2], [0, 1]]: no diagonal dominance, sigma_min 0.41
-        z, phi = _volterra_nodes(np.array([[[0.0, -4.0], [0.0, 0.0]]]), lambda t: np.ones((2, 2)),
-                                 np.zeros((1, 2)), TimeGrid(0.0, 1.0, 1), 1, "march")
-        assert np.isfinite(z).all() and np.isfinite(phi).all()
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_step_where_i_minus_half_h_k0_is_singular_answers(self, K0, steps):
+        # I - (h/2) K_0 is singular at h = 1 in each case, which would stop
+        # an implicit trapezoid step; the flow of z' = K_0 z has no such matrix
+        K0 = np.array(K0)
+        c = np.linspace(1.0, 0.5, K0.shape[0])
+        grid = TimeGrid(0.0, 1.0, steps)
+        z, phi = _volterra_nodes(K0[None], None, c[None], grid, "march")
+        want = flow(K0, c, grid.nodes, digits=40)
+        assert sup_rel_diff(want, z) <= 1e-14
+        assert sup_rel_diff(want @ K0.T, phi) <= 1e-14
