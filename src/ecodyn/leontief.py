@@ -1,22 +1,20 @@
 """Input-output balance X = AX + C: static solves, the Taylor-truncation
-reduction to a matrix ODE on normalized time, and its two independent
-dynamic realizations.
+reduction to a matrix ODE on normalized time, and its dynamic solves.
 
 These are the Leontief relations of arXiv:0804.3658: the static balance,
 its shift X(t + t0) expanded in Taylor terms sum_k (t0^k/k!) X^(k) on
-normalized time t_bar = t/t0, and the Volterra form of the two-term
-truncation.  The two-term truncation 0.5*Xdd + Xd + B*X = C (B = E - A)
-is solved both as a first-order system stepped by its exact flow e^(hM)
-(``odelin.linear_flow``), which ``dynamic_solve`` builds from the
-coefficients of ``taylor_reduce`` (as it does the one-term truncation),
-and, after substituting U = Xdd, as the second-kind Volterra equation
-U = G - 2 int_0^t [I + B(t-eta)] U deta, whose kernel coefficients
-K_0 = -2I and K_1 = -2B go to the one Volterra solve of the
-linear-dynamics core, ``odelin._volterra_ivp``, as the ODE reduction of
-``fredholm`` does.  The moments of U are (X', X) less their Taylor
-polynomials, so both routes step one system, in two orders of its
-blocks, by one flow on one set of demand samples: they agree to
-rounding, and the Volterra route adds its half-resolution guard.
+normalized time t_bar = t/t0, and the Volterra form of the truncation.
+Solved for its top derivative, the order-m truncation (B = E - A) is
+X^(m) = m! C + sum_j K_j X^(m-1-j), K = -m! [c_(m-1) I, ..., c_1 I, B]
+from ``taylor_reduce``: [-B] at order 1, and [-2I, -2B] at order 2, the
+kernel of the Volterra equation U = G - 2 int_0^t [I + B(t-eta)] U deta
+of U = Xdd.  ``_balance_flow`` builds K, the forcing m! C and the initial
+data, and both routes step this one system, the moments of X^(m), by its
+exact flow on one set of demand samples: ``dynamic_solve`` (orders 1 and
+2) by ``odelin._volterra_nodes``, ``volterra_solve`` (order 2) by
+``odelin._volterra_ivp``, as the ODE reduction of ``fredholm`` does.
+Their values are equal; the only difference is the half-resolution guard
+that ``volterra_solve`` adds.
 
 Each input has one owner here.  ``_as_matrix`` is the one rule for a
 technology matrix (square, finite, nonnegative; key ``matrix``), used by
@@ -39,7 +37,7 @@ from .errors import (
     ValidationError,
     _require,
 )
-from .odelin import TimeGrid, Trajectory, _volterra_ivp, linear_flow
+from .odelin import TimeGrid, Trajectory, _volterra_ivp, _volterra_nodes
 
 DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
 
@@ -274,58 +272,52 @@ def taylor_reduce(model: LeontiefModel) -> TaylorReduction:
     return TaylorReduction(order=model.order, derivative_coeffs=coeffs, B=model.B)
 
 
+def _balance_flow(model: LeontiefModel) -> tuple:
+    """Kernel coefficients K = -m! [c_(m-1) I, ..., c_1 I, B], forcing m! C
+    and initial data (X0, Xdot0 at order 2) of the order-m balance in the
+    form of ``odelin._volterra_nodes``.  A constant demand is checked once
+    here; a sampler is checked on every stack of samples the march asks for.
+    """
+    reduction = taylor_reduce(model)
+    top = 1.0 / reduction.derivative_coeffs[-1]  # m!, exactly at orders 1 and 2
+    lower = reversed(reduction.derivative_coeffs[:-1])
+    K = -top * np.stack([*(c * np.eye(model.n) for c in lower), reduction.B])
+    demand = model.demand_samples if callable(model.demand) else model.demand_samples([0.0])[0]
+    forcing = (lambda t: top * demand(t)) if callable(demand) else top * demand
+    return K, forcing, [model.X0, model.Xdot0][: reduction.order]
+
+
 def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     """Solve the truncated balance on t_bar in [0, 1] by the exact flow of
-    its first-order system (``odelin.linear_flow``).
+    the moments of its top derivative (``odelin._volterra_nodes``), from
+    the coefficients of ``taylor_reduce`` (``_balance_flow``).
 
-    The coefficients c_k = 1/k! and B come from ``taylor_reduce``.  Solved
-    for its top derivative, X^(m) = m! (C - B X - sum_(k<m) c_k X^(k)), the
-    order-m balance is the first-order system in (X, X', ..., X^(m-1))
-    whose matrix has I on its block superdiagonal and the last block row
-    -m! [B, c_1 I, ..., c_(m-1) I], with forcing m! C in the last block:
-    Xd = C - B X at order 1, [[0, I], [-2B, -2I]] and [0, 2C] at order 2.
-    Higher orders are not accepted.  A constant demand is checked once,
-    and the flow takes it exactly.  A demand sampler is called once at
-    every node and every step midpoint, the samples are checked together
-    by ``LeontiefModel.demand_samples``, and the flow integrates their
+    Orders 1 and 2 are accepted.  A constant demand is checked once, and
+    the flow takes it exactly.  A demand sampler is called once at every
+    node and every step midpoint, the samples are checked together by
+    ``LeontiefModel.demand_samples``, and the flow integrates their
     quadratic on each step exactly: exact for a demand that is linear
     between the nodes, as a demand file is, and O(h^4) for a smooth one.
+    A non-finite X or top derivative raises BlowUpError.
     """
     if model.order not in (1, 2):
         raise ValidationError("dynamic_solve supports truncation orders 1 and 2", key="order")
     if model.order == 2 and model.Xdot0 is None:
         raise ValidationError("order 2 needs Xdot0", key="xdot0")
     grid = TimeGrid(0.0, 1.0, steps)
-    reduction = taylor_reduce(model)
-    m, n = reduction.order, model.n
-    top = 1.0 / reduction.derivative_coeffs[-1]  # m!, exactly at orders 1 and 2
-    M = np.eye(m * n, k=n)
-    M[-n:] = -top * np.hstack(
-        [reduction.B, *(c * np.eye(n) for c in reduction.derivative_coeffs[:-1])]
-    )
-    pad = (m - 1) * n  # the forcing drives the last block only
-    demand = model.demand_samples if callable(model.demand) else model.demand_samples([0.0])[0]
-    if callable(demand):
-        def forcing(ts: np.ndarray) -> np.ndarray:
-            return np.hstack([np.zeros((len(ts), pad)), top * demand(ts)])
-    else:
-        forcing = np.concatenate([np.zeros(pad), top * demand])
-    full = linear_flow(M, np.concatenate((model.X0, model.Xdot0)[:m]), grid, forcing=forcing)
-    return Trajectory(grid, full.values[:, :n], tuple(f"x{i + 1}" for i in range(n)))
+    X, _ = _volterra_nodes(*_balance_flow(model), grid, "integration")
+    return Trajectory(grid, X, tuple(f"x{i + 1}" for i in range(model.n)))
 
 
 def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     """Solve the order-2 balance through its Volterra second-kind form
     (arXiv:0804.3658), U = Xdd = G - 2 int_0^t [I + B(t-eta)] U deta with
     G = 2 (C - Xdot0 - B (X0 + t Xdot0)), by the core's one Volterra solve
-    ``odelin._volterra_ivp``: the exact flow of the moments of U, started
-    from the initial data, which carry the part of G that is linear in t.
-    A constant demand is checked once, and the flow takes it exactly.  A
-    demand sampler is called once per march at every node and step
-    midpoint, so a demand linear between the nodes, as a demand file is,
-    is integrated exactly.  A non-finite X or U raises BlowUpError, and X
-    drifting by more than 10% (sup norm, relative) from its rerun at half
-    the steps raises ResolutionError.
+    ``odelin._volterra_ivp``: the march of ``dynamic_solve``, whose values
+    it returns, and a rerun at half the steps.  A demand sampler is called
+    once per march at every node and step midpoint.  A non-finite X or U
+    raises BlowUpError, and X drifting by more than 10% (sup norm,
+    relative) from its rerun raises ResolutionError.
     """
     if model.order != 2:
         raise ValidationError("volterra_solve requires truncation order 2", key="order")
@@ -333,8 +325,5 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
         raise ValidationError("order 2 needs Xdot0", key="xdot0")
     if steps < 4:
         raise ValidationError("need at least 4 steps", key="steps")
-    K = np.stack([-2.0 * np.eye(model.n), -2.0 * model.B])
-    demand = model.demand_samples if callable(model.demand) else model.demand_samples([0.0])[0]
-    forcing = (lambda t: 2.0 * demand(t)) if callable(demand) else 2.0 * demand
-    grid, X, _ = _volterra_ivp(K, forcing, [model.X0, model.Xdot0], 1.0, steps, "integration")
+    grid, X, _ = _volterra_ivp(*_balance_flow(model), 1.0, steps, "integration")
     return Trajectory(grid, X, tuple(f"x{i + 1}" for i in range(model.n)))

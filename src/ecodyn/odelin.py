@@ -22,9 +22,10 @@ moments M_m of phi's history under (t - eta)^m/m! obey a linear system
 driven by q, so ``_volterra_nodes`` steps that system by ``linear_flow``
 (the exponential integrator of Hochbruck & Ostermann, Acta Numerica 19,
 2010) and reads z and phi off its nodes, and ``_volterra_ivp`` adds the
-half-resolution guard.  The ODE reduction and the balance call
-``_volterra_ivp``; the two-point reduction calls ``_volterra_nodes`` with
-a zero kernel on its Fredholm phi.
+half-resolution guard.  The ODE reduction and the balance's Volterra
+route call ``_volterra_ivp``; the balance's ODE route and the two-point
+reduction, with a zero kernel on its Fredholm phi, call
+``_volterra_nodes``.
 """
 
 from __future__ import annotations
@@ -220,9 +221,10 @@ def linear_flow(
     and q_k = int_0^h e^((h - tau) M) c(t_k + tau) dtau, applied in that
     form so that a slow mode keeps the digits that e^(hM) x would round
     away.  The homogeneous part is exact to rounding, undamped cycles
-    included.  ``forcing`` is a constant (d,) vector c, for which
-    q = h phi_1(hM) c is exact, or a callable mapping an array of m
-    increasing times to an (m, d) array.  The callable is sampled once,
+    included.  ``forcing`` drives the leading components of x, as many as
+    its width, 1 to d: a constant vector c, for which q = h phi_1(hM) c is
+    exact, or a callable mapping an array of m increasing times to m rows
+    of that width.  The callable is sampled once,
     at every node and every step midpoint, and q_k integrates the
     quadratic through a step's three samples exactly (``_forcing_terms``):
     exact for a forcing that is piecewise quadratic on the grid, global
@@ -256,9 +258,9 @@ def linear_flow(
         q = _forcing_terms(forcing, nodes, h, *phis)
     else:
         c = np.asarray(forcing, dtype=float)
-        if c.shape != (d,):
-            raise ValidationError(f"constant forcing must have {d} components")
-        q = h * (phis[0] @ c)
+        if c.ndim != 1 or not 0 < c.shape[0] <= d:
+            raise ValidationError(f"constant forcing must have 1 to {d} components")
+        q = h * (phis[0][:, : c.shape[0]] @ c)
     _march(values, E, q)
     if e:
         values = np.ldexp(values, e)
@@ -315,28 +317,29 @@ def _forcing_terms(forcing, nodes, h, phi1, phi2, phi3) -> np.ndarray:
     """Per-step forcing terms q_k of ``linear_flow`` for a sampled forcing.
 
     The forcing is sampled once, in increasing time, at the 2 steps + 1
-    times t_k and t_k + h/2.  On step k it is replaced by the quadratic
-    c0 + u r + w r^2, r = tau/h, through its samples c0, cm and c1 at the
-    step's start, midpoint and end, whose integral against e^((h - tau) M)
-    is exact (Hochbruck & Ostermann, "Exponential integrators", Acta
-    Numerica 19, 2010): int_0^h e^((h - tau) M) (tau/h)^j dtau =
-    j! h phi_(j+1)(hM).
+    times t_k and t_k + h/2, and returns one row of 1 to d components per
+    time, which force as many leading components of the state: only those
+    columns of the phi-functions enter.  On step k it is replaced by the
+    quadratic c0 + u r + w r^2, r = tau/h, through its samples c0, cm and
+    c1 at the step's start, midpoint and end, whose integral against
+    e^((h - tau) M) is exact (Hochbruck & Ostermann, "Exponential
+    integrators", Acta Numerica 19, 2010): int_0^h e^((h - tau) M)
+    (tau/h)^j dtau = j! h phi_(j+1)(hM).
     """
     d = phi1.shape[0]
     times = np.empty(2 * nodes.shape[0] - 1)
     times[0::2] = nodes
     times[1::2] = nodes[:-1] + 0.5 * h
     c = np.asarray(forcing(times), dtype=float)
-    if c.shape != (times.shape[0], d):
-        raise ValidationError(f"forcing must return {d} components per time")
-    live = np.flatnonzero(c.any(axis=0))  # a component forced by zero adds nothing
-    c = c[:, live]
+    if c.ndim != 2 or c.shape[0] != times.shape[0] or not 0 < c.shape[1] <= d:
+        raise ValidationError(f"forcing must return one row of 1 to {d} components per time")
+    width = c.shape[1]
     c0, cm, c1 = c[0:-1:2], c[1::2], c[2::2]
     # summed term by term in the order of one expression, u and w formed in
     # turn: the same roundings, one (steps, d) temporary at a time
-    q = c0 @ (h * phi1[:, live]).T
-    q += (4.0 * cm - 3.0 * c0 - c1) @ (h * phi2[:, live]).T  # u
-    q += (2.0 * (c0 + c1) - 4.0 * cm) @ (2.0 * h * phi3[:, live]).T  # w
+    q = c0 @ (h * phi1[:, :width]).T
+    q += (4.0 * cm - 3.0 * c0 - c1) @ (h * phi2[:, :width]).T  # u
+    q += (2.0 * (c0 + c1) - 4.0 * cm) @ (2.0 * h * phi3[:, :width]).T  # w
     return q
 
 
@@ -376,9 +379,11 @@ def _volterra_nodes(K: np.ndarray, forcing: Forcing | None, init: Sequence, grid
     that is polynomial in t enters through the state, not the forcing:
     the state M_m + P_m starts at the initial data and obeys the same
     system driven by f alone (``forcing``: a callable mapping m times to
-    m rows, a constant (d,) vector, or None for f = 0), so a free term
-    that is polynomial in t is exact at every order, and only a sampled f
-    goes through the flow's quadratic rule.  Then
+    m rows of d components, a constant (d,) vector, or None for f = 0),
+    which drives block 0, the leading d of the n d components, and goes
+    to ``linear_flow`` as it is.  So a free term that is polynomial in t
+    is exact at every order, and only a sampled f goes through the flow's
+    quadratic rule.  Then
     z = M_(n-1) + sum_i init[i] t^i/i! is the last block of the state and
     phi = f + sum_m K_m (M_m + P_m).  A non-finite state or phi raises
     BlowUpError naming ``what``.
@@ -392,13 +397,13 @@ def _volterra_nodes(K: np.ndarray, forcing: Forcing | None, init: Sequence, grid
     if callable(forcing):
         def drive(t: np.ndarray) -> np.ndarray:
             ft = np.reshape(forcing(t), (t.shape[0], d))
-            f.append(ft[::2].copy())
-            return np.pad(ft, ((0, 0), (0, (n - 1) * d)))
+            f.append(ft[::2])
+            return ft
     elif forcing is None:
         drive = None
     else:
-        f.append(np.asarray(forcing, dtype=float))
-        drive = np.pad(f[0], (0, (n - 1) * d))
+        drive = np.asarray(forcing, dtype=float)
+        f.append(drive)
     x = linear_flow(A, x0, grid, drive, what=what).values
     z, phi = x[:, -d:], x @ A[:d].T
     if f:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ecodyn import odelin
 from ecodyn.errors import BlowUpError, ValidationError
+from ecodyn.leontief import LeontiefModel, dynamic_solve
 from ecodyn.odelin import (
     OdeSpec,
     TimeGrid,
@@ -18,7 +20,7 @@ from ecodyn.odelin import (
     linear_flow,
     sup_rel_diff,
 )
-from conftest import augmented_flow, companion, expm, flow, ode_flow
+from conftest import augmented_flow, companion, expm, flow, ode_flow, random_metzler
 from rk4_reference import rk4_integrate
 
 
@@ -430,10 +432,59 @@ class TestLinearFlow:
             linear_flow(np.eye(2), [1.0, 0.0, 0.0], grid)
         with pytest.raises(ValidationError, match="^coefficient matrix must be 1x1"):
             linear_flow(1.0, [1.0], grid)
-        with pytest.raises(ValidationError, match="^constant forcing must have 2"):
-            linear_flow(np.eye(2), [1.0, 0.0], grid, forcing=[1.0])
-        with pytest.raises(ValidationError, match="^forcing must return 2 components"):
-            linear_flow(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: np.ones((len(ts), 3)))
+        # a forcing drives 1 to d leading components, d named in the message
+        for c in ([], [1.0, 2.0, 3.0], [[1.0], [2.0]]):
+            with pytest.raises(ValidationError, match="^constant forcing must have 1 to 2 "):
+                linear_flow(np.eye(2), [1.0, 0.0], grid, forcing=c)
+        for shape in (lambda m: (m, 0), lambda m: (m, 3), lambda m: (m - 1, 2), lambda m: (m,)):
+            with pytest.raises(ValidationError,
+                               match="^forcing must return one row of 1 to 2 components per"):
+                linear_flow(np.eye(2), [1.0, 0.0], grid,
+                            forcing=lambda ts, shape=shape: np.ones(shape(len(ts))))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_narrow_forcing_drives_the_leading_components(self, width, sampled):
+        # a forcing of width k < d is the forcing of width d with zeros after
+        # its k components
+        rng = np.random.default_rng(7)
+        d = 4
+        M = rng.uniform(-1.0, 1.0, (d, d))
+        x0 = rng.uniform(-1.0, 1.0, d)
+        coeffs = [rng.uniform(-1.0, 1.0, width) for _ in range(3 if sampled else 1)]
+        if sampled:
+            def forcing(ts):
+                return sum(np.outer(ts**j, c) for j, c in enumerate(coeffs))
+        else:
+            forcing = coeffs[0]
+        grid = TimeGrid(0.0, 1.5, 30)
+        got = linear_flow(M, x0, grid, forcing=forcing)
+        ref = augmented_flow(M, x0, [np.pad(c, (0, d - width)) for c in coeffs], grid.nodes)
+        assert sup_rel_diff(ref, got.values) <= 1e-13
+
+    def test_volterra_forcing_reaches_the_flow_at_its_own_width(self, monkeypatch):
+        # the moment system of n = 3 blocks of d = 50 components takes the
+        # sampled f as it is, 50 columns, not 150 with the lower blocks padded
+        widths = []
+        forcing_terms = odelin._forcing_terms
+
+        def spy(forcing, *args):
+            def sampled(ts):
+                c = forcing(ts)
+                widths.append(np.shape(c))
+                return c
+            return forcing_terms(sampled, *args)
+
+        monkeypatch.setattr(odelin, "_forcing_terms", spy)
+        rng = np.random.default_rng(3)
+        d, grid = 50, TimeGrid(0.0, 1.0, 20)
+        K = rng.uniform(-0.1, 0.1, (3, d, d))
+        _volterra_nodes(K, lambda t: np.outer(1.0 + t, np.ones(d)), np.ones((3, d)), grid,
+                        "march")
+        model = LeontiefModel(A=random_metzler(rng, d), demand=lambda t: np.full(d, 1.0 + t),
+                              X0=np.ones(d), Xdot0=np.zeros(d), order=2)
+        dynamic_solve(model, steps=20)
+        assert widths == [(41, d), (41, d)]
 
 
 class TestVolterraNodes:
