@@ -46,7 +46,14 @@ if __name__ == "__main__":
 import numpy as np
 
 from . import __version__
-from .errors import EcodynError, NumericalError, ValidationError, _require, _require_array_length
+from .errors import (
+    EcodynError,
+    NumericalError,
+    ValidationError,
+    _require,
+    _require_array_length,
+    _require_finite_result,
+)
 from .odelin import OdeSpec, TimeGrid, Trajectory
 
 # Each handler imports the model module it calls, so a run loads only its
@@ -465,7 +472,9 @@ def _cmd_fredholm_sweep(ns) -> Output:
     _require("positive", mu_count=ns.mu_count)
     _require("finite", mu_min=ns.mu_min, mu_max=ns.mu_max)
     _require_array_length(ns.mu_count, "mu values")
-    mu_grid = np.linspace(ns.mu_min, ns.mu_max, ns.mu_count)
+    with np.errstate(over="ignore", invalid="ignore"):  # mu-max - mu-min may overflow
+        mu_grid = np.linspace(ns.mu_min, ns.mu_max, ns.mu_count)
+    _require_finite_result(mu_grid=mu_grid)
     k0 = _kernel_by_name(ns.k0, 0.0)
     k1 = _kernel_by_name(ns.k1, 0.0)
     report = fredholm.param_singularity_sweep(

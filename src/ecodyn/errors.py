@@ -11,7 +11,7 @@ parameter's range fails with the range's wording.  Both name the
 parameter and key it by its CLI flag (lower case, dashes for
 underscores), so the finiteness rule, the wording and the key spelling
 live here alone.  Counts go through it too: a step, substep, iteration,
-sweep or truncation-order count is "positive" and a year count
+sweep, node or truncation-order count is "positive" and a year count
 "nonnegative".  An integer beyond ``sys.maxsize`` in magnitude
 indexes no array and may lie beyond the float range: it is rejected
 before any range test, by a message that never converts it to float.  A
@@ -22,10 +22,13 @@ allocating, before a ``TimeGrid``'s nodes, ``discrete_path``'s years, a
 quadrature rule or a sweep's mu grid.  Every march takes its nodes and
 step from ``odelin.TimeGrid``, which checks its count and ends before any
 work runs.  The count
-rules that stay special are Simpson's odd count >= 3 and Gauss's >= 2
-nodes, ``leontief.volterra_solve``'s >= 4 steps for its
-half-resolution rerun, ``dynamic_solve``'s truncation orders 1 and 2, and
-the ``ECODYN_DEFAULT_STEPS`` parse, which is keyed by the variable's name.
+rules that stay special are Simpson's odd count >= 3, the Nystrom rule of
+the catalogue kernels, which the two-point reduction no longer takes;
+Gauss's >= 2 nodes and the two-point collocation's >= 2 Chebyshev-Lobatto
+nodes, each checked after "positive"; ``leontief.volterra_solve``'s >= 4
+steps for its half-resolution rerun; ``dynamic_solve``'s truncation
+orders 1 and 2; and the ``ECODYN_DEFAULT_STEPS`` parse, which is keyed by
+the variable's name.
 
 A coefficient formed from finite parameters can still leave the float
 range (mu/nu at a subnormal nu, gamma*lam at 1e200 each).
@@ -142,7 +145,9 @@ class SingularMatrixError(NumericalError):
 
 
 class SpectrumProximityError(NumericalError):
-    """1/lambda too close to an eigenvalue of the discretized kernel."""
+    """1/lambda too close to an eigenvalue of the discretized kernel, or,
+    for the two-point reduction, its collocation matrix numerically
+    singular at lambda = 1 (sigma_min/sigma_max below the tolerance)."""
 
     def __init__(self, message: str, nearest_characteristic_number: complex):
         super().__init__(message)
@@ -151,7 +156,8 @@ class SpectrumProximityError(NumericalError):
 
 class ResolutionError(NumericalError):
     """Grid too coarse: a march drifts by more than 10% from its rerun on
-    half the steps, or its values are too small to hold that bound."""
+    half the steps, or its values are too small to hold that bound; or the
+    two-point collocation's nodes leave phi's Chebyshev tail above 1e-8."""
 
 
 class CrossCheckError(NumericalError):

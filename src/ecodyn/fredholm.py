@@ -6,16 +6,14 @@ characteristic numbers with eigenfunctions, singularity sweeps for
 kernels k0 + mu*k1, and the classic reduction of a constant-coefficient
 ODE to a Volterra (initial data) or Fredholm (two-point data) equation.
 
-One definition per kernel.  A ``KernelSpec`` has exactly one form: its
-``array`` form k(T, E), which takes float arrays broadcasting against each
-other and returns a new float array of their broadcast shape holding k at
-every pair, or its ``separable`` pairs (g_i, h_i) of scalar profiles, and
-then G H^T is the kernel.  Every catalogue kernel (``kernel_t_plus_eta``,
-``kernel_exp_diff``, ``kernel_rho_rho``, ``kernel_sigma_rho``,
-``kernel_degenerate``, ``kernel_zero``) is separable; the ODE-reduced
-kernels are array forms.  Construction checks the form on a 5 x 5 lattice
-for its shape and for values that are not finite.  k(t, eta) is the
-kernel's matrix at one point.
+One route per kernel class.  A ``KernelSpec`` is separable: pairs
+(g_i, h_i) of scalar profiles, and G H^T is the kernel.  Every catalogue
+kernel (``kernel_t_plus_eta``, ``kernel_exp_diff``, ``kernel_rho_rho``,
+``kernel_sigma_rho``, ``kernel_degenerate``, ``kernel_zero``) is one.
+Construction checks the profiles on a 5 x 5 lattice for values that are
+not finite.  k(t, eta) is the kernel's matrix at one point.  The kernels
+of the ODE reductions are not ``KernelSpec``s: each reduction solves its
+own equation (``VolterraReduction``, ``FredholmReduction``).
 
 Finite-rank route.  A separable kernel k(t, eta) = sum_i g_i(t) h_i(eta) of
 rank r is, on the nodes, K = G H^T with the n x r samples G = [g_i(t_j)]
@@ -44,35 +42,32 @@ library caller reads it.
     example of the Fredholm alternative, the degenerate kernel
     rho(t)rho(eta) + mu sigma(t)rho(eta) (arXiv:0804.3658), is rank 2.
 
-Kernels without a separable form (the ODE-reduced kernels, user array
-kernels) assemble K at discretization and take the n x n route for their
-spectrum, sweep and solve: eig, values-only SVD and LU.
+Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
+``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w), naming the
+nearest characteristic number 1/mu: one of the r eigenvalues of S, and the
+1/mu that ``char_numbers`` reports, or inf for an eigenvalue that it
+discards as 0 (|mu| <= ``EIGEN_DISCARD_DEFAULT``, which only
+|lambda| > 0.99e8 can reach).  |lambda| >= 1/SPECTRUM_PROXIMITY_TOL
+= 1e8 is the regime boundary: 1/lambda is then within the tolerance of 0,
+an exact eigenvalue of KW when n > r and in the spectrum of every compact
+kernel operator, and the rejection names inf.
+
+Two-point route.  The two-point reduction's kernel is the Volterra
+polynomial of the ODE, masked to eta <= t, plus a smooth rank-n term, so
+it jumps or kinks on eta = t.  ``FredholmReduction.solve`` integrates each
+piece by its own rule on Chebyshev-Lobatto nodes: the masked part by the
+spectral integration matrix S, the rank-n part by the Clenshaw-Curtis
+weights, the last row of S (Greengard & Rokhlin, Comm. Pure Appl. Math. 44,
+1991; Trefethen, *Approximation Theory and Approximation Practice*, 2013).
+Its guard is the collocation matrix's sigma_min/sigma_max against
+``SPECTRUM_PROXIMITY_TOL``.
 
 Routes the commands reach.  Every kernel the CLI offers (``--kernel``,
 ``--k0``, ``--k1``) is separable, so ``fredholm-solve``,
 ``fredholm-spectrum`` and ``fredholm-sweep`` form no n x n array, a
 rejected solve included.  ``--kernel ode-reduced`` accepts initial values
-only, so it builds a ``VolterraReduction`` and no Nystrom discretization.
-The n x n routes serve library callers alone, such as the two-point
-reduction (``FredholmReduction``), as ``perfbench/twopoint.py`` runs it.
-
-Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
-``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w), naming the
-nearest characteristic number 1/mu.
-  - |lambda| >= 1/SPECTRUM_PROXIMITY_TOL = 1e8 is one regime boundary:
-    1/lambda is then within the tolerance of 0, an exact eigenvalue of KW
-    when n > r and in the spectrum of every compact kernel operator, and
-    the rejection names inf.
-  - A separable kernel is decided by the r eigenvalues of S, and a
-    rejection names the 1/mu that ``char_numbers`` reports.
-  - A kernel without a separable form is first screened: sigma_min(A) <=
-    dist(1/lambda, spec KW) for A = I/lambda - KW, and Weyl's inequality
-    (Horn & Johnson, *Matrix Analysis*, sec. 7.3) gives sigma_min(A) >=
-    (1 - eps)/|lambda| - ||KW||_F.  When that bound, with the rounding of
-    the norm, clears tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL +
-    n eps F (F >= ||A||_F), lambda is accepted with no factorization; the
-    two-point reduction of z'' + z = 0 (||KW||_F = 0.11) is, at lambda = 1.
-    Otherwise the eigenvalues of KW decide.
+only, so it builds a ``VolterraReduction``.  The two-point reduction
+serves library callers alone, as ``perfbench/twopoint.py`` runs it.
 """
 
 from __future__ import annotations
@@ -88,6 +83,7 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     NumericalError,
+    ResolutionError,
     SingularMatrixError,
     SpectrumProximityError,
     ValidationError,
@@ -95,46 +91,33 @@ from .errors import (
     _require_array_length,
     _require_finite_result,
 )
-from .odelin import OdeSpec, TimeGrid, Trajectory, _volterra_ivp, _volterra_nodes
+from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _volterra_ivp
 
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
 SINGULARITY_FLAG_REL = 1e-6
-# the screen skips eigvals only when sigma_min is proved above this multiple
-# of the tolerance (plus rounding)
-GUARD_SCREEN_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel k(t, eta) on [0, 1]^2, defined once: by its broadcasting
-    ``array`` form k(T, E), or by its ``separable`` pairs (g_i, h_i) of
-    scalar profiles, as sum_i g_i(t) h_i(eta) (see the module docstring).
+    """A separable kernel k(t, eta) = sum_i g_i(t) h_i(eta) on [0, 1]^2,
+    given by its ``separable`` pairs (g_i, h_i) of scalar profiles (see the
+    module docstring).
 
-    Construction samples the form on a 5 x 5 lattice and rejects a kernel
-    with no form or with both, and a form of the wrong shape or with a
-    value that is not finite.
+    Construction samples the profiles on a 5 x 5 lattice and rejects a
+    kernel with a value there that is not finite.
     """
 
-    array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    separable: tuple[tuple[Callable[[float], float], Callable[[float], float]], ...] | None = None
+    separable: tuple[tuple[Callable[[float], float], Callable[[float], float]], ...]
     name: str = "kernel"
 
     def __post_init__(self):
-        if (self.array is None) == (self.separable is None):
-            raise ValidationError(f"kernel {self.name!r} needs an array or a separable form"
-                                  + (", not both" if self.array is not None else ""))
-        what = "array form" if self.array is not None else "separable form"
         probe = np.linspace(0.0, 1.0, 5)
-        lattice = np.asarray(self.matrix(probe, probe))
-        if lattice.shape != (5, 5):
-            raise ValidationError(
-                f"{what} of {self.name!r} returned shape {lattice.shape} on a 5 x 5 lattice"
-            )
+        lattice = self.matrix(probe, probe)
         if not np.isfinite(lattice).all():
             i, j = np.argwhere(~np.isfinite(lattice))[0]
             raise ValidationError(
-                f"{what} of {self.name!r} is not finite at ({probe[i]}, {probe[j]})"
+                f"separable form of {self.name!r} is not finite at ({probe[i]}, {probe[j]})"
             )
 
     def __call__(self, t: float, eta: float) -> float:
@@ -148,10 +131,8 @@ class KernelSpec:
                 _profile_samples([h for _, h in pairs], eta))
 
     def matrix(self, t: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Samples k(t_i, eta_j) for 1-D ``t`` and ``eta`` as a
-        len(t) x len(eta) array: the array form, or G H^T."""
-        if self.array is not None:
-            return self.array(t[:, None], eta[None, :])
+        """Samples k(t_i, eta_j) for 1-D ``t`` and ``eta`` as the
+        len(t) x len(eta) array G H^T."""
         G, H = self.factors(t, eta)
         return G @ H.T
 
@@ -248,6 +229,7 @@ def simpson_rule(n_nodes: int = 201) -> QuadratureRule:
 
 
 def gauss_legendre_rule(n_nodes: int = 64) -> QuadratureRule:
+    _require("positive", nodes=n_nodes)  # bounds the count by sys.maxsize
     if n_nodes < 2:
         raise ValidationError("need at least 2 Gauss nodes", key="nodes")
     _require_array_length(n_nodes, "nodes")
@@ -267,34 +249,26 @@ def _profile_samples(profiles: Sequence[Callable[[float], float]], x: np.ndarray
 
 @dataclass
 class NystromDiscretization:
-    """Kernel sampled on a quadrature rule: K[i, j] = k(t_i, eta_j), and,
-    for a separable kernel, its n x r factors G[j, i] = g_i(t_j) and
-    H[j, i] = h_i(eta_j) (None otherwise; see the module docstring).
+    """A separable kernel sampled on a quadrature rule: its n x r factors
+    G[j, i] = g_i(t_j) and H[j, i] = h_i(eta_j) (see the module docstring).
 
-    A kernel without a separable form assembles K at once, since its
-    spectrum, sweep and solve all read it.  A separable kernel's routes
-    read G and H alone, and its ``apply`` is G (H^T (w phi)); K = G H^T is
-    assembled on its first read, which only the n x n routes a library
-    caller reaches (``weighted``, ``system_matrix``, ``weighted_eigs``)
-    make."""
+    The spectrum, sweep and solve read G and H alone, and ``apply`` is
+    G (H^T (w phi)).  K[i, j] = k(t_i, eta_j), that is G H^T, is assembled
+    on its first read, which only library callers make (``weighted``,
+    ``weighted_eigs``)."""
 
     kernel: KernelSpec
     rule: QuadratureRule
-    G: np.ndarray | None = field(init=False, default=None)
-    H: np.ndarray | None = field(init=False, default=None)
+    G: np.ndarray = field(init=False)
+    H: np.ndarray = field(init=False)
     _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.kernel.separable is None:
-            self.K  # assembled now: the n x n routes read it
-        else:
-            self.G, self.H = self.kernel.factors(self.rule.nodes, self.rule.nodes)
+        self.G, self.H = self.kernel.factors(self.rule.nodes, self.rule.nodes)
 
     @cached_property
     def K(self) -> np.ndarray:
-        if self.G is not None:
-            return self.G @ self.H.T
-        return self.kernel.matrix(self.rule.nodes, self.rule.nodes)
+        return self.G @ self.H.T
 
     @property
     def nodes(self) -> np.ndarray:
@@ -314,69 +288,18 @@ class NystromDiscretization:
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Quadrature application of the kernel operator to node values:
-        G (H^T (w phi)) for a separable kernel, else K (w phi)."""
-        wphi = self.weights * phi
-        if self.G is not None:
-            return self.G @ (self.H.T @ wphi)
-        return self.K @ wphi
-
-    def system_matrix(self, lam: float) -> np.ndarray:
-        """Id - lambda*K*diag(w), built in place in one n x n array: the
-        bits of np.eye(n) - lam * self.weighted(), since 0 - x = -x and
-        x * (-lam) = -(lam * x) exactly."""
-        M = self.weighted()
-        M *= -lam
-        M[np.diag_indices_from(M)] += 1.0
-        return M
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a bound that is not finite fails
-def _screened_far(disc: NystromDiscretization, lam: float) -> bool:
-    """Whether sigma_min(I/lam - KW) >= tau is proved by Weyl's inequality
-    against I/lam, the screen of a kernel without a separable form (see
-    "Spectral guard" in the module docstring).  fl(vdot(D, D)) for
-    D = fl(K * w) is within gamma_(n^2) of ||KW||_F^2 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed.), so delta below bounds
-    ||KW||_F with slack.  Never True for a matrix that is not finite."""
-    n = disc.rule.n
-    eps = np.finfo(float).eps
-    D = disc.weighted()
-    delta = (1.0 + 2 * (n * n + 2) * eps) * math.sqrt(float(np.vdot(D, D)))
-    inv = abs(1.0 / lam)
-    fro = (1.0 + 4 * eps) * (math.sqrt(n) * inv + delta)  # >= ||I/lam - KW||_F
-    # not finite, or near overflow: left to eigvals
-    if not fro * fro <= np.finfo(float).max / 2:
-        return False
-    tau = GUARD_SCREEN_FACTOR * SPECTRUM_PROXIMITY_TOL + n * eps * fro
-    return inv * (1.0 - eps) - delta >= tau
-
-
-def _dense_solve(disc: NystromDiscretization, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """(Id - lambda*K*W)^-1 rhs by the n x n system matrix.  Entries near the
-    float range pass the guard, so a system matrix that overflows raises
-    NumericalError, and one that LAPACK finds singular SingularMatrixError."""
-    with np.errstate(over="ignore"):
-        M = disc.system_matrix(lam)
-    if not (math.isfinite(M.max()) and math.isfinite(M.min())):  # no n x n temporary
-        _require_finite_result(system_matrix=M)
-    try:
-        return np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"Id - lambda*K*W is singular ({exc})") from None
+        G (H^T (w phi))."""
+        return self.G @ (self.H.T @ (self.weights * phi))
 
 
 def _guarded_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
-    """(Id - lambda*K*W)^-1 q after the spectral guard: at the kernel's rank
-    for a separable kernel, else by the n x n system matrix (see "Solve" in
-    the module docstring).  A phi that is not finite raises NumericalError
-    on either route."""
+    """(Id - lambda*K*W)^-1 q at the kernel's rank, after the spectral guard
+    (see "Solve" in the module docstring).  A phi that is not finite raises
+    NumericalError."""
     _guard_spectrum(disc, lam)
-    if disc.G is None:
-        phi, route = _dense_solve(disc, lam, q), "n x n"
-    else:
-        phi, route = _rank_solve(disc, lam, q), "finite-rank"
+    phi = _rank_solve(disc, lam, q)
     if not np.isfinite(phi).all():
-        raise NumericalError(f"the {route} solve gave a phi that is not finite")
+        raise NumericalError("the finite-rank solve gave a phi that is not finite")
     return phi
 
 
@@ -404,20 +327,13 @@ def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
         return
     if abs(lam) >= 1.0 / SPECTRUM_PROXIMITY_TOL:  # 1/lam is within the tolerance of 0
         raise _proximity_error(lam, math.inf)
-    if disc.G is not None:
-        S, eigs, V = _rank_eig(disc)
-    elif _screened_far(disc, lam):
-        return  # sigma_min <= dist(1/lam, spec KW): no eigenvalue is near
-    else:
-        eigs = disc.weighted_eigs()
+    S, eigs, V = _rank_eig(disc)
     dist = np.abs(1.0 / lam - eigs)
     if dist.size and dist.min() < SPECTRUM_PROXIMITY_TOL:
         j = int(np.argmin(dist))
-        if disc.G is not None:
-            nearest = _reciprocals(S, eigs, V)[j]
-        else:
-            nearest = 1.0 / eigs[j] if eigs[j] != 0 else math.inf
-        raise _proximity_error(lam, nearest)
+        # named as char_numbers reports it: inf for an eigenvalue it discards as 0
+        discarded = abs(eigs[j]) <= EIGEN_DISCARD_DEFAULT
+        raise _proximity_error(lam, math.inf if discarded else _reciprocals(S, eigs, V)[j])
 
 
 def _proximity_error(lam: float, nearest) -> SpectrumProximityError:
@@ -462,12 +378,11 @@ def nystrom_solve(
 
     Rejects a lambda that is not finite, and one whose reciprocal sits
     within 1e-8 of an eigenvalue of the weighted kernel matrix, naming the
-    nearest characteristic number: for a separable kernel the one
-    ``char_numbers`` reports, and inf for |lambda| >= 1e8 (see "Spectral
-    guard" in the module docstring).  A separable kernel is solved at its
-    rank, and neither its solve nor its rejection forms an n x n array (see
-    "Solve" there).  A phi that is not finite, as from a free term that is
-    not, raises NumericalError.
+    nearest characteristic number as ``char_numbers`` reports it, and inf
+    for |lambda| >= 1e8 (see "Spectral guard" in the module docstring).
+    The kernel is solved at its rank, and neither its solve nor its
+    rejection forms an n x n array (see "Solve" there).  A phi that is not
+    finite, as from a free term that is not, raises NumericalError.
     """
     phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes], dtype=float))
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)
@@ -576,24 +491,20 @@ def char_numbers(
 
     Eigenfunctions are normalized to sup-norm 1 with the max-modulus
     entry made real positive; every reported pair satisfies
-    ||phi - lambda * K_w phi||_inf <= 1e-6.  A separable kernel takes the
-    finite-rank route: the eigenpairs (mu, v) of S = H^T W G give mu and
-    the eigenfunction G v (see the module docstring)."""
+    ||phi - lambda * K_w phi||_inf <= 1e-6.  The eigenpairs (mu, v) of
+    S = H^T W G give mu and the eigenfunction G v (see the module
+    docstring)."""
     _require("nonnegative", discard_threshold=discard_threshold)
-    if disc.G is not None:
-        eigvals, vecs, rank_lams = _rank_spectrum(disc)
-        eigvecs = disc.G @ vecs
-    else:
-        eigvals, eigvecs = np.linalg.eig(disc.weighted())
+    eigvals, vecs, lams = _rank_spectrum(disc)
     pairs = []
-    for i, (mu, vec) in enumerate(zip(eigvals, eigvecs.T)):
+    for mu, lam, vec in zip(eigvals, lams, (disc.G @ vecs).T):
         if abs(mu) <= discard_threshold:
             continue
-        lam = 1.0 / mu if disc.G is None else rank_lams[i]
         j = int(np.argmax(np.abs(vec)))
         phi = vec / vec[j]
-        resid = float(np.max(np.abs(phi - lam * disc.apply(phi))))
-        if resid > 1e-6:
+        with np.errstate(over="ignore", invalid="ignore"):  # a residual that is not finite fails
+            resid = float(np.max(np.abs(phi - lam * disc.apply(phi))))
+        if not resid <= 1e-6:
             continue  # numerically spurious pair
         pairs.append((complex(lam), phi))
     pairs.sort(key=lambda p: (abs(p[0]), p[0].real, p[0].imag))
@@ -627,17 +538,11 @@ class SweepReport:
 def _sweep_extremes(
     d0: NystromDiscretization, d1: NystromDiscretization, mu_grid: Sequence[float]
 ) -> Iterator[tuple[float, float]]:
-    """(sigma_min, sigma_max) of Id - (K0 + mu*K1)*diag(w) for each mu: from
-    the compression on [G0, G1, W H0, W H1] when both kernels are
-    separable (every other singular value is 1), else from the SVD."""
+    """(sigma_min, sigma_max) of Id - (K0 + mu*K1)*diag(w) for each mu, from
+    its compression on [G0, G1, W H0, W H1] (every other singular value is
+    1).  A compressed matrix that is not finite raises NumericalError."""
     n = d0.rule.n
     w = d0.weights
-    if d0.G is None or d1.G is None:
-        eye = np.eye(n)
-        for mu in mu_grid:
-            svals = np.linalg.svd(eye - (d0.K + mu * d1.K) * w[None, :], compute_uv=False)
-            yield float(svals[-1]), float(svals[0])
-        return
     r0, r1 = d0.G.shape[1], d1.G.shape[1]
     m = 2 * (r0 + r1)
     k = min(n, m)
@@ -649,7 +554,10 @@ def _sweep_extremes(
         P1 = R[:, r0 : r0 + r1] @ R[:, 2 * r0 + r1 :].T
     eye = np.eye(k)
     for mu in mu_grid:
-        svals = np.linalg.svd(eye - (P0 + mu * P1), compute_uv=False).tolist() if k else []
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = eye - (P0 + mu * P1)
+        _require_finite_result(compressed_matrix=P)
+        svals = np.linalg.svd(P, compute_uv=False).tolist() if k else []
         if n > k:
             svals.append(1.0)
         yield min(svals), max(svals)
@@ -668,8 +576,8 @@ def param_singularity_sweep(
     A value below 1e-6 times the matrix norm flags mu as numerically
     exceptional.  Isolated flags mirror the countable-set alternative
     ("non_exceptional" kernel); adjacent flags on the grid indicate the
-    everywhere-singular alternative ("exceptional").  Two separable
-    kernels take the finite-rank route (see the module docstring).
+    everywhere-singular alternative ("exceptional").  The sweep takes the
+    finite-rank route (see the module docstring).
     """
     if len(mu_grid) == 0:
         raise ValidationError("mu grid must be nonempty", key="mu-grid")
@@ -719,6 +627,7 @@ def degenerate_residual(
     K_w applied by the ``NystromDiscretization.apply`` the solver runs,
     is at quadrature level for any mu.
     """
+    _require("finite", mu=mu)
     rule = rule or simpson_rule()
     w = rule.weights
     rho_v, sigma_v = _profile_samples([rho, sigma], rule.nodes).T
@@ -873,51 +782,116 @@ class FredholmReduction:
                 out[j] = (1.0 - eta) ** m / math.factorial(m)
         return out
 
-    def kernel_array(self, T: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """The Fredholm kernel on broadcasting arrays: the Volterra
-        polynomial in t - eta masked to eta <= t, plus the rank-n term
-        P(t).Minv beta(eta), where Minv beta(eta) is the contribution of
-        phi(eta) to the constants c."""
-        n = self.order
-        out = np.where(E <= T, _volterra_kernel(self.a, n)(T, E), 0.0)
-        coeff = np.tensordot(self._Minv, self._beta(E), axes=1)
-        out += _poly_part(self.a, coeff, n, T)
-        return out
+    def solve(self, n_nodes: int = 65, steps: int = 200) -> OdeReductionSolution:
+        """Collocate the Fredholm form at lambda = 1 on ``n_nodes``
+        Chebyshev-Lobatto nodes, then carry z and phi to the ``steps`` + 1
+        nodes of [0, 1] by barycentric interpolation.
 
-    def kernel_spec(self) -> KernelSpec:
-        """The kernel as a ``KernelSpec`` given by ``kernel_array``."""
-        return KernelSpec(array=self.kernel_array, name="ode-reduced")
+        The kernel's two pieces take two rules (see "Two-point route" in the
+        module docstring).  With S the spectral integration matrix, its
+        last row w the Clenshaw-Curtis weights and B = M^-1 beta(t) w, the
+        contribution of phi to the constants, phi solves
+        (I + sum_k a_k S^(n-k) - P(t) B) phi = q, where P(t) B is the
+        kernel's rank-n term.  Then c = c0 - B phi and
+        z = S^n phi + sum c_i t^i/i!.  The full ODE is not marched from c:
+        that would carry every error in c along the ODE's growing modes, by
+        about e^sqrt(k)/(2 sqrt(k)) at t = 1 for z'' = k z.
 
-    def free_term(self, t: float) -> float:
-        q = _free_term_values(self.forcing, self.a, self._c0, self.order, np.array([t]))
-        return float(q[0])
-
-    def solve(self, n_nodes: int = 201, steps: int = 200) -> OdeReductionSolution:
-        """Nystrom-solve the Fredholm form at lambda = 1 on ``n_nodes``
-        Simpson nodes, which fixes the constants c_i = z^(i)(0) the data
-        imply, then integrate the initial-value problem z^(n) = phi,
-        z^(i)(0) = c_i: the core's unguarded Volterra solve,
-        ``odelin._volterra_nodes``, with a zero kernel samples the Nystrom
-        interpolant phi at every node and midpoint of the ``steps`` output
-        intervals and gives z = J_n[phi] + sum c_i t^i/i!, integrating the
-        quadratic through each step's three samples exactly.  The step
-        count is checked before the Nystrom solve.
-
-        The full ODE is not marched from c: that would carry every error
-        in c along the ODE's growing modes, by about e^sqrt(k)/(2 sqrt(k))
-        at t = 1 for z'' = k z.  Integrating phi, which the Fredholm form
-        fixes on all of [0, 1] at once, amplifies none.
+        The step count and then the node count (at least 2) are checked
+        before any work.  SpectrumProximityError when sigma_min/sigma_max
+        of the collocation matrix is below ``SPECTRUM_PROXIMITY_TOL``:
+        lambda = 1 is then numerically a characteristic number, and the
+        data admit no solution or many (z'' + pi^2 z = 0, z(0) = 0,
+        z(1) = 1).  ResolutionError when the last quarter of phi's
+        Chebyshev coefficients exceeds 1e-8 of the largest: the nodes do
+        not resolve phi.  BlowUpError when z or phi is not finite.
         """
         grid = TimeGrid(0.0, 1.0, steps)
-        rule = simpson_rule(n_nodes)
-        disc = NystromDiscretization(self.kernel_spec(), rule)
-        sol = nystrom_solve(disc, 1.0, self.free_term)
-        w_phi = np.sum(rule.weights * self._beta(rule.nodes) * sol.phi, axis=1)
-        c = self._c0 - self._Minv @ w_phi
-        z, phi = _volterra_nodes(np.zeros((self.order, 1, 1)), sol, c, grid,
-                                 "two-point reduction")
-        return OdeReductionSolution(Trajectory(grid, z, ("z",)), phi[:, 0],
+        _require("positive", nodes=n_nodes)
+        if n_nodes < 2:
+            raise ValidationError("the collocation needs at least 2 nodes", key="nodes")
+        _require_array_length(n_nodes, "nodes")
+        n, what = self.order, "two-point reduction"
+        t, S, to_coeffs = _chebyshev_lobatto(n_nodes)
+        B = self._Minv @ (self._beta(t) * S[-1])
+        powers = [S]  # S^1, ..., S^n
+        for _ in range(n - 1):
+            powers.append(S @ powers[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # a matrix that is not finite fails
+            A = np.eye(n_nodes) - _poly_part(self.a, np.eye(n)[:, None, :], n, t[:, None]) @ B
+            for k, ak in enumerate(self.a):
+                A += ak * powers[n - 1 - k]
+        _require_finite_result(collocation_matrix=A)
+        sigma = np.linalg.svd(A, compute_uv=False)
+        if sigma[-1] < SPECTRUM_PROXIMITY_TOL * sigma[0]:
+            mus = np.linalg.eigvals(np.eye(n_nodes) - A)
+            mu = mus[np.argmin(np.abs(1.0 - mus))]
+            nearest = complex(1.0 / mu) if mu else complex(math.inf)
+            raise SpectrumProximityError(
+                f"lambda = 1 is numerically a characteristic number of the {what}: "
+                f"sigma_min/sigma_max = {sigma[-1] / sigma[0]:.3e} of its collocation matrix "
+                f"is below {SPECTRUM_PROXIMITY_TOL} at {n_nodes} nodes (nearest {nearest!r})",
+                nearest_characteristic_number=nearest,
+            )
+        with np.errstate(over="ignore", invalid="ignore"):  # a z or phi that is not finite fails
+            phi = np.linalg.solve(A, _free_term_values(self.forcing, self.a, self._c0, n, t))
+            c = self._c0 - B @ phi
+            z = powers[-1] @ phi + sum(c[i] * t**i / math.factorial(i) for i in range(n))
+            values = np.column_stack([z, phi])
+            _raise_on_blow_up(values, t, what)
+            coeffs = np.abs(to_coeffs @ phi)
+            tail = np.max(coeffs[(3 * n_nodes) // 4:]) / np.max(coeffs)  # phi = 0 gives nan
+            if tail > 1e-8:
+                raise ResolutionError(
+                    f"{n_nodes} nodes do not resolve phi: the last quarter of its Chebyshev "
+                    f"coefficients reaches {tail:.3e} of the largest, above 1e-8; add nodes")
+            out = _barycentric(t, values, grid.nodes)
+            _raise_on_blow_up(out, grid.nodes, what)
+        return OdeReductionSolution(Trajectory(grid, out[:, :1], ("z",)), out[:, 1],
                                     tuple(float(x) for x in c))
+
+
+def _chebyshev_lobatto(n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N = ``n_nodes`` Chebyshev-Lobatto nodes t_j = (1 + x_j)/2 of
+    [0, 1], x_j = -cos(pi j/m) for m = N - 1 (in sine form, so that 0, 1/2
+    and 1 are exact); the spectral integration matrix S, for which S f is
+    int_0^t p at the nodes, p the polynomial interpolating f there, exact
+    for f of degree <= N - 1; and the matrix C mapping values at the
+    nodes to the coefficients of p in T_k(2t - 1) (Trefethen, ch. 3).  The
+    last row of S holds the Clenshaw-Curtis weights."""
+    m = n_nodes - 1
+    j = np.arange(n_nodes)
+    t = 0.5 + 0.5 * np.sin(np.pi * (2 * j - m) / (2 * m))
+    k = np.arange(n_nodes + 1)
+    T = np.cos(np.pi * (np.outer(m - j, k) % (2 * m)) / m)  # T_k(x_j), the angle reduced exactly
+    half = np.ones(n_nodes)
+    half[[0, -1]] = 0.5
+    C = (2.0 / m) * (half[:, None] * T[:, :n_nodes].T * half)
+    # the coefficients of int_-1^x: b_k = (c_(k-1) - c_(k+1))/(2k), c_0 counted twice in b_1,
+    # and b_0 so that the integral vanishes at x = -1
+    Q = np.zeros((n_nodes + 1, n_nodes))
+    Q[k[1:], k[:-1]] = 1.0 / (2 * k[1:])
+    Q[1, 0] = 1.0
+    Q[k[1:m], k[2:m + 1]] = -1.0 / (2 * k[1:m])
+    Q[0] = -((-1.0) ** k[1:]) @ Q[1:]
+    return t, 0.5 * (T @ (Q @ C)), C
+
+
+def _barycentric(nodes: np.ndarray, values: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The polynomial interpolating the rows of ``values`` at the
+    Chebyshev-Lobatto ``nodes``, at the points ``s``: the barycentric formula
+    with the weights (-1)^j, halved at the ends (Trefethen, ch. 5); a point
+    that is a node takes that node's row."""
+    weights = (-1.0) ** np.arange(len(nodes))
+    weights[[0, -1]] *= 0.5
+    diff = s[:, None] - nodes
+    hit = diff == 0.0
+    W = weights / np.where(hit, 1.0, diff)
+    rows, cols = np.nonzero(hit)
+    W[rows] = 0.0
+    W[rows, cols] = 1.0
+    W /= np.sum(W, axis=1)[:, None]  # rows summing to 1: no overflow unless the values do
+    return W @ values
 
 
 def ode_to_integral(

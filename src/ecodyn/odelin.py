@@ -23,8 +23,7 @@ driven by q, so ``_volterra_nodes`` steps that system by ``linear_flow``
 (the exponential integrator of Hochbruck & Ostermann, Acta Numerica 19,
 2010) and reads z and phi off its nodes, and ``_volterra_ivp`` adds the
 half-resolution guard.  The ODE reduction and the balance's Volterra
-route call ``_volterra_ivp``; the balance's ODE route and the two-point
-reduction, with a zero kernel on its Fredholm phi, call
+route call ``_volterra_ivp``; the balance's ODE route calls
 ``_volterra_nodes``.
 """
 

@@ -907,6 +907,13 @@ DERIVED_OVERFLOWS = [
             "--t-end", "1"]),
     ("normalized_coeffs", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs",
                            "1e-300,1e300,1", "--ode-init", "1,0", "--steps", "4"]),
+    # mu-max - mu-min overflows in the grid: it ended in a traceback (exit 1)
+    ("mu_grid", ["fredholm-sweep", "--k0", "exp-diff", "--k1", "t-plus-eta", "--mu-min",
+                 "-1e308", "--mu-max", "1e308", "--mu-count", "3"]),
+    # a finite grid whose I - (P0 + mu P1) overflows ahead of the SVD
+    ("compressed_matrix", ["fredholm-sweep", "--k0", "exp-diff", "--k1", "t-plus-eta",
+                           "--mu-min", "1e308", "--mu-max", "1.7e308", "--mu-count", "2",
+                           "--nodes", "21"]),
 ]
 FAILURES += [(3, argv) for _, argv in DERIVED_OVERFLOWS]
 # (key, argv): rejected inputs whose error line must name this key
