@@ -13,6 +13,15 @@ go to a temporary file beside the target, which is renamed into place
 once complete, so a failed run never leaves a partial file behind.  A
 run that fails before rendering writes nothing to stdout.
 
+Every float cell, CSV or JSON, is the bytes of its ``repr``: the shortest
+string that reads back as the same float.  JSON writes a value that is not
+finite as ``null``; CSV writes ``nan``, ``inf`` or ``-inf``.  The float
+cells of a block are rendered together by array arithmetic
+(``_repr_cells``): a fast path that certifies each cell, and ``repr``
+itself for the few it cannot certify (subnormal and non-finite values, and
+cells whose digits a rounding error could change), so no byte depends on
+the path a cell took.
+
 Process rules of a command-line run (``python -m ecodyn.cli`` or the
 ``ecodyn`` console script): the cyclic garbage collector is off, since a
 short run frees its memory by ending; and once stdout and stderr are
@@ -29,7 +38,9 @@ from __future__ import annotations
 import argparse
 import bisect
 import errno
+import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -798,10 +809,259 @@ def load_scenario(path: str) -> list[str]:
 
 
 # cells rendered at a time: of a JSON float array, or of a CSV table in
-# whole rows, so the text held does not grow with the table's width
-_BLOCK = 4096
+# whole rows, so the text held does not grow with the table's width; 2048
+# keeps the float kernel's arrays, some 200 bytes a cell, under half a MB
+_BLOCK = 2048
 # characters of rendered pieces gathered into one write
 _FLUSH_CHARS = 1 << 16
+
+
+# ---------------------------------------------------------------------------
+# Float cells: repr's bytes, a block at a time
+# ---------------------------------------------------------------------------
+#
+# repr(x) is the shortest decimal string that reads back as x and, of those,
+# the one nearest x (Gay's dtoa, mode 0).  _repr_cells finds these strings
+# for a whole block with array arithmetic, as Grisu3 does (Loitsch, PLDI
+# 2010): a fast path that certifies each answer, and repr itself for the
+# cells it cannot certify.
+#
+# x = f * 2**E (frexp) is scaled to y = x * 10**k in [1e16, 2e17), k set by
+# E alone: y = f * (Dh + Dl), where Dh + Dl is 10**k * 2**E as a
+# double-double built from exact integers, and f * Dh is Dekker's exact
+# product.  Every number within half an ulp of x (a quarter below, at a
+# power of two) reads back as x; scaled, that interval is 1.66 to 22.2
+# wide.  The shortest string is the multiple of the largest power of ten P
+# inside it -- 1, 10 or 100, since only one multiple of 100 fits -- and, of
+# those, the one nearest y.  A cell is certified when both ends of the
+# interval, and the point halfway between the multiples of P around y, lie
+# further than _CERTAIN from an integer; y is exact to about 1e-14.
+
+# the fast path takes 0 and 2**-1022 < |x| <= the greatest float; the
+# subnormals, 2**-1022 itself (a power of two whose lower neighbour is no
+# closer than its upper one), inf and nan go to repr
+_LEAST_NORMAL = 2.2250738585072014e-308
+_GREATEST = 1.7976931348623157e308
+_CERTAIN = 1e-6
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's
+_TENS = np.array([10.0, 100.0])[:, None, None]
+_POWERS = np.array([1.0, 10.0, 100.0])
+# 10**k * 2**E as Dh + Dl, and k, for the frexp exponent E = index - 1021 of
+# a normal number: constants, each computed on first use (Dh NaN until then)
+_SCALE_HI = np.full(2046, np.nan)
+_SCALE_LO = np.zeros(2046)
+_SCALE_K = np.zeros(2046, np.int64)
+# text columns of a cell: a sign, 16 integer digits, the point, 20 fraction
+# digits and, after the last digit of the exponent form, its suffix
+_UNITS = 16  # the units digit
+_TEXT = 39
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999 as one uint32 each, and their trailing
+    zeros (4 for 0), built from those of 0..99 on first use."""
+    two = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    digits = np.empty((100, 100, 2), np.uint16)
+    digits[:, :, 0] = two[:, None]
+    digits[:, :, 1] = two
+    zeros = np.array([2] + [int(i % 10 == 0) for i in range(1, 100)], np.uint8)
+    zeros = np.where(zeros == 2, zeros[:, None] + 2, zeros)
+    return digits.view(np.uint32).ravel(), zeros.ravel()
+
+
+def _fill_scales(indices: Iterable[int]) -> None:
+    """Compute the scale tables' entries at ``indices``; Dh is written
+    last, so an entry whose Dh is not NaN is whole."""
+    for i in map(int, indices):
+        E = i - 1021
+        k = math.ceil(16 - (E - 1) * math.log10(2))
+        while True:  # the float estimate of k, checked in exact integers
+            num = 2 ** max(E, 0) * 10 ** max(k, 0)
+            den = 2 ** max(-E, 0) * 10 ** max(-k, 0)
+            if num < 2 * 10**16 * den:
+                k += 1
+            elif num >= 2 * 10**17 * den:
+                k -= 1
+            else:
+                break
+        hi = num / den  # int / int is correctly rounded
+        a, b = hi.as_integer_ratio()
+        _SCALE_LO[i] = (num * b - a * den) / (den * b)
+        _SCALE_K[i] = k
+        _SCALE_HI[i] = hi
+
+
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For positive normal ``a``: c, an integer of 17 or 18 digits whose
+    digits, trailing zeros dropped, are repr's; k, with x = c * 10**-k to
+    repr's precision; and whether the cell is certified."""
+    f, i = np.frexp(a)
+    i = np.add(i, 1021, dtype=np.intp)
+    scale = _SCALE_HI[i]
+    if math.isnan(scale.sum()):  # a scale not yet built
+        missing = i[np.isnan(scale)]
+        _fill_scales(range(missing.min(), missing.max() + 1))
+        scale = _SCALE_HI[i]
+    # y = p + rest: p = f * Dh rounded, rest its error plus f * Dl
+    p = f * scale
+    t = f * _SPLITTER
+    fh = t - f
+    np.subtract(t, fh, out=fh)
+    fl = f - fh
+    np.multiply(scale, _SPLITTER, out=t)
+    sh = t - scale
+    np.subtract(t, sh, out=sh)
+    sl = np.subtract(scale, sh, out=t)
+    rest = fh * sh
+    rest -= p
+    rest += np.multiply(fh, sl, out=fh)
+    rest += np.multiply(fl, sh, out=sh)
+    rest += np.multiply(fl, sl, out=fl)
+    rest += np.multiply(f, _SCALE_LO[i], out=sl)
+    del t, fh, fl, sh, sl
+    # p >= 1e16 is an integer: take a multiple of 100 off it, and go on in
+    # floats with u = y - base, in (-16, 116)
+    base = p.astype(np.int64)
+    u = base - base // 100 * 100
+    base -= u
+    u = u + rest
+    del p, rest
+    # the interval's ends, u less a quarter or half ulp of x and u plus half
+    # an ulp, scaled; their integer parts, and then their fractions
+    scale *= 2.0**-54
+    ends = np.empty((2, len(u)))
+    np.subtract(u, scale, out=ends[0])
+    np.add(u, scale, out=ends[1])
+    pow2 = np.flatnonzero(f == 0.5)
+    ends[0, pow2] += 0.5 * scale[pow2]
+    del f, scale
+    whole = np.floor(ends)
+    ends -= whole
+    ok = ((ends > _CERTAIN) & (ends < 1 - _CERTAIN)).all(axis=0)
+    # P = 100 where a multiple of 100 lies inside, else 10 where a multiple
+    # of 10 does, else 1; then the multiple of P nearest y (certified not
+    # halfway), brought inside
+    ends = np.floor(whole / _TENS)
+    P = _POWERS[(ends[:, 1] > ends[:, 0]).sum(axis=0)]
+    u /= P
+    u += 0.5
+    c = np.floor(u)
+    u -= c
+    ok &= (u > _CERTAIN) & (u < 1 - _CERTAIN)
+    c *= P
+    c -= P * (c > whole[1])
+    c += P * (c <= whole[0])
+    base += c.astype(np.int64)
+    return base, _SCALE_K[i], ok
+
+
+def _repr_cells(values: np.ndarray, seps: np.ndarray,
+                others: Callable[[np.ndarray], list[str]],
+                whole: np.ndarray | None = None) -> str:
+    """The text of the float64 ``values``, each cell followed by its
+    separator: cell i by the bytes ``seps[i % len(seps)]`` (a uint8 array
+    of rows of one length).  A cell is ``repr``'s bytes, laid out in
+    repr's fixed form (-4 < decimal exponent <= 16, ".0" on an integral
+    value) or its exponent form; where ``whole[i % len(whole)]``, the cell
+    holds an integer below 2**53 and drops the ".0".  The cells the fast
+    path does not certify (see above) are ``others(indices)``, one string
+    each."""
+    n = len(values)
+    if n == 0:
+        return ""
+    a = np.abs(values)
+    fast = (a > _LEAST_NORMAL) & (a <= _GREATEST)
+    zero = a == 0.0  # laid out as 1.0, its digit then made 0
+    fast |= zero
+    a[~fast | zero] = 1.0
+    c, k, ok = _shortest(a)
+    del a
+    fast &= ok
+    digits4, zeros4 = _digit_tables()
+    # c's 18 digits (the first may be 0) in 4-digit groups after two zeros;
+    # the first group is never 0
+    groups = np.empty((5, n), np.int64)
+    high = np.floor_divide(c, 10**8, out=groups[4])
+    c -= high * 10**8
+    np.floor_divide(high, 10**8, out=groups[0])
+    np.floor_divide(high, 10**4, out=groups[1])
+    groups[2] = high - groups[1] * 10**4
+    groups[1] -= groups[0] * 10**4
+    np.floor_divide(c, 10**4, out=groups[3])
+    np.subtract(c, groups[3] * 10**4, out=groups[4])
+    ndigits = 17 + (groups[0] >= 10)
+    # the significant digits: all but the trailing zeros, group by group
+    zeros = zeros4[groups]
+    run = zeros[0]
+    for z in zeros[1:]:
+        run = z + (z == 4) * run
+    sig = ndigits - run
+    # the digits at bytes 20..39 of a row of zeros; each row is slid so that
+    # its units digit (the exponent form: its first digit) lands in text
+    # column _UNITS
+    digits = np.full((n, 60), ord("0"), np.uint8)
+    digits.view(np.uint32)[:, 5:10] = digits4[groups].T
+    del c, groups, high, run, zeros
+    point = ndigits - k  # the decimal exponent plus 1: x = 0.ddd * 10**point
+    exp_form = (point < -3) | (point > 16)
+    exponent = point - 1
+    point[exp_form] = 1
+    windows = np.ndarray((n, 25, 36), np.uint8, digits, 0, (60, 1, 1))
+    placed = windows[np.arange(n), 24 - ndigits + point]
+    del digits, windows
+    width = _TEXT + seps.shape[1]
+    text = np.empty((n, width), np.uint8)
+    text[:, 1 : _UNITS + 1] = placed[:, :16]
+    text[:, _UNITS + 1] = ord(".")
+    text[:, _UNITS + 2 : _UNITS + 22] = placed[:, 16:]
+    text[:, _TEXT:].reshape(-1, *seps.shape)[:] = seps
+    del placed
+    # the text runs from column first (a sign, or the units digit, or the
+    # first digit) to last (the last significant digit, or the 0 of ".0";
+    # the exponent form of one digit has no point)
+    neg = np.signbit(values)
+    first = _UNITS + 1 - np.maximum(point, 1) - neg
+    last = _UNITS + 1 + np.maximum(sig - point, 1)
+    text[neg, first[neg]] = ord("-")
+    text[zero, _UNITS] = ord("0")
+    if whole is not None and whole.any():
+        last -= 2 * np.tile(whole, n // len(whole))
+    if exp_form.any():  # "e", the sign and two or three exponent digits
+        rows = np.flatnonzero(exp_form)
+        last[rows] -= 2 * (sig[rows] == 1)
+        e = exponent[rows]
+        e4 = digits4[np.abs(e)].view(np.uint8).reshape(-1, 4)
+        three = np.abs(e) >= 100
+        end = last[rows]
+        text[rows, end + 1] = ord("e")
+        text[rows, end + 2] = np.where(e < 0, ord("-"), ord("+"))
+        text[rows, end + 3] = np.where(three, e4[:, 1], e4[:, 2])
+        text[rows, end + 4] = np.where(three, e4[:, 2], e4[:, 3])
+        text[rows, end + 5] = e4[:, 3]
+        last[rows] += 4 + three
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        cells = np.array(others(rest), "S")
+        size = cells.dtype.itemsize
+        text[rest, :size] = cells.view(np.uint8).reshape(-1, size)
+        first[rest] = 0
+        last[rest] = np.strings.str_len(cells) - 1
+    # one mask: columns first..last of each row, and its separator
+    first *= _TEXT
+    first += last
+    text = text[np.take(_keep_masks(width), first, axis=0)]
+    return text.tobytes().decode("ascii")
+
+
+@functools.cache
+def _keep_masks(width: int) -> np.ndarray:
+    """Row first * _TEXT + last: the columns of a cell's text, first..last,
+    and its separator, columns _TEXT.. of a row ``width`` wide."""
+    cols = np.arange(width)
+    first = np.arange(_UNITS + 1)[:, None, None]
+    last = np.arange(_TEXT)[None, :, None]
+    return (((cols >= first) & (cols <= last)) | (cols >= _TEXT)).reshape(-1, width)
 
 
 def render_csv(output: Output) -> str:
@@ -817,8 +1077,11 @@ def render_json(output: Output) -> str:
 def _csv_chunks(output: Output) -> Iterator[str]:
     """The CSV text in pieces: the header line, then blocks of about
     ``_BLOCK`` cells, ``_BLOCK // width`` whole rows (at least one).  A cell
-    is the ``repr`` of its Python value: the shortest round-trip float, or
-    a plain int."""
+    is the ``repr`` of its Python value, byte for byte: the shortest
+    round-trip float (``nan``, ``inf`` and ``-inf`` included), or a plain
+    int.  All the cells of a block go through one call of ``_repr_cells``:
+    its certified fast path renders the float and int cells, and ``repr``
+    the cells of any other column and those the fast path leaves."""
     if output.columns is None:
         raise ValidationError(
             f"command {output.command!r} has no CSV rendering; use --format json",
@@ -826,10 +1089,34 @@ def _csv_chunks(output: Output) -> Iterator[str]:
         )
     columns = list(output.columns.values())
     yield ",".join(output.columns) + "\n"
-    rows = max(1, _BLOCK // max(1, len(columns)))
-    for i in range(0, min(map(len, columns), default=0), rows):
-        cells = [map(repr, col[i : i + rows].tolist()) for col in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    width = len(columns)
+    seps = np.array([[ord(",")]] * (width - 1) + [[ord("\n")]], np.uint8)
+    # a float column goes through the kernel as float64 (a float32's value
+    # exactly), and so does an int column, whose values below 2**53 are
+    # exact floats: their text is the float's less ".0"; any other column
+    # holds NaN, which is never certified, so its cells go to other_cells
+    kinds = [col.dtype.kind for col in columns]
+    floats = np.array([kind == "f" for kind in kinds], bool)
+    whole = np.array([kind in "iu" for kind in kinds], bool)
+    rows = max(1, _BLOCK // max(1, width))
+    length = min(map(len, columns), default=0)
+    for i in range(0, length, rows):
+        n = min(rows, length - i)
+        block = np.empty((n, width))
+        for j, col in enumerate(columns):
+            block[:, j] = col[i : i + n] if floats[j] or whole[j] else np.nan
+            if whole[j]:
+                block[np.abs(block[:, j]) >= 2.0**53, j] = np.nan
+        block = block.ravel()
+
+        def other_cells(idx: np.ndarray, block=block, i=i) -> list[str]:
+            cells = list(map(repr, block[idx].tolist()))
+            for k in np.flatnonzero(~floats[idx % width]).tolist():
+                row, j = divmod(int(idx[k]), width)
+                cells[k] = repr(columns[j][i + row].item())
+            return cells
+
+        yield _repr_cells(block, seps, other_cells, whole)
 
 
 def _json_document(output: Output) -> Iterator[str]:
@@ -858,24 +1145,29 @@ def _json_chunks(obj, pad: str) -> Iterator[str]:
     """The text ``json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives for ``obj`` starting on a line indented by
     ``pad``, in pieces, after mapping numpy scalars to Python, complex
-    numbers to {re, im} and non-finite floats to null."""
+    numbers to {re, im} and non-finite floats to null.  A float is
+    ``repr``'s bytes.  A 1-D float64 array is rendered ``_BLOCK`` cells at
+    a time by ``_repr_cells`` (its fast path, and ``repr`` or null for the
+    cells it leaves); a list of lists or tuples of scalars, all of one
+    length, ``_BLOCK`` items at a time in one join."""
     inner = pad + "  "
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "biuf":
         if len(obj) == 0:
             yield "[]"
             return
-        # _BLOCK cells at once, in one join; float64 with one finiteness check
+        # _BLOCK cells at once: float64 through _repr_cells, null where not finite
         sep = ",\n" + inner
+        seps = np.frombuffer(sep.encode(), np.uint8)[None, :]
         lead = "[\n" + inner
         for i in range(0, len(obj), _BLOCK):
             block = obj[i : i + _BLOCK]
             if block.dtype == np.float64:
-                cells = list(map(repr, block.tolist()))
-                for j in np.flatnonzero(~np.isfinite(block)).tolist():
-                    cells[j] = "null"
+                text = _repr_cells(
+                    block, seps, lambda idx: list(map(_json_scalar, block[idx].tolist()))
+                )[: -len(sep)]
             else:
-                cells = map(_json_scalar, block.tolist())
-            yield lead + sep.join(cells)
+                text = sep.join(map(_json_scalar, block.tolist()))
+            yield lead + text
             lead = sep
         yield "\n" + pad + "]"
     elif isinstance(obj, dict):
@@ -901,19 +1193,51 @@ def _json_chunks(obj, pad: str) -> Iterator[str]:
             return
         # the rows of a numeric array stay arrays and take the first branch
         sep = "[\n" + inner
-        for item in obj:
-            if isinstance(item, _NESTED):
-                yield sep
-                yield from _json_chunks(item, inner)
-            else:
-                yield sep + _json_scalar(item)
-            sep = ",\n" + inner
+        for i in range(0, len(obj), _BLOCK):
+            block = obj[i : i + _BLOCK]
+            rows = _scalar_rows(block, inner)
+            if rows is not None:
+                yield sep + rows
+                sep = ",\n" + inner
+                continue
+            for item in block:
+                if isinstance(item, _NESTED):
+                    yield sep
+                    yield from _json_chunks(item, inner)
+                else:
+                    yield sep + _json_scalar(item)
+                sep = ",\n" + inner
         yield "\n" + pad + "]"
     else:
         yield _json_scalar(obj)
 
 
+def _scalar_rows(block, pad: str) -> str | None:
+    """The items of a list ``block`` as ``_json_chunks`` renders them, from
+    ``pad`` on, when they are lists or tuples of scalars, all of one
+    nonzero length (the (year, impulse) pairs of ``harrod-discrete``), in
+    one join; else None."""
+    if not set(map(type, block)) <= {list, tuple}:
+        return None
+    sizes = set(map(len, block))
+    if len(sizes) != 1 or 0 in sizes:
+        return None
+    try:
+        cells = list(map(_json_scalar, itertools.chain.from_iterable(block)))
+    except TypeError:  # a nested value: the caller renders the block item by item
+        return None
+    inner = pad + "  "
+    rows = zip(*[iter(cells)] * sizes.pop())
+    return ("[\n" + inner
+            + ("\n" + pad + "],\n" + pad + "[\n" + inner).join(map((",\n" + inner).join, rows))
+            + "\n" + pad + "]")
+
+
 def _json_scalar(obj) -> str:
+    if type(obj) is float:  # the common scalars first, by their exact type
+        return repr(obj) if math.isfinite(obj) else "null"
+    if type(obj) is int:
+        return repr(obj)
     if isinstance(obj, str):
         return _json_str(obj)
     if obj is None:

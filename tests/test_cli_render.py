@@ -273,3 +273,162 @@ def test_row_sampler_matches_np_interp(steps, n, data):
     for t in times:
         expected = np.array([np.interp(t, t_nodes, table[:, j]) for j in range(n)])
         assert same_bits(sampler(t), expected), t
+
+
+# ---------------------------------------------------------------------------
+# Float cells: every byte is repr's
+# ---------------------------------------------------------------------------
+
+def from_bits(bits: int) -> float:
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+# two draws of float64 values: raw 64-bit patterns, which reach every
+# exponent and mantissa evenly, and hypothesis's floats, which favour edges
+raw_floats = st.integers(0, 2**64 - 1).map(from_bits)
+cell_floats = raw_floats | st.floats()
+
+
+def edge_floats() -> np.ndarray:
+    """Zero, the least subnormal, the least normal, the greatest finite
+    number, every power of 2 and of 10 in range with both neighbours, the
+    ends of the fixed form (1e-05 and 0.0001, 9999999999999998.0 and
+    1e+16), and exact ties at the 17th significant digit (2**50 + odd/4,
+    whose tenfold is a half-integer), each with both signs."""
+    values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              1e-5, 1e-4, 9999999999999998.0, 1e16]
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    powers += [float(f"1e{e}") for e in range(-323, 309)]
+    for x in powers:
+        values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    values += [2.0**50 + (2 * j + 1) / 4 for j in range(200)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+EDGES = edge_floats()
+
+
+def float_table(values: np.ndarray, width: int, with_int: bool) -> cli.Output:
+    """``values`` in ``width`` float columns, row by row (the last row
+    padded with its first values), after an int column if ``with_int``."""
+    rows = -(-len(values) // width)
+    cells = np.resize(values, rows * width) if len(values) else np.empty(0)
+    grid = cells.reshape(rows, width)
+    columns = {"year": np.arange(rows)} if with_int else {}
+    columns.update((f"x{j}", grid[:, j]) for j in range(width))
+    return cli.Output("table", {}, columns, {"columns": columns})
+
+
+def assert_cells_are_repr(output: cli.Output) -> None:
+    """CSV cells are repr's bytes; JSON cells too, with null where the
+    value is not finite."""
+    assert cli.render_csv(output) == one_shot_csv(output)
+    meta = {"command": output.command, "params": output.params, "version": cli.__version__}
+    document = {"meta": meta, "data": old_sanitize(output.data)}
+    expected = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert cli.render_json(output) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(cell_floats, max_size=60), st.sampled_from([1, 5, 101]), st.booleans(),
+       st.sampled_from([1, 2, 7, cli._BLOCK]))
+def test_float_cells_are_repr(values, width, with_int, block):
+    output = float_table(np.array(values, dtype=np.float64), width, with_int)
+    with mock.patch.object(cli, "_BLOCK", block):
+        assert_cells_are_repr(output)
+
+
+@pytest.mark.parametrize("width, with_int", [(1, False), (5, True), (101, False), (101, True)])
+def test_edge_floats_are_repr(width, with_int):
+    assert_cells_are_repr(float_table(EDGES, width, with_int))
+
+
+@pytest.mark.parametrize("length", [0, 1, B - 1, B, B + 1])
+def test_float_blocks_are_repr(length):
+    """A float column, and a JSON float array, of each length about one
+    block: raw bit patterns among the edges."""
+    bits = np.random.default_rng(length).integers(0, 2**64, length, dtype=np.uint64,
+                                                   endpoint=False)
+    values = bits.view(np.float64).copy()
+    values[::2] = EDGES[: len(values[::2])]
+    assert_cells_are_repr(float_table(values, 1, False))
+
+
+def count_fallbacks(render, output: cli.Output) -> tuple[str, int, int, int]:
+    """``render(output)`` with _repr_cells watched: the text, the kernel's
+    calls, its cells, and the cells that went to repr."""
+    calls = cells = fallbacks = 0
+    kernel = cli._repr_cells
+
+    def watched(values, seps, others, whole=None):
+        nonlocal calls, cells
+
+        def counted(idx):
+            nonlocal fallbacks
+            fallbacks += len(idx)
+            return others(idx)
+
+        calls += 1
+        cells += len(values)
+        return kernel(values, seps, counted, whole)
+
+    with mock.patch.object(cli, "_repr_cells", watched):
+        text = render(output)
+    return text, calls, cells, fallbacks
+
+
+def test_one_kernel_call_per_block():
+    """All the cells of a block go through one call: 50 rows of an int
+    column and 101 float columns, B // 102 rows a block."""
+    output = float_table(np.linspace(0.0, 1.0, 101 * 50), 101, True)
+    text, calls, cells, _ = count_fallbacks(cli.render_csv, output)
+    assert text == one_shot_csv(output)
+    assert calls == math.ceil(50 / (B // 102)) and cells == 50 * 102
+
+
+@pytest.mark.parametrize("argv", [
+    ["harrod", "--mu", "0.3", "--nu", "2.5", "--t-end", "20", "--steps", "100000"],
+    ["longwave", "--p", "0.34", "--r", "0.3", "--t-end", "200", "--steps", "10000"],
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fast_path_renders_trajectories(argv, fmt):
+    """Fewer than 1e-3 of a trajectory's cells go to repr: a kernel that
+    gave every cell to repr would pass every test above."""
+    ns = cli.build_parser(argv).parse_args(argv)
+    output = cli.COMMANDS[ns.command].handler(ns)
+    render = cli.render_csv if fmt == "csv" else cli.render_json
+    _, _, cells, fallbacks = count_fallbacks(render, output)
+    assert cells >= 4 * 10_000
+    assert fallbacks < 1e-3 * cells
+
+
+def test_scalar_rows_match_json_dumps():
+    """Blocks of equal-length scalar tuples are joined whole; a block with
+    a nested or shorter item is rendered item by item."""
+    pairs = tuple(zip(range(1, 8), np.linspace(-1.0, 1.0, 7).tolist()))
+    cases = [pairs, list(pairs[:3]) + [(1, [2.0]), (), (math.nan, None, "s")] + list(pairs)]
+    for obj in cases:
+        for block in (1, 2, 3, B):
+            with mock.patch.object(cli, "_BLOCK", block):
+                assert write_json({"x": obj}) == json.dumps(
+                    old_sanitize({"x": obj}), sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def test_int_bool_and_float32_columns_are_repr():
+    """An int column's cells below 2**53 in magnitude go through the kernel
+    as floats less their ".0", and larger ones to repr, as do the cells of
+    a bool column; a float32 column's cells are its values as float64."""
+    ints = [0, 1, -1, 7, -10, 2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 2**53 + 1,
+            10**16, 2**63 - 1, -(2**63), 1234567890123456]
+    rows = len(ints)
+    columns = {
+        "i": np.array(ints, np.int64),
+        "u": np.array([2**64 - 1, 0, 1, 2**53 + 1] * (rows // 4) + [5] * (rows % 4), np.uint64),
+        "i32": np.arange(-rows, rows, 2, dtype=np.int32),
+        "b": np.arange(rows) % 3 == 0,
+        "f32": np.linspace(-1.0, 1.0, rows, dtype=np.float32),
+        "x": np.linspace(0.0, 1.0, rows),
+    }
+    output = cli.Output("table", {}, columns, {"columns": columns})
+    assert cli.render_csv(output) == one_shot_csv(output)
