@@ -41,7 +41,7 @@ _LAZY = {
     ),
     "odelin": (
         "OdeSpec", "TimeGrid", "Trajectory",
-        "char_roots", "linear_flow",
+        "quadratic_roots", "linear_flow",
     ),
     "harrod": (
         "HarrodParams", "DiscretePath", "AdequacyResidual",

@@ -21,12 +21,11 @@ import numpy as np
 from .errors import CrossCheckError, ValidationError, _require, _require_finite_result
 from .harrod import HarrodParams, _checked_exponential, corrected_trajectory
 from .odelin import (
-    OdeSpec,
     TimeGrid,
     Trajectory,
     _raise_on_blow_up,
-    char_roots,
     linear_flow,
+    quadratic_roots,
     sup_rel_diff,
 )
 
@@ -140,26 +139,32 @@ def phillips_solve(
     oscillation period in t_hat, 2*pi/|Im p|, is reported; it scales
     linearly with rho, so the physical period depends on the arbitrary
     scale t0.  A t0/t_star whose reduced coefficients leave the float range
-    is rejected.
+    is rejected (``_reduced_coefficients``).
     """
     _require("finite", **dict(zip(("y0", "ydot0"), init)))
-    _require_finite_result(a1=params.a1, b1=params.b1)
-    rho = scaling.rho
-    a = b = math.nan
-    if 0.0 < rho * rho < math.inf:  # else rho**2 overflows or underflows to 0
-        a, b = params.a1 / rho, params.b1 / rho**2
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValidationError(
-            f"t0/t_star = {rho!r} gives reduced coefficients a = a1/rho, b = b1/rho^2 "
-            "that are not finite",
-            key="t0",
-        )
+    a, b = _reduced_coefficients(params, scaling.rho, "t0/t_star")
     traj, roots = _second_order_solve(a, b, init, grid, ("Y", "Ydot"))
     period = None
     im = max(abs(r.imag) for r in roots)
     if im > 0.0:
         period = 2.0 * math.pi / im
     return PhillipsSolution(trajectory=traj, roots=roots, a=a, b=b, period_t_hat=period)
+
+
+def _reduced_coefficients(params: PhillipsParams, rho: float, name: str) -> tuple[float, float]:
+    """(a1/rho, b1/rho^2), or a ValidationError keyed t0 when either leaves
+    the float range; ``name`` spells rho in the message."""
+    _require_finite_result(a1=params.a1, b1=params.b1)
+    a = b = math.nan
+    if 0.0 < rho * rho < math.inf:  # else rho**2 overflows or underflows to 0
+        a, b = params.a1 / rho, params.b1 / rho**2
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(
+            f"{name} = {rho!r} gives reduced coefficients a = a1/rho, b = b1/rho^2 "
+            "that are not finite",
+            key="t0",
+        )
+    return a, b
 
 
 def _second_order_solve(
@@ -169,8 +174,7 @@ def _second_order_solve(
     of x and x' under ``labels``, stepped by the exact flow of the companion
     matrix, and the two characteristic roots, a double root twice."""
     traj = linear_flow(np.array([[0.0, 1.0], [-b, -a]]), init, grid, labels=labels)
-    roots = char_roots(OdeSpec((1.0, a, b)))
-    return traj, tuple(r for r, m in roots for _ in range(m))
+    return traj, quadratic_roots(a, b)
 
 
 def phillips_system_residuals(
@@ -220,27 +224,24 @@ def phillips_capital_roots(
     t0: float,
     t_star: float = 1.0,
 ) -> list[complex]:
-    """Roots of the capital cubic t0^2 p^3 + t0*a1 p^2 + b1 p = 0.
+    """Roots of the capital cubic t0^2 p^3 + t0*a1 p^2 + b1 p = 0, sorted by
+    (real part, imaginary part).
 
-    The root p = 0 is always present; the two nonzero roots equal the
-    second-order income roots when t0 = t_star, which is asserted to
-    1e-10.  Scaling t0 -> c*t0 divides the nonzero roots by c.
+    The cubic is p times p^2 + (a1/t0) p + b1/t0^2, so its roots are 0 and
+    the closed-form roots of that quadratic; a t0 whose coefficients a1/t0
+    and b1/t0^2 leave the float range is rejected, keyed t0.  The two
+    nonzero roots equal the second-order income roots when t0 = t_star,
+    which is asserted to 1e-10.  Scaling t0 -> c*t0 divides them by c.
     """
     _require("positive", t0=t0)
-    spec = OdeSpec((t0**2, t0 * params.a1, params.b1, 0.0))
-    roots = [r for r, m in char_roots(spec) for _ in range(m)]
+    roots = quadratic_roots(*_reduced_coefficients(params, t0, "rho = t0"))
     if math.isclose(t0, t_star, rel_tol=1e-12):
-        quad = [r for r, _ in char_roots(OdeSpec((1.0, params.a1, params.b1)))]
-        nonzero = sorted(
-            (r for r in roots if abs(r) > 1e-12), key=lambda z: (z.real, z.imag)
-        )
-        quad = sorted(quad, key=lambda z: (z.real, z.imag))
-        for rc, rq in zip(nonzero, quad):
+        for rc, rq in zip(roots, quadratic_roots(params.a1, params.b1)):
             if abs(rc - rq) > 1e-10 * max(1.0, abs(rq)):
                 raise CrossCheckError(
                     f"cubic root {rc!r} differs from quadratic root {rq!r}"
                 )
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+    return sorted((0j, *roots), key=lambda z: (z.real, z.imag))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Shared linear-ODE core.
 
-Characteristic roots of constant-coefficient equations (via companion
-matrix eigenvalues) and one exact-step propagator for linear systems.
+Characteristic roots of the second-order models by the closed form of a
+quadratic and one exact-step propagator for linear systems.
 ``linear_flow`` solves x' = M x + c(t) for a constant M without
 right-hand-side callbacks: each step is the affine map x -> x + (E x + q)
 with E = e^(hM) - I, computed once per run by scaling and squaring, and q
@@ -44,13 +44,12 @@ from .errors import (
     _require_array_length,
 )
 
-# Two computed roots within this distance of their center, relative to their
-# modulus, are one double root.  The companion eigenvalues of an exact double
-# root split by about sqrt(eps) ~ 1.5e-8 relative, up to 6.5e-8 seen (critical
-# damping p^2 + a p + a^2/4 for a in [0.1, 20], and (p + 1)^2 (p + s) up to
-# s = 1e5), whatever the scale of the root, so the bound is relative with a
-# 15x margin.  An m-fold root splits by about eps^(1/m), so m roots form one
-# cluster within ROOT_CLUSTER_RTOL^(2/m) (see ``_cluster_rtol``).
+# Two computed roots within twice this distance of their larger modulus are one
+# double root: their spread about their center is at most this, relative.  An
+# exact double root of p^2 + a p + b reaches ``quadratic_roots`` with b rounded,
+# so the discriminant is off by O(eps) and the pair splits by about sqrt(eps),
+# whatever the scale of the root: up to 2.5e-8 seen for b = a**2/4 over a in
+# [0.1, 20], inside the bound with a wide margin.
 ROOT_CLUSTER_RTOL = 1e-6
 
 
@@ -147,57 +146,39 @@ class OdeSpec:
         return tuple(c / cn for c in reversed(self.coeffs[1:]))
 
 
-def char_roots(spec: OdeSpec) -> list[tuple[complex, int]]:
-    """Roots of sum c_k p^k = 0 with multiplicities.
+def quadratic_roots(a: float, b: float) -> tuple[complex, complex]:
+    """Roots of p^2 + a p + b = 0, sorted by (real part, imaginary part).
 
-    Computed as companion-matrix eigenvalues, then grouped by
-    ``_clusters``: m computed roots count as one m-fold root when they all
-    lie within ``_cluster_rtol(m)`` of their center, relative to their
-    largest modulus, so the test depends neither on the scale of the roots
-    nor, beyond the eps^(1/m) splitting, on the multiplicity.
-    Returned sorted by (real part, imaginary part).
+    With h = -a/2 the roots are h +/- sqrt(d), d = h^2 - b, and d is formed
+    after scaling by s = max(|h|, sqrt|b|), so no finite a, b overflow it.
+    A real pair is q = h + sign(h) sqrt(d) and b/q, neither of which
+    cancels (Kahan, "On the cost of floating-point computation without
+    extra-precise arithmetic", 2004); a complex pair is h +/- i sqrt(-d).
+    Two roots within 2 ``ROOT_CLUSTER_RTOL`` of their larger modulus are
+    one double root, returned as their mean twice.
     """
-    raw = sorted(np.roots(spec.coeffs).astype(complex), key=lambda z: (z.real, z.imag))
-    out = [(sum(m) / len(m), len(m)) for m in _clusters(raw, max(1, len(raw)))]
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
-
-
-def _cluster_rtol(m: int) -> float:
-    """Relative spread allowed for m computed copies of one root.
-
-    An m-fold root splits by about eps^(1/m): 1.5e-8, 6.1e-6 and 1.2e-4
-    for m = 2, 3, 4, and up to 1.9e-8, 1.2e-5 and 2.5e-4 were seen for
-    (p + a)^m over a in [0.1, 20], against bounds of 1e-6, 1e-4 and 1e-3.
-    """
-    return ROOT_CLUSTER_RTOL ** (2.0 / m)
-
-
-def _clusters(roots: list[complex], m_max: int) -> list[list[complex]]:
-    """Group roots that are copies of one repeated root.
-
-    Roots link when they are within twice the bound for ``m_max`` members
-    of each other; a linked group wider than the bound for its own size
-    is split again with ``m_max`` one below its size.
-    """
-    link = 2.0 * _cluster_rtol(m_max)
-    groups: list[list[complex]] = []
-    for r in roots:
-        near = [g for g in groups if any(abs(r - s) <= link * max(abs(r), abs(s)) for s in g)]
-        merged = [r]
-        for g in near:
-            groups.remove(g)
-            merged += g
-        groups.append(merged)
-    out: list[list[complex]] = []
-    for g in groups:
-        center = sum(g) / len(g)
-        scale = max(abs(r) for r in g)
-        if len(g) == 1 or max(abs(r - center) for r in g) <= _cluster_rtol(len(g)) * scale:
-            out.append(g)
-        else:
-            out.extend(_clusters(g, len(g) - 1))
-    return out
+    h = -0.5 * a
+    s = max(abs(h), math.sqrt(abs(b)))
+    if s == 0.0:
+        return 0j, 0j
+    hs = h / s
+    d = hs * hs - b / s / s
+    if abs(d) < 1e-8:
+        # the terms cancel, and the roots would carry their rounding over
+        # sqrt|d|: form d again with s rounded up to a power of two, which
+        # scales exactly (Kahan's recomputation of a small discriminant)
+        s = math.ldexp(1.0, math.frexp(s)[1])
+        hs = h / s
+        d = hs * hs - b / s / s
+    if d < 0.0:
+        w = s * math.sqrt(-d)
+        lo, hi = complex(h, -w), complex(h, w)
+    else:
+        q = h + math.copysign(s * math.sqrt(d), h)
+        lo, hi = map(complex, sorted((q, b / q)))
+    if abs(hi - lo) <= 2.0 * ROOT_CLUSTER_RTOL * max(abs(lo), abs(hi)):
+        lo = hi = (lo + hi) / 2.0
+    return lo + 0.0, hi + 0.0  # no root has the real part -0.0
 
 
 Forcing = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,12 +77,18 @@ class TestPhillips:
         assert p.a1 == pytest.approx(2.1, rel=1e-14)
         assert p.b1 == pytest.approx(2.4, rel=1e-14)
 
-    @pytest.mark.parametrize("t0", [1e-200, 1e300])
+    @pytest.mark.parametrize("t0", [1e-200, 1e-160, 1e160, 1e300])
     def test_reduced_coefficients_out_of_range_are_keyed_t0(self, t0):
-        # rho**2 underflows to 0 at 1e-200 and overflows at 1e300
+        # rho**2 underflows to 0 at 1e-200, b1/rho**2 overflows at 1e-160,
+        # and rho**2 overflows at 1e160 and 1e300: the income equation and
+        # the capital cubic refuse them alike
+        p = PhillipsParams(**PHILLIPS)
         with pytest.raises(ValidationError, match="not finite") as exc:
-            phillips_solve(PhillipsParams(**PHILLIPS), AllenScaling(t0=t0), (1.0, 0.0),
-                           TimeGrid(0.0, 1.0, 2))
+            phillips_solve(p, AllenScaling(t0=t0), (1.0, 0.0), TimeGrid(0.0, 1.0, 2))
+        assert exc.value.key == "t0"
+        message = f"^rho = t0 = {re.escape(repr(t0))} gives .* not finite$"
+        with pytest.raises(ValidationError, match=message) as exc:
+            phillips_capital_roots(p, t0)
         assert exc.value.key == "t0"
 
     def test_oscillatory_roots(self):

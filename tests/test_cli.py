@@ -274,6 +274,16 @@ class TestExactFlowEdges:
         assert report["period_t_hat"] is None
         assert report["roots"] == [{"re": -1.0, "im": 0.0}] * 2
 
+    def test_discriminant_beyond_the_float_range_answers(self, capsys):
+        # a1 rounds to 1e200 and b1 = 1e40: a1^2/4 overflows, the roots -a1 and
+        # -b1/a1 do not
+        rc, out, err = run(capsys, ["phillips", "--kappa", "1e200", "--nu", "1e-160",
+                                    "--mu", "0.4", "--lam", "1", "--t-end", "1", "--steps", "2",
+                                    "--format", "json"])
+        assert (rc, err) == (0, "")
+        report = json.loads(out)["data"]["report"]
+        assert report["roots"] == [{"re": -1e200, "im": 0.0}, {"re": -1e-160, "im": 0.0}]
+
     def test_subnormal_longwave_matches_mpmath(self, capsys):
         # x0 = 3e-320 grows through the subnormal range to about 1e-294
         rc, out, err = run(capsys, ["longwave", "--p", "0.11", "--r", "0.5", "--x0", "3e-320",
@@ -1172,6 +1182,23 @@ def test_huge_mu_degenerate_prints_its_exact_solution(capsys, mu):
     assert (rc, err) == (0, "")
     _, table = read_csv(out)
     assert np.array_equal(table[:, 1], 2.0 + float(mu) * (table[:, 0] - 0.5))
+
+
+# rho(t)rho(eta) + mu sigma(t)rho(eta) has the characteristic number 1 at every
+# mu.  The rounded Simpson nodes leave a discrete int sigma rho of about 1e-17,
+# which mu carries into the spectrum: from mu = 1e9 the discrete number sits
+# more than the guard's fixed 1e-8 from 1, and lambda = 1 is solved.
+@pytest.mark.parametrize("mu", [
+    "1e8",
+    *(pytest.param(mu, marks=pytest.mark.xfail(
+        strict=True, reason="the 1e-8 guard is below the rounding of the spectrum"))
+      for mu in ("1e9", "1e10")),
+])
+def test_degenerate_kernel_at_its_characteristic_number_exits_three(capsys, mu):
+    rc, out, err = run(capsys, ["fredholm-solve", "--kernel", "degenerate", "--lam", "1",
+                                "--nodes", "201", "--mu", mu])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: lambda = 1.0 sits within 1e-08 of the characteristic number")
 
 
 @settings(max_examples=25, deadline=None,

@@ -16,8 +16,8 @@ from ecodyn.odelin import (
     TimeGrid,
     Trajectory,
     _volterra_nodes,
-    char_roots,
     linear_flow,
+    quadratic_roots,
     sup_rel_diff,
 )
 from conftest import augmented_flow, companion, expm, flow, ode_flow, random_metzler
@@ -84,12 +84,45 @@ class TestTrajectory:
             Trajectory(g, np.zeros((3, 2)), ("a",))
 
 
-class TestCharRoots:
+def retired_spread(a, b):
+    """The spread of np.roots' pair about its center, relative to its larger
+    modulus, over the retired general-order route's bound 1e-6: that route
+    took the pair for one double root when this is at most 1."""
+    r = np.roots([1.0, a, b]).astype(complex)
+    return max(abs(r - r.sum() / 2.0)) / (1e-6 * max(abs(r)))
+
+
+def mp_roots(a, b):
+    """The roots of p^2 + a p + b at 50 digits, sorted by (real, imag)."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        h = -mp.mpf(a) / 2
+        w = mp.sqrt(mp.mpc(h * h - mp.mpf(b)))
+        roots = [complex(h - w), complex(h + w)]
+    return sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+magnitudes = st.floats(1e-3, 1e3)
+signs = st.sampled_from([-1.0, 1.0])
+
+
+@st.composite
+def quadratics(draw):
+    """(a, b) with |a| in [1e-3, 1e3]: b free, at critical damping a^2/4, or
+    missing it by a relative 1e-16 to 1e-8."""
+    a = draw(signs) * draw(magnitudes)
+    near = a * a / 4.0
+    b = draw(st.one_of(
+        st.floats(-1e6, 1e6),
+        st.just(near),
+        st.builds(lambda s, e: near * (1.0 + s * 10.0**e), signs, st.floats(-16.0, -8.0)),
+    ))
+    return a, b
+
+
+class TestQuadraticRoots:
     def test_exact_factorization(self):
-        roots = char_roots(OdeSpec((1.0, 3.0, 2.0)))
-        values = sorted(r.real for r, _ in roots)
-        assert values == pytest.approx([-2.0, -1.0], abs=1e-12)
-        assert all(m == 1 for _, m in roots)
+        assert quadratic_roots(3.0, 2.0) == (-2.0, -1.0)
 
     def test_complex_pair_from_quadratic_formula(self):
         # independent oracle: the quadratic formula via cmath
@@ -99,55 +132,54 @@ class TestCharRoots:
              (-a - cmath.sqrt(complex(a * a - 4 * b))) / 2],
             key=lambda z: z.imag,
         )
-        roots = sorted((r for r, _ in char_roots(OdeSpec((1.0, a, b)))), key=lambda z: z.imag)
-        for got, exp in zip(roots, expected):
+        for got, exp in zip(quadratic_roots(a, b), expected):
             assert got == pytest.approx(exp, abs=1e-12)
         assert expected[1] == pytest.approx(complex(-1.05, math.sqrt(2.4 - 1.1025)), abs=1e-12)
 
-    def test_cubic_with_zero_root_keeps_quadratic_roots(self):
-        a1, b1 = 2.1, 2.4
-        cubic = char_roots(OdeSpec((1.0, a1, b1, 0.0)))
-        quad = char_roots(OdeSpec((1.0, a1, b1)))
-        cubic_nonzero = sorted(
-            (r for r, _ in cubic if abs(r) > 1e-12), key=lambda z: (z.real, z.imag)
-        )
-        quad_sorted = sorted((r for r, _ in quad), key=lambda z: (z.real, z.imag))
-        assert any(abs(r) <= 1e-12 for r, _ in cubic)
-        for rc, rq in zip(cubic_nonzero, quad_sorted):
-            assert abs(rc - rq) < 1e-10
-
-    def test_conjugate_pairs_for_real_coefficients(self, rng):
-        for _ in range(20):
-            coeffs = rng.uniform(-3.0, 3.0, 4)
-            coeffs[0] = rng.uniform(0.5, 2.0)
-            roots = [r for r, m in char_roots(OdeSpec(tuple(coeffs))) for _ in range(m)]
-            for r in roots:
-                if abs(r.imag) > 1e-9:
-                    assert any(abs(r.conjugate() - s) < 1e-7 * max(1.0, abs(r)) for s in roots)
-
     def test_critical_damping_sweep_is_one_double_root(self):
-        # z'' + a z' + (a^2/4) z has the double root -a/2 for every a; the
-        # computed roots split by up to ~4e-8 relative, whatever a is
+        # p^2 + a p + a^2/4 has the double root -a/2 for every a; rounding
+        # a^2/4 splits the computed pair by about sqrt(eps), whatever a is
         for a in np.linspace(0.1, 20.0, 400):
-            spec = OdeSpec((1.0, float(a), float(a) ** 2 / 4.0))
-            assert [m for _, m in char_roots(spec)] == [2]
-
-    def test_triple_root_sweep_is_one_triple_root(self):
-        # (p + a)^3 has the triple root -a; the computed roots split by up to
-        # ~1.2e-5 relative (about eps^(1/3)), whatever a is
-        for a in np.linspace(0.1, 20.0, 100):
-            a = float(a)
-            spec = OdeSpec((1.0, 3.0 * a, 3.0 * a**2, a**3))
-            assert [m for _, m in char_roots(spec)] == [3]
+            lo, hi = quadratic_roots(float(a), float(a) ** 2 / 4.0)
+            assert lo == hi
+            assert lo == pytest.approx(-a / 2.0, rel=1e-7)
 
     def test_multiplicity_clustering(self):
         # (p + 1)^2 = p^2 + 2p + 1
-        roots = char_roots(OdeSpec((1.0, 2.0, 1.0)))
-        assert len(roots) == 1
-        root, mult = roots[0]
-        assert mult == 2
-        assert root == pytest.approx(-1.0, abs=1e-7)
+        assert quadratic_roots(2.0, 1.0) == (-1.0, -1.0)
 
+    def test_no_overflow_in_the_discriminant(self):
+        # a^2/4 = 2.5e399 is beyond the float range; the roots are not
+        assert quadratic_roots(1e200, 1.0) == (-1e200, -1e-200)
+
+    def test_zero_real_parts_are_positive_zero(self):
+        assert quadratic_roots(0.0, 2.0) == pytest.approx((-math.sqrt(2.0) * 1j,
+                                                            math.sqrt(2.0) * 1j), rel=1e-15)
+        zeros = [r.real for ab in [(0.0, 2.0), (-0.0, 2.0), (2.0, 0.0), (-2.0, -0.0), (0.0, 0.0)]
+                 for r in quadratic_roots(*ab) if r.real == 0.0]
+        assert len(zeros) == 8 and all(math.copysign(1.0, x) == 1.0 for x in zeros)
+
+    @settings(max_examples=500, deadline=None)
+    @given(ab=quadratics())
+    def test_matches_mpmath_and_the_retired_double_root_rule(self, ab):
+        a, b = ab
+        lo, hi = quadratic_roots(a, b)
+        spread = retired_spread(a, b)
+        # within 1e-3 of the bound the rounding of either pair decides (the
+        # two rules were seen to part up to 2.1e-4 from it, at b a^2/4 apart
+        # by a relative 1e-12)
+        if abs(spread - 1.0) > 1e-3:
+            assert (lo == hi) == (spread <= 1.0)
+        exact = mp_roots(a, b)
+        scale = max(map(abs, exact))
+        if lo == hi:
+            # the mean of the pair is -a/2 to rounding
+            assert abs(lo - sum(exact) / 2.0) <= 1e-12 * scale
+        else:
+            assert max(abs(lo - exact[0]), abs(hi - exact[1])) <= 1e-10 * scale
+
+
+class TestOdeSpec:
     def test_order_zero_rejected(self):
         with pytest.raises(ValidationError):
             OdeSpec((1.0,))
@@ -158,7 +190,7 @@ class TestCharRoots:
         ((1.0, 0.0, -math.inf), "c_0 must be finite, got -inf"),
     ], ids=["c1-nan", "c2-inf", "c0-minus-inf"])
     def test_coefficients_must_be_finite(self, coeffs, message):
-        # numpy's root finder would raise LinAlgError, which is no EcodynError
+        # refused under the coefficient's own name, before any solve
         with pytest.raises(ValidationError) as info:
             OdeSpec(coeffs)
         assert str(info.value) == message

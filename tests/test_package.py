@@ -18,7 +18,7 @@ PUBLIC = {
     "Dimension", "DimExpr", "ConsistencyReport", "check_relation", "parse_relation", "var",
     "MONEY", "TIME", "DIMENSIONLESS", "FLOW",
     "OdeSpec", "TimeGrid", "Trajectory",
-    "char_roots", "linear_flow",
+    "quadratic_roots", "linear_flow",
     "HarrodParams", "DiscretePath", "AdequacyResidual",
     "CorrectedHarrodResult", "classical_trajectory", "corrected_trajectory",
     "discrete_path", "adequacy_residual",
