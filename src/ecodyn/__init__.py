@@ -66,7 +66,7 @@ _LAZY = {
     "fredholm": (
         "KernelSpec", "QuadratureRule", "NystromDiscretization", "SpectralReport",
         "SweepReport", "VolterraReduction", "FredholmReduction",
-        "simpson_rule", "gauss_legendre_rule", "nystrom_solve", "char_numbers",
+        "simpson_rule", "nystrom_solve", "char_numbers",
         "param_singularity_sweep",
         "degenerate_residual", "ode_to_integral",
         "kernel_t_plus_eta", "kernel_exp_diff", "kernel_zero", "kernel_degenerate",

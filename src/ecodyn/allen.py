@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckError, ValidationError, _require, _require_finite_result
+from .errors import ValidationError, _require, _require_finite_result
 from .harrod import HarrodParams, _checked_exponential, corrected_trajectory
 from .odelin import (
     TimeGrid,
@@ -219,28 +219,19 @@ def phillips_system_residuals(
     }
 
 
-def phillips_capital_roots(
-    params: PhillipsParams,
-    t0: float,
-    t_star: float = 1.0,
-) -> list[complex]:
+def phillips_capital_roots(params: PhillipsParams, t0: float) -> list[complex]:
     """Roots of the capital cubic t0^2 p^3 + t0*a1 p^2 + b1 p = 0, sorted by
     (real part, imaginary part).
 
     The cubic is p times p^2 + (a1/t0) p + b1/t0^2, so its roots are 0 and
     the closed-form roots of that quadratic; a t0 whose coefficients a1/t0
-    and b1/t0^2 leave the float range is rejected, keyed t0.  The two
-    nonzero roots equal the second-order income roots when t0 = t_star,
-    which is asserted to 1e-10.  Scaling t0 -> c*t0 divides them by c.
+    and b1/t0^2 leave the float range is rejected, keyed t0.  The nonzero
+    roots are in physical time: at every t0 and year length t_star they are
+    ``phillips_solve``'s income roots at rho = t0/t_star divided by t_star.
+    Scaling t0 -> c*t0 divides them by c.
     """
     _require("positive", t0=t0)
     roots = quadratic_roots(*_reduced_coefficients(params, t0, "rho = t0"))
-    if math.isclose(t0, t_star, rel_tol=1e-12):
-        for rc, rq in zip(roots, quadratic_roots(params.a1, params.b1)):
-            if abs(rc - rq) > 1e-10 * max(1.0, abs(rq)):
-                raise CrossCheckError(
-                    f"cubic root {rc!r} differs from quadratic root {rq!r}"
-                )
     return sorted((0j, *roots), key=lambda z: (z.real, z.imag))
 
 

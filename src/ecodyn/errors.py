@@ -22,13 +22,12 @@ allocating, before a ``TimeGrid``'s nodes, ``discrete_path``'s years, a
 quadrature rule or a sweep's mu grid.  Every march takes its nodes and
 step from ``odelin.TimeGrid``, which checks its count and ends before any
 work runs.  The count
-rules that stay special are Simpson's odd count >= 3, the Nystrom rule of
-the catalogue kernels, which the two-point reduction no longer takes;
-Gauss's >= 2 nodes and the two-point collocation's >= 2 Chebyshev-Lobatto
-nodes, each checked after "positive"; ``leontief.volterra_solve``'s >= 4
-steps for its half-resolution rerun; ``dynamic_solve``'s truncation
-orders 1 and 2; and the ``ECODYN_DEFAULT_STEPS`` parse, which is keyed by
-the variable's name.
+rules that stay special are Simpson's odd count >= 3 for the Nystrom rule
+of the catalogue kernels; the two-point collocation's >= 2
+Chebyshev-Lobatto nodes, checked after "positive";
+``leontief.volterra_solve``'s >= 4 steps for its half-resolution rerun;
+``dynamic_solve``'s truncation orders 1 and 2; and the
+``ECODYN_DEFAULT_STEPS`` parse, which is keyed by the variable's name.
 
 A coefficient formed from finite parameters can still leave the float
 range (mu/nu at a subnormal nu, gamma*lam at 1e200 each).

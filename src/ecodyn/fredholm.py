@@ -1,19 +1,19 @@
 """Second-kind integral equation machinery on [0, 1].
 
-Nystrom discretization (composite Simpson by default, Gauss-Legendre as
-an alternative rule), direct solves of phi = lambda*K phi + q,
-characteristic numbers with eigenfunctions, singularity sweeps for
-kernels k0 + mu*k1, and the classic reduction of a constant-coefficient
-ODE to a Volterra (initial data) or Fredholm (two-point data) equation.
+Nystrom discretization (composite Simpson), direct solves of
+phi = lambda*K phi + q, characteristic numbers with eigenfunctions,
+singularity sweeps for kernels k0 + mu*k1, and the classic reduction of
+a constant-coefficient ODE to a Volterra (initial data) or Fredholm
+(two-point data) equation.
 
 One route per kernel class.  A ``KernelSpec`` is separable: pairs
 (g_i, h_i) of scalar profiles, and G H^T is the kernel.  Every catalogue
 kernel (``kernel_t_plus_eta``, ``kernel_exp_diff``, ``kernel_rho_rho``,
 ``kernel_sigma_rho``, ``kernel_degenerate``, ``kernel_zero``) is one.
 Construction checks the profiles on a 5 x 5 lattice for values that are
-not finite.  k(t, eta) is the kernel's matrix at one point.  The kernels
-of the ODE reductions are not ``KernelSpec``s: each reduction solves its
-own equation (``VolterraReduction``, ``FredholmReduction``).
+not finite.  The kernels of the ODE reductions are not ``KernelSpec``s:
+each reduction solves its own equation (``VolterraReduction``,
+``FredholmReduction``).
 
 Finite-rank route.  A separable kernel k(t, eta) = sum_i g_i(t) h_i(eta) of
 rank r is, on the nodes, K = G H^T with the n x r samples G = [g_i(t_j)]
@@ -120,9 +120,6 @@ class KernelSpec:
                 f"separable form of {self.name!r} is not finite at ({probe[i]}, {probe[j]})"
             )
 
-    def __call__(self, t: float, eta: float) -> float:
-        return float(self.matrix(np.array([t], dtype=float), np.array([eta], dtype=float))[0, 0])
-
     def factors(self, t: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G[j, i] = g_i(t_j) and H[j, i] = h_i(eta_j), one profile call per
         entry."""
@@ -226,18 +223,6 @@ def simpson_rule(n_nodes: int = 201) -> QuadratureRule:
     w *= h / 3.0
     w /= float(np.sum(w))  # remove rounding drift so the sum is exactly 1
     return QuadratureRule(np.linspace(0.0, 1.0, n_nodes), w, "simpson")
-
-
-def gauss_legendre_rule(n_nodes: int = 64) -> QuadratureRule:
-    _require("positive", nodes=n_nodes)  # bounds the count by sys.maxsize
-    if n_nodes < 2:
-        raise ValidationError("need at least 2 Gauss nodes", key="nodes")
-    _require_array_length(n_nodes, "nodes")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    weights = weights / float(np.sum(weights))
-    return QuadratureRule(nodes, weights, "gauss-legendre")
 
 
 def _profile_samples(profiles: Sequence[Callable[[float], float]], x: np.ndarray) -> np.ndarray:
@@ -663,20 +648,6 @@ class OdeReductionSolution:
     constants: tuple[float, ...]  # c_i = z^(i)(0) implied by the data
 
 
-def _volterra_kernel(a: tuple[float, ...], n: int) -> Callable[[float, float], float]:
-    """kappa(t, eta) = -sum_k a_k (t - eta)^(n-1-k)/(n-1-k)!, for floats or
-    broadcasting arrays."""
-    def kappa(t, eta):
-        d = t - eta
-        acc = 0.0
-        for k, ak in enumerate(a):
-            m = n - 1 - k
-            acc = acc - ak * d**m / math.factorial(m)
-        return acc
-
-    return kappa
-
-
 def _poly_part(a: tuple[float, ...], c, n: int, t: np.ndarray) -> np.ndarray:
     """sum_k a_k P_k(t) with P_k(t) = sum_{i>=k} c_i t^(i-k)/(i-k)!.
 
@@ -715,13 +686,6 @@ class VolterraReduction:
     a: tuple[float, ...]
     init: tuple[float, ...]
     forcing: Callable[[float], float] | None = None
-
-    def kernel(self, t: float, eta: float) -> float:
-        return _volterra_kernel(self.a, self.order)(t, eta)
-
-    def free_term(self, t: float) -> float:
-        c = np.asarray(self.init)
-        return float(_free_term_values(self.forcing, self.a, c, self.order, np.array([t]))[0])
 
     def solve(self, steps: int = 200, t_end: float = 1.0) -> OdeReductionSolution:
         """phi and z = J_n[phi] + sum c_i t^i/i! at the ``steps`` + 1 nodes

@@ -117,6 +117,11 @@ def _checked_exponential(Y0: float, rate: float, grid: TimeGrid) -> np.ndarray:
     return Y
 
 
+# the cross-check's RK4 keeps rate*h_eff below the target, in at most cap substeps
+RK4_SUBSTEP_TARGET = 0.02
+RK4_SUBSTEP_CAP = 64
+
+
 def _check_against_rk4(Y: np.ndarray, rate, rate_max: float, grid: TimeGrid, tol: str) -> None:
     """Validate the closed form Y of Ydot = rate*Y on ``grid`` against RK4
     started from Y[0].  ``rate`` is a constant or a function of time,
@@ -167,11 +172,13 @@ def _rk4_growth(rate, y0: float, grid: TimeGrid, substeps: int) -> np.ndarray:
     return y
 
 
-def _substeps_for(rate: float, h: float, target: float = 0.02, cap: int = 64) -> int:
-    """Substeps keeping rate*h_eff below ``target`` so RK4 meets the check tolerances."""
+def _substeps_for(rate: float, h: float) -> int:
+    """Substeps keeping rate*h_eff below ``RK4_SUBSTEP_TARGET`` so RK4 meets
+    the check tolerances."""
     if rate <= 0.0:
         return 1
-    return max(1, math.ceil(min(rate * h / target, cap)))  # rate*h may overflow
+    steps = min(rate * h / RK4_SUBSTEP_TARGET, RK4_SUBSTEP_CAP)  # rate*h may overflow
+    return max(1, math.ceil(steps))
 
 
 @dataclass(frozen=True)

@@ -258,14 +258,6 @@ class TaylorReduction:
     derivative_coeffs: tuple[float, ...]
     B: np.ndarray
 
-    def render(self) -> str:
-        terms = []
-        for k in range(self.order, 0, -1):
-            coeff = self.derivative_coeffs[k - 1]
-            prime = "'" * k
-            terms.append(f"X{prime}" if coeff == 1.0 else f"{coeff:g}*X{prime}")
-        return " + ".join(terms) + " + B*X = C(t_bar)"
-
 
 def taylor_reduce(model: LeontiefModel) -> TaylorReduction:
     coeffs = tuple(1.0 / math.factorial(k) for k in range(1, model.order + 1))

@@ -181,6 +181,18 @@ class TestPhillipsCapital:
             for rc, ri in zip(cubic, quad):
                 assert abs(rc - ri) <= 1e-10 * max(1.0, abs(ri))
 
+    @pytest.mark.parametrize("params", [PhillipsParams(**PHILLIPS), PhillipsParams(1.2, 0.8, 0.4, 1.1)])
+    @pytest.mark.parametrize("t0, t_star", [(2.0, 2.0), (1.0, 1.0), (0.5, 3.0), (7.0, 0.25)])
+    def test_nonzero_roots_are_income_roots_in_physical_time(self, params, t0, t_star):
+        # the cubic is in physical time and the income equation in years:
+        # its nonzero roots are the income roots at rho = t0/t_star over t_star
+        sol = phillips_solve(params, AllenScaling(t0=t0, t_star=t_star), (1.0, 0.0),
+                             TimeGrid(0.0, 1.0, 4))
+        cubic = [r for r in phillips_capital_roots(params, t0) if r != 0]
+        assert len(cubic) == 2
+        for rc, ri in zip(cubic, sol.roots):
+            assert abs(rc - ri / t_star) <= 1e-12 * abs(ri / t_star)
+
 
 class TestBergstrom:
     def test_gamma_zero_settles(self):
