@@ -36,7 +36,6 @@ leaves the collector and the exit to its caller.
 from __future__ import annotations
 
 import argparse
-import bisect
 import errno
 import functools
 import gc
@@ -70,7 +69,7 @@ from .odelin import OdeSpec, TimeGrid, Trajectory
 # Each handler imports the model module it calls, so a run loads only its
 # own command's models; these imports serve the annotations alone.
 if TYPE_CHECKING:
-    from . import fredholm, harrod, leontief
+    from . import fredholm, harrod
 
 DEFAULT_STEPS_FALLBACK = 1000
 ENV_DEFAULT_STEPS = "ECODYN_DEFAULT_STEPS"
@@ -328,27 +327,10 @@ def _demand_from_flags(ns, n: int, steps: int):
             f"(grid-aligned), got shape {table.shape}",
             key="demand-file",
         )
-    return _row_sampler(TimeGrid(0.0, 1.0, steps).nodes, table)
+    nodes = TimeGrid(0.0, 1.0, steps).nodes
 
-
-def _row_sampler(t_nodes: np.ndarray, table: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Piecewise-linear sampler of the rows of the finite ``table`` at
-    ``t_nodes`` (strictly increasing), equal to ``np.interp`` on every
-    column: one bracket search, then np.interp's own formula across the row."""
-    nodes = t_nodes.tolist()
-    with np.errstate(over="ignore"):  # an infinite slope interpolates as in np.interp
-        slopes = np.diff(table, axis=0) / np.diff(t_nodes)[:, None]
-
-    def sampler(t: float) -> np.ndarray:
-        if t <= nodes[0]:
-            return table[0].copy()
-        if t >= nodes[-1]:
-            return table[-1].copy()
-        j = bisect.bisect_right(nodes, t) - 1
-        if nodes[j] == t:
-            return table[j].copy()
-        return slopes[j] * (t - nodes[j]) + table[j]
-
+    def sampler(ts: np.ndarray) -> np.ndarray:  # every column linear between the nodes
+        return np.column_stack([np.interp(ts, nodes, col) for col in table.T])
     return sampler
 
 
@@ -369,7 +351,8 @@ def _cmd_leontief_static(ns) -> Output:
     return Output("leontief-static", _ns_params(ns), columns, data)
 
 
-def _leontief_model(ns, order: int) -> tuple[leontief.LeontiefModel, int]:
+def _leontief_trajectory(ns, order: int, solve: Callable) -> Trajectory:
+    """The balance of the flags solved by ``solve``."""
     from . import leontief
 
     A = _read_matrix(ns.matrix)
@@ -379,22 +362,24 @@ def _leontief_model(ns, order: int) -> tuple[leontief.LeontiefModel, int]:
     X0 = _vector(ns.x0, "x0")
     Xdot0 = _vector(ns.xdot0, "xdot0") if ns.xdot0 else None
     model = leontief.LeontiefModel(A=A, demand=demand, X0=X0, Xdot0=Xdot0, order=order)
-    return model, steps
+    try:
+        return solve(model, steps=steps)
+    except ValidationError as exc:  # the demand the model refuses is the file's
+        exc.key = "demand-file" if exc.key == "demand" and ns.demand_file else exc.key
+        raise
 
 
 def _cmd_leontief_dynamic(ns) -> Output:
     from . import leontief
 
-    model, steps = _leontief_model(ns, ns.order)
-    traj = leontief.dynamic_solve(model, steps=steps)
+    traj = _leontief_trajectory(ns, ns.order, leontief.dynamic_solve)
     return _trajectory_output("leontief-dynamic", _ns_params(ns), traj)
 
 
 def _cmd_leontief_volterra(ns) -> Output:
     from . import leontief
 
-    model, steps = _leontief_model(ns, 2)
-    traj = leontief.volterra_solve(model, steps=steps)
+    traj = _leontief_trajectory(ns, 2, leontief.volterra_solve)
     return _trajectory_output("leontief-volterra", _ns_params(ns), traj)
 
 

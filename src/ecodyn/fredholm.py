@@ -91,7 +91,7 @@ from .errors import (
     _require_array_length,
     _require_finite_result,
 )
-from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _volterra_ivp
+from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _time_samples, _volterra_ivp
 
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
@@ -191,7 +191,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    name: str
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -222,7 +221,7 @@ def simpson_rule(n_nodes: int = 201) -> QuadratureRule:
     w[0] = w[-1] = 1.0
     w *= h / 3.0
     w /= float(np.sum(w))  # remove rounding drift so the sum is exactly 1
-    return QuadratureRule(np.linspace(0.0, 1.0, n_nodes), w, "simpson")
+    return QuadratureRule(np.linspace(0.0, 1.0, n_nodes), w)
 
 
 def _profile_samples(profiles: Sequence[Callable[[float], float]], x: np.ndarray) -> np.ndarray:
@@ -664,15 +663,11 @@ def _poly_part(a: tuple[float, ...], c, n: int, t: np.ndarray) -> np.ndarray:
     return total
 
 
-def _free_term_values(
-    forcing: Callable[[float], float] | None,
-    a: tuple[float, ...],
-    c: np.ndarray,
-    n: int,
-    t: np.ndarray,
-) -> np.ndarray:
-    """q(t) = f(t) - sum_k a_k P_k(t) at every point of the array ``t``."""
-    f = np.array([forcing(float(x)) for x in t]) if forcing is not None else 0.0
+def _free_term_values(forcing: Callable[[np.ndarray], np.ndarray | float] | None,
+                      a: tuple[float, ...], c: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
+    """q(t) = f(t) - sum_k a_k P_k(t) at the increasing array ``t``, f called once."""
+    f = 0.0 if forcing is None else _time_samples(forcing, t, 1, "forcing must return one "
+                                                   "value per time")[:, 0]
     return f - _poly_part(a, c, n, t)
 
 
@@ -685,7 +680,7 @@ class VolterraReduction:
     order: int
     a: tuple[float, ...]
     init: tuple[float, ...]
-    forcing: Callable[[float], float] | None = None
+    forcing: Callable[[np.ndarray], np.ndarray | float] | None = None
 
     def solve(self, steps: int = 200, t_end: float = 1.0) -> OdeReductionSolution:
         """phi and z = J_n[phi] + sum c_i t^i/i! at the ``steps`` + 1 nodes
@@ -693,12 +688,11 @@ class VolterraReduction:
         (grid check, blow-up check and half-resolution guard included): the
         exact flow of the n moments of the history under the kernel
         coefficients K_m = -a_(n-1-m), O(steps n^2) work after one n x n
-        exponential per march.  The forcing f/c_n, if any, is sampled at every node
-        and step midpoint; the rest of the free term is exact."""
+        exponential per march.  The forcing f/c_n, if any, is called once per
+        march with every node and step midpoint; the rest of the free term
+        is exact."""
         K = -np.array(self.a[::-1]).reshape(self.order, 1, 1)
-        f = self.forcing
-        forcing = None if f is None else (lambda t: np.array([f(float(x)) for x in t]))
-        grid, z, phi = _volterra_ivp(K, forcing, self.init, t_end, steps, "Volterra march")
+        grid, z, phi = _volterra_ivp(K, self.forcing, self.init, t_end, steps, "Volterra march")
         return OdeReductionSolution(Trajectory(grid, z, ("z",)), phi[:, 0],
                                     tuple(float(x) for x in self.init))
 
@@ -712,7 +706,7 @@ class FredholmReduction:
     order: int
     a: tuple[float, ...]
     conditions: tuple[BoundaryCondition, ...]
-    forcing: Callable[[float], float] | None = None
+    forcing: Callable[[np.ndarray], np.ndarray | float] | None = None
     _c0: np.ndarray = field(repr=False, init=False, default=None)  # type: ignore[assignment]
     _Minv: np.ndarray = field(repr=False, init=False, default=None)  # type: ignore[assignment]
 
@@ -871,7 +865,8 @@ def ode_to_integral(
     not finite, a derivative order that is not an integer, a condition that
     is not a triple and initial values mixed with triples are rejected.
     Like the coefficients, the forcing is divided by the leading c_n, so
-    phi solves z^(n) + sum a_k z^(k) = f/c_n.
+    phi solves z^(n) + sum a_k z^(k) = f/c_n; f is called once per march
+    (or two-point solve) with the array of every sample time.
     """
     n = spec.order
     if len(boundary) != n:

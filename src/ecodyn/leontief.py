@@ -37,9 +37,9 @@ from .errors import (
     ValidationError,
     _require,
 )
-from .odelin import TimeGrid, Trajectory, _volterra_ivp, _volterra_nodes
+from .odelin import TimeGrid, Trajectory, _time_samples, _volterra_ivp, _volterra_nodes
 
-DemandLike = Callable[[float], np.ndarray] | Sequence[float] | np.ndarray
+DemandLike = Callable[[np.ndarray], np.ndarray] | Sequence[float] | np.ndarray
 
 
 def _as_matrix(A: np.ndarray) -> np.ndarray:
@@ -57,9 +57,10 @@ def _as_matrix(A: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LeontiefModel:
-    """Technology matrix A (nonnegative, dimensionless), demand (a sampler
-    C(t_bar) on [0, 1], or a constant kept as a float vector), initial data
-    and truncation order."""
+    """Technology matrix A (nonnegative, dimensionless), demand C(t_bar)
+    on [0, 1], initial data and truncation order.  The demand is a
+    constant, kept as a float vector, or a sampler called once per march
+    with the array of every node and step midpoint (``demand_samples``)."""
 
     A: np.ndarray
     demand: DemandLike
@@ -98,32 +99,26 @@ class LeontiefModel:
     def demand_samples(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
         """C(t_bar) at every time of ``ts``, stacked len(ts) x n.
 
-        Each sample must have n components, all finite and none below
-        -1e-12.  The checks run once over the stack and name the first bad
-        t_bar, as checking the samples one by one in order would.  A
-        constant demand is sampled (and checked) once, at ts[0].
+        A sampler is called once with the array of times and returns one
+        row of n components per time (``odelin._time_samples``).  Each
+        sample must be finite, no component below -1e-12; the first bad
+        t_bar is named, as checking one by one in order would, with key
+        ``demand``.  A constant demand is checked at ts[0].
         """
-        times = np.asarray(ts, dtype=float).tolist()
+        times = np.asarray(ts, dtype=float)
         n = self.n
         if callable(self.demand):
-            rows = [np.asarray(self.demand(t), dtype=float) for t in times]
+            C = _time_samples(self.demand, times, n, f"demand sampler must return one row of "
+                              f"{n} components per time", key="demand")
         else:
-            rows = [self.demand]
-        shape_bad = next((i for i, c in enumerate(rows) if c.shape != (n,)), len(rows))
-        C = np.array(rows[:shape_bad]).reshape(shape_bad, n)
+            C = np.broadcast_to(self.demand, (times.shape[0], n))
         nonfinite = ~np.isfinite(C).all(axis=1)
-        negative = (C < -1e-12).any(axis=1)
-        first_nonfinite = int(np.argmax(nonfinite)) if nonfinite.any() else shape_bad
-        first_negative = int(np.argmax(negative)) if negative.any() else shape_bad
-        if first_nonfinite < shape_bad and first_nonfinite <= first_negative:
-            raise ValidationError(f"demand is not finite at t_bar = {times[first_nonfinite]!r}")
-        if first_negative < shape_bad:
-            raise ValidationError(
-                f"demand has a negative component at t_bar = {times[first_negative]!r}"
-            )
-        if shape_bad < len(rows):
-            raise ValidationError(f"demand sampler must return {n} components")
-        return C if callable(self.demand) else np.repeat(C, len(times), axis=0)
+        bad = nonfinite | (C < -1e-12).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "is not finite" if nonfinite[i] else "has a negative component"
+            raise ValidationError(f"demand {what} at t_bar = {float(times[i])!r}", key="demand")
+        return C.copy()
 
 
 @dataclass(frozen=True)
@@ -285,12 +280,12 @@ def dynamic_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     the coefficients of ``taylor_reduce`` (``_balance_flow``).
 
     Orders 1 and 2 are accepted.  A constant demand is checked once, and
-    the flow takes it exactly.  A demand sampler is called once at every
-    node and every step midpoint, the samples are checked together by
-    ``LeontiefModel.demand_samples``, and the flow integrates their
-    quadratic on each step exactly: exact for a demand that is linear
-    between the nodes, as a demand file is, and O(h^4) for a smooth one.
-    A non-finite X or top derivative raises BlowUpError.
+    the flow takes it exactly.  A demand sampler is called once per march
+    with every node and step midpoint, 2 steps + 1 increasing times, its
+    samples are checked by ``LeontiefModel.demand_samples``, and the flow
+    integrates their quadratic on each step exactly: exact for a demand
+    linear between the nodes, as a demand file is, O(h^4) for a smooth
+    one.  A non-finite X or top derivative raises BlowUpError.
     """
     if model.order not in (1, 2):
         raise ValidationError("dynamic_solve supports truncation orders 1 and 2", key="order")
@@ -307,9 +302,10 @@ def volterra_solve(model: LeontiefModel, steps: int = 400) -> Trajectory:
     G = 2 (C - Xdot0 - B (X0 + t Xdot0)), by the core's one Volterra solve
     ``odelin._volterra_ivp``: the march of ``dynamic_solve``, whose values
     it returns, and a rerun at half the steps.  A demand sampler is called
-    once per march at every node and step midpoint.  A non-finite X or U
-    raises BlowUpError, and X drifting by more than 10% (sup norm,
-    relative) from its rerun raises ResolutionError.
+    once per march with every node and step midpoint: with the 2 steps + 1
+    times of the march, then with the 2 (steps // 2) + 1 of its rerun.  A
+    non-finite X or U raises BlowUpError, and X drifting by more than 10%
+    (sup norm, relative) from its rerun raises ResolutionError.
     """
     if model.order != 2:
         raise ValidationError("volterra_solve requires truncation order 2", key="order")

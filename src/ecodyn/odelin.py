@@ -25,6 +25,10 @@ driven by q, so ``_volterra_nodes`` steps that system by ``linear_flow``
 half-resolution guard.  The ODE reduction and the balance's Volterra
 route call ``_volterra_ivp``; the balance's ODE route calls
 ``_volterra_nodes``.
+
+A function of time (``linear_flow``'s forcing, the Leontief demand, an
+``OdeSpec``'s f) is called once per march with the increasing array of
+every node and step midpoint; ``_time_samples`` reads every return.
 """
 
 from __future__ import annotations
@@ -123,10 +127,12 @@ class OdeSpec:
 
     ``coeffs`` lists (c_n, ..., c_0), highest derivative first, each
     finite (a coefficient that is not is rejected under its name, c_k).
+    ``forcing`` (f; None for 0) takes an increasing array of times and
+    returns one value per time or a constant: ``np.sin``, ``lambda t: 2.0``.
     """
 
     coeffs: tuple[float, ...]
-    forcing: Callable[[float], float] | None = None
+    forcing: Callable[[np.ndarray], np.ndarray | float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -204,16 +210,16 @@ def linear_flow(
     included.  ``forcing`` drives the leading components of x, as many as
     its width, 1 to d: a constant vector c, for which q = h phi_1(hM) c is
     exact, or a callable mapping an array of m increasing times to m rows
-    of that width.  The callable is sampled once,
-    at every node and every step midpoint, and q_k integrates the
-    quadratic through a step's three samples exactly (``_forcing_terms``):
-    exact for a forcing that is piecewise quadratic on the grid, global
-    error O(h^4) for a smooth one.  Homogeneous data whose largest entry is
-    subnormal are marched scaled by 2^-e, e from ``math.frexp``, and the
-    values scaled back by 2^e once, so that the data keep their bits while
-    their modes grow into the normal range.  The scaled data peak at
-    2^-969, 2^53 times the least normal number: products with entries of E
-    down to 2^-53 stay normal, and only a growth beyond 2^1993, to values
+    of that width (``_time_samples``), called once per march with every
+    node and step midpoint; q_k integrates the quadratic through a step's
+    three samples exactly (``_forcing_terms``): exact for a forcing that
+    is piecewise quadratic on the grid, global error O(h^4) for a smooth
+    one.  Homogeneous data whose largest entry is subnormal are marched
+    scaled by 2^-e, e from ``math.frexp``, and the values scaled back by
+    2^e once, so that the data keep their bits while their modes grow into
+    the normal range.  The scaled data peak at 2^-969, 2^53 times the
+    least normal number: products with entries of E down to 2^-53 stay
+    normal, and only a growth beyond 2^1993, to values
     beyond 2^919, overflows in the scaled march where the unscaled one
     would not.  Normal-range data march unscaled.  A non-finite state
     raises BlowUpError naming ``what`` and carrying the last finite node.
@@ -310,10 +316,11 @@ def _forcing_terms(forcing, nodes, h, phi1, phi2, phi3) -> np.ndarray:
     times = np.empty(2 * nodes.shape[0] - 1)
     times[0::2] = nodes
     times[1::2] = nodes[:-1] + 0.5 * h
-    c = np.asarray(forcing(times), dtype=float)
-    if c.ndim != 2 or c.shape[0] != times.shape[0] or not 0 < c.shape[1] <= d:
-        raise ValidationError(f"forcing must return one row of 1 to {d} components per time")
+    message = f"forcing must return one row of 1 to {d} components per time"
+    c = _time_samples(forcing, times, None, message)
     width = c.shape[1]
+    if not 0 < width <= d:
+        raise ValidationError(message)
     c0, cm, c1 = c[0:-1:2], c[1::2], c[2::2]
     # summed term by term in the order of one expression, u and w formed in
     # turn: the same roundings, one (steps, d) temporary at a time
@@ -321,6 +328,20 @@ def _forcing_terms(forcing, nodes, h, phi1, phi2, phi3) -> np.ndarray:
     q += (4.0 * cm - 3.0 * c0 - c1) @ (h * phi2[:, :width]).T  # u
     q += (2.0 * (c0 + c1) - 4.0 * cm) @ (2.0 * h * phi3[:, :width]).T  # w
     return q
+
+
+def _time_samples(fn: Callable, times: np.ndarray, width: int | None, message: str,
+                  key: str | None = None) -> np.ndarray:
+    """``fn(times)`` as one row of ``width`` values (None: its own) per time:
+    those rows, a 2-D array that broadcasts to them, or a scalar constant.
+    A flat array is one value per time at width 1 only: at any other width
+    a row would look alike.  Else ValidationError(message, key)."""
+    r = np.asarray(fn(times), dtype=float)
+    if r.ndim == 0 or (r.ndim == 1 and width == 1):
+        r = r.reshape(-1, 1)
+    if r.ndim != 2 or r.shape[0] not in (1, len(times)) or width and r.shape[1] not in (1, width):
+        raise ValidationError(message, key=key)
+    return np.broadcast_to(r, (len(times), width or r.shape[1]))
 
 
 def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
@@ -358,15 +379,14 @@ def _volterra_nodes(K: np.ndarray, forcing: Forcing | None, init: Sequence, grid
     below the diagonal.  ``linear_flow`` steps it exactly.  The part of q
     that is polynomial in t enters through the state, not the forcing:
     the state M_m + P_m starts at the initial data and obeys the same
-    system driven by f alone (``forcing``: a callable mapping m times to
-    m rows of d components, a constant (d,) vector, or None for f = 0),
-    which drives block 0, the leading d of the n d components, and goes
-    to ``linear_flow`` as it is.  So a free term that is polynomial in t
-    is exact at every order, and only a sampled f goes through the flow's
-    quadratic rule.  Then
-    z = M_(n-1) + sum_i init[i] t^i/i! is the last block of the state and
-    phi = f + sum_m K_m (M_m + P_m).  A non-finite state or phi raises
-    BlowUpError naming ``what``.
+    system driven by f alone (``forcing``: a callable of the m sample
+    times read by ``_time_samples`` at width d, a constant (d,) vector,
+    or None for f = 0), which drives block 0, the leading d of the n d
+    components, and goes to ``linear_flow`` as it is.  So a free term that
+    is polynomial in t is exact at every order, and only a sampled f goes
+    through the flow's quadratic rule.  Then z = M_(n-1) + sum_i init[i]
+    t^i/i! is the last block of the state and phi = f + sum_m K_m (M_m +
+    P_m).  A non-finite state or phi raises BlowUpError naming ``what``.
     """
     K = np.asarray(K, dtype=float)
     n, d = K.shape[0], K.shape[1]
@@ -376,7 +396,8 @@ def _volterra_nodes(K: np.ndarray, forcing: Forcing | None, init: Sequence, grid
     f = []  # f at the nodes, or the constant f, for phi
     if callable(forcing):
         def drive(t: np.ndarray) -> np.ndarray:
-            ft = np.reshape(forcing(t), (t.shape[0], d))
+            ft = _time_samples(forcing, t, d, f"forcing must return one row of {d} components "
+                               "per time" if d > 1 else "forcing must return one value per time")
             f.append(ft[::2])
             return ft
     elif forcing is None:

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecodyn import cli, harrod
+from ecodyn import cli, harrod, leontief
 from ecodyn.allen import SCALE_CHECK_MODELS, AllenScaling, PhillipsParams, phillips_solve
-from ecodyn.errors import NumericalError
+from ecodyn.errors import NumericalError, ValidationError
 from ecodyn.longwave import LongWaveParams, lw_matrix
 from ecodyn.odelin import TimeGrid, sup_rel_diff
 from conftest import flow, ode_flow
@@ -797,6 +797,10 @@ FAIL_MATRICES = {
     "zigzag_demand": "0,0\n1,1\n0,0\n1,1\n0,0\n",  # aliases on 4 steps
     "nan": "2\nnan,0\n0,1\n",
     "nan_demand": "1,1,1\nnan,1,1\n1,1,1\n",  # a demand table on 2 steps
+    "negative_demand": "1,1,1\n-1,1,1\n1,1,1\n",  # negative at the node t = 0.5
+    "deep_negative_demand": "1,1,1\n-3,1,1\n1,1,1\n",  # and at the midpoint 0.25 too
+    # np.interp's slope overflows: -inf, not finite before negative, at the midpoint 0.25
+    "overflow_negative_demand": "1.7e308,1,1\n-1e307,1,1\n1.7e308,1,1\n",
     "negative_singular": "2\n1,-1\n0,0\n",  # E - A = [[0, 1], [0, 1]]
     "zero_dim": "0\n",
     "negative_dim": "-2\n",
@@ -965,6 +969,9 @@ KEYED_FAILURES = [
                 "--steps", "4"]),
     ("demand-file", ["leontief-dynamic", "--matrix", M3, "--demand-file", "{nan_demand}",
                      "--x0", "1,1,1", "--steps", "2"]),
+    # a negative demand, refused by the model when it is sampled
+    ("demand", ["leontief-dynamic", "--matrix", "{a22}", "--demand", "1,-1", "--x0", "1,1",
+                "--steps", "2"]),
     ("ode-init", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,0,1",
                   "--ode-init", "nan,0"]),
     ("ode-coeffs", ["fredholm-solve", "--kernel", "ode-reduced", "--ode-coeffs", "1,nan,1",
@@ -1001,7 +1008,8 @@ KEYED_FAILURES = [
 FAILURES += [(2, argv) for _, argv in KEYED_FAILURES]
 # (key, file, argv): input files that do not hold what their flag asks for.
 # A matrix file declares a dimension below 1 or rows beyond the n it
-# declares; a demand file holds no number table, or nothing at all.
+# declares; a demand file holds no number table, nothing at all, or a
+# negative entry.
 BAD_FILES = [
     *(("matrix", name, [command, "--matrix", f"{{{name}}}", "--demand", "1,1", *flags])
       for command, flags in (("leontief-static", []),
@@ -1009,7 +1017,7 @@ BAD_FILES = [
       for name in ("zero_dim", "negative_dim", "extra_row")),
     *(("demand-file", name, ["leontief-dynamic", "--matrix", M3, "--x0", "1,1,1", "--steps",
                              "2", "--demand-file", f"{{{name}}}"])
-      for name in ("word_demand", "ragged_demand", "empty_demand")),
+      for name in ("word_demand", "ragged_demand", "empty_demand", "negative_demand")),
 ]
 FAILURES += [(2, argv) for _, _, argv in BAD_FILES]
 
@@ -1238,6 +1246,37 @@ OWNED_RULES = [
 def test_owned_rule_message(capsys, fail_matrices, message, argv):
     rc, out, err = run(capsys, [arg.format(**fail_matrices) for arg in argv])
     assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("negative_demand", "demand has a negative component at t_bar = 0.5"),
+    ("deep_negative_demand", "demand has a negative component at t_bar = 0.25"),
+    ("overflow_negative_demand", "demand is not finite at t_bar = 0.25"),
+], ids=["node", "midpoint", "overflow"])
+@pytest.mark.parametrize("order", ["1", "2"])
+def test_negative_demand_file_is_refused_as_the_model_refuses_it(capsys, fail_matrices,
+                                                                 order, name, message):
+    # the model refuses the file's samples at the first bad node or
+    # midpoint, and the CLI reports its message under the file's key
+    table = np.loadtxt(fail_matrices[name], delimiter=",", ndmin=2)
+    nodes = np.linspace(0.0, 1.0, 3)
+    model = leontief.LeontiefModel(
+        A=np.loadtxt(M3, delimiter=",", skiprows=1), X0=[1.0, 1.0, 1.0], Xdot0=[0.0, 0.0, 0.0],
+        demand=lambda ts: np.column_stack([np.interp(ts, nodes, col) for col in table.T]),
+        order=2)
+    with pytest.raises(ValidationError) as exc_info:
+        leontief.dynamic_solve(model, steps=2)
+    argv = ["leontief-dynamic", "--order", order, "--matrix", M3, "--demand-file",
+            fail_matrices[name], "--x0", "1,1,1", "--xdot0", "0,0,0", "--steps", "2"]
+    assert str(exc_info.value) == message
+    assert run(capsys, argv) == (2, "", f"error: {message} (key: demand-file)\n")
+
+
+def test_negative_demand_file_is_refused_after_the_steps(capsys, fail_matrices):
+    # the file's samples are checked by the solve, after its step count
+    argv = ["leontief-volterra", "--matrix", M3, "--demand-file", fail_matrices["negative_demand"],
+            "--x0", "1,1,1", "--xdot0", "0,0,0", "--steps", "2"]
+    assert run(capsys, argv) == (2, "", "error: need at least 4 steps (key: steps)\n")
 
 
 def test_underflowing_multiplier_is_exact_zero_without_a_warning(capsys):

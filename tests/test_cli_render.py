@@ -1,8 +1,7 @@
 """Properties of the CLI's output helpers against the code they replaced:
 the JSON writer against json.dumps of the old per-element sanitizer, the
-block-wise CSV writer against the one-shot join, the memory the streamed
-output holds, and the --demand-file row sampler against per-column
-np.interp."""
+block-wise CSV writer against the one-shot join, and the memory the
+streamed output holds."""
 
 import itertools
 import json
@@ -240,39 +239,6 @@ def test_csv_write_holds_a_bounded_amount_at_any_width(tmp_path, rows, width):
     assert peak < CSV_PEAK_BYTES
     with target.open(encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == rows + 1
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal to 0 ulp: identical bits, except that any NaN equals any NaN."""
-    nan = np.isnan(a)
-    return bool(np.array_equal(nan, np.isnan(b))
-                and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
-
-
-# --demand-file rejects a table that is not finite before it is sampled; the
-# values near the float limit make a finite table's slope infinite
-table_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7e308, -1.7e308])
-
-
-@settings(max_examples=300, deadline=None)
-@given(steps=st.integers(1, 40), n=st.integers(1, 5), data=st.data())
-def test_row_sampler_matches_np_interp(steps, n, data):
-    table = data.draw(hnp.arrays(np.float64, (steps + 1, n), elements=table_values))
-    t_nodes = np.linspace(0.0, 1.0, steps + 1)
-    k = data.draw(st.integers(0, steps - 1))
-    times = [
-        0.0,
-        1.0,
-        float(t_nodes[k]),
-        float(t_nodes[k + 1]),
-        float(0.5 * (t_nodes[k] + t_nodes[k + 1])),
-        data.draw(st.floats(0.0, 1.0)),
-        data.draw(st.floats(float(t_nodes[k]), float(t_nodes[k + 1]))),
-    ]
-    sampler = cli._row_sampler(t_nodes, table)
-    for t in times:
-        expected = np.array([np.interp(t, t_nodes, table[:, j]) for j in range(n)])
-        assert same_bits(sampler(t), expected), t
 
 
 # ---------------------------------------------------------------------------

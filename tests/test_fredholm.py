@@ -50,7 +50,7 @@ def gauss_legendre_rule(n_nodes: int = 64) -> QuadratureRule:
     properties that must not rest on Simpson's equal spacing."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     w = 0.5 * w
-    return QuadratureRule(0.5 * (x + 1.0), w / float(np.sum(w)), "gauss-legendre")
+    return QuadratureRule(0.5 * (x + 1.0), w / float(np.sum(w)))
 
 
 @pytest.fixture(scope="module")
@@ -492,7 +492,7 @@ class TestTwoPointSolve:
         M[1, 2] = M[2, 3] = 1.0
         M[3, 2] = -1.0
         conditions = [(0, 0.0, 1.0), (1, 1.0, -0.5)]
-        red = ode_to_integral(OdeSpec((1.0, 0.5, 2.0), forcing=math.sin), conditions)
+        red = ode_to_integral(OdeSpec((1.0, 0.5, 2.0), forcing=np.sin), conditions)
         sol = red.solve(n_nodes=17, steps=10)
         want = two_point_flow(M, conditions, sol.trajectory.times, tail=(0.0, 1.0))
         assert sup_error(sol, want) <= 1e-13
@@ -537,7 +537,7 @@ class TestTwoPointSolve:
                                                   r"reaches 3\.349e-03 of the largest"):
             red.solve(n_nodes=33)
 
-    @pytest.mark.parametrize("forcing", [lambda t: math.inf if t > 0.5 else 1.0,
+    @pytest.mark.parametrize("forcing", [lambda t: np.where(t > 0.5, math.inf, 1.0),
                                          lambda t: math.nan])
     def test_phi_that_is_not_finite_is_a_blow_up(self, forcing):
         red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0), forcing=forcing), COS_TWO_POINT)
@@ -622,6 +622,37 @@ class TestLeadingCoefficient:
         same = ode_to_integral(FORCED_CN1, boundary).solve(steps=100)
         assert np.array_equal(sol.trajectory.values, same.trajectory.values)
         assert np.array_equal(sol.phi, same.phi)
+
+    @pytest.mark.parametrize("boundary, nodes, sizes", [
+        ([0.0, 0.0], {}, [(21,), (11,)]),
+        ([(0, 0.0, 0.0), (0, 1.0, 1.0 - math.cos(1.0))], {"n_nodes": 17}, [(17,)]),
+    ], ids=["volterra", "two-point"])
+    def test_forcing_takes_every_time_at_once(self, boundary, nodes, sizes):
+        # one call per march, the 11 nodes and 10 midpoints of 10 steps and
+        # the 6 and 5 of the rerun, or the 17 collocation nodes; one value
+        # per time answers as the constant return of FORCED_CN2 does
+        calls = []
+
+        def forcing(t):
+            calls.append(np.shape(t))
+            return np.full_like(t, 2.0)
+
+        sol = ode_to_integral(OdeSpec((2.0, 0.0, 2.0), forcing=forcing), boundary).solve(
+            steps=10, **nodes)
+        assert calls == sizes
+        same = ode_to_integral(FORCED_CN2, boundary).solve(steps=10, **nodes)
+        assert np.array_equal(sol.trajectory.values, same.trajectory.values)
+        assert np.array_equal(sol.phi, same.phi)
+
+    @pytest.mark.parametrize("boundary, nodes", [
+        ([0.0, 0.0], {}), ([(0, 0.0, 0.0), (0, 1.0, 1.0)], {"n_nodes": 17}),
+    ], ids=["volterra", "two-point"])
+    @pytest.mark.parametrize("shape", [lambda m: (m, 2), lambda m: (m - 1,), lambda m: (1, m)],
+                             ids=["two-columns", "short", "row"])
+    def test_forcing_of_more_than_one_value_per_time_is_refused(self, boundary, nodes, shape):
+        spec = OdeSpec((1.0, 0.0, 1.0), forcing=lambda t: np.ones(shape(len(t))))
+        with pytest.raises(ValidationError, match="^forcing must return one value per time$"):
+            ode_to_integral(spec, boundary).solve(steps=10, **nodes)
 
 
 def refuse(*args, **kwargs):
@@ -747,7 +778,7 @@ class TestMomentFlow:
 
     def test_forced_equation_matches_the_companion_flow(self):
         # the forcing goes through the same quadratic rule on both routes
-        red = ode_to_integral(OdeSpec((1.0, 0.5, 2.0), forcing=math.sin), [1.0, -0.5])
+        red = ode_to_integral(OdeSpec((1.0, 0.5, 2.0), forcing=np.sin), [1.0, -0.5])
         grid = TimeGrid(0.0, 1.0, 50)
         want = odelin.linear_flow(companion((1.0, 0.5, 2.0)), [1.0, -0.5], grid,
                                   forcing=lambda t: np.column_stack([0.0 * t, np.sin(t)]))
@@ -1104,7 +1135,7 @@ class TestConvergenceOrder:
 
     def test_forced_volterra_march_is_fourth_order(self):
         # z'' + z = e^t from z = 1, z' = 0: only the forcing's quadratic rule errs
-        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0), forcing=math.exp), [1.0, 0.0])
+        red = ode_to_integral(OdeSpec((1.0, 0.0, 1.0), forcing=np.exp), [1.0, 0.0])
         errors = []
         for steps in (10, 20, 40):
             sol = red.solve(steps=steps)
@@ -1521,7 +1552,8 @@ def test_characteristic_numbers_within_4_ulp_of_mpmath(name, n_nodes):
 
 @pytest.mark.parametrize("rule", [simpson_rule(7), simpson_rule(21), simpson_rule(51),
                                   simpson_rule(201), gauss_legendre_rule(40)],
-                         ids=lambda r: f"{r.name}-{r.n}")
+                         ids=["simpson-7", "simpson-21", "simpson-51", "simpson-201",
+                              "gauss-legendre-40"])
 @pytest.mark.parametrize("name", ["t-plus-eta", "exp-diff", "degenerate"])
 def test_finite_rank_spectrum_no_less_accurate_than_the_dense_route(name, rule):
     want = mp_characteristic_numbers(name, rule)

@@ -312,7 +312,7 @@ class TestDynamic:
                 c = rng.uniform(0.5, 2.0, n)
                 model = LeontiefModel(
                     A=A,
-                    demand=lambda t, _c=c: _c * (1.0 + 0.4 * np.sin(2 * np.pi * t)),
+                    demand=lambda ts, _c=c: np.outer(1.0 + 0.4 * np.sin(2 * np.pi * ts), _c),
                     X0=rng.uniform(0.0, 1.0, n),
                     Xdot0=rng.uniform(-0.5, 0.5, n),
                     order=2,
@@ -346,7 +346,7 @@ class TestDynamic:
         A = random_metzler(rng, n)
         c0 = rng.uniform(0.5, 2.0, n)
         c1 = np.zeros(n) if constant else rng.uniform(-0.4, 0.4, n)
-        demand = c0 if constant else (lambda t: c0 + c1 * t)
+        demand = c0 if constant else (lambda ts: c0 + np.outer(ts, c1))
         model = LeontiefModel(A=A, demand=demand, X0=rng.uniform(0.0, 1.0, n),
                               Xdot0=rng.uniform(-0.5, 0.5, n), order=order)
         got = dynamic_solve(model, steps=300)
@@ -365,23 +365,26 @@ class TestDynamic:
         assert sup_rel_diff(ref, got.values) <= 1e-14
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_demand_sampled_once_per_stage_time(self, order):
-        # steps + 1 nodes and steps midpoints, in increasing time
-        times = []
+    def test_demand_called_once_with_every_node_and_midpoint(self, order):
+        # the 11 nodes and 10 midpoints of 10 steps, in one call, in increasing time
+        calls = []
 
-        def demand(t):
-            times.append(t)
-            return np.array([1.0 + t, 2.0])
+        def demand(ts):
+            calls.append(ts.copy())
+            return np.column_stack([1.0 + ts, np.full_like(ts, 2.0)])
 
         model = LeontiefModel(A=A22, demand=demand, X0=[0.0, 0.0], Xdot0=[0.0, 0.0],
                               order=order)
         dynamic_solve(model, steps=10)
-        assert len(times) == 21
-        assert times == sorted(times)
-        assert times[0::2] == pytest.approx(list(np.linspace(0.0, 1.0, 11)), abs=1e-15)
+        assert len(calls) == 1
+        ts = calls[0]
+        assert ts.shape == (21,) and np.all(np.diff(ts) > 0.0)
+        assert ts[0::2].tolist() == np.linspace(0.0, 1.0, 11).tolist()
+        assert ts[1::2] == pytest.approx(np.linspace(0.05, 0.95, 10), abs=1e-15)
 
     def test_every_demand_sample_is_checked(self):
-        model = LeontiefModel(A=A22, demand=lambda t: np.array([1.0, 0.5 - t]),
+        model = LeontiefModel(A=A22,
+                              demand=lambda ts: np.column_stack([np.ones_like(ts), 0.5 - ts]),
                               X0=[0.0, 0.0], order=1)
         with pytest.raises(ValidationError, match="negative component at t_bar = 0.55"):
             dynamic_solve(model, steps=10)
@@ -421,13 +424,31 @@ class TestVolterra:
         with pytest.raises(ValidationError):
             volterra_solve(model)
 
+    @pytest.mark.parametrize("steps", [10, 9])
+    def test_demand_called_once_per_march(self, steps):
+        # the march's 2 steps + 1 nodes and midpoints, then its rerun's at steps // 2
+        calls = []
+
+        def demand(ts):
+            calls.append(ts.copy())
+            return np.column_stack([1.0 + ts, np.full_like(ts, 2.0)])
+
+        model = LeontiefModel(A=A22, demand=demand, X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=2)
+        volterra_solve(model, steps=steps)
+        assert [len(ts) for ts in calls] == [2 * steps + 1, 2 * (steps // 2) + 1]
+        for ts, k in zip(calls, (steps, steps // 2)):
+            assert ts[0::2].tolist() == np.linspace(0.0, 1.0, k + 1).tolist()
+            assert np.all(np.diff(ts) > 0.0)
+
     @pytest.mark.parametrize("steps, bound", [(12, 0.07), (800, 3e-9)])
     def test_aliased_sine_demand_answers_within_its_drift_contract(self, steps, bound):
         # 20 periods of demand on 12 steps: the samples alias, and the
         # answer is 6.6% off while the drift from its 6-step rerun reads
         # 1.6%, inside the 10% bound; 800 steps resolve the demand
         w = 40.0 * np.pi
-        model = LeontiefModel(A=A22, demand=lambda t: np.array([1.0 + np.sin(w * t), 1.0]),
+        model = LeontiefModel(A=A22,
+                              demand=lambda ts: np.column_stack([1.0 + np.sin(w * ts),
+                                                                 np.ones_like(ts)]),
                               X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=2)
         # (X, X', sin wt, cos wt, 1): the demand is part of the state
         M = np.zeros((7, 7))
@@ -446,7 +467,8 @@ class TestVolterra:
         # a demand zigzag between 0 and 1 at every node of 4 steps: the rerun
         # on 2 steps sees a quadratic through 0, 1 and 0 on each of its steps
         nodes, zigzag = np.linspace(0.0, 1.0, 5), [0.0, 1.0, 0.0, 1.0, 0.0]
-        model = LeontiefModel(A=A22, demand=lambda t: np.full(2, np.interp(t, nodes, zigzag)),
+        model = LeontiefModel(A=A22,
+                              demand=lambda ts: np.outer(np.interp(ts, nodes, zigzag), [1.0, 1.0]),
                               X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=2)
         with pytest.raises(ResolutionError,
                            match="^half-resolution drift 3.283e-01 exceeds 10%; refine the grid$"):
@@ -479,7 +501,7 @@ class TestMomentFlow:
         # stepped by the same flow on the same demand samples
         rng = np.random.default_rng(seed)
         c0, c1 = rng.uniform(0.5, 1.5, n), rng.uniform(-0.4, 0.4, n)
-        demand = c0 if constant else (lambda t: c0 + c1 * t)
+        demand = c0 if constant else (lambda ts: c0 + np.outer(ts, c1))
         model = LeontiefModel(A=random_metzler(rng, n), demand=demand,
                               X0=rng.uniform(0.5, 1.5, n), Xdot0=rng.uniform(-0.5, 0.5, n),
                               order=2)
@@ -494,7 +516,8 @@ class TestMomentFlow:
         table = rng.uniform(0.0, 2.0, (steps + 1, 3))
         model = LeontiefModel(
             A=random_metzler(rng, 3), X0=rng.uniform(0.5, 1.5, 3), Xdot0=rng.uniform(-0.5, 0.5, 3),
-            demand=lambda t: np.array([np.interp(t, nodes, col) for col in table.T]), order=2)
+            demand=lambda ts: np.column_stack([np.interp(ts, nodes, col) for col in table.T]),
+            order=2)
         got = volterra_solve(model, steps=steps).values
         assert sup_rel_diff(stepwise_flow(model, nodes), got) <= 1e-14
 
@@ -513,7 +536,8 @@ class TestMomentFlow:
 
     def test_non_finite_u_at_the_last_node_is_a_blow_up(self):
         # 2 C overflows at t = 1 only, the end of the last step
-        model = LeontiefModel(A=[[0.5]], demand=lambda t: np.array([1e308 if t == 1.0 else 1.0]),
+        model = LeontiefModel(A=[[0.5]],
+                              demand=lambda ts: np.where(ts == 1.0, 1e308, 1.0)[:, None],
                               X0=[1.0], Xdot0=[0.0], order=2)
         with pytest.raises(BlowUpError, match=r"^integration blew up between t=0.75 and t=1.0$"):
             volterra_solve(model, steps=4)
@@ -539,12 +563,9 @@ class TestTwoVolterraForms:
         assert np.max(np.abs(x - z)) <= 1e-13 * np.max(np.abs(x))
 
 
-def stepwise_check(model, ts):
+def stepwise_check(ts, rows):
     """The message of the first failing sample, checked one at a time."""
-    for t in ts:
-        c = np.asarray(model.demand(t), dtype=float)
-        if c.shape != (model.n,):
-            return f"demand sampler must return {model.n} components"
+    for t, c in zip(ts, rows):
         if not np.all(np.isfinite(c)):
             return f"demand is not finite at t_bar = {t!r}"
         if np.any(c < -1e-12):
@@ -553,25 +574,61 @@ def stepwise_check(model, ts):
 
 
 class TestDemandSamples:
-    BAD = {"nan": [np.nan, 1.0], "neg": [1.0, -1.0], "-inf": [-np.inf, 1.0],
-           "short": [1.0], "ok": [1.0, 2.0]}
+    BAD = {"nan": [np.nan, 1.0], "neg": [1.0, -1.0], "-inf": [-np.inf, 1.0], "ok": [1.0, 2.0]}
 
     @pytest.mark.parametrize("pattern", [
-        ("ok", "ok"), ("ok", "neg", "nan"), ("ok", "nan", "neg"), ("-inf", "neg"),
-        ("neg", "short"), ("short", "nan"), ("ok", "short", "ok"), ("ok",) * 5,
+        ("ok", "ok"), ("ok", "neg", "nan"), ("ok", "nan", "neg"), ("-inf", "neg"), ("ok",) * 5,
     ], ids="-".join)
     def test_first_bad_sample_named_as_one_by_one(self, pattern):
         ts = np.linspace(0.0, 1.0, len(pattern)).tolist()
-        table = dict(zip(ts, pattern))
-        model = LeontiefModel(A=A22, demand=lambda t: np.array(self.BAD[table[t]]),
-                              X0=[0.0, 0.0])
-        expected = stepwise_check(model, ts)
+        rows = np.array([self.BAD[name] for name in pattern])
+        model = LeontiefModel(A=A22, demand=lambda times: rows, X0=[0.0, 0.0])
+        expected = stepwise_check(ts, rows)
         if expected is None:
             assert model.demand_samples(ts).shape == (len(ts), 2)
         else:
             with pytest.raises(ValidationError) as exc_info:
                 model.demand_samples(ts)
-            assert str(exc_info.value) == expected
+            assert (str(exc_info.value), exc_info.value.key) == (expected, "demand")
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (3,), (2,), (2, 1), (1, 2, 2)],
+                             ids=["wide", "short", "flat", "flat-row", "short-column", "deep"])
+    def test_wrong_shape_is_one_stack_error(self, shape):
+        # 3 times of a 2-component demand: a return that does not broadcast to
+        # 3 x 2, or a flat one, which could be one row or one value per time
+        model = LeontiefModel(A=A22, demand=lambda ts: np.full(shape, np.nan), X0=[0.0, 0.0])
+        with pytest.raises(ValidationError) as exc_info:
+            model.demand_samples([0.0, 0.5, 1.0])
+        assert (str(exc_info.value), exc_info.value.key) == (
+            "demand sampler must return one row of 2 components per time", "demand")
+
+    @pytest.mark.parametrize("value, rows", [
+        (1.5, [[1.5, 1.5]] * 3), ([[1.0, 2.0]], [[1.0, 2.0]] * 3),
+        ([[1.0], [2.0], [3.0]], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]),
+    ], ids=["scalar", "row", "column"])
+    def test_return_broadcasts(self, value, rows):
+        # a scalar or one 2-D row is a constant, a column one value per time
+        model = LeontiefModel(A=A22, demand=lambda ts: np.array(value), X0=[0.0, 0.0])
+        assert model.demand_samples([0.0, 0.5, 1.0]).tolist() == rows
+
+    def test_flat_return_is_one_value_per_time_for_one_sector(self):
+        model = LeontiefModel(A=[[0.5]], demand=lambda ts: 1.0 + ts, X0=[0.0])
+        assert model.demand_samples([0.0, 0.5, 1.0]).tolist() == [[1.0], [1.5], [2.0]]
+
+    @pytest.mark.parametrize("demand", [
+        lambda ts: 1.0 + ts,  # one value per time
+        lambda t, c0=np.ones(21), c1=np.linspace(0.0, 1.0, 21): c0 + c1 * t,  # one row
+    ], ids=["per-time", "per-sector"])
+    def test_flat_return_is_refused_when_sectors_match_the_times(self, demand):
+        # n = 21 sectors and 2 * 10 + 1 sample times: a flat return of 21
+        # values could be either, so it is refused, not broadcast
+        model = LeontiefModel(A=0.02 * np.ones((21, 21)), demand=demand, X0=np.zeros(21),
+                              Xdot0=np.zeros(21), order=2)
+        for solve in (dynamic_solve, volterra_solve):
+            with pytest.raises(ValidationError) as exc_info:
+                solve(model, steps=10)
+            assert (str(exc_info.value), exc_info.value.key) == (
+                "demand sampler must return one row of 21 components per time", "demand")
 
     def test_constant_demand_is_checked_once(self):
         model = LeontiefModel(A=A22, demand=[1.0, -1.0], X0=[0.0, 0.0])
@@ -593,7 +650,8 @@ class TestDemandSamples:
             return demand_samples(self, ts)
 
         monkeypatch.setattr(LeontiefModel, "demand_samples", counted)
-        model = LeontiefModel(A=A22, demand=lambda t: np.array([1.0 + t, 2.0]),
+        model = LeontiefModel(A=A22,
+                              demand=lambda ts: np.column_stack([1.0 + ts, np.full_like(ts, 2.0)]),
                               X0=[0.0, 0.0], Xdot0=[0.0, 0.0], order=order)
         dynamic_solve(model, steps=10)
         assert sizes == [21]
@@ -642,7 +700,7 @@ class TestModelValidation:
 
     def test_demand_finite_checked(self):
         model = LeontiefModel(
-            A=A22, demand=lambda t: np.array([np.inf, 1.0]), X0=[0.0, 0.0], order=1
+            A=A22, demand=lambda ts: np.array([[np.inf, 1.0]]), X0=[0.0, 0.0], order=1
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^demand is not finite at t_bar = 0.0$"):
             dynamic_solve(model, steps=10)

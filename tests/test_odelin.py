@@ -474,6 +474,19 @@ class TestLinearFlow:
                 linear_flow(np.eye(2), [1.0, 0.0], grid,
                             forcing=lambda ts, shape=shape: np.ones(shape(len(ts))))
 
+    @pytest.mark.parametrize("value", [2.0, [[2.0, -1.0]]], ids=["scalar", "row"])
+    def test_constant_return_is_that_value_at_every_time(self, value):
+        # a scalar drives the first component, one 2-D row as many as its width
+        M = np.array([[0.0, 1.0], [-1.0, -0.1]])
+        grid = TimeGrid(0.0, 1.0, 10)
+        got = linear_flow(M, [1.0, 0.0], grid, forcing=lambda ts: np.array(value))
+        stack = linear_flow(M, [1.0, 0.0], grid,
+                            forcing=lambda ts: np.tile(np.reshape(value, (1, -1)), (len(ts), 1)))
+        assert np.array_equal(got.values, stack.values)
+        # a flat row could be one value per time as well, and is refused
+        with pytest.raises(ValidationError, match="^forcing must return one row of 1 to 2 "):
+            linear_flow(M, [1.0, 0.0], grid, forcing=lambda ts: np.ravel(value))
+
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("sampled", [False, True])
     def test_narrow_forcing_drives_the_leading_components(self, width, sampled):
@@ -513,7 +526,8 @@ class TestLinearFlow:
         K = rng.uniform(-0.1, 0.1, (3, d, d))
         _volterra_nodes(K, lambda t: np.outer(1.0 + t, np.ones(d)), np.ones((3, d)), grid,
                         "march")
-        model = LeontiefModel(A=random_metzler(rng, d), demand=lambda t: np.full(d, 1.0 + t),
+        model = LeontiefModel(A=random_metzler(rng, d),
+                              demand=lambda ts: np.outer(1.0 + ts, np.ones(d)),
                               X0=np.ones(d), Xdot0=np.zeros(d), order=2)
         dynamic_solve(model, steps=20)
         assert widths == [(41, d), (41, d)]
