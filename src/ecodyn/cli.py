@@ -328,9 +328,13 @@ def _demand_from_flags(ns, n: int, steps: int):
             key="demand-file",
         )
     nodes = TimeGrid(0.0, 1.0, steps).nodes
+    # np.interp's slope (y1 - y0)/(t1 - t0) overflows for some finite tables
+    # whose interpolant does not; a power of two scales such a table out of
+    # that reach and back exactly, subnormal entries aside
+    scale = 2.0 ** min(0, 1020 - math.frexp(np.max(np.abs(table)))[1] - steps.bit_length())
 
     def sampler(ts: np.ndarray) -> np.ndarray:  # every column linear between the nodes
-        return np.column_stack([np.interp(ts, nodes, col) for col in table.T])
+        return np.column_stack([np.interp(ts, nodes, col * scale) / scale for col in table.T])
     return sampler
 
 

@@ -266,6 +266,8 @@ def parse_dims(text: str) -> dict[str, Dimension]:
         if not dim_text.strip():  # not read as dimensionless: that is spelled 1
             raise ValidationError(f"dims entry {entry!r} has no dimension (a dimensionless "
                                   "one is written 1)", key="dims")
+        if name.strip() in table:
+            raise ValidationError(f"dims name {name.strip()!r} is given twice", key="dims")
         table[name.strip()] = _parse_dimension(dim_text)
     return table
 

@@ -28,29 +28,29 @@ library caller reads it.
     matrix S = H^T W G, and an eigenpair S v = mu v gives the
     eigenfunction phi = G v; KW's other n - r eigenvalues are exactly 0.
     Each entry of S is the correctly rounded sum of the products
-    w_k h_i(eta_k) g_j(t_k) (math.fsum), and each eigenvalue of S gets one
-    correction from its exact residual, so that 1/mu is rounded once (see
-    ``_rank_spectrum``).
+    w_k h_i(eta_k) g_j(t_k) (math.fsum).  ``NystromDiscretization.S`` is
+    the one S, summed once, and each eigenvalue of S gets one correction
+    from its exact residual, so that 1/mu is rounded once (``_reciprocals``).
   - Sweep.  On an orthonormal basis Q of the span of [G0, G1, W H0, W H1]
     (from the R factor of its QR factorization), Id - (K0 + mu K1) W is
     Q C Q^T + (Id - Q Q^T), so its singular values are those of the small
     C and, n - dim Q times, 1.
   - Solve.  (Id - lambda K W) phi = q is, for K = G H^T, the r x r
     capacitance system of the Woodbury identity (Kress, ch. 11):
-    phi = q + G (I/lambda - S)^-1 H^T W q, with S and H^T W q summed by
-    math.fsum; a rank-0 kernel, or lambda = 0, returns q.  The paper's
-    example of the Fredholm alternative, the degenerate kernel
+    phi = q + G (I/lambda - S)^-1 H^T W q, with ``NystromDiscretization.S``
+    and H^T W q by math.fsum; a rank-0 kernel, or lambda = 0, returns q.
+    The paper's example of the Fredholm alternative, the degenerate kernel
     rho(t)rho(eta) + mu sigma(t)rho(eta) (arXiv:0804.3658), is rank 2.
 
 Spectral guard.  A solve at lambda is rejected when 1/lambda lies within
 ``SPECTRUM_PROXIMITY_TOL`` of an eigenvalue mu of K*diag(w), naming the
-nearest characteristic number 1/mu: one of the r eigenvalues of S, and the
-1/mu that ``char_numbers`` reports, or inf for an eigenvalue that it
-discards as 0 (|mu| <= ``EIGEN_DISCARD_DEFAULT``, which only
-|lambda| > 0.99e8 can reach).  |lambda| >= 1/SPECTRUM_PROXIMITY_TOL
-= 1e8 is the regime boundary: 1/lambda is then within the tolerance of 0,
-an exact eigenvalue of KW when n > r and in the spectrum of every compact
-kernel operator, and the rejection names inf.
+nearest characteristic number 1/mu: one of the r eigenvalues of
+``NystromDiscretization.S``, and the 1/mu that ``char_numbers`` reports,
+or inf for an eigenvalue that it discards as 0 (|mu| <=
+``EIGEN_DISCARD_DEFAULT``, which only |lambda| > 0.99e8 can reach).
+|lambda| >= 1/SPECTRUM_PROXIMITY_TOL = 1e8 is the regime boundary: 1/lambda is then
+within the tolerance of 0, an exact eigenvalue of KW when n > r and in the
+spectrum of every compact kernel operator, and the rejection names inf.
 
 Two-point route.  The two-point reduction's kernel is the Volterra
 polynomial of the ODE, masked to eta <= t, plus a smooth rank-n term, so
@@ -236,15 +236,17 @@ class NystromDiscretization:
     """A separable kernel sampled on a quadrature rule: its n x r factors
     G[j, i] = g_i(t_j) and H[j, i] = h_i(eta_j) (see the module docstring).
 
-    The spectrum, sweep and solve read G and H alone, and ``apply`` is
-    G (H^T (w phi)).  K[i, j] = k(t_i, eta_j), that is G H^T, is assembled
-    on its first read, which only library callers make (``weighted``,
-    ``weighted_eigs``)."""
+    The guard, the solve and the spectrum read the one ``S`` = H^T W G and
+    its ``eigenpairs``, each formed on its first read and read-only; the
+    sweep reads G and H alone.  K = G H^T is assembled on its first read,
+    which only library callers make (``weighted``, ``weighted_eigs``)."""
 
     kernel: KernelSpec
     rule: QuadratureRule
     G: np.ndarray = field(init=False)
     H: np.ndarray = field(init=False)
+    _S: np.ndarray | None = field(init=False, default=None, repr=False)
+    _eigenpairs: tuple | None = field(init=False, default=None, repr=False)
     _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -253,6 +255,25 @@ class NystromDiscretization:
     @cached_property
     def K(self) -> np.ndarray:
         return self.G @ self.H.T
+
+    @property
+    def S(self) -> np.ndarray:
+        """H^T W G (r x r) by ``_weighted_inner``; NumericalError if not finite."""
+        if self._S is None:
+            S = _weighted_inner(self, self.G)
+            _require_finite_result(S=S)
+            S.flags.writeable = False
+            self._S = S
+        return self._S
+
+    @property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, V): the eigenvalues of ``S`` and its eigenvectors as columns."""
+        if self._eigenpairs is None:
+            mus, V = np.linalg.eig(self.S)
+            mus.flags.writeable = V.flags.writeable = False
+            self._eigenpairs = (mus, V)
+        return self._eigenpairs
 
     @property
     def nodes(self) -> np.ndarray:
@@ -276,29 +297,16 @@ class NystromDiscretization:
         return self.G @ (self.H.T @ (self.weights * phi))
 
 
-def _guarded_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
-    """(Id - lambda*K*W)^-1 q at the kernel's rank, after the spectral guard
-    (see "Solve" in the module docstring).  A phi that is not finite raises
-    NumericalError."""
-    _guard_spectrum(disc, lam)
-    phi = _rank_solve(disc, lam, q)
-    if not np.isfinite(phi).all():
-        raise NumericalError("the finite-rank solve gave a phi that is not finite")
-    return phi
-
-
 def _rank_solve(disc: NystromDiscretization, lam: float, q: np.ndarray) -> np.ndarray:
     """phi = q + G (I/lambda - S)^-1 H^T W q, the Woodbury form for K = G H^T;
     q itself at rank 0 or lambda = 0."""
-    r = disc.G.shape[1]
-    if r == 0 or lam == 0.0:
+    if disc.G.shape[1] == 0 or lam == 0.0:
         return q
     with np.errstate(over="ignore", invalid="ignore"):  # a phi that is not finite fails
-        Sq = _weighted_inner(disc, np.column_stack([disc.G, q]))
-        C = -Sq[:, :r]
+        C = -disc.S
         C[np.diag_indices_from(C)] += 1.0 / lam
         try:
-            return q + disc.G @ np.linalg.solve(C, Sq[:, r])
+            return q + disc.G @ np.linalg.solve(C, _weighted_inner(disc, q[:, None])[:, 0])
         except np.linalg.LinAlgError as exc:  # singular exactly when Id - lambda*K*W is
             raise SingularMatrixError(f"Id - lambda*K*W is singular ({exc})") from None
 
@@ -311,13 +319,13 @@ def _guard_spectrum(disc: NystromDiscretization, lam: float) -> None:
         return
     if abs(lam) >= 1.0 / SPECTRUM_PROXIMITY_TOL:  # 1/lam is within the tolerance of 0
         raise _proximity_error(lam, math.inf)
-    S, eigs, V = _rank_eig(disc)
-    dist = np.abs(1.0 / lam - eigs)
+    mus = disc.eigenpairs[0]
+    dist = np.abs(1.0 / lam - mus)
     if dist.size and dist.min() < SPECTRUM_PROXIMITY_TOL:
         j = int(np.argmin(dist))
         # named as char_numbers reports it: inf for an eigenvalue it discards as 0
-        discarded = abs(eigs[j]) <= EIGEN_DISCARD_DEFAULT
-        raise _proximity_error(lam, math.inf if discarded else _reciprocals(S, eigs, V)[j])
+        discarded = abs(mus[j]) <= EIGEN_DISCARD_DEFAULT
+        raise _proximity_error(lam, math.inf if discarded else _reciprocals(disc)[j])
 
 
 def _proximity_error(lam: float, nearest) -> SpectrumProximityError:
@@ -337,16 +345,17 @@ class NystromSolution:
     phi: np.ndarray
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
-        """Off-node values by the natural interpolation
-        phi(t) = q(t) + lambda * sum_j w_j k(t, eta_j) phi_j.
+        """Off-node values by the natural interpolation phi(t) = q(t) +
+        lambda * sum_j w_j k(t, eta_j) phi_j = q(t) + lambda * g(t) (H^T W phi).
 
         ``t`` is one point (returns a float) or an array of points
-        (returns an array of its shape), evaluated as one matrix product.
+        (returns an array of its shape).
         """
         disc = self.disc
         ts = np.asarray(t, dtype=float).ravel()
         qv = np.array([self.q(float(x)) for x in ts])
-        vals = qv + self.lam * (disc.kernel.matrix(ts, disc.nodes) @ (disc.weights * self.phi))
+        G_t = _profile_samples([g for g, _ in disc.kernel.separable], ts)
+        vals = qv + self.lam * (G_t @ (disc.H.T @ (disc.weights * self.phi)))
         if np.ndim(t) == 0:
             return float(vals[0])
         return vals.reshape(np.shape(t))
@@ -368,7 +377,11 @@ def nystrom_solve(
     rejection forms an n x n array (see "Solve" there).  A phi that is not
     finite, as from a free term that is not, raises NumericalError.
     """
-    phi = _guarded_solve(disc, lam, np.array([q(float(t)) for t in disc.nodes], dtype=float))
+    qv = np.array([q(float(t)) for t in disc.nodes], dtype=float)
+    _guard_spectrum(disc, lam)
+    phi = _rank_solve(disc, lam, qv)
+    if not np.isfinite(phi).all():
+        raise NumericalError("the finite-rank solve gave a phi that is not finite")
     return NystromSolution(disc=disc, lam=lam, q=q, phi=phi)
 
 
@@ -406,25 +419,23 @@ def _saturate(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def _rank_eig(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S = H^T W G (r x r) of a separable kernel, each entry the correctly
-    rounded sum of its n products w_k h_i(t_k) g_j(t_k) (``math.fsum``),
-    and its eigenvalues and eigenvectors.  An S that is not finite raises
-    NumericalError."""
-    S = _weighted_inner(disc, disc.G)
-    _require_finite_result(S=S)
-    mus, V = np.linalg.eig(S)
-    return S, mus, V
+def _reciprocals(disc: NystromDiscretization) -> list[complex]:
+    """1/mu_i for the eigenpairs (mu_i, v_i) of ``disc.S``, each corrected
+    once from the exact residual and rounded once.
 
-
-def _reciprocals(S: np.ndarray, mus: np.ndarray, V: np.ndarray) -> list[complex]:
-    """1/mu_i for the eigenpairs (mu_i, v_i) of S, each corrected once from
-    the exact residual and rounded once (see ``_rank_spectrum``)."""
+    A plain dot product for S put the -12.93 of t-plus-eta off by 4.6e-14
+    relative at 801 nodes, hence math.fsum.  eig(S) and the division 1/mu
+    round once more each, which left some characteristic numbers further
+    from the exact ones than those of eig(KW) (t-plus-eta at 7 and 51
+    Simpson nodes).  So each mu_i gets one first-order correction
+    d_i = (V^-1 R)_ii from the residual R = S V - V diag(mu), computed
+    exactly in fractions, and 1/(mu_i + d_i) is rounded once.  A correction
+    above 1e-8 max|S| (a defective or ill-conditioned S) is dropped."""
     from fractions import Fraction  # here: only the spectrum and a rejection need it
 
-    r = len(S)
+    S, (mus, V) = disc.S, disc.eigenpairs
     Sx = [[Fraction(x) for x in row] for row in S.tolist()]
-    exact, R = [], np.empty((r, r), dtype=complex)
+    exact, R = [], np.empty(V.shape, dtype=complex)
     for j, (mu, v) in enumerate(zip(mus.tolist(), V.T.tolist())):
         a, b = Fraction(mu.real), Fraction(mu.imag)
         vr, vi = [Fraction(x.real) for x in v], [Fraction(x.imag) for x in v]
@@ -436,7 +447,7 @@ def _reciprocals(S: np.ndarray, mus: np.ndarray, V: np.ndarray) -> list[complex]
     try:
         deltas = np.diag(np.linalg.solve(V, R)).tolist()
     except np.linalg.LinAlgError:
-        deltas = [0j] * r
+        deltas = [0j] * len(mus)
     bound = 1e-8 * float(np.max(np.abs(S), initial=0.0))
     lams = []
     for (a, b), d in zip(exact, deltas):
@@ -445,24 +456,6 @@ def _reciprocals(S: np.ndarray, mus: np.ndarray, V: np.ndarray) -> list[complex]
         norm2 = a * a + b * b
         lams.append(complex(_saturate(a / norm2), _saturate(-b / norm2)) if norm2 else complex(math.inf))
     return lams
-
-
-def _rank_spectrum(disc: NystromDiscretization) -> tuple[np.ndarray, np.ndarray, list[complex]]:
-    """Eigenvalues mu_i and eigenvectors v_i of S = H^T W G (r x r) of a
-    separable kernel, and its characteristic numbers 1/mu_i.
-
-    A plain dot product for S put the -12.93 of t-plus-eta off by 4.6e-14
-    relative at 801 nodes, hence math.fsum (``_rank_eig``).  eig(S) and
-    the division 1/mu round once more each, which left some characteristic
-    numbers further from the exact ones than those of eig(KW) (t-plus-eta
-    at 7 and 51 Simpson nodes).  So each mu_i gets one first-order
-    correction d_i = (V^-1 R)_ii from the residual R = S V - V diag(mu),
-    computed exactly in fractions, and 1/(mu_i + d_i) is rounded once.  A
-    correction above 1e-8 max|S| (a defective or ill-conditioned S) is
-    dropped, leaving 1/mu_i.
-    """
-    S, mus, V = _rank_eig(disc)
-    return mus, V, _reciprocals(S, mus, V)
 
 
 def char_numbers(
@@ -476,12 +469,12 @@ def char_numbers(
     Eigenfunctions are normalized to sup-norm 1 with the max-modulus
     entry made real positive; every reported pair satisfies
     ||phi - lambda * K_w phi||_inf <= 1e-6.  The eigenpairs (mu, v) of
-    S = H^T W G give mu and the eigenfunction G v (see the module
+    ``disc.S`` give mu and the eigenfunction G v (see the module
     docstring)."""
     _require("nonnegative", discard_threshold=discard_threshold)
-    eigvals, vecs, lams = _rank_spectrum(disc)
+    mus, V = disc.eigenpairs
     pairs = []
-    for mu, lam, vec in zip(eigvals, lams, (disc.G @ vecs).T):
+    for mu, lam, vec in zip(mus, _reciprocals(disc), (disc.G @ V).T):
         if abs(mu) <= discard_threshold:
             continue
         j = int(np.argmax(np.abs(vec)))

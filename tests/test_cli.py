@@ -799,7 +799,7 @@ FAIL_MATRICES = {
     "nan_demand": "1,1,1\nnan,1,1\n1,1,1\n",  # a demand table on 2 steps
     "negative_demand": "1,1,1\n-1,1,1\n1,1,1\n",  # negative at the node t = 0.5
     "deep_negative_demand": "1,1,1\n-3,1,1\n1,1,1\n",  # and at the midpoint 0.25 too
-    # np.interp's slope overflows: -inf, not finite before negative, at the midpoint 0.25
+    # np.interp's slope overflows, but the interpolant is finite up to the node 0.5
     "overflow_negative_demand": "1.7e308,1,1\n-1e307,1,1\n1.7e308,1,1\n",
     "negative_singular": "2\n1,-1\n0,0\n",  # E - A = [[0, 1], [0, 1]]
     "zero_dim": "0\n",
@@ -960,6 +960,8 @@ KEYED_FAILURES = [
     ("dims", ["dim-check", "--relation", "Y = Y", "--dims", "Y:$**s"]),
     # and one whose divisor is a product, which / does not take
     ("dims", ["dim-check", "--relation", "Y = Y", "--dims", "Y:$/s*s"]),
+    # and a name given twice, which is not read as its last entry
+    ("dims", ["dim-check", "--relation", "K = nu*Y", "--dims", "K:$,nu:s,Y:$/s,K:s"]),
     # a vector flag or file that is not finite, rejected where it is parsed
     ("x0", ["leontief-dynamic", "--matrix", M3, "--demand", "1,1,1", "--x0", "nan,1,1",
             "--steps", "4"]),
@@ -1251,18 +1253,21 @@ def test_owned_rule_message(capsys, fail_matrices, message, argv):
 @pytest.mark.parametrize("name, message", [
     ("negative_demand", "demand has a negative component at t_bar = 0.5"),
     ("deep_negative_demand", "demand has a negative component at t_bar = 0.25"),
-    ("overflow_negative_demand", "demand is not finite at t_bar = 0.25"),
+    ("overflow_negative_demand", "demand has a negative component at t_bar = 0.5"),
 ], ids=["node", "midpoint", "overflow"])
 @pytest.mark.parametrize("order", ["1", "2"])
 def test_negative_demand_file_is_refused_as_the_model_refuses_it(capsys, fail_matrices,
                                                                  order, name, message):
     # the model refuses the file's samples at the first bad node or
-    # midpoint, and the CLI reports its message under the file's key
+    # midpoint, and the CLI reports its message under the file's key.  The
+    # table's linear interpolant is np.interp's of the table over 16, times
+    # 16: on the table near the float range np.interp's slope overflows
     table = np.loadtxt(fail_matrices[name], delimiter=",", ndmin=2)
     nodes = np.linspace(0.0, 1.0, 3)
     model = leontief.LeontiefModel(
         A=np.loadtxt(M3, delimiter=",", skiprows=1), X0=[1.0, 1.0, 1.0], Xdot0=[0.0, 0.0, 0.0],
-        demand=lambda ts: np.column_stack([np.interp(ts, nodes, col) for col in table.T]),
+        demand=lambda ts: np.column_stack([16.0 * np.interp(ts, nodes, col / 16.0)
+                                           for col in table.T]),
         order=2)
     with pytest.raises(ValidationError) as exc_info:
         leontief.dynamic_solve(model, steps=2)
@@ -1270,6 +1275,19 @@ def test_negative_demand_file_is_refused_as_the_model_refuses_it(capsys, fail_ma
             fail_matrices[name], "--x0", "1,1,1", "--xdot0", "0,0,0", "--steps", "2"]
     assert str(exc_info.value) == message
     assert run(capsys, argv) == (2, "", f"error: {message} (key: demand-file)\n")
+
+
+def test_demand_file_near_the_float_range_is_sampled_finite(capsys, tmp_path, fail_matrices):
+    # rows alternate 2e307 and 0: np.interp's slope -2e308 overflows, while
+    # the linear interpolant, 1e307 at the midpoint 0.05, does not
+    path = tmp_path / "alternating.csv"
+    path.write_text("".join("2e307,1\n" if i % 2 == 0 else "0,1\n" for i in range(11)))
+    rc, out, err = run(capsys, ["leontief-dynamic", "--matrix", fail_matrices["a22"],
+                                "--demand-file", str(path), "--x0", "1,1", "--steps", "10"])
+    assert (rc, err) == (0, "")
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 11 and all(math.isfinite(x) for row in rows for x in row)
+    assert rows[-1][1] > 1e306  # x1 driven by a demand of order 1e307
 
 
 def test_negative_demand_file_is_refused_after_the_steps(capsys, fail_matrices):

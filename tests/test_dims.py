@@ -279,7 +279,7 @@ EMPTY_FACTORS = ["Y:*", "Y:1*", "Y:$*", "Y: * $", "Y:$**s", "Y:$/", "Y:$//s", "Y
 
 
 @pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:", "K:$,nu: ,Y:$/s",
-                                  "Y:$/s*s", *EMPTY_FACTORS])
+                                  "Y:$/s*s", "K:$,nu:s,Y:$/s,K:s", *EMPTY_FACTORS])
 def test_parse_dims_refuses_malformed_entries(text):
     with pytest.raises(ValidationError) as info:
         parse_dims(text)

@@ -1036,7 +1036,7 @@ class TestRankGuard:
         # no rounding band is left to eigvals: 1e-14 either side of the
         # tolerance decides
         disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(201))
-        mu = fredholm._rank_spectrum(disc)[0][0].real
+        mu = disc.eigenpairs[0][0].real
         tol = SPECTRUM_PROXIMITY_TOL
         assert guard_message(disc, 1.0 / (mu + tol * (1.0 + 1e-6))) is None
         assert guard_message(disc, 1.0 / (mu + tol * (1.0 - 1e-6))) == printed_message(
@@ -1257,7 +1257,7 @@ class TestFiniteRank:
         # the float range; its exact quotient saturates to +-inf, and the
         # discard threshold drops it
         disc = NystromDiscretization(kernel_degenerate(mu), simpson_rule(23))
-        lams = fredholm._rank_spectrum(disc)[2]
+        lams = fredholm._reciprocals(disc)
         assert sorted(abs(lam.real) for lam in lams)[1] == math.inf
         assert char_numbers(disc).characteristic_numbers == pytest.approx((1.0,))
 
@@ -1363,7 +1363,7 @@ class TestRankSolve:
     def test_matches_the_dense_solve(self, name, mu, half, log_lam, sign):
         lam = sign * 10.0**log_lam
         disc = NystromDiscretization(RANK_KERNELS[name](mu), simpson_rule(2 * half + 1))
-        mus = fredholm._rank_spectrum(disc)[0]
+        mus = disc.eigenpairs[0]
         assume(all(abs(1.0 - lam * m) >= 0.1 for m in mus))
         sol, orders = solve_orders(lambda: nystrom_solve(disc, lam, math.cos))
         assert all(k < disc.rule.n for k in orders)  # no n x n solve
@@ -1505,6 +1505,97 @@ class TestLazyMatrix:
         char_numbers(disc)
         assert calls == []
         assert "K" not in disc.__dict__
+
+
+def solved_or_refused(disc, lam):
+    """nystrom_solve's phi at ``lam``, or its rejection message."""
+    try:
+        return nystrom_solve(disc, lam, math.cos).phi
+    except SpectrumProximityError as exc:
+        return str(exc)
+
+
+# a discretization owns its S = H^T W G and the eigenpairs of S: the guard,
+# the solve and the spectrum read them and form neither again
+class TestOneOwner:
+    @pytest.mark.parametrize("make", [kernel_t_plus_eta, kernel_exp_diff, kernel_zero])
+    def test_one_eig_and_one_sum_of_G_serve_solve_rejection_and_spectrum(self, make,
+                                                                      monkeypatch):
+        disc = NystromDiscretization(make(), simpson_rule(201))
+        eigs, inner = [], []
+        eig, weighted_inner = np.linalg.eig, fredholm._weighted_inner
+
+        def eig_spy(a):
+            eigs.append(np.shape(a))
+            return eig(a)
+
+        def inner_spy(d, X):
+            inner.append("G" if X is d.G else X.shape[1])
+            return weighted_inner(d, X)
+
+        monkeypatch.setattr(np.linalg, "eig", eig_spy)
+        monkeypatch.setattr(fredholm, "_weighted_inner", inner_spy)
+        nystrom_solve(disc, 0.3, math.cos)
+        for mu in disc.eigenpairs[0][:1]:  # none for the zero kernel
+            with pytest.raises(SpectrumProximityError):
+                nystrom_solve(disc, 1.0 / mu.real, math.cos)
+        char_numbers(disc)
+        r = disc.G.shape[1]
+        assert eigs == [(r, r)]
+        # G's columns once, then H^T W q for the one solve at rank r > 0
+        assert inner == ["G"] + [1] * (r > 0)
+
+    def test_S_and_eigenpairs_are_read_only(self):
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        S, (mus, V) = disc.S, disc.eigenpairs
+        for write in (lambda: setattr(disc, "S", S + 1.0),
+                      lambda: setattr(disc, "eigenpairs", (mus, V))):
+            with pytest.raises(AttributeError):
+                write()
+        for array in (S, mus, V):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert disc.S is S and disc.eigenpairs[0] is mus and disc.eigenpairs[1] is V
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOGUE)),
+        half=st.integers(1, 100),
+        lam=st.one_of(st.just(1.0), st.floats(-20.0, 20.0)),  # 1 is refused for two kernels
+    )
+    def test_reading_S_first_leaves_every_solve_as_it_was(self, name, half, lam):
+        rule = simpson_rule(2 * half + 1)
+        fresh = NystromDiscretization(CATALOGUE[name](), rule)
+        primed = NystromDiscretization(CATALOGUE[name](), rule)
+        primed.S
+        want, got = solved_or_refused(fresh, lam), solved_or_refused(primed, lam)
+        assert type(got) is type(want)
+        assert got == want if isinstance(want, str) else np.array_equal(got, want)
+
+    @pytest.mark.parametrize("make", [
+        lambda g, h: KernelSpec(separable=((g, h),)),
+        lambda g, h: KernelSpec(separable=((g, h), (lambda t: g(t) ** 2, h))),
+    ], ids=["rank-1", "rank-2"])
+    def test_off_node_values_call_no_h_profile(self, make, rng):
+        g_calls, h_calls = [], []
+
+        def g(t):
+            g_calls.append(t)
+            return math.exp(t)
+
+        def h(e):
+            h_calls.append(e)
+            return math.exp(-e)
+
+        disc = NystromDiscretization(make(g, h), simpson_rule(101))
+        sol = nystrom_solve(disc, 0.3, math.cos)
+        g_calls.clear()
+        h_calls.clear()
+        ts = rng.uniform(0.0, 1.0, 40)
+        sol(ts)
+        sol(0.25)
+        assert h_calls == []
+        assert len(g_calls) == disc.G.shape[1] * 41
 
 
 # profiles (g_i, h_i) of the separable catalogue kernels, in mpmath
