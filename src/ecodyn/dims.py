@@ -11,14 +11,15 @@ income flow Y ($/s) (arXiv:0804.3658).
 Each side of its one ``=`` is a Python expression of ASCII names from the
 table (a Python keyword is no name), ``+ - * /`` with Python's precedence,
 parentheses, ``int(x)`` (the time integral) and ``ddt(x)`` (the time
-derivative).  A table entry is ``name:dim``: a product of the atoms ``$``,
-``s`` and ``1``, each with an optional integer exponent ``^e``, divided by
-further atoms, as in ``$/s``, ``$*s^-1`` or ``s^2``.
+derivative).  A table entry is ``name:dim``: such a name, and a product of
+the atoms ``$``, ``s`` and ``1``, each with an optional integer exponent
+``^e``, divided by further atoms, as in ``$/s``, ``$*s^-1`` or ``s^2``.
 """
 
 from __future__ import annotations
 
 import ast
+import keyword
 import sys
 from dataclasses import dataclass
 
@@ -260,15 +261,16 @@ def parse_dims(text: str) -> dict[str, Dimension]:
     """The table of a text such as ``"Y:$/s,K:$"``: name -> Dimension."""
     table: dict[str, Dimension] = {}
     for entry in filter(None, (entry.strip() for entry in text.split(","))):
-        name, sep, dim_text = entry.partition(":")
-        if not sep:
-            raise ValidationError(f"dims entry {entry!r} must look like name:dim", key="dims")
-        if not dim_text.strip():  # not read as dimensionless: that is spelled 1
+        name, sep, dim_text = map(str.strip, entry.partition(":"))
+        if not (sep and name.isascii() and name.isidentifier()) or keyword.iskeyword(name):
+            raise ValidationError(f"dims entry {entry!r} must look like name:dim, the name an "
+                                  "ASCII identifier and no Python keyword", key="dims")
+        if not dim_text:  # not read as dimensionless: that is spelled 1
             raise ValidationError(f"dims entry {entry!r} has no dimension (a dimensionless "
                                   "one is written 1)", key="dims")
-        if name.strip() in table:
-            raise ValidationError(f"dims name {name.strip()!r} is given twice", key="dims")
-        table[name.strip()] = _parse_dimension(dim_text)
+        if name in table:
+            raise ValidationError(f"dims name {name!r} is given twice", key="dims")
+        table[name] = _parse_dimension(dim_text)
     return table
 
 

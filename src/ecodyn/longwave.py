@@ -8,10 +8,13 @@ is 2*pi/|Im|.  q defaults to 1, which puts the period at 2*pi/p for
 p = r: 52.4 to 62.8 years over p in [0.10, 0.12], 18.5 years at 0.34.
 
 It is the long-wave case among the models that arXiv:0804.3658
-criticizes.  ``lw_simulate`` steps it by its exact flow e^(hM)
-(``odelin.linear_flow``), so a cycle that ``lw_classify`` calls undamped
-keeps its amplitude on the simulated path at any step size; a
-Runge-Kutta step would damp it.
+criticizes for conclusions that hang on the unit of time, the criterion
+that ``allen.scale_invariance_check`` measures.  ``lw_classify`` takes the
+roots by the package's one rule, ``odelin.quadratic_roots``, from M scaled
+by a power of two, so its regime does not hang on the unit.  ``lw_simulate``
+steps it by its exact flow e^(hM) (``odelin.linear_flow``), so a cycle that
+``lw_classify`` calls undamped keeps its amplitude on the simulated path at
+any step size; a Runge-Kutta step would damp it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, _require, _require_finite_result
-from .odelin import TimeGrid, Trajectory, linear_flow
+from .odelin import TimeGrid, Trajectory, linear_flow, quadratic_roots
 
 REGIME_REAL_TOL = 1e-10
 
@@ -58,30 +61,33 @@ def lw_matrix(params: LongWaveParams) -> np.ndarray:
     return M
 
 
+@np.errstate(over="ignore")  # a root or a period past the float range is inf
 def lw_classify(params: LongWaveParams) -> CycleReport:
-    """Classify the dynamics by the eigenvalues of the reduced matrix.
+    """Classify the dynamics by the roots of l^2 - tr(M) l + det(M) = 0.
 
-    Real parts within 1e-10 (relative to the matrix scale) of zero count
-    as undamped.  The period 2*pi/|Im| is reported whenever the
-    eigenvalues have an imaginary part, in the time unit of p and r.
+    With max|M| = m 2^e, tr and det of M/2^e are formed exactly, rounded
+    once and solved by ``quadratic_roots``; the roots times 2^e are M's.
+    The pair is oscillatory when a root has an imaginary part (a merged
+    double root has none), and undamped when |Re| <= REGIME_REAL_TOL max|M|.
+    So p and r times 2^k give the same regime and the period over 2^k, to
+    the bit.  The period 2*pi/|Im| is in the time unit of p and r.
     """
+    from fractions import Fraction  # here: one exact trace and determinant per run
+
     M = lw_matrix(params)
-    eigs = np.linalg.eigvals(M)
-    eigs = tuple(sorted(eigs, key=lambda z: (z.imag, z.real)))
-    scale = max(1.0, float(np.max(np.abs(M))))
-    re = max(e.real for e in eigs)
-    im = max(abs(e.imag) for e in eigs)
-    if im > REGIME_REAL_TOL * scale:
-        period = 2.0 * math.pi / im
-        if abs(re) <= REGIME_REAL_TOL * scale:
+    m, e = math.frexp(float(np.max(np.abs(M))))
+    a, b, c, d = (Fraction(x) / Fraction(2) ** e for x in M.ravel().tolist())
+    lo, hi = quadratic_roots(float(-a - d), float(a * d - b * c))
+    eigs = tuple(complex(*np.ldexp((z.real, z.imag), e)) for z in (lo, hi))
+    period, regime = None, "non_oscillatory"
+    if hi.imag > 0.0:
+        period = float(np.ldexp(2.0 * math.pi / hi.imag, -e))
+        if abs(hi.real) <= REGIME_REAL_TOL * m:
             regime = "undamped_periodic"
-        elif re < 0.0:
+        elif hi.real < 0.0:
             regime = "damped_oscillatory"
         else:
             regime = "growing_oscillatory"
-    else:
-        period = None
-        regime = "non_oscillatory"
     return CycleReport(eigenvalues=eigs, regime=regime, period_years=period)
 
 

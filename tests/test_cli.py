@@ -962,6 +962,8 @@ KEYED_FAILURES = [
     ("dims", ["dim-check", "--relation", "Y = Y", "--dims", "Y:$/s*s"]),
     # and a name given twice, which is not read as its last entry
     ("dims", ["dim-check", "--relation", "K = nu*Y", "--dims", "K:$,nu:s,Y:$/s,K:s"]),
+    # and an empty name, which is not dropped
+    ("dims", ["dim-check", "--relation", "Y = Y", "--dims", ":$,Y:$/s"]),
     # a vector flag or file that is not finite, rejected where it is parsed
     ("x0", ["leontief-dynamic", "--matrix", M3, "--demand", "1,1,1", "--x0", "nan,1,1",
             "--steps", "4"]),

@@ -278,12 +278,28 @@ EMPTY_FACTORS = ["Y:*", "Y:1*", "Y:$*", "Y: * $", "Y:$**s", "Y:$/", "Y:$//s", "Y
                  "Y:$/s/"]
 
 
+# a name that is empty, holds a space, is a keyword or is not ASCII (a
+# fullwidth Y), none of which the relation grammar reads as a name
+BAD_NAMES = [":$,Y:$/s", "Y Z:$/s", "Y:$/s,if:s", "\uff39:$/s"]
+
+
 @pytest.mark.parametrize("text", ["Y", "Y:m", "Y:s^x", "Y:s^2.5", "Y:", "K:$,nu: ,Y:$/s",
-                                  "Y:$/s*s", "K:$,nu:s,Y:$/s,K:s", *EMPTY_FACTORS])
+                                  "Y:$/s*s", "K:$,nu:s,Y:$/s,K:s", *EMPTY_FACTORS, *BAD_NAMES])
 def test_parse_dims_refuses_malformed_entries(text):
     with pytest.raises(ValidationError) as info:
         parse_dims(text)
     assert info.value.key == "dims"
+
+
+@pytest.mark.parametrize("text, entry", zip(BAD_NAMES, [":$", "Y Z:$/s", "if:s", "\uff39:$/s"]))
+def test_bad_name_is_refused_quoting_its_entry(text, entry):
+    with pytest.raises(ValidationError, match=f"^dims entry {re.escape(repr(entry))} "):
+        parse_dims(text)
+
+
+def test_names_may_carry_spaces_around_them():
+    assert parse_dims(" K :$, _nu2:1,match:s") == {"K": MONEY, "_nu2": DIMENSIONLESS,
+                                                   "match": TIME}
 
 
 @pytest.mark.parametrize("text", ["Y:$/s*s", "Y:$ / s * s^-1", "Y:1/s/$*s"])

@@ -1237,6 +1237,16 @@ class TestFiniteRank:
         assert np.array_equal(disc.G[:, 0], disc.nodes)
         assert np.array_equal(disc.H[:, 0], disc.nodes)
 
+    @pytest.mark.parametrize("n_nodes", [1201, 1601])
+    def test_exp_diff_profiles_are_libm_exp(self, n_nodes):
+        # np.exp picks its loop by CPU and differs from libm on some e^(+-t)
+        # at these nodes, which moves the bytes of fredholm-solve and
+        # fredholm-spectrum --kernel exp-diff
+        x = simpson_rule(n_nodes).nodes
+        G, H = kernel_exp_diff().factors(x, x)
+        assert G[:, 0].tolist() == [math.exp(t) for t in x.tolist()]
+        assert H[:, 0].tolist() == [math.exp(-t) for t in x.tolist()]
+
     @pytest.mark.parametrize("n_nodes", [7, 51, 401])
     @pytest.mark.parametrize("name", sorted(set(CATALOGUE) - {"sigma-rho"}))
     def test_spectrum_matches_the_dense_route(self, name, n_nodes):
