@@ -40,7 +40,6 @@ import errno
 import functools
 import gc
 import itertools
-import json
 import math
 import os
 import stat
@@ -64,7 +63,7 @@ from .errors import (
     _require_array_length,
     _require_finite_result,
 )
-from .odelin import OdeSpec, TimeGrid, Trajectory
+from .odelin import OdeSpec, Profile, TimeGrid, Trajectory
 
 # Each handler imports the model module it calls, so a run loads only its
 # own command's models; these imports serve the annotations alone.
@@ -400,7 +399,7 @@ _SIMPLE_KERNELS: dict[str, str] = {
     "sigma-rho": "kernel_sigma_rho",
 }
 
-_Q_CATALOGUE: dict[str, Callable[[float], float]] = {
+_Q_CATALOGUE: dict[str, Profile] = {
     "one": lambda t: 1.0,
     "t": lambda t: t,
     "zero": lambda t: 0.0,
@@ -1121,10 +1120,6 @@ def _json_document(output: Output) -> Iterator[str]:
     yield "\n"
 
 
-# the string encoder json.dumps uses with ensure_ascii=False
-_json_str = json.encoder.encode_basestring
-
-
 # the values _json_chunks renders on more than one line; a scalar inside a
 # list or dict is rendered in place, without a generator of its own
 _NESTED = (dict, list, tuple, np.ndarray, complex, np.complexfloating)
@@ -1168,10 +1163,10 @@ def _json_chunks(obj, pad: str) -> Iterator[str]:
         for key in sorted(items):
             value = items[key]
             if isinstance(value, _NESTED):
-                yield sep + _json_str(key) + ": "
+                yield sep + _json_scalar(key) + ": "
                 yield from _json_chunks(value, inner)
             else:
-                yield sep + _json_str(key) + ": " + _json_scalar(value)
+                yield sep + _json_scalar(key) + ": " + _json_scalar(value)
             sep = ",\n" + inner
         yield "\n" + pad + "}"
     elif isinstance(obj, (complex, np.complexfloating)):
@@ -1228,7 +1223,9 @@ def _json_scalar(obj) -> str:
     if type(obj) is int:
         return repr(obj)
     if isinstance(obj, str):
-        return _json_str(obj)
+        # json.dumps's string encoder (ensure_ascii=False), loaded by JSON runs alone
+        from json.encoder import encode_basestring
+        return encode_basestring(obj)
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):

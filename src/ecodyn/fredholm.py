@@ -7,7 +7,10 @@ a constant-coefficient ODE to a Volterra (initial data) or Fredholm
 (two-point data) equation.
 
 One route per kernel class.  A ``KernelSpec`` is separable: pairs
-(g_i, h_i) of scalar profiles, and G H^T is the kernel.  Every catalogue
+(g_i, h_i) of profiles, and G H^T is the kernel: a sum of products of
+functions of one variable, as is the paper's degenerate kernel.  Profiles
+and free terms q take the array of every point at once (``np.cos``, a
+constant ``lambda e: 1.0``), read by ``odelin._time_samples``.  Every catalogue
 kernel (``kernel_t_plus_eta``, ``kernel_exp_diff``, ``kernel_rho_rho``,
 ``kernel_sigma_rho``, ``kernel_degenerate``, ``kernel_zero``) is one.
 Construction checks the profiles on a 5 x 5 lattice for values that are
@@ -17,8 +20,8 @@ each reduction solves its own equation (``VolterraReduction``,
 
 Finite-rank route.  A separable kernel k(t, eta) = sum_i g_i(t) h_i(eta) of
 rank r is, on the nodes, K = G H^T with the n x r samples G = [g_i(t_j)]
-and H = [h_i(eta_j)], which ``NystromDiscretization`` takes once (n*r
-profile calls; none after).  Such a kernel is degenerate (Kress, *Linear
+and H = [h_i(eta_j)], which ``NystromDiscretization`` takes once (one
+call per profile; none after).  Such a kernel is degenerate (Kress, *Linear
 Integral Equations*, 3rd ed., ch. 11; Atkinson, *The Numerical Solution of
 Integral Equations of the Second Kind*, ch. 2), and its spectrum, sweep,
 spectral guard and solve need no n x n array: K is assembled only when a
@@ -76,7 +79,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,7 +94,8 @@ from .errors import (
     _require_array_length,
     _require_finite_result,
 )
-from .odelin import OdeSpec, TimeGrid, Trajectory, _raise_on_blow_up, _time_samples, _volterra_ivp
+from .odelin import (OdeSpec, Profile, TimeGrid, Trajectory, _raise_on_blow_up, _time_samples,
+                     _volterra_ivp)
 
 SPECTRUM_PROXIMITY_TOL = 1e-8
 EIGEN_DISCARD_DEFAULT = 1e-10
@@ -101,14 +105,14 @@ SINGULARITY_FLAG_REL = 1e-6
 @dataclass(frozen=True)
 class KernelSpec:
     """A separable kernel k(t, eta) = sum_i g_i(t) h_i(eta) on [0, 1]^2,
-    given by its ``separable`` pairs (g_i, h_i) of scalar profiles (see the
-    module docstring).
+    given by its ``separable`` pairs (g_i, h_i) of profiles, each a
+    callable of an array of points (see the module docstring).
 
     Construction samples the profiles on a 5 x 5 lattice and rejects a
     kernel with a value there that is not finite.
     """
 
-    separable: tuple[tuple[Callable[[float], float], Callable[[float], float]], ...]
+    separable: tuple[tuple[Profile, Profile], ...]
     name: str = "kernel"
 
     def __post_init__(self):
@@ -121,8 +125,8 @@ class KernelSpec:
             )
 
     def factors(self, t: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """G[j, i] = g_i(t_j) and H[j, i] = h_i(eta_j), one profile call per
-        entry."""
+        """G[j, i] = g_i(t_j) and H[j, i] = h_i(eta_j), each profile called
+        once with every point (``_profile_samples``)."""
         pairs = self.separable
         return (_profile_samples([g for g, _ in pairs], t),
                 _profile_samples([h for _, h in pairs], eta))
@@ -142,40 +146,41 @@ def kernel_t_plus_eta() -> KernelSpec:
 
 
 def kernel_exp_diff() -> KernelSpec:
-    return KernelSpec(separable=((math.exp, lambda e: math.exp(-e)),), name="exp-diff")
+    exp = np.frompyfunc(math.exp, 1, 1)  # libm's, per point: np.exp differs in the last bit
+    return KernelSpec(separable=((exp, lambda e: exp(-e)),), name="exp-diff")
 
 
 def kernel_zero() -> KernelSpec:
     return KernelSpec(separable=(), name="zero")  # rank 0
 
 
-def canonical_rho(t: float) -> float:
-    """Unit-normalized profile: int_0^1 rho^2 = 1."""
+def canonical_rho(t: np.ndarray) -> float:
+    """Unit-normalized profile: int_0^1 rho^2 = 1; the constant 1."""
     return 1.0
 
 
-def canonical_sigma(t: float) -> float:
-    """Profile orthogonal to canonical_rho: int_0^1 rho*sigma = 0."""
+def canonical_sigma(t: np.ndarray) -> np.ndarray:
+    """Profile orthogonal to canonical_rho: int_0^1 rho*sigma = 0; t - 1/2."""
     return t - 0.5
 
 
 def kernel_rho_rho(
-    rho: Callable[[float], float] = canonical_rho,
+    rho: Profile = canonical_rho,
 ) -> KernelSpec:
     return KernelSpec(separable=((rho, rho),), name="rho-rho")
 
 
 def kernel_sigma_rho(
-    sigma: Callable[[float], float] = canonical_sigma,
-    rho: Callable[[float], float] = canonical_rho,
+    sigma: Profile = canonical_sigma,
+    rho: Profile = canonical_rho,
 ) -> KernelSpec:
     return KernelSpec(separable=((sigma, rho),), name="sigma-rho")
 
 
 def kernel_degenerate(
     mu: float,
-    rho: Callable[[float], float] = canonical_rho,
-    sigma: Callable[[float], float] = canonical_sigma,
+    rho: Profile = canonical_rho,
+    sigma: Profile = canonical_sigma,
 ) -> KernelSpec:
     """rho(t)rho(eta) + mu*sigma(t)rho(eta), the paper's example of the
     Fredholm alternative (arXiv:0804.3658): it carries rho + mu*sigma as a
@@ -224,11 +229,11 @@ def simpson_rule(n_nodes: int = 201) -> QuadratureRule:
     return QuadratureRule(np.linspace(0.0, 1.0, n_nodes), w)
 
 
-def _profile_samples(profiles: Sequence[Callable[[float], float]], x: np.ndarray) -> np.ndarray:
-    """len(x) x len(profiles) matrix of f_i(x_j), one scalar call each."""
-    xs = x.tolist()
-    cols = [[float(f(v)) for v in xs] for f in profiles]
-    return np.array(cols, dtype=float).reshape(len(profiles), len(xs)).T.copy()
+def _profile_samples(profiles: Sequence[Profile], x: np.ndarray) -> np.ndarray:
+    """len(x) x len(profiles) matrix of f_i(x_j), each f_i called once with x."""
+    cols = [_time_samples(f, x, 1, "a profile or free term must return one value per point "
+                          "or a constant")[:, 0] for f in profiles]
+    return np.array(cols).reshape(len(profiles), len(x)).T.copy()
 
 
 @dataclass
@@ -341,7 +346,7 @@ def _proximity_error(lam: float, nearest) -> SpectrumProximityError:
 class NystromSolution:
     disc: NystromDiscretization
     lam: float
-    q: Callable[[float], float]
+    q: Profile
     phi: np.ndarray
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
@@ -349,11 +354,11 @@ class NystromSolution:
         lambda * sum_j w_j k(t, eta_j) phi_j = q(t) + lambda * g(t) (H^T W phi).
 
         ``t`` is one point (returns a float) or an array of points
-        (returns an array of its shape).
+        (returns an array of its shape); q and each g are called once, with every point.
         """
         disc = self.disc
         ts = np.asarray(t, dtype=float).ravel()
-        qv = np.array([self.q(float(x)) for x in ts])
+        qv = _profile_samples([self.q], ts)[:, 0]
         G_t = _profile_samples([g for g, _ in disc.kernel.separable], ts)
         vals = qv + self.lam * (G_t @ (disc.H.T @ (disc.weights * self.phi)))
         if np.ndim(t) == 0:
@@ -364,10 +369,10 @@ class NystromSolution:
 def nystrom_solve(
     disc: NystromDiscretization,
     lam: float,
-    q: Callable[[float], float],
+    q: Profile,
 ) -> NystromSolution:
     """Solve (Id - lambda*K*diag(w)) phi = q at the nodes: the Nystrom form
-    of the second-kind equation phi = lambda K phi + q.
+    of the second-kind equation phi = lambda K phi + q, q called once with every node.
 
     Rejects a lambda that is not finite, and one whose reciprocal sits
     within 1e-8 of an eigenvalue of the weighted kernel matrix, naming the
@@ -377,7 +382,7 @@ def nystrom_solve(
     rejection forms an n x n array (see "Solve" there).  A phi that is not
     finite, as from a free term that is not, raises NumericalError.
     """
-    qv = np.array([q(float(t)) for t in disc.nodes], dtype=float)
+    qv = _profile_samples([q], disc.nodes)[:, 0]
     _guard_spectrum(disc, lam)
     phi = _rank_solve(disc, lam, qv)
     if not np.isfinite(phi).all():
@@ -588,8 +593,8 @@ class DegenerateResidual:
 
 
 def degenerate_residual(
-    rho: Callable[[float], float],
-    sigma: Callable[[float], float],
+    rho: Profile,
+    sigma: Profile,
     mu: float,
     rule: QuadratureRule | None = None,
 ) -> DegenerateResidual:
@@ -597,7 +602,7 @@ def degenerate_residual(
     phi = K phi with the kernel ``kernel_degenerate(mu, rho, sigma)``,
     rho(t)rho(eta) + mu*sigma(t)rho(eta): the paper's example of the
     Fredholm alternative, whose homogeneous equation has the solution
-    phi for every mu.
+    phi for every mu.  ``rho`` and ``sigma`` are profiles (module docstring).
 
     Requires int rho^2 = 1 and int rho*sigma = 0 within 1e-8 (measured
     with the rule's weights); then the residual ||phi - K_w phi||, with
@@ -656,7 +661,7 @@ def _poly_part(a: tuple[float, ...], c, n: int, t: np.ndarray) -> np.ndarray:
     return total
 
 
-def _free_term_values(forcing: Callable[[np.ndarray], np.ndarray | float] | None,
+def _free_term_values(forcing: Profile | None,
                       a: tuple[float, ...], c: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
     """q(t) = f(t) - sum_k a_k P_k(t) at the increasing array ``t``, f called once."""
     f = 0.0 if forcing is None else _time_samples(forcing, t, 1, "forcing must return one "
@@ -673,7 +678,7 @@ class VolterraReduction:
     order: int
     a: tuple[float, ...]
     init: tuple[float, ...]
-    forcing: Callable[[np.ndarray], np.ndarray | float] | None = None
+    forcing: Profile | None = None
 
     def solve(self, steps: int = 200, t_end: float = 1.0) -> OdeReductionSolution:
         """phi and z = J_n[phi] + sum c_i t^i/i! at the ``steps`` + 1 nodes
@@ -699,7 +704,7 @@ class FredholmReduction:
     order: int
     a: tuple[float, ...]
     conditions: tuple[BoundaryCondition, ...]
-    forcing: Callable[[np.ndarray], np.ndarray | float] | None = None
+    forcing: Profile | None = None
     _c0: np.ndarray = field(repr=False, init=False, default=None)  # type: ignore[assignment]
     _Minv: np.ndarray = field(repr=False, init=False, default=None)  # type: ignore[assignment]
 

@@ -28,7 +28,8 @@ route call ``_volterra_ivp``; the balance's ODE route calls
 
 A function of time (``linear_flow``'s forcing, the Leontief demand, an
 ``OdeSpec``'s f) is called once per march with the increasing array of
-every node and step midpoint; ``_time_samples`` reads every return.
+every node and step midpoint; ``_time_samples`` reads every return, as
+it reads the kernel profiles and free terms of ``fredholm`` at width 1.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class TimeGrid:
     @property
     def nodes(self) -> np.ndarray:
         _require_array_length(self.steps + 1, "nodes")
-        return np.linspace(self.t_start, self.t_end, self.steps + 1)
+        with np.errstate(over="ignore"):  # k*step at the last node, which is set to t_end
+            return np.linspace(self.t_start, self.t_end, self.steps + 1)
 
 
 @dataclass
@@ -132,7 +134,7 @@ class OdeSpec:
     """
 
     coeffs: tuple[float, ...]
-    forcing: Callable[[np.ndarray], np.ndarray | float] | None = None
+    forcing: Profile | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -187,7 +189,8 @@ def quadratic_roots(a: float, b: float) -> tuple[complex, complex]:
     return lo + 0.0, hi + 0.0  # no root has the real part -0.0
 
 
-Forcing = np.ndarray | Sequence[float] | Callable[[np.ndarray], np.ndarray]
+Profile = Callable[[np.ndarray], np.ndarray | float]  # points -> values, or a constant
+Forcing = np.ndarray | Sequence[float] | Profile
 
 
 # overflow shows as a non-finite state, which raises BlowUpError
@@ -330,18 +333,18 @@ def _forcing_terms(forcing, nodes, h, phi1, phi2, phi3) -> np.ndarray:
     return q
 
 
-def _time_samples(fn: Callable, times: np.ndarray, width: int | None, message: str,
+def _time_samples(fn: Profile, times: np.ndarray, width: int | None, message: str,
                   key: str | None = None) -> np.ndarray:
-    """``fn(times)`` as one row of ``width`` values (None: its own) per time:
-    those rows, a 2-D array that broadcasts to them, or a scalar constant.
-    A flat array is one value per time at width 1 only: at any other width
-    a row would look alike.  Else ValidationError(message, key)."""
-    r = np.asarray(fn(times), dtype=float)
+    """``fn(times)`` as one row of ``width`` real values (None: its own) per time:
+    those rows, a 2-D array that broadcasts to them, a constant, or at width 1 only
+    (where no row looks alike) a flat array.  Else, complex too, ValidationError(message, key)."""
+    r = np.asarray(fn(times))
     if r.ndim == 0 or (r.ndim == 1 and width == 1):
         r = r.reshape(-1, 1)
-    if r.ndim != 2 or r.shape[0] not in (1, len(times)) or width and r.shape[1] not in (1, width):
+    if (r.dtype.kind == "c" or r.ndim != 2 or r.shape[0] not in (1, len(times))
+            or width and r.shape[1] not in (1, width)):
         raise ValidationError(message, key=key)
-    return np.broadcast_to(r, (len(times), width or r.shape[1]))
+    return np.broadcast_to(r.astype(float, copy=False), (len(times), width or r.shape[1]))
 
 
 def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:

@@ -348,6 +348,10 @@ JSON_GOLDEN = {
     "leontief_static": ["leontief-static", "--matrix", "leontief_matrix.txt",
                         "--demand", "0.5,0.3,0.2", "--method", "iterate"],
     "fredholm_solve_t_plus_eta": GOLDEN_ARGS,
+    # libm's exp at the nodes, end to end: numpy's exp moves these bytes
+    "fredholm_solve_exp_diff": ["fredholm-solve", "--kernel", "exp-diff", "--lam", "0.3",
+                                "--nodes", "201"],
+    "fredholm_spectrum_exp_diff": ["fredholm-spectrum", "--kernel", "exp-diff", "--nodes", "201"],
     "dim_check": ["dim-check", "--relation", "Y = C + K", "--dims", "Y:$/s,C:$/s,K:$"],
     "scale_check": ["scale-check", "--model", "phillips", "--t0-a", "1", "--t0-b", "2.5",
                     "--kappa", "1.3", "--nu", "0.8", "--mu", "0.4", "--lam", "1.1",
@@ -361,7 +365,8 @@ JSON_GOLDEN = {
                              "--t-end", "5", "--steps", "10"],
 }
 # also checked as CSV: commands with int columns, and the Nystrom solve
-CSV_GOLDEN = ("harrod_discrete", "fredholm_sweep", "fredholm_solve_t_plus_eta")
+CSV_GOLDEN = ("harrod_discrete", "fredholm_sweep", "fredholm_solve_t_plus_eta",
+              "fredholm_solve_exp_diff")
 # Goldens of the n x n Fredholm route and the reference of the Volterra
 # balance, with the relative tolerance they now hold to: each float against
 # the sup norm of its list (a column, an eigenfunction, a {re, im} pair),
@@ -1305,6 +1310,21 @@ def test_underflowing_multiplier_is_exact_zero_without_a_warning(capsys):
                                 "--steps", "2", "--format", "json"])
     assert (rc, err) == (0, "")
     assert json.loads(out)["data"]["columns"]["Y"][1:] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["multiplier", "--mu", "0.5", "--lam", "1e-3"],
+    ["longwave", "--p", "0.11", "--r", "0.11"],
+    ["bergstrom", "--mu", "0.4", "--nu", "0.8", "--gamma", "1", "--lam", "1"],
+    ["scale-check", "--model", "multiplier", "--t0-a", "1", "--t0-b", "2", "--mu", "0.4",
+     "--lam", "1.1"],
+], ids=lambda argv: argv[0])
+def test_grid_ending_at_the_largest_float_answers_without_a_warning(capsys, argv):
+    # the grid's last node overflowed in linspace before it was set to t_end
+    rc, out, err = run(capsys, argv + ["--t-end", repr(sys.float_info.max), "--steps", "3"])
+    assert (rc, err) == (0, "")
+    if argv[0] != "scale-check":
+        assert out.splitlines()[-1].startswith(repr(sys.float_info.max) + ",")
 
 
 def test_no_error_line_shows_a_numpy_repr(capsys, fail_matrices):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ecodyn import fredholm, odelin
+from ecodyn import cli, fredholm, odelin
 from ecodyn.errors import (
     BlowUpError,
     DegenerateDataError,
@@ -23,6 +23,7 @@ from ecodyn.fredholm import (
     FredholmReduction,
     KernelSpec,
     NystromDiscretization,
+    NystromSolution,
     QuadratureRule,
     VolterraReduction,
     _chebyshev_lobatto,
@@ -92,7 +93,7 @@ class TestRules:
 
 class TestNystromSolve:
     def test_lambda_zero_returns_free_term(self, disc_sum):
-        sol = nystrom_solve(disc_sum, 0.0, lambda t: math.sin(t))
+        sol = nystrom_solve(disc_sum, 0.0, np.sin)
         assert np.allclose(sol.phi, np.sin(disc_sum.nodes), atol=1e-15)
 
     def test_sum_kernel_closed_form(self, disc_sum):
@@ -267,10 +268,10 @@ class TestDegenerateResidual:
     def test_residual_is_the_solver_s_kernel_action(self, mu, rule):
         # rho = 1 and sigma = cos(2 pi t): a pair other than the canonical one
         def sigma(t):
-            return math.cos(2.0 * math.pi * t)
+            return np.cos(2.0 * np.pi * t)
 
         res = degenerate_residual(canonical_rho, sigma, mu, rule)
-        phi = 1.0 + mu * np.array([sigma(t) for t in rule.nodes.tolist()])
+        phi = 1.0 + mu * sigma(rule.nodes)
         disc = NystromDiscretization(kernel_degenerate(mu, canonical_rho, sigma), rule)
         assert res.residual == float(np.max(np.abs(phi - disc.apply(phi))))
         assert res.residual <= 1e-8
@@ -889,7 +890,7 @@ class TestArrayEvaluators:
 
     @given(pts=points, mu=coeff)
     def test_profile_kernels_with_math_profiles(self, pts, mu):
-        spec = kernel_degenerate(mu, rho=math.cos, sigma=math.sin)
+        spec = kernel_degenerate(mu, rho=np.cos, sigma=np.sin)
 
         def reference(t, e):
             return (math.cos(t) + mu * math.sin(t)) * math.cos(e)
@@ -897,9 +898,9 @@ class TestArrayEvaluators:
         assert_array_matches_scalar(spec, reference, [p[0] for p in pts], [p[1] for p in pts])
 
     @pytest.mark.parametrize("pairs, match", [
-        (((lambda t: math.nan if t == 0.5 else t, lambda e: 1.0),),
+        (((lambda t: np.where(t == 0.5, math.nan, t), lambda e: 1.0),),
          r"^separable form of 'kernel' is not finite at \(0.5, 0.0\)$"),
-        (((lambda t: 1.0, lambda e: math.inf if e == 0.25 else e),),
+        (((lambda t: 1.0, lambda e: np.where(e == 0.25, math.inf, e)),),
          r"^separable form of 'kernel' is not finite at \(0.0, 0.25\)$"),
     ], ids=["nan-g", "inf-h"])
     def test_profiles_checked_at_construction(self, pairs, match):
@@ -907,8 +908,7 @@ class TestArrayEvaluators:
             KernelSpec(separable=pairs)
 
     def test_kernel_assembles_on_first_read(self, rule):
-        disc = NystromDiscretization(KernelSpec(separable=((math.exp, lambda e: math.exp(-e)),)),
-                                     rule)
+        disc = NystromDiscretization(KernelSpec(separable=((np.exp, lambda e: np.exp(-e)),)), rule)
         assert "K" not in disc.__dict__
         T, E = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
         assert np.max(np.abs(disc.K - np.exp(T - E))) < 1e-15
@@ -920,7 +920,7 @@ class TestBatchedOffNode:
                                       kernel_degenerate(0.5)])
     def test_array_equals_pointwise(self, spec, rng):
         disc = NystromDiscretization(spec, simpson_rule(101))
-        sol = nystrom_solve(disc, 0.3, lambda t: math.cos(3.0 * t))
+        sol = nystrom_solve(disc, 0.3, lambda t: np.cos(3.0 * t))
         ts = np.concatenate([rng.uniform(0.0, 1.0, 40), disc.nodes[::10]])
         batched = sol(ts)
         assert batched.shape == ts.shape
@@ -1224,16 +1224,23 @@ class TestFiniteRank:
                 call()
 
     def test_samples_each_profile_once_per_node(self):
-        calls = []
+        # one call per profile and one per free term, each with every node
+        calls = {"g": [], "h": [], "q": []}
 
-        def g(t):
-            calls.append(t)
-            return t
+        def counted(name, f):
+            def profile(x):
+                calls[name].append(x.copy())
+                return f(x)
+            return profile
 
-        spec = KernelSpec(separable=((g, lambda e: e),))
-        calls.clear()
+        spec = KernelSpec(separable=((counted("g", lambda t: t), counted("h", lambda e: e)),))
+        for made in calls.values():
+            made.clear()
         disc = NystromDiscretization(spec, simpson_rule(41))
-        assert calls == disc.nodes.tolist()
+        nystrom_solve(disc, 0.5, counted("q", np.cos))
+        for name, made in calls.items():
+            assert len(made) == 1, name
+            assert np.array_equal(made[0], disc.nodes), name
         assert np.array_equal(disc.G[:, 0], disc.nodes)
         assert np.array_equal(disc.H[:, 0], disc.nodes)
 
@@ -1375,7 +1382,7 @@ class TestRankSolve:
         disc = NystromDiscretization(RANK_KERNELS[name](mu), simpson_rule(2 * half + 1))
         mus = disc.eigenpairs[0]
         assume(all(abs(1.0 - lam * m) >= 0.1 for m in mus))
-        sol, orders = solve_orders(lambda: nystrom_solve(disc, lam, math.cos))
+        sol, orders = solve_orders(lambda: nystrom_solve(disc, lam, np.cos))
         assert all(k < disc.rule.n for k in orders)  # no n x n solve
         q = np.cos(disc.nodes)
         if name == "zero":
@@ -1399,7 +1406,7 @@ class TestRankSolve:
         disc = NystromDiscretization(CATALOGUE[name](), make_rule(n_nodes))
         q = np.cos(disc.nodes)
         for lam in (-0.7, 0.3):
-            sol, orders = solve_orders(lambda: nystrom_solve(disc, lam, math.cos))
+            sol, orders = solve_orders(lambda: nystrom_solve(disc, lam, np.cos))
             assert all(k < disc.rule.n for k in orders)
             assert "K" not in disc.__dict__
             M = np.eye(disc.rule.n) - lam * disc.weighted()
@@ -1414,7 +1421,7 @@ class TestRankSolve:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            nystrom_solve(disc, 0.3, math.cos)
+            nystrom_solve(disc, 0.3, np.cos)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1427,7 +1434,7 @@ class TestRankSolve:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            nystrom_solve(disc, 0.3, math.cos)
+            nystrom_solve(disc, 0.3, np.cos)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1441,7 +1448,7 @@ class TestRankSolve:
         try:
             base = tracemalloc.get_traced_memory()[0]
             with pytest.raises(SpectrumProximityError):
-                nystrom_solve(disc, 0.9282032302755091, math.cos)
+                nystrom_solve(disc, 0.9282032302755091, np.cos)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1450,7 +1457,7 @@ class TestRankSolve:
     def test_phi_that_is_not_finite_is_a_numerical_failure(self):
         disc = NystromDiscretization(kernel_exp_diff(), simpson_rule(21))
         with pytest.raises(NumericalError, match="^the finite-rank solve gave a phi that is not"):
-            nystrom_solve(disc, 0.3, lambda t: math.inf if t == 0.5 else 1.0)
+            nystrom_solve(disc, 0.3, lambda t: np.where(t == 0.5, math.inf, 1.0))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("spec", [kernel_exp_diff(), kernel_zero()],  # rank 0 returns q
@@ -1458,7 +1465,7 @@ class TestRankSolve:
     def test_free_term_that_is_not_finite_fails(self, spec, bad):
         disc = NystromDiscretization(spec, simpson_rule(21))
         with pytest.raises(NumericalError, match="^the finite-rank solve gave a phi that is not"):
-            nystrom_solve(disc, 0.3, lambda t: bad if t == 0.5 else 1.0)
+            nystrom_solve(disc, 0.3, lambda t: np.where(t == 0.5, bad, 1.0))
 
 
 # K is assembled on first read, which no separable route makes
@@ -1467,9 +1474,9 @@ class TestLazyMatrix:
     def test_separable_solve_and_rejection_leave_K_unassembled(self, make):
         disc = NystromDiscretization(make(), simpson_rule(801))
         for lam in (-2.0, -1.0, 0.3, 0.7):
-            nystrom_solve(disc, lam, math.cos)
+            nystrom_solve(disc, lam, np.cos)
         with pytest.raises(SpectrumProximityError):
-            nystrom_solve(disc, char_numbers(disc).characteristic_numbers[0].real, math.cos)
+            nystrom_solve(disc, char_numbers(disc).characteristic_numbers[0].real, np.cos)
         assert "K" not in disc.__dict__
 
     @pytest.mark.parametrize("name", sorted(CATALOGUE))
@@ -1520,7 +1527,7 @@ class TestLazyMatrix:
 def solved_or_refused(disc, lam):
     """nystrom_solve's phi at ``lam``, or its rejection message."""
     try:
-        return nystrom_solve(disc, lam, math.cos).phi
+        return nystrom_solve(disc, lam, np.cos).phi
     except SpectrumProximityError as exc:
         return str(exc)
 
@@ -1545,10 +1552,10 @@ class TestOneOwner:
 
         monkeypatch.setattr(np.linalg, "eig", eig_spy)
         monkeypatch.setattr(fredholm, "_weighted_inner", inner_spy)
-        nystrom_solve(disc, 0.3, math.cos)
+        nystrom_solve(disc, 0.3, np.cos)
         for mu in disc.eigenpairs[0][:1]:  # none for the zero kernel
             with pytest.raises(SpectrumProximityError):
-                nystrom_solve(disc, 1.0 / mu.real, math.cos)
+                nystrom_solve(disc, 1.0 / mu.real, np.cos)
         char_numbers(disc)
         r = disc.G.shape[1]
         assert eigs == [(r, r)]
@@ -1587,25 +1594,109 @@ class TestOneOwner:
         lambda g, h: KernelSpec(separable=((g, h), (lambda t: g(t) ** 2, h))),
     ], ids=["rank-1", "rank-2"])
     def test_off_node_values_call_no_h_profile(self, make, rng):
-        g_calls, h_calls = [], []
+        g_calls, h_calls, q_calls = [], [], []
 
         def g(t):
-            g_calls.append(t)
-            return math.exp(t)
+            g_calls.append(t.copy())
+            return np.exp(t)
 
         def h(e):
             h_calls.append(e)
-            return math.exp(-e)
+            return np.exp(-e)
+
+        def q(t):
+            q_calls.append(t.copy())
+            return np.cos(t)
 
         disc = NystromDiscretization(make(g, h), simpson_rule(101))
-        sol = nystrom_solve(disc, 0.3, math.cos)
+        sol = nystrom_solve(disc, 0.3, q)
         g_calls.clear()
         h_calls.clear()
+        q_calls.clear()
         ts = rng.uniform(0.0, 1.0, 40)
         sol(ts)
         sol(0.25)
+        # per evaluation, q once and each g profile once, with every point
         assert h_calls == []
-        assert len(g_calls) == disc.G.shape[1] * 41
+        r = disc.G.shape[1]
+        assert len(q_calls) == 2 and len(g_calls) == 2 * r
+        for points, calls in ((ts, q_calls[:1] + g_calls[:r]), ([0.25], q_calls[1:] + g_calls[r:])):
+            assert all(np.array_equal(x, points) for x in calls)
+
+
+def scalar_samples(profiles, x):
+    """len(x) x len(profiles) samples by the per-entry loop that served
+    before profiles took arrays: one call per entry, with a Python float."""
+    xs = np.asarray(x, dtype=float).tolist()
+    cols = [[float(f(v)) for v in xs] for f in profiles]
+    return np.array(cols, dtype=float).reshape(len(profiles), len(xs)).T.copy()
+
+
+def scalar_off_node(sol, points):
+    """NystromSolution's values at ``points`` by the per-point loop:
+    q(t) + lambda * g(t) (H^T W phi)."""
+    disc = sol.disc
+    gs = [g for g, _ in disc.kernel.separable]
+    c = disc.H.T @ (disc.weights * sol.phi)
+    return scalar_samples([sol.q], points)[:, 0] + sol.lam * (scalar_samples(gs, points) @ c)
+
+
+# a profile and a free term take every point at once, in one call, and
+# sample what the per-entry loop sampled, to the bit
+class TestOneConvention:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOGUE)),
+        q_name=st.sampled_from(sorted(cli._Q_CATALOGUE)),
+        half=st.integers(1, 800),
+        mu=st.floats(-3.0, 3.0),
+        lam=st.floats(-0.5, 0.5),  # 1/lam beyond every eigenvalue: no rejection
+        points=st.lists(unit, min_size=1, max_size=20),
+    )
+    @example(name="exp-diff", q_name="t", half=800, mu=0.0, lam=0.3, points=[0.0, 0.5, 1.0])
+    @example(name="degenerate", q_name="one", half=1, mu=2.5, lam=-0.5, points=[0.25])
+    def test_samples_are_the_per_entry_loop(self, name, q_name, half, mu, lam, points):
+        spec = kernel_degenerate(mu) if name == "degenerate" else CATALOGUE[name]()
+        rule = simpson_rule(2 * half + 1)
+        disc = NystromDiscretization(spec, rule)
+        assert np.array_equal(disc.G, scalar_samples([g for g, _ in spec.separable], rule.nodes))
+        assert np.array_equal(disc.H, scalar_samples([h for _, h in spec.separable], rule.nodes))
+        q = cli._Q_CATALOGUE[q_name]
+        free = nystrom_solve(NystromDiscretization(kernel_zero(), rule), lam, q)
+        assert np.array_equal(free.phi, scalar_samples([q], rule.nodes)[:, 0])
+        sol = nystrom_solve(disc, lam, q)
+        assert np.array_equal(sol(np.array(points)), scalar_off_node(sol, points))
+        got = sol(points[0])
+        assert type(got) is float and got == scalar_off_node(sol, points[:1])[0]
+
+    @pytest.mark.parametrize("bad", [lambda x: x[:-1], lambda x: np.ones(len(x) + 1),
+                                     lambda x: np.ones((len(x), 2)), lambda x: np.ones((2, 1)),
+                                     lambda x: x + 1j, lambda x: 1j, lambda x: np.complex128(1.0)],
+                             ids=["short", "long", "two-wide", "two-rows", "complex",
+                                  "complex-constant", "complex-zero-imaginary"])
+    def test_a_wrong_number_of_values_is_refused(self, bad):
+        # a complex return is refused too, not cast to its real part
+        message = "^a profile or free term must return one value per point or a constant$"
+        for pairs in (((bad, lambda e: 1.0),), ((lambda t: 1.0, bad),)):
+            with pytest.raises(ValidationError, match=message):
+                KernelSpec(separable=pairs)
+        disc = NystromDiscretization(kernel_t_plus_eta(), simpson_rule(21))
+        with pytest.raises(ValidationError, match=message):
+            nystrom_solve(disc, 0.3, bad)
+        sol = nystrom_solve(disc, 0.3, np.cos)
+        with pytest.raises(ValidationError, match=message):
+            NystromSolution(disc, 0.3, bad, sol.phi)(np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("constant", [2.0, 2, np.float64(2.0), np.array([2.0]),
+                                          np.array([[2.0]])], ids=repr)
+    def test_a_constant_broadcasts(self, constant):
+        rule = simpson_rule(21)
+        G, H = KernelSpec(separable=((lambda t: constant, lambda e: constant),)).factors(
+            rule.nodes, rule.nodes)
+        assert np.array_equal(G, np.full((21, 1), 2.0)) and np.array_equal(H, G)
+        sol = nystrom_solve(NystromDiscretization(kernel_zero(), rule), 0.3, lambda t: constant)
+        assert np.array_equal(sol.phi, np.full(21, 2.0))
+        assert sol(0.25) == 2.0 and sol(np.array([0.1, 0.9])).tolist() == [2.0, 2.0]
 
 
 # profiles (g_i, h_i) of the separable catalogue kernels, in mpmath

@@ -68,6 +68,18 @@ class TestTimeGrid:
             tracemalloc.stop()
 
 
+    def test_a_grid_ending_at_the_largest_float_warns_not(self):
+        # linspace's last product k*step overflows there before it is
+        # overwritten by t_end; the suite turns that RuntimeWarning into an error
+        t_end = sys.float_info.max
+        for steps in range(1, 200):
+            nodes = TimeGrid(0.0, t_end, steps).nodes
+            with np.errstate(over="ignore"):
+                want = np.linspace(0.0, t_end, steps + 1)
+            assert np.isfinite(nodes).all() and np.all(np.diff(nodes) > 0.0), steps
+            assert nodes[-1] == t_end and np.array_equal(nodes, want), steps
+
+
 class TestTrajectory:
     def test_column_lookup(self):
         g = TimeGrid(0.0, 1.0, 2)
@@ -473,6 +485,9 @@ class TestLinearFlow:
                                match="^forcing must return one row of 1 to 2 components per"):
                 linear_flow(np.eye(2), [1.0, 0.0], grid,
                             forcing=lambda ts, shape=shape: np.ones(shape(len(ts))))
+        # a complex return is refused, not cast to its real part
+        with pytest.raises(ValidationError, match="^forcing must return one row of 1 to 2 "):
+            linear_flow(np.eye(2), [1.0, 0.0], grid, forcing=lambda ts: (ts + 1j)[:, None])
 
     @pytest.mark.parametrize("value", [2.0, [[2.0, -1.0]]], ids=["scalar", "row"])
     def test_constant_return_is_that_value_at_every_time(self, value):

@@ -186,3 +186,10 @@ def test_import_ecodyn_loads_no_numpy_and_no_model():
 def test_command_loads_only_its_models(argv, models):
     expected = sorted(f"ecodyn.{m}" for m in {"errors", "odelin", *models})
     assert fresh("-c", RUN_AS_MAIN, *argv) == f"0 {expected}"
+
+
+@pytest.mark.parametrize("fmt, loaded", [("csv", False), ("json", True)])
+def test_only_a_json_run_loads_json(fmt, loaded):
+    # the JSON writer imports json's string encoder itself
+    script = RUN_AS_MAIN + 'print("json" in sys.modules, file=sys.stderr)\n'
+    assert fresh("-c", script, *LOADS[0][0], "--format", fmt) == str(loaded)
