@@ -12,6 +12,8 @@ trajectory is never held whole as text.  --out stays atomic: the blocks
 go to a temporary file beside the target, which is renamed into place
 once complete, so a failed run never leaves a partial file behind.  A
 run that fails before rendering writes nothing to stdout.
+A command's JSON report is the fields of the result record its model
+returns, with the few additions the command names.
 
 Every float cell, CSV or JSON, is the bytes of its ``repr``: the shortest
 string that reads back as the same float.  JSON writes a value that is not
@@ -46,7 +48,7 @@ import stat
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 if __name__ == "__main__":
@@ -103,6 +105,9 @@ class Command:
 
 @dataclass
 class Output:
+    """A command's result for the renderers.  Its JSON "data", or the "report"
+    beside a table's "columns", is its model's result record (``_record``)."""
+
     command: str
     params: dict
     # CSV table as named 1-D columns, float or int; None => csv unsupported
@@ -143,14 +148,20 @@ def _vector(text: str, key: str) -> np.ndarray:
     return vec
 
 
-def _trajectory_output(command: str, params: dict, traj: Trajectory, report: dict | None = None) -> Output:
-    columns = {"t": traj.times}
-    for j, label in enumerate(traj.labels):
-        columns[label] = traj.values[:, j]
-    data: dict = {"columns": columns}
-    if report is not None:
-        data["report"] = report
+def _record(record, **extra) -> dict:
+    """The JSON report of the result dataclass ``record``: its fields but the
+    trajectory, with ``extra`` added or overriding."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name != "trajectory"} | extra
+
+
+def _table_output(command: str, params: dict, columns: dict, report: dict | None = None) -> Output:
+    data = {"columns": columns} if report is None else {"columns": columns, "report": report}
     return Output(command, params, columns, data)
+
+
+def _trajectory_output(command: str, params: dict, traj: Trajectory, report: dict | None = None) -> Output:
+    columns = {"t": traj.times, **{label: traj.values[:, j] for j, label in enumerate(traj.labels)}}
+    return _table_output(command, params, columns, report)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +190,7 @@ def _cmd_harrod_corrected(ns) -> Output:
 
     params = harrod.HarrodParams(mu=ns.mu, nu_star=ns.nu_star, Y0=ns.y0)
     result = harrod.corrected_trajectory(params, _grid(ns))
-    report = {
-        "blowup_time": result.blowup_time,
-        "forecast_horizon": result.forecast_horizon,
-    }
-    return _trajectory_output("harrod-corrected", _ns_params(ns), result.trajectory, report)
+    return _trajectory_output("harrod-corrected", _ns_params(ns), result.trajectory, _record(result))
 
 
 def _cmd_harrod_discrete(ns) -> Output:
@@ -194,20 +201,9 @@ def _cmd_harrod_discrete(ns) -> Output:
     # year 0 has no jump; year i has the impulse K_i - K_{i-1}, the data form
     # of the distributional derivative of the piecewise-constant capital
     impulse = np.concatenate(([0.0], np.diff(path.K)))
-    columns = {
-        "year": path.years,
-        "K": path.K,
-        "Y_tilde": path.Y_tilde,
-        "I_tilde": path.I_tilde,
-        "impulse": impulse,
-    }
-    data = {
-        "years": path.years,
-        "K": path.K,
-        "Y_tilde": path.Y_tilde,
-        "I_tilde": path.I_tilde,
-        "impulses": tuple(zip(path.years[1:].tolist(), impulse[1:].tolist())),
-    }
+    columns = {"year": path.years, "K": path.K, "Y_tilde": path.Y_tilde, "I_tilde": path.I_tilde,
+               "impulse": impulse}
+    data = _record(path, impulses=tuple(zip(path.years[1:].tolist(), impulse[1:].tolist())))
     return Output("harrod-discrete", _ns_params(ns), columns, data)
 
 
@@ -225,14 +221,7 @@ def _cmd_phillips(ns) -> Output:
     params = allen.PhillipsParams(kappa=ns.kappa, nu=ns.nu, mu=ns.mu, lam=ns.lam)
     scaling = allen.AllenScaling(t0=ns.t0, t_star=ns.t_star)
     sol = allen.phillips_solve(params, scaling, (ns.y0, ns.ydot0), _grid(ns))
-    report = {
-        "roots": sol.roots,
-        "period_t_hat": sol.period_t_hat,
-        "a": sol.a,
-        "b": sol.b,
-        "a1": params.a1,
-        "b1": params.b1,
-    }
+    report = _record(sol, a1=params.a1, b1=params.b1)
     return _trajectory_output("phillips", _ns_params(ns), sol.trajectory, report)
 
 
@@ -242,13 +231,7 @@ def _cmd_bergstrom(ns) -> Output:
     result = allen.bergstrom_capital_solve(
         ns.mu, ns.nu, ns.gamma, ns.lam, (ns.k0, ns.kdot0), _grid(ns)
     )
-    report = {
-        "roots": result.roots,
-        "damping": result.damping,
-        "stiffness": result.stiffness,
-        "kappa_equivalent": result.kappa_equivalent,
-    }
-    return _trajectory_output("bergstrom", _ns_params(ns), result.trajectory, report)
+    return _trajectory_output("bergstrom", _ns_params(ns), result.trajectory, _record(result))
 
 
 def _cmd_multiplier(ns) -> Output:
@@ -264,12 +247,7 @@ def _cmd_longwave(ns) -> Output:
     params = longwave.LongWaveParams(p=ns.p, r=ns.r, q=ns.q, s=ns.s)
     cycle = longwave.lw_classify(params)
     traj = longwave.lw_simulate(params, ns.x0, ns.y0, _grid(ns))
-    report = {
-        "regime": cycle.regime,
-        "period_years": cycle.period_years,
-        "eigenvalues": cycle.eigenvalues,
-    }
-    return _trajectory_output("longwave", _ns_params(ns), traj, report)
+    return _trajectory_output("longwave", _ns_params(ns), traj, _record(cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +322,7 @@ def _cmd_leontief_static(ns) -> Output:
     c = _vector(ns.demand, "demand")
     X, log = leontief.static_solve(A, c, method=ns.method, tol=ns.tol, max_iter=ns.max_iter)
     columns = {"component": np.arange(1, len(X) + 1), "x": X}
+    # by hand: no record holds X, and the log's iterates are spelled iterations
     data = {
         "X": X,
         "method": ns.method,
@@ -436,17 +415,14 @@ def _cmd_fredholm_solve(ns) -> Output:
             raise ValidationError(str(exc), key="ode-init") from None
         steps = _default_steps(ns.steps, fallback=200)
         sol = reduction.solve(steps=steps)
-        traj = sol.trajectory
-        values = np.column_stack([traj.values[:, 0], sol.phi])
-        out_traj = Trajectory(traj.grid, values, ("z", "phi"))
-        return _trajectory_output("fredholm-solve", _ns_params(ns), out_traj)
+        columns = {"t": sol.trajectory.times, "z": sol.trajectory.column("z"), "phi": sol.phi}
+        return _table_output("fredholm-solve", _ns_params(ns), columns)
     kernel = _kernel_by_name(ns.kernel, ns.mu)
     if ns.q not in _Q_CATALOGUE:
         raise ValidationError(f"unknown free term {ns.q!r}", key="q")
     disc = fredholm.NystromDiscretization(kernel, fredholm.simpson_rule(ns.nodes))
     sol = fredholm.nystrom_solve(disc, ns.lam, _Q_CATALOGUE[ns.q])
-    columns = {"t": disc.nodes, "phi": sol.phi}
-    return Output("fredholm-solve", _ns_params(ns), columns, {"columns": columns})
+    return _table_output("fredholm-solve", _ns_params(ns), {"t": disc.nodes, "phi": sol.phi})
 
 
 def _cmd_fredholm_spectrum(ns) -> Output:
@@ -455,14 +431,7 @@ def _cmd_fredholm_spectrum(ns) -> Output:
     kernel = _kernel_by_name(ns.kernel, ns.mu)
     disc = fredholm.NystromDiscretization(kernel, fredholm.simpson_rule(ns.nodes))
     report = fredholm.char_numbers(disc, discard_threshold=ns.discard_threshold)
-    data = {
-        "kernel": ns.kernel,
-        "characteristic_numbers": report.characteristic_numbers,
-        "eigenfunctions": report.eigenfunctions,
-        "nodes": report.nodes,
-        "discard_threshold": report.discard_threshold,
-    }
-    return Output("fredholm-spectrum", _ns_params(ns), None, data)
+    return Output("fredholm-spectrum", _ns_params(ns), None, _record(report, kernel=ns.kernel))
 
 
 def _cmd_fredholm_sweep(ns) -> Output:
@@ -484,14 +453,8 @@ def _cmd_fredholm_sweep(ns) -> Output:
         "smallest_singular_value": np.array(report.smallest_singular_values, dtype=float),
         "flagged": np.array(report.flagged, dtype=int),
     }
-    data = {
-        "mu_values": columns["mu"],
-        "smallest_singular_values": columns["smallest_singular_value"],
-        "flagged": report.flagged,
-        "flagged_mus": report.flagged_mus,
-        "classification": report.classification,
-    }
-    return Output("fredholm-sweep", _ns_params(ns), columns, data)
+    return Output("fredholm-sweep", _ns_params(ns), columns,
+                  _record(report, flagged_mus=report.flagged_mus))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +466,7 @@ def _cmd_dim_check(ns) -> Output:
 
     lhs, rhs = dims.parse_relation(ns.relation, dims.parse_dims(ns.dims))
     report = dims.check_relation(lhs, rhs)
+    # by hand: the dimensions and the violation render as text, beside a verdict
     data = {
         "relation": ns.relation,
         "consistent": report.consistent,
@@ -524,15 +488,8 @@ def _cmd_scale_check(ns) -> Output:
     report = allen.scale_invariance_check(
         ns.model.replace("-", "_"), params, ns.t0_a, ns.t0_b, grid
     )
-    data = {
-        "model": ns.model,
-        "t0_a": report.t0_a,
-        "t0_b": report.t0_b,
-        "max_rel_deviation": report.max_rel_deviation,
-        "verdict": report.verdict,
-        "trivially_invariant": report.trivially_invariant,
-    }
-    return Output("scale-check", _ns_params(ns), None, data)
+    # the flag's dashed model name, not the module's underscored one
+    return Output("scale-check", _ns_params(ns), None, _record(report, model=ns.model))
 
 
 # ---------------------------------------------------------------------------

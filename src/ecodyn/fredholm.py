@@ -202,6 +202,9 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+        for name, values in (("nodes", nodes), ("weights", weights)):
+            if not np.isfinite(values).all():  # NaN would pass every comparison below
+                raise ValidationError(f"quadrature {name} must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValidationError("quadrature nodes must be strictly increasing")
         if np.any(weights <= 0.0):
@@ -355,12 +358,25 @@ class NystromSolution:
 
         ``t`` is one point (returns a float) or an array of points
         (returns an array of its shape); q and each g are called once, with every point.
+        A q or g that overflows, or a value that is not finite, raises
+        NumericalError naming the first such point.
         """
         disc = self.disc
         ts = np.asarray(t, dtype=float).ravel()
-        qv = _profile_samples([self.q], ts)[:, 0]
-        G_t = _profile_samples([g for g, _ in disc.kernel.separable], ts)
-        vals = qv + self.lam * (G_t @ (disc.H.T @ (disc.weights * self.phi)))
+        try:
+            with np.errstate(all="ignore"):  # a value that is not finite is refused below
+                qv = _profile_samples([self.q], ts)[:, 0]
+                G_t = _profile_samples([g for g, _ in disc.kernel.separable], ts)
+                vals = qv + self.lam * (G_t @ (disc.H.T @ (disc.weights * self.phi)))
+        except OverflowError:  # raised by a profile, as libm's exp is
+            vals = None
+        if vals is None:  # each point alone names the first that fails
+            for x in ts.tolist() if len(ts) > 1 else ():
+                self(x)
+            raise NumericalError(f"a profile or free term overflows at t = {float(ts[0])!r}")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            raise NumericalError(f"phi is not finite at t = {float(ts[bad[0]])!r}")
         if np.ndim(t) == 0:
             return float(vals[0])
         return vals.reshape(np.shape(t))

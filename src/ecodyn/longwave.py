@@ -66,7 +66,8 @@ def lw_classify(params: LongWaveParams) -> CycleReport:
     """Classify the dynamics by the roots of l^2 - tr(M) l + det(M) = 0.
 
     With max|M| = m 2^e, tr and det of M/2^e are formed exactly, rounded
-    once and solved by ``quadratic_roots``; the roots times 2^e are M's.
+    once and solved by ``quadratic_roots``; the roots times 2^e are M's,
+    but for the smaller of a real pair, the exact det over the larger.
     The pair is oscillatory when a root has an imaginary part (a merged
     double root has none), and undamped when |Re| <= REGIME_REAL_TOL max|M|.
     So p and r times 2^k give the same regime and the period over 2^k, to
@@ -79,6 +80,16 @@ def lw_classify(params: LongWaveParams) -> CycleReport:
     a, b, c, d = (Fraction(x) / Fraction(2) ** e for x in M.ravel().tolist())
     lo, hi = quadratic_roots(float(-a - d), float(a * d - b * c))
     eigs = tuple(complex(*np.ldexp((z.real, z.imag), e)) for z in (lo, hi))
+    if lo != hi and hi.imag == 0.0:
+        # a real pair: the smaller root is the exact det over the larger, times
+        # 2^e, rounded once, so it keeps its bits where det(M/2^e) underflows
+        big = max(lo.real, hi.real, key=abs)
+        small = (a * d - b * c) / Fraction(big) * Fraction(2) ** e
+        try:
+            small = float(small)
+        except OverflowError:  # two roots of opposite signs past the float range
+            small = math.inf if small > 0 else -math.inf
+        eigs = tuple(map(complex, sorted((float(np.ldexp(big, e)), small))))
     period, regime = None, "non_oscillatory"
     if hi.imag > 0.0:
         period = float(np.ldexp(2.0 * math.pi / hi.imag, -e))

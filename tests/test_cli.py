@@ -363,6 +363,22 @@ JSON_GOLDEN = {
     # sigma = 0: no pole, so blowup_time and forecast_horizon render as null
     "harrod_corrected_mu0": ["harrod-corrected", "--mu", "0", "--nu-star", "2.5",
                              "--t-end", "5", "--steps", "10"],
+    # the reports of the model records, made before the CLI rendered the
+    # records' fields: sigma > 0, so the pole and the horizon are numbers
+    "harrod_corrected_pole": ["harrod-corrected", "--mu", "0.2", "--nu-star", "3",
+                              "--t-end", "2", "--steps", "3"],
+    "bergstrom_report": ["bergstrom", "--mu", "0.5", "--nu", "0.8", "--gamma", "1", "--lam", "2",
+                         "--t-end", "3", "--steps", "5"],
+    "fredholm_spectrum_degenerate": ["fredholm-spectrum", "--kernel", "degenerate", "--mu", "0.7",
+                                     "--nodes", "11"],
+    # the corrected model has no t0 parameter: invariant by construction
+    "scale_check_trivial": ["scale-check", "--model", "corrected-harrod", "--t0-a", "1",
+                            "--t0-b", "2.5", "--mu", "0.2", "--nu-star", "3", "--t-end", "2",
+                            "--steps", "4"],
+    # Id - (rho*rho + mu*sigma*rho)W is singular at every mu: the exceptional case
+    "fredholm_sweep_exceptional": ["fredholm-sweep", "--k0", "rho-rho", "--k1", "sigma-rho",
+                                   "--mu-min", "0", "--mu-max", "2", "--mu-count", "5",
+                                   "--nodes", "21"],
 }
 # also checked as CSV: commands with int columns, and the Nystrom solve
 CSV_GOLDEN = ("harrod_discrete", "fredholm_sweep", "fredholm_solve_t_plus_eta",

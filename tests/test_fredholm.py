@@ -86,6 +86,17 @@ class TestRules:
         with pytest.raises(MemoryError, match=f"^Unable to allocate {n} nodes"):
             simpson_rule(n)
 
+    @pytest.mark.parametrize("nodes, weights, name", [
+        ([0.0, math.nan, 1.0], [0.25, 0.5, 0.25], "nodes"),
+        ([0.0, 0.5, math.inf], [0.25, 0.5, 0.25], "nodes"),
+        ([0.0, 0.5, 1.0], [0.25, math.nan, 0.25], "weights"),
+    ], ids=["nan-node", "inf-node", "nan-weight"])
+    def test_non_finite_rule_is_refused(self, nodes, weights, name):
+        # NaN passed every comparison, and a solve on the rule then failed as
+        # a numerical error
+        with pytest.raises(ValidationError, match=f"^quadrature {name} must be finite$"):
+            QuadratureRule(nodes, weights)
+
     def test_gauss_legendre_integrates_polynomials(self):
         r = gauss_legendre_rule(16)
         assert float(np.sum(r.weights * r.nodes**5)) == pytest.approx(1.0 / 6.0, abs=1e-14)
@@ -927,6 +938,20 @@ class TestBatchedOffNode:
         pointwise = np.array([sol(float(t)) for t in ts])
         assert np.max(np.abs(batched - pointwise)) <= 1e-13 * np.max(np.abs(pointwise))
         assert isinstance(sol(0.25), float)
+
+    @pytest.mark.parametrize("t", [800.0, np.array([0.5, 800.0, 900.0])], ids=["point", "array"])
+    def test_overflowing_profile_names_the_point(self, t):
+        # libm's exp in the exp-diff profile raised a bare OverflowError
+        sol = nystrom_solve(NystromDiscretization(kernel_exp_diff(), simpson_rule(21)), 0.3, np.cos)
+        with pytest.raises(NumericalError, match=r"^a profile or free term overflows at t = 800\.0$"):
+            sol(t)
+
+    @pytest.mark.parametrize("t", [1e3, np.array([0.5, 1e3, 2e3])], ids=["point", "array"])
+    def test_value_that_is_not_finite_names_the_point(self, disc_sum, t):
+        # numpy's exp overflows to inf, with no warning
+        sol = nystrom_solve(disc_sum, 0.5, np.exp)
+        with pytest.raises(NumericalError, match=r"^phi is not finite at t = 1000\.0$"):
+            sol(t)
 
     def test_at_nodes_reproduces_the_solve(self, disc_sum):
         sol = nystrom_solve(disc_sum, 0.5, lambda t: 1.0)

@@ -192,6 +192,31 @@ class TestRootRule:
             assert max(min(abs(z - e) for e in exact) for z in got) <= tol
 
 
+    @pytest.mark.parametrize("p, r", [(1e200, 1e-200), (1e150, 1e-170)])
+    def test_smaller_real_root_keeps_its_bits(self, p, r):
+        # det(M/2^e) alone underflows here: rounded once, it gave the smaller
+        # roots 0 and -1.000281398996973e-170
+        mp = pytest.importorskip("mpmath").mp
+        params = LongWaveParams(p=p, r=r)
+        a, b, c, d = lw_matrix(params).ravel().tolist()
+        rep = lw_classify(params)
+        assert rep.regime == "non_oscillatory" and rep.period_years is None
+        with mp.workdps(50):
+            h = (mp.mpf(a) + d) / 2
+            det = mp.mpf(a) * d - mp.mpf(b) * c
+            big = h + mp.sign(h) * mp.sqrt(h * h - det)  # no cancellation
+            for got, want in zip(sorted(rep.eigenvalues, key=abs), (det / big, big)):
+                assert got.imag == 0.0
+                assert abs(got.real - want) <= 2.0**-52 * abs(want)
+
+
+    def test_real_pair_past_the_float_range_is_infinite(self):
+        # tr = 0 and det = -4.34e616: the roots are -/+2.08e308
+        rep = lw_classify(LongWaveParams(p=1.4e308, r=0.3e308, q=-1.0, s=-1.7e308 / 0.3e308))
+        assert rep.eigenvalues == (complex(-math.inf, 0.0), complex(math.inf, 0.0))
+        assert rep.regime == "non_oscillatory" and rep.period_years is None
+
+
 class TestSimulate:
     def test_equilibrium_stays_zero(self):
         traj = lw_simulate(LongWaveParams(p=0.1, r=0.1), 0.0, 0.0, TimeGrid(0.0, 50.0, 500))
