@@ -280,13 +280,18 @@ def multiplier_trajectory(
     lam: float,
     Y0: float,
     grid: TimeGrid,
+    t0: float = 1.0,
 ) -> Trajectory:
-    """Pure multiplier decay Y(t_hat) = Y0 * exp(-lam*mu*t_hat) with the
-    demand component Z = (1 - mu) * Y."""
+    """Pure multiplier decay Y(t) = Y0 * exp(-(lam/t0)*mu*t), t in units of t0
+    (t_hat at t0 = 1), with Z = (1 - mu) * Y.  A rate lam/t0 that is not finite
+    is rejected; Y falls from Y[0], and a Y[0] that overflows is a blow-up."""
     _require("(0, 1)", mu=mu)
-    _require("positive", lam=lam, Y0=Y0)
+    _require("positive", lam=lam, Y0=Y0, t0=t0)
+    rate = lam / t0
+    _require_finite_result(rate=rate)
     with np.errstate(over="ignore"):  # exp(-inf) is exactly 0
-        Y = Y0 * np.exp(-lam * mu * grid.nodes)
+        Y = Y0 * np.exp(-rate * mu * grid.nodes)
+    _raise_on_blow_up(Y[:1, None], grid.nodes, "closed form")
     return Trajectory(grid, Y[:, None] * np.array([1.0, 1.0 - mu]), ("Y", "Z"))
 
 
@@ -326,7 +331,7 @@ def scale_invariance_check(
     A deviation above 1e-6 is structural scale dependence (noise in the
     models at hand sits many orders below, structural deviations above
     1e-2).  Models with no t0 parameter are trivially scale invariant and
-    flagged as such.
+    flagged as such.  Each model refuses its own path if it is not finite.
     """
     _require("positive", t0_a=t0_a, t0_b=t0_b)
     if t0_a == t0_b:
@@ -345,8 +350,7 @@ def scale_invariance_check(
             return harrod_domar_trajectory(scaling, params["mu"], params["nu"], grid)
     elif model == "multiplier":
         def income(t0):
-            # Y0 exp(-lam mu t/t0): the rate lam/t0 on physical time
-            return multiplier_trajectory(params["mu"], params["lam"] / t0, Y0, grid)
+            return multiplier_trajectory(params["mu"], params["lam"], Y0, grid, t0)
     elif model == "corrected_harrod":
         harrod_params = HarrodParams(mu=params["mu"], nu_star=params["nu_star"], Y0=Y0)
         year_grid = TimeGrid(grid.t_start / t_star, grid.t_end / t_star, grid.steps)
@@ -357,16 +361,14 @@ def scale_invariance_check(
         phillips = PhillipsParams(
             kappa=params["kappa"], nu=params["nu"], mu=params["mu"], lam=params["lam"]
         )
+        year_grid = TimeGrid(grid.t_start / t_star, grid.t_end / t_star, grid.steps)
         init = (Y0, float(params.get("Ydot0", 0.0)))
 
         def income(t0):
             scaling = AllenScaling(t0=t0, t_star=t_star)
-            year_grid = TimeGrid(grid.t_start / t_star, grid.t_end / t_star, grid.steps)
             return phillips_solve(phillips, scaling, init, year_grid).trajectory
 
     Ya, Yb = (income(t0).column("Y") for t0 in (t0_a, t0_b))
-    for Y in (Ya, Yb):
-        _raise_on_blow_up(Y[:, None], grid.nodes, "income path")
     deviation = sup_rel_diff(Ya, Yb)
     trivial = model == "corrected_harrod"
     verdict = (

@@ -386,13 +386,12 @@ _Q_CATALOGUE: dict[str, Profile] = {
 
 
 def _kernel_by_name(name: str, mu: float) -> fredholm.KernelSpec:
+    """The catalogue kernel ``name``, which the parser's choices admit alone."""
     from . import fredholm
 
     if name == "degenerate":
         return fredholm.kernel_degenerate(mu)
-    if name in _SIMPLE_KERNELS:
-        return getattr(fredholm, _SIMPLE_KERNELS[name])()
-    raise ValidationError(f"unknown kernel {name!r}", key="kernel")
+    return getattr(fredholm, _SIMPLE_KERNELS[name])()
 
 
 def _cmd_fredholm_solve(ns) -> Output:
@@ -418,8 +417,6 @@ def _cmd_fredholm_solve(ns) -> Output:
         columns = {"t": sol.trajectory.times, "z": sol.trajectory.column("z"), "phi": sol.phi}
         return _table_output("fredholm-solve", _ns_params(ns), columns)
     kernel = _kernel_by_name(ns.kernel, ns.mu)
-    if ns.q not in _Q_CATALOGUE:
-        raise ValidationError(f"unknown free term {ns.q!r}", key="q")
     disc = fredholm.NystromDiscretization(kernel, fredholm.simpson_rule(ns.nodes))
     sol = fredholm.nystrom_solve(disc, ns.lam, _Q_CATALOGUE[ns.q])
     return _table_output("fredholm-solve", _ns_params(ns), {"t": disc.nodes, "phi": sol.phi})
@@ -600,7 +597,7 @@ _register(Command(
     "fredholm-solve",
     (_p("kernel", "str", required=True,
         choices=("t-plus-eta", "exp-diff", "degenerate", "ode-reduced")),
-     _p("lam", default=0.0), _p("q", "str", default="one", choices=("one", "t", "zero")),
+     _p("lam", default=0.0), _p("q", "str", default="one", choices=tuple(_Q_CATALOGUE)),
      _p("mu", default=0.0), _p("nodes", "int", default=201),
      _p("ode-coeffs", "str"), _p("ode-init", "str"), _p("steps", "int")),
     _cmd_fredholm_solve,

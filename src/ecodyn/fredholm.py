@@ -255,7 +255,6 @@ class NystromDiscretization:
     H: np.ndarray = field(init=False)
     _S: np.ndarray | None = field(init=False, default=None, repr=False)
     _eigenpairs: tuple | None = field(init=False, default=None, repr=False)
-    _weighted_eigs: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.G, self.H = self.kernel.factors(self.rule.nodes, self.rule.nodes)
@@ -295,9 +294,7 @@ class NystromDiscretization:
         return self.K * self.weights[None, :]
 
     def weighted_eigs(self) -> np.ndarray:
-        if self._weighted_eigs is None:
-            self._weighted_eigs = np.linalg.eigvals(self.weighted())
-        return self._weighted_eigs
+        return np.linalg.eigvals(self.weighted())
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Quadrature application of the kernel operator to node values:
@@ -358,11 +355,14 @@ class NystromSolution:
 
         ``t`` is one point (returns a float) or an array of points
         (returns an array of its shape); q and each g are called once, with every point.
-        A q or g that overflows, or a value that is not finite, raises
-        NumericalError naming the first such point.
+        A point that is not finite raises ValidationError, before q or g is called;
+        a q or g that overflows, or a value that is not finite, NumericalError.
+        Each names the first such point.
         """
         disc = self.disc
         ts = np.asarray(t, dtype=float).ravel()
+        if not np.isfinite(ts).all():
+            raise ValidationError(f"point t = {float(ts[~np.isfinite(ts)][0])!r} is not finite")
         try:
             with np.errstate(all="ignore"):  # a value that is not finite is refused below
                 qv = _profile_samples([self.q], ts)[:, 0]

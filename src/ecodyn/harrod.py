@@ -100,8 +100,7 @@ def corrected_trajectory(
     with np.errstate(over="ignore"):  # an overflow is a blow-up, raised below
         Y = params.Y0 / (1.0 - sigma * grid.nodes) ** 2
     if sigma > 0.0:
-        rate_max = 2.0 * sigma / (1.0 - sigma * grid.t_end)
-        _check_against_rk4(Y, lambda s: 2.0 * sigma / (1.0 - sigma * s), rate_max, grid, "1e-6")
+        _check_against_rk4(Y, lambda s: 2.0 * sigma / (1.0 - sigma * s), grid, "1e-6")
     traj = Trajectory(grid, Y, ("Y",))
     return CorrectedHarrodResult(traj, blowup_time=blowup, forecast_horizon=horizon)
 
@@ -113,7 +112,7 @@ def _checked_exponential(Y0: float, rate: float, grid: TimeGrid) -> np.ndarray:
     _require_finite_result(rate=rate)
     with np.errstate(over="ignore"):  # an overflow is a blow-up, raised by the check
         Y = Y0 * np.exp(rate * grid.nodes)
-    _check_against_rk4(Y, rate, abs(rate), grid, "1e-8")
+    _check_against_rk4(Y, rate, grid, "1e-8")
     return Y
 
 
@@ -122,13 +121,13 @@ RK4_SUBSTEP_TARGET = 0.02
 RK4_SUBSTEP_CAP = 64
 
 
-def _check_against_rk4(Y: np.ndarray, rate, rate_max: float, grid: TimeGrid, tol: str) -> None:
+def _check_against_rk4(Y: np.ndarray, rate, grid: TimeGrid, tol: str) -> None:
     """Validate the closed form Y of Ydot = rate*Y on ``grid`` against RK4
-    started from Y[0].  ``rate`` is a constant or a function of time,
-    ``rate_max`` bounds its size over the grid (it sets the substeps), and
-    ``tol`` is the relative tolerance as shown in the message.  A Y that is
-    not finite is a BlowUpError, raised before a disagreement beyond
-    ``tol``, which is a CrossCheckError."""
+    started from Y[0].  ``rate`` is a finite constant or a function of time,
+    whose largest size at the nodes sets the substeps, and ``tol`` is the
+    relative tolerance as shown in the message.  A Y that is not finite is a
+    BlowUpError, raised before a disagreement beyond ``tol``, a CrossCheckError."""
+    rate_max = float(np.max(np.abs(rate(grid.nodes)))) if callable(rate) else abs(rate)
     numeric = _rk4_growth(rate, Y[0], grid, _substeps_for(rate_max, grid.h))
     _raise_on_blow_up(Y[:, None], grid.nodes, "closed form")
     dev = sup_rel_diff(Y, numeric)
@@ -174,9 +173,7 @@ def _rk4_growth(rate, y0: float, grid: TimeGrid, substeps: int) -> np.ndarray:
 
 def _substeps_for(rate: float, h: float) -> int:
     """Substeps keeping rate*h_eff below ``RK4_SUBSTEP_TARGET`` so RK4 meets
-    the check tolerances."""
-    if rate <= 0.0:
-        return 1
+    the check tolerances; ``rate`` is at least 0."""
     steps = min(rate * h / RK4_SUBSTEP_TARGET, RK4_SUBSTEP_CAP)  # rate*h may overflow
     return max(1, math.ceil(steps))
 

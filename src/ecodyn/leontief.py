@@ -150,8 +150,12 @@ def metzler_check(A: np.ndarray) -> MetzlerReport:
 class IterationLog:
     """Successive-difference history ||X_{s+1} - X_s||_inf of simple iteration."""
 
-    iterates: int = 0
     residual_history: list[float] = field(default_factory=list)
+
+    @property
+    def iterates(self) -> int:
+        """The number of iterates run: one history entry each."""
+        return len(self.residual_history)
 
 
 def _lu_pivots(B: np.ndarray) -> np.ndarray:
@@ -233,7 +237,6 @@ def static_solve(
             X_next = A @ X + c
             diff = float(np.max(np.abs(X_next - X)))
             log.residual_history.append(diff)
-            log.iterates += 1
             X = X_next
             if diff <= tol:
                 return X, log

@@ -349,21 +349,20 @@ def _time_samples(fn: Profile, times: np.ndarray, width: int | None, message: st
 
 def _march(values: np.ndarray, E: np.ndarray, q: np.ndarray | None) -> None:
     """Fill values[k + 1] = values[k] + (E @ values[k] + q[k]) in place; q is
-    None, one vector for every step, or one row per step."""
+    None, one vector for every step, or one row per step, under ``linear_flow``'s errstate."""
     inc = np.empty(values.shape[1])
     prev = values[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if q is None:
-            for row in values[1:]:
-                np.dot(E, prev, out=inc)
-                np.add(prev, inc, out=row)
-                prev = row
-        else:
-            for row, qk in zip(values[1:], itertools.repeat(q) if q.ndim == 1 else q):
-                np.dot(E, prev, out=inc)
-                inc += qk
-                np.add(prev, inc, out=row)
-                prev = row
+    if q is None:
+        for row in values[1:]:
+            np.dot(E, prev, out=inc)
+            np.add(prev, inc, out=row)
+            prev = row
+    else:
+        for row, qk in zip(values[1:], itertools.repeat(q) if q.ndim == 1 else q):
+            np.dot(E, prev, out=inc)
+            inc += qk
+            np.add(prev, inc, out=row)
+            prev = row
 
 
 # overflow shows as a non-finite z or phi, which raises BlowUpError

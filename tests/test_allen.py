@@ -18,7 +18,7 @@ from ecodyn.allen import (
     phillips_system_residuals,
     scale_invariance_check,
 )
-from ecodyn.errors import PoleError, ValidationError
+from ecodyn.errors import BlowUpError, NumericalError, PoleError, ValidationError
 from ecodyn.odelin import TimeGrid
 from conftest import ode_flow
 
@@ -315,6 +315,25 @@ class TestMultiplier:
     def test_monotone_decreasing(self):
         Y = multiplier_trajectory(0.4, 2.0, 1.0, TimeGrid(0.0, 3.0, 200)).column("Y")
         assert np.all(np.diff(Y) < 0.0)
+
+    def test_scale_divides_the_rate(self):
+        grid = TimeGrid(0.0, 3.0, 30)
+        Y = multiplier_trajectory(0.4, 1.1, 2.0, grid, t0=2.0).column("Y")
+        assert same_bits(Y, 2.0 * np.exp(-(1.1 / 2.0) * 0.4 * grid.nodes))
+        assert same_bits(multiplier_trajectory(0.4, 1.1, 2.0, grid, t0=1.0).values,
+                         multiplier_trajectory(0.4, 1.1, 2.0, grid).values)
+
+    def test_rate_that_is_not_finite_is_a_numerical_failure(self):
+        with pytest.raises(NumericalError, match=r"^derived coefficient rate is not finite, got inf$"):
+            multiplier_trajectory(0.5, 1.0, 1.0, TimeGrid(0.0, 1.0, 2), t0=1e-320)
+
+    def test_path_that_overflows_before_zero_is_a_blow_up(self):
+        # Y is largest at its first node, where exp(1e4) overflows
+        with pytest.raises(BlowUpError, match=r"^closed form blew up at t=-20000\.0$"):
+            multiplier_trajectory(0.5, 1.0, 1.0, TimeGrid(-2e4, 1.0, 10))
+        with pytest.raises(BlowUpError, match="^closed form blew up"):
+            scale_invariance_check("multiplier", {"mu": 0.5, "lam": 1.0}, 1.0, 2.0,
+                                   TimeGrid(-2e4, 1.0, 10))
 
 
 class TestScaleInvariance:

@@ -375,6 +375,13 @@ JSON_GOLDEN = {
     "scale_check_trivial": ["scale-check", "--model", "corrected-harrod", "--t0-a", "1",
                             "--t0-b", "2.5", "--mu", "0.2", "--nu-star", "3", "--t-end", "2",
                             "--steps", "4"],
+    # the multiplier and harrod-domar branches, made before the multiplier
+    # formed its rate lam/t0 itself
+    "scale_check_multiplier": ["scale-check", "--model", "multiplier", "--t0-a", "1", "--t0-b", "2",
+                               "--mu", "0.4", "--lam", "1.1", "--t-end", "3", "--steps", "20"],
+    "scale_check_harrod_domar": ["scale-check", "--model", "harrod-domar", "--t0-a", "1",
+                                 "--t0-b", "2", "--mu", "0.4", "--nu", "2.5", "--t-end", "3",
+                                 "--steps", "20"],
     # Id - (rho*rho + mu*sigma*rho)W is singular at every mu: the exceptional case
     "fredholm_sweep_exceptional": ["fredholm-sweep", "--k0", "rho-rho", "--k1", "sigma-rho",
                                    "--mu-min", "0", "--mu-max", "2", "--mu-count", "5",
@@ -935,6 +942,9 @@ DERIVED_OVERFLOWS = [
               "--steps", "2"]),
     ("rate", ["scale-check", "--model", "harrod-domar", "--t0-a", "1e-300", "--t0-b", "1",
               "--mu", "0.3", "--nu", "1e-10", "--t-end", "1", "--steps", "2"]),
+    # the multiplier's rate lam/t0, which it forms itself: lam = 1 was refused as inf
+    ("rate", ["scale-check", "--model", "multiplier", "--mu", "0.5", "--lam", "1",
+              "--t0-a", "1e-320", "--t0-b", "1", "--t-end", "1", "--steps", "2"]),
     ("damping", ["bergstrom", "--mu", "0.4", "--nu", "0.8", "--gamma", "1e200", "--lam", "1e200",
                  "--t-end", "1"]),
     ("lw_matrix", ["longwave", "--p", "1e200", "--r", "1e200", "--q", "1e200", "--t-end", "1"]),
@@ -1204,6 +1214,56 @@ def test_derived_overflow_names_its_coefficient(capsys, name, argv):
     rc, _, err = run(capsys, argv)
     assert rc == 3
     assert err.startswith(f"error: derived coefficient {name} is not finite, got "), err
+
+
+def test_multiplier_scale_check_answers_at_an_underflowing_rate(capsys):
+    # lam/t0 underflows to 0: both paths are Y0, as harrod-domar's at
+    # --nu 1e300 --t0-a 1e300; lam = 1e-300 was refused as not positive
+    rc, out, err = run(capsys, ["scale-check", "--model", "multiplier", "--mu", "0.5",
+                                "--lam", "1e-300", "--t0-a", "1e300", "--t0-b", "1",
+                                "--t-end", "1", "--steps", "2"])
+    assert (rc, err) == (0, "")
+    data = json.loads(out)["data"]
+    assert (data["max_rel_deviation"], data["verdict"]) == (0.0, "scale_invariant")
+
+
+@pytest.mark.parametrize("message, argv", [
+    ("integration blew up between t=0.0 and t=100.0",
+     ["--model", "harrod-domar", "--t0-a", "1e-300", "--mu", "0.4", "--nu", "2.5",
+      "--t-end", "1e5"]),
+    ("integration blew up between t=0.0 and t=1e+305",
+     ["--model", "phillips", "--t0-a", "1", "--kappa", "1.3", "--nu", "3", "--mu", "0.4",
+      "--lam", "1.1", "--t-end", "1e308"]),
+    ("closed form blew up between t=1.499925 and t=1.9999",
+     ["--model", "corrected-harrod", "--t0-a", "1", "--mu", "0.5", "--nu-star", "1",
+      "--y0", "1e300", "--t-end", "1.9999", "--steps", "4"]),
+], ids=["harrod-domar", "phillips", "corrected-harrod"])
+def test_scale_check_path_is_refused_by_its_model(capsys, message, argv):
+    # the model's own line: scale-check re-checks no path ("income path blew up")
+    rc, out, err = run(capsys, ["scale-check", "--t0-b", "2", *argv])
+    assert (rc, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("q", ["fredholm-solve", "--kernel", "t-plus-eta", "--q", "cos"]),
+    ("kernel", ["fredholm-solve", "--kernel", "zero"]),
+    ("kernel", ["fredholm-spectrum", "--kernel", "ode-reduced"]),
+    ("k0", ["fredholm-sweep", "--k0", "degenerate", "--k1", "zero", "--mu-min", "0",
+            "--mu-max", "1"]),
+])
+@pytest.mark.parametrize("source", ["flags", "scenario"])
+def test_name_outside_the_catalogue_is_an_invalid_choice(capsys, tmp_path, flag, argv, source):
+    if source == "scenario":
+        scenario = tmp_path / "run.scenario"
+        pairs = zip(argv[1::2], argv[2::2])
+        scenario.write_text(f"command = {argv[0]}\n"
+                            + "".join(f"{k[2:].replace('-', '_')} = {v}\n" for k, v in pairs),
+                            encoding="utf-8")
+        argv = ["--scenario", str(scenario)]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert f"argument --{flag}: invalid choice: " in err
 
 
 @pytest.mark.parametrize("mu", ["1e20", "1e300"])

@@ -953,6 +953,19 @@ class TestBatchedOffNode:
         with pytest.raises(NumericalError, match=r"^phi is not finite at t = 1000\.0$"):
             sol(t)
 
+    @pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                          (np.array([0.5, math.nan, -math.inf]), "nan")],
+                             ids=["nan", "inf", "array"])
+    def test_point_that_is_not_finite_is_a_rejected_input(self, t, shown):
+        # refused before q or a profile sees it: neither is called
+        def never(ts):
+            raise AssertionError(f"sampled at {ts}")
+
+        sol = nystrom_solve(NystromDiscretization(kernel_exp_diff(), simpson_rule(21)), 0.3, np.cos)
+        sol.q = never
+        with pytest.raises(ValidationError, match=rf"^point t = {shown} is not finite$"):
+            sol(t)
+
     def test_at_nodes_reproduces_the_solve(self, disc_sum):
         sol = nystrom_solve(disc_sum, 0.5, lambda t: 1.0)
         assert np.max(np.abs(sol(disc_sum.nodes) - sol.phi)) < 1e-12

@@ -192,6 +192,22 @@ class TestCrossCheck:
             TRAJECTORIES[name]()
 
 
+    def test_rate_bound_is_the_rate_at_the_last_node(self, monkeypatch, rng):
+        # 2 sigma/(1 - sigma t) is non-decreasing under rounding, so the
+        # check's max over the nodes is the rate at t_end, bit for bit
+        seen = []
+        original = harrod._substeps_for
+        monkeypatch.setattr(harrod, "_substeps_for",
+                            lambda rate, h: seen.append(rate) or original(rate, h))
+        for _ in range(200):
+            p = HarrodParams(mu=rng.uniform(0.01, 0.99), nu_star=rng.uniform(0.1, 10.0))
+            t_end = rng.uniform(0.01, 0.9) / p.sigma
+            corrected_trajectory(p, TimeGrid(0.0, t_end, int(rng.integers(50, 500))))
+            assert seen.pop() == 2.0 * p.sigma / (1.0 - p.sigma * t_end)
+        classical_trajectory(HarrodParams(mu=0.5, nu_star=1.0), 2.0, TimeGrid(0.0, 1.0, 4))
+        assert seen.pop() == 0.25
+
+
 # closed forms that overflow where the capped-substep RK4 stays finite
 OVERFLOWS = {
     "classical": lambda: classical_trajectory(

@@ -98,6 +98,7 @@ class TestStatic:
             X_iter, log = static_solve(A, c, method="iterate", tol=1e-12)
             assert np.max(np.abs(X_direct - X_iter)) < 1e-8
             assert log is not None and log.iterates >= 1
+            assert log.iterates == len(log.residual_history)
 
     def test_iteration_contracts_at_row_sum_rate(self, rng):
         for _ in range(5):
@@ -125,7 +126,9 @@ class TestStatic:
     def test_non_convergence_carries_log(self):
         with pytest.raises(NonConvergenceError) as exc_info:
             static_solve(A22, [10.0, 20.0], method="iterate", tol=1e-14, max_iter=3)
-        assert exc_info.value.log.iterates == 3
+        log = exc_info.value.log
+        assert log.iterates == 3
+        assert log.iterates == len(log.residual_history)
 
     @pytest.mark.parametrize("method", ["direct", "iterate"])
     @pytest.mark.parametrize("kwargs, message, key", [
